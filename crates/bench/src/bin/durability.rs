@@ -6,8 +6,8 @@
 //!
 //! * **fsync sweep** — committed throughput and commit-latency
 //!   percentiles (p50/p99/p999) under the in-memory ring baseline and
-//!   each durable fsync policy (`never`, `group(8)`, `interval(5ms)`,
-//!   `every_commit`, `group_commit`). The spread is the headline: how
+//!   each durable fsync policy (`never`, `every_commit`,
+//!   `group_commit`). The spread is the headline: how
 //!   much of the commit path the durability horizon costs, from "buffered
 //!   appends only" to "every ack survives `kill -9`".
 //! * **group-commit bench** — the deferred-ack pipeline
@@ -248,11 +248,9 @@ fn best_of(repeat: usize, mut run: impl FnMut() -> HammerResult) -> HammerResult
 }
 
 fn fsync_sweep(threads: usize, dur: Duration, repeat: usize) -> String {
-    let policies: [(&str, Option<FsyncPolicy>); 6] = [
+    let policies: [(&str, Option<FsyncPolicy>); 4] = [
         ("ring", None),
         ("never", Some(FsyncPolicy::Never)),
-        ("group_8", Some(FsyncPolicy::GroupEveryN(8))),
-        ("interval_5ms", Some(FsyncPolicy::IntervalMs(5))),
         ("every_commit", Some(FsyncPolicy::EveryCommit)),
         ("group_commit", Some(GROUP_POLICY)),
     ];

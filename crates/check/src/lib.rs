@@ -36,6 +36,11 @@
 //!    (`log.rs`, `wal.rs`): a storage error there must flow through the
 //!    `IoFailure` taxonomy — transient → retry, permanent → degrade the
 //!    partition — never panic the commit pipeline.
+//! 7. **commit-tail** — `try_commit_point(`, `revoke_commit(` and
+//!    `log_commit(` are called only from `crates/core/src/protocol/mod.rs`,
+//!    where `commit_tail` spells the commit-point → log → revoke-or-install
+//!    order once (their definitions in `txn.rs` are not calls). A new
+//!    protocol calls the shared tail; it cannot re-grow a private copy.
 
 use std::fmt;
 use std::path::Path;
@@ -164,7 +169,7 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Finding> {
         // Rule 4: SeqCst / fence sites carry an `// ordering:` note.
         if !is_sync_facade && !in_test {
             let has_seqcst = line.contains("Ordering::SeqCst");
-            let has_fence = find_fence_call(line);
+            let has_fence = has_call(line, "fence(");
             if (has_seqcst || has_fence) && !ordering_justified(&masked, i) {
                 let what = if has_seqcst {
                     "Ordering::SeqCst"
@@ -200,6 +205,18 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Finding> {
                 "file-io",
                 "`unwrap()`/`expect(` in a WAL module — classify via `IoFailure` (transient → retry, permanent → degrade); the durable commit pipeline must never panic on I/O".to_string(),
             );
+        }
+
+        // Rule 7: the commit-tail primitives only inside the shared tail.
+        if rel_path != "crates/core/src/protocol/mod.rs" && !in_test {
+            for call in ["try_commit_point(", "revoke_commit(", "log_commit("] {
+                if has_call(line, call) {
+                    push(
+                        "commit-tail",
+                        format!("`{call}` outside crates/core/src/protocol/mod.rs — commit through `protocol::commit_tail`, the one copy of the commit-point → log → revoke-or-install order"),
+                    );
+                }
+            }
         }
 
         // Rule 5: parking_lot::diag only behind the seam.
@@ -257,15 +274,14 @@ fn has_db_table_call(line: &str) -> bool {
     false
 }
 
-/// A `fence(` *call* (standalone or path-qualified), not a definition like
-/// `pub fn fence(`.
-fn find_fence_call(line: &str) -> bool {
+/// A *call* of `name` (given with its opening paren, e.g. `fence(`) —
+/// standalone, path-qualified or a method call — not a definition like
+/// `pub fn fence(` and not the tail of a longer identifier.
+fn has_call(line: &str, name: &str) -> bool {
     let mut from = 0;
-    while let Some(pos) = line[from..].find("fence(") {
+    while let Some(pos) = line[from..].find(name) {
         let at = from + pos;
         from = at + 1;
-        // Preceded by start, whitespace, `:` (path) or `(`/`=` etc. — but
-        // not by `fn ` (a definition) and not mid-identifier.
         let before = &line[..at];
         if before
             .chars()
@@ -676,6 +692,38 @@ mod tests {
         // Comments and strings do not count.
         let src = "// never .unwrap() an io::Result here\n";
         assert!(rules("crates/core/src/wal.rs", src).is_empty());
+    }
+
+    // --- rule 7: commit-tail ------------------------------------------
+
+    #[test]
+    fn commit_tail_primitives_fire_outside_protocol_mod() {
+        // A fourth protocol re-growing a private commit tail.
+        let src = "if !ctx.shared.try_commit_point() { return Err(e); }\nmatch log_commit(db, ctx, wal) {\n    Err(_) => { ctx.shared.revoke_commit(reason); }\n}\n";
+        assert_eq!(
+            rules("crates/core/src/protocol/fourth.rs", src),
+            vec!["commit-tail", "commit-tail", "commit-tail"]
+        );
+        let src = "crate::protocol::log_commit(db, ctx, wal)?;\n";
+        assert_eq!(
+            rules("crates/core/src/session.rs", src),
+            vec!["commit-tail"]
+        );
+    }
+
+    #[test]
+    fn commit_tail_exempts_the_shared_tail_definitions_and_tests() {
+        let src = "if !ctx.shared.try_commit_point() {}\nlog_commit(db, ctx, wal)?;\nctx.shared.revoke_commit(r);\n";
+        assert!(rules("crates/core/src/protocol/mod.rs", src).is_empty());
+        // Definitions are not calls.
+        let src = "pub fn try_commit_point(&self) -> bool { true }\npub fn revoke_commit(&self, reason: AbortReason) -> bool { true }\n";
+        assert!(rules("crates/core/src/txn.rs", src).is_empty());
+        // Calling the shared tail is the sanctioned path.
+        let src = "commit_tail(db, ctx, wal, |_| {}, |ctx| {})\n";
+        assert!(rules("crates/core/src/protocol/silo.rs", src).is_empty());
+        // Unit tests may drive the primitives directly.
+        let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() { assert!(t.try_commit_point()); }\n}\n";
+        assert!(rules("crates/core/src/lock/entry.rs", src).is_empty());
     }
 
     // --- masking / regions machinery ----------------------------------

@@ -181,12 +181,15 @@ impl DbOptions {
         self
     }
 
-    /// The effective storage backend: the configured one, or the real
-    /// filesystem.
-    pub fn backend(&self) -> std::sync::Arc<dyn bamboo_storage::LogBackend> {
-        self.log_backend
-            .clone()
-            .unwrap_or_else(bamboo_storage::log::real_backend)
+    /// The durable log directory as one handle — [`DbOptions::wal_dir`]
+    /// behind the configured backend (the real filesystem by default) —
+    /// or `None` when the database is ring-backed.
+    pub fn log_dir(&self) -> Option<bamboo_storage::LogDir> {
+        let dir = self.wal_dir.as_ref()?;
+        Some(match &self.log_backend {
+            Some(backend) => bamboo_storage::LogDir::new(dir, Arc::clone(backend)),
+            None => bamboo_storage::LogDir::real(dir),
+        })
     }
 }
 
@@ -1113,18 +1116,23 @@ mod tests {
         // Default stays in-memory: no wal dir, no fsync, stock rotation.
         let opts = DbOptions::new();
         assert_eq!(opts.wal_dir, None);
+        assert!(opts.log_dir().is_none(), "ring-backed: no log directory");
         assert_eq!(opts.fsync_policy, FsyncPolicy::Never);
         assert_eq!(opts.segment_bytes, DEFAULT_SEGMENT_BYTES);
         // The builders set each knob independently.
         let opts = DbOptions::new()
             .with_wal_dir("/tmp/bamboo-wal")
-            .with_fsync_policy(FsyncPolicy::GroupEveryN(8))
+            .with_fsync_policy(FsyncPolicy::EveryCommit)
             .with_segment_bytes(1 << 16);
         assert_eq!(
             opts.wal_dir.as_deref(),
             Some(std::path::Path::new("/tmp/bamboo-wal"))
         );
-        assert_eq!(opts.fsync_policy, FsyncPolicy::GroupEveryN(8));
+        assert_eq!(
+            opts.log_dir().expect("wal dir set").path(),
+            std::path::Path::new("/tmp/bamboo-wal")
+        );
+        assert_eq!(opts.fsync_policy, FsyncPolicy::EveryCommit);
         assert_eq!(opts.segment_bytes, 1 << 16);
         // A database built without a wal dir ignores the other knobs (in
         // particular its options survive round-tripping through build).

@@ -37,7 +37,8 @@
 //!   appends), so no later transaction can depend on it — incomplete
 //!   groups are dropped individually and every fsync-acknowledged commit
 //!   survives.
-//! * Under the weaker policies a suffix of any partition's log may vanish,
+//! * Under [`bamboo_storage::FsyncPolicy::Never`] a suffix of any
+//!   partition's log may vanish,
 //!   so recovery applies a **horizon cut**: every transaction with a
 //!   commit timestamp at or above the oldest incomplete transaction's is
 //!   discarded. Dependency closure holds because a reader's group always
@@ -54,6 +55,12 @@
 //!   with a timestamp at or below `T`'s was already durable on all its
 //!   partitions, so the oldest incomplete transaction (and hence the cut)
 //!   sits strictly above `T`. See `DURABILITY.md` "Group commit".
+//!
+//! Which rule applies is read from the **log**, not from the recovering
+//! caller's [`DbOptions`]: every segment header records the policy its
+//! writer ran under, and recovery drops individually only when every
+//! scanned segment says `EveryCommit`. (The caller's `fsync_policy` only
+//! configures the writers the recovered database opens.)
 //!
 //! Recovery ends by taking a fresh checkpoint of the recovered state, so
 //! the ambiguous log region behind it is never scanned again — running
@@ -75,9 +82,7 @@ use std::io;
 use std::sync::Arc;
 
 use bamboo_storage::log::{
-    latest_checkpoint_with, read_checkpoint_part_with, retire_segments_below_with,
-    write_checkpoint_meta_with, write_checkpoint_part_with, CheckpointMeta, CheckpointPart, Lsn,
-    TableDump, TableMeta, WalRecord,
+    CheckpointMeta, CheckpointPart, LogScan, Lsn, TableDump, TableMeta, WalRecord,
 };
 use bamboo_storage::{PartitionId, TableId};
 
@@ -99,7 +104,7 @@ pub struct RecoveryReport {
     /// Transactions dropped because a partition's group was missing or
     /// unterminated (never acknowledged under `EveryCommit`).
     pub dropped_incomplete: u64,
-    /// Complete transactions discarded by the weak-policy horizon cut.
+    /// Complete transactions discarded by the horizon cut.
     pub dropped_horizon: u64,
     /// Partitions whose log ended in a torn (checksum-failing) tail.
     pub torn_partitions: u32,
@@ -126,14 +131,12 @@ impl PartitionedDb {
         let db0 = self.db(PartitionId(0));
         let dir = db0
             .options()
-            .wal_dir
-            .clone()
+            .log_dir()
             .expect("checkpoint requires a durable WAL (DbOptions::with_wal_dir)");
-        let backend = db0.options().backend();
         // The currently-newest complete checkpoint (if any) is about to
         // become second-newest: its cuts bound what log compaction below
         // may retire.
-        let prev = latest_checkpoint_with(&*backend, &dir)?;
+        let prev = dir.latest_checkpoint()?;
         // A degraded partition has no trustworthy log high-water mark (its
         // writer is torn down), so a checkpoint taken now could record a
         // replay cut that skips whatever its log actually holds. Refuse —
@@ -186,14 +189,12 @@ impl PartitionedDb {
             let handles: Vec<_> = (0..self.partitions())
                 .map(|p| {
                     let dir = &dir;
-                    let backend = &backend;
                     s.spawn(move || {
-                        let part = CheckpointPart {
+                        dir.write_checkpoint_part(&CheckpointPart {
                             stable_ts,
                             partition: p,
                             tables: self.dump_shard(PartitionId(p), stable_ts),
-                        };
-                        write_checkpoint_part_with(&**backend, dir, &part)
+                        })
                     })
                 })
                 .collect();
@@ -205,16 +206,12 @@ impl PartitionedDb {
         for r in dumps {
             r?;
         }
-        write_checkpoint_meta_with(
-            &*backend,
-            &dir,
-            &CheckpointMeta {
-                stable_ts,
-                partitions: self.partitions(),
-                tables,
-                cuts: cuts.clone(),
-            },
-        )?;
+        dir.write_checkpoint_meta(&CheckpointMeta {
+            stable_ts,
+            partitions: self.partitions(),
+            tables,
+            cuts: cuts.clone(),
+        })?;
         // 6. Drop a checkpoint marker into every partition's log (scan
         //    diagnostics; recovery itself reads the meta file). The
         //    checkpoint is already committed by the meta file above, so a
@@ -234,9 +231,7 @@ impl PartitionedDb {
         if let Some(prev) = prev {
             if prev.cuts.len() == self.partitions() as usize {
                 for p in 0..self.partitions() {
-                    if let Ok(n) =
-                        retire_segments_below_with(&*backend, &dir, p, prev.cuts[p as usize])
-                    {
+                    if let Ok(n) = dir.retire_segments_below(p, prev.cuts[p as usize]) {
                         self.note_segments_retired(n);
                     }
                 }
@@ -293,11 +288,9 @@ impl PartitionedDb {
     /// after loading).
     pub fn recover(opts: DbOptions) -> io::Result<(Arc<PartitionedDb>, RecoveryReport)> {
         let dir = opts
-            .wal_dir
-            .clone()
+            .log_dir()
             .expect("recover requires a durable WAL (DbOptions::with_wal_dir)");
-        let backend = opts.backend();
-        let meta = latest_checkpoint_with(&*backend, &dir)?.ok_or_else(|| {
+        let meta = dir.latest_checkpoint()?.ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
                 "no complete checkpoint found (durable databases checkpoint after loading)",
@@ -308,18 +301,13 @@ impl PartitionedDb {
 
         // Analysis 1/2: scan every partition's log from its cut, in
         // parallel. Scans stop cleanly at a torn or corrupt frame.
-        let scans: Vec<bamboo_storage::log::LogScan> = {
+        let scans: Vec<LogScan> = {
             let results: Vec<io::Result<_>> = std::thread::scope(|s| {
                 let handles: Vec<_> = (0..parts_n)
                     .map(|p| {
                         let dir = &dir;
-                        let backend = &backend;
                         let from = meta.cuts[p as usize];
-                        s.spawn(move || {
-                            bamboo_storage::log::scan_partition_log_from_with(
-                                &**backend, dir, p, from,
-                            )
-                        })
+                        s.spawn(move || dir.scan_partition_from(p, from))
                     })
                     .collect();
                 handles
@@ -382,8 +370,11 @@ impl PartitionedDb {
         report.dropped_incomplete = groups.values().filter(|g| !complete(g)).count() as u64;
         // The horizon cut (every policy that installs before durability —
         // see module docs; `GroupCommit` acks are durable but its installs
-        // are not, so it takes the horizon branch like the weak policies).
-        let horizon = if opts.fsync_policy.recovery_drops_individually() {
+        // are not, so it takes the horizon branch like `Never`). The rule
+        // is read from the scanned segment headers — what the *writer* ran
+        // under — never from the caller's options: individual drop only
+        // when every scanned log was written under `EveryCommit`.
+        let horizon = if scans.iter().all(|s| s.individual_drop) {
             u64::MAX
         } else {
             groups
@@ -429,11 +420,10 @@ impl PartitionedDb {
             let handles: Vec<_> = (0..parts_n)
                 .map(|p| {
                     let dir = &dir;
-                    let backend = &backend;
                     let pdb = &pdb;
                     let stable_ts = meta.stable_ts;
                     s.spawn(move || {
-                        let part = read_checkpoint_part_with(&**backend, dir, stable_ts, p)?;
+                        let part = dir.read_checkpoint_part(stable_ts, p)?;
                         let mut restored = 0u64;
                         for (t, dump) in part.tables.iter().enumerate() {
                             let table = pdb.db(PartitionId(p)).table(TableId(t as u32));

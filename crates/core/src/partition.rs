@@ -320,19 +320,13 @@ impl PartitionedDb {
     /// durable WAL configured.
     pub fn heal(&self, p: PartitionId) -> std::io::Result<()> {
         let opts = self.parts[p.idx()].db.options();
-        let dir = opts.wal_dir.clone().ok_or_else(|| {
+        let dir = opts.log_dir().ok_or_else(|| {
             std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
                 "heal requires a durable WAL (DbOptions::with_wal_dir)",
             )
         })?;
-        let writer = bamboo_storage::SegmentWriter::open_with(
-            opts.backend(),
-            &dir,
-            p.0,
-            opts.fsync_policy,
-            opts.segment_bytes,
-        )?;
+        let writer = dir.open_writer(p.0, opts.fsync_policy, opts.segment_bytes)?;
         self.parts[p.idx()].wal.replace_writer(writer);
         Ok(())
     }
@@ -413,31 +407,28 @@ impl PartitionedDbBuilder {
         let router = Arc::new(router);
         let catalogs: Arc<[Arc<Catalog<TupleCc>>]> =
             self.catalogs.into_iter().map(Arc::new).collect();
-        let wals: Arc<[Arc<WalHandle>]> = match &self.options.wal_dir {
+        let wals: Arc<[Arc<WalHandle>]> = match self.options.log_dir() {
             Some(dir) => {
                 assert!(
                     self.partitions <= 64,
                     "durable WALs support at most 64 partitions \
                      (the completeness mask is a u64 bitmask)"
                 );
-                let backend = self.options.backend();
                 (0..self.partitions)
                     .map(|p| {
                         // An unopenable segment no longer aborts the build:
                         // that partition comes up degraded (writes fail fast
                         // with DurabilityFailed, snapshot reads keep serving)
                         // and `PartitionedDb::heal` can re-open it later.
-                        let handle = match bamboo_storage::SegmentWriter::open_with(
-                            Arc::clone(&backend),
-                            dir,
+                        let opened = dir.open_writer(
                             p,
                             self.options.fsync_policy,
                             self.options.segment_bytes,
-                        ) {
+                        );
+                        Arc::new(match opened {
                             Ok(w) => WalHandle::durable(w),
                             Err(_) => WalHandle::poisoned(),
-                        };
-                        Arc::new(handle)
+                        })
                     })
                     .collect()
             }

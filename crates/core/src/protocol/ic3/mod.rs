@@ -30,7 +30,7 @@ pub use graph::{chop, group_accesses, Chopping, PieceAccess, PieceDecl, Template
 
 use crate::db::Database;
 use crate::meta::TupleCc;
-use crate::protocol::{apply_inserts, Protocol};
+use crate::protocol::Protocol;
 use crate::txn::{Abort, AbortReason, Access, AccessState, LockMode, PendingInsert, TxnCtx};
 use crate::wal::WalHandle;
 
@@ -551,64 +551,47 @@ impl Protocol for Ic3Protocol {
             }
         }
         ctx.timers.commit_wait += t0.elapsed();
-        // MVCC commit timestamp for the versioned installs below.
-        ctx.commit_ts = db.commit_clock.allocate();
-        if !ctx.shared.try_commit_point() {
-            db.commit_clock.finish(ctx.commit_ts);
-            return Err(ctx.abort_err());
-        }
-        // Log after the commit point with the commit timestamp, before any
-        // install (parity with the other protocols' ordering: only
-        // committed work reaches the log). Note the record carries the
-        // *column-local* copy: IC3 installs are column-masked merges
-        // computed atomically under each tuple's accessor lock below, so a
-        // full after-image cannot be captured here without racing
-        // concurrent disjoint-column writers — durable redo replay is
-        // therefore defined for the whole-row-install protocols (the 2PL
-        // family and Silo); IC3 durable logging would need column-masked
-        // update records (see DURABILITY.md).
-        match crate::protocol::log_commit(db, ctx, wal) {
-            // Under group commit the appends defer the fsync: stash the
-            // durability ticket for the session to wait out after the
-            // installs below — early lock release.
-            Ok(ticket) => ctx.durability = ticket,
-            Err(_) => {
-                // Durable sink failed before any install: revoke the commit
-                // point and abort with the durability reason. The `abort`
-                // call this `Err` obliges removes our accessor entries
-                // (cascading readers of published writes) and marks the
-                // context released, exactly like any pre-install abort.
-                let revoked = ctx
-                    .shared
-                    .revoke_commit(crate::txn::AbortReason::DurabilityFailed);
-                debug_assert!(revoked, "only the owning worker moves Committed");
-                db.commit_clock.finish(ctx.commit_ts);
-                return Err(Abort(crate::txn::AbortReason::DurabilityFailed));
-            }
-        }
-        // Install writes (column-masked) as new committed versions and
-        // clear accessor entries and versions.
-        let watermark = db.gc_watermark();
-        let trim = db.trim_threshold();
-        for i in 0..ctx.accesses.len() {
-            let a = &ctx.accesses[i];
-            let mut st = a.tuple.meta.ic3.lock();
-            if a.dirty {
-                let (_, wmask) =
-                    self.declared_masks_inner(ctx.ic3.template, a.group as usize, a.table);
-                st.versions.retain(|v| v.txn.id != ctx.shared.id);
-                let mut base = a.tuple.read_row();
-                apply_masked(&mut base, &a.local, wmask);
-                a.tuple
-                    .install_versioned_with(base, ctx.commit_ts, watermark, trim);
-                st.install_seq += 1;
-            }
-            st.accessors.retain(|e| e.txn.id != ctx.shared.id);
-            drop(st);
-            ctx.accesses[i].state = AccessState::Released;
-        }
-        apply_inserts(db, ctx);
-        db.note_commit(ctx.commit_ts);
+        // The shared tail passes the commit point and logs before any
+        // install. Note the record carries the *column-local* copy: IC3
+        // installs are column-masked merges computed atomically under each
+        // tuple's accessor lock below, so a full after-image cannot be
+        // captured at log time without racing concurrent disjoint-column
+        // writers — durable redo replay is therefore defined for the
+        // whole-row-install protocols (the 2PL family and Silo); IC3
+        // durable logging would need column-masked update records (see
+        // DURABILITY.md). On a log failure, the `abort` call the `Err`
+        // obliges removes our accessor entries (cascading readers of
+        // published writes) and marks the context released, exactly like
+        // any pre-install abort.
+        crate::protocol::commit_tail(
+            db,
+            ctx,
+            wal,
+            |_| {},
+            // Install writes (column-masked) as new committed versions and
+            // clear accessor entries and versions.
+            |ctx| {
+                let watermark = db.gc_watermark();
+                let trim = db.trim_threshold();
+                for i in 0..ctx.accesses.len() {
+                    let a = &ctx.accesses[i];
+                    let mut st = a.tuple.meta.ic3.lock();
+                    if a.dirty {
+                        let (_, wmask) =
+                            self.declared_masks_inner(ctx.ic3.template, a.group as usize, a.table);
+                        st.versions.retain(|v| v.txn.id != ctx.shared.id);
+                        let mut base = a.tuple.read_row();
+                        apply_masked(&mut base, &a.local, wmask);
+                        a.tuple
+                            .install_versioned_with(base, ctx.commit_ts, watermark, trim);
+                        st.install_seq += 1;
+                    }
+                    st.accessors.retain(|e| e.txn.id != ctx.shared.id);
+                    drop(st);
+                    ctx.accesses[i].state = AccessState::Released;
+                }
+            },
+        )?;
         ctx.shared.mark_released();
         Ok(())
     }

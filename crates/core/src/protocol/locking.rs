@@ -23,7 +23,7 @@ use bamboo_storage::{Row, TableId, Tuple};
 use crate::db::Database;
 use crate::lock::{Acquired, CommitInstall, LockPolicy};
 use crate::meta::TupleCc;
-use crate::protocol::{apply_inserts, commit_snapshot, log_commit, snapshot_read, Protocol};
+use crate::protocol::{commit_snapshot, commit_tail, snapshot_read, Protocol};
 use crate::ts::UNASSIGNED;
 use crate::txn::{Abort, AbortReason, Access, AccessState, LockMode, PendingInsert, TxnCtx};
 use crate::wal::WalHandle;
@@ -747,51 +747,19 @@ impl Protocol for LockingProtocol {
         }
         ctx.timers.commit_wait += t0.elapsed();
 
-        // Allocate the MVCC commit timestamp just before the commit point:
-        // installs (and commit-time inserts) are tagged with it, and the
-        // clock keeps it "in flight" until every install landed, so
-        // snapshots can never be taken in the middle of this commit.
-        ctx.commit_ts = db.commit_clock.allocate();
-        if !ctx.shared.try_commit_point() {
-            // A wound won the race: nothing installs under this timestamp,
-            // so retire it immediately or the stable point stalls.
-            db.commit_clock.finish(ctx.commit_ts);
-            return Err(ctx.abort_err());
-        }
-        // Algorithm 1 line 6: the log write, here *after* the commit point
-        // (Definition 1) so a wounded transaction never reaches the log —
-        // with a durable sink that is what makes recovery redo-only — and
-        // carrying the just-allocated commit timestamp. On a partitioned
-        // database the group splits into per-partition WAL appends in
-        // ascending partition-id order (the PartitionedDb commit-ordering
-        // contract). Logging precedes every install: if the process dies
-        // between fsync-acknowledged log and install, replay redoes the
-        // writes; if it dies before the log write completes, nothing was
-        // installed either.
-        match log_commit(db, ctx, wal) {
-            // Under group commit the appends defer the fsync: stash the
-            // durability ticket for the session to wait out *after* this
-            // commit installed and released — early lock release.
-            Ok(ticket) => ctx.durability = ticket,
-            Err(_) => {
-                // Durable sink failed: the group never became durable (torn
-                // bytes were rewound / the group abandoned), so revoke the
-                // commit point — nothing installed yet, no lock released, no
-                // dependent saw a Committed status it could act on — and
-                // abort this one transaction. The timestamp retires
-                // immediately so the stable point cannot stall on a commit
-                // that never was; locks are released by the `abort` call the
-                // `Err` obliges.
-                let revoked = ctx.shared.revoke_commit(AbortReason::DurabilityFailed);
-                debug_assert!(revoked, "only the owning worker moves Committed");
-                db.commit_clock.finish(ctx.commit_ts);
-                return Err(Abort(AbortReason::DurabilityFailed));
-            }
-        }
-        apply_inserts(db, ctx);
-        self.release_all(ctx, true, db.gc_watermark(), db.trim_threshold());
-        db.note_commit(ctx.commit_ts);
-        Ok(())
+        // Algorithm 1 lines 6–8 — commit point, log, install, release — are
+        // the shared tail. On a partitioned database the log write splits
+        // into per-partition WAL appends in ascending partition-id order
+        // (the PartitionedDb commit-ordering contract).
+        commit_tail(
+            db,
+            ctx,
+            wal,
+            |_| {},
+            |ctx| {
+                self.release_all(ctx, true, db.gc_watermark(), db.trim_threshold());
+            },
+        )
     }
 
     /// Range scan with phantom protection (§3.4: "next-key locking in

@@ -27,7 +27,7 @@ pub use locking::{IsolationLevel, LockingProtocol};
 pub use silo::SiloProtocol;
 
 use crate::db::Database;
-use crate::txn::{Abort, TxnCtx};
+use crate::txn::{Abort, AbortReason, TxnCtx};
 use crate::wal::{DurabilityTicket, WalHandle, WalWrite};
 
 /// A pluggable concurrency-control protocol.
@@ -156,13 +156,86 @@ pub trait Protocol: Send + Sync {
     }
 }
 
+/// The one commit tail (Algorithm 1 lines 6–8), shared by every protocol.
+/// The caller has already waited out its protocol's commit condition — the
+/// commit semaphore (2PL family), write-set locks + read validation (Silo),
+/// finished dependencies (IC3). From there the order is fixed, and this is
+/// the only place that spells it:
+///
+/// 1. **Allocate the MVCC commit timestamp** just before the commit point:
+///    installs (and commit-time inserts) are tagged with it, and the clock
+///    keeps it "in flight" until every install landed, so snapshots can
+///    never be taken in the middle of this commit.
+/// 2. **Pass the commit point** (Definition 1). If a wound won the race,
+///    nothing installs under the timestamp: retire it immediately or the
+///    stable point stalls, and abort.
+/// 3. **Log** ([`log_commit`]) — *after* the commit point, so a wounded
+///    transaction never reaches the log (with a durable sink that is what
+///    makes recovery redo-only), and *before* every install: if the process
+///    dies between an fsync-acknowledged log and the install, replay redoes
+///    the writes; if it dies before the log write completes, nothing was
+///    installed either. Under group commit the appends defer the fsync and
+///    return a durability ticket, stashed in the context for the session to
+///    wait out *after* this commit installed and released — early lock
+///    release.
+/// 4. **On a log failure, revoke.** The group never became durable (torn
+///    bytes were rewound / the group abandoned), nothing is installed, no
+///    lock released, no dependent saw a `Committed` status it could act on:
+///    revoke the commit point, retire the timestamp so the stable point
+///    cannot stall on a commit that never was, and abort this one
+///    transaction with [`AbortReason::DurabilityFailed`]. Locks and accessor
+///    entries are released by the `abort` call the `Err` obliges.
+/// 5. **Apply inserts, then install and release** (`install`), then
+///    **finish the timestamp** ([`Database::note_commit`]). Inserts land
+///    before any lock is released so a scanner queued on the inserter's
+///    next-key lock finds the new rows.
+///
+/// `unwind` runs on either failed exit (2 or 4), before the revoke: the
+/// step for state the protocol's `abort` does not undo. Silo unlocks its
+/// write set there — an OCC abort normally holds no TID locks — *without*
+/// bumping TIDs: no version was installed, so concurrent validators must
+/// not observe a phantom TID change. The other protocols pass a no-op.
+///
+/// Generic over both closures (no `dyn`, no boxed hook) and inlined, so
+/// each protocol's commit compiles to the straight-line code it was when
+/// this sequence was written out three times.
+#[inline]
+pub(crate) fn commit_tail(
+    db: &Database,
+    ctx: &mut TxnCtx,
+    wal: &WalHandle,
+    unwind: impl FnOnce(&TxnCtx),
+    install: impl FnOnce(&mut TxnCtx),
+) -> Result<(), Abort> {
+    ctx.commit_ts = db.commit_clock.allocate();
+    if !ctx.shared.try_commit_point() {
+        unwind(ctx);
+        db.commit_clock.finish(ctx.commit_ts);
+        return Err(ctx.abort_err());
+    }
+    match log_commit(db, ctx, wal) {
+        Ok(ticket) => ctx.durability = ticket,
+        Err(_) => {
+            unwind(ctx);
+            let revoked = ctx.shared.revoke_commit(AbortReason::DurabilityFailed);
+            debug_assert!(revoked, "only the owning worker moves Committed");
+            db.commit_clock.finish(ctx.commit_ts);
+            return Err(Abort(AbortReason::DurabilityFailed));
+        }
+    }
+    apply_inserts(db, ctx);
+    install(ctx);
+    db.note_commit(ctx.commit_ts);
+    Ok(())
+}
+
 /// Applies buffered inserts at commit time (shared by all protocols). The
 /// new rows' first version carries the transaction's commit timestamp, so
 /// snapshots older than the inserting transaction do not see them. Each
 /// insert lands in the shard owning its key (the local table on a
 /// monolithic database), and secondary-index maintenance stays within
 /// that shard.
-pub(crate) fn apply_inserts(db: &Database, ctx: &mut TxnCtx) {
+fn apply_inserts(db: &Database, ctx: &mut TxnCtx) {
     for ins in ctx.inserts.drain(..) {
         let table = db.table_for(ins.table, ins.key);
         let tuple = table.insert_at(ins.key, ins.row, ctx.commit_ts);
@@ -173,9 +246,10 @@ pub(crate) fn apply_inserts(db: &Database, ctx: &mut TxnCtx) {
 }
 
 /// Appends one commit's redo group to the WAL (shared by all protocols).
-/// Called **after** the commit timestamp is allocated and the commit-point
-/// CAS succeeded, so `ctx.commit_ts` is final and uncommitted work never
-/// reaches a durable sink — recovery is redo-only by construction.
+/// Called by [`commit_tail`] **after** the commit timestamp is allocated and
+/// the commit-point CAS succeeded, so `ctx.commit_ts` is final and
+/// uncommitted work never reaches a durable sink — recovery is redo-only by
+/// construction.
 ///
 /// * Monolithic database: one append to the session's sink, as always.
 /// * Partitioned database: the group is split by partition and appended
@@ -206,10 +280,9 @@ pub(crate) fn apply_inserts(db: &Database, ctx: &mut TxnCtx) {
 ///
 /// ## Failure semantics
 ///
-/// A durable sink can fail ([`IoFailure`]); the caller — each protocol's
-/// commit — must then revoke the commit point
-/// ([`crate::txn::TxnShared::revoke_commit`]) and abort with
-/// [`crate::txn::AbortReason::DurabilityFailed`], releasing locks and
+/// A durable sink can fail ([`IoFailure`]); [`commit_tail`] then revokes
+/// the commit point ([`crate::txn::TxnShared::revoke_commit`]) and aborts
+/// with [`AbortReason::DurabilityFailed`], releasing locks and
 /// installing nothing. (Every error here is a *pre-install* failure, even
 /// under group commit: the deferred batch fsync happens after install, but
 /// its failures surface through the ticket wait, not through this
@@ -219,7 +292,7 @@ pub(crate) fn apply_inserts(db: &Database, ctx: &mut TxnCtx) {
 /// fail fast on a known-degraded sibling; a fault that strikes *during*
 /// the sequence can still orphan earlier groups, which recovery drops
 /// because their `seen_mask` never completes `parts_mask`.
-pub(crate) fn log_commit(
+fn log_commit(
     db: &Database,
     ctx: &TxnCtx,
     wal: &WalHandle,
@@ -386,7 +459,6 @@ pub(crate) fn snapshot_read<'c>(
     table: TableId,
     key: u64,
 ) -> Result<&'c Row, crate::txn::Abort> {
-    use crate::txn::AbortReason;
     let snap = ctx
         .snapshot
         .expect("snapshot_read outside snapshot mode")

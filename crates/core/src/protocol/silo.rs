@@ -30,7 +30,7 @@ use bamboo_storage::{Row, TableId, Tuple};
 
 use crate::db::Database;
 use crate::meta::TupleCc;
-use crate::protocol::{apply_inserts, commit_snapshot, log_commit, snapshot_read, Protocol};
+use crate::protocol::{commit_snapshot, commit_tail, snapshot_read, Protocol};
 use crate::txn::{Abort, AbortReason, Access, AccessState, LockMode, PendingInsert, TxnCtx};
 use crate::wal::WalHandle;
 
@@ -254,55 +254,36 @@ impl Protocol for SiloProtocol {
         }
         let new_tid = max_tid + 2; // LSB reserved for the lock bit.
 
-        // MVCC commit timestamp: the write set is locked and validation
-        // passed, so the serialization point is now; snapshots cannot be
-        // taken past this timestamp until every install lands.
-        ctx.commit_ts = db.commit_clock.allocate();
-        let committed = ctx.shared.try_commit_point();
-        debug_assert!(committed, "nothing wounds a Silo transaction");
-        // Log after the commit point, carrying the commit timestamp, and
-        // before any install (per-partition WAL appends in partition-id
-        // order when the database is partitioned): only committed work
-        // reaches a durable sink, and a crash between log and install is
-        // covered by redo replay.
-        match log_commit(db, ctx, wal) {
-            // Under group commit the appends defer the fsync: stash the
-            // durability ticket for the session to wait out after Phase 3
-            // installed and unlocked — early lock release.
-            Ok(ticket) => ctx.durability = ticket,
-            Err(_) => {
-                // Durable sink failed before any install. Unlock the write
-                // set here — Silo's `abort` never touches TID locks (OCC
-                // aborts normally hold none) — then revoke the commit point
-                // and abort with the durability reason. TIDs are *not*
-                // bumped: no version was installed, so concurrent
-                // validators must not observe a phantom TID change.
+        // The write set is locked and validation passed, so the
+        // serialization point is now: the shared tail passes the commit
+        // point (nothing wounds a Silo transaction) and logs. If the log
+        // fails it unlocks the write set first — `abort` never touches TID
+        // locks — leaving the TIDs as they were.
+        commit_tail(
+            db,
+            ctx,
+            wal,
+            |ctx| {
                 for &j in &locked {
                     Self::unlock(&ctx.accesses[j].tuple);
                 }
-                let revoked = ctx.shared.revoke_commit(AbortReason::DurabilityFailed);
-                debug_assert!(revoked, "only the owning worker moves Committed");
-                db.commit_clock.finish(ctx.commit_ts);
-                return Err(Abort(AbortReason::DurabilityFailed));
-            }
-        }
-
-        // Phase 3: install write set as new committed versions, bump TIDs,
-        // unlock.
-        let watermark = db.gc_watermark();
-        let trim = db.trim_threshold();
-        for &i in &write_idx {
-            let a = &ctx.accesses[i];
-            a.tuple
-                .install_versioned_with(a.local.clone(), ctx.commit_ts, watermark, trim);
-            Self::unlock_with(&a.tuple, new_tid);
-        }
-        apply_inserts(db, ctx);
-        // Finishing the timestamp doubles as Silo's epoch tick: every
-        // EPOCH_COMMITS-th commit advances the epoch and republishes the
-        // snapshot watermark (db::note_commit).
-        db.note_commit(ctx.commit_ts);
-        Ok(())
+            },
+            // Phase 3: install the write set as new committed versions,
+            // bump TIDs, unlock. Finishing the timestamp afterwards doubles
+            // as Silo's epoch tick: every EPOCH_COMMITS-th commit advances
+            // the epoch and republishes the snapshot watermark
+            // (db::note_commit).
+            |ctx| {
+                let watermark = db.gc_watermark();
+                let trim = db.trim_threshold();
+                for &i in &write_idx {
+                    let a = &ctx.accesses[i];
+                    a.tuple
+                        .install_versioned_with(a.local.clone(), ctx.commit_ts, watermark, trim);
+                    Self::unlock_with(&a.tuple, new_tid);
+                }
+            },
+        )
     }
 
     fn abort(&self, db: &Database, ctx: &mut TxnCtx) -> usize {

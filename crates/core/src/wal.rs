@@ -46,9 +46,10 @@ use std::io;
 use std::time::{Duration, Instant};
 
 use bamboo_storage::log::{
-    frame_insert, frame_record, frame_update, IoClass, IoFailure, Lsn, SegmentWriter, WalRecord,
+    encode_row, frame_insert, frame_record, frame_update, IoClass, IoFailure, Lsn, SegmentWriter,
+    WalRecord,
 };
-use bamboo_storage::{FsyncPolicy, Row, RowId, TableId, Value};
+use bamboo_storage::{FsyncPolicy, Row, RowId, TableId};
 use parking_lot::{Condvar, Mutex};
 
 /// Default per-worker ring capacity (16 MiB, comfortably larger than any
@@ -131,18 +132,16 @@ impl WalBuffer {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
         scratch.extend_from_slice(b"CMT!");
-        enc_u64(&mut scratch, txn_id);
+        scratch.extend_from_slice(&txn_id.to_le_bytes());
         let mut n = 0u64;
         for (table, row_id, row) in writes {
-            enc_u64(&mut scratch, table.0 as u64);
-            enc_u64(&mut scratch, row_id);
-            enc_u64(&mut scratch, row.len() as u64);
-            for v in row.values() {
-                enc_value(&mut scratch, v);
-            }
+            scratch.extend_from_slice(&(table.0 as u64).to_le_bytes());
+            scratch.extend_from_slice(&row_id.to_le_bytes());
+            // The durable log's row codec: one spelling of a tagged value.
+            encode_row(&mut scratch, row);
             n += 1;
         }
-        enc_u64(&mut scratch, n);
+        scratch.extend_from_slice(&n.to_le_bytes());
         self.put(&scratch);
         self.scratch = scratch;
         self.records += 1;
@@ -156,33 +155,6 @@ impl WalBuffer {
     /// Number of commit records appended.
     pub fn records(&self) -> u64 {
         self.records
-    }
-}
-
-#[inline]
-fn enc_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn enc_value(buf: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::U64(x) => {
-            buf.push(0);
-            enc_u64(buf, *x);
-        }
-        Value::I64(x) => {
-            buf.push(1);
-            buf.extend_from_slice(&x.to_le_bytes());
-        }
-        Value::F64(x) => {
-            buf.push(2);
-            buf.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            buf.push(3);
-            enc_u64(buf, s.len() as u64);
-            buf.extend_from_slice(s.as_bytes());
-        }
     }
 }
 
@@ -280,6 +252,25 @@ struct GroupState {
     leader_active: bool,
     /// Committers parked on the condvar (followers + window joiners).
     waiting: u32,
+    /// The leader's accumulation window, copied from the writer's policy
+    /// whenever a writer is installed — parked committers read it here,
+    /// under the queue lock they already hold, and never touch the sink
+    /// lock (held by appenders across their file write) before the
+    /// leader's sync. Zero unless the policy is `GroupCommit`.
+    max_batch: u32,
+    max_wait: Duration,
+}
+
+impl GroupState {
+    fn set_window(&mut self, policy: FsyncPolicy) {
+        (self.max_batch, self.max_wait) = match policy {
+            FsyncPolicy::GroupCommit {
+                max_batch,
+                max_wait_us,
+            } => (max_batch, Duration::from_micros(max_wait_us)),
+            _ => (0, Duration::ZERO),
+        };
+    }
 }
 
 thread_local! {
@@ -316,10 +307,10 @@ pub struct WalHandle {
     sink: parking_lot::Mutex<WalSink>,
     /// Set on permanent failure; checked (fail-fast) before every append.
     degraded: AtomicBool,
-    /// Cached sink kind so the append path can pre-encode its group
-    /// without taking the sink lock. Flips ring → durable only through
-    /// [`WalHandle::replace_writer`].
-    durable_kind: AtomicBool,
+    /// The sink kind, fixed at construction (a heal swaps a durable
+    /// handle's *writer*, never a ring for a durable sink), so the append
+    /// path can pre-encode its group without taking the sink lock.
+    durable_kind: bool,
     /// Transient faults retried successfully or not (observability).
     io_retries: AtomicU64,
     /// Permanent failures that degraded the handle.
@@ -338,20 +329,23 @@ pub struct WalHandle {
 
 impl WalHandle {
     fn from_sink(sink: WalSink, degraded: bool) -> Self {
-        let durable_kind = matches!(sink, WalSink::Durable { .. } | WalSink::Poisoned);
+        let mut group = GroupState::default();
         let durable_lsn = match &sink {
-            WalSink::Durable { writer, .. } => writer.synced_lsn(),
+            WalSink::Durable { writer, .. } => {
+                group.set_window(writer.policy());
+                writer.synced_lsn()
+            }
             _ => 0,
         };
         WalHandle {
+            durable_kind: !matches!(sink, WalSink::Ring(_)),
             sink: parking_lot::Mutex::new(sink),
             degraded: AtomicBool::new(degraded),
-            durable_kind: AtomicBool::new(durable_kind),
             io_retries: AtomicU64::new(0),
             io_failures: AtomicU64::new(0),
             durable_lsn: AtomicU64::new(durable_lsn),
             group_fsyncs: AtomicU64::new(0),
-            group: Mutex::new(GroupState::default()),
+            group: Mutex::new(group),
             group_cond: Condvar::new(),
         }
     }
@@ -394,10 +388,7 @@ impl WalHandle {
     /// True when this handle logs to durable segment files (including a
     /// degraded handle whose writer is torn down: the *intent* is durable).
     pub fn is_durable(&self) -> bool {
-        matches!(
-            &*self.sink.lock(),
-            WalSink::Durable { .. } | WalSink::Poisoned
-        )
+        self.durable_kind
     }
 
     /// True when the handle is degraded (writes fail fast; see
@@ -421,6 +412,10 @@ impl WalHandle {
     /// re-admits writes. The commit-group count carries over. Ring handles
     /// ignore the call.
     pub fn replace_writer(&self, writer: SegmentWriter) {
+        if !self.durable_kind {
+            return;
+        }
+        self.group.lock().set_window(writer.policy());
         let mut sink = self.sink.lock();
         let records = match &*sink {
             WalSink::Durable { records, .. } => *records,
@@ -436,7 +431,6 @@ impl WalHandle {
             writer: Box::new(writer),
             records,
         };
-        self.durable_kind.store(true, Ordering::Release);
         // Clear the flag only after the sink is swapped: an append racing
         // the heal either fails fast on the flag or serializes behind the
         // sink mutex and lands in the new writer.
@@ -488,15 +482,9 @@ impl WalHandle {
         if self.durable_lsn.load(Ordering::Acquire) >= lsn {
             return Ok(());
         }
-        let (max_batch, max_wait) = match self.fsync_policy() {
-            Some(FsyncPolicy::GroupCommit {
-                max_batch,
-                max_wait_us,
-            }) => (max_batch.max(1), Duration::from_micros(max_wait_us)),
-            _ => (1, Duration::ZERO),
-        };
         let mut announced = false;
         let mut state = self.group.lock();
+        let (max_batch, max_wait) = (state.max_batch, state.max_wait);
         loop {
             if self.durable_lsn.load(Ordering::Acquire) >= lsn {
                 return Ok(());
@@ -542,7 +530,7 @@ impl WalHandle {
                 }
             }
             drop(state); // never hold the queue lock across the sink lock
-            let synced = self.sync_batch();
+            let synced = self.sync_as("group fsync");
             state = self.group.lock();
             state.leader_active = false;
             if synced.is_ok() {
@@ -558,57 +546,60 @@ impl WalHandle {
         }
     }
 
-    /// One batch fsync on behalf of every parked committer: syncs the
-    /// durable sink (transient faults retried in place) and publishes the
-    /// new durability watermark. Permanent failure degrades the handle.
-    fn sync_batch(&self) -> Result<(), IoFailure> {
-        match &mut *self.sink.lock() {
-            WalSink::Ring(_) => Ok(()),
-            WalSink::Poisoned => Err(degraded_error("group fsync")),
-            WalSink::Durable { writer, .. } => {
-                let mut attempt = 1;
-                loop {
-                    match writer.sync() {
-                        Ok(()) => {
-                            // ordering: Release publishes the watermark to
-                            // `wait_covered`'s fast-path Acquire load; the
-                            // store happens under the sink lock, so it is
-                            // monotone.
-                            self.durable_lsn
-                                .store(writer.synced_lsn(), Ordering::Release);
-                            return Ok(());
-                        }
-                        Err(e) => {
-                            let f = IoFailure::new("group fsync", e);
-                            if f.is_transient() && attempt < WAL_IO_ATTEMPTS {
-                                self.io_retries.fetch_add(1, Ordering::Relaxed);
-                                retry_backoff(attempt);
-                                attempt += 1;
-                                continue;
-                            }
-                            return Err(self.fail(f));
-                        }
-                    }
+    /// The one I/O retry loop of the durable path: runs `attempt` against
+    /// the writer, retrying a transient failure in place with backoff up to
+    /// `WAL_IO_ATTEMPTS` tries in total. A permanent failure or an
+    /// exhausted budget degrades the handle ([`WalHandle::fail`]). Called
+    /// with the sink lock held (`writer` borrows from it).
+    fn retry_io<T>(
+        &self,
+        writer: &mut SegmentWriter,
+        mut attempt: impl FnMut(&mut SegmentWriter) -> Result<T, IoFailure>,
+    ) -> Result<T, IoFailure> {
+        let mut tries = 1;
+        loop {
+            match attempt(writer) {
+                Ok(v) => return Ok(v),
+                Err(f) if f.is_transient() && tries < WAL_IO_ATTEMPTS => {
+                    self.io_retries.fetch_add(1, Ordering::Relaxed);
+                    retry_backoff(tries);
+                    tries += 1;
                 }
+                Err(f) => return Err(self.fail(f)),
             }
         }
     }
 
-    /// Appends one commit record in the historical ring format, locking
-    /// the sink for exactly the append. Ring-backed handles only — the
-    /// durable format needs the commit timestamp and partition mask that
-    /// [`WalHandle::append_txn`] carries.
-    pub fn append_commit<'a>(
-        &self,
-        txn_id: u64,
-        writes: impl Iterator<Item = (TableId, RowId, &'a Row)>,
-    ) {
-        match &mut *self.sink.lock() {
-            WalSink::Ring(buf) => buf.append_commit(txn_id, writes),
-            WalSink::Durable { .. } | WalSink::Poisoned => {
-                panic!("append_commit is the ring-only legacy path; use append_txn")
-            }
+    /// Lands the staged group as one write, retrying transients after
+    /// cutting any torn prefix back out (the group stays staged, so a retry
+    /// rewrites identical bytes). A failed rewind leaves the segment tail
+    /// in an unknown state — nothing more can be written safely, so it is
+    /// permanent on the spot. On failure the staged group is dropped.
+    fn flush_staged(&self, writer: &mut SegmentWriter, op: &'static str) -> Result<(), IoFailure> {
+        let landed = self.retry_io(writer, |w| {
+            w.flush_group()
+                .map(drop)
+                .map_err(|e| match w.rewind_partial() {
+                    Ok(()) => IoFailure::new(op, e),
+                    Err(re) => IoFailure::with_class(IoClass::Permanent, "wal rewind", re),
+                })
+        });
+        if landed.is_err() {
+            writer.clear_group();
         }
+        landed
+    }
+
+    /// Fsyncs the writer (transients retried) and publishes the new
+    /// durability watermark.
+    fn sync_writer(&self, writer: &mut SegmentWriter, op: &'static str) -> Result<(), IoFailure> {
+        self.retry_io(writer, |w| w.sync().map_err(|e| IoFailure::new(op, e)))?;
+        // ordering: Release publishes the watermark to `wait_covered`'s
+        // fast-path Acquire load; the store happens under the sink lock, so
+        // it is monotone.
+        self.durable_lsn
+            .store(writer.synced_lsn(), Ordering::Release);
+        Ok(())
     }
 
     /// Appends one transaction's redo group — its share on this handle's
@@ -648,65 +639,34 @@ impl WalHandle {
         if self.is_degraded() {
             return Err(degraded_error("wal append"));
         }
-        if !self.durable_kind.load(Ordering::Acquire) {
-            return match &mut *self.sink.lock() {
-                WalSink::Ring(buf) => {
-                    buf.append_commit(
-                        txn_id,
-                        writes.map(|w| match w {
-                            WalWrite::Update {
-                                table,
-                                row_id,
-                                after,
-                                ..
-                            } => (table, row_id, after),
-                            WalWrite::Insert {
-                                table, key, row, ..
-                            } => (table, key, row),
-                        }),
-                    );
-                    Ok(GroupAppend {
-                        durable: true,
-                        end_lsn: 0,
-                    })
-                }
-                WalSink::Poisoned => Err(degraded_error("wal append")),
-                WalSink::Durable { writer, records } => {
-                    // A heal flipped the sink durable between the kind load
-                    // and the lock: stage under the lock like the historical
-                    // path did (cold — only the append racing the heal).
-                    writer.stage_record(&WalRecord::Begin {
-                        txn_id,
-                        commit_ts,
-                        parts_mask,
-                    });
-                    for w in writes {
-                        match w {
-                            WalWrite::Update {
-                                table, key, after, ..
-                            } => writer.stage_update(table.0, key, after),
-                            WalWrite::Insert {
-                                table,
-                                key,
-                                row,
-                                secondary,
-                            } => writer.stage_insert(
-                                table.0,
-                                key,
-                                row,
-                                secondary.map(|(i, k)| (i as u32, k)),
-                            ),
-                        }
-                    }
-                    writer.stage_record(&WalRecord::Commit { txn_id, commit_ts });
-                    self.land_group(writer, records)
-                }
+        if !self.durable_kind {
+            let mut sink = self.sink.lock();
+            let WalSink::Ring(buf) = &mut *sink else {
+                unreachable!("a ring handle's sink never changes kind");
             };
+            buf.append_commit(
+                txn_id,
+                writes.map(|w| match w {
+                    WalWrite::Update {
+                        table,
+                        row_id,
+                        after,
+                        ..
+                    } => (table, row_id, after),
+                    WalWrite::Insert {
+                        table, key, row, ..
+                    } => (table, key, row),
+                }),
+            );
+            return Ok(GroupAppend {
+                durable: true,
+                end_lsn: 0,
+            });
         }
-        // Durable fast path: frame the whole Begin / writes / Commit group
-        // into the per-thread buffer before taking the sink lock. The
-        // iterator is consumed exactly once, and retries rewrite the staged
-        // bytes verbatim.
+        // Durable path: frame the whole Begin / writes / Commit group into
+        // the per-thread buffer before taking the sink lock. The iterator
+        // is consumed exactly once, and retries rewrite the staged bytes
+        // verbatim.
         GROUP_ENCODE.with(|cell| {
             let (framed, scratch) = &mut *cell.borrow_mut();
             framed.clear();
@@ -741,21 +701,13 @@ impl WalHandle {
             }
             frame_record(framed, scratch, &WalRecord::Commit { txn_id, commit_ts });
             match &mut *self.sink.lock() {
-                WalSink::Ring(buf) => {
-                    // Unreachable in practice (the cached kind never flips
-                    // back to ring); keep the cost model honest anyway.
-                    buf.put(framed);
-                    buf.records += 1;
-                    Ok(GroupAppend {
-                        durable: true,
-                        end_lsn: 0,
-                    })
-                }
-                WalSink::Poisoned => Err(degraded_error("wal append")),
                 WalSink::Durable { writer, records } => {
                     writer.stage_framed(framed);
                     self.land_group(writer, records)
                 }
+                // Poisoned: the writer was torn down after the flag check.
+                // (A durable handle never holds a ring.)
+                _ => Err(degraded_error("wal append")),
             }
         })
     }
@@ -767,70 +719,41 @@ impl WalHandle {
         writer: &mut SegmentWriter,
         records: &mut u64,
     ) -> Result<GroupAppend, IoFailure> {
-        // Phase 1: land the group, retrying transients after cutting any
-        // torn prefix back out.
-        let mut attempt = 1;
-        loop {
-            match writer.flush_group() {
-                Ok(_) => break,
-                Err(e) => {
-                    let f = IoFailure::new("wal append", e);
-                    if let Err(re) = writer.rewind_partial() {
-                        // The segment tail is in an unknown state: nothing
-                        // more can be written safely.
-                        writer.clear_group();
-                        return Err(self.fail(IoFailure::new("wal rewind", re)));
-                    }
-                    if f.is_transient() && attempt < WAL_IO_ATTEMPTS {
-                        self.io_retries.fetch_add(1, Ordering::Relaxed);
-                        retry_backoff(attempt);
-                        attempt += 1;
-                        continue;
-                    }
-                    writer.clear_group();
-                    return Err(self.fail(f));
-                }
-            }
-        }
+        // Phase 1: land the group.
+        self.flush_staged(writer, "wal append")?;
 
         // Phase 2: the durability barrier (per fsync policy). GroupCommit
         // never syncs here — its barrier is the leader fsync in
         // `wait_covered` — so under that policy phase 2 cannot fail and
         // every append error stays phase-1 (nothing installed yet).
-        let mut attempt = 1;
-        loop {
-            match writer.commit_boundary() {
-                Ok(durable) => {
-                    *records += 1;
-                    if durable {
-                        // ordering: Release pairs with `wait_covered`'s
-                        // Acquire fast path; written under the sink lock,
-                        // so the plain store stays monotone.
-                        self.durable_lsn
-                            .store(writer.synced_lsn(), Ordering::Release);
-                    }
-                    return Ok(GroupAppend {
-                        durable,
-                        end_lsn: writer.lsn(),
-                    });
+        let barrier = self.retry_io(writer, |w| {
+            w.commit_boundary()
+                .map_err(|e| IoFailure::new("wal fsync", e))
+        });
+        match barrier {
+            Ok(durable) => {
+                *records += 1;
+                if durable {
+                    // ordering: Release pairs with `wait_covered`'s
+                    // Acquire fast path; written under the sink lock,
+                    // so the plain store stays monotone.
+                    self.durable_lsn
+                        .store(writer.synced_lsn(), Ordering::Release);
                 }
-                Err(e) => {
-                    let f = IoFailure::new("wal fsync", e);
-                    if f.is_transient() && attempt < WAL_IO_ATTEMPTS {
-                        self.io_retries.fetch_add(1, Ordering::Relaxed);
-                        retry_backoff(attempt);
-                        attempt += 1;
-                        continue;
-                    }
-                    // The group is written but cannot be promised durable,
-                    // and the commit is about to abort: remove it so
-                    // recovery never replays an aborted transaction. If
-                    // even that fails the group's fate is ambiguous —
-                    // degrade either way and let heal + recovery
-                    // re-establish a clean tail.
-                    let _ = writer.abandon_group();
-                    return Err(self.fail(f));
-                }
+                Ok(GroupAppend {
+                    durable,
+                    end_lsn: writer.lsn(),
+                })
+            }
+            Err(f) => {
+                // The group is written but cannot be promised durable,
+                // and the commit is about to abort: remove it so
+                // recovery never replays an aborted transaction. If
+                // even that fails the group's fate is ambiguous — the
+                // handle is degraded either way, and heal + recovery
+                // re-establish a clean tail.
+                let _ = writer.abandon_group();
+                Err(f)
             }
         }
     }
@@ -845,52 +768,15 @@ impl WalHandle {
             WalSink::Ring(buf) => Ok(buf.bytes_logged()),
             WalSink::Poisoned => Err(degraded_error("checkpoint append")),
             WalSink::Durable { writer, .. } => {
-                let mut attempt = 1;
-                let at = loop {
-                    writer.stage_record(&WalRecord::Checkpoint {
-                        stable_ts,
-                        cuts: cuts.to_vec(),
-                    });
-                    match writer.flush_group() {
-                        Ok(at) => break at,
-                        Err(e) => {
-                            let f = IoFailure::new("checkpoint append", e);
-                            writer.clear_group();
-                            if let Err(re) = writer.rewind_partial() {
-                                return Err(self.fail(IoFailure::new("wal rewind", re)));
-                            }
-                            if f.is_transient() && attempt < WAL_IO_ATTEMPTS {
-                                self.io_retries.fetch_add(1, Ordering::Relaxed);
-                                retry_backoff(attempt);
-                                attempt += 1;
-                                continue;
-                            }
-                            return Err(self.fail(f));
-                        }
-                    }
-                };
-                let mut attempt = 1;
-                loop {
-                    match writer.sync() {
-                        Ok(()) => {
-                            self.durable_lsn
-                                .store(writer.synced_lsn(), Ordering::Release);
-                            break;
-                        }
-                        Err(e) => {
-                            let f = IoFailure::new("checkpoint fsync", e);
-                            if f.is_transient() && attempt < WAL_IO_ATTEMPTS {
-                                self.io_retries.fetch_add(1, Ordering::Relaxed);
-                                retry_backoff(attempt);
-                                attempt += 1;
-                                continue;
-                            }
-                            let _ = writer.abandon_group();
-                            return Err(self.fail(f));
-                        }
-                    }
+                writer.stage_record(&WalRecord::Checkpoint {
+                    stable_ts,
+                    cuts: cuts.to_vec(),
+                });
+                self.flush_staged(writer, "checkpoint append")?;
+                if let Err(f) = self.sync_writer(writer, "checkpoint fsync") {
+                    let _ = writer.abandon_group();
+                    return Err(f);
                 }
-                debug_assert!(at < writer.lsn());
                 Ok(writer.lsn())
             }
         }
@@ -898,34 +784,22 @@ impl WalHandle {
 
     /// Forces buffered bytes to disk (durable sinks; a no-op on the ring).
     pub fn sync(&self) -> Result<(), IoFailure> {
+        self.sync_as("wal fsync")
+    }
+
+    /// [`WalHandle::sync`] reporting failures as `op` — `wait_covered`'s
+    /// leader issues its one batch fsync on behalf of every parked
+    /// committer through here. Transient faults are retried in place, a
+    /// permanent failure degrades the handle, and success publishes the
+    /// new durability watermark.
+    fn sync_as(&self, op: &'static str) -> Result<(), IoFailure> {
         if self.is_degraded() {
-            return Err(degraded_error("wal fsync"));
+            return Err(degraded_error(op));
         }
         match &mut *self.sink.lock() {
             WalSink::Ring(_) => Ok(()),
-            WalSink::Poisoned => Err(degraded_error("wal fsync")),
-            WalSink::Durable { writer, .. } => {
-                let mut attempt = 1;
-                loop {
-                    match writer.sync() {
-                        Ok(()) => {
-                            self.durable_lsn
-                                .store(writer.synced_lsn(), Ordering::Release);
-                            return Ok(());
-                        }
-                        Err(e) => {
-                            let f = IoFailure::new("wal fsync", e);
-                            if f.is_transient() && attempt < WAL_IO_ATTEMPTS {
-                                self.io_retries.fetch_add(1, Ordering::Relaxed);
-                                retry_backoff(attempt);
-                                attempt += 1;
-                                continue;
-                            }
-                            return Err(self.fail(f));
-                        }
-                    }
-                }
-            }
+            WalSink::Poisoned => Err(degraded_error(op)),
+            WalSink::Durable { writer, .. } => self.sync_writer(writer, op),
         }
     }
 
@@ -939,23 +813,10 @@ impl WalHandle {
         }
     }
 
-    /// The durable sink's fsync policy (`None` on a ring or a poisoned
-    /// handle).
-    pub fn fsync_policy(&self) -> Option<FsyncPolicy> {
-        match &*self.sink.lock() {
-            WalSink::Ring(_) => None,
-            WalSink::Durable { writer, .. } => Some(writer.policy()),
-            WalSink::Poisoned => None,
-        }
-    }
-
-    /// Total bytes appended over the sink's lifetime.
+    /// Total bytes appended over the sink's lifetime (the same number as
+    /// [`WalHandle::current_lsn`], read as a volume rather than a position).
     pub fn bytes_logged(&self) -> u64 {
-        match &*self.sink.lock() {
-            WalSink::Ring(buf) => buf.bytes_logged(),
-            WalSink::Durable { writer, .. } => writer.lsn(),
-            WalSink::Poisoned => 0,
-        }
+        self.current_lsn()
     }
 
     /// Number of commit records (ring) / commit groups (durable) appended.
@@ -1124,6 +985,7 @@ impl Default for DurabilityHorizon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bamboo_storage::Value;
 
     fn row() -> Row {
         Row::from(vec![Value::U64(7), Value::I64(-3), Value::from("hi")])
@@ -1176,5 +1038,28 @@ mod tests {
         w.append_commit(2, [(TableId(0), 5u64, &r)].into_iter());
         assert_eq!(w.bytes_logged() - before, before);
         assert_eq!(w.records(), 2);
+    }
+
+    #[test]
+    fn ring_record_golden_bytes() {
+        // The `CMT!` record pinned byte for byte: its values go through
+        // the durable log's row encoder, so a change there that moved
+        // `log_bytes_per_txn` on the ring workloads fails here first.
+        let mut w = WalBuffer::for_tests();
+        let r = row(); // [U64(7), I64(-3), Str("hi")]
+        w.append_commit(1, [(TableId(0), 5u64, &r)].into_iter());
+        #[rustfmt::skip]
+        let golden: &[u8] = &[
+            b'C', b'M', b'T', b'!',
+            1, 0, 0, 0, 0, 0, 0, 0, // txn id
+            0, 0, 0, 0, 0, 0, 0, 0, // table
+            5, 0, 0, 0, 0, 0, 0, 0, // row id
+            3, 0, 0, 0, 0, 0, 0, 0, // value count
+            0, 7, 0, 0, 0, 0, 0, 0, 0, // U64(7)
+            1, 0xFD, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, // I64(-3)
+            3, 2, 0, 0, 0, 0, 0, 0, 0, b'h', b'i', // Str("hi")
+            1, 0, 0, 0, 0, 0, 0, 0, // write count
+        ];
+        assert_eq!(&w.buf[..w.pos], golden);
     }
 }

@@ -70,8 +70,8 @@ pub mod version;
 pub use catalog::{Catalog, TableId};
 pub use index::{hash_key, SecondaryIndex, ShardedIndex};
 pub use log::{
-    FaultBackend, FaultInjector, FaultPlan, FsyncPolicy, IoClass, IoFailure, LogBackend, Lsn,
-    RealBackend, SegmentWriter, WalRecord,
+    FaultBackend, FaultInjector, FaultPlan, FsyncPolicy, IoClass, IoFailure, LogBackend, LogDir,
+    Lsn, RealBackend, SegmentWriter, WalRecord,
 };
 pub use ordered::OrderedIndex;
 pub use partition::{PartitionId, RouteStrategy, Router};

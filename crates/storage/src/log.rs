@@ -42,7 +42,6 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -70,21 +69,18 @@ const SEG_HEADER_LEN: u64 = 8 + 4 + 4 + 8 + 8 + 1 + 8;
 /// When (if ever) the log writer calls `fsync` on the commit path.
 ///
 /// The policy trades commit latency against the durability horizon recovery
-/// can promise: under [`FsyncPolicy::EveryCommit`] every acknowledged commit
-/// survives a crash; under the weaker policies a suffix of acknowledged
-/// commits may be lost, and recovery applies a consistent-prefix cut (see
-/// `DURABILITY.md`).
+/// can promise: under [`FsyncPolicy::EveryCommit`] and
+/// [`FsyncPolicy::GroupCommit`] every acknowledged commit survives a crash;
+/// under [`FsyncPolicy::Never`] a suffix of acknowledged commits may be
+/// lost, and recovery applies a consistent-prefix cut (see `DURABILITY.md`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// Never fsync: buffered writes only (the OS flushes eventually). The
-    /// in-memory cost profile, plus a real file for post-mortem replay.
+    /// Never fsync on the commit path: buffered writes only (the OS flushes
+    /// eventually, or the caller syncs explicitly). The in-memory cost
+    /// profile, plus a real file for post-mortem replay.
     Never,
     /// fsync once per commit, before the commit is acknowledged.
     EveryCommit,
-    /// fsync once every `n` commits (group commit).
-    GroupEveryN(u32),
-    /// fsync when at least this many milliseconds elapsed since the last.
-    IntervalMs(u64),
     /// Leader-driven group commit with a durable acknowledgment: committers
     /// never fsync on their own commit path. They install and release
     /// immediately after logging, then park on the partition's durability
@@ -105,12 +101,11 @@ pub enum FsyncPolicy {
 
 impl FsyncPolicy {
     /// Encodes the policy as a (tag, argument) pair for the segment header.
+    /// Tags 2 and 3 belonged to retired policies and are never reused.
     fn encode(self) -> (u8, u64) {
         match self {
             FsyncPolicy::Never => (0, 0),
             FsyncPolicy::EveryCommit => (1, 0),
-            FsyncPolicy::GroupEveryN(n) => (2, n as u64),
-            FsyncPolicy::IntervalMs(ms) => (3, ms),
             FsyncPolicy::GroupCommit {
                 max_batch,
                 max_wait_us,
@@ -126,8 +121,6 @@ impl FsyncPolicy {
         Some(match tag {
             0 => FsyncPolicy::Never,
             1 => FsyncPolicy::EveryCommit,
-            2 => FsyncPolicy::GroupEveryN(arg as u32),
-            3 => FsyncPolicy::IntervalMs(arg),
             4 => FsyncPolicy::GroupCommit {
                 max_batch: (arg >> 32) as u32,
                 max_wait_us: arg & u32::MAX as u64,
@@ -153,7 +146,7 @@ impl FsyncPolicy {
     /// installed and nothing can depend on it. `GroupCommit` installs
     /// *before* durability (early lock release), so a durable dependent of
     /// a non-durable writer can exist — recovery must cut at the oldest
-    /// incomplete commit timestamp like the weak policies do.
+    /// incomplete commit timestamp like `Never` does.
     pub fn recovery_drops_individually(self) -> bool {
         matches!(self, FsyncPolicy::EveryCommit)
     }
@@ -343,9 +336,34 @@ impl LogBackend for RealBackend {
     }
 }
 
-/// Returns the default (real-filesystem) backend.
-pub fn real_backend() -> Arc<dyn LogBackend> {
-    Arc::new(RealBackend)
+/// One log directory behind one [`LogBackend`]: the handle every segment
+/// and checkpoint file operation hangs off, so callers above this module
+/// never thread a `(backend, dir)` pair. [`LogDir::real`] is the production
+/// spelling; the chaos suite builds one over a [`FaultBackend`].
+#[derive(Clone, Debug)]
+pub struct LogDir {
+    path: PathBuf,
+    backend: Arc<dyn LogBackend>,
+}
+
+impl LogDir {
+    /// `path` accessed through `backend`.
+    pub fn new(path: impl Into<PathBuf>, backend: Arc<dyn LogBackend>) -> Self {
+        LogDir {
+            path: path.into(),
+            backend,
+        }
+    }
+
+    /// `path` on the real filesystem.
+    pub fn real(path: impl Into<PathBuf>) -> Self {
+        Self::new(path, Arc::new(RealBackend))
+    }
+
+    /// The directory's path.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -847,7 +865,11 @@ fn dec_value(c: &mut Cursor<'_>) -> Option<Value> {
     })
 }
 
-fn enc_row(buf: &mut Vec<u8>, row: &Row) {
+/// Encodes a row as its length followed by its tagged values. Shared with
+/// the in-memory ring's `CMT!` record (`bamboo_core::wal`), so both formats
+/// spell a value one way.
+#[inline]
+pub fn encode_row(buf: &mut Vec<u8>, row: &Row) {
     enc_u64(buf, row.len() as u64);
     for v in row.values() {
         enc_value(buf, v);
@@ -892,10 +914,7 @@ pub fn frame_record(buf: &mut Vec<u8>, scratch: &mut Vec<u8>, rec: &WalRecord) {
 /// a [`WalRecord`] (the commit hot path borrows the after-image).
 pub fn frame_update(buf: &mut Vec<u8>, scratch: &mut Vec<u8>, table: u32, key: u64, row: &Row) {
     scratch.clear();
-    scratch.push(2);
-    enc_u32(scratch, table);
-    enc_u64(scratch, key);
-    enc_row(scratch, row);
+    enc_update(scratch, table, key, row);
     frame_payload(buf, scratch);
 }
 
@@ -910,19 +929,32 @@ pub fn frame_insert(
     secondary: Option<(u32, u64)>,
 ) {
     scratch.clear();
-    scratch.push(3);
-    enc_u32(scratch, table);
-    enc_u64(scratch, key);
-    enc_row(scratch, row);
+    enc_insert(scratch, table, key, row, secondary);
+    frame_payload(buf, scratch);
+}
+
+/// The one spelling of an `Update` payload (kind byte + body).
+fn enc_update(buf: &mut Vec<u8>, table: u32, key: u64, row: &Row) {
+    buf.push(2);
+    enc_u32(buf, table);
+    enc_u64(buf, key);
+    encode_row(buf, row);
+}
+
+/// The one spelling of an `Insert` payload (kind byte + body).
+fn enc_insert(buf: &mut Vec<u8>, table: u32, key: u64, row: &Row, secondary: Option<(u32, u64)>) {
+    buf.push(3);
+    enc_u32(buf, table);
+    enc_u64(buf, key);
+    encode_row(buf, row);
     match secondary {
         Some((idx, skey)) => {
-            scratch.push(1);
-            enc_u32(scratch, idx);
-            enc_u64(scratch, skey);
+            buf.push(1);
+            enc_u32(buf, idx);
+            enc_u64(buf, skey);
         }
-        None => scratch.push(0),
+        None => buf.push(0),
     }
-    frame_payload(buf, scratch);
 }
 
 /// Encodes one record's payload (kind byte + body) into `buf`.
@@ -938,31 +970,13 @@ pub fn encode_record(rec: &WalRecord, buf: &mut Vec<u8>) {
             enc_u64(buf, *commit_ts);
             enc_u64(buf, *parts_mask);
         }
-        WalRecord::Update { table, key, row } => {
-            buf.push(2);
-            enc_u32(buf, *table);
-            enc_u64(buf, *key);
-            enc_row(buf, row);
-        }
+        WalRecord::Update { table, key, row } => enc_update(buf, *table, *key, row),
         WalRecord::Insert {
             table,
             key,
             row,
             secondary,
-        } => {
-            buf.push(3);
-            enc_u32(buf, *table);
-            enc_u64(buf, *key);
-            enc_row(buf, row);
-            match secondary {
-                Some((idx, skey)) => {
-                    buf.push(1);
-                    enc_u32(buf, *idx);
-                    enc_u64(buf, *skey);
-                }
-                None => buf.push(0),
-            }
-        }
+        } => enc_insert(buf, *table, *key, row, *secondary),
         WalRecord::Commit { txn_id, commit_ts } => {
             buf.push(4);
             enc_u64(buf, *txn_id);
@@ -1040,32 +1054,24 @@ fn segment_name(partition: u32, index: u64) -> String {
     format!("wal-p{partition:03}-{index:08}.seg")
 }
 
-/// Lists partition `p`'s segment files in `dir`, sorted by segment index.
-#[cfg(test)]
-fn list_segments(dir: &Path, partition: u32) -> io::Result<Vec<(u64, PathBuf)>> {
-    list_segments_with(&RealBackend, dir, partition)
-}
-
-/// [`list_segments`] through an explicit backend.
-fn list_segments_with(
-    backend: &dyn LogBackend,
-    dir: &Path,
-    partition: u32,
-) -> io::Result<Vec<(u64, PathBuf)>> {
-    let prefix = format!("wal-p{partition:03}-");
-    let mut out = Vec::new();
-    for name in backend.list_dir(dir)? {
-        if let Some(rest) = name.strip_prefix(&prefix) {
-            if let Some(idx) = rest
-                .strip_suffix(".seg")
-                .and_then(|s| s.parse::<u64>().ok())
-            {
-                out.push((idx, dir.join(&name)));
+impl LogDir {
+    /// Lists partition `p`'s segment files, sorted by segment index.
+    fn list_segments(&self, partition: u32) -> io::Result<Vec<(u64, PathBuf)>> {
+        let prefix = format!("wal-p{partition:03}-");
+        let mut out = Vec::new();
+        for name in self.backend.list_dir(&self.path)? {
+            if let Some(rest) = name.strip_prefix(&prefix) {
+                if let Some(idx) = rest
+                    .strip_suffix(".seg")
+                    .and_then(|s| s.parse::<u64>().ok())
+                {
+                    out.push((idx, self.path.join(&name)));
+                }
             }
         }
+        out.sort_by_key(|(idx, _)| *idx);
+        Ok(out)
     }
-    out.sort_by_key(|(idx, _)| *idx);
-    Ok(out)
 }
 
 fn write_segment_header(
@@ -1126,8 +1132,7 @@ fn parse_segment_header(bytes: &[u8]) -> Option<SegHeader> {
 /// cut any torn prefix back out — the retry loop in `WalHandle::append_txn`
 /// never needs to re-produce the records.
 pub struct SegmentWriter {
-    backend: Arc<dyn LogBackend>,
-    dir: PathBuf,
+    dir: LogDir,
     partition: u32,
     policy: FsyncPolicy,
     segment_bytes: u64,
@@ -1142,56 +1147,42 @@ pub struct SegmentWriter {
     group_start: Lsn,
     /// Framed bytes of the staged (not yet flushed) record group.
     stage: Vec<u8>,
-    commits_since_sync: u32,
-    last_sync: Instant,
     scratch: Vec<u8>,
 }
 
-impl SegmentWriter {
-    /// Opens (or creates) partition `p`'s log in `dir` for appending, on
-    /// the real filesystem.
+impl LogDir {
+    /// Opens (or creates) partition `p`'s log in this directory for
+    /// appending.
     ///
     /// Existing segments are scanned to find the end of valid data; a torn
     /// tail on the last segment is truncated away so the stream ends on a
     /// frame boundary, and writing resumes in a *new* segment starting at
     /// that LSN. An empty directory starts segment 0 at LSN 0.
-    pub fn open(
-        dir: &Path,
+    pub fn open_writer(
+        &self,
         partition: u32,
         policy: FsyncPolicy,
         segment_bytes: u64,
-    ) -> io::Result<Self> {
-        Self::open_with(real_backend(), dir, partition, policy, segment_bytes)
-    }
-
-    /// [`SegmentWriter::open`] through an explicit [`LogBackend`].
-    pub fn open_with(
-        backend: Arc<dyn LogBackend>,
-        dir: &Path,
-        partition: u32,
-        policy: FsyncPolicy,
-        segment_bytes: u64,
-    ) -> io::Result<Self> {
-        backend.create_dir_all(dir)?;
-        let segments = list_segments_with(&*backend, dir, partition)?;
-        let (next_index, start_lsn) = match segments.last() {
+    ) -> io::Result<SegmentWriter> {
+        self.backend.create_dir_all(&self.path)?;
+        let (next_index, start_lsn) = match self.list_segments(partition)?.last() {
             None => (0, 0),
             Some(_) => {
-                let scan = scan_partition_log_from_with(&*backend, dir, partition, 0)?;
+                let scan = self.scan_partition_from(partition, 0)?;
                 // Drop the torn tail (if any) so future scans read through
                 // cleanly to the segments this writer is about to add.
-                truncate_after_with(&*backend, dir, partition, scan.end_lsn)?;
-                let last_idx = list_segments_with(&*backend, dir, partition)?
+                self.truncate_after(partition, scan.end_lsn)?;
+                let last_idx = self
+                    .list_segments(partition)?
                     .last()
                     .map(|(i, _)| *i)
                     .unwrap_or(0);
                 (last_idx + 1, scan.end_lsn)
             }
         };
-        let file = open_segment_file(&*backend, dir, partition, next_index, start_lsn, policy)?;
+        let file = self.open_segment_file(partition, next_index, start_lsn, policy)?;
         Ok(SegmentWriter {
-            backend,
-            dir: dir.to_path_buf(),
+            dir: self.clone(),
             partition,
             policy,
             segment_bytes: segment_bytes.max(SEG_HEADER_LEN + 1),
@@ -1202,57 +1193,31 @@ impl SegmentWriter {
             synced_lsn: start_lsn,
             group_start: start_lsn,
             stage: Vec::with_capacity(512),
-            commits_since_sync: 0,
-            last_sync: Instant::now(),
             scratch: Vec::with_capacity(512),
         })
+    }
+}
+
+impl SegmentWriter {
+    /// [`LogDir::open_writer`] on the real filesystem.
+    pub fn open(
+        dir: &Path,
+        partition: u32,
+        policy: FsyncPolicy,
+        segment_bytes: u64,
+    ) -> io::Result<Self> {
+        LogDir::real(dir).open_writer(partition, policy, segment_bytes)
     }
 
     /// Stages one record into the pending group.
     pub fn stage_record(&mut self, rec: &WalRecord) {
-        let mut payload = std::mem::take(&mut self.scratch);
-        payload.clear();
-        encode_record(rec, &mut payload);
-        self.stage_payload(&payload);
-        self.scratch = payload;
+        frame_record(&mut self.stage, &mut self.scratch, rec);
     }
 
     /// Stages an `Update` record without materializing a [`WalRecord`]
     /// (the commit hot path borrows the after-image instead of cloning it).
     pub fn stage_update(&mut self, table: u32, key: u64, row: &Row) {
-        let mut payload = std::mem::take(&mut self.scratch);
-        payload.clear();
-        payload.push(2);
-        enc_u32(&mut payload, table);
-        enc_u64(&mut payload, key);
-        enc_row(&mut payload, row);
-        self.stage_payload(&payload);
-        self.scratch = payload;
-    }
-
-    /// Stages an `Insert` record without materializing a [`WalRecord`].
-    pub fn stage_insert(&mut self, table: u32, key: u64, row: &Row, secondary: Option<(u32, u64)>) {
-        let mut payload = std::mem::take(&mut self.scratch);
-        payload.clear();
-        payload.push(3);
-        enc_u32(&mut payload, table);
-        enc_u64(&mut payload, key);
-        enc_row(&mut payload, row);
-        match secondary {
-            Some((idx, skey)) => {
-                payload.push(1);
-                enc_u32(&mut payload, idx);
-                enc_u64(&mut payload, skey);
-            }
-            None => payload.push(0),
-        }
-        self.stage_payload(&payload);
-        self.scratch = payload;
-    }
-
-    /// Frames one encoded payload into the staging buffer.
-    fn stage_payload(&mut self, payload: &[u8]) {
-        frame_payload(&mut self.stage, payload);
+        frame_update(&mut self.stage, &mut self.scratch, table, key, row);
     }
 
     /// Stages bytes that were already framed with [`frame_payload`] /
@@ -1262,11 +1227,6 @@ impl SegmentWriter {
     /// file write.
     pub fn stage_framed(&mut self, framed: &[u8]) {
         self.stage.extend_from_slice(framed);
-    }
-
-    /// Bytes currently staged and not yet flushed.
-    pub fn staged_bytes(&self) -> usize {
-        self.stage.len()
     }
 
     /// Drops the staged group without writing it (give-up path).
@@ -1287,9 +1247,7 @@ impl SegmentWriter {
             // steps leave the writer unchanged on failure (`self.file` only
             // rebinds after a successful open), so a retry re-runs them.
             self.sync()?;
-            self.file = open_segment_file(
-                &*self.backend,
-                &self.dir,
+            self.file = self.dir.open_segment_file(
                 self.partition,
                 self.seg_index + 1,
                 self.lsn,
@@ -1351,9 +1309,13 @@ impl SegmentWriter {
         // Push buffered bytes down so file_len below sees everything this
         // handle ever accepted (a short write's persisted prefix included).
         self.file.flush()?;
-        let path = self.dir.join(segment_name(self.partition, self.seg_index));
+        let backend = &self.dir.backend;
+        let path = self
+            .dir
+            .path
+            .join(segment_name(self.partition, self.seg_index));
         let keep = SEG_HEADER_LEN + (target - self.seg_start_lsn);
-        let on_disk = self.backend.file_len(&path)?;
+        let on_disk = backend.file_len(&path)?;
         if on_disk < keep {
             // Bytes the writer counted as written never reached the file
             // (lost buffer). Shrink-only is the contract: extending with
@@ -1366,9 +1328,9 @@ impl SegmentWriter {
             )));
         }
         if on_disk > keep {
-            self.backend.truncate(&path, keep)?;
+            backend.truncate(&path, keep)?;
         }
-        self.file = self.backend.open_append(&path)?;
+        self.file = backend.open_append(&path)?;
         Ok(())
     }
 
@@ -1376,18 +1338,11 @@ impl SegmentWriter {
     /// fsync policy. Returns `true` when the group is durable on return
     /// (i.e. the acknowledgment the caller is about to send is crash-proof).
     pub fn commit_boundary(&mut self) -> io::Result<bool> {
-        self.commits_since_sync += 1;
-        let due = match self.policy {
-            FsyncPolicy::Never => false,
-            FsyncPolicy::EveryCommit => true,
-            FsyncPolicy::GroupEveryN(n) => self.commits_since_sync >= n.max(1),
-            FsyncPolicy::IntervalMs(ms) => self.last_sync.elapsed().as_millis() as u64 >= ms,
-            // The committer never syncs its own group: the group-commit
-            // leader batches the fsync across the whole parked queue
-            // (`WalHandle::wait_covered` in `bamboo_core`).
-            FsyncPolicy::GroupCommit { .. } => false,
-        };
-        if due {
+        // Only `EveryCommit` syncs here. Under `GroupCommit` the committer
+        // never syncs its own group: the group-commit leader batches the
+        // fsync across the whole parked queue (`WalHandle::wait_covered` in
+        // `bamboo_core`).
+        if self.policy == FsyncPolicy::EveryCommit {
             self.sync()?;
         }
         Ok(self.synced_lsn == self.lsn)
@@ -1397,8 +1352,6 @@ impl SegmentWriter {
     pub fn sync(&mut self) -> io::Result<()> {
         self.file.sync_data()?;
         self.synced_lsn = self.lsn;
-        self.commits_since_sync = 0;
-        self.last_sync = Instant::now();
         Ok(())
     }
 
@@ -1418,25 +1371,26 @@ impl SegmentWriter {
     }
 }
 
-/// Creates segment file `index` for `partition` and writes its header.
-fn open_segment_file(
-    backend: &dyn LogBackend,
-    dir: &Path,
-    partition: u32,
-    index: u64,
-    start_lsn: Lsn,
-    policy: FsyncPolicy,
-) -> io::Result<Box<dyn LogFile>> {
-    let path = dir.join(segment_name(partition, index));
-    // A truncating create (not `create_new`): a retried rotation whose
-    // first attempt died between creating the file and landing its header
-    // must be able to start the segment over.
-    let mut file = backend.create(&path)?;
-    let mut header = Vec::with_capacity(SEG_HEADER_LEN as usize);
-    write_segment_header(&mut header, partition, index, start_lsn, policy);
-    debug_assert_eq!(header.len() as u64, SEG_HEADER_LEN);
-    file.write_all(&header)?;
-    Ok(file)
+impl LogDir {
+    /// Creates segment file `index` for `partition` and writes its header.
+    fn open_segment_file(
+        &self,
+        partition: u32,
+        index: u64,
+        start_lsn: Lsn,
+        policy: FsyncPolicy,
+    ) -> io::Result<Box<dyn LogFile>> {
+        let path = self.path.join(segment_name(partition, index));
+        // A truncating create (not `create_new`): a retried rotation whose
+        // first attempt died between creating the file and landing its header
+        // must be able to start the segment over.
+        let mut file = self.backend.create(&path)?;
+        let mut header = Vec::with_capacity(SEG_HEADER_LEN as usize);
+        write_segment_header(&mut header, partition, index, start_lsn, policy);
+        debug_assert_eq!(header.len() as u64, SEG_HEADER_LEN);
+        file.write_all(&header)?;
+        Ok(file)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1451,72 +1405,61 @@ pub struct LogScan {
     pub end_lsn: Lsn,
     /// True when the scan stopped at a torn or corrupt frame.
     pub torn: bool,
-    /// Fsync policy recorded in the newest segment header, if any segment
-    /// exists.
-    pub policy: Option<FsyncPolicy>,
+    /// True when every segment the scan read frames from was written under
+    /// a policy that lets recovery drop incomplete groups individually
+    /// ([`FsyncPolicy::recovery_drops_individually`]). Sealed segments
+    /// wholly below the requested start LSN contribute no records and do
+    /// not count. Recovery picks its completeness rule from this — from
+    /// what the *writer* recorded, not from the recovering caller's options.
+    pub individual_drop: bool,
 }
 
-/// Scans partition `p`'s segments in `dir`, decoding records whose LSN is
-/// `>= from_lsn`. Frames below `from_lsn` are CRC-verified but not decoded;
-/// whole segments that end below `from_lsn` are skipped without parsing.
-/// The scan stops cleanly at the first torn or corrupt frame.
-pub fn scan_partition_log_from(dir: &Path, partition: u32, from_lsn: Lsn) -> io::Result<LogScan> {
-    scan_partition_log_from_with(&RealBackend, dir, partition, from_lsn)
-}
-
-/// [`scan_partition_log_from`] through an explicit backend.
-pub fn scan_partition_log_from_with(
-    backend: &dyn LogBackend,
-    dir: &Path,
-    partition: u32,
-    from_lsn: Lsn,
-) -> io::Result<LogScan> {
-    let segments = list_segments_with(backend, dir, partition)?;
-    let mut records = Vec::new();
-    let mut policy = None;
-    let mut end_lsn = 0;
-    let mut torn = false;
-    let mut expect_start: Option<Lsn> = None;
-    for (pos, (index, path)) in segments.iter().enumerate() {
-        let last_segment = pos + 1 == segments.len();
-        let bytes = backend.read(path)?;
-        let step = scan_segment(
-            &bytes,
-            partition,
-            *index,
-            from_lsn,
-            &mut expect_start,
-            &mut policy,
-            &mut end_lsn,
-            &mut records,
-            last_segment,
-        );
-        if step.is_err() {
-            torn = true;
-            break;
+impl LogDir {
+    /// Scans partition `p`'s segments, decoding records whose LSN is
+    /// `>= from_lsn`. Frames below `from_lsn` are CRC-verified but not
+    /// decoded; whole segments that end below `from_lsn` are skipped
+    /// without parsing. The scan stops cleanly at the first torn or corrupt
+    /// frame.
+    pub fn scan_partition_from(&self, partition: u32, from_lsn: Lsn) -> io::Result<LogScan> {
+        let segments = self.list_segments(partition)?;
+        let mut scan = LogScan {
+            records: Vec::new(),
+            end_lsn: 0,
+            torn: false,
+            individual_drop: true,
+        };
+        let mut expect_start: Option<Lsn> = None;
+        for (pos, (index, path)) in segments.iter().enumerate() {
+            let last_segment = pos + 1 == segments.len();
+            let bytes = self.backend.read(path)?;
+            let step = scan_segment(
+                &bytes,
+                partition,
+                *index,
+                from_lsn,
+                &mut expect_start,
+                &mut scan,
+                last_segment,
+            );
+            if step.is_err() {
+                scan.torn = true;
+                break;
+            }
         }
+        Ok(scan)
     }
-    Ok(LogScan {
-        records,
-        end_lsn,
-        torn,
-        policy,
-    })
 }
 
 /// Parses one segment's bytes into the scan accumulators. Returns `Err(())`
 /// when the stream tears here. `tail` marks the chain's last segment (the
 /// only one allowed to tear without being an error in sealed data).
-#[allow(clippy::too_many_arguments)]
 fn scan_segment(
     bytes: &[u8],
     partition: u32,
     index: u64,
     from_lsn: Lsn,
     expect_start: &mut Option<Lsn>,
-    policy: &mut Option<FsyncPolicy>,
-    end_lsn: &mut Lsn,
-    records: &mut Vec<(Lsn, WalRecord)>,
+    scan: &mut LogScan,
     tail: bool,
 ) -> Result<(), ()> {
     if bytes.len() < SEG_HEADER_LEN as usize {
@@ -1535,16 +1478,16 @@ fn scan_segment(
             return Err(());
         }
     }
-    *policy = Some(header.policy);
-    *end_lsn = header.start_lsn;
+    scan.end_lsn = header.start_lsn;
     let data = &bytes[SEG_HEADER_LEN as usize..];
     if !tail && header.start_lsn + data.len() as u64 <= from_lsn {
         // Entirely below the replay cut: trust the sealed segment's length
         // without parsing its frames.
-        *end_lsn = header.start_lsn + data.len() as u64;
-        *expect_start = Some(*end_lsn);
+        scan.end_lsn = header.start_lsn + data.len() as u64;
+        *expect_start = Some(scan.end_lsn);
         return Ok(());
     }
+    scan.individual_drop &= header.policy.recovery_drops_individually();
     let mut off = 0usize;
     let local_torn;
     loop {
@@ -1570,99 +1513,81 @@ fn scan_segment(
                 local_torn = true;
                 break;
             };
-            records.push((lsn, rec));
+            scan.records.push((lsn, rec));
         }
         off += 8 + len;
-        *end_lsn = header.start_lsn + off as u64;
+        scan.end_lsn = header.start_lsn + off as u64;
     }
     if local_torn {
         return Err(());
     }
-    *expect_start = Some(*end_lsn);
+    *expect_start = Some(scan.end_lsn);
     Ok(())
 }
 
-/// Truncates partition `p`'s segment chain so that no frame bytes exist past
-/// `end_lsn`: segments starting at or past the cut are deleted, and the
-/// segment containing it is shrunk to the matching offset. Called by
-/// recovery (and `SegmentWriter::open`) to drop a torn tail.
-pub fn truncate_after(dir: &Path, partition: u32, end_lsn: Lsn) -> io::Result<()> {
-    truncate_after_with(&RealBackend, dir, partition, end_lsn)
-}
-
-/// [`truncate_after`] through an explicit backend.
-pub fn truncate_after_with(
-    backend: &dyn LogBackend,
-    dir: &Path,
-    partition: u32,
-    end_lsn: Lsn,
-) -> io::Result<()> {
-    for (_, path) in list_segments_with(backend, dir, partition)? {
-        let header = read_segment_header(backend, &path);
-        let Some(header) = header else {
-            backend.remove_file(&path)?;
-            continue;
-        };
-        if header.start_lsn >= end_lsn {
-            // Nothing from this segment survives; an empty segment at
-            // exactly the cut is also removed (the writer will start a
-            // fresh one).
-            backend.remove_file(&path)?;
-            continue;
+impl LogDir {
+    /// Truncates partition `p`'s segment chain so that no frame bytes exist
+    /// past `end_lsn`: segments starting at or past the cut are deleted,
+    /// and the segment containing it is shrunk to the matching offset.
+    /// Called by [`LogDir::open_writer`] to drop a torn tail.
+    fn truncate_after(&self, partition: u32, end_lsn: Lsn) -> io::Result<()> {
+        let backend = &*self.backend;
+        for (_, path) in self.list_segments(partition)? {
+            let Some(header) = self.read_segment_header(&path) else {
+                backend.remove_file(&path)?;
+                continue;
+            };
+            if header.start_lsn >= end_lsn {
+                // Nothing from this segment survives; an empty segment at
+                // exactly the cut is also removed (the writer will start a
+                // fresh one).
+                backend.remove_file(&path)?;
+                continue;
+            }
+            let keep = SEG_HEADER_LEN + (end_lsn - header.start_lsn);
+            if backend.file_len(&path)? > keep {
+                backend.truncate(&path, keep)?;
+            }
         }
-        let keep = SEG_HEADER_LEN + (end_lsn - header.start_lsn);
-        if backend.file_len(&path)? > keep {
-            backend.truncate(&path, keep)?;
-        }
+        Ok(())
     }
-    Ok(())
-}
 
-/// Reads and parses one segment's header, `None` when unreadable or
-/// malformed.
-fn read_segment_header(backend: &dyn LogBackend, path: &Path) -> Option<SegHeader> {
-    let bytes = backend.read(path).ok()?;
-    if bytes.len() < SEG_HEADER_LEN as usize {
-        return None;
-    }
-    parse_segment_header(&bytes[..SEG_HEADER_LEN as usize])
-}
-
-/// Retires (deletes) every **sealed** segment of partition `p` whose frame
-/// range lies entirely at or below `cut_lsn` — the newest checkpoint's
-/// replay cut makes those bytes dead weight. The chain's last segment (the
-/// writer's active one) is never touched. Returns the number of segments
-/// removed.
-pub fn retire_segments_below(dir: &Path, partition: u32, cut_lsn: Lsn) -> io::Result<u64> {
-    retire_segments_below_with(&RealBackend, dir, partition, cut_lsn)
-}
-
-/// [`retire_segments_below`] through an explicit backend.
-pub fn retire_segments_below_with(
-    backend: &dyn LogBackend,
-    dir: &Path,
-    partition: u32,
-    cut_lsn: Lsn,
-) -> io::Result<u64> {
-    let segments = list_segments_with(backend, dir, partition)?;
-    let mut retired = 0u64;
-    for (pos, (_, path)) in segments.iter().enumerate() {
-        if pos + 1 == segments.len() {
-            break; // never the active segment
+    /// Reads and parses one segment's header, `None` when unreadable or
+    /// malformed.
+    fn read_segment_header(&self, path: &Path) -> Option<SegHeader> {
+        let bytes = self.backend.read(path).ok()?;
+        if bytes.len() < SEG_HEADER_LEN as usize {
+            return None;
         }
-        let Some(header) = read_segment_header(backend, path) else {
-            continue; // unreadable prefix junk is recovery's problem, not compaction's
-        };
-        let data_len = backend.file_len(path)?.saturating_sub(SEG_HEADER_LEN);
-        if header.start_lsn + data_len <= cut_lsn {
-            backend.remove_file(path)?;
-            retired += 1;
-        } else {
-            // Segments are LSN-ordered: nothing later can be below the cut.
-            break;
-        }
+        parse_segment_header(&bytes[..SEG_HEADER_LEN as usize])
     }
-    Ok(retired)
+
+    /// Retires (deletes) every **sealed** segment of partition `p` whose
+    /// frame range lies entirely at or below `cut_lsn` — the newest
+    /// checkpoint's replay cut makes those bytes dead weight. The chain's
+    /// last segment (the writer's active one) is never touched. Returns the
+    /// number of segments removed.
+    pub fn retire_segments_below(&self, partition: u32, cut_lsn: Lsn) -> io::Result<u64> {
+        let segments = self.list_segments(partition)?;
+        let mut retired = 0u64;
+        for (pos, (_, path)) in segments.iter().enumerate() {
+            if pos + 1 == segments.len() {
+                break; // never the active segment
+            }
+            let Some(header) = self.read_segment_header(path) else {
+                continue; // unreadable prefix junk is recovery's problem, not compaction's
+            };
+            let data_len = self.backend.file_len(path)?.saturating_sub(SEG_HEADER_LEN);
+            if header.start_lsn + data_len <= cut_lsn {
+                self.backend.remove_file(path)?;
+                retired += 1;
+            } else {
+                // Segments are LSN-ordered: nothing later can be below the cut.
+                break;
+            }
+        }
+        Ok(retired)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1804,80 +1729,72 @@ fn dec_datatype(tag: u8) -> Option<DataType> {
     })
 }
 
-/// Writes `body` to `dir/name` with a trailing CRC32 footer, fsyncing the
-/// file before returning.
-fn write_checksummed(
-    backend: &dyn LogBackend,
-    dir: &Path,
-    name: &str,
-    mut body: Vec<u8>,
-) -> io::Result<()> {
-    let crc = crc32(&body);
-    body.extend_from_slice(&crc.to_le_bytes());
-    let mut file = backend.create(&dir.join(name))?;
-    file.write_all(&body)?;
-    file.sync_data()?;
-    Ok(())
-}
+impl LogDir {
+    /// Writes `body` to file `name` with a trailing CRC32 footer, fsyncing
+    /// the file before returning.
+    fn write_checksummed(&self, name: &str, mut body: Vec<u8>) -> io::Result<()> {
+        let crc = crc32(&body);
+        body.extend_from_slice(&crc.to_le_bytes());
+        let mut file = self.backend.create(&self.path.join(name))?;
+        file.write_all(&body)?;
+        file.sync_data()?;
+        Ok(())
+    }
 
-/// Reads `dir/name`, verifies the CRC footer, and returns the body bytes.
-fn read_checksummed(backend: &dyn LogBackend, dir: &Path, name: &str) -> io::Result<Vec<u8>> {
-    let mut bytes = backend.read(&dir.join(name))?;
-    if bytes.len() < 4 {
-        return Err(corrupt(name, "shorter than its CRC footer"));
+    /// Reads file `name`, verifies the CRC footer, and returns the body
+    /// bytes.
+    fn read_checksummed(&self, name: &str) -> io::Result<Vec<u8>> {
+        let mut bytes = self.backend.read(&self.path.join(name))?;
+        if bytes.len() < 4 {
+            return Err(corrupt(name, "shorter than its CRC footer"));
+        }
+        let body_len = bytes.len() - 4;
+        let stored = u32::from_le_bytes([
+            bytes[body_len],
+            bytes[body_len + 1],
+            bytes[body_len + 2],
+            bytes[body_len + 3],
+        ]);
+        if crc32(&bytes[..body_len]) != stored {
+            return Err(corrupt(name, "CRC mismatch"));
+        }
+        bytes.truncate(body_len);
+        Ok(bytes)
     }
-    let body_len = bytes.len() - 4;
-    let stored = u32::from_le_bytes([
-        bytes[body_len],
-        bytes[body_len + 1],
-        bytes[body_len + 2],
-        bytes[body_len + 3],
-    ]);
-    if crc32(&bytes[..body_len]) != stored {
-        return Err(corrupt(name, "CRC mismatch"));
-    }
-    bytes.truncate(body_len);
-    Ok(bytes)
 }
 
 fn corrupt(name: &str, what: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("{name}: {what}"))
 }
 
-/// Writes the checkpoint meta file (call **after** every part file is on
-/// disk: the meta file's presence is what makes a checkpoint complete).
-pub fn write_checkpoint_meta(dir: &Path, meta: &CheckpointMeta) -> io::Result<()> {
-    write_checkpoint_meta_with(&RealBackend, dir, meta)
-}
-
-/// [`write_checkpoint_meta`] through an explicit backend.
-pub fn write_checkpoint_meta_with(
-    backend: &dyn LogBackend,
-    dir: &Path,
-    meta: &CheckpointMeta,
-) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(256);
-    buf.extend_from_slice(CKPT_META_MAGIC);
-    enc_u32(&mut buf, FORMAT_VERSION);
-    enc_u64(&mut buf, meta.stable_ts);
-    enc_u32(&mut buf, meta.partitions);
-    enc_u32(&mut buf, meta.tables.len() as u32);
-    for t in &meta.tables {
-        enc_str(&mut buf, &t.name);
-        enc_u32(&mut buf, t.schema.len() as u32);
-        for col in t.schema.columns() {
-            enc_str(&mut buf, &col.name);
-            buf.push(datatype_tag(col.ty));
+impl LogDir {
+    /// Writes the checkpoint meta file (call **after** every part file is
+    /// on disk: the meta file's presence is what makes a checkpoint
+    /// complete).
+    pub fn write_checkpoint_meta(&self, meta: &CheckpointMeta) -> io::Result<()> {
+        let mut buf = Vec::with_capacity(256);
+        buf.extend_from_slice(CKPT_META_MAGIC);
+        enc_u32(&mut buf, FORMAT_VERSION);
+        enc_u64(&mut buf, meta.stable_ts);
+        enc_u32(&mut buf, meta.partitions);
+        enc_u32(&mut buf, meta.tables.len() as u32);
+        for t in &meta.tables {
+            enc_str(&mut buf, &t.name);
+            enc_u32(&mut buf, t.schema.len() as u32);
+            for col in t.schema.columns() {
+                enc_str(&mut buf, &col.name);
+                buf.push(datatype_tag(col.ty));
+            }
+            enc_route(&mut buf, &t.route);
+            buf.push(t.ordered as u8);
+            enc_u32(&mut buf, t.secondary);
         }
-        enc_route(&mut buf, &t.route);
-        buf.push(t.ordered as u8);
-        enc_u32(&mut buf, t.secondary);
+        enc_u32(&mut buf, meta.cuts.len() as u32);
+        for &c in &meta.cuts {
+            enc_u64(&mut buf, c);
+        }
+        self.write_checksummed(&ckpt_meta_name(meta.stable_ts), buf)
     }
-    enc_u32(&mut buf, meta.cuts.len() as u32);
-    for &c in &meta.cuts {
-        enc_u64(&mut buf, c);
-    }
-    write_checksummed(backend, dir, &ckpt_meta_name(meta.stable_ts), buf)
 }
 
 fn parse_checkpoint_meta(name: &str, body: &[u8]) -> io::Result<CheckpointMeta> {
@@ -1929,145 +1846,116 @@ fn parse_checkpoint_meta(name: &str, body: &[u8]) -> io::Result<CheckpointMeta> 
     })
 }
 
-/// Writes one partition's checkpoint data file (fsynced).
-pub fn write_checkpoint_part(dir: &Path, part: &CheckpointPart) -> io::Result<()> {
-    write_checkpoint_part_with(&RealBackend, dir, part)
-}
-
-/// [`write_checkpoint_part`] through an explicit backend.
-pub fn write_checkpoint_part_with(
-    backend: &dyn LogBackend,
-    dir: &Path,
-    part: &CheckpointPart,
-) -> io::Result<()> {
-    let mut buf = Vec::with_capacity(4096);
-    buf.extend_from_slice(CKPT_PART_MAGIC);
-    enc_u32(&mut buf, FORMAT_VERSION);
-    enc_u64(&mut buf, part.stable_ts);
-    enc_u32(&mut buf, part.partition);
-    enc_u32(&mut buf, part.tables.len() as u32);
-    for t in &part.tables {
-        enc_u64(&mut buf, t.tuples.len() as u64);
-        for (key, version_ts, row) in &t.tuples {
-            enc_u64(&mut buf, *key);
-            enc_u64(&mut buf, *version_ts);
-            enc_row(&mut buf, row);
-        }
-        enc_u32(&mut buf, t.secondary.len() as u32);
-        for entries in &t.secondary {
-            enc_u64(&mut buf, entries.len() as u64);
-            for (skey, row_id) in entries {
-                enc_u64(&mut buf, *skey);
-                enc_u64(&mut buf, *row_id);
+impl LogDir {
+    /// Writes one partition's checkpoint data file (fsynced).
+    pub fn write_checkpoint_part(&self, part: &CheckpointPart) -> io::Result<()> {
+        let mut buf = Vec::with_capacity(4096);
+        buf.extend_from_slice(CKPT_PART_MAGIC);
+        enc_u32(&mut buf, FORMAT_VERSION);
+        enc_u64(&mut buf, part.stable_ts);
+        enc_u32(&mut buf, part.partition);
+        enc_u32(&mut buf, part.tables.len() as u32);
+        for t in &part.tables {
+            enc_u64(&mut buf, t.tuples.len() as u64);
+            for (key, version_ts, row) in &t.tuples {
+                enc_u64(&mut buf, *key);
+                enc_u64(&mut buf, *version_ts);
+                encode_row(&mut buf, row);
+            }
+            enc_u32(&mut buf, t.secondary.len() as u32);
+            for entries in &t.secondary {
+                enc_u64(&mut buf, entries.len() as u64);
+                for (skey, row_id) in entries {
+                    enc_u64(&mut buf, *skey);
+                    enc_u64(&mut buf, *row_id);
+                }
             }
         }
+        self.write_checksummed(&ckpt_part_name(part.stable_ts, part.partition), buf)
     }
-    write_checksummed(
-        backend,
-        dir,
-        &ckpt_part_name(part.stable_ts, part.partition),
-        buf,
-    )
-}
 
-/// Reads one partition's checkpoint data file.
-pub fn read_checkpoint_part(
-    dir: &Path,
-    stable_ts: u64,
-    partition: u32,
-) -> io::Result<CheckpointPart> {
-    read_checkpoint_part_with(&RealBackend, dir, stable_ts, partition)
-}
-
-/// [`read_checkpoint_part`] through an explicit backend.
-pub fn read_checkpoint_part_with(
-    backend: &dyn LogBackend,
-    dir: &Path,
-    stable_ts: u64,
-    partition: u32,
-) -> io::Result<CheckpointPart> {
-    let name = ckpt_part_name(stable_ts, partition);
-    let body = read_checksummed(backend, dir, &name)?;
-    let bad = || corrupt(&name, "malformed part body");
-    let mut c = Cursor::new(&body);
-    if c.take(8).ok_or_else(bad)? != CKPT_PART_MAGIC {
-        return Err(corrupt(&name, "bad magic"));
-    }
-    if c.u32().ok_or_else(bad)? != FORMAT_VERSION {
-        return Err(corrupt(&name, "unsupported format version"));
-    }
-    let file_ts = c.u64().ok_or_else(bad)?;
-    let file_part = c.u32().ok_or_else(bad)?;
-    if file_ts != stable_ts || file_part != partition {
-        return Err(corrupt(&name, "identity mismatch"));
-    }
-    let n_tables = c.u32().ok_or_else(bad)? as usize;
-    let mut tables = Vec::with_capacity(n_tables.min(1024));
-    for _ in 0..n_tables {
-        let n_tuples = c.u64().ok_or_else(bad)? as usize;
-        let mut tuples = Vec::with_capacity(n_tuples.min(1 << 20));
-        for _ in 0..n_tuples {
-            let key = c.u64().ok_or_else(bad)?;
-            let version_ts = c.u64().ok_or_else(bad)?;
-            let row = dec_row(&mut c).ok_or_else(bad)?;
-            tuples.push((key, version_ts, row));
+    /// Reads one partition's checkpoint data file.
+    pub fn read_checkpoint_part(
+        &self,
+        stable_ts: u64,
+        partition: u32,
+    ) -> io::Result<CheckpointPart> {
+        let name = ckpt_part_name(stable_ts, partition);
+        let body = self.read_checksummed(&name)?;
+        let bad = || corrupt(&name, "malformed part body");
+        let mut c = Cursor::new(&body);
+        if c.take(8).ok_or_else(bad)? != CKPT_PART_MAGIC {
+            return Err(corrupt(&name, "bad magic"));
         }
-        let n_idx = c.u32().ok_or_else(bad)? as usize;
-        let mut secondary = Vec::with_capacity(n_idx.min(64));
-        for _ in 0..n_idx {
-            let n_entries = c.u64().ok_or_else(bad)? as usize;
-            let mut entries = Vec::with_capacity(n_entries.min(1 << 20));
-            for _ in 0..n_entries {
-                entries.push((c.u64().ok_or_else(bad)?, c.u64().ok_or_else(bad)?));
+        if c.u32().ok_or_else(bad)? != FORMAT_VERSION {
+            return Err(corrupt(&name, "unsupported format version"));
+        }
+        let file_ts = c.u64().ok_or_else(bad)?;
+        let file_part = c.u32().ok_or_else(bad)?;
+        if file_ts != stable_ts || file_part != partition {
+            return Err(corrupt(&name, "identity mismatch"));
+        }
+        let n_tables = c.u32().ok_or_else(bad)? as usize;
+        let mut tables = Vec::with_capacity(n_tables.min(1024));
+        for _ in 0..n_tables {
+            let n_tuples = c.u64().ok_or_else(bad)? as usize;
+            let mut tuples = Vec::with_capacity(n_tuples.min(1 << 20));
+            for _ in 0..n_tuples {
+                let key = c.u64().ok_or_else(bad)?;
+                let version_ts = c.u64().ok_or_else(bad)?;
+                let row = dec_row(&mut c).ok_or_else(bad)?;
+                tuples.push((key, version_ts, row));
             }
-            secondary.push(entries);
+            let n_idx = c.u32().ok_or_else(bad)? as usize;
+            let mut secondary = Vec::with_capacity(n_idx.min(64));
+            for _ in 0..n_idx {
+                let n_entries = c.u64().ok_or_else(bad)? as usize;
+                let mut entries = Vec::with_capacity(n_entries.min(1 << 20));
+                for _ in 0..n_entries {
+                    entries.push((c.u64().ok_or_else(bad)?, c.u64().ok_or_else(bad)?));
+                }
+                secondary.push(entries);
+            }
+            tables.push(TableDump { tuples, secondary });
         }
-        tables.push(TableDump { tuples, secondary });
-    }
-    if !c.done() {
-        return Err(bad());
-    }
-    Ok(CheckpointPart {
-        stable_ts,
-        partition,
-        tables,
-    })
-}
-
-/// Returns the newest complete checkpoint in `dir` (largest stable ts whose
-/// meta file parses and whose partition count matches its cut list), if any.
-pub fn latest_checkpoint(dir: &Path) -> io::Result<Option<CheckpointMeta>> {
-    latest_checkpoint_with(&RealBackend, dir)
-}
-
-/// [`latest_checkpoint`] through an explicit backend.
-pub fn latest_checkpoint_with(
-    backend: &dyn LogBackend,
-    dir: &Path,
-) -> io::Result<Option<CheckpointMeta>> {
-    let mut stamps = Vec::new();
-    for name in backend.list_dir(dir)? {
-        if let Some(ts) = name
-            .strip_prefix("ckpt-")
-            .and_then(|r| r.strip_suffix(".meta"))
-            .and_then(|s| s.parse::<u64>().ok())
-        {
-            stamps.push(ts);
+        if !c.done() {
+            return Err(bad());
         }
+        Ok(CheckpointPart {
+            stable_ts,
+            partition,
+            tables,
+        })
     }
-    stamps.sort_unstable();
-    for ts in stamps.into_iter().rev() {
-        let name = ckpt_meta_name(ts);
-        let Ok(body) = read_checksummed(backend, dir, &name) else {
-            continue;
-        };
-        if let Ok(meta) = parse_checkpoint_meta(&name, &body) {
-            if meta.cuts.len() == meta.partitions as usize {
-                return Ok(Some(meta));
+
+    /// Returns the newest complete checkpoint in the directory (largest
+    /// stable ts whose meta file parses and whose partition count matches
+    /// its cut list), if any.
+    pub fn latest_checkpoint(&self) -> io::Result<Option<CheckpointMeta>> {
+        let mut stamps = Vec::new();
+        for name in self.backend.list_dir(&self.path)? {
+            if let Some(ts) = name
+                .strip_prefix("ckpt-")
+                .and_then(|r| r.strip_suffix(".meta"))
+                .and_then(|s| s.parse::<u64>().ok())
+            {
+                stamps.push(ts);
             }
         }
+        stamps.sort_unstable();
+        for ts in stamps.into_iter().rev() {
+            let name = ckpt_meta_name(ts);
+            let Ok(body) = self.read_checksummed(&name) else {
+                continue;
+            };
+            if let Ok(meta) = parse_checkpoint_meta(&name, &body) {
+                if meta.cuts.len() == meta.partitions as usize {
+                    return Ok(Some(meta));
+                }
+            }
+        }
+        Ok(None)
     }
-    Ok(None)
 }
 
 #[cfg(test)]
@@ -2148,6 +2036,26 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
+    /// The surviving policies keep their header tags; the retired tags (2:
+    /// `GroupEveryN`, 3: `IntervalMs`) are rejected like any unknown tag.
+    #[test]
+    fn policy_header_tags_are_stable_and_retired_tags_rejected() {
+        let group = FsyncPolicy::GroupCommit {
+            max_batch: 8,
+            max_wait_us: 100,
+        };
+        assert_eq!(FsyncPolicy::Never.encode().0, 0);
+        assert_eq!(FsyncPolicy::EveryCommit.encode().0, 1);
+        assert_eq!(group.encode().0, 4);
+        for policy in [FsyncPolicy::Never, FsyncPolicy::EveryCommit, group] {
+            let (tag, arg) = policy.encode();
+            assert_eq!(FsyncPolicy::decode(tag, arg), Some(policy));
+        }
+        for tag in [2, 3, 5, 0xFF] {
+            assert_eq!(FsyncPolicy::decode(tag, 8), None);
+        }
+    }
+
     #[test]
     fn segment_write_scan_round_trip() {
         let dir = tmp_dir("roundtrip");
@@ -2159,9 +2067,9 @@ mod tests {
             }
             assert!(w.commit_boundary().unwrap());
         }
-        let scan = scan_partition_log_from(&dir, 0, 0).unwrap();
+        let scan = LogDir::real(&dir).scan_partition_from(0, 0).unwrap();
         assert!(!scan.torn);
-        assert_eq!(scan.policy, Some(FsyncPolicy::EveryCommit));
+        assert!(scan.individual_drop, "every segment says EveryCommit");
         let got: Vec<_> = scan.records.iter().map(|(_, r)| r.clone()).collect();
         assert_eq!(got, recs);
         // LSNs are strictly increasing and end_lsn covers the last frame.
@@ -2188,8 +2096,8 @@ mod tests {
             }
             w.sync().unwrap();
         }
-        assert!(list_segments(&dir, 2).unwrap().len() > 1);
-        let scan = scan_partition_log_from(&dir, 2, 0).unwrap();
+        assert!(LogDir::real(&dir).list_segments(2).unwrap().len() > 1);
+        let scan = LogDir::real(&dir).scan_partition_from(2, 0).unwrap();
         assert!(!scan.torn);
         assert_eq!(scan.records.len(), n as usize);
         fs::remove_dir_all(&dir).unwrap();
@@ -2214,7 +2122,7 @@ mod tests {
             }
             w.sync().unwrap();
         }
-        let scan = scan_partition_log_from(&dir, 0, cut).unwrap();
+        let scan = LogDir::real(&dir).scan_partition_from(0, cut).unwrap();
         assert_eq!(scan.records.len(), 10);
         assert!(scan.records.iter().all(|(lsn, _)| *lsn >= cut));
         fs::remove_dir_all(&dir).unwrap();
@@ -2235,12 +2143,12 @@ mod tests {
             w.sync().unwrap();
         }
         // Chop bytes off the tail, landing mid-frame.
-        let (_, path) = list_segments(&dir, 0).unwrap().pop().unwrap();
+        let (_, path) = LogDir::real(&dir).list_segments(0).unwrap().pop().unwrap();
         let len = fs::metadata(&path).unwrap().len();
         let f = OpenOptions::new().write(true).open(&path).unwrap();
         f.set_len(len - 3).unwrap();
         drop(f);
-        let scan = scan_partition_log_from(&dir, 0, 0).unwrap();
+        let scan = LogDir::real(&dir).scan_partition_from(0, 0).unwrap();
         assert!(scan.torn);
         assert_eq!(scan.records.len(), 4);
         let valid_end = scan.end_lsn;
@@ -2255,7 +2163,7 @@ mod tests {
             .unwrap();
             w.sync().unwrap();
         }
-        let scan = scan_partition_log_from(&dir, 0, 0).unwrap();
+        let scan = LogDir::real(&dir).scan_partition_from(0, 0).unwrap();
         assert!(!scan.torn);
         assert_eq!(scan.records.len(), 5);
         assert!(matches!(
@@ -2279,7 +2187,7 @@ mod tests {
             }
             w.sync().unwrap();
         }
-        let (_, path) = list_segments(&dir, 0).unwrap().pop().unwrap();
+        let (_, path) = LogDir::real(&dir).list_segments(0).unwrap().pop().unwrap();
         let mut bytes = fs::read(&path).unwrap();
         // Flip one payload byte of the third record (frames are uniform
         // here, so locate it arithmetically).
@@ -2287,7 +2195,7 @@ mod tests {
         let at = SEG_HEADER_LEN as usize + 2 * frame as usize + 9;
         bytes[at] ^= 0x40;
         fs::write(&path, &bytes).unwrap();
-        let scan = scan_partition_log_from(&dir, 0, 0).unwrap();
+        let scan = LogDir::real(&dir).scan_partition_from(0, 0).unwrap();
         assert!(scan.torn);
         assert_eq!(scan.records.len(), 2);
         fs::remove_dir_all(&dir).unwrap();
@@ -2321,27 +2229,25 @@ mod tests {
                 secondary: vec![vec![(77, 0), (77, 1)]],
             }],
         };
-        write_checkpoint_part(&dir, &part).unwrap();
-        write_checkpoint_meta(&dir, &meta).unwrap();
+        LogDir::real(&dir).write_checkpoint_part(&part).unwrap();
+        LogDir::real(&dir).write_checkpoint_meta(&meta).unwrap();
         // An older checkpoint is ignored in favor of the newest.
-        write_checkpoint_meta(
-            &dir,
-            &CheckpointMeta {
+        LogDir::real(&dir)
+            .write_checkpoint_meta(&CheckpointMeta {
                 stable_ts: 3,
                 partitions: 2,
                 tables: vec![],
                 cuts: vec![0, 0],
-            },
-        )
-        .unwrap();
-        let got = latest_checkpoint(&dir).unwrap().unwrap();
+            })
+            .unwrap();
+        let got = LogDir::real(&dir).latest_checkpoint().unwrap().unwrap();
         assert_eq!(got.stable_ts, 17);
         assert_eq!(got.cuts, meta.cuts);
         assert_eq!(got.tables.len(), 1);
         assert_eq!(got.tables[0].name, "accounts");
         assert_eq!(got.tables[0].route, meta.tables[0].route);
         assert_eq!(got.tables[0].schema.columns().len(), 2);
-        let rp = read_checkpoint_part(&dir, 17, 1).unwrap();
+        let rp = LogDir::real(&dir).read_checkpoint_part(17, 1).unwrap();
         assert_eq!(rp.tables[0].tuples, part.tables[0].tuples);
         assert_eq!(rp.tables[0].secondary, part.tables[0].secondary);
         fs::remove_dir_all(&dir).unwrap();
@@ -2356,21 +2262,21 @@ mod tests {
             tables: vec![],
             cuts: vec![42],
         };
-        write_checkpoint_meta(&dir, &older).unwrap();
+        LogDir::real(&dir).write_checkpoint_meta(&older).unwrap();
         let newer = CheckpointMeta {
             stable_ts: 9,
             partitions: 1,
             tables: vec![],
             cuts: vec![64],
         };
-        write_checkpoint_meta(&dir, &newer).unwrap();
+        LogDir::real(&dir).write_checkpoint_meta(&newer).unwrap();
         // Corrupt the newer meta: latest_checkpoint must fall back.
         let path = dir.join(ckpt_meta_name(9));
         let mut bytes = fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
-        let got = latest_checkpoint(&dir).unwrap().unwrap();
+        let got = LogDir::real(&dir).latest_checkpoint().unwrap().unwrap();
         assert_eq!(got.stable_ts, 5);
         assert_eq!(got.cuts, vec![42]);
         fs::remove_dir_all(&dir).unwrap();
@@ -2456,9 +2362,9 @@ mod tests {
                 ..FaultPlan::quiet(99)
             });
             let backend: Arc<dyn LogBackend> = Arc::new(FaultBackend::new(Arc::clone(&inj)));
-            let mut w =
-                SegmentWriter::open_with(backend, &torn, 0, FsyncPolicy::EveryCommit, 1 << 20)
-                    .unwrap();
+            let mut w = LogDir::new(&torn, backend)
+                .open_writer(0, FsyncPolicy::EveryCommit, 1 << 20)
+                .unwrap();
             inj.arm();
             for r in &recs {
                 w.stage_record(r);
@@ -2469,8 +2375,8 @@ mod tests {
             w.flush_group().unwrap();
             w.commit_boundary().unwrap();
         }
-        let a = scan_partition_log_from(&clean, 0, 0).unwrap();
-        let b = scan_partition_log_from(&torn, 0, 0).unwrap();
+        let a = LogDir::real(&clean).scan_partition_from(0, 0).unwrap();
+        let b = LogDir::real(&torn).scan_partition_from(0, 0).unwrap();
         assert_eq!(a.records, b.records);
         assert_eq!(a.end_lsn, b.end_lsn);
         fs::remove_dir_all(&clean).unwrap();
@@ -2523,7 +2429,7 @@ mod tests {
         w.commit_boundary().unwrap();
         drop(w);
 
-        let scan = scan_partition_log_from(&dir, 0, 0).unwrap();
+        let scan = LogDir::real(&dir).scan_partition_from(0, 0).unwrap();
         let ids: Vec<u64> = scan
             .records
             .iter()
@@ -2562,20 +2468,20 @@ mod tests {
             }
             w.sync().unwrap();
         }
-        let total_segs = list_segments(&dir, 0).unwrap().len();
+        let total_segs = LogDir::real(&dir).list_segments(0).unwrap().len();
         assert!(total_segs > 3, "rotation must have split the log");
 
         // Cut at a mid-log group boundary.
         let cut = boundaries[14];
-        let retired = retire_segments_below(&dir, 0, cut).unwrap();
+        let retired = LogDir::real(&dir).retire_segments_below(0, cut).unwrap();
         assert!(retired > 0, "some sealed prefix must retire");
         assert_eq!(
-            list_segments(&dir, 0).unwrap().len() as u64,
+            LogDir::real(&dir).list_segments(0).unwrap().len() as u64,
             total_segs as u64 - retired
         );
 
         // The suffix from the cut is intact.
-        let scan = scan_partition_log_from(&dir, 0, cut).unwrap();
+        let scan = LogDir::real(&dir).scan_partition_from(0, cut).unwrap();
         let ids: Vec<u64> = scan
             .records
             .iter()
@@ -2587,7 +2493,7 @@ mod tests {
         assert_eq!(ids, (15..30).collect::<Vec<u64>>());
 
         // Retiring below the same cut again is a no-op.
-        assert_eq!(retire_segments_below(&dir, 0, cut).unwrap(), 0);
+        assert_eq!(LogDir::real(&dir).retire_segments_below(0, cut).unwrap(), 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -262,10 +262,12 @@ fn seeded_fault_fire_preserves_acked_commits_and_money() {
     }
     drop(session);
     drop(pdb);
-    // Recovery options must match the writer's fsync policy: under
-    // `EveryCommit` every acked group was individually fsynced, so the
-    // weak-policy horizon cut does not apply even though orphaned
-    // cross-partition groups sit mid-log.
+    // The log was written under `EveryCommit`: every acked group was
+    // individually fsynced, so recovery — reading the rule from the
+    // segment headers — drops the orphaned cross-partition groups that sit
+    // mid-log one by one. The horizon cut would discard every acked commit
+    // above the first orphan; this is why two recovery rules remain. (The
+    // policy passed here only configures the recovered database's writers.)
     let (rec, report) = PartitionedDb::recover(
         DbOptions::new()
             .with_wal_dir(dir.clone())
@@ -571,11 +573,13 @@ fn group_commit_batch_fsync_failure_fails_whole_batch_and_degrades() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The `DurabilityFailed` release contract, across every protocol family:
-/// a commit that reaches its commit point and is then revoked by a
-/// storage fault must release its locks exactly once — the tuples end
-/// quiescent, nothing installed, and a follow-up transaction on the same
-/// keys commits immediately once the partition is healed.
+/// The `DurabilityFailed` contract of the shared commit tail, across every
+/// protocol family: a commit that reaches its commit point and is then
+/// revoked by a storage fault must release its locks exactly once and
+/// retire its commit timestamp — the tuples end quiescent, no version
+/// installed, the clock's stable point past the failed timestamp — and a
+/// follow-up transaction on the same keys commits immediately once the
+/// partition is healed.
 #[test]
 fn durability_failed_abort_releases_locks_under_every_protocol() {
     let ic3_generic = || {
@@ -626,6 +630,13 @@ fn durability_failed_abort_releases_locks_under_every_protocol() {
         }
         pdb.checkpoint().expect("genesis checkpoint (disarmed)");
         let session = PartSession::new(Arc::clone(&pdb), proto);
+        let db0 = pdb.parts()[0].db();
+        // The one timestamp the failing commit is about to allocate, and
+        // the version stamps it must leave alone.
+        let failed_ts = db0.commit_clock.next();
+        let loaded_ts: Vec<u64> = (0..2u64)
+            .map(|k| db0.table(t).get(k).unwrap().commit_ts())
+            .collect();
 
         injector.arm();
         {
@@ -646,7 +657,15 @@ fn durability_failed_abort_releases_locks_under_every_protocol() {
         }
         injector.disarm();
 
-        let db0 = pdb.parts()[0].db();
+        assert_eq!(
+            db0.commit_clock.next(),
+            failed_ts + 1,
+            "{name}: the failed commit allocates exactly one timestamp"
+        );
+        assert!(
+            db0.commit_clock.stable() >= failed_ts,
+            "{name}: the revoked commit's timestamp was never retired — the stable point stalls"
+        );
         for k in 0..2u64 {
             let tup = db0.table(t).get(k).unwrap();
             assert!(
@@ -661,6 +680,11 @@ fn durability_failed_abort_releases_locks_under_every_protocol() {
                 tup.read_row().get_i64(1),
                 0,
                 "{name}: revoked commit installed its write into key {k}"
+            );
+            assert_eq!(
+                (tup.commit_ts(), tup.retained_versions()),
+                (loaded_ts[k as usize], 0),
+                "{name}: revoked commit left a version on key {k}"
             );
         }
 

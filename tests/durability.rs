@@ -1,7 +1,8 @@
 //! End-to-end durability tests: checkpoint → crash (drop) → recover round
 //! trips, recovery idempotence, checkpoint replay-prefix skipping,
 //! crash-during-recovery fallback, incomplete-group and torn-tail
-//! handling, and the no-checkpoint failure mode.
+//! handling, the completeness rule read from the log (not the caller), and
+//! the no-checkpoint failure mode.
 //!
 //! "Crash" here is dropping the database mid-state and recovering from the
 //! directory it left behind — the real `kill -9` variant lives in
@@ -13,8 +14,9 @@ use std::sync::Arc;
 
 use bamboo_repro::core::partition::{PartSession, PartitionedDb};
 use bamboo_repro::core::protocol::{LockingProtocol, Protocol};
+use bamboo_repro::core::wal::WalHandle;
 use bamboo_repro::core::DbOptions;
-use bamboo_repro::storage::log::{SegmentWriter, WalRecord};
+use bamboo_repro::storage::log::{LogDir, SegmentWriter, WalRecord};
 use bamboo_repro::storage::{
     DataType, FsyncPolicy, PartitionId, RouteStrategy, Row, Schema, TableId, Value,
 };
@@ -324,9 +326,6 @@ fn recover_without_checkpoint_fails_cleanly() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Under the weak policies, a complete-looking transaction above the
-/// oldest incomplete one is discarded by the horizon cut: a lost log
-/// suffix on one partition must not resurrect dependents elsewhere.
 /// `Session::run_many` under `GroupCommit`: the whole batch commits with
 /// early lock release, acks ride the durability horizon, one leader
 /// fsync covers the flight (not one per commit), and recovery replays
@@ -400,6 +399,11 @@ fn run_many_batches_acks_under_group_commit() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Under `Never`, a complete-looking transaction above the oldest
+/// incomplete one is discarded by the horizon cut: a lost log suffix on one
+/// partition must not resurrect dependents elsewhere. The cut follows the
+/// policy the *log* was written under — recovering with `EveryCommit`
+/// options must not downgrade it to the individual-drop rule.
 #[test]
 fn weak_policy_horizon_cut_drops_later_transactions() {
     let dir = tmp_dir("horizon");
@@ -448,7 +452,12 @@ fn weak_policy_horizon_cut_drops_later_transactions() {
     w.sync().unwrap();
     drop(w);
 
-    let (rec, report) = PartitionedDb::recover(DbOptions::new().with_wal_dir(dir.clone())).unwrap();
+    let (rec, report) = PartitionedDb::recover(
+        DbOptions::new()
+            .with_wal_dir(dir.clone())
+            .with_fsync_policy(FsyncPolicy::EveryCommit),
+    )
+    .unwrap();
     assert_eq!(report.dropped_incomplete, 1);
     assert_eq!(
         report.dropped_horizon, 1,
@@ -459,6 +468,88 @@ fn weak_policy_horizon_cut_drops_later_transactions() {
         genesis,
         "horizon-dropped writes must not apply"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Recovery reads its completeness rule from the segment headers, not from
+/// the caller's options. An `EveryCommit` log can hold an orphan
+/// cross-partition group *mid-log* — a non-crash failure between the two
+/// appends of one commit, which was aborted and never installed — followed
+/// by complete, acknowledged groups. Recovering that directory with default
+/// options (`Never`) must still drop the orphan individually and keep the
+/// later groups; the horizon cut would discard acknowledged commits.
+#[test]
+fn recovery_rule_comes_from_the_log_not_the_caller() {
+    let dir = tmp_dir("rule-from-log");
+    let (pdb, t) = durable_bank(&dir, FsyncPolicy::EveryCommit);
+    transfers(&pdb, t, 5, 41);
+    let mut expected = state(&pdb, t);
+    drop(pdb);
+
+    let mut w = SegmentWriter::open(&dir, 0, FsyncPolicy::EveryCommit, 1 << 20).unwrap();
+    // The orphan: claims partition 1 too, whose half never landed.
+    w.append_record(&WalRecord::Begin {
+        txn_id: u64::MAX - 1,
+        commit_ts: 500_000,
+        parts_mask: 0b11,
+    })
+    .unwrap();
+    w.append_record(&WalRecord::Update {
+        table: 0,
+        key: 0,
+        row: Row::from(vec![Value::U64(0), Value::I64(-999_999)]),
+    })
+    .unwrap();
+    w.append_record(&WalRecord::Commit {
+        txn_id: u64::MAX - 1,
+        commit_ts: 500_000,
+    })
+    .unwrap();
+    // A later complete (acknowledged) partition-0 commit.
+    w.append_record(&WalRecord::Begin {
+        txn_id: u64::MAX,
+        commit_ts: 500_001,
+        parts_mask: 0b01,
+    })
+    .unwrap();
+    w.append_record(&WalRecord::Update {
+        table: 0,
+        key: 1,
+        row: Row::from(vec![Value::U64(1), Value::I64(4242)]),
+    })
+    .unwrap();
+    w.append_record(&WalRecord::Commit {
+        txn_id: u64::MAX,
+        commit_ts: 500_001,
+    })
+    .unwrap();
+    w.sync().unwrap();
+    drop(w);
+    expected.insert(1, 4242);
+
+    let (rec, report) = PartitionedDb::recover(DbOptions::new().with_wal_dir(dir.clone())).unwrap();
+    assert_eq!(report.dropped_incomplete, 1, "the orphan never replays");
+    assert_eq!(
+        report.dropped_horizon, 0,
+        "an EveryCommit log takes the individual-drop rule whatever the caller passes"
+    );
+    assert_eq!(state(&rec, t), expected, "the later acked group survives");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `WalHandle::replace_writer` heals *durable* handles; a ring handle
+/// ignores it and stays a ring — its sink kind is fixed at construction.
+#[test]
+fn replace_writer_on_a_ring_handle_leaves_it_a_ring() {
+    let dir = tmp_dir("ring-heal");
+    let wal = WalHandle::for_tests();
+    wal.replace_writer(SegmentWriter::open(&dir, 0, FsyncPolicy::EveryCommit, 1 << 20).unwrap());
+    assert!(!wal.is_durable(), "a ring stays a ring");
+    let landed = wal.append_txn(1, 1, 1, std::iter::empty()).unwrap();
+    assert_eq!(landed.end_lsn, 0, "ring appends carry no LSN");
+    assert_eq!(wal.records(), 1);
+    let scan = LogDir::real(&dir).scan_partition_from(0, 0).unwrap();
+    assert!(scan.records.is_empty(), "nothing reached the segment");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -6,12 +6,15 @@
 //!   garbage, and nothing before the tear is lost;
 //! * flipping any single byte of a frame never yields a *different*
 //!   record silently: the scan either still sees the original tail or
-//!   stops at the corruption.
+//!   stops at the corruption;
+//! * the borrowed-row fast paths (`frame_update`, `frame_insert`,
+//!   `SegmentWriter::stage_update`) frame exactly the bytes the
+//!   `WalRecord` path does.
 
 use std::path::PathBuf;
 
 use bamboo_repro::storage::log::{
-    decode_record, encode_record, scan_partition_log_from, SegmentWriter,
+    decode_record, encode_record, frame_insert, frame_record, frame_update, LogDir, SegmentWriter,
 };
 use bamboo_repro::storage::{FsyncPolicy, Row, Value, WalRecord};
 use proptest::prelude::*;
@@ -95,6 +98,49 @@ proptest! {
         prop_assert_eq!(decode_record(&buf), Some(rec));
     }
 
+    /// The `Update`/`Insert` body has one spelling: the borrowed-row fast
+    /// paths (`frame_update` / `frame_insert`, and `stage_update` through
+    /// a real segment) produce byte-for-byte the frame that
+    /// `frame_record` produces from the materialized `WalRecord`.
+    #[test]
+    fn borrowed_row_fast_paths_frame_identical_bytes(
+        table in any::<u32>(),
+        key in any::<u64>(),
+        row in row_strategy(),
+        secondary in secondary_strategy(),
+        case in any::<u64>(),
+    ) {
+        let (mut scratch, mut via_record, mut via_fast) = (Vec::new(), Vec::new(), Vec::new());
+        let update = WalRecord::Update { table, key, row: row.clone() };
+        frame_record(&mut via_record, &mut scratch, &update);
+        frame_update(&mut via_fast, &mut scratch, table, key, &row);
+        prop_assert_eq!(&via_fast, &via_record, "frame_update vs frame_record(Update)");
+
+        // `stage_update` lands the same frame on disk: the segment's bytes
+        // past its header are exactly the frame.
+        let dir = tmp_dir("stage", case);
+        let mut w = SegmentWriter::open(&dir, 0, FsyncPolicy::Never, 1 << 20).unwrap();
+        w.stage_update(table, key, &row);
+        w.flush_group().unwrap();
+        w.sync().unwrap();
+        let frame_len = w.lsn() as usize;
+        drop(w);
+        let seg = std::fs::read_dir(&dir).unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| p.extension().is_some_and(|e| e == "seg"))
+            .unwrap();
+        let bytes = std::fs::read(&seg).unwrap();
+        prop_assert_eq!(&bytes[bytes.len() - frame_len..], &via_record[..], "stage_update");
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let insert = WalRecord::Insert { table, key, row: row.clone(), secondary };
+        via_record.clear();
+        via_fast.clear();
+        frame_record(&mut via_record, &mut scratch, &insert);
+        frame_insert(&mut via_fast, &mut scratch, table, key, &row, secondary);
+        prop_assert_eq!(&via_fast, &via_record, "frame_insert vs frame_record(Insert)");
+    }
+
     /// Truncating a segment at any byte leaves a scannable record
     /// *prefix*: the scan returns exactly the records whose frames fit
     /// entirely below the cut, and never decodes garbage.
@@ -127,7 +173,7 @@ proptest! {
         f.set_len(cut).unwrap();
         drop(f);
 
-        let scan = scan_partition_log_from(&dir, 0, 0).unwrap();
+        let scan = LogDir::real(&dir).scan_partition_from(0, 0).unwrap();
         let kept = cut - data_start;
         let expect: Vec<_> = recs.iter()
             .zip(&frame_ends)
@@ -169,7 +215,7 @@ proptest! {
         bytes[pos] ^= flip;
         std::fs::write(&seg, &bytes).unwrap();
 
-        let scan = scan_partition_log_from(&dir, 0, 0).unwrap();
+        let scan = LogDir::real(&dir).scan_partition_from(0, 0).unwrap();
         for (_, got) in &scan.records {
             prop_assert!(
                 recs.iter().any(|r| r == got),
@@ -187,7 +233,7 @@ mod fault_schedule {
     use bamboo_repro::core::partition::{PartSession, PartitionedDb};
     use bamboo_repro::core::protocol::{LockingProtocol, Protocol};
     use bamboo_repro::core::DbOptions;
-    use bamboo_repro::storage::log::{scan_partition_log_from, FaultInjector};
+    use bamboo_repro::storage::log::{FaultInjector, LogDir};
     use bamboo_repro::storage::{
         DataType, FaultBackend, FaultPlan, FsyncPolicy, PartitionId, RouteStrategy, Row, Schema,
         Value, WalRecord,
@@ -275,7 +321,8 @@ mod fault_schedule {
             // behind. Scan each partition on the REAL backend: it must
             // parse, and groups must sit on clean boundaries.
             for p in 0..PARTS {
-                let scan = scan_partition_log_from(&dir, p, 0)
+                let scan = LogDir::real(&dir)
+                    .scan_partition_from(p, 0)
                     .unwrap_or_else(|e| panic!("partition {p} log unscannable: {e}"));
                 let mut in_group = false;
                 let mut complete_groups = 0u64;
