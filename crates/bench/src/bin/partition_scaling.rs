@@ -24,7 +24,7 @@
 //! is best-of-`--repeat` runs (the bench shares a box with CI noise).
 //!
 //! Output: `BENCH_partition_scaling.json` — committed at the repo root
-//! and regenerated by CI each run, like `BENCH_commit_scaling.json`.
+//! and regenerated by CI each run.
 
 use std::sync::Arc;
 use std::time::Duration;

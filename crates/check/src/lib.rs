@@ -41,6 +41,14 @@
 //!    where `commit_tail` spells the commit-point → log → revoke-or-install
 //!    order once (their definitions in `txn.rs` are not calls). A new
 //!    protocol calls the shared tail; it cannot re-grow a private copy.
+//! 8. **wait-seam** — under `crates/core/src/protocol/` nothing parks,
+//!    yields or charges a phase timer by hand: no `park_brief(`,
+//!    `yield_now(`, `.wait_for(`, `timers.lock_wait +=` or
+//!    `timers.commit_wait +=`. A transaction blocks through
+//!    `TxnCtx::wait` (`txn.rs`), the one copy of the abort check, the
+//!    liveness deadline, the bounded park and the timer accounting. A
+//!    pause that is not a transaction wait (Silo's TID-word spin) says so
+//!    in an adjacent `// wait-seam:` comment, like rule 4's `// ordering:`.
 
 use std::fmt;
 use std::path::Path;
@@ -170,7 +178,7 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Finding> {
         if !is_sync_facade && !in_test {
             let has_seqcst = line.contains("Ordering::SeqCst");
             let has_fence = has_call(line, "fence(");
-            if (has_seqcst || has_fence) && !ordering_justified(&masked, i) {
+            if (has_seqcst || has_fence) && !justified(&masked, i, "ordering:") {
                 let what = if has_seqcst {
                     "Ordering::SeqCst"
                 } else {
@@ -214,6 +222,24 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Finding> {
                     push(
                         "commit-tail",
                         format!("`{call}` outside crates/core/src/protocol/mod.rs — commit through `protocol::commit_tail`, the one copy of the commit-point → log → revoke-or-install order"),
+                    );
+                }
+            }
+        }
+
+        // Rule 8: protocols block through the wait seam only.
+        if rel_path.starts_with("crates/core/src/protocol/") && !in_test {
+            let pause = ["park_brief(", "yield_now(", "wait_for("]
+                .into_iter()
+                .find(|call| has_call(line, call));
+            let charge = ["timers.lock_wait +=", "timers.commit_wait +="]
+                .into_iter()
+                .find(|charge| line.contains(charge));
+            if let Some(what) = pause.or(charge) {
+                if !justified(&masked, i, "wait-seam:") {
+                    push(
+                        "wait-seam",
+                        format!("`{what}` in protocol code — block through `TxnCtx::wait`, the one copy of the abort check, deadline, park and timer accounting (or justify a non-transaction pause with `// wait-seam:`)"),
                     );
                 }
             }
@@ -299,15 +325,10 @@ fn has_call(line: &str, name: &str) -> bool {
 }
 
 /// The site line, or the contiguous block of comment-only and attribute
-/// lines immediately above it, carries `ordering:` in a
-/// comment.
-fn ordering_justified(masked: &Masked, line_idx: usize) -> bool {
-    let has = |l: usize| {
-        masked
-            .comments
-            .get(l)
-            .is_some_and(|c| c.contains("ordering:"))
-    };
+/// lines immediately above it, carries `tag` (`ordering:`, `wait-seam:`)
+/// in a comment.
+fn justified(masked: &Masked, line_idx: usize, tag: &str) -> bool {
+    let has = |l: usize| masked.comments.get(l).is_some_and(|c| c.contains(tag));
     if has(line_idx) {
         return true;
     }
@@ -724,6 +745,47 @@ mod tests {
         // Unit tests may drive the primitives directly.
         let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() { assert!(t.try_commit_point()); }\n}\n";
         assert!(rules("crates/core/src/lock/entry.rs", src).is_empty());
+    }
+
+    // --- rule 8: wait-seam --------------------------------------------
+
+    #[test]
+    fn private_wait_loops_fire_in_protocol_code() {
+        // A fourth protocol re-growing a private wait loop.
+        let src = "let t0 = Instant::now();\nloop {\n    if ready() { break; }\n    ctx.shared.park_brief();\n    std::thread::yield_now();\n    cond.wait_for(&mut guard, TICK);\n}\nctx.timers.lock_wait += t0.elapsed();\nctx.timers.commit_wait += t0.elapsed();\n";
+        assert_eq!(
+            rules("crates/core/src/protocol/fourth.rs", src),
+            vec!["wait-seam"; 5]
+        );
+        assert_eq!(
+            rules(
+                "crates/core/src/protocol/ic3/mod.rs",
+                "std::thread::yield_now();\n"
+            ),
+            vec!["wait-seam"]
+        );
+    }
+
+    #[test]
+    fn wait_seam_exempts_the_seam_other_layers_tests_and_justified_pauses() {
+        // Blocking through the seam, and reading the timers, is the
+        // sanctioned path.
+        let src = "ctx.wait(LOCK_WAIT, |ctx| tuple.meta.lock.lock().check_granted(tuple, &ctx.shared))?;\nlet w = ctx.timers.lock_wait + ctx.timers.commit_wait;\n";
+        assert!(rules("crates/core/src/protocol/locking.rs", src).is_empty());
+        // The seam itself, and pauses outside the protocol layer (retry
+        // backoff, the group-commit coordinator), are out of scope.
+        let src = "shared.cond.wait_for(&mut guard, PARK_TIMEOUT);\nstd::thread::yield_now();\n*timer += t0.elapsed();\n";
+        assert!(rules("crates/core/src/txn.rs", src).is_empty());
+        assert!(rules("crates/core/src/session.rs", src).is_empty());
+        assert!(rules("crates/core/src/wal.rs", src).is_empty());
+        // A pause that is not a transaction wait carries its reason.
+        let src =
+            "// wait-seam: TID-word spin, not a transaction wait.\nstd::thread::yield_now();\n";
+        assert!(rules("crates/core/src/protocol/silo.rs", src).is_empty());
+        // Unit tests may pace themselves.
+        let src =
+            "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() { std::thread::yield_now(); }\n}\n";
+        assert!(rules("crates/core/src/protocol/locking.rs", src).is_empty());
     }
 
     // --- masking / regions machinery ----------------------------------

@@ -307,18 +307,6 @@ pub fn run_part_bench(
     // run's total append volume once (includes warmup, like the
     // monolithic path's lifetime counters).
     res.totals.log_bytes = pdb.log_bytes() - log_before;
-    // Durability health, same shared-handle reasoning as `log_bytes`:
-    // retries/failures are run-lifetime sums over the partition WALs,
-    // degraded_partitions is the post-run snapshot. All zero unless a
-    // fault-injecting `LogBackend` (or a genuinely failing disk) is
-    // underneath.
-    res.totals.wal_io_retries = pdb.wal_io_retries();
-    res.totals.wal_io_failures = pdb.wal_io_failures();
-    res.totals.degraded_partitions = pdb.degraded_partitions();
-    // Group-commit coordinator counters, same convention: leader batch
-    // fsyncs and horizon acks are lifetime totals over shared state.
-    res.totals.group_commit_fsyncs = pdb.group_fsyncs();
-    res.totals.group_commit_acks = pdb.group_acks();
     res
 }
 

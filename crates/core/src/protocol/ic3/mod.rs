@@ -22,7 +22,7 @@ mod graph;
 
 use crate::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bamboo_storage::{Row, TableId, Tuple};
 
@@ -31,21 +31,38 @@ pub use graph::{chop, group_accesses, Chopping, PieceAccess, PieceDecl, Template
 use crate::db::Database;
 use crate::meta::TupleCc;
 use crate::protocol::Protocol;
-use crate::txn::{Abort, AbortReason, Access, AccessState, LockMode, PendingInsert, TxnCtx};
+use crate::txn::{
+    Abort, AbortReason, Access, AccessState, LockMode, Pacing, PendingInsert, TxnCtx, WaitSite,
+    WaitTimer,
+};
 use crate::wal::WalHandle;
 
-/// Ceiling on a single piece-level wait; exceeded waits self-abort. Piece
-/// waits are normally microseconds — this is a liveness backstop, not a
-/// tuning knob. Staggered per transaction id so that if an unforeseen wait
-/// cycle ever forms, one participant times out first and the rest proceed.
-const PIECE_WAIT_TIMEOUT: Duration = Duration::from_millis(50);
+/// A piece-level wait. Nothing notifies a `pieces_done` bump, so it yields
+/// between polls. Piece waits are normally microseconds — the ceiling is a
+/// liveness backstop, not a tuning knob; see [`staggered`].
+const PIECE_WAIT: WaitSite = WaitSite {
+    timer: WaitTimer::Lock,
+    timeout: Duration::from_millis(50),
+    on_timeout: AbortReason::Ic3Validation,
+    pacing: Pacing::Yield,
+};
 
-/// Ceiling on the commit-order wait (same stagger rationale).
-const DEP_WAIT_TIMEOUT: Duration = Duration::from_millis(100);
+/// The commit-order wait; a dependency's release notifies, so it parks.
+const DEP_WAIT: WaitSite = WaitSite {
+    timer: WaitTimer::Commit,
+    timeout: Duration::from_millis(100),
+    on_timeout: AbortReason::Ic3Validation,
+    pacing: Pacing::Park,
+};
 
-/// Per-transaction stagger added to the liveness timeouts.
-fn stagger(id: u64) -> Duration {
-    Duration::from_millis((id % 16) * 5)
+/// `site` with its ceiling staggered per transaction id, so that if an
+/// unforeseen wait cycle ever forms, one participant times out first and
+/// the rest proceed.
+fn staggered(site: WaitSite, id: u64) -> WaitSite {
+    WaitSite {
+        timeout: site.timeout + Duration::from_millis((id % 16) * 5),
+        ..site
+    }
 }
 
 /// One entry in a tuple's accessor list.
@@ -188,10 +205,6 @@ impl Ic3Protocol {
 
     /// Declared column masks for accessing `table` in `group` of `template`.
     fn declared_masks(&self, template: usize, group: usize, table: TableId) -> (u64, u64) {
-        self.declared_masks_inner(template, group, table)
-    }
-
-    fn declared_masks_inner(&self, template: usize, group: usize, table: TableId) -> (u64, u64) {
         let t = &self.templates[template];
         let mut r = 0u64;
         let mut w = 0u64;
@@ -237,74 +250,51 @@ impl Ic3Protocol {
         let (rmask, wmask) = self.declared_masks(ctx.ic3.template, group, table);
         let (my_r, my_w) = if write { (rmask, wmask) } else { (rmask, 0) };
         debug_assert!(!write || wmask != 0, "write access must declare write cols");
-        let deadline = Instant::now() + PIECE_WAIT_TIMEOUT + stagger(ctx.shared.id);
-        let (observed, observed_seq, row) = loop {
-            if ctx.shared.is_aborted() {
-                return Err(ctx.abort_err());
-            }
+        let site = staggered(PIECE_WAIT, ctx.shared.id);
+        let (observed, observed_seq, row) = ctx.wait(site, |ctx| {
             if self.dep_blocks(ctx, table, my_r, my_w) {
-                if Instant::now() > deadline {
-                    ctx.shared.set_abort(AbortReason::Ic3Validation);
-                    return Err(Abort(AbortReason::Ic3Validation));
-                }
-                std::thread::yield_now();
-                continue;
+                return None;
             }
             let mut st = tuple.meta.ic3.lock();
-            let blocker = !self.optimistic
+            let blocked = !self.optimistic
                 && st.accessors.iter().any(|e| {
                     e.txn.id != ctx.shared.id
                         && !e.txn.is_finished()
                         && masks_conflict(my_r, my_w, e.read_cols, e.write_cols)
                         && e.txn.pieces_done.load(Ordering::Acquire) <= e.group
                 });
-            if !blocker {
-                // Record commit-order dependencies on every conflicting
-                // unfinished accessor (flag: did they write?).
-                for e in &st.accessors {
-                    // Record commit-order deps on every conflicting accessor
-                    // that has not fully released yet — including committed
-                    // ones whose installs are still in flight, so our own
-                    // install can never overtake theirs.
-                    if e.txn.id != ctx.shared.id
-                        && !e.txn.is_released()
-                        && masks_conflict(my_r, my_w, e.read_cols, e.write_cols)
-                        && !ctx.ic3.deps.iter().any(|d| d.txn.id == e.txn.id)
-                    {
-                        ctx.ic3.deps.push(crate::txn::Ic3Dep {
-                            txn: Arc::clone(&e.txn),
-                            wrote: e.write_cols & (my_r | my_w) != 0,
-                            template: e.template,
-                        });
-                    }
+            if blocked {
+                return None;
+            }
+            // Record commit-order deps on every conflicting accessor that
+            // has not fully released yet (flag: did they write?) —
+            // including committed ones whose installs are still in flight,
+            // so our own install can never overtake theirs.
+            for e in &st.accessors {
+                if e.txn.id != ctx.shared.id
+                    && !e.txn.is_released()
+                    && masks_conflict(my_r, my_w, e.read_cols, e.write_cols)
+                    && !ctx.ic3.deps.iter().any(|d| d.txn.id == e.txn.id)
+                {
+                    ctx.ic3.deps.push(crate::txn::Ic3Dep {
+                        txn: Arc::clone(&e.txn),
+                        wrote: e.write_cols & (my_r | my_w) != 0,
+                        template: e.template,
+                    });
                 }
-                st.accessors.push(Ic3Accessor {
-                    txn: Arc::clone(&ctx.shared),
-                    template: ctx.ic3.template as u32,
-                    group: group as u32,
-                    read_cols: my_r,
-                    write_cols: my_w,
-                });
-                break st.visible(&tuple);
             }
-            drop(st);
-            if Instant::now() > deadline {
-                ctx.shared.set_abort(AbortReason::Ic3Validation);
-                return Err(Abort(AbortReason::Ic3Validation));
-            }
-            std::thread::yield_now();
-        };
-        Ok(ctx.push_access(Access {
-            table,
-            tuple,
-            mode: if write { LockMode::Ex } else { LockMode::Sh },
-            local: row,
-            dirty: false,
-            state: AccessState::Owner,
-            observed_tid: observed,
-            observed_seq,
-            group: group as u32,
-        }))
+            st.accessors.push(Ic3Accessor {
+                txn: Arc::clone(&ctx.shared),
+                template: ctx.ic3.template as u32,
+                group: group as u32,
+                read_cols: my_r,
+                write_cols: my_w,
+            });
+            Some(st.visible(&tuple))
+        })?;
+        let mode = if write { LockMode::Ex } else { LockMode::Sh };
+        let access = Access::new(table, tuple, mode, row, AccessState::Owner);
+        Ok(ctx.push_access(access.observing(observed, observed_seq, group as u32)))
     }
 
     /// Finalizes the current group: optimistic validation, publication of
@@ -319,11 +309,7 @@ impl Ic3Protocol {
                 if ctx.accesses[i].group != group || ctx.accesses[i].state != AccessState::Owner {
                     continue;
                 }
-                let deadline = Instant::now() + PIECE_WAIT_TIMEOUT;
-                loop {
-                    if ctx.shared.is_aborted() {
-                        return Err(ctx.abort_err());
-                    }
+                ctx.wait(PIECE_WAIT, |ctx| {
                     let a = &ctx.accesses[i];
                     let st = a.tuple.meta.ic3.lock();
                     let me = st
@@ -341,22 +327,17 @@ impl Ic3Protocol {
                             )
                             && e.txn.pieces_done.load(Ordering::Acquire) <= e.group
                     });
-                    if !pending {
-                        let (tail, seq, _) = st.visible(&a.tuple);
-                        if tail != a.observed_tid || seq != a.observed_seq {
-                            drop(st);
-                            ctx.shared.set_abort(AbortReason::Ic3Validation);
-                            return Err(Abort(AbortReason::Ic3Validation));
-                        }
-                        break;
+                    if pending {
+                        return None;
                     }
-                    drop(st);
-                    if Instant::now() > deadline {
+                    let (tail, seq, _) = st.visible(&a.tuple);
+                    if tail != a.observed_tid || seq != a.observed_seq {
+                        drop(st);
                         ctx.shared.set_abort(AbortReason::Ic3Validation);
-                        return Err(Abort(AbortReason::Ic3Validation));
+                        return None;
                     }
-                    std::thread::yield_now();
-                }
+                    Some(())
+                })?;
             }
         }
         // Publish this group's writes: visible dirty data, like Bamboo's
@@ -364,7 +345,7 @@ impl Ic3Protocol {
         let template = ctx.ic3.template;
         for a in ctx.accesses.iter_mut() {
             if a.group == group && a.state == AccessState::Owner && a.dirty {
-                let (_, wmask) = self.declared_masks_inner(template, group as usize, a.table);
+                let (_, wmask) = self.declared_masks(template, group as usize, a.table);
                 let mut st = a.tuple.meta.ic3.lock();
                 st.versions.push(Ic3Version {
                     txn: Arc::clone(&ctx.shared),
@@ -525,32 +506,18 @@ impl Protocol for Ic3Protocol {
         }
         // Commit ordering: wait for every dependency to finish; a finished-
         // aborted dependency that wrote data we (may) have read cascades.
-        let t0 = Instant::now();
-        let deadline = t0 + DEP_WAIT_TIMEOUT + stagger(ctx.shared.id);
-        for i in 0..ctx.ic3.deps.len() {
-            loop {
-                if ctx.shared.is_aborted() {
-                    ctx.timers.commit_wait += t0.elapsed();
-                    return Err(ctx.abort_err());
+        ctx.wait(staggered(DEP_WAIT, ctx.shared.id), |ctx| {
+            for dep in &ctx.ic3.deps {
+                if !(dep.txn.is_finished() && dep.txn.is_released()) {
+                    return None;
                 }
-                let dep = &ctx.ic3.deps[i];
-                if dep.txn.is_finished() && dep.txn.is_released() {
-                    if dep.txn.is_aborted() && dep.wrote {
-                        ctx.shared.set_abort(AbortReason::Cascade);
-                        ctx.timers.commit_wait += t0.elapsed();
-                        return Err(Abort(AbortReason::Cascade));
-                    }
-                    break;
+                if dep.txn.is_aborted() && dep.wrote {
+                    ctx.shared.set_abort(AbortReason::Cascade);
+                    return None;
                 }
-                if Instant::now() > deadline {
-                    ctx.shared.set_abort(AbortReason::Ic3Validation);
-                    ctx.timers.commit_wait += t0.elapsed();
-                    return Err(Abort(AbortReason::Ic3Validation));
-                }
-                ctx.shared.park_brief();
             }
-        }
-        ctx.timers.commit_wait += t0.elapsed();
+            Some(())
+        })?;
         // The shared tail passes the commit point and logs before any
         // install. Note the record carries the *column-local* copy: IC3
         // installs are column-masked merges computed atomically under each
@@ -578,7 +545,7 @@ impl Protocol for Ic3Protocol {
                     let mut st = a.tuple.meta.ic3.lock();
                     if a.dirty {
                         let (_, wmask) =
-                            self.declared_masks_inner(ctx.ic3.template, a.group as usize, a.table);
+                            self.declared_masks(ctx.ic3.template, a.group as usize, a.table);
                         st.versions.retain(|v| v.txn.id != ctx.shared.id);
                         let mut base = a.tuple.read_row();
                         apply_masked(&mut base, &a.local, wmask);
@@ -757,10 +724,10 @@ mod tests {
         let mut c2 = p.begin(&db);
         c2.ic3.template = 0;
         p.piece_begin(&db, &mut c2, 0).unwrap();
-        let t_start = Instant::now();
+        let t_start = std::time::Instant::now();
         let err = p.update(&db, &mut c2, t0, 0, &mut bump_a).unwrap_err();
         assert_eq!(err.0, AbortReason::Ic3Validation, "timed-out piece wait");
-        assert!(t_start.elapsed() >= PIECE_WAIT_TIMEOUT);
+        assert!(t_start.elapsed() >= PIECE_WAIT.timeout);
         p.abort(&db, &mut c2);
         p.abort(&db, &mut c1);
         assert!(db.table(t0).get(0).unwrap().meta.ic3.lock().is_quiescent());

@@ -23,22 +23,32 @@ use bamboo_storage::{Row, TableId, Tuple};
 use crate::db::Database;
 use crate::lock::{Acquired, CommitInstall, LockPolicy};
 use crate::meta::TupleCc;
-use crate::protocol::{commit_snapshot, commit_tail, snapshot_read, Protocol};
+use crate::protocol::{commit_snapshot, commit_tail, snapshot_read, unlocked_read, Protocol};
 use crate::ts::UNASSIGNED;
-use crate::txn::{Abort, AbortReason, Access, AccessState, LockMode, PendingInsert, TxnCtx};
+use crate::txn::{
+    Abort, AbortReason, Access, AccessState, LockMode, Pacing, PendingInsert, TxnCtx, TxnShared,
+    WaitSite, WaitTimer,
+};
 use crate::wal::WalHandle;
 
-/// Liveness backstop on lock/upgrade waits: three orders of magnitude above
-/// a healthy wait (which is microseconds to a few milliseconds), so it never
-/// fires under normal operation; if an unforeseen cross-resource cycle ever
-/// forms, the waiter self-aborts and retries instead of hanging the worker —
-/// the same role a lock timeout plays in production lock managers.
-const LOCK_WAIT_TIMEOUT: Duration = Duration::from_millis(500);
+/// Lock, upgrade and opacity waits. The backstop is three orders of
+/// magnitude above a healthy wait (microseconds to a few milliseconds).
+const LOCK_WAIT: WaitSite = WaitSite {
+    timer: WaitTimer::Lock,
+    timeout: Duration::from_millis(500),
+    on_timeout: AbortReason::WaitTimeout,
+    pacing: Pacing::Park,
+};
 
-/// Same backstop for the commit-semaphore wait (dependencies normally
-/// resolve in milliseconds; an aborted-and-stuck predecessor is the only
-/// path here).
-const COMMIT_WAIT_TIMEOUT: Duration = Duration::from_millis(2000);
+/// The commit-semaphore wait (dependencies normally resolve in
+/// milliseconds; an aborted-and-stuck predecessor is the only path to the
+/// backstop).
+const COMMIT_WAIT: WaitSite = WaitSite {
+    timer: WaitTimer::Commit,
+    timeout: Duration::from_millis(2000),
+    on_timeout: AbortReason::WaitTimeout,
+    pacing: Pacing::Park,
+};
 
 /// Isolation levels (paper §3.4, "Weak Isolation"). Serializable is the
 /// default; the weaker levels trade anomalies for concurrency exactly as
@@ -163,17 +173,6 @@ impl LockingProtocol {
         self
     }
 
-    /// Begins an *opaque* transaction (§3.4, "Opacity"): its accesses wait
-    /// until the tuple carries no conflicting uncommitted state, and none
-    /// of its own locks retire — it effectively runs under Wound-Wait, as
-    /// the paper prescribes for transactions that need consistent reads
-    /// before commit.
-    pub fn begin_opaque(&self, db: &Database) -> TxnCtx {
-        let mut ctx = self.begin(db);
-        ctx.opaque = true;
-        ctx
-    }
-
     /// The policy an access of `ctx` should use: opaque transactions never
     /// bypass into `retired` and never auto-retire reads.
     fn access_policy(&self, ctx: &TxnCtx) -> LockPolicy {
@@ -185,6 +184,19 @@ impl LockingProtocol {
             }
         } else {
             self.policy
+        }
+    }
+
+    /// The image a weak-isolation read takes without a lock entry (§3.4):
+    /// under read committed "shared locks release early" — modelled as a
+    /// latched copy of the committed image; under read uncommitted there
+    /// are no read locks at all and the newest dirty version is taken.
+    fn lockless_image(&self, tuple: &Tuple<TupleCc>) -> Row {
+        let st = tuple.meta.lock.lock();
+        if self.isolation == IsolationLevel::ReadUncommitted {
+            st.dirty_snapshot(tuple)
+        } else {
+            tuple.read_row()
         }
     }
 
@@ -203,21 +215,10 @@ impl LockingProtocol {
             // §3.4 opacity: "wait on a tuple until the retired and owners
             // lists are empty" — concretely, until no conflicting retired
             // entry (and no dirty version we could observe) remains.
-            let t0 = Instant::now();
-            loop {
-                if ctx.shared.is_aborted() || t0.elapsed() > LOCK_WAIT_TIMEOUT {
-                    ctx.shared.set_abort(AbortReason::Wounded);
-                    ctx.timers.lock_wait += t0.elapsed();
-                    return Err(ctx.abort_err());
-                }
+            ctx.wait(LOCK_WAIT, |_| {
                 let st = tuple.meta.lock.lock();
-                if !st.has_conflicting_retired(mode) && st.versions_len() == 0 {
-                    break;
-                }
-                drop(st);
-                ctx.shared.park_brief();
-            }
-            ctx.timers.lock_wait += t0.elapsed();
+                (!st.has_conflicting_retired(mode) && st.versions_len() == 0).then_some(())
+            })?;
         }
         let outcome = {
             let mut st = tuple.meta.lock.lock();
@@ -229,29 +230,31 @@ impl LockingProtocol {
                 ctx.shared.set_abort(reason);
                 Err(Abort(reason))
             }
-            Acquired::Wait => {
-                let t0 = Instant::now();
-                let res = loop {
-                    {
-                        let st = tuple.meta.lock.lock();
-                        if let Some((row, retired)) = st.check_granted(tuple, &ctx.shared) {
-                            break Ok((row, retired));
-                        }
-                    }
-                    if ctx.shared.is_aborted() || t0.elapsed() > LOCK_WAIT_TIMEOUT {
-                        ctx.shared.set_abort(AbortReason::Wounded);
-                        let mut st = tuple.meta.lock.lock();
-                        // Re-check for a grant that raced the wound; if
-                        // granted, cancel_wait fully releases the entry.
-                        st.cancel_wait(&ctx.shared, &pol);
-                        break Err(ctx.abort_err());
-                    }
-                    ctx.shared.park_brief();
-                };
-                ctx.timers.lock_wait += t0.elapsed();
-                res
-            }
+            Acquired::Wait => ctx
+                .wait(LOCK_WAIT, |ctx| {
+                    tuple.meta.lock.lock().check_granted(tuple, &ctx.shared)
+                })
+                .inspect_err(|_| {
+                    // Leave the queue. A grant may have raced the abort; if
+                    // so, cancel_wait fully releases the entry.
+                    tuple.meta.lock.lock().cancel_wait(&ctx.shared, &pol);
+                }),
         }
+    }
+
+    /// Takes a fresh exclusive lock on `tuple` and records the (still clean)
+    /// access; returns its index.
+    fn acquire_ex(
+        &self,
+        db: &Database,
+        ctx: &mut TxnCtx,
+        table: TableId,
+        tuple: Arc<Tuple<TupleCc>>,
+    ) -> Result<usize, Abort> {
+        let (row, retired) = self.acquire_blocking(db, ctx, &tuple, LockMode::Ex)?;
+        debug_assert!(!retired, "exclusive grants start as owners");
+        let access = Access::new(table, tuple, LockMode::Ex, row, AccessState::Owner);
+        Ok(ctx.push_access(access))
     }
 
     /// Optimization 2 δ heuristic: should the write issued as operation
@@ -259,9 +262,14 @@ impl LockingProtocol {
     /// not retired" — hotspots at the very end of a transaction would not
     /// unblock anyone for long, but retiring them costs latching and risks
     /// cascades.)
-    fn should_retire_now(&self, ctx: &TxnCtx) -> bool {
+    /// `manual` is [`LockingProtocol::update_manual`]'s explicit request,
+    /// which overrides δ (but never `retire_writes` or opacity).
+    fn should_retire_now(&self, ctx: &TxnCtx, manual: Option<bool>) -> bool {
         if !self.retire_writes || ctx.opaque {
             return false;
+        }
+        if let Some(retire) = manual {
+            return retire;
         }
         if self.delta <= 0.0 {
             return true;
@@ -274,15 +282,22 @@ impl LockingProtocol {
         }
     }
 
+    /// Algorithm 2 `LockRetire` for one access: publishes the local image
+    /// and moves the entry to `retired`. No-op unless the access is a dirty
+    /// exclusive owner (already retired, released, shared, or clean).
+    fn retire_access(&self, shared: &Arc<TxnShared>, a: &mut Access) {
+        if a.state == AccessState::Owner && a.mode == LockMode::Ex && a.dirty {
+            let mut st = a.tuple.meta.lock.lock();
+            st.retire(shared, a.local.clone(), &self.policy);
+            a.state = AccessState::Retired;
+        }
+    }
+
     /// Retires every still-owned dirty access (used by the adaptive clause
     /// of Optimization 2 during the semaphore wait).
     fn retire_pending(&self, ctx: &mut TxnCtx) {
         for a in ctx.accesses.iter_mut() {
-            if a.state == AccessState::Owner && a.mode == LockMode::Ex && a.dirty {
-                let mut st = a.tuple.meta.lock.lock();
-                st.retire(&ctx.shared, a.local.clone(), &self.policy);
-                a.state = AccessState::Retired;
-            }
+            self.retire_access(&ctx.shared, a);
         }
     }
 
@@ -317,19 +332,8 @@ impl LockingProtocol {
             // held mode suffices for ordering with scanners.
             return Ok(());
         }
-        let (row, retired) = self.acquire_blocking(db, ctx, &tuple, LockMode::Ex)?;
-        debug_assert!(!retired);
-        ctx.push_access(Access {
-            table,
-            tuple,
-            mode: LockMode::Ex,
-            local: row,
-            dirty: false, // gap guard only; nothing to install
-            state: AccessState::Owner,
-            observed_tid: 0,
-            observed_seq: 0,
-            group: 0,
-        });
+        // Gap guard only: the access stays clean, nothing installs.
+        self.acquire_ex(db, ctx, table, tuple)?;
         Ok(())
     }
 
@@ -346,17 +350,114 @@ impl LockingProtocol {
         f: &mut dyn FnMut(&mut Row),
         retire: bool,
     ) -> Result<(), Abort> {
-        let saved = self.clone_with_retire(retire);
-        Protocol::update(&saved, db, ctx, table, key, f)
+        self.update_with(db, ctx, table, key, f, Some(retire))
     }
 
-    fn clone_with_retire(&self, retire: bool) -> LockingProtocol {
-        let mut c = self.clone();
-        c.retire_writes = retire && self.retire_writes;
-        if retire {
-            c.delta = 0.0; // explicit retire request overrides δ
+    /// [`Protocol::update`], with [`LockingProtocol::update_manual`]'s
+    /// retire request threaded through to the retire decision.
+    fn update_with(
+        &self,
+        db: &Database,
+        ctx: &mut TxnCtx,
+        table: TableId,
+        key: u64,
+        f: &mut dyn FnMut(&mut Row),
+        manual_retire: Option<bool>,
+    ) -> Result<(), Abort> {
+        if ctx.shared.is_aborted() {
+            return Err(ctx.abort_err());
         }
-        c
+        ctx.forbid_snapshot_write("update");
+        ctx.op_seq += 1;
+        let tuple = db
+            .table_for(table, key)
+            .get(key)
+            .unwrap_or_else(|| panic!("update: missing key {key} in table {}", table.0));
+        let i = match ctx.find_access(table, tuple.key) {
+            Some(i) => {
+                // Re-access:
+                //  * still an exclusive owner: just mutate the local copy;
+                //  * retired (second write after retire, §3.3) or a retired
+                //    read being upgraded: abort observers and move back to
+                //    owners via reacquire;
+                //  * shared owner (baselines): upgrade in place;
+                //  * released (weak isolation): take a fresh exclusive lock.
+                let (state, mode) = (ctx.accesses[i].state, ctx.accesses[i].mode);
+                match (state, mode) {
+                    (AccessState::Owner, LockMode::Ex) => i,
+                    (AccessState::Retired, _) => {
+                        let a = &mut ctx.accesses[i];
+                        let mut st = a.tuple.meta.lock.lock();
+                        st.reacquire_ex(&ctx.shared, &self.policy);
+                        drop(st);
+                        a.state = AccessState::Owner;
+                        a.mode = LockMode::Ex;
+                        i
+                    }
+                    (AccessState::Owner, LockMode::Sh) => {
+                        // Shared-owner upgrade (baselines where reads hold
+                        // ownership). The local copy stays valid: we held SH
+                        // continuously, so the committed image cannot have
+                        // changed under us.
+                        ctx.locks_acquired += 1;
+                        ctx.wait(LOCK_WAIT, |ctx| {
+                            let outcome = ctx.accesses[i]
+                                .tuple
+                                .meta
+                                .lock
+                                .lock()
+                                .try_upgrade(&ctx.shared, &self.policy);
+                            match outcome {
+                                Acquired::Granted { .. } => Some(()),
+                                Acquired::Die(reason) => {
+                                    ctx.shared.set_abort(reason);
+                                    None
+                                }
+                                Acquired::Wait => None,
+                            }
+                        })?;
+                        ctx.accesses[i].mode = LockMode::Ex;
+                        i
+                    }
+                    (AccessState::Released, mode) => {
+                        // A weak-isolation read cached this key without a
+                        // lock entry, or (exclusive) read uncommitted
+                        // released the write at its retire; forget it and
+                        // take a fresh exclusive acquire.
+                        debug_assert!(
+                            mode == LockMode::Sh
+                                || self.isolation == IsolationLevel::ReadUncommitted,
+                            "only RU releases writes mid-transaction"
+                        );
+                        ctx.forget_access(table, tuple.key);
+                        self.acquire_ex(db, ctx, table, tuple)?
+                    }
+                }
+            }
+            None => self.acquire_ex(db, ctx, table, tuple)?,
+        };
+        f(&mut ctx.accesses[i].local);
+        ctx.accesses[i].dirty = true;
+        // Algorithm 1 line 2: retire after the (presumed) last write, subject
+        // to Optimization 2. Under read uncommitted "each retire becomes a
+        // release" (§3.4): the write installs immediately, no dependency is
+        // tracked, and an abort cannot take it back.
+        if self.should_retire_now(ctx, manual_retire) {
+            let a = &mut ctx.accesses[i];
+            if self.isolation == IsolationLevel::ReadUncommitted {
+                let mut st = a.tuple.meta.lock.lock();
+                st.release(
+                    &ctx.shared,
+                    &self.policy,
+                    true,
+                    Some(CommitInstall::untimed(&a.tuple, &a.local)),
+                );
+                a.state = AccessState::Released;
+            } else {
+                self.retire_access(&ctx.shared, a);
+            }
+        }
+        Ok(())
     }
 
     /// Explicitly retires an already-written access (Algorithm 2
@@ -364,18 +465,12 @@ impl LockingProtocol {
     /// is completely optional" §3.2.2). No-op when the access already
     /// retired or is clean.
     pub fn retire_now(&self, ctx: &mut TxnCtx, table: TableId, key: u64) {
-        let Some(i) = ctx
+        if let Some(a) = ctx
             .accesses
-            .iter()
-            .position(|a| a.table == table && a.tuple.key == key)
-        else {
-            return;
-        };
-        let a = &mut ctx.accesses[i];
-        if a.state == AccessState::Owner && a.mode == LockMode::Ex && a.dirty {
-            let mut st = a.tuple.meta.lock.lock();
-            st.retire(&ctx.shared, a.local.clone(), &self.policy);
-            a.state = AccessState::Retired;
+            .iter_mut()
+            .find(|a| a.table == table && a.tuple.key == key)
+        {
+            self.retire_access(&ctx.shared, a);
         }
     }
 
@@ -453,80 +548,30 @@ impl Protocol for LockingProtocol {
         if let Some(i) = ctx.find_access(table, tuple.key) {
             // Own writes are always visible; under read committed a clean
             // cached read is refreshed instead (non-repeatable by design).
-            if self.isolation != IsolationLevel::ReadCommitted
-                || ctx.accesses[i].dirty
-                || ctx.opaque
+            if self.isolation == IsolationLevel::ReadCommitted
+                && !ctx.accesses[i].dirty
+                && !ctx.opaque
             {
-                return Ok(&ctx.accesses[i].local);
+                ctx.accesses[i].local = self.lockless_image(&tuple);
             }
-            let row = {
-                let _st = tuple.meta.lock.lock();
-                tuple.read_row()
-            };
-            ctx.accesses[i].local = row;
             return Ok(&ctx.accesses[i].local);
         }
-        if !ctx.opaque {
-            match self.isolation {
-                IsolationLevel::ReadCommitted => {
-                    // §3.4: shared locks release immediately — modelled as a
-                    // latched snapshot of the committed image with no entry.
-                    let row = {
-                        let _st = tuple.meta.lock.lock();
-                        tuple.read_row()
-                    };
-                    let i = ctx.push_access(Access {
-                        table,
-                        tuple,
-                        mode: LockMode::Sh,
-                        local: row,
-                        dirty: false,
-                        state: AccessState::Released,
-                        observed_tid: 0,
-                        observed_seq: 0,
-                        group: 0,
-                    });
-                    return Ok(&ctx.accesses[i].local);
-                }
-                IsolationLevel::ReadUncommitted => {
-                    // §3.4: no read locks at all; take the newest dirty
-                    // version.
-                    let row = {
-                        let st = tuple.meta.lock.lock();
-                        st.dirty_snapshot(&tuple)
-                    };
-                    let i = ctx.push_access(Access {
-                        table,
-                        tuple,
-                        mode: LockMode::Sh,
-                        local: row,
-                        dirty: false,
-                        state: AccessState::Released,
-                        observed_tid: 0,
-                        observed_seq: 0,
-                        group: 0,
-                    });
-                    return Ok(&ctx.accesses[i].local);
-                }
-                IsolationLevel::Serializable | IsolationLevel::RepeatableRead => {}
-            }
+        if !ctx.opaque
+            && matches!(
+                self.isolation,
+                IsolationLevel::ReadCommitted | IsolationLevel::ReadUncommitted
+            )
+        {
+            let row = self.lockless_image(&tuple);
+            return Ok(unlocked_read(ctx, table, tuple, row));
         }
         let (row, retired) = self.acquire_blocking(db, ctx, &tuple, LockMode::Sh)?;
-        let i = ctx.push_access(Access {
-            table,
-            tuple,
-            mode: LockMode::Sh,
-            local: row,
-            dirty: false,
-            state: if retired {
-                AccessState::Retired
-            } else {
-                AccessState::Owner
-            },
-            observed_tid: 0,
-            observed_seq: 0,
-            group: 0,
-        });
+        let state = if retired {
+            AccessState::Retired
+        } else {
+            AccessState::Owner
+        };
+        let i = ctx.push_access(Access::new(table, tuple, LockMode::Sh, row, state));
         Ok(&ctx.accesses[i].local)
     }
 
@@ -538,150 +583,7 @@ impl Protocol for LockingProtocol {
         key: u64,
         f: &mut dyn FnMut(&mut Row),
     ) -> Result<(), Abort> {
-        if ctx.shared.is_aborted() {
-            return Err(ctx.abort_err());
-        }
-        ctx.forbid_snapshot_write("update");
-        ctx.op_seq += 1;
-        let tuple = db
-            .table_for(table, key)
-            .get(key)
-            .unwrap_or_else(|| panic!("update: missing key {key} in table {}", table.0));
-        let i = match ctx.find_access(table, tuple.key) {
-            Some(i) => {
-                // Re-access. Three cases:
-                //  * still an exclusive owner: just mutate the local copy;
-                //  * retired (second write after retire, §3.3) or a retired
-                //    read being upgraded: abort observers and move back to
-                //    owners via reacquire;
-                //  * shared owner upgrade (baselines): unsupported — our
-                //    workloads take EX up front for RMW, as DBx1000 does.
-                let (state, mode) = (ctx.accesses[i].state, ctx.accesses[i].mode);
-                match (state, mode) {
-                    (AccessState::Owner, LockMode::Ex) => i,
-                    (AccessState::Retired, _) => {
-                        let a = &mut ctx.accesses[i];
-                        let mut st = a.tuple.meta.lock.lock();
-                        st.reacquire_ex(&ctx.shared, &self.policy);
-                        drop(st);
-                        a.state = AccessState::Owner;
-                        a.mode = LockMode::Ex;
-                        i
-                    }
-                    (AccessState::Owner, LockMode::Sh) => {
-                        // Shared-owner upgrade (baselines where reads hold
-                        // ownership). The local copy stays valid: we held SH
-                        // continuously, so the committed image cannot have
-                        // changed under us.
-                        ctx.locks_acquired += 1;
-                        let t0 = Instant::now();
-                        let res = loop {
-                            let outcome = {
-                                let mut st = ctx.accesses[i].tuple.meta.lock.lock();
-                                st.try_upgrade(&ctx.shared, &self.policy)
-                            };
-                            match outcome {
-                                Acquired::Granted { .. } => break Ok(()),
-                                Acquired::Die(reason) => {
-                                    ctx.shared.set_abort(reason);
-                                    break Err(Abort(reason));
-                                }
-                                Acquired::Wait => {
-                                    if ctx.shared.is_aborted() || t0.elapsed() > LOCK_WAIT_TIMEOUT {
-                                        ctx.shared.set_abort(AbortReason::Wounded);
-                                        break Err(ctx.abort_err());
-                                    }
-                                    ctx.shared.park_brief();
-                                }
-                            }
-                        };
-                        ctx.timers.lock_wait += t0.elapsed();
-                        res?;
-                        ctx.accesses[i].mode = LockMode::Ex;
-                        i
-                    }
-                    (AccessState::Released, LockMode::Sh) => {
-                        // A weak-isolation read cached this key without a
-                        // lock entry; forget it and take a fresh exclusive
-                        // acquire.
-                        ctx.forget_access(table, tuple.key);
-                        let (row, retired) =
-                            self.acquire_blocking(db, ctx, &tuple, LockMode::Ex)?;
-                        debug_assert!(!retired);
-                        ctx.push_access(Access {
-                            table,
-                            tuple: Arc::clone(&tuple),
-                            mode: LockMode::Ex,
-                            local: row,
-                            dirty: false,
-                            state: AccessState::Owner,
-                            observed_tid: 0,
-                            observed_seq: 0,
-                            group: 0,
-                        })
-                    }
-                    (AccessState::Released, LockMode::Ex) => {
-                        debug_assert_eq!(
-                            self.isolation,
-                            IsolationLevel::ReadUncommitted,
-                            "only RU releases writes mid-transaction"
-                        );
-                        ctx.forget_access(table, tuple.key);
-                        let (row, _) = self.acquire_blocking(db, ctx, &tuple, LockMode::Ex)?;
-                        ctx.push_access(Access {
-                            table,
-                            tuple: Arc::clone(&tuple),
-                            mode: LockMode::Ex,
-                            local: row,
-                            dirty: false,
-                            state: AccessState::Owner,
-                            observed_tid: 0,
-                            observed_seq: 0,
-                            group: 0,
-                        })
-                    }
-                }
-            }
-            None => {
-                let (row, retired) = self.acquire_blocking(db, ctx, &tuple, LockMode::Ex)?;
-                debug_assert!(!retired, "exclusive grants start as owners");
-                ctx.push_access(Access {
-                    table,
-                    tuple,
-                    mode: LockMode::Ex,
-                    local: row,
-                    dirty: false,
-                    state: AccessState::Owner,
-                    observed_tid: 0,
-                    observed_seq: 0,
-                    group: 0,
-                })
-            }
-        };
-        f(&mut ctx.accesses[i].local);
-        ctx.accesses[i].dirty = true;
-        // Algorithm 1 line 2: retire after the (presumed) last write, subject
-        // to Optimization 2. Under read uncommitted "each retire becomes a
-        // release" (§3.4): the write installs immediately, no dependency is
-        // tracked, and an abort cannot take it back.
-        if self.should_retire_now(ctx) {
-            let a = &mut ctx.accesses[i];
-            if self.isolation == IsolationLevel::ReadUncommitted {
-                let mut st = a.tuple.meta.lock.lock();
-                st.release(
-                    &ctx.shared,
-                    &self.policy,
-                    true,
-                    Some(CommitInstall::untimed(&a.tuple, &a.local)),
-                );
-                a.state = AccessState::Released;
-            } else {
-                let mut st = a.tuple.meta.lock.lock();
-                st.retire(&ctx.shared, a.local.clone(), &self.policy);
-                a.state = AccessState::Retired;
-            }
-        }
-        Ok(())
+        self.update_with(db, ctx, table, key, f, None)
     }
 
     fn insert(
@@ -722,30 +624,23 @@ impl Protocol for LockingProtocol {
         // been stalled for longer than δ of the execution time so far, the
         // trailing writes held back by the δ heuristic are blocking others
         // for real, so retire them after all.
-        let t0 = Instant::now();
         let mut may_retire_late = self.adaptive_retire && self.delta > 0.0;
-        let budget = ctx.started.elapsed().mul_f64(self.delta.max(0.0));
-        loop {
-            if ctx.shared.is_aborted() {
-                ctx.timers.commit_wait += t0.elapsed();
-                return Err(ctx.abort_err());
-            }
+        let mut retire_at: Option<Instant> = None;
+        ctx.wait(COMMIT_WAIT, |ctx| {
             if ctx.shared.semaphore() == 0 {
-                break;
+                return Some(());
             }
-            if t0.elapsed() > COMMIT_WAIT_TIMEOUT {
-                // Liveness backstop (see COMMIT_WAIT_TIMEOUT).
-                ctx.shared.set_abort(AbortReason::Cascade);
-                ctx.timers.commit_wait += t0.elapsed();
-                return Err(ctx.abort_err());
+            if may_retire_late {
+                let now = Instant::now();
+                let at =
+                    *retire_at.get_or_insert_with(|| now + (now - ctx.started).mul_f64(self.delta));
+                if now > at {
+                    self.retire_pending(ctx);
+                    may_retire_late = false;
+                }
             }
-            if may_retire_late && t0.elapsed() > budget {
-                self.retire_pending(ctx);
-                may_retire_late = false;
-            }
-            ctx.shared.park_brief();
-        }
-        ctx.timers.commit_wait += t0.elapsed();
+            None
+        })?;
 
         // Algorithm 1 lines 6–8 — commit point, log, install, release — are
         // the shared tail. On a partitioned database the log write splits

@@ -18,8 +18,10 @@ mod interactive;
 mod locking;
 mod silo;
 
+use std::sync::Arc;
+
 use bamboo_storage::log::{IoClass, IoFailure};
-use bamboo_storage::{Row, TableId};
+use bamboo_storage::{Row, TableId, Tuple};
 
 pub use ic3::{Ic3Protocol, PieceAccess, PieceDecl, TemplateDecl};
 pub use interactive::InteractiveProtocol;
@@ -27,7 +29,8 @@ pub use locking::{IsolationLevel, LockingProtocol};
 pub use silo::SiloProtocol;
 
 use crate::db::Database;
-use crate::txn::{Abort, AbortReason, TxnCtx};
+use crate::meta::TupleCc;
+use crate::txn::{Abort, AbortReason, Access, AccessState, LockMode, TxnCtx};
 use crate::wal::{DurabilityTicket, WalHandle, WalWrite};
 
 /// A pluggable concurrency-control protocol.
@@ -458,7 +461,7 @@ pub(crate) fn snapshot_read<'c>(
     ctx: &'c mut TxnCtx,
     table: TableId,
     key: u64,
-) -> Result<&'c Row, crate::txn::Abort> {
+) -> Result<&'c Row, Abort> {
     let snap = ctx
         .snapshot
         .expect("snapshot_read outside snapshot mode")
@@ -483,18 +486,27 @@ pub(crate) fn snapshot_read<'c>(
     let Some(row) = tuple.read_at(snap) else {
         return Err(Abort(AbortReason::SnapshotNotVisible));
     };
-    let i = ctx.push_access(crate::txn::Access {
+    Ok(unlocked_read(ctx, table, tuple, row))
+}
+
+/// Records a read that holds no lock entry — snapshot mode and the 2PL
+/// family's weak isolation levels — and returns the cached copy: a shared
+/// access that is already [`AccessState::Released`], so the release paths
+/// skip it.
+pub(crate) fn unlocked_read(
+    ctx: &mut TxnCtx,
+    table: TableId,
+    tuple: Arc<Tuple<TupleCc>>,
+    row: Row,
+) -> &Row {
+    let i = ctx.push_access(Access::new(
         table,
         tuple,
-        mode: crate::txn::LockMode::Sh,
-        local: row,
-        dirty: false,
-        state: crate::txn::AccessState::Released,
-        observed_tid: 0,
-        observed_seq: 0,
-        group: 0,
-    });
-    Ok(&ctx.accesses[i].local)
+        LockMode::Sh,
+        row,
+        AccessState::Released,
+    ));
+    &ctx.accesses[i].local
 }
 
 /// Shared commit path of snapshot mode: no locks to release, no log to

@@ -67,6 +67,9 @@ impl SiloProtocol {
             }
             spins += 1;
             if spins % READ_SPIN == 0 {
+                // wait-seam: a TID-word spin, not a transaction wait — the
+                // lock bit is held for one install, there is nothing to be
+                // wounded by and no timer the paper charges it to.
                 std::thread::yield_now();
             } else {
                 std::hint::spin_loop();
@@ -138,17 +141,9 @@ impl Protocol for SiloProtocol {
             return Ok(&ctx.accesses[i].local);
         }
         let (row, tid) = Self::stable_read(&tuple);
-        let i = ctx.push_access(Access {
-            table,
-            tuple,
-            mode: LockMode::Sh,
-            local: row,
-            dirty: false,
-            state: AccessState::Released, // no lock entry — OCC
-            observed_tid: tid,
-            observed_seq: 0,
-            group: 0,
-        });
+        // Released: OCC reads hold no lock entry.
+        let access = Access::new(table, tuple, LockMode::Sh, row, AccessState::Released);
+        let i = ctx.push_access(access.observing(tid, 0, 0));
         Ok(&ctx.accesses[i].local)
     }
 
@@ -173,17 +168,8 @@ impl Protocol for SiloProtocol {
             }
             None => {
                 let (row, tid) = Self::stable_read(&tuple);
-                ctx.push_access(Access {
-                    table,
-                    tuple,
-                    mode: LockMode::Ex,
-                    local: row,
-                    dirty: false,
-                    state: AccessState::Released,
-                    observed_tid: tid,
-                    observed_seq: 0,
-                    group: 0,
-                })
+                let access = Access::new(table, tuple, LockMode::Ex, row, AccessState::Released);
+                ctx.push_access(access.observing(tid, 0, 0))
             }
         };
         f(&mut ctx.accesses[i].local);

@@ -54,7 +54,7 @@ use crate::executor::TxnSpec;
 use crate::protocol::Protocol;
 use crate::stats::WorkerStats;
 use crate::txn::{Abort, AbortReason, TxnCtx, TxnShared, TxnTimers};
-use crate::wal::{DurabilityTicket, WalBuffer, WalHandle};
+use crate::wal::{DurabilityTicket, WalHandle};
 use bamboo_storage::{Row, TableId};
 
 /// Retry rules for [`Session::run`]: when an aborted attempt is retried
@@ -242,12 +242,6 @@ impl Session {
         self
     }
 
-    /// Shrinks (or grows) the WAL ring — tests use small rings.
-    pub fn with_wal_capacity(mut self, bytes: usize) -> Self {
-        self.wal = Arc::new(WalHandle::from_buffer(WalBuffer::with_capacity(bytes)));
-        self
-    }
-
     /// Binds the session to an existing (possibly shared) WAL handle —
     /// partition-aware sessions point every worker of one partition at
     /// that partition's WAL segment.
@@ -370,32 +364,16 @@ impl Session {
     /// install: the commit stands in memory but was never acknowledged
     /// (see [`Session::ack_ticket`]).
     pub fn run_many(&self, specs: &[&dyn TxnSpec]) -> Vec<Result<(), Abort>> {
-        let mut results: Vec<Result<(), Abort>> = Vec::with_capacity(specs.len());
         let mut tickets: Vec<(usize, DurabilityTicket)> = Vec::new();
-        for (i, spec) in specs.iter().enumerate() {
-            // The retry loop of `run_inner`, without instrumentation: a
-            // deferred attempt that aborts retries like any other.
-            let mut attempt = 0u32;
-            let res = loop {
-                match self.attempt_deferred(*spec) {
-                    Ok(ticket) => {
-                        if let Some(t) = ticket {
-                            tickets.push((i, t));
-                        }
-                        break Ok(());
-                    }
-                    Err(e) if self.retry.retryable(e.0) => {
-                        attempt += 1;
-                        match self.retry.backoff(attempt) {
-                            None => std::thread::yield_now(),
-                            Some(d) => std::thread::sleep(d),
-                        }
-                    }
-                    Err(e) => break Err(e),
-                }
-            };
-            results.push(res);
-        }
+        let mut results: Vec<Result<(), Abort>> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| {
+                let ticket = self.run_inner(*spec, true, None, None, None)?;
+                tickets.extend(ticket.map(|t| (i, t)));
+                Ok(())
+            })
+            .collect();
         // Acknowledge in commit-timestamp order: the horizon advances in
         // that order, so earlier commits never park behind later ones.
         tickets.sort_by_key(|(_, t)| t.commit_ts);
@@ -407,37 +385,12 @@ impl Session {
         results
     }
 
-    /// One attempt with the acknowledgment deferred: on commit success
-    /// returns the durability ticket (if any) instead of waiting it out.
-    fn attempt_deferred(&self, spec: &dyn TxnSpec) -> Result<Option<DurabilityTicket>, Abort> {
-        let mut txn = self.begin_with(TxnOptions::for_spec(spec));
-        txn.defer_ack = true;
-        let res = (|| -> Result<(), Abort> {
-            for p in 0..spec.pieces() {
-                txn.piece_begin(p)?;
-                spec.run_piece(p, &mut txn)?;
-                txn.piece_end()?;
-            }
-            txn.commit_in_place()
-        })();
-        match res {
-            Ok(()) => Ok(txn.ctx.durability.take()),
-            Err(e) => {
-                txn.abort_in_place();
-                Err(e)
-            }
-        }
-    }
-
     /// Runs `spec` to commit, retrying aborted attempts per the session's
     /// [`RetryPolicy`]. Returns the terminal [`Abort`] only when the
     /// policy declines to retry it (by default: user-initiated aborts,
     /// which are logical rollbacks, not failures).
     pub fn run(&self, spec: &dyn TxnSpec) -> Result<(), Abort> {
-        match self.run_inner(spec, None, None, None) {
-            RunOutcome::Committed => Ok(()),
-            RunOutcome::Abandoned(e) => Err(e),
-        }
+        self.run_inner(spec, false, None, None, None).map(|_| ())
     }
 
     /// [`Session::run`] with benchmark instrumentation: per-attempt
@@ -451,26 +404,28 @@ impl Session {
         stop: &AtomicBool,
         deadline: Instant,
     ) -> bool {
-        matches!(
-            self.run_inner(spec, Some(stats), Some(stop), Some(deadline)),
-            RunOutcome::Committed
-        )
+        self.run_inner(spec, false, Some(stats), Some(stop), Some(deadline))
+            .is_ok()
     }
 
-    /// The attempt/retry loop shared by [`Session::run`] and
-    /// [`Session::run_reporting`].
+    /// The one attempt/retry/backoff loop, behind [`Session::run`],
+    /// [`Session::run_reporting`] and [`Session::run_many`]. `Ok` carries
+    /// the commit's unacknowledged durability ticket when `defer_ack` asked
+    /// for it; `Err` is the abort the policy (or `stop` / `deadline`)
+    /// declined to retry.
     fn run_inner(
         &self,
         spec: &dyn TxnSpec,
+        defer_ack: bool,
         mut stats: Option<&mut WorkerStats>,
         stop: Option<&AtomicBool>,
         deadline: Option<Instant>,
-    ) -> RunOutcome {
+    ) -> Result<Option<DurabilityTicket>, Abort> {
         let snapshot = spec.read_only_snapshot();
         let mut attempt = 0u32;
         loop {
             let t0 = Instant::now();
-            let (res, cascaded, timers, locks, spanned) = self.attempt(spec);
+            let (res, cascaded, timers, locks, spanned) = self.attempt(spec, defer_ack);
             if let Some(stats) = stats.as_deref_mut() {
                 stats.lock_wait += timers.lock_wait;
                 stats.commit_wait += timers.commit_wait;
@@ -479,8 +434,8 @@ impl Session {
                 } else {
                     stats.lock_acquisitions += locks;
                 }
-                match res {
-                    Ok(()) => {
+                match &res {
+                    Ok(_) => {
                         if spanned > 1 {
                             stats.cross_partition_commits += 1;
                         }
@@ -499,16 +454,14 @@ impl Session {
                 }
             }
             let e = match res {
-                Ok(()) => return RunOutcome::Committed,
+                Ok(ticket) => return Ok(ticket),
                 Err(e) => e,
             };
-            if !self.retry.retryable(e.0) {
-                return RunOutcome::Abandoned(e);
-            }
-            if stop.is_some_and(|s| s.load(Ordering::Relaxed))
+            if !self.retry.retryable(e.0)
+                || stop.is_some_and(|s| s.load(Ordering::Relaxed))
                 || deadline.is_some_and(|d| Instant::now() >= d)
             {
-                return RunOutcome::Abandoned(e);
+                return Err(e);
             }
             attempt += 1;
             match self.retry.backoff(attempt) {
@@ -519,14 +472,26 @@ impl Session {
     }
 
     /// One attempt: begin per the spec's options, run the pieces in order,
-    /// commit — aborting the attempt on any failure. Returns the result,
-    /// the abort-cascade count, the attempt's timers/lock counters, and
-    /// the number of partitions the access set spanned (always 1 on a
-    /// monolithic database).
-    fn attempt(&self, spec: &dyn TxnSpec) -> (Result<(), Abort>, usize, TxnTimers, u64, u32) {
+    /// commit — aborting the attempt on any failure. With `defer_ack` a
+    /// group-commit acknowledgment is not waited out; the ticket comes back
+    /// in the result instead. Returns the result, the abort-cascade count,
+    /// the attempt's timers/lock counters, and the number of partitions the
+    /// access set spanned (always 1 on a monolithic database).
+    fn attempt(
+        &self,
+        spec: &dyn TxnSpec,
+        defer_ack: bool,
+    ) -> (
+        Result<Option<DurabilityTicket>, Abort>,
+        usize,
+        TxnTimers,
+        u64,
+        u32,
+    ) {
         let mut txn = self.begin_with(TxnOptions::for_spec(spec));
+        txn.defer_ack = defer_ack;
         let mut spanned = 1;
-        let res = (|| -> Result<(), Abort> {
+        let res = (|| {
             for p in 0..spec.pieces() {
                 txn.piece_begin(p)?;
                 spec.run_piece(p, &mut txn)?;
@@ -535,7 +500,8 @@ impl Session {
             // Before the commit: apply_inserts drains the buffered inserts,
             // which count toward the partition span.
             spanned = txn.partitions_spanned();
-            txn.commit_in_place()
+            txn.commit_in_place()?;
+            Ok(txn.ctx.durability.take())
         })();
         let timers = txn.ctx.timers;
         let locks = txn.ctx.locks_acquired;
@@ -546,12 +512,6 @@ impl Session {
         };
         (res, cascaded, timers, locks, spanned)
     }
-}
-
-/// What [`Session::run_inner`] resolved to.
-enum RunOutcome {
-    Committed,
-    Abandoned(Abort),
 }
 
 /// One transaction attempt, RAII-style.
@@ -859,7 +819,7 @@ mod tests {
 
     fn bamboo_session(db: &Arc<Database>) -> Session {
         Session::new(Arc::clone(db), Arc::new(LockingProtocol::bamboo()))
-            .with_wal_capacity(64 << 10)
+            .with_wal_handle(Arc::new(WalHandle::for_tests()))
     }
 
     #[test]

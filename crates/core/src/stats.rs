@@ -11,40 +11,14 @@ use std::time::Duration;
 
 use crate::txn::AbortReason;
 
-/// Number of distinct abort reasons (array-indexed counters).
-pub const REASONS: usize = 11;
-
-fn reason_idx(r: AbortReason) -> usize {
-    match r {
-        AbortReason::Wounded => 0,
-        AbortReason::Cascade => 1,
-        AbortReason::WaitDie => 2,
-        AbortReason::NoWait => 3,
-        AbortReason::SiloValidation => 4,
-        AbortReason::SiloLockFail => 5,
-        AbortReason::User => 6,
-        AbortReason::Ic3Validation => 7,
-        AbortReason::SnapshotNotVisible => 8,
-        AbortReason::SnapshotTooOld => 9,
-        AbortReason::DurabilityFailed => 10,
-    }
-}
+/// Number of distinct abort reasons (array-indexed counters): the rows of
+/// [`AbortReason::ALL`], which is the one table mapping a reason to its
+/// counter index and its label.
+pub const REASONS: usize = AbortReason::ALL.len();
 
 /// Label for the reason at array index `i` (report printing).
 pub fn reason_name(i: usize) -> &'static str {
-    match i {
-        0 => "wounded",
-        1 => "cascade",
-        2 => "wait_die",
-        3 => "no_wait",
-        4 => "silo_validation",
-        5 => "silo_lock_fail",
-        6 => "user",
-        7 => "ic3_validation",
-        8 => "snapshot_not_visible",
-        9 => "snapshot_too_old",
-        _ => "durability_failed",
-    }
+    AbortReason::ALL[i].1
 }
 
 /// Per-worker counters, merged after the run.
@@ -99,32 +73,13 @@ pub struct WorkerStats {
     /// [`WorkerStats::commits`]). The partition-scaling benches report the
     /// cross-partition share from this.
     pub cross_partition_commits: u64,
-    /// WAL transient-fault retries (snapshot of the handles'
-    /// [`crate::wal::WalHandle::io_retries`] counters, taken once per run —
-    /// not additive across workers; the executor fills it on the merged
-    /// totals).
-    pub wal_io_retries: u64,
-    /// WAL permanent failures that degraded a partition (snapshot of
-    /// [`crate::wal::WalHandle::io_failures`], same convention).
-    pub wal_io_failures: u64,
-    /// Partitions degraded (read-only) at the end of the run.
-    pub degraded_partitions: u64,
-    /// Batch fsyncs issued by group-commit leaders (snapshot of the
-    /// handles' [`crate::wal::WalHandle::group_fsyncs`] counters, same
-    /// run-level convention as [`WorkerStats::wal_io_retries`]).
-    pub group_commit_fsyncs: u64,
-    /// Commits acknowledged through the global durability horizon
-    /// (snapshot of [`crate::wal::DurabilityHorizon::acked`], same
-    /// convention). `group_commit_acks / group_commit_fsyncs` is the mean
-    /// batch size the coordinator achieved.
-    pub group_commit_acks: u64,
 }
 
 impl WorkerStats {
     /// Records one aborted attempt.
     pub fn record_abort(&mut self, reason: AbortReason, wall: Duration, cascaded: usize) {
         self.aborts += 1;
-        self.aborts_by_reason[reason_idx(reason)] += 1;
+        self.aborts_by_reason[reason.index()] += 1;
         self.aborted_wall += wall;
         if cascaded > 0 {
             self.cascade_events += 1;
@@ -172,14 +127,6 @@ impl WorkerStats {
         self.snapshot_aborts += other.snapshot_aborts;
         self.snapshot_lock_acquisitions += other.snapshot_lock_acquisitions;
         self.cross_partition_commits += other.cross_partition_commits;
-        // Run-level snapshots, not per-worker counters: merging takes the
-        // max so a value stamped on one side survives without double
-        // counting when both sides were stamped from the same handles.
-        self.wal_io_retries = self.wal_io_retries.max(other.wal_io_retries);
-        self.wal_io_failures = self.wal_io_failures.max(other.wal_io_failures);
-        self.degraded_partitions = self.degraded_partitions.max(other.degraded_partitions);
-        self.group_commit_fsyncs = self.group_commit_fsyncs.max(other.group_commit_fsyncs);
-        self.group_commit_acks = self.group_commit_acks.max(other.group_commit_acks);
         for i in 0..32 {
             self.latency_us_log2[i] += other.latency_us_log2[i];
             self.snapshot_latency_us_log2[i] += other.snapshot_latency_us_log2[i];
@@ -301,7 +248,7 @@ impl BenchResult {
 
     /// One-line human summary.
     pub fn summary(&self) -> String {
-        let mut s = format!(
+        format!(
             "{:>12} thr={:<3} tput={:>10.0} txn/s abort_rate={:>5.1}% lock_wait={:.4}ms abort={:.4}ms commit_wait={:.4}ms chain(max={} mean={:.1}) lat(p50={}us p99={}us p999={}us)",
             self.protocol,
             self.threads,
@@ -315,27 +262,7 @@ impl BenchResult {
             self.latency_percentile_us(0.50),
             self.latency_percentile_us(0.99),
             self.latency_percentile_us(0.999),
-        );
-        // Fault observability: printed only when something actually
-        // happened, so fault-free runs keep the historical line format.
-        if self.totals.wal_io_retries > 0
-            || self.totals.wal_io_failures > 0
-            || self.totals.degraded_partitions > 0
-        {
-            s.push_str(&format!(
-                " wal_io(retries={} failures={} degraded={})",
-                self.totals.wal_io_retries,
-                self.totals.wal_io_failures,
-                self.totals.degraded_partitions,
-            ));
-        }
-        if self.totals.group_commit_fsyncs > 0 {
-            s.push_str(&format!(
-                " group_commit(fsyncs={} acks={})",
-                self.totals.group_commit_fsyncs, self.totals.group_commit_acks,
-            ));
-        }
-        s
+        )
     }
 }
 
@@ -381,9 +308,18 @@ mod tests {
     }
 
     #[test]
-    fn reason_names_cover_all_indices() {
-        for i in 0..REASONS {
-            assert!(!reason_name(i).is_empty());
+    fn reason_names_and_counters_share_one_table() {
+        // The existing labels keep their indices (reports and the
+        // benchmark look counters up by name).
+        assert_eq!(reason_name(0), "wounded");
+        assert_eq!(reason_name(6), "user");
+        assert_eq!(reason_name(10), "durability_failed");
+        for (i, &(reason, name)) in AbortReason::ALL.iter().enumerate() {
+            let mut s = WorkerStats::default();
+            s.record_abort(reason, Duration::ZERO, 0);
+            assert_eq!(s.aborts_by_reason[i], 1, "{name} counts at its own index");
+            assert_eq!(s.aborts, 1);
+            assert_eq!(reason_name(i), name);
         }
     }
 }

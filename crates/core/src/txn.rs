@@ -88,6 +88,40 @@ pub enum AbortReason {
     ///   recovery's horizon cut may drop it; the post-heal sealing
     ///   checkpoint re-seals the gap (see `DURABILITY.md` "Group commit").
     DurabilityFailed,
+    /// A lock wait or the commit-semaphore wait outlived its liveness
+    /// backstop (the wait seam, `TxnCtx::wait`) and the waiter gave up.
+    /// Booked apart from [`AbortReason::Wounded`] / [`AbortReason::Cascade`]
+    /// so the backstops never pollute the paper's two abort series; retried
+    /// like either.
+    WaitTimeout,
+}
+
+impl AbortReason {
+    /// Every reason with its report label. The position is the reason's
+    /// index in [`crate::stats::WorkerStats::aborts_by_reason`] and its
+    /// encoding in the shared status word, so rows are only ever appended.
+    pub const ALL: [(AbortReason, &'static str); 12] = [
+        (AbortReason::Wounded, "wounded"),
+        (AbortReason::Cascade, "cascade"),
+        (AbortReason::WaitDie, "wait_die"),
+        (AbortReason::NoWait, "no_wait"),
+        (AbortReason::SiloValidation, "silo_validation"),
+        (AbortReason::SiloLockFail, "silo_lock_fail"),
+        (AbortReason::User, "user"),
+        (AbortReason::Ic3Validation, "ic3_validation"),
+        (AbortReason::SnapshotNotVisible, "snapshot_not_visible"),
+        (AbortReason::SnapshotTooOld, "snapshot_too_old"),
+        (AbortReason::DurabilityFailed, "durability_failed"),
+        (AbortReason::WaitTimeout, "wait_timeout"),
+    ];
+
+    /// This reason's row in [`AbortReason::ALL`].
+    pub fn index(self) -> usize {
+        Self::ALL
+            .iter()
+            .position(|&(r, _)| r == self)
+            .expect("every AbortReason has a row in AbortReason::ALL")
+    }
 }
 
 /// The terminal error of a transaction attempt.
@@ -117,14 +151,11 @@ pub enum TxnStatus {
 }
 
 /// How long a parked transaction sleeps between predicate re-checks. A
-/// notification wakes it immediately; the timeout only bounds lost-wakeup
-/// windows.
+/// notification wakes it immediately; the timeout is the one tolerance for
+/// lost wakeups ([`TxnShared::notify`] may miss a waiter that is still
+/// publishing itself), so every blocking site inherits it from
+/// [`TxnCtx::wait`] instead of choosing its own.
 const PARK_TIMEOUT: Duration = Duration::from_micros(100);
-
-/// Pause-hinted spin iterations [`TxnShared::wait_until`] burns before
-/// falling back to the condvar park (sub-microsecond waits then cost no
-/// park/unpark round trip).
-const SPIN_BEFORE_PARK: u32 = 64;
 
 /// The concurrently-shared half of a transaction.
 pub struct TxnShared {
@@ -146,45 +177,13 @@ pub struct TxnShared {
     /// Why this transaction was told to abort (valid once status=Aborted).
     abort_reason: AtomicU8,
     /// Threads currently parked on `cond`. [`TxnShared::notify`] skips the
-    /// park lock entirely while this is zero — the common case, since
-    /// waiters spin before parking. The unsynchronized check can lose a
-    /// wakeup racing a parking thread, but every park is bounded by
-    /// [`PARK_TIMEOUT`], so the miss costs at most one timeout tick.
+    /// park lock entirely while this is zero — the common case. The
+    /// unsynchronized check can lose a wakeup racing a parking thread, but
+    /// every park is bounded by [`PARK_TIMEOUT`], so the miss costs at most
+    /// one timeout tick.
     waiters: AtomicU32,
     park: Mutex<()>,
     cond: Condvar,
-}
-
-fn encode_reason(r: AbortReason) -> u8 {
-    match r {
-        AbortReason::Wounded => 0,
-        AbortReason::Cascade => 1,
-        AbortReason::WaitDie => 2,
-        AbortReason::NoWait => 3,
-        AbortReason::SiloValidation => 4,
-        AbortReason::SiloLockFail => 5,
-        AbortReason::User => 6,
-        AbortReason::Ic3Validation => 7,
-        AbortReason::SnapshotNotVisible => 8,
-        AbortReason::SnapshotTooOld => 9,
-        AbortReason::DurabilityFailed => 10,
-    }
-}
-
-fn decode_reason(v: u8) -> AbortReason {
-    match v {
-        0 => AbortReason::Wounded,
-        1 => AbortReason::Cascade,
-        2 => AbortReason::WaitDie,
-        3 => AbortReason::NoWait,
-        4 => AbortReason::SiloValidation,
-        5 => AbortReason::SiloLockFail,
-        6 => AbortReason::User,
-        7 => AbortReason::Ic3Validation,
-        8 => AbortReason::SnapshotNotVisible,
-        9 => AbortReason::SnapshotTooOld,
-        _ => AbortReason::DurabilityFailed,
-    }
 }
 
 impl TxnShared {
@@ -268,7 +267,7 @@ impl TxnShared {
             .is_ok();
         if ok {
             self.abort_reason
-                .store(encode_reason(reason), Ordering::Release);
+                .store(reason.index() as u8, Ordering::Release);
             self.notify();
         }
         ok
@@ -276,7 +275,7 @@ impl TxnShared {
 
     /// The reason recorded by the successful [`TxnShared::set_abort`].
     pub fn abort_reason(&self) -> AbortReason {
-        decode_reason(self.abort_reason.load(Ordering::Acquire))
+        AbortReason::ALL[self.abort_reason.load(Ordering::Acquire) as usize].0
     }
 
     /// Revokes a won commit point: Committed → Aborted, recording `reason`.
@@ -301,7 +300,7 @@ impl TxnShared {
             .is_ok();
         if ok {
             self.abort_reason
-                .store(encode_reason(reason), Ordering::Release);
+                .store(reason.index() as u8, Ordering::Release);
             self.notify();
         }
         ok
@@ -341,7 +340,7 @@ impl TxnShared {
     }
 
     /// Wakes the owning worker if it is parked. Lock-free when nobody is
-    /// parked (the common case with the pre-park spin): one atomic load.
+    /// parked (the common case): one atomic load.
     pub fn notify(&self) {
         // ordering: SeqCst — the waiter's fetch_add and this load must
         // fall into one total order with the state flip that precedes this
@@ -352,64 +351,6 @@ impl TxnShared {
         }
         let _guard = self.park.lock();
         self.cond.notify_all();
-    }
-
-    /// Parks until `pred()` is true or the transaction is marked aborted.
-    /// Returns `Err(Abort)` on abort. Used for lock waits and the
-    /// commit-semaphore wait of Algorithm 1.
-    ///
-    /// A short bounded spin precedes the condvar park: lock grants and
-    /// commit-semaphore zeroings routinely land within a microsecond, and
-    /// a park/unpark round trip (syscall both sides) costs more than the
-    /// whole wait in that regime. The spin only burns `SPIN_BEFORE_PARK`
-    /// pause-hinted iterations before falling back to parking, so long
-    /// waits still sleep.
-    pub fn wait_until(&self, mut pred: impl FnMut() -> bool) -> Result<(), Abort> {
-        loop {
-            if self.is_aborted() {
-                return Err(Abort(self.abort_reason()));
-            }
-            if pred() {
-                return Ok(());
-            }
-            for _ in 0..SPIN_BEFORE_PARK {
-                std::hint::spin_loop();
-                if self.is_aborted() {
-                    return Err(Abort(self.abort_reason()));
-                }
-                if pred() {
-                    return Ok(());
-                }
-            }
-            let mut guard = self.park.lock();
-            // Re-check under the park lock: notifiers flip state first, then
-            // take this lock to notify, so a state change cannot slip
-            // between this check and the wait. (A notifier that raced the
-            // `waiters` publication below may still skip the wakeup; the
-            // bounded `wait_for` re-checks within PARK_TIMEOUT.)
-            if self.is_aborted() || pred() {
-                continue;
-            }
-            // ordering: SeqCst — pairs with the SeqCst `waiters` load in
-            // `notify` (see there); publication must not sink below the
-            // predicate re-check or above the wait.
-            self.waiters.fetch_add(1, Ordering::SeqCst);
-            self.cond.wait_for(&mut guard, PARK_TIMEOUT);
-            // ordering: SeqCst — symmetric retraction of the publication.
-            self.waiters.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-
-    /// Parks briefly (until notified or the park timeout elapses). Callers
-    /// re-check their predicate in a loop; the timeout bounds any missed
-    /// notification window.
-    pub fn park_brief(&self) {
-        let mut guard = self.park.lock();
-        // ordering: SeqCst — same pairing as `wait_until`'s publication.
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        self.cond.wait_for(&mut guard, PARK_TIMEOUT);
-        // ordering: SeqCst — symmetric retraction of the publication.
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// Non-blocking semaphore read.
@@ -504,6 +445,40 @@ pub struct Access {
     pub group: u32,
 }
 
+impl Access {
+    /// A clean access holding `local` under `mode`, with zeroed validation
+    /// tokens — the only place an [`Access`] is spelled out.
+    pub fn new(
+        table: TableId,
+        tuple: Arc<Tuple<TupleCc>>,
+        mode: LockMode,
+        local: Row,
+        state: AccessState,
+    ) -> Self {
+        Access {
+            table,
+            tuple,
+            mode,
+            local,
+            dirty: false,
+            state,
+            observed_tid: 0,
+            observed_seq: 0,
+            group: 0,
+        }
+    }
+
+    /// Attaches the validation token of the optimistic protocols: Silo's
+    /// observed TID, or IC3's `(chain-tail writer, install sequence)` pair
+    /// plus the group the access belongs to.
+    pub fn observing(mut self, tid: u64, seq: u64, group: u32) -> Self {
+        self.observed_tid = tid;
+        self.observed_seq = seq;
+        self.group = group;
+        self
+    }
+}
+
 /// A buffered insert, applied at commit (storage-level inserts are
 /// immediately visible, so buffering gives abort atomicity; see DESIGN.md on
 /// phantom handling).
@@ -527,6 +502,41 @@ pub struct TxnTimers {
     pub lock_wait: Duration,
     /// Time parked waiting for `commit_semaphore == 0`.
     pub commit_wait: Duration,
+}
+
+/// Which of the paper's phase timers a wait is charged to.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum WaitTimer {
+    /// [`TxnTimers::lock_wait`]: waiting for access to a tuple.
+    Lock,
+    /// [`TxnTimers::commit_wait`]: waiting for commit dependencies.
+    Commit,
+}
+
+/// What a blocked transaction does between two checks of its predicate.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Pacing {
+    /// Sleep on the transaction's condvar until [`TxnShared::notify`] or
+    /// [`PARK_TIMEOUT`] — for waits that end with a notification (lock
+    /// grants, wounds, semaphore zeroings, IC3 releases).
+    Park,
+    /// `yield_now` — for waits nothing notifies (IC3's `pieces_done`).
+    Yield,
+}
+
+/// The per-site arguments of [`TxnCtx::wait`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct WaitSite {
+    /// Timer charged with the time spent blocked.
+    pub timer: WaitTimer,
+    /// Liveness backstop: a wait this long self-aborts. Orders of magnitude
+    /// above a healthy wait, so it only fires if an unforeseen wait cycle
+    /// forms — the role a lock timeout plays in production lock managers.
+    pub timeout: Duration,
+    /// The reason such a self-abort books.
+    pub on_timeout: AbortReason,
+    /// See [`Pacing`].
+    pub pacing: Pacing,
 }
 
 /// One IC3 commit-order dependency.
@@ -662,6 +672,88 @@ impl TxnCtx {
         Abort(self.shared.abort_reason())
     }
 
+    /// The wait seam: blocks until `ready` yields a value, and is the only
+    /// place a transaction blocks. Every wait of every protocol — lock
+    /// grant, upgrade, opacity, commit semaphore, IC3 piece and dependency
+    /// waits — is one call, so the abort check, the liveness deadline, the
+    /// bounded park and the phase-timer accounting exist once.
+    ///
+    /// Each round: an aborted transaction (wounded, cascaded, or failed by
+    /// its own predicate) returns its recorded reason; otherwise a wait
+    /// blocked for longer than `site.timeout` self-aborts with
+    /// `site.on_timeout`; otherwise `ready` runs; otherwise it pauses per
+    /// `site.pacing`. The time since the first unready round is charged to
+    /// `site.timer` on every exit — a wait that is ready at once reads no
+    /// clock and charges nothing.
+    ///
+    /// `ready` may find that the attempt must fail (Wait-Die's die, a
+    /// failed validation, a cascading dependency): it marks the transaction
+    /// aborted with its reason and returns `None`; the abort check above is
+    /// the one error exit.
+    ///
+    /// `ready` runs **outside** the park mutex, always: notifiers call
+    /// [`TxnShared::notify`] while holding tuple latches, so a predicate
+    /// that takes a latch under `park` would deadlock against them. The
+    /// price is a wakeup that lands between `ready` and the park; it costs
+    /// one [`PARK_TIMEOUT`], like the `waiters` race in `notify` — which is
+    /// why no clock is read in that gap (the deadline is checked before
+    /// `ready`, and the first unready round polls again after starting the
+    /// clock): on the hotspot workload a clock read there doubled the
+    /// missed wakeups.
+    pub(crate) fn wait<T>(
+        &mut self,
+        site: WaitSite,
+        mut ready: impl FnMut(&mut TxnCtx) -> Option<T>,
+    ) -> Result<T, Abort> {
+        let mut blocked_since: Option<Instant> = None;
+        let res = loop {
+            if self.shared.is_aborted() {
+                break Err(self.abort_err());
+            }
+            if blocked_since.is_some_and(|t0| t0.elapsed() > site.timeout) {
+                self.shared.set_abort(site.on_timeout);
+                continue;
+            }
+            if let Some(v) = ready(self) {
+                break Ok(v);
+            }
+            if blocked_since.is_none() {
+                // Start the clock, then poll once more before pausing: the
+                // clock read is not free, and one sitting between `ready`
+                // and the park would widen the lost-wakeup gap below.
+                blocked_since = Some(Instant::now());
+                continue;
+            }
+            match site.pacing {
+                Pacing::Yield => std::thread::yield_now(),
+                Pacing::Park => {
+                    let shared = &*self.shared;
+                    let mut guard = shared.park.lock();
+                    // An abort flips the status before it notifies, so one
+                    // that landed since the check above is seen here rather
+                    // than slept through.
+                    if !shared.is_aborted() {
+                        // ordering: SeqCst — pairs with the SeqCst `waiters`
+                        // load in `notify` (see there); the publication must
+                        // not sink below the wait.
+                        shared.waiters.fetch_add(1, Ordering::SeqCst);
+                        shared.cond.wait_for(&mut guard, PARK_TIMEOUT);
+                        // ordering: SeqCst — symmetric retraction.
+                        shared.waiters.fetch_sub(1, Ordering::SeqCst);
+                    }
+                }
+            }
+        };
+        if let Some(t0) = blocked_since {
+            let timer = match site.timer {
+                WaitTimer::Lock => &mut self.timers.lock_wait,
+                WaitTimer::Commit => &mut self.timers.commit_wait,
+            };
+            *timer += t0.elapsed();
+        }
+        res
+    }
+
     /// Panics when this context is a read-only snapshot: every protocol's
     /// write paths call this before mutating, keeping the enforcement (and
     /// its message) uniform.
@@ -733,27 +825,177 @@ mod tests {
     }
 
     #[test]
-    fn wait_until_observes_abort() {
-        let t = TxnShared::new(1, 10);
-        let t2 = Arc::clone(&t);
-        let h = std::thread::spawn(move || t2.wait_until(|| false));
-        std::thread::sleep(Duration::from_millis(5));
-        t.set_abort(AbortReason::Wounded);
-        assert_eq!(h.join().unwrap(), Err(Abort(AbortReason::Wounded)));
+    fn every_abort_reason_round_trips_through_the_table() {
+        // Exhaustive on purpose: a new variant fails to compile here until
+        // it is listed, and then fails below until it has a table row.
+        fn listed(r: AbortReason) -> AbortReason {
+            match r {
+                AbortReason::Wounded
+                | AbortReason::Cascade
+                | AbortReason::WaitDie
+                | AbortReason::NoWait
+                | AbortReason::SiloValidation
+                | AbortReason::SiloLockFail
+                | AbortReason::User
+                | AbortReason::Ic3Validation
+                | AbortReason::SnapshotNotVisible
+                | AbortReason::SnapshotTooOld
+                | AbortReason::DurabilityFailed
+                | AbortReason::WaitTimeout => r,
+            }
+        }
+        let mut names = std::collections::HashSet::new();
+        for (i, &(reason, name)) in AbortReason::ALL.iter().enumerate() {
+            assert_eq!(listed(reason).index(), i, "{name} sits at its own index");
+            assert!(names.insert(name), "label {name} is unique");
+            let t = TxnShared::new(1, 10);
+            assert!(t.set_abort(reason));
+            assert_eq!(t.abort_reason(), reason, "{name} survives the status word");
+        }
+    }
+
+    const TEST_SITE: WaitSite = WaitSite {
+        timer: WaitTimer::Lock,
+        timeout: Duration::from_secs(30),
+        on_timeout: AbortReason::WaitTimeout,
+        pacing: Pacing::Park,
+    };
+
+    /// Spins until the waiter thread has published itself as parked.
+    fn until_parked(t: &TxnShared) {
+        while t.waiters.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
     }
 
     #[test]
-    fn wait_until_observes_semaphore_zero() {
-        let t = TxnShared::new(1, 10);
-        t.semaphore_inc();
-        let t2 = Arc::clone(&t);
-        let h = std::thread::spawn(move || {
-            let t3 = Arc::clone(&t2);
-            t2.wait_until(move || t3.semaphore() == 0)
+    fn wait_ready_on_first_check_charges_nothing() {
+        for pacing in [Pacing::Park, Pacing::Yield] {
+            let mut ctx = TxnCtx::new(TxnShared::new(1, 10));
+            let mut calls = 0;
+            let got = ctx.wait(
+                WaitSite {
+                    pacing,
+                    ..TEST_SITE
+                },
+                |_| {
+                    calls += 1;
+                    Some(7)
+                },
+            );
+            assert_eq!(got, Ok(7));
+            assert_eq!(calls, 1);
+            assert_eq!(ctx.timers.lock_wait, Duration::ZERO);
+            assert_eq!(ctx.timers.commit_wait, Duration::ZERO);
+        }
+    }
+
+    #[test]
+    fn wait_observes_an_abort_that_precedes_it() {
+        let mut ctx = TxnCtx::new(TxnShared::new(1, 10));
+        ctx.shared.set_abort(AbortReason::Cascade);
+        let res = ctx.wait(TEST_SITE, |_| -> Option<()> {
+            panic!("an aborted transaction's predicate never runs")
         });
-        std::thread::sleep(Duration::from_millis(5));
-        t.semaphore_dec();
-        assert_eq!(h.join().unwrap(), Ok(()));
+        assert_eq!(res, Err(Abort(AbortReason::Cascade)));
+        assert_eq!(ctx.timers.lock_wait, Duration::ZERO);
+    }
+
+    #[test]
+    fn wait_observes_an_abort_while_parked() {
+        let shared = TxnShared::new(1, 10);
+        let waiter = Arc::clone(&shared);
+        let h = std::thread::spawn(move || {
+            let mut ctx = TxnCtx::new(waiter);
+            let res = ctx.wait(TEST_SITE, |_| None::<()>);
+            (res, ctx.timers)
+        });
+        until_parked(&shared);
+        shared.set_abort(AbortReason::Wounded);
+        let (res, timers) = h.join().unwrap();
+        assert_eq!(res, Err(Abort(AbortReason::Wounded)));
+        assert!(
+            timers.lock_wait > Duration::ZERO,
+            "the blocked time is charged"
+        );
+        assert_eq!(timers.commit_wait, Duration::ZERO);
+    }
+
+    #[test]
+    fn wait_wakes_when_the_predicate_turns_true() {
+        for pacing in [Pacing::Park, Pacing::Yield] {
+            let shared = TxnShared::new(1, 10);
+            shared.semaphore_inc();
+            let waiter = Arc::clone(&shared);
+            let (polled_tx, polled_rx) = std::sync::mpsc::channel();
+            let h = std::thread::spawn(move || {
+                let mut ctx = TxnCtx::new(waiter);
+                let site = WaitSite {
+                    timer: WaitTimer::Commit,
+                    pacing,
+                    ..TEST_SITE
+                };
+                let res = ctx.wait(site, |ctx| {
+                    let ready = ctx.shared.semaphore() == 0;
+                    if !ready {
+                        let _ = polled_tx.send(());
+                    }
+                    ready.then_some(())
+                });
+                (res, ctx.timers)
+            });
+            // The semaphore drops only after the waiter found it non-zero.
+            polled_rx.recv().unwrap();
+            shared.semaphore_dec();
+            let (res, timers) = h.join().unwrap();
+            assert_eq!(res, Ok(()));
+            assert!(timers.commit_wait > Duration::ZERO);
+            assert_eq!(timers.lock_wait, Duration::ZERO);
+        }
+    }
+
+    #[test]
+    fn wait_deadline_books_the_sites_reason_and_timer() {
+        let timeout = Duration::from_millis(5);
+        for (pacing, timer, on_timeout) in [
+            (Pacing::Park, WaitTimer::Lock, AbortReason::WaitTimeout),
+            (Pacing::Yield, WaitTimer::Commit, AbortReason::Ic3Validation),
+        ] {
+            let mut ctx = TxnCtx::new(TxnShared::new(1, 10));
+            let site = WaitSite {
+                timer,
+                timeout,
+                on_timeout,
+                pacing,
+            };
+            assert_eq!(ctx.wait(site, |_| None::<()>), Err(Abort(on_timeout)));
+            assert_eq!(ctx.shared.abort_reason(), on_timeout);
+            let (charged, other) = match timer {
+                WaitTimer::Lock => (ctx.timers.lock_wait, ctx.timers.commit_wait),
+                WaitTimer::Commit => (ctx.timers.commit_wait, ctx.timers.lock_wait),
+            };
+            assert!(charged >= timeout, "{charged:?} covers the whole wait");
+            assert_eq!(other, Duration::ZERO);
+        }
+    }
+
+    #[test]
+    fn wait_predicate_fails_the_attempt_by_aborting_it() {
+        for pacing in [Pacing::Park, Pacing::Yield] {
+            let mut ctx = TxnCtx::new(TxnShared::new(1, 10));
+            let res = ctx.wait(
+                WaitSite {
+                    pacing,
+                    ..TEST_SITE
+                },
+                |ctx| {
+                    ctx.shared.set_abort(AbortReason::WaitDie);
+                    None::<()>
+                },
+            );
+            // Well inside TEST_SITE's 30 s: neither pacing sleeps it out.
+            assert_eq!(res, Err(Abort(AbortReason::WaitDie)));
+        }
     }
 
     #[test]
