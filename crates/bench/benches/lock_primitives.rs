@@ -1,14 +1,16 @@
 //! Micro-benchmarks of the lock-table primitives: the grant/release cycle,
-//! the retire path (publishing a dirty version) and the dirty-read grant —
-//! the per-operation costs behind Optimization 1/2's overhead discussion.
+//! the retire path (publishing a dirty version), the dirty-read grant and
+//! the contended handoff between two workers — the per-operation costs
+//! behind Optimization 1/2's overhead discussion.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use bamboo_core::lock::{CommitInstall, LockPolicy};
+use bamboo_core::protocol::{LockingProtocol, Protocol};
 use bamboo_core::ts::TsSource;
 use bamboo_core::txn::{LockMode, TxnShared};
-use bamboo_core::TupleCc;
+use bamboo_core::{Database, Session, TupleCc};
 use bamboo_storage::{DataType, Row, Schema, Table, Value};
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -94,6 +96,47 @@ fn bench(c: &mut Criterion) {
             true,
             Some(CommitInstall::untimed(&tup, &row)),
         );
+    });
+
+    g.bench_function("handoff_ex_2t", |b| {
+        // Two workers alternate one EX lock on one tuple through the whole
+        // blocking path — one-update Wound-Wait transactions: `acquire`
+        // queues behind the other worker, `TxnCtx::wait` blocks, the
+        // other's commit `release`s and notifies. Reported per handoff.
+        let mut builder = Database::builder();
+        let table = builder.add_table(
+            "t",
+            Schema::build()
+                .column("k", DataType::U64)
+                .column("v", DataType::I64),
+        );
+        let db = builder.build();
+        db.table(table)
+            .insert(0, Row::from(vec![Value::U64(0), Value::I64(0)]));
+        let proto: Arc<dyn Protocol> = Arc::new(LockingProtocol::wound_wait());
+        b.iter_custom(|iters| {
+            let start = std::time::Instant::now();
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        let session = Session::new(Arc::clone(&db), Arc::clone(&proto));
+                        let mut done = 0;
+                        while done < iters {
+                            let mut txn = session.begin();
+                            let bumped = txn.update(table, 0, |row| {
+                                let v = row.get_i64(1);
+                                row.set(1, Value::I64(v + 1));
+                            });
+                            if bumped.and_then(|()| txn.commit()).is_ok() {
+                                done += 1;
+                            }
+                        }
+                    });
+                }
+            });
+            // `iters` commits per worker, each preceded by one handoff.
+            start.elapsed() / 2
+        })
     });
 
     g.finish();

@@ -1,4 +1,5 @@
-//! One function per paper figure/table (experiment index in DESIGN.md).
+//! One function per paper figure/table (the `repro` binary's usage text is
+//! the experiment index).
 //!
 //! Every function loads its workload, sweeps the paper's parameter, and
 //! prints the same series the paper plots: throughput and — for the

@@ -205,25 +205,30 @@ impl Series {
     pub fn print(&self) {
         println!("\n== {} ==", self.title);
         println!(
-            "{:<10} {:<14} {:>12} {:>9} {:>12} {:>10} {:>13} {:>7}",
+            "{:<10} {:<14} {:>12} {:>9} {:>12} {:>9} {:>10} {:>10} {:>13} {:>7}",
             "x",
             "protocol",
             "tput(txn/s)",
             "abort%",
             "lock_wait_ms",
+            "parks/txn",
+            "spinwk/txn",
             "abort_ms",
             "commitwait_ms",
             "chain"
         );
         for p in &self.points {
             let r = &p.result;
+            let (parks, spin_wakes) = r.parks_spin_wakes_per_commit();
             println!(
-                "{:<10} {:<14} {:>12.0} {:>8.1}% {:>12.4} {:>10.4} {:>13.4} {:>7}",
+                "{:<10} {:<14} {:>12.0} {:>8.1}% {:>12.4} {:>9.3} {:>10.3} {:>10.4} {:>13.4} {:>7}",
                 p.x,
                 r.protocol,
                 r.throughput(),
                 r.abort_rate() * 100.0,
                 r.lock_wait_ms_per_commit(),
+                parks,
+                spin_wakes,
                 r.abort_ms_per_commit(),
                 r.commit_wait_ms_per_commit(),
                 r.totals.max_chain,

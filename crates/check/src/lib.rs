@@ -42,13 +42,14 @@
 //!    order once (their definitions in `txn.rs` are not calls). A new
 //!    protocol calls the shared tail; it cannot re-grow a private copy.
 //! 8. **wait-seam** — under `crates/core/src/protocol/` nothing parks,
-//!    yields or charges a phase timer by hand: no `park_brief(`,
-//!    `yield_now(`, `.wait_for(`, `timers.lock_wait +=` or
+//!    yields, spins or charges a phase timer by hand: no `park_brief(`,
+//!    `yield_now(`, `spin_loop(`, `.wait_for(`, `timers.lock_wait +=` or
 //!    `timers.commit_wait +=`. A transaction blocks through
 //!    `TxnCtx::wait` (`txn.rs`), the one copy of the abort check, the
-//!    liveness deadline, the bounded park and the timer accounting. A
-//!    pause that is not a transaction wait (Silo's TID-word spin) says so
-//!    in an adjacent `// wait-seam:` comment, like rule 4's `// ordering:`.
+//!    liveness deadline, the spin-then-park pause and the timer
+//!    accounting. A pause that is not a transaction wait (Silo's TID-word
+//!    spins) says so in an adjacent `// wait-seam:` comment, like rule 4's
+//!    `// ordering:`.
 
 use std::fmt;
 use std::path::Path;
@@ -229,7 +230,7 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Finding> {
 
         // Rule 8: protocols block through the wait seam only.
         if rel_path.starts_with("crates/core/src/protocol/") && !in_test {
-            let pause = ["park_brief(", "yield_now(", "wait_for("]
+            let pause = ["park_brief(", "yield_now(", "spin_loop(", "wait_for("]
                 .into_iter()
                 .find(|call| has_call(line, call));
             let charge = ["timers.lock_wait +=", "timers.commit_wait +="]
@@ -239,7 +240,7 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Finding> {
                 if !justified(&masked, i, "wait-seam:") {
                     push(
                         "wait-seam",
-                        format!("`{what}` in protocol code — block through `TxnCtx::wait`, the one copy of the abort check, deadline, park and timer accounting (or justify a non-transaction pause with `// wait-seam:`)"),
+                        format!("`{what}` in protocol code — block through `TxnCtx::wait`, the one copy of the abort check, deadline, spin-then-park pause and timer accounting (or justify a non-transaction pause with `// wait-seam:`)"),
                     );
                 }
             }
@@ -764,6 +765,13 @@ mod tests {
             ),
             vec!["wait-seam"]
         );
+        // The pre-park spin lives in the seam, once: a protocol spinning on
+        // a tuple's lock state would slow the holder it waits for.
+        let src = "while !granted(tuple) {\n    std::hint::spin_loop();\n}\n";
+        assert_eq!(
+            rules("crates/core/src/protocol/locking.rs", src),
+            vec!["wait-seam"]
+        );
     }
 
     #[test]
@@ -774,13 +782,15 @@ mod tests {
         assert!(rules("crates/core/src/protocol/locking.rs", src).is_empty());
         // The seam itself, and pauses outside the protocol layer (retry
         // backoff, the group-commit coordinator), are out of scope.
-        let src = "shared.cond.wait_for(&mut guard, PARK_TIMEOUT);\nstd::thread::yield_now();\n*timer += t0.elapsed();\n";
+        let src = "shared.cond.wait_for(&mut guard, PARK_TIMEOUT);\nstd::thread::yield_now();\nstd::hint::spin_loop();\n*timer += t0.elapsed();\n";
         assert!(rules("crates/core/src/txn.rs", src).is_empty());
         assert!(rules("crates/core/src/session.rs", src).is_empty());
         assert!(rules("crates/core/src/wal.rs", src).is_empty());
         // A pause that is not a transaction wait carries its reason.
         let src =
             "// wait-seam: TID-word spin, not a transaction wait.\nstd::thread::yield_now();\n";
+        assert!(rules("crates/core/src/protocol/silo.rs", src).is_empty());
+        let src = "// wait-seam: bounded TID-word spin.\nstd::hint::spin_loop();\n";
         assert!(rules("crates/core/src/protocol/silo.rs", src).is_empty());
         // Unit tests may pace themselves.
         let src =

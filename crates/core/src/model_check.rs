@@ -24,10 +24,22 @@
 //!     cargo test -p bamboo_core --lib model_
 //! ```
 //!
+//! A second mutation, `--cfg bamboo_model_no_wake_bump`, drops the sequence
+//! bump of the wait seam's eventcount ([`crate::txn::TxnShared::bump`]);
+//! [`model_mutation_missing_wake_bump_loses_a_wakeup`] asserts the checker
+//! finds the lost wakeup:
+//!
+//! ```text
+//! RUSTFLAGS='--cfg bamboo_model --cfg bamboo_model_no_wake_bump' \
+//!     cargo test -p bamboo_core --lib model_
+//! ```
+//!
 //! See CONCURRENCY.md at the workspace root for the invariant catalogue.
 //!
 //! [`model_mutation_missing_fence_strands_stable`]:
 //!     self::model_mutation_missing_fence_strands_stable
+//! [`model_mutation_missing_wake_bump_loses_a_wakeup`]:
+//!     self::model_mutation_missing_wake_bump_loses_a_wakeup
 
 use std::sync::Arc;
 
@@ -38,6 +50,8 @@ use interleave::{model_with, Config};
 use crate::db::CommitClock;
 #[cfg(not(bamboo_model_no_fence))]
 use crate::db::Database;
+use crate::sync::atomic::Ordering;
+use crate::txn::TxnShared;
 
 /// Spawns `n` model threads that each allocate a commit timestamp,
 /// assert the stable point has not covered their still-in-flight commit,
@@ -110,6 +124,61 @@ fn model_mutation_missing_fence_strands_stable() {
         caught.is_err(),
         "fence removed but no stranded-stable schedule found: the model \
          checker missed the store-buffering reorder it exists to catch"
+    );
+}
+
+/// The wait seam's eventcount, driven through the production halves
+/// ([`TxnShared::begin_park`], [`TxnShared::bump`]) without the mutex and
+/// condvar around them: one waiter runs a round of `TxnCtx::wait` up to
+/// the decision to sleep, one notifier flips the predicate (the commit
+/// semaphore) and notifies. A waiter that committed to sleeping without
+/// having seen the flip must have been seen by the notifier — otherwise
+/// nobody signals its condvar and the wakeup is lost.
+fn eventcount_scenario() {
+    let shared = TxnShared::new(1, 1);
+    shared.semaphore_inc();
+    let waiter = {
+        let shared = Arc::clone(&shared);
+        thread::spawn(move || {
+            let seen = shared.wake_word();
+            shared.semaphore() != 0 && shared.begin_park(seen)
+        })
+    };
+    let notifier = {
+        let shared = Arc::clone(&shared);
+        thread::spawn(move || {
+            shared.commit_semaphore.fetch_sub(1, Ordering::AcqRel);
+            shared.bump()
+        })
+    };
+    let sleeps = waiter.join().unwrap();
+    let signalled = notifier.join().unwrap();
+    assert!(
+        !sleeps || signalled,
+        "lost wakeup: the waiter sleeps on a stale predicate and the \
+         notifier saw nobody parked"
+    );
+}
+
+#[cfg(not(bamboo_model_no_wake_bump))]
+#[test]
+fn model_wait_eventcount_no_lost_wakeup() {
+    let report = model(eventcount_scenario);
+    assert!(report.complete, "schedule space not exhausted");
+}
+
+/// The second seeded mutation: with the sequence bump compiled out
+/// (`--cfg bamboo_model_no_wake_bump`) `notify` degrades to a bare
+/// "is anybody parked?" check, and the checker must FIND the schedule where
+/// the notifier looks before the waiter publishes itself.
+#[cfg(bamboo_model_no_wake_bump)]
+#[test]
+fn model_mutation_missing_wake_bump_loses_a_wakeup() {
+    let caught = std::panic::catch_unwind(|| model(eventcount_scenario));
+    assert!(
+        caught.is_err(),
+        "wake bump removed but no lost wakeup found: the model checker \
+         missed the notify-before-park race the eventcount exists to close"
     );
 }
 

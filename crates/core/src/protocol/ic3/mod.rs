@@ -10,7 +10,7 @@
 //! predecessors has finished — not until their commit. Commits are ordered
 //! along the recorded dependencies.
 //!
-//! Substitutions versus the original system (see DESIGN.md): IC3 analyses
+//! Substitutions versus the original system: IC3 analyses
 //! stored-procedure source code; our templates declare their per-piece
 //! column access sets explicitly, which is the same information. Optimistic
 //! piece execution validates at piece end and, on failure, aborts the
@@ -47,7 +47,11 @@ const PIECE_WAIT: WaitSite = WaitSite {
     pacing: Pacing::Yield,
 };
 
-/// The commit-order wait; a dependency's release notifies, so it parks.
+/// The commit-order wait. Nothing notifies it: a dependency's
+/// `mark_released` notifies the *releaser's own* handle, on which no
+/// dependent waits, so this wait ends only by the seam's `PARK_TIMEOUT`
+/// re-poll (or by a wound/cascade delivered to our own handle, which is
+/// why it parks rather than yields).
 const DEP_WAIT: WaitSite = WaitSite {
     timer: WaitTimer::Commit,
     timeout: Duration::from_millis(100),

@@ -669,7 +669,7 @@ impl Protocol for LockingProtocol {
     /// [`IsolationLevel::RepeatableRead`] the next-key lock is skipped:
     /// "repeatable read is supported by giving up phantom protection".
     /// Ranges extending past the largest existing key are protected only
-    /// when a sentinel max-key row exists (documented in DESIGN.md).
+    /// when a sentinel max-key row exists.
     /// Snapshot-mode scans take no locks at all; rows invisible at the
     /// snapshot are skipped as phantoms.
     fn scan(

@@ -7,7 +7,7 @@
 //! three-phase commit: (1) lock the write set in global (table, row) order,
 //! (2) validate the read set, (3) install and release with a fresh TID.
 //!
-//! Simplifications vs. the original (documented in DESIGN.md): Silo's epoch
+//! Simplifications vs. the original: Silo's epoch
 //! machinery exists for recovery/read-only snapshots; our TIDs take the max
 //! of observed versions + 1, which preserves all concurrency behaviour the
 //! paper's figures depend on (abort rate under contention, cache-warm-up
@@ -72,6 +72,7 @@ impl SiloProtocol {
                 // wounded by and no timer the paper charges it to.
                 std::thread::yield_now();
             } else {
+                // wait-seam: the same TID-word spin, between yields.
                 std::hint::spin_loop();
             }
         }
@@ -94,6 +95,8 @@ impl SiloProtocol {
             if spins >= LOCK_SPIN {
                 return false;
             }
+            // wait-seam: a bounded TID-word spin (`LOCK_SPIN` tries, then
+            // the attempt aborts) — commit-time write locking never blocks.
             std::hint::spin_loop();
         }
     }

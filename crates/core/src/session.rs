@@ -429,6 +429,8 @@ impl Session {
             if let Some(stats) = stats.as_deref_mut() {
                 stats.lock_wait += timers.lock_wait;
                 stats.commit_wait += timers.commit_wait;
+                stats.parks += timers.parks;
+                stats.spin_wakes += timers.spin_wakes;
                 if snapshot {
                     stats.snapshot_lock_acquisitions += locks;
                 } else {

@@ -39,6 +39,10 @@ pub struct WorkerStats {
     pub lock_wait: Duration,
     /// Time parked waiting for the commit semaphore, across all attempts.
     pub commit_wait: Duration,
+    /// Condvar sleeps inside those waits (each a futex round trip).
+    pub parks: u64,
+    /// Wait notifications caught by the pre-park spin instead.
+    pub spin_wakes: u64,
     /// Number of cascade events this worker *initiated* (its abort wounded
     /// dependents).
     pub cascade_events: u64,
@@ -118,6 +122,8 @@ impl WorkerStats {
         self.aborted_wall += other.aborted_wall;
         self.lock_wait += other.lock_wait;
         self.commit_wait += other.commit_wait;
+        self.parks += other.parks;
+        self.spin_wakes += other.spin_wakes;
         self.cascade_events += other.cascade_events;
         self.cascade_victims += other.cascade_victims;
         self.max_chain = self.max_chain.max(other.max_chain);
@@ -172,6 +178,16 @@ impl BenchResult {
     /// Amortized *commit wait* (semaphore) per committed transaction, ms.
     pub fn commit_wait_ms_per_commit(&self) -> f64 {
         self.per_commit_ms(self.totals.commit_wait)
+    }
+
+    /// Condvar sleeps and spin-caught wakes per committed transaction: how
+    /// the lock and commit waits above ended.
+    pub fn parks_spin_wakes_per_commit(&self) -> (f64, f64) {
+        let commits = self.totals.commits.max(1) as f64;
+        (
+            self.totals.parks as f64 / commits,
+            self.totals.spin_wakes as f64 / commits,
+        )
     }
 
     /// Amortized *abort time* per committed transaction, ms.
@@ -248,8 +264,9 @@ impl BenchResult {
 
     /// One-line human summary.
     pub fn summary(&self) -> String {
+        let (parks, spin_wakes) = self.parks_spin_wakes_per_commit();
         format!(
-            "{:>12} thr={:<3} tput={:>10.0} txn/s abort_rate={:>5.1}% lock_wait={:.4}ms abort={:.4}ms commit_wait={:.4}ms chain(max={} mean={:.1}) lat(p50={}us p99={}us p999={}us)",
+            "{:>12} thr={:<3} tput={:>10.0} txn/s abort_rate={:>5.1}% lock_wait={:.4}ms parks={parks:.3} spin_wakes={spin_wakes:.3} abort={:.4}ms commit_wait={:.4}ms chain(max={} mean={:.1}) lat(p50={}us p99={}us p999={}us)",
             self.protocol,
             self.threads,
             self.throughput(),

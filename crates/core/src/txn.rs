@@ -3,8 +3,9 @@
 //! A transaction has two halves:
 //!
 //! * [`TxnShared`] — the part *other* transactions touch concurrently:
-//!   timestamp, status word, the `commit_semaphore` of paper §3.2.1 and a
-//!   condvar used to park for lock grants / semaphore-zero / wound delivery.
+//!   timestamp, status word, the `commit_semaphore` of paper §3.2.1 and the
+//!   eventcount (wake word + condvar) its owner waits on for lock grants /
+//!   semaphore-zero / wound delivery.
 //!   Lock entries hold `Arc<TxnShared>`s.
 //! * [`TxnCtx`] — the worker-local execution state: the access set with the
 //!   local row copies the paper mandates ("Bamboo keeps a local copy of the
@@ -12,6 +13,7 @@
 //!   timers, and protocol-specific scratch (Silo read set, IC3 piece state).
 
 use crate::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -151,11 +153,48 @@ pub enum TxnStatus {
 }
 
 /// How long a parked transaction sleeps between predicate re-checks. A
-/// notification wakes it immediately; the timeout is the one tolerance for
-/// lost wakeups ([`TxnShared::notify`] may miss a waiter that is still
-/// publishing itself), so every blocking site inherits it from
-/// [`TxnCtx::wait`] instead of choosing its own.
+/// notification wakes it immediately and is never slept through (the
+/// eventcount, see [`TxnShared::begin_park`]); the timeout is the poll for
+/// the predicates nothing notifies (the opacity pre-wait, IC3's dependency
+/// wait), so every blocking site inherits it from [`TxnCtx::wait`] instead
+/// of choosing its own.
 const PARK_TIMEOUT: Duration = Duration::from_micros(100);
+
+/// The most one wait spins before it parks: three to four futex wake round
+/// trips on the development VM (16–18 µs each), the classic spin-then-block
+/// budget. Also the threshold of the history gate ([`spin_budget`]) — the
+/// seam's only tuning constant.
+const SPIN_CAP: Duration = Duration::from_micros(64);
+
+/// Low bit of [`TxnShared::wake`]: the owner committed to sleeping on
+/// `cond`, so a notifier must take the park mutex and signal.
+const PARKED: u32 = 1;
+/// One notification; the sequence occupies the bits above [`PARKED`].
+const WAKE_SEQ: u32 = 2;
+
+thread_local! {
+    /// This worker's recent blocked time per parked-pacing wait
+    /// ([`observe`]), read by the history gate ([`spin_budget`]).
+    static WAIT_AVG: Cell<Duration> = const { Cell::new(Duration::ZERO) };
+}
+
+/// The history gate: a worker whose recent waits averaged under
+/// [`SPIN_CAP`] spins that long before parking; one whose waits run longer
+/// (an oversubscribed machine, a long holder) parks at once.
+fn spin_budget(avg: Duration) -> Duration {
+    if avg < SPIN_CAP {
+        SPIN_CAP
+    } else {
+        Duration::ZERO
+    }
+}
+
+/// Folds one wait's blocked time into the worker's average (weight ¼).
+/// The sample saturates at twice the cap, so however long the waits were,
+/// three short ones reopen the gate.
+fn observe(avg: Duration, blocked: Duration) -> Duration {
+    avg - avg / 4 + blocked.min(2 * SPIN_CAP) / 4
+}
 
 /// The concurrently-shared half of a transaction.
 pub struct TxnShared {
@@ -176,12 +215,11 @@ pub struct TxnShared {
     released: crate::sync::atomic::AtomicBool,
     /// Why this transaction was told to abort (valid once status=Aborted).
     abort_reason: AtomicU8,
-    /// Threads currently parked on `cond`. [`TxnShared::notify`] skips the
-    /// park lock entirely while this is zero — the common case. The
-    /// unsynchronized check can lose a wakeup racing a parking thread, but
-    /// every park is bounded by [`PARK_TIMEOUT`], so the miss costs at most
-    /// one timeout tick.
-    waiters: AtomicU32,
+    /// The eventcount's wake word: a notification sequence
+    /// ([`WAKE_SEQ`] per [`TxnShared::notify`]) above the [`PARKED`] bit.
+    /// The owner snapshots it before evaluating a wait predicate, spins on
+    /// it, and may sleep only if it has not moved since the snapshot.
+    wake: AtomicU32,
     park: Mutex<()>,
     cond: Condvar,
 }
@@ -198,7 +236,7 @@ impl TxnShared {
             pieces_done: AtomicU32::new(0),
             released: crate::sync::atomic::AtomicBool::new(false),
             abort_reason: AtomicU8::new(0),
-            waiters: AtomicU32::new(0),
+            wake: AtomicU32::new(0),
             park: Mutex::new(()),
             cond: Condvar::new(),
         })
@@ -339,18 +377,57 @@ impl TxnShared {
         self.released.load(Ordering::Acquire)
     }
 
-    /// Wakes the owning worker if it is parked. Lock-free when nobody is
-    /// parked (the common case): one atomic load.
+    /// Tells the owning worker that a predicate it may be waiting on
+    /// changed; call it *after* the state flip. Lock-free unless the owner
+    /// is asleep: one atomic add, which a spinning owner sees on its own
+    /// cache line.
     pub fn notify(&self) {
-        // ordering: SeqCst — the waiter's fetch_add and this load must
-        // fall into one total order with the state flip that precedes this
-        // notify: either the waiter sees the new state before parking, or
-        // this load sees the waiter and takes the park lock to wake it.
-        if self.waiters.load(Ordering::SeqCst) == 0 {
-            return;
+        if self.bump() {
+            // The sleeper holds `park` from its `begin_park` until the
+            // condvar releases it, so this signal cannot precede the sleep.
+            let _guard = self.park.lock();
+            self.cond.notify_all();
         }
-        let _guard = self.park.lock();
-        self.cond.notify_all();
+    }
+
+    /// The wake word as a wait snapshots it — always *before* it evaluates
+    /// its predicate. The `Acquire` load pairs with the `AcqRel` add in
+    /// [`TxnShared::bump`]: a snapshot that reads a bump also sees the
+    /// state flip sequenced before that bump.
+    #[inline]
+    pub(crate) fn wake_word(&self) -> u32 {
+        self.wake.load(Ordering::Acquire)
+    }
+
+    /// Waiter half of the eventcount: commits the owner to sleeping, which
+    /// succeeds only if no notification arrived since the `seen` snapshot.
+    /// This and [`TxnShared::bump`] are RMWs on one location, hence totally
+    /// ordered: a bump that comes first fails the exchange (the owner
+    /// re-evaluates instead of sleeping), a bump that comes second reads
+    /// [`PARKED`] and signals. Either way a notified wait never sleeps
+    /// through its notification.
+    pub(crate) fn begin_park(&self, seen: u32) -> bool {
+        self.wake
+            .compare_exchange(seen, seen | PARKED, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+    }
+
+    /// Retracts [`PARKED`] after a sleep that [`TxnShared::begin_park`]
+    /// began (only the owner sets the bit, so the subtraction clears it).
+    fn end_park(&self) {
+        self.wake.fetch_sub(PARKED, Ordering::AcqRel);
+    }
+
+    /// Notifier half of the eventcount: advances the sequence and reports
+    /// whether the owner is asleep. `--cfg bamboo_model_no_wake_bump` drops
+    /// the advance, leaving a bare "is anybody parked?" check, so the model
+    /// suite can prove it catches the lost wakeup.
+    pub(crate) fn bump(&self) -> bool {
+        #[cfg(not(bamboo_model_no_wake_bump))]
+        let prev = self.wake.fetch_add(WAKE_SEQ, Ordering::AcqRel);
+        #[cfg(bamboo_model_no_wake_bump)]
+        let prev = self.wake.load(Ordering::Acquire);
+        prev & PARKED != 0
     }
 
     /// Non-blocking semaphore read.
@@ -480,8 +557,7 @@ impl Access {
 }
 
 /// A buffered insert, applied at commit (storage-level inserts are
-/// immediately visible, so buffering gives abort atomicity; see DESIGN.md on
-/// phantom handling).
+/// immediately visible, so buffering gives abort atomicity).
 pub struct PendingInsert {
     /// Destination table.
     pub table: TableId,
@@ -502,6 +578,10 @@ pub struct TxnTimers {
     pub lock_wait: Duration,
     /// Time parked waiting for `commit_semaphore == 0`.
     pub commit_wait: Duration,
+    /// Sleeps on the condvar — each one a futex round trip.
+    pub parks: u64,
+    /// Notifications caught by the pre-park spin — no futex involved.
+    pub spin_wakes: u64,
 }
 
 /// Which of the paper's phase timers a wait is charged to.
@@ -516,9 +596,10 @@ pub(crate) enum WaitTimer {
 /// What a blocked transaction does between two checks of its predicate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Pacing {
-    /// Sleep on the transaction's condvar until [`TxnShared::notify`] or
-    /// [`PARK_TIMEOUT`] — for waits that end with a notification (lock
-    /// grants, wounds, semaphore zeroings, IC3 releases).
+    /// Spin on the transaction's own wake word while the worker's recent
+    /// waits were short, then sleep on its condvar until
+    /// [`TxnShared::notify`] or [`PARK_TIMEOUT`] — for waits that end with
+    /// a notification (lock grants, wounds, semaphore zeroings).
     Park,
     /// `yield_now` — for waits nothing notifies (IC3's `pieces_done`).
     Yield,
@@ -676,30 +757,43 @@ impl TxnCtx {
     /// place a transaction blocks. Every wait of every protocol — lock
     /// grant, upgrade, opacity, commit semaphore, IC3 piece and dependency
     /// waits — is one call, so the abort check, the liveness deadline, the
-    /// bounded park and the phase-timer accounting exist once.
+    /// spin-then-park pause and the phase-timer accounting exist once.
     ///
-    /// Each round: an aborted transaction (wounded, cascaded, or failed by
-    /// its own predicate) returns its recorded reason; otherwise a wait
-    /// blocked for longer than `site.timeout` self-aborts with
-    /// `site.on_timeout`; otherwise `ready` runs; otherwise it pauses per
-    /// `site.pacing`. The time since the first unready round is charged to
-    /// `site.timer` on every exit — a wait that is ready at once reads no
-    /// clock and charges nothing.
+    /// Each round: snapshot the wake word; an aborted transaction (wounded,
+    /// cascaded, or failed by its own predicate) returns its recorded
+    /// reason; otherwise a wait blocked for longer than `site.timeout`
+    /// self-aborts with `site.on_timeout`; otherwise `ready` runs;
+    /// otherwise it pauses per `site.pacing`. The time since the first
+    /// unready round is charged to `site.timer` on every exit — a wait that
+    /// is ready at once reads no clock and charges nothing.
     ///
     /// `ready` may find that the attempt must fail (Wait-Die's die, a
     /// failed validation, a cascading dependency): it marks the transaction
     /// aborted with its reason and returns `None`; the abort check above is
     /// the one error exit.
     ///
-    /// `ready` runs **outside** the park mutex, always: notifiers call
-    /// [`TxnShared::notify`] while holding tuple latches, so a predicate
-    /// that takes a latch under `park` would deadlock against them. The
-    /// price is a wakeup that lands between `ready` and the park; it costs
-    /// one [`PARK_TIMEOUT`], like the `waiters` race in `notify` — which is
-    /// why no clock is read in that gap (the deadline is checked before
-    /// `ready`, and the first unready round polls again after starting the
-    /// clock): on the hotspot workload a clock read there doubled the
-    /// missed wakeups.
+    /// **No lost wakeup.** Everything that can end a wait flips its state
+    /// and then calls [`TxnShared::notify`], which advances the wake word.
+    /// The round's snapshot precedes every read of the round, so a flip the
+    /// round did not see has its notification still to come: the spin sees
+    /// the word move, and [`TxnShared::begin_park`] refuses to sleep on a
+    /// stale snapshot. That is what lets `ready` run **outside** the park
+    /// mutex, as it must — notifiers call `notify` while holding tuple
+    /// latches, so a predicate that takes a latch under `park` would
+    /// deadlock against them — and what makes the clock reads between
+    /// `ready` and the sleep harmless.
+    ///
+    /// **The pause** ([`Pacing::Park`]). First the worker spins, for at most
+    /// [`SPIN_CAP`] per wait, reading only the wake word of its *own*
+    /// handle: no tuple latch, no line a lock holder writes, and `ready`
+    /// re-runs only once the word moved — a spinner cannot slow the holder
+    /// it waits for. A handoff caught there costs one cache-line transfer
+    /// instead of a futex wake. Then it sleeps on the condvar, bounded by
+    /// [`PARK_TIMEOUT`]. Whether to spin at all is decided by the worker's
+    /// own history ([`spin_budget`] over the blocked times this function
+    /// already measures): on an oversubscribed machine, where the holder
+    /// may not even be running, waits are long and every wait parks at
+    /// once.
     pub(crate) fn wait<T>(
         &mut self,
         site: WaitSite,
@@ -707,6 +801,7 @@ impl TxnCtx {
     ) -> Result<T, Abort> {
         let mut blocked_since: Option<Instant> = None;
         let res = loop {
+            let seen = self.shared.wake_word();
             if self.shared.is_aborted() {
                 break Err(self.abort_err());
             }
@@ -717,39 +812,48 @@ impl TxnCtx {
             if let Some(v) = ready(self) {
                 break Ok(v);
             }
-            if blocked_since.is_none() {
-                // Start the clock, then poll once more before pausing: the
-                // clock read is not free, and one sitting between `ready`
-                // and the park would widen the lost-wakeup gap below.
-                blocked_since = Some(Instant::now());
-                continue;
-            }
+            let t0 = *blocked_since.get_or_insert_with(Instant::now);
             match site.pacing {
                 Pacing::Yield => std::thread::yield_now(),
                 Pacing::Park => {
                     let shared = &*self.shared;
+                    let budget = spin_budget(WAIT_AVG.get());
+                    let mut spins = 0u32;
+                    let woken = loop {
+                        // The clock is read on the first iteration (a wait
+                        // past its budget goes straight to sleep) and every
+                        // 32nd after it.
+                        if spins % 32 == 0 && t0.elapsed() >= budget {
+                            break false;
+                        }
+                        if shared.wake_word() != seen {
+                            break true;
+                        }
+                        std::hint::spin_loop();
+                        spins += 1;
+                    };
+                    if woken {
+                        self.timers.spin_wakes += 1;
+                        continue;
+                    }
                     let mut guard = shared.park.lock();
-                    // An abort flips the status before it notifies, so one
-                    // that landed since the check above is seen here rather
-                    // than slept through.
-                    if !shared.is_aborted() {
-                        // ordering: SeqCst — pairs with the SeqCst `waiters`
-                        // load in `notify` (see there); the publication must
-                        // not sink below the wait.
-                        shared.waiters.fetch_add(1, Ordering::SeqCst);
+                    if shared.begin_park(seen) {
+                        self.timers.parks += 1;
                         shared.cond.wait_for(&mut guard, PARK_TIMEOUT);
-                        // ordering: SeqCst — symmetric retraction.
-                        shared.waiters.fetch_sub(1, Ordering::SeqCst);
+                        shared.end_park();
                     }
                 }
             }
         };
         if let Some(t0) = blocked_since {
-            let timer = match site.timer {
+            let blocked = t0.elapsed();
+            *match site.timer {
                 WaitTimer::Lock => &mut self.timers.lock_wait,
                 WaitTimer::Commit => &mut self.timers.commit_wait,
-            };
-            *timer += t0.elapsed();
+            } += blocked;
+            if site.pacing == Pacing::Park {
+                WAIT_AVG.set(observe(WAIT_AVG.get(), blocked));
+            }
         }
         res
     }
@@ -863,7 +967,7 @@ mod tests {
 
     /// Spins until the waiter thread has published itself as parked.
     fn until_parked(t: &TxnShared) {
-        while t.waiters.load(Ordering::SeqCst) == 0 {
+        while t.wake_word() & PARKED == 0 {
             std::thread::yield_now();
         }
     }
@@ -996,6 +1100,64 @@ mod tests {
             // Well inside TEST_SITE's 30 s: neither pacing sleeps it out.
             assert_eq!(res, Err(Abort(AbortReason::WaitDie)));
         }
+    }
+
+    #[test]
+    fn wait_is_not_slept_through_when_notified_between_ready_and_park() {
+        // The notification lands after the round's snapshot and before the
+        // pause — the gap a bare "is anybody parked?" check sleeps through.
+        // Gate open: the spin catches it. Gate closed: `begin_park` refuses.
+        for (avg, spin_wakes) in [(Duration::ZERO, 1), (2 * SPIN_CAP, 0)] {
+            WAIT_AVG.set(avg);
+            let mut ctx = TxnCtx::new(TxnShared::new(1, 10));
+            let mut calls = 0;
+            let res = ctx.wait(TEST_SITE, |ctx| {
+                calls += 1;
+                if calls == 1 {
+                    ctx.shared.notify();
+                    return None;
+                }
+                Some(calls)
+            });
+            assert_eq!(res, Ok(2));
+            assert_eq!(ctx.timers.parks, 0);
+            assert_eq!(ctx.timers.spin_wakes, spin_wakes);
+        }
+    }
+
+    #[test]
+    fn wait_yield_pacing_never_spins_or_parks() {
+        let mut ctx = TxnCtx::new(TxnShared::new(1, 10));
+        let site = WaitSite {
+            pacing: Pacing::Yield,
+            ..TEST_SITE
+        };
+        let mut calls = 0;
+        let res = ctx.wait(site, |ctx| {
+            calls += 1;
+            ctx.shared.notify();
+            (calls == 4).then_some(())
+        });
+        assert_eq!(res, Ok(()));
+        assert_eq!((ctx.timers.parks, ctx.timers.spin_wakes), (0, 0));
+        assert_eq!(WAIT_AVG.get(), Duration::ZERO, "and leaves the gate alone");
+    }
+
+    #[test]
+    fn history_gate_closes_on_long_waits_and_reopens_on_short_ones() {
+        assert_eq!(spin_budget(Duration::ZERO), SPIN_CAP);
+        let mut avg = Duration::ZERO;
+        for _ in 0..8 {
+            avg = observe(avg, Duration::from_millis(500));
+        }
+        assert_eq!(spin_budget(avg), Duration::ZERO);
+        for _ in 0..3 {
+            avg = observe(avg, SPIN_CAP / 8);
+        }
+        assert_eq!(spin_budget(avg), SPIN_CAP);
+        // One failed spin (the cap, then a full park) does not close it.
+        let failed = observe(SPIN_CAP / 4, SPIN_CAP + PARK_TIMEOUT);
+        assert_eq!(spin_budget(failed), SPIN_CAP);
     }
 
     #[test]

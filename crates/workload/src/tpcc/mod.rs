@@ -28,7 +28,7 @@ pub struct TpccConfig {
     /// Number of warehouses (the paper sweeps {16,8,4,2,1}; 1 is the
     /// high-contention case).
     pub warehouses: u64,
-    /// Items (TPC-C spec: 100 000; default scaled — see DESIGN.md).
+    /// Items (TPC-C spec: 100 000; default scaled).
     pub items: u64,
     /// Customers per district (spec: 3000; default scaled).
     pub customers_per_district: u64,

@@ -4,9 +4,8 @@
 //! GB), 16 accesses per transaction, `read_ratio` controlling the
 //! read/update mix, θ controlling skew, and a variant with 5% long
 //! read-only transactions of 1000 accesses (Figure 7). Row count and field
-//! width are scaled down by default (see DESIGN.md — zipfian hotspot
-//! behaviour depends on θ, not table bytes); both are configurable to
-//! paper scale.
+//! width are scaled down by default (zipfian hotspot behaviour depends on
+//! θ, not table bytes); both are configurable to paper scale.
 
 use std::sync::Arc;
 

@@ -24,8 +24,8 @@ fn tpcc_templates_chop_to_finest_pieces() {
     let (_db, tables, _idx) = tpcc::load(&cfg);
     let t = templates(&tables, false);
     let proto = Ic3Protocol::new(t, false);
-    // NewOrder keeps 5 groups, Payment 4 — no merges (DESIGN.md's analysis
-    // of the column-disjoint TPC-C mix).
+    // NewOrder keeps 5 groups, Payment 4 — no merges: the TPC-C mix is
+    // column-disjoint.
     assert_eq!(proto.chopping().n_groups, vec![5, 4, 1, 1]);
 }
 

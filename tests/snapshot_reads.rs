@@ -7,9 +7,9 @@
 //! its snapshot timestamp equals the invariant, even though writers commit
 //! continuously underneath it.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bamboo_repro::core::executor::{run_bench, BenchConfig, TxnSpec, Workload};
 use bamboo_repro::core::protocol::{LockingProtocol, Protocol, SiloProtocol};
@@ -93,37 +93,49 @@ impl Workload for TransferWl {
     }
 }
 
-/// Drives `scans` snapshot transactions against a database under active
-/// writer fire. Panics on any inconsistency, lock acquisition, or abort.
-fn snapshot_scan_loop(session: &Session, t: TableId, scans: usize) {
-    for _ in 0..scans {
-        let mut txn = session.snapshot();
-        let mut sum = 0i64;
-        for id in 0..N_ACCOUNTS {
-            // Reads can never fail in snapshot mode: no waits, no wounds.
-            let row = txn.read(t, id).expect("snapshot read must never abort");
-            sum += row.get_i64(1);
-        }
-        assert_eq!(
-            sum,
-            N_ACCOUNTS as i64 * INITIAL,
-            "snapshot observed a torn state (non-transactional view)"
-        );
-        assert_eq!(
-            txn.locks_acquired(),
-            0,
-            "snapshot scan touched the lock manager"
-        );
-        assert!(!txn.shared().is_aborted(), "snapshot reader was aborted");
-        txn.commit().expect("snapshot commit cannot fail");
+/// One snapshot transaction scanning every account of a database under
+/// active writer fire. Panics on any inconsistency, lock acquisition, or
+/// abort.
+fn snapshot_scan(session: &Session, t: TableId) {
+    let mut txn = session.snapshot();
+    let mut sum = 0i64;
+    for id in 0..N_ACCOUNTS {
+        // Reads can never fail in snapshot mode: no waits, no wounds.
+        let row = txn.read(t, id).expect("snapshot read must never abort");
+        sum += row.get_i64(1);
+    }
+    assert_eq!(
+        sum,
+        N_ACCOUNTS as i64 * INITIAL,
+        "snapshot observed a torn state (non-transactional view)"
+    );
+    assert_eq!(
+        txn.locks_acquired(),
+        0,
+        "snapshot scan touched the lock manager"
+    );
+    assert!(!txn.shared().is_aborted(), "snapshot reader was aborted");
+    txn.commit().expect("snapshot commit cannot fail");
+}
+
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
     }
 }
 
 /// Hotspot writers + repeated snapshot scans, per protocol. The reader
 /// never blocks on the writers (zero lock interaction) and every scan sums
-/// to the invariant.
+/// to the invariant. Writers publish their commit counts, so "under write
+/// fire" is something the test observes — scanning starts once every writer
+/// has committed and ends only after every writer committed again — rather
+/// than something a sleep hopes the scheduler arranged.
 #[test]
 fn snapshot_reader_is_lock_free_and_consistent_under_write_fire() {
+    const WRITERS: usize = 3;
+    const MIN_SCANS: usize = 300;
     for proto in [
         Arc::new(LockingProtocol::bamboo()) as Arc<dyn Protocol>,
         Arc::new(LockingProtocol::bamboo_base()) as Arc<dyn Protocol>,
@@ -131,36 +143,47 @@ fn snapshot_reader_is_lock_free_and_consistent_under_write_fire() {
         Arc::new(SiloProtocol::new()) as Arc<dyn Protocol>,
     ] {
         let (db, t) = load();
-        let stop = Arc::new(AtomicBool::new(false));
-        let commits: u64 = std::thread::scope(|s| {
-            let writers: Vec<_> = (0..3)
-                .map(|w| {
-                    let db = Arc::clone(&db);
-                    let proto = Arc::clone(&proto);
-                    let stop = Arc::clone(&stop);
-                    s.spawn(move || {
-                        use rand::SeedableRng;
-                        let mut rng = SmallRng::seed_from_u64(1000 + w);
-                        let wl = TransferWl { table: t };
-                        let session = Session::new(db, proto);
-                        let mut commits = 0u64;
-                        while !stop.load(Ordering::Relaxed) {
-                            let spec = wl.generate(w as usize, &mut rng);
-                            session.run(spec.as_ref()).unwrap();
-                            commits += 1;
-                        }
-                        commits
-                    })
-                })
-                .collect();
-            // Let the writers stack up retired versions before scanning.
-            std::thread::sleep(Duration::from_millis(10));
+        let stop = AtomicBool::new(false);
+        let commits: [AtomicU64; WRITERS] = Default::default();
+        let deadline = Instant::now() + Duration::from_secs(60);
+        // Some writer has not committed since it published `floor`.
+        let behind = |floor: [u64; WRITERS]| {
+            assert!(
+                Instant::now() < deadline,
+                "{}: writers must make progress",
+                proto.name()
+            );
+            (0..WRITERS).any(|w| commits[w].load(Ordering::Acquire) <= floor[w])
+        };
+        std::thread::scope(|s| {
+            for (w, published) in commits.iter().enumerate() {
+                let (db, proto, stop) = (Arc::clone(&db), Arc::clone(&proto), &stop);
+                s.spawn(move || {
+                    use rand::SeedableRng;
+                    let mut rng = SmallRng::seed_from_u64(1000 + w as u64);
+                    let wl = TransferWl { table: t };
+                    let session = Session::new(db, proto);
+                    while !stop.load(Ordering::Relaxed) {
+                        let spec = wl.generate(w, &mut rng);
+                        session.run(spec.as_ref()).unwrap();
+                        published.fetch_add(1, Ordering::Release);
+                    }
+                });
+            }
+            // Raised on every exit, a failed assertion included: the scope
+            // joins the writers before it lets a panic out.
+            let _stop = StopOnDrop(&stop);
             let reader_session = Session::new(Arc::clone(&db), Arc::clone(&proto));
-            snapshot_scan_loop(&reader_session, t, 300);
-            stop.store(true, Ordering::Relaxed);
-            writers.into_iter().map(|h| h.join().unwrap()).sum()
+            while behind([0; WRITERS]) {
+                std::thread::yield_now();
+            }
+            let at_start = std::array::from_fn(|w| commits[w].load(Ordering::Acquire));
+            let mut scans = 0;
+            while scans < MIN_SCANS || behind(at_start) {
+                snapshot_scan(&reader_session, t);
+                scans += 1;
+            }
         });
-        assert!(commits > 0, "{}: writers must make progress", proto.name());
         assert_eq!(
             db.snapshots.active_count(),
             0,
