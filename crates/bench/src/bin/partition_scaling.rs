@@ -6,7 +6,8 @@
 //! canonical split, and the scaling story the partition refactor exists
 //! for: the 1-partition point is the paper's high-contention 1-warehouse
 //! configuration, and each added partition adds a warehouse with its own
-//! lock-entry space, WAL segment and stats slab. The *single* mix pins
+//! lock-entry space and stats slab (the runs have no `wal_dir`: every
+//! worker logs to its own session rings). The *single* mix pins
 //! `remote_ratio = 0` (every transaction stays on its home partition);
 //! the *cross* mix uses the spec's remote ratios (15% remote payments,
 //! 15% remote-stock lines), making a sizable fraction of commits genuine

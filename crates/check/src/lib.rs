@@ -50,6 +50,14 @@
 //!    accounting. A pause that is not a transaction wait (Silo's TID-word
 //!    spins) says so in an adjacent `// wait-seam:` comment, like rule 4's
 //!    `// ordering:`.
+//! 9. **one-database** — there is one kind of database and one place that
+//!    builds it: a `Database { .. }` struct literal or a `topology:`
+//!    initialiser appears only in `crates/core/src/partition.rs`
+//!    (`Database::builder()` is a shell over it), and under
+//!    `crates/core/src` only `session.rs` holds a `WalBuffer` (`wal.rs`
+//!    defines it): the in-memory ring is the session's, a `WalHandle` is
+//!    only ever a partition's segment file. Borrowing the ring
+//!    (`&Mutex<WalBuffer>` in a signature) is not holding one.
 
 use std::fmt;
 use std::path::Path;
@@ -246,6 +254,31 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Finding> {
             }
         }
 
+        // Rule 9: one database literal, one owner of the ring.
+        if rel_path.starts_with("crates/") && !in_test {
+            if rel_path != "crates/core/src/partition.rs" {
+                let literal = has_struct_literal(line, "Database");
+                // `pub(crate) topology: Topology,` declares the field.
+                let init = line.contains("topology:") && !line.trim_start().starts_with("pub");
+                if literal || init {
+                    push(
+                        "one-database",
+                        "a `Database` is built only in crates/core/src/partition.rs — go through `PartitionedDb::builder` (or its one-partition shell `Database::builder`)".to_string(),
+                    );
+                }
+            }
+            if rel_path.starts_with("crates/core/src/")
+                && !rel_path.ends_with("/session.rs")
+                && !rel_path.ends_with("/wal.rs")
+                && holds_type(line, "WalBuffer")
+            {
+                push(
+                    "one-database",
+                    "a `WalBuffer` held outside session.rs — the in-memory ring belongs to the `Session`; a partition's log is a `WalHandle` over a segment file".to_string(),
+                );
+            }
+        }
+
         // Rule 5: parking_lot::diag only behind the seam.
         if !is_sync_facade && line.contains("parking_lot::diag") {
             push(
@@ -295,6 +328,73 @@ fn has_db_table_call(line: &str) -> bool {
             .map(|p| p + 1)
             .unwrap_or(0);
         if line[recv_start..at].ends_with("db") {
+            return true;
+        }
+    }
+    false
+}
+
+/// `Name {` opening a struct literal — not `struct Name {`, `impl Name {`,
+/// `impl Trait for Name {`, a function body after `-> &Name` or a longer
+/// identifier ending in `Name`.
+fn has_struct_literal(line: &str, name: &str) -> bool {
+    let pat = format!("{name} {{");
+    let mut from = 0;
+    while let Some(pos) = line[from..].find(&pat) {
+        let at = from + pos;
+        from = at + 1;
+        let before = &line[..at];
+        if before
+            .chars()
+            .last()
+            .is_some_and(|c| c.is_alphanumeric() || c == '_')
+        {
+            continue;
+        }
+        let before = before.trim_end();
+        // `-> &Name {` opens a function body after a return type.
+        if ["struct", "impl", "for"]
+            .iter()
+            .any(|kw| before.ends_with(kw))
+            || before.contains("->")
+        {
+            continue;
+        }
+        return true;
+    }
+    false
+}
+
+/// `name` constructed (`Name::new(..)`) or named by value in a type — a
+/// field, a binding, a by-value parameter or a return type. A `use` line
+/// and a type behind a reference (`&Mutex<Name>`, `&mut Name`) do not
+/// hold one.
+fn holds_type(line: &str, name: &str) -> bool {
+    if line.trim_start().starts_with("use ") {
+        return false;
+    }
+    let mut from = 0;
+    while let Some(pos) = line[from..].find(name) {
+        let at = from + pos;
+        from = at + name.len();
+        let ident = |c: char| c.is_alphanumeric() || c == '_';
+        if line[..at].chars().last().is_some_and(ident) || line[from..].starts_with(ident) {
+            continue;
+        }
+        if line[from..].starts_with("::") {
+            return true;
+        }
+        // Walk back over the wrappers (`Mutex<`, `parking_lot::Mutex<`,
+        // `Option<Box<`) to the start of the type expression.
+        let start = line[..at]
+            .trim_end_matches(|c: char| ident(c) || c == '<' || c == ':')
+            .trim_end();
+        let borrowed = start.rsplit_once('&').is_some_and(|(_, rest)| {
+            rest.is_empty()
+                || rest == "mut"
+                || (rest.starts_with('\'') && rest[1..].chars().all(ident))
+        });
+        if !borrowed {
             return true;
         }
     }
@@ -795,6 +895,58 @@ mod tests {
         // Unit tests may pace themselves.
         let src =
             "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() { std::thread::yield_now(); }\n}\n";
+        assert!(rules("crates/core/src/protocol/locking.rs", src).is_empty());
+    }
+
+    // --- rule 9: one-database -----------------------------------------
+
+    #[test]
+    fn second_database_literal_or_ring_owner_fires() {
+        // A second construction path: a builder with a literal of its own.
+        let src = "Arc::new(Database {\n    catalog,\n    topology: None,\n})\n";
+        assert_eq!(
+            rules("crates/core/src/db.rs", src),
+            vec!["one-database", "one-database"]
+        );
+        let src = "let db = Database { topology: Topology { me, ..t }, ..other };\n";
+        assert_eq!(
+            rules("crates/workload/src/ycsb.rs", src),
+            vec!["one-database"]
+        );
+        // A ring behind a partition handle, or built by a protocol.
+        let src = "struct WalSink {\n    ring: Mutex<WalBuffer>,\n}\n";
+        assert_eq!(
+            rules("crates/core/src/partition.rs", src),
+            vec!["one-database"]
+        );
+        let src =
+            "let mut ring = WalBuffer::new();\nfn spare() -> Option<Box<WalBuffer>> { None }\n";
+        assert_eq!(
+            rules("crates/core/src/protocol/silo.rs", src),
+            vec!["one-database", "one-database"]
+        );
+    }
+
+    #[test]
+    fn one_database_exempts_the_builder_the_session_borrows_and_tests() {
+        // The one construction path, and the session's ring.
+        let src = "db: Arc::new(Database {\n    topology: Topology { me },\n}),\n";
+        assert!(rules("crates/core/src/partition.rs", src).is_empty());
+        let src = "ring: Mutex<WalBuffer>,\nring: Mutex::new(WalBuffer::new()),\n";
+        assert!(rules("crates/core/src/session.rs", src).is_empty());
+        assert!(rules("crates/core/src/wal.rs", src).is_empty());
+        // Definitions and impls are not literals; the field declaration is
+        // not an initialiser.
+        let src = "pub struct Database {\n    pub(crate) topology: Topology,\n}\nimpl Database {\n}\nimpl Drop for Database {\n}\npub fn db(&self) -> &Database {\n}\nArc::new(PartitionedDatabase { parts })\n";
+        assert!(rules("crates/core/src/db.rs", src).is_empty());
+        // Protocols borrow the ring to log one commit; they never hold it.
+        let src = "use crate::wal::{DurabilityTicket, WalBuffer, WalWrite};\nfn commit(&self, ring: &Mutex<WalBuffer>) {}\nfn log(ring: &parking_lot::Mutex<WalBuffer>, b: &mut WalBuffer, c: &'a WalBuffer) {}\n";
+        assert!(rules("crates/core/src/protocol/mod.rs", src).is_empty());
+        // Benches and the benchmark's probes time a bare ring; tests build
+        // scratch ones.
+        let src = "let mut ring = WalBuffer::new();\n";
+        assert!(rules("crates/bench/benches/lock_primitives.rs", src).is_empty());
+        let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() { let w = Mutex::new(WalBuffer::for_tests()); let d = Database { topology: t }; }\n}\n";
         assert!(rules("crates/core/src/protocol/locking.rs", src).is_empty());
     }
 

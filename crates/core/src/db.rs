@@ -56,10 +56,10 @@ use std::sync::Arc;
 
 use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-use bamboo_storage::{Catalog, PartitionId, Router, Schema, Table, TableId};
+use bamboo_storage::{Catalog, PartitionId, RouteStrategy, Router, Schema, Table, TableId};
 
 use crate::meta::TupleCc;
-use crate::partition::PartitionStats;
+use crate::partition::{PartitionStats, PartitionedDb, PartitionedDbBuilder};
 use crate::sync::CachePadded;
 use crate::ts::TsSource;
 use crate::wal::{DurabilityHorizon, WalHandle};
@@ -85,17 +85,15 @@ pub struct DbOptions {
     /// further but let chains run up to one extra epoch of commits long.
     /// Must be at least 1.
     pub epoch_commits: u64,
-    /// Version-chain trim threshold: a tuple's chain trims once it
-    /// retains more than this many older versions even when the watermark
-    /// looks unchanged (see
-    /// [`bamboo_storage::VersionChain::install_at_with`]).
-    pub trim_threshold: usize,
     /// Directory for durable per-partition WAL segments. `None` (the
-    /// default) keeps the historical in-memory ring: no files, no fsync,
-    /// nothing survives the process. Set through
+    /// default) logs every commit to the committing session's in-memory
+    /// ring: no files, no fsync, nothing survives the process. Set through
     /// [`DbOptions::with_wal_dir`] to make
     /// [`crate::partition::PartitionedDbBuilder::build`] open file-backed
-    /// segments instead.
+    /// segments instead. [`DatabaseBuilder::build`] refuses it: checkpoint
+    /// and recovery live on [`PartitionedDb`], so a durable database —
+    /// one partition included — is built through
+    /// [`PartitionedDb::builder`].
     pub wal_dir: Option<std::path::PathBuf>,
     /// When (if ever) the durable log fsyncs on the commit path. Ignored
     /// unless [`DbOptions::wal_dir`] is set. See
@@ -121,7 +119,6 @@ impl Default for DbOptions {
     fn default() -> Self {
         DbOptions {
             epoch_commits: EPOCH_COMMITS,
-            trim_threshold: bamboo_storage::DEFAULT_TRIM_THRESHOLD,
             wal_dir: None,
             fsync_policy: bamboo_storage::FsyncPolicy::Never,
             segment_bytes: DEFAULT_SEGMENT_BYTES,
@@ -139,12 +136,6 @@ impl DbOptions {
     /// Sets the epoch-tick period (clamped to at least 1).
     pub fn with_epoch_commits(mut self, n: u64) -> Self {
         self.epoch_commits = n.max(1);
-        self
-    }
-
-    /// Sets the version-chain trim threshold.
-    pub fn with_trim_threshold(mut self, n: usize) -> Self {
-        self.trim_threshold = n;
         self
     }
 
@@ -183,7 +174,7 @@ impl DbOptions {
 
     /// The durable log directory as one handle — [`DbOptions::wal_dir`]
     /// behind the configured backend (the real filesystem by default) —
-    /// or `None` when the database is ring-backed.
+    /// or `None` when the database has no durable log.
     pub fn log_dir(&self) -> Option<bamboo_storage::LogDir> {
         let dir = self.wal_dir.as_ref()?;
         Some(match &self.log_backend {
@@ -193,9 +184,9 @@ impl DbOptions {
     }
 }
 
-/// A partition's view of the whole partitioned database: the router plus
-/// every sibling partition's catalog, WAL segment and stats slab. Held by
-/// each partition's [`Database`] so any partition can resolve any
+/// A partition's view of the whole database: the router plus every
+/// partition's catalog, durable log and stats slab. Held by each
+/// partition's [`Database`] so any partition can resolve any
 /// `(table, key)` — the seam that lets one `Session` execute
 /// cross-partition transactions without new protocol plumbing.
 ///
@@ -207,7 +198,9 @@ pub(crate) struct Topology {
     pub(crate) router: Arc<Router>,
     /// Every partition's catalog shard, indexed by partition id.
     pub(crate) catalogs: Arc<[Arc<Catalog<TupleCc>>]>,
-    /// Every partition's WAL segment, indexed by partition id.
+    /// Every partition's durable log, indexed by partition id — empty
+    /// when the database has no [`DbOptions::wal_dir`] (commits then go to
+    /// the committing session's ring).
     pub(crate) wals: Arc<[Arc<WalHandle>]>,
     /// Every partition's stats slab (cache-padded), indexed by partition
     /// id.
@@ -649,14 +642,14 @@ impl SnapshotRegistry {
     }
 }
 
-/// A loaded database shared by all worker threads — either a monolithic
-/// database (one catalog, built by [`Database::builder`]) or *one
-/// partition* of a [`crate::partition::PartitionedDb`] (its own catalog
-/// shard plus a `Topology` view of its siblings).
+/// A loaded database shared by all worker threads: *one partition* of a
+/// [`PartitionedDb`] — its own catalog shard plus a `Topology` view of
+/// every partition. [`Database::builder`] builds the one-partition case
+/// and hands out that partition.
 ///
 /// The commit clock, snapshot registry, timestamp source, epoch counter,
 /// published watermark and transaction-id source are behind `Arc`s so
-/// every partition of one partitioned database shares them: commit
+/// every partition of one database shares them: commit
 /// timestamps stay globally unique and snapshots stay globally consistent
 /// no matter which partition a transaction enters through.
 pub struct Database {
@@ -683,43 +676,35 @@ pub struct Database {
     pub(crate) horizon: Arc<DurabilityHorizon>,
     /// Tuning knobs fixed at build time.
     pub(crate) options: DbOptions,
-    /// `Some` when this database is one partition of a partitioned
-    /// database; `None` for a monolithic database.
-    pub(crate) topology: Option<Topology>,
+    /// This partition's view of the whole database.
+    pub(crate) topology: Topology,
 }
 
 impl Database {
-    /// Starts building a database: register tables, then [`DatabaseBuilder::build`].
+    /// Starts building a one-partition database: register tables, then
+    /// [`DatabaseBuilder::build`].
     pub fn builder() -> DatabaseBuilder {
-        DatabaseBuilder {
-            catalog: Catalog::new(),
-            options: DbOptions::default(),
-        }
+        DatabaseBuilder(PartitionedDb::builder(1))
     }
 
-    /// Table accessor. On a partition of a partitioned database this is
-    /// the *local shard* of the table; use [`Database::table_for`] to
-    /// resolve a specific key to the shard that owns it.
+    /// Table accessor: this partition's *local shard* of the table; use
+    /// [`Database::table_for`] to resolve a specific key to the shard that
+    /// owns it.
     #[inline]
     pub fn table(&self, id: TableId) -> &Arc<Table<TupleCc>> {
         self.catalog.table(id)
     }
 
-    /// Resolves `(table, key)` to the table shard owning that key: the
-    /// local catalog on a monolithic database, the routed partition's
-    /// shard on a partitioned one (replicated tables resolve locally).
-    /// This is the lookup every protocol operation goes through, so a
+    /// Resolves `(table, key)` to the table shard owning that key — the
+    /// routed partition's shard (replicated tables resolve locally). This
+    /// is the lookup every protocol operation goes through, so a
     /// transaction begun on any partition can transparently read and
     /// write tuples of every partition.
     #[inline]
     pub fn table_for(&self, table: TableId, key: u64) -> &Arc<Table<TupleCc>> {
-        match &self.topology {
-            None => self.catalog.table(table),
-            Some(t) => {
-                let p = t.router.route_from(t.me, table, key);
-                t.catalogs[p.idx()].table(table)
-            }
-        }
+        let t = &self.topology;
+        let p = t.router.route_from(t.me, table, key);
+        t.catalogs[p.idx()].table(table)
     }
 
     /// Table id by name (setup paths).
@@ -727,22 +712,20 @@ impl Database {
         self.catalog.table_id(name)
     }
 
-    /// The underlying catalog (the local shard when partitioned).
+    /// The underlying catalog (this partition's shard).
     pub fn catalog(&self) -> &Catalog<TupleCc> {
         &self.catalog
     }
 
-    /// The partition this database is, when it is one partition of a
-    /// [`crate::partition::PartitionedDb`]; `None` for a monolithic
-    /// database.
-    pub fn partition_id(&self) -> Option<PartitionId> {
-        self.topology.as_ref().map(|t| t.me)
+    /// The partition this database is.
+    pub fn partition_id(&self) -> PartitionId {
+        self.topology.me
     }
 
-    /// The partition topology, when partitioned.
+    /// This partition's view of the whole database.
     #[inline]
-    pub(crate) fn topology(&self) -> Option<&Topology> {
-        self.topology.as_ref()
+    pub(crate) fn topology(&self) -> &Topology {
+        &self.topology
     }
 
     /// The build-time tuning knobs.
@@ -751,91 +734,80 @@ impl Database {
         &self.options
     }
 
-    /// The version-chain trim threshold installs should use.
+    /// The version-chain trim threshold commits install with.
     #[inline]
     pub fn trim_threshold(&self) -> usize {
-        self.options.trim_threshold
+        bamboo_storage::DEFAULT_TRIM_THRESHOLD
     }
 
-    /// True when `table` is replicated on every partition (always false on
-    /// a monolithic database). Replicated tables are read-only reference
-    /// data: a write would only touch the local replica and silently
-    /// diverge the copies, so the write paths debug-assert against this.
+    /// True when `table` is replicated on every partition. Replicated
+    /// tables are read-only reference data: a write would only touch the
+    /// local replica and silently diverge the copies, so the write paths
+    /// debug-assert against this.
     #[inline]
     pub fn is_table_replicated(&self, table: TableId) -> bool {
-        self.topology
-            .as_ref()
-            .is_some_and(|t| t.router.is_replicated(table))
+        self.topology.router.is_replicated(table)
     }
 
     /// True when `table` has an ordered index (checked on the local shard;
-    /// partitioned databases enable ordered indexes uniformly across
-    /// shards via `PartitionedDb::enable_ordered_index`).
+    /// ordered indexes are enabled uniformly across shards via
+    /// `PartitionedDb::enable_ordered_index`).
     pub fn has_ordered_index(&self, table: TableId) -> bool {
         self.catalog.table(table).ordered_index().is_some()
     }
 
-    /// All keys of `table` within `range`, ascending — merged across every
-    /// partition's shard when partitioned (replicated tables scan the
-    /// local replica only). Panics when the ordered index is missing, like
-    /// the scan paths always have.
-    pub fn scan_keys(&self, table: TableId, range: std::ops::RangeInclusive<u64>) -> Vec<u64> {
-        let idx_of = |cat: &Catalog<TupleCc>| {
-            cat.table(table)
-                .ordered_index()
-                .expect("scan requires an ordered index (Table::enable_ordered_index)")
-        };
-        match &self.topology {
-            Some(t) if !t.router.is_replicated(table) => {
-                let mut keys: Vec<u64> = Vec::new();
-                for cat in t.catalogs.iter() {
-                    keys.extend(idx_of(cat).range(range.clone()).into_iter().map(|(k, _)| k));
-                }
-                keys.sort_unstable();
-                keys
-            }
-            _ => idx_of(&self.catalog)
-                .range(range)
-                .into_iter()
-                .map(|(k, _)| k)
-                .collect(),
+    /// The catalogs holding `table`'s rows from this partition's
+    /// viewpoint: every partition's shard, or only the local replica of a
+    /// replicated table.
+    fn shards_of(&self, table: TableId) -> &[Arc<Catalog<TupleCc>>] {
+        if self.topology.router.is_replicated(table) {
+            std::slice::from_ref(&self.catalog)
+        } else {
+            &self.topology.catalogs
         }
+    }
+
+    /// All keys of `table` within `range`, ascending — merged across every
+    /// partition's shard (replicated tables scan the local replica only).
+    /// Panics when the ordered index is missing, like the scan paths
+    /// always have.
+    pub fn scan_keys(&self, table: TableId, range: std::ops::RangeInclusive<u64>) -> Vec<u64> {
+        let mut keys: Vec<u64> = Vec::new();
+        for cat in self.shards_of(table) {
+            let idx = cat
+                .table(table)
+                .ordered_index()
+                .expect("scan requires an ordered index (Table::enable_ordered_index)");
+            keys.extend(idx.range(range.clone()).into_iter().map(|(k, _)| k));
+        }
+        keys.sort_unstable();
+        keys
     }
 
     /// The smallest existing key of `table` strictly greater than `key`,
-    /// across every partition's shard when partitioned (next-key phantom
-    /// protection spans the whole logical keyspace). `None` when no such
-    /// key exists or the ordered index is missing.
+    /// across every partition's shard (next-key phantom protection spans
+    /// the whole logical keyspace). `None` when no such key exists or the
+    /// ordered index is missing.
     pub fn next_key_after(&self, table: TableId, key: u64) -> Option<u64> {
-        let next_in = |cat: &Catalog<TupleCc>| {
-            cat.table(table)
-                .ordered_index()
-                .and_then(|idx| idx.next_key_after(key).map(|(k, _)| k))
-        };
-        match &self.topology {
-            Some(t) if !t.router.is_replicated(table) => {
-                t.catalogs.iter().filter_map(|c| next_in(c)).min()
-            }
-            _ => next_in(&self.catalog),
-        }
+        self.shards_of(table)
+            .iter()
+            .filter_map(|cat| {
+                let idx = cat.table(table).ordered_index()?;
+                idx.next_key_after(key).map(|(k, _)| k)
+            })
+            .min()
     }
 
     /// Number of distinct partitions the given `(table, key)` accesses
-    /// touch (1 on a monolithic database). Drives the executor's
-    /// cross-partition commit accounting.
+    /// touch. Drives the executor's cross-partition commit accounting.
+    /// Counts in a `u64` bitmask; past 64 partitions the ids fold onto it,
+    /// which can only under-count a span that wide.
     pub fn partitions_spanned(&self, keys: impl Iterator<Item = (TableId, u64)>) -> u32 {
-        let Some(t) = &self.topology else { return 1 };
-        let n = t.router.partitions() as usize;
-        let mut seen = vec![false; n];
-        let mut count = 0u32;
-        for (table, key) in keys {
-            let p = t.router.route_from(t.me, table, key).idx();
-            if !seen[p] {
-                seen[p] = true;
-                count += 1;
-            }
-        }
-        count.max(1)
+        let t = &self.topology;
+        let seen = keys.fold(0u64, |seen, (table, key)| {
+            seen | 1 << (t.router.route_from(t.me, table, key).0 % 64)
+        });
+        seen.count_ones().max(1)
     }
 
     /// The global durability horizon (group-commit acknowledgments park
@@ -905,16 +877,15 @@ impl Database {
     /// Commit-side bookkeeping after a versioned install completes: marks
     /// `commit_ts` finished on the clock and, every
     /// [`DbOptions::epoch_commits`]-th commit, advances the Silo epoch and
-    /// republishes the watermark. On a partition, additionally bumps the
-    /// partition's commit counter (one relaxed add on a cache-padded slab
-    /// owned by this partition).
+    /// republishes the watermark. Also bumps this partition's commit
+    /// counter (one relaxed add on a cache-padded slab owned by this
+    /// partition).
     pub fn note_commit(&self, commit_ts: u64) {
         self.commit_clock.finish(commit_ts);
-        if let Some(t) = &self.topology {
-            // ordering: Relaxed — statistics counter; read only by
-            // quiesced reporting paths.
-            t.stats[t.me.idx()].commits.fetch_add(1, Ordering::Relaxed);
-        }
+        let t = &self.topology;
+        // ordering: Relaxed — statistics counter; read only by quiesced
+        // reporting paths.
+        t.stats[t.me.idx()].commits.fetch_add(1, Ordering::Relaxed);
         if commit_ts % self.options.epoch_commits == 0 {
             self.advance_epoch();
         }
@@ -936,47 +907,45 @@ impl Database {
     }
 }
 
-/// Builder for [`Database`].
-pub struct DatabaseBuilder {
-    catalog: Catalog<TupleCc>,
-    options: DbOptions,
-}
+/// Builder for a one-partition [`Database`]: a [`PartitionedDbBuilder`]
+/// over one partition with every table pinned to it, handing out that
+/// partition's view.
+pub struct DatabaseBuilder(PartitionedDbBuilder);
 
 impl DatabaseBuilder {
     /// Registers a table.
     pub fn add_table(&mut self, name: &str, schema: Schema) -> TableId {
-        self.catalog.add_table(name, schema)
+        self.0.add_table(name, schema, RouteStrategy::Pin(0))
     }
 
     /// Registers a table pre-sized for `cap` tuples.
     pub fn add_table_with_capacity(&mut self, name: &str, schema: Schema, cap: usize) -> TableId {
-        self.catalog.add_table_with_capacity(name, schema, cap)
+        self.0
+            .add_table_with_capacity(name, schema, cap, RouteStrategy::Pin(0))
     }
 
     /// Replaces the tuning knobs (defaults reproduce the historical
     /// constants).
     pub fn with_options(&mut self, options: DbOptions) -> &mut Self {
-        self.options = options;
+        self.0.with_options(options);
         self
     }
 
     /// Finalizes the database.
+    ///
+    /// # Panics
+    ///
+    /// When the options carry a [`DbOptions::wal_dir`]: the `Database`
+    /// this returns cannot reach `checkpoint` / `recover`, so a durable
+    /// log behind it could never be replayed. Build durable databases
+    /// through [`PartitionedDb::builder`] (one partition is fine).
     pub fn build(self) -> Arc<Database> {
-        Arc::new(Database {
-            catalog: Arc::new(self.catalog),
-            ts_source: Arc::new(TsSource::new()),
-            epoch: Arc::new(CachePadded::new(AtomicU64::new(1))),
-            commit_clock: Arc::new(CommitClock::new()),
-            snapshots: Arc::new(SnapshotRegistry::new()),
-            watermark: Arc::new(CachePadded::new(AtomicU64::new(0))),
-            txn_ids: Arc::new(CachePadded::new(AtomicU64::new(1))),
-            horizon: Arc::new(DurabilityHorizon::new()),
-            options: DbOptions {
-                epoch_commits: self.options.epoch_commits.max(1),
-                ..self.options
-            },
-            topology: None,
-        })
+        assert!(
+            self.0.options.wal_dir.is_none(),
+            "Database::builder() cannot build a durable database (checkpoint and recover \
+             live on PartitionedDb): use PartitionedDb::builder(1) with DbOptions::with_wal_dir"
+        );
+        Arc::clone(self.0.build().db(PartitionId(0)))
     }
 }
 
@@ -1090,13 +1059,8 @@ mod tests {
         // A shorter period ticks the epoch (and republishes the
         // watermark) proportionally earlier.
         let mut b = Database::builder();
-        b.with_options(
-            DbOptions::new()
-                .with_epoch_commits(4)
-                .with_trim_threshold(2),
-        );
+        b.with_options(DbOptions::new().with_epoch_commits(4));
         let db = b.build();
-        assert_eq!(db.trim_threshold(), 2);
         let e0 = db.epoch.load(Ordering::Acquire);
         for _ in 0..4 {
             let ts = db.commit_clock.allocate();
@@ -1116,7 +1080,7 @@ mod tests {
         // Default stays in-memory: no wal dir, no fsync, stock rotation.
         let opts = DbOptions::new();
         assert_eq!(opts.wal_dir, None);
-        assert!(opts.log_dir().is_none(), "ring-backed: no log directory");
+        assert!(opts.log_dir().is_none(), "no wal dir: no log directory");
         assert_eq!(opts.fsync_policy, FsyncPolicy::Never);
         assert_eq!(opts.segment_bytes, DEFAULT_SEGMENT_BYTES);
         // The builders set each knob independently.
@@ -1139,6 +1103,17 @@ mod tests {
         let mut b = Database::builder();
         b.with_options(DbOptions::new().with_fsync_policy(FsyncPolicy::EveryCommit));
         assert_eq!(b.build().options().fsync_policy, FsyncPolicy::EveryCommit);
+    }
+
+    #[test]
+    #[should_panic(expected = "PartitionedDb::builder(1)")]
+    fn builder_refuses_a_wal_dir_it_could_never_replay() {
+        // Accepting the directory and logging to the session ring anyway —
+        // what this builder used to do — hands an in-memory log to a
+        // caller who asked for a durable one.
+        let mut b = Database::builder();
+        b.with_options(DbOptions::new().with_wal_dir("/tmp/bamboo-never-created"));
+        b.build();
     }
 
     #[test]

@@ -74,8 +74,10 @@
 //!
 //! Durable replay is defined for the whole-row-install protocols (the 2PL
 //! family and Silo). IC3 installs column-masked merges, which a full-row
-//! after-image cannot capture raceless-ly; logging column-masked update
-//! records for IC3 is future work (see `DURABILITY.md`).
+//! after-image cannot capture raceless-ly, so sessions refuse to bind it
+//! to a database with a `wal_dir`
+//! ([`Protocol::redo_replayable`](crate::protocol::Protocol::redo_replayable);
+//! see `DURABILITY.md`).
 
 use std::collections::HashMap;
 use std::io;

@@ -18,6 +18,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::db::Database;
+use crate::partition::{PartSession, PartitionedDb};
 use crate::protocol::Protocol;
 use crate::session::{RetryPolicy, Session, Txn};
 use crate::stats::{BenchResult, WorkerStats};
@@ -45,11 +46,9 @@ pub trait TxnSpec: Send {
     }
 
     /// The partition this transaction is *homed* on: the partition whose
-    /// session executes it (and whose WAL segment logs its local writes).
-    /// Workloads partition-aware by construction (TPC-C by warehouse,
-    /// YCSB by key range) home each transaction where most of its keys
-    /// live; remote accesses route transparently. Ignored by
-    /// [`run_bench`] on monolithic databases.
+    /// session executes it. Workloads partition-aware by construction
+    /// (TPC-C by warehouse, YCSB by key range) home each transaction
+    /// where most of its keys live; remote accesses route transparently.
     fn home_partition(&self) -> u32 {
         0
     }
@@ -142,24 +141,6 @@ impl BenchConfig {
     }
 }
 
-/// One worker's execution state inside [`drive_bench`]: how a generated
-/// spec is executed and what per-worker accounting runs when the loop
-/// stops. Constructed on the worker's own thread.
-trait BenchWorker {
-    /// Executes one spec, reporting into `stats`. Returns whether it
-    /// committed.
-    fn run_one(
-        &self,
-        spec: &dyn TxnSpec,
-        stats: &mut WorkerStats,
-        stop: &AtomicBool,
-        deadline: Instant,
-    ) -> bool;
-
-    /// Final per-worker accounting after the loop stops.
-    fn finish(&self, _stats: &mut WorkerStats) {}
-}
-
 /// The measurement scaffold shared by [`run_bench`] and
 /// [`run_part_bench`]: worker threads with warmup/measure switching over a
 /// pre-allocated slab of cache-padded stats slots (written at commit rate
@@ -167,14 +148,22 @@ trait BenchWorker {
 /// counters off each other's cache lines, and the slab is what lets the
 /// scoped workers borrow instead of funnelling stats through join
 /// handles).
-fn drive_bench<W: BenchWorker>(
+///
+/// A worker is its sessions, one per partition, built on its own thread
+/// by `make_sessions`: each spec runs on the session of its
+/// [`TxnSpec::home_partition`], and the bytes on the sessions' rings are
+/// the worker's `log_bytes` (lifetime counters: warmup included).
+fn drive_bench(
     protocol: &str,
     workload: &Arc<dyn Workload>,
     cfg: &BenchConfig,
-    make_worker: impl Fn(usize) -> W + Sync,
+    make_sessions: impl Fn() -> Vec<Session> + Sync,
 ) -> BenchResult {
     let measuring = AtomicBool::new(false);
     let stop = AtomicBool::new(false);
+    // The warm-up clock starts once every worker has built its sessions
+    // (a 16 MiB ring each): set-up must not eat into a measured window.
+    let ready = std::sync::Barrier::new(cfg.threads + 1);
     let mut slots: Vec<CachePadded<WorkerStats>> = (0..cfg.threads)
         .map(|_| CachePadded::new(WorkerStats::default()))
         .collect();
@@ -182,10 +171,12 @@ fn drive_bench<W: BenchWorker>(
     let elapsed = std::thread::scope(|s| {
         for (w, slot) in slots.iter_mut().enumerate() {
             let seed = cfg.seed + w as u64;
-            let (measuring, stop, make_worker) = (&measuring, &stop, &make_worker);
+            let (measuring, stop, ready, make_sessions) =
+                (&measuring, &stop, &ready, &make_sessions);
             s.spawn(move || {
                 let mut rng = SmallRng::seed_from_u64(seed);
-                let worker = make_worker(w);
+                let sessions = make_sessions();
+                ready.wait();
                 let mut warm = WorkerStats::default();
                 let measured: &mut WorkerStats = slot;
                 let hard_deadline = Instant::now() + total_time;
@@ -196,11 +187,17 @@ fn drive_bench<W: BenchWorker>(
                     } else {
                         &mut warm
                     };
-                    worker.run_one(spec.as_ref(), stats, stop, hard_deadline);
+                    sessions[spec.home_partition() as usize % sessions.len()].run_reporting(
+                        spec.as_ref(),
+                        stats,
+                        stop,
+                        hard_deadline,
+                    );
                 }
-                worker.finish(measured);
+                measured.log_bytes = sessions.iter().map(Session::log_bytes).sum();
             });
         }
+        ready.wait();
         std::thread::sleep(cfg.warmup);
         // ordering: SeqCst — conservative fences around the measurement
         // window edges so no worker's transition straddles the timer reads
@@ -226,87 +223,40 @@ fn drive_bench<W: BenchWorker>(
     }
 }
 
-/// Monolithic worker: one [`Session`] per thread (thread-local WAL ring).
-struct SessionWorker {
-    session: Session,
-}
-
-impl BenchWorker for SessionWorker {
-    fn run_one(
-        &self,
-        spec: &dyn TxnSpec,
-        stats: &mut WorkerStats,
-        stop: &AtomicBool,
-        deadline: Instant,
-    ) -> bool {
-        self.session.run_reporting(spec, stats, stop, deadline)
-    }
-
-    fn finish(&self, stats: &mut WorkerStats) {
-        stats.log_bytes = self.session.log_bytes();
-    }
-}
-
-/// Runs `workload` under `proto` with `cfg`; returns the merged result.
+/// Runs `workload` under `proto` with `cfg` against one partition's view
+/// (every spec runs there, whatever its home); returns the merged result.
 pub fn run_bench(
     db: &Arc<Database>,
     proto: &Arc<dyn Protocol>,
     workload: &Arc<dyn Workload>,
     cfg: &BenchConfig,
 ) -> BenchResult {
-    drive_bench(proto.name(), workload, cfg, |_w| SessionWorker {
-        session: Session::new(Arc::clone(db), Arc::clone(proto)).with_retry(cfg.retry.clone()),
+    drive_bench(proto.name(), workload, cfg, || {
+        vec![Session::new(Arc::clone(db), Arc::clone(proto)).with_retry(cfg.retry.clone())]
     })
 }
 
-/// Partitioned worker: one [`crate::partition::PartSession`] per thread,
-/// dispatching each spec to its home partition's session.
-struct PartWorker {
-    session: crate::partition::PartSession,
-    parts: u32,
-}
-
-impl BenchWorker for PartWorker {
-    fn run_one(
-        &self,
-        spec: &dyn TxnSpec,
-        stats: &mut WorkerStats,
-        stop: &AtomicBool,
-        deadline: Instant,
-    ) -> bool {
-        let home = bamboo_storage::PartitionId(spec.home_partition() % self.parts);
-        self.session
-            .session(home)
-            .run_reporting(spec, stats, stop, deadline)
-    }
-    // No per-worker log accounting: the partition WAL segments are shared
-    // by every worker and collected once by `run_part_bench`.
-}
-
-/// [`run_bench`] over a partitioned database: each worker owns one
-/// [`crate::partition::PartSession`] and dispatches every generated
-/// transaction to the session of its [`TxnSpec::home_partition`] — the
-/// partition-local fast path when the spec's keys are home keys,
-/// transparent cross-partition execution otherwise. Redo-log bytes are
-/// collected from the partitions' WAL segments (which all workers share)
-/// rather than per worker.
+/// [`run_bench`] over every partition: each worker owns one
+/// [`PartSession`] and dispatches every generated transaction to the
+/// session of its [`TxnSpec::home_partition`] — the partition-local fast
+/// path when the spec's keys are home keys, transparent cross-partition
+/// execution otherwise. On a database with durable partition logs (which
+/// all workers share) the run's append volume is read from them rather
+/// than from the workers' rings.
 pub fn run_part_bench(
-    pdb: &Arc<crate::partition::PartitionedDb>,
+    pdb: &Arc<PartitionedDb>,
     proto: &Arc<dyn Protocol>,
     workload: &Arc<dyn Workload>,
     cfg: &BenchConfig,
 ) -> BenchResult {
-    let parts = pdb.partitions();
     let log_before = pdb.log_bytes();
-    let mut res = drive_bench(proto.name(), workload, cfg, |_w| PartWorker {
-        session: crate::partition::PartSession::new(Arc::clone(pdb), Arc::clone(proto))
-            .with_retry(cfg.retry.clone()),
-        parts,
+    let mut res = drive_bench(proto.name(), workload, cfg, || {
+        PartSession::new(Arc::clone(pdb), Arc::clone(proto))
+            .with_retry(cfg.retry.clone())
+            .into_sessions()
     });
-    // Per-partition WAL segments are shared by all workers: attribute the
-    // run's total append volume once (includes warmup, like the
-    // monolithic path's lifetime counters).
-    res.totals.log_bytes = pdb.log_bytes() - log_before;
+    // Includes warmup, like the rings' lifetime counters.
+    res.totals.log_bytes += pdb.log_bytes() - log_before;
     res
 }
 

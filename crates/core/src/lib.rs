@@ -105,17 +105,19 @@
 //!
 //! [`partition::PartitionedDb`] splits the storage into N partitions —
 //! each its own catalog shard (tuple slabs, indexes, version chains,
-//! per-tuple lock entries), WAL segment and stats slab — while the commit
+//! per-tuple lock entries), durable log and stats slab — while the commit
 //! clock, snapshot registry and watermark stay shared, so commit
 //! timestamps remain globally ordered and snapshots globally consistent.
 //! [`partition::PartSession`] extends the `Session` seam with a
 //! partition-local fast path ([`partition::PartSession::begin_on`]);
 //! cross-partition transactions route per-key through
-//! [`Database::table_for`] and commit with per-partition WAL appends in
-//! partition-id order under **one** commit timestamp (the commit-ordering
-//! contract — see [`partition`]'s module docs). Build-time tuning knobs
-//! (epoch-tick period, version-chain trim threshold) live in
-//! [`db::DbOptions`].
+//! [`Database::table_for`] and commit under **one** commit timestamp —
+//! one record on the session's ring, or with a `wal_dir` per-partition
+//! log appends in partition-id order (the commit-ordering contract — see
+//! [`partition`]'s module docs). [`Database::builder`] is the
+//! one-partition case of the same engine. Build-time tuning knobs
+//! (epoch-tick period, the durable log's directory and fsync policy) live
+//! in [`db::DbOptions`].
 
 pub mod db;
 pub mod durability;

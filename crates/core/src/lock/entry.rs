@@ -188,10 +188,6 @@ pub struct CommitInstall<'a> {
     pub commit_ts: u64,
     /// GC watermark for the eager version-chain collection.
     pub watermark: u64,
-    /// Version-chain trim threshold (the database's
-    /// `DbOptions::trim_threshold`; the amortization knob of the chain
-    /// GC).
-    pub trim_threshold: usize,
 }
 
 impl<'a> CommitInstall<'a> {
@@ -203,7 +199,6 @@ impl<'a> CommitInstall<'a> {
             row,
             commit_ts: 0,
             watermark: 0,
-            trim_threshold: bamboo_storage::DEFAULT_TRIM_THRESHOLD,
         }
     }
 }
@@ -851,12 +846,8 @@ impl LockState {
                         // a pushed version would never be collected.
                         ci.tuple.install(ci.row.clone());
                     } else {
-                        ci.tuple.install_versioned_with(
-                            ci.row.clone(),
-                            ci.commit_ts,
-                            ci.watermark,
-                            ci.trim_threshold,
-                        );
+                        ci.tuple
+                            .install_versioned(ci.row.clone(), ci.commit_ts, ci.watermark);
                     }
                 }
             }

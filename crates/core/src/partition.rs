@@ -2,7 +2,7 @@
 //!
 //! [`PartitionedDb`] splits the storage and execution state that *can* be
 //! split — catalog (tuple slabs, hash/ordered indexes, version chains,
-//! per-tuple lock entries), WAL segment, stats slab — into per-partition
+//! per-tuple lock entries), durable log, stats slab — into per-partition
 //! shards, while the state that defines transactional consistency — the
 //! commit clock, snapshot registry, GC watermark, timestamp and
 //! transaction-id sources — stays **shared** across partitions (one `Arc`
@@ -11,17 +11,18 @@
 //! remain globally unique and totally ordered.
 //!
 //! Every partition is a full [`Database`] holding its own catalog shard
-//! plus a topology view of its siblings, so the *existing* `Session` /
-//! `Txn` / `Protocol` machinery executes partitioned transactions without
-//! new plumbing at call sites:
+//! plus a topology view of every partition, so one `Session` / `Txn` /
+//! `Protocol` machinery executes every transaction. This is the only kind
+//! of database there is: [`Database::builder`] builds the one-partition
+//! case through [`PartitionedDbBuilder`] and hands out partition 0.
 //!
 //! * **Single-partition fast path.** [`PartSession::begin_on`] starts a
 //!   plain [`Txn`] against the home partition's `Database`. Every lookup
 //!   routes to the local shard (one arithmetic route per operation, no
-//!   locks), the commit appends to the home partition's WAL segment, and
-//!   the attempt performs *no more lock acquisitions* than the same
-//!   transaction on a monolithic database — asserted by the partitioning
-//!   test suite against the lock-counter shim.
+//!   locks), the commit logs once, and the attempt performs *no more lock
+//!   acquisitions* than the same transaction on a one-partition database
+//!   — asserted by the partitioning test suite against the lock-counter
+//!   shim.
 //! * **Cross-partition transactions.** Operations whose keys route to
 //!   another partition transparently resolve to that partition's shard
 //!   through [`Database::table_for`]; locks, dirty-version chains and
@@ -32,8 +33,10 @@
 //! # Commit-ordering contract (cross-partition commits)
 //!
 //! A cross-partition commit is **not** a two-phase commit — all partitions
-//! share one in-memory commit pipeline — but it must leave every
-//! partition's WAL segment in a consistent replayable order:
+//! share one in-memory commit pipeline. Without a
+//! [`DbOptions::wal_dir`] it logs one record to the committing session's
+//! ring, like any other commit. With one, it must leave every partition's
+//! durable log in a consistent replayable order:
 //!
 //! 1. The protocol runs its normal commit protocol (semaphore wait /
 //!    validation) once, over the whole access set.
@@ -112,17 +115,15 @@ impl PartitionStats {
 }
 
 /// One partition: its `Database` view (catalog shard + shared globals +
-/// topology) and its WAL segment.
+/// topology).
 pub struct Partition {
-    id: PartitionId,
     db: Arc<Database>,
-    wal: Arc<WalHandle>,
 }
 
 impl Partition {
     /// This partition's id.
     pub fn id(&self) -> PartitionId {
-        self.id
+        self.db.partition_id()
     }
 
     /// The partition's `Database` view. Transactions begun against it run
@@ -131,18 +132,24 @@ impl Partition {
         &self.db
     }
 
-    /// The partition's WAL segment.
+    /// The partition's durable log.
+    ///
+    /// # Panics
+    ///
+    /// When the database was built without [`DbOptions::with_wal_dir`]:
+    /// its commits go to the committing session's ring
+    /// ([`Session::log_bytes`]), and there is no partition log.
     pub fn wal(&self) -> &Arc<WalHandle> {
-        &self.wal
+        self.db
+            .topology()
+            .wals
+            .get(self.id().idx())
+            .expect("no partition log: the database has no DbOptions::wal_dir")
     }
 
     /// The partition's stats slab.
     pub fn stats(&self) -> &PartitionStats {
-        &self
-            .db
-            .topology()
-            .expect("a partition always has a topology")
-            .stats[self.id.idx()]
+        &self.db.topology().stats[self.id().idx()]
     }
 }
 
@@ -255,14 +262,22 @@ impl PartitionedDb {
         self.stats.iter().map(|s| s.commits()).sum()
     }
 
-    /// Total redo-log bytes across every partition's WAL segment.
-    pub fn log_bytes(&self) -> u64 {
-        self.parts.iter().map(|p| p.wal.bytes_logged()).sum()
+    /// Every partition's durable log — empty without a
+    /// [`DbOptions::wal_dir`].
+    fn wals(&self) -> &[Arc<WalHandle>] {
+        &self.parts[0].db.topology().wals
     }
 
-    /// Total redo records across every partition's WAL segment.
+    /// Total redo-log bytes across every partition's durable log (0
+    /// without a [`DbOptions::wal_dir`]: the sessions' rings count their
+    /// own, [`Session::log_bytes`]).
+    pub fn log_bytes(&self) -> u64 {
+        self.wals().iter().map(|w| w.bytes_logged()).sum()
+    }
+
+    /// Total commit groups across every partition's durable log.
     pub fn log_records(&self) -> u64 {
-        self.parts.iter().map(|p| p.wal.records()).sum()
+        self.wals().iter().map(|w| w.records()).sum()
     }
 
     /// Sealed WAL segments deleted by checkpoint-time log compaction over
@@ -281,24 +296,24 @@ impl PartitionedDb {
     /// [`crate::txn::AbortReason::DurabilityFailed`]; snapshot reads and
     /// the other partitions are unaffected).
     pub fn degraded_partitions(&self) -> u64 {
-        self.parts.iter().filter(|p| p.wal.is_degraded()).count() as u64
+        self.wals().iter().filter(|w| w.is_degraded()).count() as u64
     }
 
     /// Total WAL transient-fault retries across every partition's handle.
     pub fn wal_io_retries(&self) -> u64 {
-        self.parts.iter().map(|p| p.wal.io_retries()).sum()
+        self.wals().iter().map(|w| w.io_retries()).sum()
     }
 
     /// Total WAL permanent failures across every partition's handle.
     pub fn wal_io_failures(&self) -> u64 {
-        self.parts.iter().map(|p| p.wal.io_failures()).sum()
+        self.wals().iter().map(|w| w.io_failures()).sum()
     }
 
     /// Total batch fsyncs issued by group-commit leaders across all
     /// partitions. Zero unless the database runs under
     /// [`bamboo_storage::FsyncPolicy::GroupCommit`].
     pub fn group_fsyncs(&self) -> u64 {
-        self.parts.iter().map(|p| p.wal.group_fsyncs()).sum()
+        self.wals().iter().map(|w| w.group_fsyncs()).sum()
     }
 
     /// Commits acknowledged through the shared durability horizon. The
@@ -327,7 +342,7 @@ impl PartitionedDb {
             )
         })?;
         let writer = dir.open_writer(p.0, opts.fsync_policy, opts.segment_bytes)?;
-        self.parts[p.idx()].wal.replace_writer(writer);
+        self.parts[p.idx()].wal().replace_writer(writer);
         Ok(())
     }
 }
@@ -338,7 +353,7 @@ impl PartitionedDb {
 pub struct PartitionedDbBuilder {
     catalogs: Vec<Catalog<TupleCc>>,
     strategies: Vec<RouteStrategy>,
-    options: DbOptions,
+    pub(crate) options: DbOptions,
     partitions: u32,
 }
 
@@ -396,9 +411,10 @@ impl PartitionedDbBuilder {
     /// When [`DbOptions::with_wal_dir`] is set, every partition opens a
     /// durable WAL segment writer rooted in that directory (resuming after
     /// any existing log, with the torn tail truncated away — see
-    /// [`bamboo_storage::log`]); otherwise each partition gets the
-    /// in-memory ring. Durable databases cap the partition count at 64:
-    /// the cross-partition completeness mask is a `u64` bitmask.
+    /// [`bamboo_storage::log`]); otherwise there are no partition logs and
+    /// every commit goes to its session's ring. Durable databases cap the
+    /// partition count at 64: the cross-partition completeness mask is a
+    /// `u64` bitmask.
     pub fn build(self) -> Arc<PartitionedDb> {
         let mut router = Router::new(self.partitions, RouteStrategy::Hash);
         for (i, s) in self.strategies.into_iter().enumerate() {
@@ -432,9 +448,7 @@ impl PartitionedDbBuilder {
                     })
                     .collect()
             }
-            None => (0..self.partitions)
-                .map(|_| Arc::new(WalHandle::new()))
-                .collect(),
+            None => Arc::from([]),
         };
         let stats: Arc<[CachePadded<PartitionStats>]> = (0..self.partitions)
             .map(|_| CachePadded::new(PartitionStats::default()))
@@ -457,7 +471,6 @@ impl PartitionedDbBuilder {
             .map(|p| {
                 let me = PartitionId(p);
                 Partition {
-                    id: me,
                     db: Arc::new(Database {
                         catalog: Arc::clone(&catalogs[me.idx()]),
                         ts_source: Arc::clone(&ts_source),
@@ -468,15 +481,14 @@ impl PartitionedDbBuilder {
                         txn_ids: Arc::clone(&txn_ids),
                         horizon: Arc::clone(&horizon),
                         options: options.clone(),
-                        topology: Some(Topology {
+                        topology: Topology {
                             router: Arc::clone(&router),
                             catalogs: Arc::clone(&catalogs),
                             wals: Arc::clone(&wals),
                             stats: Arc::clone(&stats),
                             me,
-                        }),
+                        },
                     }),
-                    wal: Arc::clone(&wals[p as usize]),
                 }
             })
             .collect();
@@ -490,7 +502,7 @@ impl PartitionedDbBuilder {
 }
 
 /// A partition-aware session: one inner [`Session`] per partition, all
-/// bound to the same protocol and sharing each partition's WAL segment.
+/// bound to the same protocol.
 ///
 /// [`PartSession::begin_on`] is the routing entry point: a transaction
 /// begun on its home partition runs the partition-local fast path for
@@ -509,10 +521,7 @@ impl PartSession {
         let sessions = pdb
             .parts()
             .iter()
-            .map(|p| {
-                Session::new(Arc::clone(p.db()), Arc::clone(&proto))
-                    .with_wal_handle(Arc::clone(p.wal()))
-            })
+            .map(|p| Session::new(Arc::clone(p.db()), Arc::clone(&proto)))
             .collect();
         PartSession { pdb, sessions }
     }
@@ -525,6 +534,11 @@ impl PartSession {
             .map(|s| s.with_retry(retry.clone()))
             .collect();
         self
+    }
+
+    /// Every partition's session, in partition-id order.
+    pub(crate) fn into_sessions(self) -> Vec<Session> {
+        self.sessions
     }
 
     /// The partitioned database.
@@ -571,6 +585,10 @@ mod tests {
     use bamboo_storage::{DataType, Value};
 
     fn two_part_db() -> (Arc<PartitionedDb>, TableId) {
+        two_part_db_with(DbOptions::new())
+    }
+
+    fn two_part_db_with(options: DbOptions) -> (Arc<PartitionedDb>, TableId) {
         let mut b = PartitionedDb::builder(2);
         let t = b.add_table(
             "kv",
@@ -579,6 +597,7 @@ mod tests {
                 .column("v", DataType::I64),
             RouteStrategy::Range(vec![100]),
         );
+        b.with_options(options);
         let pdb = b.build();
         for k in [1u64, 2, 150, 151] {
             pdb.insert(t, k, Row::from(vec![Value::U64(k), Value::I64(0)]));
@@ -602,7 +621,7 @@ mod tests {
         let (pdb, t) = two_part_db();
         for p in [PartitionId(0), PartitionId(1)] {
             let db = pdb.db(p);
-            assert_eq!(db.partition_id(), Some(p));
+            assert_eq!(db.partition_id(), p);
             assert!(db.table_for(t, 1).get(1).is_some());
             assert!(db.table_for(t, 150).get(150).is_some());
         }
@@ -621,9 +640,40 @@ mod tests {
         assert_eq!(b.commit_clock.stable(), ts, "one clock across partitions");
     }
 
+    /// A two-partition database logging to segment files in a fresh
+    /// temp dir (no fsync: the tests read the log back, they do not crash).
+    fn durable_two_part_db(tag: &str) -> (Arc<PartitionedDb>, TableId, bamboo_storage::LogDir) {
+        let dir = std::env::temp_dir().join(format!("bamboo-part-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let options = DbOptions::new().with_wal_dir(&dir);
+        let log = options.log_dir().expect("wal dir set");
+        let (pdb, t) = two_part_db_with(options);
+        (pdb, t, log)
+    }
+
+    #[test]
+    fn commits_without_a_wal_dir_log_to_the_session_ring() {
+        let (pdb, t) = two_part_db();
+        let s = PartSession::new(Arc::clone(&pdb), Arc::new(LockingProtocol::bamboo()));
+        let mut txn = s.begin_on(PartitionId(1));
+        txn.update(t, 150, |r| r.set(1, Value::I64(7))).unwrap();
+        txn.commit().unwrap();
+        // Cross-partition, homed on 0: still one record, on the committing
+        // session's ring.
+        let mut txn = s.begin_on(PartitionId(0));
+        txn.update(t, 1, |r| r.set(1, Value::I64(-5))).unwrap();
+        txn.update(t, 151, |r| r.set(1, Value::I64(5))).unwrap();
+        txn.commit().unwrap();
+        assert_eq!(s.session(PartitionId(0)).log_records(), 1);
+        assert_eq!(s.session(PartitionId(1)).log_records(), 1);
+        assert_eq!(pdb.log_records(), 0, "no wal dir: no partition logs");
+        assert_eq!(pdb.part(PartitionId(0)).stats().commits(), 1);
+        assert_eq!(pdb.part(PartitionId(1)).stats().commits(), 1);
+    }
+
     #[test]
     fn single_partition_txn_commits_on_home_wal() {
-        let (pdb, t) = two_part_db();
+        let (pdb, t, log) = durable_two_part_db("home");
         let s = PartSession::new(Arc::clone(&pdb), Arc::new(LockingProtocol::bamboo()));
         let mut txn = s.begin_on(PartitionId(1));
         txn.update(t, 150, |r| r.set(1, Value::I64(7))).unwrap();
@@ -631,22 +681,49 @@ mod tests {
         assert_eq!(pdb.part(PartitionId(1)).wal().records(), 1);
         assert_eq!(pdb.part(PartitionId(0)).wal().records(), 0);
         assert_eq!(pdb.part(PartitionId(1)).stats().commits(), 1);
+        assert_eq!(s.session(PartitionId(1)).log_records(), 0, "ring unused");
+        let _ = std::fs::remove_dir_all(log.path());
     }
 
     #[test]
     fn cross_partition_txn_logs_to_both_wals_with_one_commit_ts() {
-        let (pdb, t) = two_part_db();
+        use bamboo_storage::WalRecord;
+        let (pdb, t, log) = durable_two_part_db("cross");
         let s = PartSession::new(Arc::clone(&pdb), Arc::new(LockingProtocol::bamboo()));
         let mut txn = s.begin_on(PartitionId(0));
         txn.update(t, 1, |r| r.set(1, Value::I64(-5))).unwrap();
         txn.update(t, 151, |r| r.set(1, Value::I64(5))).unwrap();
         txn.commit().unwrap();
-        assert_eq!(pdb.part(PartitionId(0)).wal().records(), 1);
-        assert_eq!(pdb.part(PartitionId(1)).wal().records(), 1);
-        // One commit timestamp: both installs carry the same tag.
+        // The durable group format: a group on each written partition,
+        // both carrying the one commit timestamp and the full mask.
+        let begins: Vec<(u64, u64)> = (0..2)
+            .map(|p| {
+                // `Never` leaves the group in the writer's buffer.
+                pdb.part(PartitionId(p)).wal().sync().unwrap();
+                let scan = log.scan_partition_from(p, 0).unwrap();
+                let begins: Vec<_> = scan
+                    .records
+                    .iter()
+                    .filter_map(|(_, r)| match r {
+                        WalRecord::Begin {
+                            commit_ts,
+                            parts_mask,
+                            ..
+                        } => Some((*commit_ts, *parts_mask)),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(begins.len(), 1, "one group on partition {p}");
+                begins[0]
+            })
+            .collect();
+        assert_eq!(begins[0], begins[1], "one commit_ts, one mask");
+        assert_eq!(begins[0].1, 0b11, "the mask names both partitions");
+        // The installs carry that same timestamp.
         let ts0 = pdb.table(PartitionId(0), t).get(1).unwrap().commit_ts();
         let ts1 = pdb.table(PartitionId(1), t).get(151).unwrap().commit_ts();
-        assert_eq!(ts0, ts1, "cross-partition commit uses one timestamp");
+        assert_eq!((ts0, ts1), (begins[0].0, begins[0].0));
+        let _ = std::fs::remove_dir_all(log.path());
     }
 
     #[test]
@@ -698,15 +775,10 @@ mod tests {
             Schema::build().column("k", DataType::U64),
             RouteStrategy::Hash,
         );
-        b.with_options(
-            DbOptions::new()
-                .with_epoch_commits(8)
-                .with_trim_threshold(2),
-        );
+        b.with_options(DbOptions::new().with_epoch_commits(8));
         let pdb = b.build();
         for p in [PartitionId(0), PartitionId(1)] {
             assert_eq!(pdb.db(p).options().epoch_commits, 8);
-            assert_eq!(pdb.db(p).trim_threshold(), 2);
         }
         // The epoch tick fires on the shared clock at the configured period.
         let db = pdb.db(PartitionId(0));

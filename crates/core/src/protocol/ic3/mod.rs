@@ -25,6 +25,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bamboo_storage::{Row, TableId, Tuple};
+use parking_lot::Mutex;
 
 pub use graph::{chop, group_accesses, Chopping, PieceAccess, PieceDecl, TemplateDecl};
 
@@ -35,7 +36,7 @@ use crate::txn::{
     Abort, AbortReason, Access, AccessState, LockMode, Pacing, PendingInsert, TxnCtx, WaitSite,
     WaitTimer,
 };
-use crate::wal::WalHandle;
+use crate::wal::WalBuffer;
 
 /// A piece-level wait. Nothing notifies a `pieces_done` bump, so it yields
 /// between polls. Piece waits are normally microseconds — the ceiling is a
@@ -486,7 +487,12 @@ impl Protocol for Ic3Protocol {
         Ok(())
     }
 
-    fn commit(&self, db: &Database, ctx: &mut TxnCtx, wal: &WalHandle) -> Result<(), Abort> {
+    fn commit(
+        &self,
+        db: &Database,
+        ctx: &mut TxnCtx,
+        ring: &Mutex<WalBuffer>,
+    ) -> Result<(), Abort> {
         // Snapshot mode bypasses pieces, dependencies and accessor lists.
         if ctx.snapshot.is_some() {
             let res = crate::protocol::commit_snapshot(db, ctx);
@@ -527,23 +533,19 @@ impl Protocol for Ic3Protocol {
         // installs are column-masked merges computed atomically under each
         // tuple's accessor lock below, so a full after-image cannot be
         // captured at log time without racing concurrent disjoint-column
-        // writers — durable redo replay is therefore defined for the
-        // whole-row-install protocols (the 2PL family and Silo); IC3
-        // durable logging would need column-masked update records (see
-        // DURABILITY.md). On a log failure, the `abort` call the `Err`
-        // obliges removes our accessor entries (cascading readers of
-        // published writes) and marks the context released, exactly like
-        // any pre-install abort.
+        // writers. Replaying such a record as a whole-row image would
+        // recover wrong rows, so IC3 is refused on a database with a
+        // `wal_dir` (`redo_replayable` below; DURABILITY.md): every log
+        // write that reaches here goes to the session ring.
         crate::protocol::commit_tail(
             db,
             ctx,
-            wal,
+            ring,
             |_| {},
             // Install writes (column-masked) as new committed versions and
             // clear accessor entries and versions.
             |ctx| {
                 let watermark = db.gc_watermark();
-                let trim = db.trim_threshold();
                 for i in 0..ctx.accesses.len() {
                     let a = &ctx.accesses[i];
                     let mut st = a.tuple.meta.ic3.lock();
@@ -553,8 +555,7 @@ impl Protocol for Ic3Protocol {
                         st.versions.retain(|v| v.txn.id != ctx.shared.id);
                         let mut base = a.tuple.read_row();
                         apply_masked(&mut base, &a.local, wmask);
-                        a.tuple
-                            .install_versioned_with(base, ctx.commit_ts, watermark, trim);
+                        a.tuple.install_versioned(base, ctx.commit_ts, watermark);
                         st.install_seq += 1;
                     }
                     st.accessors.retain(|e| e.txn.id != ctx.shared.id);
@@ -565,6 +566,10 @@ impl Protocol for Ic3Protocol {
         )?;
         ctx.shared.mark_released();
         Ok(())
+    }
+
+    fn redo_replayable(&self) -> bool {
+        false
     }
 
     fn abort(&self, db: &Database, ctx: &mut TxnCtx) -> usize {
@@ -641,7 +646,7 @@ mod tests {
         keys: [u64; 2],
         tables: [TableId; 2],
     ) -> Result<(), Abort> {
-        let wal = WalHandle::for_tests();
+        let wal = Mutex::new(WalBuffer::for_tests());
         let mut ctx = p.begin(db);
         ctx.ic3.template = 0;
         let res = (|| {
@@ -683,7 +688,7 @@ mod tests {
         // commit dependency.
         let (db, t0, t1) = setup();
         let p = Ic3Protocol::new(vec![two_piece_template(t0, t1)], false);
-        let wal = WalHandle::for_tests();
+        let wal = Mutex::new(WalBuffer::for_tests());
         let mut c1 = p.begin(&db);
         c1.ic3.template = 0;
         p.piece_begin(&db, &mut c1, 0).unwrap();
@@ -779,7 +784,7 @@ mod tests {
             pieces: vec![PieceDecl::new(vec![PieceAccess::write(t0, COL_B, COL_B)])],
         };
         let p = Ic3Protocol::new(vec![ta, tb], false);
-        let wal = WalHandle::for_tests();
+        let wal = Mutex::new(WalBuffer::for_tests());
         let mut c1 = p.begin(&db);
         c1.ic3.template = 0;
         p.piece_begin(&db, &mut c1, 0).unwrap();

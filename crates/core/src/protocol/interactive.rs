@@ -15,11 +15,12 @@
 use std::time::Duration;
 
 use bamboo_storage::{Row, TableId};
+use parking_lot::Mutex;
 
 use crate::db::Database;
 use crate::protocol::Protocol;
 use crate::txn::{Abort, TxnCtx};
-use crate::wal::WalHandle;
+use crate::wal::WalBuffer;
 
 /// Default simulated round-trip: in the ballpark of an intra-datacenter
 /// gRPC call.
@@ -116,9 +117,18 @@ impl<P: Protocol> Protocol for InteractiveProtocol<P> {
         self.inner.scan(db, ctx, table, range)
     }
 
-    fn commit(&self, db: &Database, ctx: &mut TxnCtx, wal: &WalHandle) -> Result<(), Abort> {
+    fn commit(
+        &self,
+        db: &Database,
+        ctx: &mut TxnCtx,
+        ring: &Mutex<WalBuffer>,
+    ) -> Result<(), Abort> {
         self.round_trip();
-        self.inner.commit(db, ctx, wal)
+        self.inner.commit(db, ctx, ring)
+    }
+
+    fn redo_replayable(&self) -> bool {
+        self.inner.redo_replayable()
     }
 
     fn abort(&self, db: &Database, ctx: &mut TxnCtx) -> usize {
@@ -156,7 +166,7 @@ mod tests {
             .insert(1, Row::from(vec![Value::U64(1), Value::I64(0)]));
         let p = InteractiveProtocol::new(LockingProtocol::bamboo(), Duration::from_millis(2));
         assert!(p.name().contains("interactive"));
-        let wal = WalHandle::for_tests();
+        let wal = Mutex::new(WalBuffer::for_tests());
         let mut ctx = p.begin(&db);
         assert_eq!(ctx.planned_ops, None);
         let t0 = Instant::now();

@@ -19,17 +19,20 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bamboo_storage::{Row, TableId, Tuple};
+use parking_lot::Mutex;
 
 use crate::db::Database;
 use crate::lock::{Acquired, CommitInstall, LockPolicy};
 use crate::meta::TupleCc;
-use crate::protocol::{commit_snapshot, commit_tail, snapshot_read, unlocked_read, Protocol};
+use crate::protocol::{
+    commit_snapshot, commit_tail, scan_rows, snapshot_read, unlocked_read, Protocol,
+};
 use crate::ts::UNASSIGNED;
 use crate::txn::{
     Abort, AbortReason, Access, AccessState, LockMode, Pacing, PendingInsert, TxnCtx, TxnShared,
     WaitSite, WaitTimer,
 };
-use crate::wal::WalHandle;
+use crate::wal::WalBuffer;
 
 /// Lock, upgrade and opacity waits. The backstop is three orders of
 /// magnitude above a healthy wait (microseconds to a few milliseconds).
@@ -477,15 +480,8 @@ impl LockingProtocol {
     /// Releases every entry (commit or abort path). On commit, dirty
     /// images install as new committed versions tagged with the
     /// transaction's commit timestamp; `watermark` drives the eager
-    /// version-chain GC and `trim_threshold` its amortization. Returns
-    /// cascaded count.
-    fn release_all(
-        &self,
-        ctx: &mut TxnCtx,
-        committed: bool,
-        watermark: u64,
-        trim_threshold: usize,
-    ) -> usize {
+    /// version-chain GC. Returns cascaded count.
+    fn release_all(&self, ctx: &mut TxnCtx, committed: bool, watermark: u64) -> usize {
         let mut cascaded = 0;
         let commit_ts = ctx.commit_ts;
         for a in ctx.accesses.iter_mut() {
@@ -498,7 +494,6 @@ impl LockingProtocol {
                     row: &a.local,
                     commit_ts,
                     watermark,
-                    trim_threshold,
                 })
             } else {
                 None
@@ -613,7 +608,12 @@ impl Protocol for LockingProtocol {
         Ok(())
     }
 
-    fn commit(&self, db: &Database, ctx: &mut TxnCtx, wal: &WalHandle) -> Result<(), Abort> {
+    fn commit(
+        &self,
+        db: &Database,
+        ctx: &mut TxnCtx,
+        ring: &Mutex<WalBuffer>,
+    ) -> Result<(), Abort> {
         // Snapshot mode holds no locks, wrote nothing, and cannot be
         // wounded: the commit is just the registry release.
         if ctx.snapshot.is_some() {
@@ -643,16 +643,14 @@ impl Protocol for LockingProtocol {
         })?;
 
         // Algorithm 1 lines 6–8 — commit point, log, install, release — are
-        // the shared tail. On a partitioned database the log write splits
-        // into per-partition WAL appends in ascending partition-id order
-        // (the PartitionedDb commit-ordering contract).
+        // the shared tail.
         commit_tail(
             db,
             ctx,
-            wal,
+            ring,
             |_| {},
             |ctx| {
-                self.release_all(ctx, true, db.gc_watermark(), db.trim_threshold());
+                self.release_all(ctx, true, db.gc_watermark());
             },
         )
     }
@@ -679,20 +677,8 @@ impl Protocol for LockingProtocol {
         table: TableId,
         range: std::ops::RangeInclusive<u64>,
     ) -> Result<Vec<Row>, Abort> {
-        let in_snapshot = ctx.snapshot.is_some();
-        let mut rows = Vec::new();
-        // Partitioned databases merge the key set across every shard's
-        // index; each key then reads from its owning shard. A remote key
-        // invisible at the snapshot is skipped exactly like a local one —
-        // the Txn::read_opt absorption rule, never an abort.
-        for key in db.scan_keys(table, range.clone()) {
-            match self.read(db, ctx, table, key) {
-                Ok(row) => rows.push(row.clone()),
-                Err(Abort(AbortReason::SnapshotNotVisible)) if in_snapshot => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        if self.isolation == IsolationLevel::Serializable && !in_snapshot {
+        let rows = scan_rows(self, db, ctx, table, range.clone())?;
+        if self.isolation == IsolationLevel::Serializable && ctx.snapshot.is_none() {
             if let Some(next) = db.next_key_after(table, *range.end()) {
                 self.read(db, ctx, table, next)?;
             }
@@ -705,7 +691,7 @@ impl Protocol for LockingProtocol {
         ctx.shared.set_abort(AbortReason::User);
         ctx.inserts.clear();
         ctx.end_snapshot(db);
-        self.release_all(ctx, false, 0, db.trim_threshold())
+        self.release_all(ctx, false, 0)
     }
 }
 
@@ -747,7 +733,7 @@ mod tests {
             LockingProtocol::no_wait(),
         ] {
             let (db, t) = setup();
-            let wal = WalHandle::for_tests();
+            let wal = Mutex::new(WalBuffer::for_tests());
             let mut ctx = proto.begin(&db);
             assert_eq!(proto.read(&db, &mut ctx, t, 3).unwrap().get_i64(1), 300);
             proto.update(&db, &mut ctx, t, 3, &mut add_100).unwrap();
@@ -760,7 +746,7 @@ mod tests {
                 "{} must install the write",
                 proto.name()
             );
-            assert_eq!(wal.records(), 1);
+            assert_eq!(wal.lock().records(), 1);
         }
     }
 
@@ -789,7 +775,7 @@ mod tests {
     fn insert_visible_after_commit() {
         let (db, t) = setup();
         let proto = LockingProtocol::bamboo();
-        let wal = WalHandle::for_tests();
+        let wal = Mutex::new(WalBuffer::for_tests());
         let mut ctx = proto.begin(&db);
         proto
             .insert(
@@ -811,7 +797,7 @@ mod tests {
         // commit after T1.
         let (db, t) = setup();
         let proto = LockingProtocol::bamboo_base();
-        let wal = WalHandle::for_tests();
+        let wal = Mutex::new(WalBuffer::for_tests());
         let mut c1 = proto.begin(&db);
         let mut c2 = proto.begin(&db);
         proto.update(&db, &mut c1, t, 0, &mut add_100).unwrap();
@@ -846,7 +832,7 @@ mod tests {
         assert!(c2.shared.is_aborted());
         assert_eq!(c2.shared.abort_reason(), AbortReason::Cascade);
         // T2's commit fails; its abort releases cleanly.
-        let wal = WalHandle::for_tests();
+        let wal = Mutex::new(WalBuffer::for_tests());
         assert!(proto.commit(&db, &mut c2, &wal).is_err());
         proto.abort(&db, &mut c2);
         assert_eq!(db.table(t).get(0).unwrap().read_row().get_i64(1), 0);
@@ -858,14 +844,14 @@ mod tests {
     fn wound_wait_baseline_blocks_second_writer() {
         let (db, t) = setup();
         let proto = LockingProtocol::wound_wait();
-        let wal = WalHandle::for_tests();
+        let wal = Mutex::new(WalBuffer::for_tests());
         let mut c1 = proto.begin(&db);
         proto.update(&db, &mut c1, t, 0, &mut add_100).unwrap();
         // Younger writer on another thread: must block until T1 commits.
         let db2 = Arc::clone(&db);
         let proto2 = proto.clone();
         let h = std::thread::spawn(move || {
-            let wal = WalHandle::for_tests();
+            let wal = Mutex::new(WalBuffer::for_tests());
             let mut c2 = proto2.begin(&db2);
             proto2.update(&db2, &mut c2, t, 0, &mut add_100).unwrap();
             proto2.commit(&db2, &mut c2, &wal).unwrap();
@@ -898,7 +884,7 @@ mod tests {
             2,
             "trailing writes stay owned"
         );
-        let wal = WalHandle::for_tests();
+        let wal = Mutex::new(WalBuffer::for_tests());
         proto.commit(&db, &mut ctx, &wal).unwrap();
     }
 
@@ -906,7 +892,7 @@ mod tests {
     fn second_write_after_retire_reacquires() {
         let (db, t) = setup();
         let proto = LockingProtocol::bamboo_base();
-        let wal = WalHandle::for_tests();
+        let wal = Mutex::new(WalBuffer::for_tests());
         let mut ctx = proto.begin(&db);
         proto.update(&db, &mut ctx, t, 1, &mut add_100).unwrap();
         assert_eq!(ctx.accesses[0].state, AccessState::Retired);
@@ -922,7 +908,7 @@ mod tests {
         // watermark ever collects would leak a version per write.
         let (db, t) = setup();
         let proto = LockingProtocol::bamboo().with_isolation(IsolationLevel::ReadUncommitted);
-        let wal = WalHandle::for_tests();
+        let wal = Mutex::new(WalBuffer::for_tests());
         for _ in 0..50 {
             let mut ctx = proto.begin(&db);
             proto.update(&db, &mut ctx, t, 0, &mut add_100).unwrap();
@@ -947,7 +933,7 @@ mod tests {
         let err = proto.update(&db, &mut c2, t, 0, &mut add_100).unwrap_err();
         assert_eq!(err.0, AbortReason::NoWait);
         proto.abort(&db, &mut c2);
-        let wal = WalHandle::for_tests();
+        let wal = Mutex::new(WalBuffer::for_tests());
         proto.commit(&db, &mut c1, &wal).unwrap();
     }
 }

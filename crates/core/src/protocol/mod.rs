@@ -22,6 +22,7 @@ use std::sync::Arc;
 
 use bamboo_storage::log::{IoClass, IoFailure};
 use bamboo_storage::{Row, TableId, Tuple};
+use parking_lot::Mutex;
 
 pub use ic3::{Ic3Protocol, PieceAccess, PieceDecl, TemplateDecl};
 pub use interactive::InteractiveProtocol;
@@ -31,7 +32,7 @@ pub use silo::SiloProtocol;
 use crate::db::Database;
 use crate::meta::TupleCc;
 use crate::txn::{Abort, AbortReason, Access, AccessState, LockMode, TxnCtx};
-use crate::wal::{DurabilityTicket, WalHandle, WalWrite};
+use crate::wal::{DurabilityTicket, WalBuffer, WalWrite};
 
 /// A pluggable concurrency-control protocol.
 ///
@@ -111,15 +112,15 @@ pub trait Protocol: Send + Sync {
     /// The default implementation performs plain per-key reads — correct
     /// under every protocol, with no phantom protection. Protocols with a
     /// stronger story override it ([`LockingProtocol`] adds §3.4's
-    /// next-key locking under Serializable). On a partitioned database the
-    /// key set merges every partition's index shard
-    /// ([`Database::scan_keys`]), so a range spanning partitions reads
-    /// each key from its owning shard. In snapshot mode, rows not visible
-    /// at the snapshot timestamp are skipped — an index entry committed
-    /// after the snapshot was taken is a phantom to this transaction, not
-    /// an error — and the skip applies identically to local and remote
-    /// partitions' keys (the same `Ok(None)`-style absorption as
-    /// [`crate::session::Txn::read_opt`], never an abort).
+    /// next-key locking under Serializable). The key set merges every
+    /// partition's index shard ([`Database::scan_keys`]), so a range
+    /// spanning partitions reads each key from its owning shard. In
+    /// snapshot mode, rows not visible at the snapshot timestamp are
+    /// skipped — an index entry committed after the snapshot was taken is
+    /// a phantom to this transaction, not an error — and the skip applies
+    /// identically to local and remote partitions' keys (the same
+    /// `Ok(None)`-style absorption as [`crate::session::Txn::read_opt`],
+    /// never an abort).
     fn scan(
         &self,
         db: &Database,
@@ -127,20 +128,23 @@ pub trait Protocol: Send + Sync {
         table: TableId,
         range: std::ops::RangeInclusive<u64>,
     ) -> Result<Vec<Row>, Abort> {
-        let in_snapshot = ctx.snapshot.is_some();
-        let mut rows = Vec::new();
-        for key in db.scan_keys(table, range) {
-            match self.read(db, ctx, table, key) {
-                Ok(row) => rows.push(row.clone()),
-                Err(Abort(crate::txn::AbortReason::SnapshotNotVisible)) if in_snapshot => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(rows)
+        scan_rows(self, db, ctx, table, range)
     }
 
     /// Commits: waits out commit dependencies, logs, installs, releases.
-    fn commit(&self, db: &Database, ctx: &mut TxnCtx, wal: &WalHandle) -> Result<(), Abort>;
+    /// `ring` is the committing session's in-memory redo ring — where the
+    /// commit is logged unless the database has durable partition logs
+    /// (see `log_commit`).
+    fn commit(&self, db: &Database, ctx: &mut TxnCtx, ring: &Mutex<WalBuffer>)
+        -> Result<(), Abort>;
+
+    /// Whether crash recovery can replay this protocol's redo records.
+    /// Sessions refuse to bind a protocol that says `false` to a database
+    /// with a [`DbOptions::wal_dir`](crate::DbOptions::wal_dir): its
+    /// commits would be acknowledged as durable and then recover wrong.
+    fn redo_replayable(&self) -> bool {
+        true
+    }
 
     /// Aborts the attempt, releasing everything. Returns the number of
     /// transactions cascadingly aborted by this release (abort-chain
@@ -159,6 +163,28 @@ pub trait Protocol: Send + Sync {
     }
 }
 
+/// The per-key read loop of [`Protocol::scan`], written once: the default
+/// body, and the first half of an override that adds to it (the 2PL
+/// family's next-key lock).
+pub(crate) fn scan_rows<P: Protocol + ?Sized>(
+    proto: &P,
+    db: &Database,
+    ctx: &mut TxnCtx,
+    table: TableId,
+    range: std::ops::RangeInclusive<u64>,
+) -> Result<Vec<Row>, Abort> {
+    let in_snapshot = ctx.snapshot.is_some();
+    let mut rows = Vec::new();
+    for key in db.scan_keys(table, range) {
+        match proto.read(db, ctx, table, key) {
+            Ok(row) => rows.push(row.clone()),
+            Err(Abort(AbortReason::SnapshotNotVisible)) if in_snapshot => continue,
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(rows)
+}
+
 /// The one commit tail (Algorithm 1 lines 6–8), shared by every protocol.
 /// The caller has already waited out its protocol's commit condition — the
 /// commit semaphore (2PL family), write-set locks + read validation (Silo),
@@ -173,7 +199,7 @@ pub trait Protocol: Send + Sync {
 ///    nothing installs under the timestamp: retire it immediately or the
 ///    stable point stalls, and abort.
 /// 3. **Log** ([`log_commit`]) — *after* the commit point, so a wounded
-///    transaction never reaches the log (with a durable sink that is what
+///    transaction never reaches the log (with a durable log that is what
 ///    makes recovery redo-only), and *before* every install: if the process
 ///    dies between an fsync-acknowledged log and the install, replay redoes
 ///    the writes; if it dies before the log write completes, nothing was
@@ -206,7 +232,7 @@ pub trait Protocol: Send + Sync {
 pub(crate) fn commit_tail(
     db: &Database,
     ctx: &mut TxnCtx,
-    wal: &WalHandle,
+    ring: &Mutex<WalBuffer>,
     unwind: impl FnOnce(&TxnCtx),
     install: impl FnOnce(&mut TxnCtx),
 ) -> Result<(), Abort> {
@@ -216,7 +242,7 @@ pub(crate) fn commit_tail(
         db.commit_clock.finish(ctx.commit_ts);
         return Err(ctx.abort_err());
     }
-    match log_commit(db, ctx, wal) {
+    match log_commit(db, ctx, ring) {
         Ok(ticket) => ctx.durability = ticket,
         Err(_) => {
             unwind(ctx);
@@ -235,9 +261,8 @@ pub(crate) fn commit_tail(
 /// Applies buffered inserts at commit time (shared by all protocols). The
 /// new rows' first version carries the transaction's commit timestamp, so
 /// snapshots older than the inserting transaction do not see them. Each
-/// insert lands in the shard owning its key (the local table on a
-/// monolithic database), and secondary-index maintenance stays within
-/// that shard.
+/// insert lands in the shard owning its key, and secondary-index
+/// maintenance stays within that shard.
 fn apply_inserts(db: &Database, ctx: &mut TxnCtx) {
     for ins in ctx.inserts.drain(..) {
         let table = db.table_for(ins.table, ins.key);
@@ -248,22 +273,25 @@ fn apply_inserts(db: &Database, ctx: &mut TxnCtx) {
     }
 }
 
-/// Appends one commit's redo group to the WAL (shared by all protocols).
-/// Called by [`commit_tail`] **after** the commit timestamp is allocated and
-/// the commit-point CAS succeeded, so `ctx.commit_ts` is final and
-/// uncommitted work never reaches a durable sink — recovery is redo-only by
-/// construction.
+/// Logs one commit's redo (shared by all protocols). Called by
+/// [`commit_tail`] **after** the commit timestamp is allocated and the
+/// commit-point CAS succeeded, so `ctx.commit_ts` is final and uncommitted
+/// work never reaches a durable log — recovery is redo-only by
+/// construction. Two arms:
 ///
-/// * Monolithic database: one append to the session's sink, as always.
-/// * Partitioned database: the group is split by partition and appended
-///   to each *written* partition's WAL segment **in ascending
+/// * **No [`DbOptions::wal_dir`](crate::DbOptions::wal_dir):** one record
+///   on `ring`, the committing session's in-memory ring, whatever the
+///   partition count. The ring is taken for this one append only — a
+///   commit that *waits* (the commit-semaphore wait of Algorithm 1 lines
+///   4–5) never holds it, so sessions shared across threads cannot
+///   deadlock on their own log.
+/// * **Durable partition logs:** the group is split by partition and
+///   appended to each *written* partition's log **in ascending
 ///   partition-id order** — the commit-ordering contract of
 ///   [`crate::partition::PartitionedDb`]. Every per-partition group
 ///   carries the same commit timestamp and the full partition mask, which
 ///   is what lets recovery check cross-partition completeness. A
-///   partition-local transaction therefore performs exactly one append, to
-///   its home segment (which is what the session's handle is bound to
-///   under [`crate::partition::PartSession`]).
+///   partition-local transaction therefore performs exactly one append.
 ///
 /// Buffered inserts are logged alongside updates: an insert's row lives in
 /// `ctx.inserts` until [`apply_inserts`] runs (after this), so the log
@@ -283,7 +311,7 @@ fn apply_inserts(db: &Database, ctx: &mut TxnCtx) {
 ///
 /// ## Failure semantics
 ///
-/// A durable sink can fail ([`IoFailure`]); [`commit_tail`] then revokes
+/// A durable log can fail ([`IoFailure`]); [`commit_tail`] then revokes
 /// the commit point ([`crate::txn::TxnShared::revoke_commit`]) and aborts
 /// with [`AbortReason::DurabilityFailed`], releasing locks and
 /// installing nothing. (Every error here is a *pre-install* failure, even
@@ -298,10 +326,23 @@ fn apply_inserts(db: &Database, ctx: &mut TxnCtx) {
 fn log_commit(
     db: &Database,
     ctx: &TxnCtx,
-    wal: &WalHandle,
+    ring: &Mutex<WalBuffer>,
 ) -> Result<Option<DurabilityTicket>, IoFailure> {
+    let topo = db.topology();
+    let dirty = || ctx.accesses.iter().filter(|a| a.dirty);
+    if topo.wals.is_empty() {
+        // Updates carry the row id, inserts the key: the ring's
+        // historical record.
+        ring.lock().append_commit(
+            ctx.shared.id,
+            dirty()
+                .map(|a| (a.table, a.tuple.row_id, &a.local))
+                .chain(ctx.inserts.iter().map(|i| (i.table, i.key, &i.row))),
+        );
+        return Ok(None);
+    }
     // Tickets exist only under group commit, and only when the append
-    // actually deferred the barrier (a ring sink is durable by fiat).
+    // actually deferred the barrier.
     let ticketing = matches!(
         db.options().fsync_policy,
         bamboo_storage::FsyncPolicy::GroupCommit { .. }
@@ -319,93 +360,54 @@ fn log_commit(
             })
         }
     };
-    // Partition bit for the durable completeness mask. Masks cap the
-    // partition count at 64 for durable databases (asserted at build);
-    // ring-backed databases ignore the mask, so larger counts just
-    // saturate to 0 here instead of overflowing the shift.
-    let part_bit = |p: usize| 1u64.checked_shl(p as u32).unwrap_or(0);
-    fn updates(ctx: &TxnCtx) -> impl Iterator<Item = WalWrite<'_>> + '_ {
-        ctx.accesses
-            .iter()
-            .filter(|a| a.dirty)
+    // Partition bit for the completeness mask (durable databases have at
+    // most 64 partitions, asserted at build).
+    let part_bit = |p: usize| 1u64 << p;
+    let writes = || {
+        dirty()
             .map(|a| WalWrite::Update {
                 table: a.table,
-                row_id: a.tuple.row_id,
                 key: a.tuple.key,
                 after: &a.local,
             })
-    }
-    fn inserts(ctx: &TxnCtx) -> impl Iterator<Item = WalWrite<'_>> + '_ {
-        ctx.inserts.iter().map(|i| WalWrite::Insert {
-            table: i.table,
-            key: i.key,
-            row: &i.row,
-            secondary: i.secondary,
-        })
-    }
-    let Some(topo) = db.topology() else {
-        let ga = wal.append_txn(
-            ctx.shared.id,
-            ctx.commit_ts,
-            1,
-            updates(ctx).chain(inserts(ctx)),
-        )?;
-        if ticketing && !ga.durable {
-            return Ok(ticket(vec![(0, ga.end_lsn)]));
-        }
-        return Ok(None);
+            .chain(ctx.inserts.iter().map(|i| WalWrite::Insert {
+                table: i.table,
+                key: i.key,
+                row: &i.row,
+                secondary: i.secondary,
+            }))
+    };
+    let route = |w: &WalWrite<'_>| {
+        let (WalWrite::Update { table, key, .. } | WalWrite::Insert { table, key, .. }) = w;
+        topo.router.route_from(topo.me, *table, *key)
     };
     // Fast path: the write set usually lives on a single partition (the
     // partition-local transactions the architecture optimizes for), so
     // first scan for the set of written partitions without allocating.
-    let mut single: Option<bamboo_storage::PartitionId> = None;
-    let mut homogeneous = true;
-    let routes = ctx
-        .accesses
-        .iter()
-        .filter(|a| a.dirty)
-        .map(|a| (a.table, a.tuple.key))
-        .chain(ctx.inserts.iter().map(|i| (i.table, i.key)));
-    for (table, key) in routes {
-        let p = topo.router.route_from(topo.me, table, key);
-        match single {
-            None => single = Some(p),
-            Some(prev) if prev != p => {
-                homogeneous = false;
-                break;
-            }
-            Some(_) => {}
-        }
-    }
-    // A commit with no writes still logs its header record, to the home
-    // partition (parity with the monolithic path); a single-partition
-    // write set appends once to the owning segment — no grouping, no
-    // allocation.
-    if homogeneous {
-        let p = single.unwrap_or(topo.me);
+    let mut routes = writes().map(|w| route(&w));
+    let first = routes.next();
+    // A commit with no writes still logs its header group, to the home
+    // partition; a single-partition write set appends once to the owning
+    // log — no grouping, no allocation.
+    if routes.all(|p| Some(p) == first) {
+        let p = first.unwrap_or(topo.me);
         let ga = topo.wals[p.idx()].append_txn(
             ctx.shared.id,
             ctx.commit_ts,
             part_bit(p.idx()),
-            updates(ctx).chain(inserts(ctx)),
+            writes(),
         )?;
         if ticketing && !ga.durable {
-            return Ok(ticket(vec![(p.idx() as u32, ga.end_lsn)]));
+            return Ok(ticket(vec![(p.0, ga.end_lsn)]));
         }
         return Ok(None);
     }
     // Cross-partition write set: group by owning partition (small vecs of
     // write descriptors; write sets are tens of entries, partitions a
     // handful).
-    let n = topo.router.partitions() as usize;
-    let mut groups: Vec<Vec<WalWrite<'_>>> = (0..n).map(|_| Vec::new()).collect();
-    for w in updates(ctx).chain(inserts(ctx)) {
-        let (table, key) = match &w {
-            WalWrite::Update { table, key, .. } => (*table, *key),
-            WalWrite::Insert { table, key, .. } => (*table, *key),
-        };
-        let p = topo.router.route_from(topo.me, table, key);
-        groups[p.idx()].push(w);
+    let mut groups: Vec<Vec<WalWrite<'_>>> = topo.wals.iter().map(|_| Vec::new()).collect();
+    for w in writes() {
+        groups[route(&w).idx()].push(w);
     }
     let parts_mask = groups
         .iter()

@@ -27,12 +27,13 @@ use crate::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use bamboo_storage::{Row, TableId, Tuple};
+use parking_lot::Mutex;
 
 use crate::db::Database;
 use crate::meta::TupleCc;
 use crate::protocol::{commit_snapshot, commit_tail, snapshot_read, Protocol};
 use crate::txn::{Abort, AbortReason, Access, AccessState, LockMode, PendingInsert, TxnCtx};
-use crate::wal::WalHandle;
+use crate::wal::WalBuffer;
 
 const LOCK_BIT: u64 = 1;
 
@@ -200,7 +201,12 @@ impl Protocol for SiloProtocol {
         Ok(())
     }
 
-    fn commit(&self, db: &Database, ctx: &mut TxnCtx, wal: &WalHandle) -> Result<(), Abort> {
+    fn commit(
+        &self,
+        db: &Database,
+        ctx: &mut TxnCtx,
+        ring: &Mutex<WalBuffer>,
+    ) -> Result<(), Abort> {
         // Snapshot mode: no write set to lock, no read set to validate.
         if ctx.snapshot.is_some() {
             return commit_snapshot(db, ctx);
@@ -251,7 +257,7 @@ impl Protocol for SiloProtocol {
         commit_tail(
             db,
             ctx,
-            wal,
+            ring,
             |ctx| {
                 for &j in &locked {
                     Self::unlock(&ctx.accesses[j].tuple);
@@ -264,11 +270,10 @@ impl Protocol for SiloProtocol {
             // (db::note_commit).
             |ctx| {
                 let watermark = db.gc_watermark();
-                let trim = db.trim_threshold();
                 for &i in &write_idx {
                     let a = &ctx.accesses[i];
                     a.tuple
-                        .install_versioned_with(a.local.clone(), ctx.commit_ts, watermark, trim);
+                        .install_versioned(a.local.clone(), ctx.commit_ts, watermark);
                     Self::unlock_with(&a.tuple, new_tid);
                 }
             },
@@ -313,7 +318,7 @@ mod tests {
     fn read_update_commit_installs() {
         let (db, t) = setup();
         let p = SiloProtocol::new();
-        let wal = WalHandle::for_tests();
+        let wal = Mutex::new(WalBuffer::for_tests());
         let mut ctx = p.begin(&db);
         assert_eq!(p.read(&db, &mut ctx, t, 1).unwrap().get_i64(1), 0);
         p.update(&db, &mut ctx, t, 1, &mut inc).unwrap();
@@ -327,7 +332,7 @@ mod tests {
     fn stale_read_fails_validation() {
         let (db, t) = setup();
         let p = SiloProtocol::new();
-        let wal = WalHandle::for_tests();
+        let wal = Mutex::new(WalBuffer::for_tests());
         // T1 reads key 1.
         let mut c1 = p.begin(&db);
         p.read(&db, &mut c1, t, 1).unwrap();
@@ -347,7 +352,7 @@ mod tests {
     fn write_write_conflict_one_wins() {
         let (db, t) = setup();
         let p = SiloProtocol::new();
-        let wal = WalHandle::for_tests();
+        let wal = Mutex::new(WalBuffer::for_tests());
         let mut c1 = p.begin(&db);
         let mut c2 = p.begin(&db);
         p.update(&db, &mut c1, t, 3, &mut inc).unwrap();
@@ -369,7 +374,7 @@ mod tests {
                 let db = Arc::clone(&db);
                 let p = Arc::clone(&p);
                 std::thread::spawn(move || {
-                    let wal = WalHandle::for_tests();
+                    let wal = Mutex::new(WalBuffer::for_tests());
                     let mut done = 0;
                     while done < per {
                         let mut ctx = p.begin(&db);

@@ -9,7 +9,7 @@
 //! purely by convention. This module owns that contract instead:
 //!
 //! * [`Session`] binds an [`Arc<Database>`] + [`Arc<dyn Protocol>`] pair
-//!   (plus a [`RetryPolicy`] and a per-session WAL ring) and is the only
+//!   (plus a [`RetryPolicy`] and the session's redo ring) and is the only
 //!   thing that starts transactions.
 //! * [`Txn`] is an RAII attempt guard: `read`/`update`/`insert`/`scan`
 //!   without handle-threading, `commit`/`abort` consume the guard, and
@@ -54,8 +54,9 @@ use crate::executor::TxnSpec;
 use crate::protocol::Protocol;
 use crate::stats::WorkerStats;
 use crate::txn::{Abort, AbortReason, TxnCtx, TxnShared, TxnTimers};
-use crate::wal::{DurabilityTicket, WalHandle};
+use crate::wal::{DurabilityTicket, WalBuffer};
 use bamboo_storage::{Row, TableId};
+use parking_lot::Mutex;
 
 /// Retry rules for [`Session::run`]: when an aborted attempt is retried
 /// and how long to back off between attempts.
@@ -210,43 +211,52 @@ impl TxnOptions {
 }
 
 /// A transaction session: one database + one protocol + the retry rules,
-/// plus a per-session WAL ring (the paper's in-memory redo log; §5.1 logs
-/// "to main memory").
+/// plus the session's redo ring (the paper's in-memory redo log; §5.1 logs
+/// "to main memory") — where its commits are logged unless the database
+/// has durable partition logs.
 ///
-/// Sessions are cheap to construct (two `Arc` clones + the WAL allocation)
-/// and `Sync`; the benchmark executor gives each worker thread its own so
-/// the WAL ring stays thread-local in practice, while tests freely share
-/// one session across scoped threads.
+/// Sessions are cheap to construct (two `Arc` clones + the ring
+/// allocation) and `Sync`; the benchmark executor gives each worker thread
+/// its own so the ring stays thread-local in practice, while tests freely
+/// share one session across scoped threads.
 pub struct Session {
     db: Arc<Database>,
     proto: Arc<dyn Protocol>,
     retry: RetryPolicy,
-    wal: Arc<WalHandle>,
+    /// Behind a mutex the commit path takes for one append only, so the
+    /// lock is uncontended with one session per worker and a shared
+    /// session's waiting commits never hold the log.
+    ring: Mutex<WalBuffer>,
 }
 
 impl Session {
     /// Binds a database and a protocol with the default [`RetryPolicy`]
-    /// and a default-sized WAL ring.
+    /// and a default-sized ring.
+    ///
+    /// # Panics
+    ///
+    /// When the database logs durably ([`crate::DbOptions::wal_dir`]) and
+    /// crash recovery cannot replay the protocol's redo records
+    /// ([`Protocol::redo_replayable`] — IC3): the pair would acknowledge
+    /// commits as durable and recover them wrong.
     pub fn new(db: Arc<Database>, proto: Arc<dyn Protocol>) -> Self {
+        assert!(
+            db.options().wal_dir.is_none() || proto.redo_replayable(),
+            "{} cannot run on a database with a wal_dir: crash recovery cannot \
+             replay its redo records (Protocol::redo_replayable)",
+            proto.name()
+        );
         Session {
             db,
             proto,
             retry: RetryPolicy::default(),
-            wal: Arc::new(WalHandle::new()),
+            ring: Mutex::new(WalBuffer::new()),
         }
     }
 
     /// Replaces the retry policy.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// Binds the session to an existing (possibly shared) WAL handle —
-    /// partition-aware sessions point every worker of one partition at
-    /// that partition's WAL segment.
-    pub fn with_wal_handle(mut self, wal: Arc<WalHandle>) -> Self {
-        self.wal = wal;
         self
     }
 
@@ -265,14 +275,16 @@ impl Session {
         &self.retry
     }
 
-    /// Total redo-log bytes appended by this session's commits.
+    /// Total redo-log bytes this session's commits appended to its ring
+    /// (0 on a database with durable partition logs — see
+    /// [`crate::partition::PartitionedDb::log_bytes`]).
     pub fn log_bytes(&self) -> u64 {
-        self.wal.bytes_logged()
+        self.ring.lock().bytes_logged()
     }
 
-    /// Number of commit records this session has logged.
+    /// Number of commit records on this session's ring.
     pub fn log_records(&self) -> u64 {
-        self.wal.records()
+        self.ring.lock().records()
     }
 
     /// Starts a plain read-write transaction.
@@ -309,8 +321,9 @@ impl Session {
 
     /// Waits out a group-commit [`DurabilityTicket`]: parks until every
     /// partition the commit logged to has fsynced past its group
-    /// ([`WalHandle::wait_covered`]), then until the global durability
-    /// horizon reaches the commit's timestamp — the point at which *every*
+    /// ([`crate::wal::WalHandle::wait_covered`]), then until the global
+    /// durability horizon reaches the commit's timestamp — the point at
+    /// which *every*
     /// commit the acknowledged state could depend on is durable, which is
     /// what makes the acknowledgment crash-safe under early lock release.
     ///
@@ -329,11 +342,10 @@ impl Session {
         let horizon = self.db.durability_horizon();
         let mut covered = true;
         for &(p, lsn) in &ticket.parts {
-            let handle: &WalHandle = match self.db.topology() {
-                Some(t) => &t.wals[p as usize],
-                None => &self.wal,
-            };
-            if handle.wait_covered(lsn).is_err() {
+            if self.db.topology().wals[p as usize]
+                .wait_covered(lsn)
+                .is_err()
+            {
                 covered = false;
                 break;
             }
@@ -478,7 +490,7 @@ impl Session {
     /// group-commit acknowledgment is not waited out; the ticket comes back
     /// in the result instead. Returns the result, the abort-cascade count,
     /// the attempt's timers/lock counters, and the number of partitions the
-    /// access set spanned (always 1 on a monolithic database).
+    /// access set spanned.
     fn attempt(
         &self,
         spec: &dyn TxnSpec,
@@ -719,9 +731,8 @@ impl<'s> Txn<'s> {
     }
 
     /// Number of distinct partitions this attempt's access set (reads,
-    /// writes, buffered inserts) touches — always 1 on a monolithic
-    /// database, and 1 for the partition-local fast path of a
-    /// partitioned one.
+    /// writes, buffered inserts) touches — 1 for the partition-local fast
+    /// path.
     pub fn partitions_spanned(&self) -> u32 {
         self.session.db.partitions_spanned(
             self.ctx
@@ -760,7 +771,7 @@ impl<'s> Txn<'s> {
         debug_assert!(!self.finished, "commit on a finished attempt");
         self.session
             .proto
-            .commit(&self.session.db, &mut self.ctx, &self.session.wal)?;
+            .commit(&self.session.db, &mut self.ctx, &self.session.ring)?;
         self.finished = true;
         // Group commit: the commit point passed, versions are installed
         // and every lock is released (early lock release) — but the client
@@ -821,7 +832,6 @@ mod tests {
 
     fn bamboo_session(db: &Arc<Database>) -> Session {
         Session::new(Arc::clone(db), Arc::new(LockingProtocol::bamboo()))
-            .with_wal_handle(Arc::new(WalHandle::for_tests()))
     }
 
     #[test]

@@ -73,8 +73,7 @@ pub struct WorkerStats {
     /// not pollute the short-transaction percentiles).
     pub snapshot_latency_us_log2: [u64; 32],
     /// Committed transactions whose access set spanned more than one
-    /// partition (0 on a monolithic database; also counted in
-    /// [`WorkerStats::commits`]). The partition-scaling benches report the
+    /// partition (also counted in [`WorkerStats::commits`]). The partition-scaling benches report the
     /// cross-partition share from this.
     pub cross_partition_commits: u64,
 }
@@ -229,7 +228,7 @@ impl BenchResult {
     }
 
     /// Fraction of commits whose access set spanned more than one
-    /// partition (0.0 on a monolithic database).
+    /// partition.
     pub fn cross_partition_share(&self) -> f64 {
         if self.totals.commits == 0 {
             0.0

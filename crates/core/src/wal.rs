@@ -8,20 +8,22 @@
 //! write happens after the commit-semaphore wait and defines the commit
 //! point together with the status CAS.
 //!
-//! [`WalHandle`] is the seam the commit path logs through, and it fronts
-//! one of two sinks:
+//! The ring and the [`WalHandle`] are two things, not two kinds of one:
 //!
-//! * the historical in-memory **ring** ([`WalBuffer`]) — the default, and
-//!   what every monolithic [`crate::Database`] uses;
-//! * a **durable** per-partition segment writer
-//!   ([`bamboo_storage::log::SegmentWriter`]) when
-//!   [`crate::DbOptions::with_wal_dir`] is set on a partitioned database —
-//!   checksummed `Begin`/`Update`/`Insert`/`Commit` records that
-//!   [`crate::durability`] replays after a crash.
+//! * the **ring** ([`WalBuffer`]) belongs to the
+//!   [`Session`](crate::session::Session). A database without
+//!   [`crate::DbOptions::with_wal_dir`] logs every commit there as one
+//!   record, whatever its partition count — the ring is never read back,
+//!   so there is nothing to split by partition;
+//! * the **[`WalHandle`]** is one partition's durable log: a
+//!   [`bamboo_storage::log::SegmentWriter`] of checksummed
+//!   `Begin`/`Update`/`Insert`/`Commit` records that [`crate::durability`]
+//!   replays after a crash. It exists only when the database has a
+//!   `wal_dir`; the protocol code then calls [`WalHandle::append_txn`]
+//!   exactly once per written partition.
 //!
-//! Either way the protocol code calls [`WalHandle::append_txn`] exactly
-//! once per written partition, after the commit point succeeded — so only
-//! committed work ever reaches a durable sink, which is what makes
+//! Either way the log write happens after the commit point succeeded — so
+//! only committed work ever reaches a durable log, which is what makes
 //! recovery redo-only.
 //!
 //! # Group commit
@@ -166,17 +168,14 @@ impl Default for WalBuffer {
 
 /// One write inside a commit's redo group, as handed to
 /// [`WalHandle::append_txn`]. Borrowed from the transaction context — the
-/// log append clones nothing on the ring path and encodes borrowed bytes
-/// on the durable path.
+/// append encodes borrowed bytes and clones nothing.
 pub enum WalWrite<'a> {
     /// After-image of an updated row.
     Update {
         /// Owning table.
         table: TableId,
-        /// Dense row id (what the ring's historical record format carries).
-        row_id: RowId,
-        /// Primary key (what the durable format carries — keys are stable
-        /// across recoveries by construction, row ids only per shard).
+        /// Primary key (keys are stable across recoveries by construction,
+        /// row ids only per shard).
         key: u64,
         /// The full after-image.
         after: &'a Row,
@@ -195,19 +194,13 @@ pub enum WalWrite<'a> {
     },
 }
 
-/// The sink behind a [`WalHandle`].
-enum WalSink {
-    /// The in-memory ring (default; models NVM logging cost).
-    Ring(WalBuffer),
-    /// A durable per-partition segment writer plus its commit-group count.
-    Durable {
-        writer: Box<SegmentWriter>,
-        records: u64,
-    },
-    /// A durable sink whose writer could not be opened (or was torn down by
-    /// a permanent failure): every append fails fast until
-    /// [`WalHandle::replace_writer`] heals it.
-    Poisoned,
+/// What a [`WalHandle`] guards: the partition's segment writer — `None`
+/// when it could not be opened, so every append fails fast until
+/// [`WalHandle::replace_writer`] installs one — plus the commit-group
+/// count, which survives a heal.
+struct WalSink {
+    writer: Option<SegmentWriter>,
+    records: u64,
 }
 
 /// Total write/fsync attempts per operation before a transient fault is
@@ -236,11 +229,10 @@ fn degraded_error(op: &'static str) -> IoFailure {
 /// Outcome of one [`WalHandle::append_txn`].
 #[derive(Clone, Copy, Debug)]
 pub struct GroupAppend {
-    /// True when every byte of the group is durable on return (always true
-    /// for the ring, which has no crash story to promise).
+    /// True when every byte of the group is durable on return.
     pub durable: bool,
     /// LSN just past the group on this partition's log — the coverage
-    /// target a group-commit acknowledgment waits for. Zero on the ring.
+    /// target a group-commit acknowledgment waits for.
     pub end_lsn: Lsn,
 }
 
@@ -282,35 +274,20 @@ thread_local! {
         RefCell::new((Vec::with_capacity(512), Vec::with_capacity(256)));
 }
 
-/// A shareable handle to a WAL sink: an in-memory ring or a durable
-/// segment writer behind a mutex that is taken **only for the duration of
-/// one append**.
+/// One partition's durable log: a segment writer behind a mutex that is
+/// taken **only for the duration of one append**, shared by every session
+/// of the database (the segment file is the serialization point anyway).
+/// A database without [`crate::DbOptions::with_wal_dir`] has none.
 ///
-/// [`Protocol::commit`](crate::protocol::Protocol::commit) receives this
-/// instead of `&mut WalBuffer` so that a commit which *waits* (the
-/// commit-semaphore wait of Algorithm 1 lines 4–5) never holds the log:
-/// with an exclusive borrow, a dependent transaction pinned at its commit
-/// wait would block its own predecessor's log append on the same session —
-/// a deadlock the type system would otherwise force on every caller
-/// sharing a ring. One handle per [`Session`](crate::session::Session)
-/// keeps the ring per-worker in the benchmark executor, so the lock is
-/// uncontended on the hot path. Durable handles are per *partition* (the
-/// segment file is the serialization point anyway), shared by every
-/// session of the partitioned database.
-///
-/// Durable sinks surface storage faults as [`IoFailure`] instead of
-/// panicking: transient faults are retried in place with bounded backoff,
-/// permanent ones (or an exhausted retry budget) poison the handle into a
-/// **degraded** mode where every further append fails fast until
+/// Storage faults surface as [`IoFailure`] instead of panicking: transient
+/// faults are retried in place with bounded backoff, permanent ones (or an
+/// exhausted retry budget) poison the handle into a **degraded** mode
+/// where every further append fails fast until
 /// [`WalHandle::replace_writer`] installs a freshly opened writer.
 pub struct WalHandle {
-    sink: parking_lot::Mutex<WalSink>,
+    sink: Mutex<WalSink>,
     /// Set on permanent failure; checked (fail-fast) before every append.
     degraded: AtomicBool,
-    /// The sink kind, fixed at construction (a heal swaps a durable
-    /// handle's *writer*, never a ring for a durable sink), so the append
-    /// path can pre-encode its group without taking the sink lock.
-    durable_kind: bool,
     /// Transient faults retried successfully or not (observability).
     io_retries: AtomicU64,
     /// Permanent failures that degraded the handle.
@@ -328,19 +305,15 @@ pub struct WalHandle {
 }
 
 impl WalHandle {
-    fn from_sink(sink: WalSink, degraded: bool) -> Self {
+    fn from_writer(writer: Option<SegmentWriter>) -> Self {
         let mut group = GroupState::default();
-        let durable_lsn = match &sink {
-            WalSink::Durable { writer, .. } => {
-                group.set_window(writer.policy());
-                writer.synced_lsn()
-            }
-            _ => 0,
-        };
+        let durable_lsn = writer.as_ref().map_or(0, |w| {
+            group.set_window(w.policy());
+            w.synced_lsn()
+        });
         WalHandle {
-            durable_kind: !matches!(sink, WalSink::Ring(_)),
-            sink: parking_lot::Mutex::new(sink),
-            degraded: AtomicBool::new(degraded),
+            degraded: AtomicBool::new(writer.is_none()),
+            sink: Mutex::new(WalSink { writer, records: 0 }),
             io_retries: AtomicU64::new(0),
             io_failures: AtomicU64::new(0),
             durable_lsn: AtomicU64::new(durable_lsn),
@@ -350,45 +323,18 @@ impl WalHandle {
         }
     }
 
-    /// Wraps an existing ring.
-    pub fn from_buffer(buf: WalBuffer) -> Self {
-        Self::from_sink(WalSink::Ring(buf), false)
-    }
-
-    /// Default-sized ring.
-    pub fn new() -> Self {
-        Self::from_buffer(WalBuffer::new())
-    }
-
-    /// Small ring for unit tests and doctests.
-    pub fn for_tests() -> Self {
-        Self::from_buffer(WalBuffer::for_tests())
-    }
-
     /// Wraps a durable segment writer (one per partition; see
     /// [`crate::DbOptions::with_wal_dir`]).
     pub fn durable(writer: SegmentWriter) -> Self {
-        Self::from_sink(
-            WalSink::Durable {
-                writer: Box::new(writer),
-                records: 0,
-            },
-            false,
-        )
+        Self::from_writer(Some(writer))
     }
 
-    /// A durable handle whose writer failed to open: born degraded, every
-    /// append fails fast with [`IoFailure`] until healed. Lets a
-    /// partitioned database come up (serving snapshot reads and the other
-    /// partitions' writes) even when one partition's log is unopenable.
+    /// A handle whose writer failed to open: born degraded, every append
+    /// fails fast with [`IoFailure`] until healed. Lets a partitioned
+    /// database come up (serving snapshot reads and the other partitions'
+    /// writes) even when one partition's log is unopenable.
     pub fn poisoned() -> Self {
-        Self::from_sink(WalSink::Poisoned, true)
-    }
-
-    /// True when this handle logs to durable segment files (including a
-    /// degraded handle whose writer is torn down: the *intent* is durable).
-    pub fn is_durable(&self) -> bool {
-        self.durable_kind
+        Self::from_writer(None)
     }
 
     /// True when the handle is degraded (writes fail fast; see
@@ -407,30 +353,19 @@ impl WalHandle {
         self.io_failures.load(Ordering::Relaxed)
     }
 
-    /// Heals a degraded durable handle: installs `writer` (freshly opened —
+    /// Heals a degraded handle: installs `writer` (freshly opened —
     /// [`SegmentWriter::open`] already truncated any torn tail) and
-    /// re-admits writes. The commit-group count carries over. Ring handles
-    /// ignore the call.
+    /// re-admits writes. The commit-group count carries over.
     pub fn replace_writer(&self, writer: SegmentWriter) {
-        if !self.durable_kind {
-            return;
-        }
         self.group.lock().set_window(writer.policy());
         let mut sink = self.sink.lock();
-        let records = match &*sink {
-            WalSink::Durable { records, .. } => *records,
-            _ => 0,
-        };
         // The fresh writer resumes past the truncated tail; anything it
         // scanned over is on disk, so the durability watermark restarts
         // there. (It can move *backwards* across a heal: commits beyond the
         // old watermark were never acknowledged, so nothing is retracted.)
         self.durable_lsn
             .store(writer.synced_lsn(), Ordering::Release);
-        *sink = WalSink::Durable {
-            writer: Box::new(writer),
-            records,
-        };
+        sink.writer = Some(writer);
         // Clear the flag only after the sink is swapped: an append racing
         // the heal either fails fast on the flag or serializes behind the
         // sink mutex and lands in the new writer.
@@ -603,26 +538,21 @@ impl WalHandle {
     }
 
     /// Appends one transaction's redo group — its share on this handle's
-    /// partition — after the commit point succeeded.
-    ///
-    /// * Ring sink: one historical-format record (updates use the row id,
-    ///   inserts the key; the ring is never read back).
-    /// * Durable sink: a `Begin` / writes / `Commit` record group carrying
-    ///   `commit_ts` and `parts_mask`, then the fsync policy runs at the
-    ///   commit boundary.
+    /// partition — after the commit point succeeded: a `Begin` / writes /
+    /// `Commit` record group carrying `commit_ts` and `parts_mask`, then
+    /// the fsync policy runs at the commit boundary.
     ///
     /// Returns a [`GroupAppend`]: `durable: true` when every byte of the
-    /// group is durable on return (always so for the ring, which has no
-    /// crash story to promise), `durable: false` when the group is written
-    /// but the fsync policy deferred the barrier — under
+    /// group is durable on return, `durable: false` when the group is
+    /// written but the fsync policy deferred the barrier — under
     /// [`FsyncPolicy::GroupCommit`] the caller later parks on
     /// [`WalHandle::wait_covered`] with the returned `end_lsn`.
     ///
-    /// On a durable sink the whole framed group is encoded into a
-    /// per-thread buffer *before* the sink lock is taken, so the lock
-    /// covers only the file write every committer serializes on.
+    /// The whole framed group is encoded into a per-thread buffer *before*
+    /// the sink lock is taken, so the lock covers only the file write
+    /// every committer serializes on.
     ///
-    /// Durable I/O errors surface as [`IoFailure`] instead of a panic:
+    /// I/O errors surface as [`IoFailure`] instead of a panic:
     /// transient faults are retried up to `WAL_IO_ATTEMPTS` times with
     /// backoff (the whole record group is staged up front, so a retry
     /// rewrites identical bytes without re-consuming `writes`); a permanent
@@ -639,33 +569,9 @@ impl WalHandle {
         if self.is_degraded() {
             return Err(degraded_error("wal append"));
         }
-        if !self.durable_kind {
-            let mut sink = self.sink.lock();
-            let WalSink::Ring(buf) = &mut *sink else {
-                unreachable!("a ring handle's sink never changes kind");
-            };
-            buf.append_commit(
-                txn_id,
-                writes.map(|w| match w {
-                    WalWrite::Update {
-                        table,
-                        row_id,
-                        after,
-                        ..
-                    } => (table, row_id, after),
-                    WalWrite::Insert {
-                        table, key, row, ..
-                    } => (table, key, row),
-                }),
-            );
-            return Ok(GroupAppend {
-                durable: true,
-                end_lsn: 0,
-            });
-        }
-        // Durable path: frame the whole Begin / writes / Commit group into
-        // the per-thread buffer before taking the sink lock. The iterator
-        // is consumed exactly once, and retries rewrite the staged bytes
+        // Frame the whole Begin / writes / Commit group into the
+        // per-thread buffer before taking the sink lock. The iterator is
+        // consumed exactly once, and retries rewrite the staged bytes
         // verbatim.
         GROUP_ENCODE.with(|cell| {
             let (framed, scratch) = &mut *cell.borrow_mut();
@@ -681,9 +587,9 @@ impl WalHandle {
             );
             for w in writes {
                 match w {
-                    WalWrite::Update {
-                        table, key, after, ..
-                    } => frame_update(framed, scratch, table.0, key, after),
+                    WalWrite::Update { table, key, after } => {
+                        frame_update(framed, scratch, table.0, key, after)
+                    }
                     WalWrite::Insert {
                         table,
                         key,
@@ -700,15 +606,14 @@ impl WalHandle {
                 }
             }
             frame_record(framed, scratch, &WalRecord::Commit { txn_id, commit_ts });
-            match &mut *self.sink.lock() {
-                WalSink::Durable { writer, records } => {
-                    writer.stage_framed(framed);
-                    self.land_group(writer, records)
-                }
-                // Poisoned: the writer was torn down after the flag check.
-                // (A durable handle never holds a ring.)
-                _ => Err(degraded_error("wal append")),
-            }
+            let mut sink = self.sink.lock();
+            let sink = &mut *sink;
+            // No writer: the handle was born poisoned and is not healed yet.
+            let Some(writer) = sink.writer.as_mut() else {
+                return Err(degraded_error("wal append"));
+            };
+            writer.stage_framed(framed);
+            self.land_group(writer, &mut sink.records)
         })
     }
 
@@ -758,31 +663,28 @@ impl WalHandle {
         }
     }
 
-    /// Appends a checkpoint marker (durable sinks; a no-op on the ring)
-    /// and returns the sink's current end LSN.
+    /// Appends a checkpoint marker and returns the log's end LSN.
     pub fn append_checkpoint(&self, stable_ts: u64, cuts: &[Lsn]) -> Result<Lsn, IoFailure> {
         if self.is_degraded() {
             return Err(degraded_error("checkpoint append"));
         }
-        match &mut *self.sink.lock() {
-            WalSink::Ring(buf) => Ok(buf.bytes_logged()),
-            WalSink::Poisoned => Err(degraded_error("checkpoint append")),
-            WalSink::Durable { writer, .. } => {
-                writer.stage_record(&WalRecord::Checkpoint {
-                    stable_ts,
-                    cuts: cuts.to_vec(),
-                });
-                self.flush_staged(writer, "checkpoint append")?;
-                if let Err(f) = self.sync_writer(writer, "checkpoint fsync") {
-                    let _ = writer.abandon_group();
-                    return Err(f);
-                }
-                Ok(writer.lsn())
-            }
+        let mut sink = self.sink.lock();
+        let Some(writer) = sink.writer.as_mut() else {
+            return Err(degraded_error("checkpoint append"));
+        };
+        writer.stage_record(&WalRecord::Checkpoint {
+            stable_ts,
+            cuts: cuts.to_vec(),
+        });
+        self.flush_staged(writer, "checkpoint append")?;
+        if let Err(f) = self.sync_writer(writer, "checkpoint fsync") {
+            let _ = writer.abandon_group();
+            return Err(f);
         }
+        Ok(writer.lsn())
     }
 
-    /// Forces buffered bytes to disk (durable sinks; a no-op on the ring).
+    /// Forces buffered bytes to disk.
     pub fn sync(&self) -> Result<(), IoFailure> {
         self.sync_as("wal fsync")
     }
@@ -796,42 +698,27 @@ impl WalHandle {
         if self.is_degraded() {
             return Err(degraded_error(op));
         }
-        match &mut *self.sink.lock() {
-            WalSink::Ring(_) => Ok(()),
-            WalSink::Poisoned => Err(degraded_error(op)),
-            WalSink::Durable { writer, .. } => self.sync_writer(writer, op),
+        match self.sink.lock().writer.as_mut() {
+            Some(writer) => self.sync_writer(writer, op),
+            None => Err(degraded_error(op)),
         }
     }
 
-    /// The sink's current end position: the next LSN on a durable sink,
-    /// total bytes appended on a ring.
+    /// The log's current end position: the next LSN (0 while the handle
+    /// has no writer).
     pub fn current_lsn(&self) -> Lsn {
-        match &*self.sink.lock() {
-            WalSink::Ring(buf) => buf.bytes_logged(),
-            WalSink::Durable { writer, .. } => writer.lsn(),
-            WalSink::Poisoned => 0,
-        }
+        self.sink.lock().writer.as_ref().map_or(0, |w| w.lsn())
     }
 
-    /// Total bytes appended over the sink's lifetime (the same number as
+    /// Total bytes appended over the log's lifetime (the same number as
     /// [`WalHandle::current_lsn`], read as a volume rather than a position).
     pub fn bytes_logged(&self) -> u64 {
         self.current_lsn()
     }
 
-    /// Number of commit records (ring) / commit groups (durable) appended.
+    /// Number of commit groups appended.
     pub fn records(&self) -> u64 {
-        match &*self.sink.lock() {
-            WalSink::Ring(buf) => buf.records(),
-            WalSink::Durable { records, .. } => *records,
-            WalSink::Poisoned => 0,
-        }
-    }
-}
-
-impl Default for WalHandle {
-    fn default() -> Self {
-        Self::new()
+        self.sink.lock().records
     }
 }
 

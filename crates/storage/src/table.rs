@@ -67,7 +67,7 @@ impl<M> Tuple<M> {
     }
 
     /// [`Tuple::install_versioned`] with an explicit version-chain trim
-    /// threshold (the database-level `DbOptions::trim_threshold` knob).
+    /// threshold.
     #[inline]
     pub fn install_versioned_with(
         &self,

@@ -37,9 +37,9 @@ pub const TS_LOADER: u64 = 0;
 
 /// Default retained-version count above which [`VersionChain::install_at`]
 /// trims even if the watermark looks unchanged — bounds per-install trim
-/// work while keeping idle chains short. Tunable per database through
-/// `bamboo_core`'s `DbOptions::trim_threshold` (installs then go through
-/// [`VersionChain::install_at_with`]).
+/// work while keeping idle chains short. Every commit installs with it;
+/// [`VersionChain::install_at_with`] takes another for the benchmark's
+/// `version.*` probes.
 pub const DEFAULT_TRIM_THRESHOLD: usize = 8;
 
 /// A tuple's committed image plus its retained older versions.
@@ -105,10 +105,9 @@ impl VersionChain {
         self.install_at_with(row, commit_ts, watermark, DEFAULT_TRIM_THRESHOLD);
     }
 
-    /// [`VersionChain::install_at`] with an explicit trim threshold (the
-    /// database-level `DbOptions::trim_threshold` knob): the chain trims
-    /// once it retains more than `trim_threshold` older versions, or when
-    /// `watermark` advanced since the last trim.
+    /// [`VersionChain::install_at`] with an explicit trim threshold: the
+    /// chain trims once it retains more than `trim_threshold` older
+    /// versions, or when `watermark` advanced since the last trim.
     pub fn install_at_with(
         &mut self,
         row: Row,
@@ -301,8 +300,7 @@ mod tests {
 
     #[test]
     fn custom_trim_threshold_bounds_the_backlog() {
-        // DbOptions::trim_threshold reaches the chain through
-        // install_at_with: with a threshold of 2 the dead-version backlog
+        // With a threshold of 2 the dead-version backlog
         // that accumulates while the watermark sits still is swept several
         // installs earlier than under the default of 8.
         let mut c = VersionChain::new(row(0));

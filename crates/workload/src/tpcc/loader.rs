@@ -1,8 +1,8 @@
-//! TPC-C database loader — monolithic ([`load`]) and warehouse-partitioned
-//! ([`load_partitioned`]).
+//! TPC-C database loader: warehouse-partitioned ([`load_partitioned`]),
+//! with [`load`] as its one-partition case.
 //!
-//! The partitioned variant is the canonical TPC-C split: warehouse `w`
-//! lives on partition `w % partitions`, and every warehouse-scoped table
+//! The split is the canonical TPC-C one: warehouse `w` lives on partition
+//! `w % partitions`, and every warehouse-scoped table
 //! (district, customer, stock, orders, order lines, history) routes by the
 //! warehouse id embedded in its composite key
 //! ([`bamboo_storage::RouteStrategy::ShiftDiv`] decodes it). The
@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use bamboo_core::{Database, DatabaseBuilder, PartitionedDb};
+use bamboo_core::{Database, PartitionedDb};
 use bamboo_storage::{
     DataType, PartitionId, RouteStrategy, Row, Schema, SecondaryIndex, TableId, Value,
 };
@@ -193,67 +193,13 @@ fn customer_name_num(c: u64, rng: &mut SmallRng) -> u64 {
     }
 }
 
-/// Registers the TPC-C tables and loads initial data. Returns the database,
-/// the table ids, and the customer-by-last-name secondary index.
+/// Loads TPC-C on one partition, whatever `cfg.partitions` says, and hands
+/// out that partition: the database, the table ids, and the
+/// customer-by-last-name secondary index.
 pub fn load(cfg: &TpccConfig) -> (Arc<Database>, TpccTables, Arc<SecondaryIndex>) {
-    let mut b: DatabaseBuilder = Database::builder();
-    let w_count = cfg.warehouses;
-    let tables = TpccTables {
-        warehouse: b.add_table_with_capacity("warehouse", warehouse_schema(), w_count as usize),
-        district: b.add_table_with_capacity(
-            "district",
-            district_schema(),
-            (w_count * DISTRICTS_PER_WAREHOUSE) as usize,
-        ),
-        customer: b.add_table_with_capacity(
-            "customer",
-            customer_schema(),
-            (w_count * DISTRICTS_PER_WAREHOUSE * cfg.customers_per_district) as usize,
-        ),
-        history: b.add_table("history", history_schema()),
-        item: b.add_table_with_capacity("item", item_schema(), cfg.items as usize),
-        stock: b.add_table_with_capacity("stock", stock_schema(), (w_count * cfg.items) as usize),
-        orders: b.add_table("orders", orders_schema()),
-        new_order: b.add_table("new_order", new_order_schema()),
-        order_line: b.add_table("order_line", order_line_schema()),
-    };
-    let db = b.build();
-    let mut rng = SmallRng::seed_from_u64(0xBA_5EBA11);
-
-    for w in 0..w_count {
-        db.table(tables.warehouse)
-            .insert(w, warehouse_row(w, &mut rng));
-        for d in 0..DISTRICTS_PER_WAREHOUSE {
-            db.table(tables.district)
-                .insert(dist_key(w, d), district_row(w, d, &mut rng));
-        }
-    }
-
-    let lastname_idx = db.table(tables.customer).add_secondary_index();
-    for w in 0..w_count {
-        for d in 0..DISTRICTS_PER_WAREHOUSE {
-            for c in 0..cfg.customers_per_district {
-                let name_num = customer_name_num(c, &mut rng);
-                let key = cust_key(w, d, c, cfg.customers_per_district);
-                let tuple = db
-                    .table(tables.customer)
-                    .insert(key, customer_row(key, c, name_num, &mut rng));
-                lastname_idx.insert(lastname_index_key(w, d, name_num), tuple.row_id);
-            }
-        }
-    }
-
-    for i in 0..cfg.items {
-        db.table(tables.item).insert(i, item_row(i, &mut rng));
-    }
-    for w in 0..w_count {
-        for i in 0..cfg.items {
-            let key = stock_key(w, i, cfg.items);
-            db.table(tables.stock).insert(key, stock_row(key, &mut rng));
-        }
-    }
-
-    (db, tables, lastname_idx)
+    let (pdb, tables, mut lastname) = load_partitioned(&cfg.clone().with_partitions(1));
+    let db = Arc::clone(pdb.db(PartitionId(0)));
+    (db, tables, lastname.remove(0))
 }
 
 /// Registers the TPC-C tables on every partition (warehouse `w` →

@@ -49,8 +49,8 @@ pub struct TpccConfig {
     /// of locking readers.
     pub readonly_snapshot: bool,
     /// Warehouse partitioning ([`load_partitioned`]): warehouse `w` lives
-    /// on partition `w % partitions`, `item` is replicated. 1 = the
-    /// classic monolithic database. Remote-warehouse payments and
+    /// on partition `w % partitions`, `item` is replicated. 1 = every
+    /// warehouse on one partition. Remote-warehouse payments and
     /// remote-stock order lines become genuine cross-partition
     /// transactions.
     pub partitions: u64,
@@ -113,14 +113,14 @@ impl TpccConfig {
     }
 }
 
-/// TPC-C transaction generator. Works over a monolithic database
-/// ([`TpccWorkload::new`]) or a warehouse-partitioned one
-/// ([`TpccWorkload::new_partitioned`]); the only generation-time
-/// difference is which partition's customer shard resolves the
-/// by-last-name lookup and which home partition each spec carries.
+/// TPC-C transaction generator over a warehouse-partitioned database
+/// ([`TpccWorkload::new_partitioned`]; [`TpccWorkload::new`] is its
+/// one-partition case). The partition count only decides which partition's
+/// customer shard resolves the by-last-name lookup and which home
+/// partition each spec carries.
 pub struct TpccWorkload {
     cfg: TpccConfig,
-    /// One database view per partition (a single entry when monolithic).
+    /// One database view per partition.
     dbs: Vec<Arc<Database>>,
     tables: TpccTables,
     /// The per-partition customer-by-last-name indexes (parallel to
@@ -130,20 +130,14 @@ pub struct TpccWorkload {
 }
 
 impl TpccWorkload {
-    /// Builds the generator over a loaded monolithic database.
+    /// Builds the generator over the one partition [`load`] hands out.
     pub fn new(
         cfg: TpccConfig,
         db: Arc<Database>,
         tables: TpccTables,
         lastname_idx: Arc<SecondaryIndex>,
     ) -> Self {
-        TpccWorkload {
-            cfg,
-            dbs: vec![db],
-            tables,
-            lastname: vec![lastname_idx],
-            history_seq: AtomicU64::new(1),
-        }
+        Self::over(cfg, vec![db], tables, vec![lastname_idx])
     }
 
     /// Builds the generator over a warehouse-partitioned database (the
@@ -154,14 +148,24 @@ impl TpccWorkload {
         tables: TpccTables,
         lastname: Vec<Arc<SecondaryIndex>>,
     ) -> Self {
+        let dbs = pdb.parts().iter().map(|p| Arc::clone(p.db())).collect();
+        Self::over(cfg, dbs, tables, lastname)
+    }
+
+    fn over(
+        cfg: TpccConfig,
+        dbs: Vec<Arc<Database>>,
+        tables: TpccTables,
+        lastname: Vec<Arc<SecondaryIndex>>,
+    ) -> Self {
         assert_eq!(
             lastname.len(),
-            pdb.partitions() as usize,
+            dbs.len(),
             "one lastname index per partition"
         );
         TpccWorkload {
             cfg,
-            dbs: pdb.parts().iter().map(|p| Arc::clone(p.db())).collect(),
+            dbs,
             tables,
             lastname,
             history_seq: AtomicU64::new(1),
@@ -179,7 +183,7 @@ impl TpccWorkload {
     }
 
     /// The shard (and home partition) of warehouse `w` — `w % partitions`,
-    /// matching the router's `ShiftDiv` mapping; 0 when monolithic.
+    /// matching the router's `ShiftDiv` mapping.
     fn shard(&self, w: u64) -> usize {
         (w % self.dbs.len() as u64) as usize
     }

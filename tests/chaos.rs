@@ -27,7 +27,7 @@ use bamboo_repro::core::partition::{PartSession, PartitionedDb};
 use bamboo_repro::core::protocol::{
     Ic3Protocol, LockingProtocol, PieceAccess, PieceDecl, Protocol, SiloProtocol, TemplateDecl,
 };
-use bamboo_repro::core::{AbortReason, DbOptions, TxnOptions};
+use bamboo_repro::core::{AbortReason, DbOptions};
 use bamboo_repro::storage::log::FaultInjector;
 use bamboo_repro::storage::{
     DataType, FaultBackend, FaultPlan, FsyncPolicy, PartitionId, RouteStrategy, Row, Schema,
@@ -574,7 +574,7 @@ fn group_commit_batch_fsync_failure_fails_whole_batch_and_degrades() {
 }
 
 /// The `DurabilityFailed` contract of the shared commit tail, across every
-/// protocol family: a commit that reaches its commit point and is then
+/// protocol that runs on a durable database: a commit that reaches its commit point and is then
 /// revoked by a storage fault must release its locks exactly once and
 /// retire its commit timestamp — the tuples end quiescent, no version
 /// installed, the clock's stable point past the failed timestamp — and a
@@ -582,23 +582,12 @@ fn group_commit_batch_fsync_failure_fails_whole_batch_and_degrades() {
 /// partition is healed.
 #[test]
 fn durability_failed_abort_releases_locks_under_every_protocol() {
-    let ic3_generic = || {
-        vec![TemplateDecl {
-            name: "generic".into(),
-            pieces: vec![PieceDecl::new(vec![PieceAccess::write(
-                ACCOUNTS,
-                u64::MAX,
-                u64::MAX,
-            )])],
-        }]
-    };
     let protocols: Vec<(&str, Arc<dyn Protocol>)> = vec![
         ("bamboo", Arc::new(LockingProtocol::bamboo())),
         ("wound_wait", Arc::new(LockingProtocol::wound_wait())),
         ("wait_die", Arc::new(LockingProtocol::wait_die())),
         ("no_wait", Arc::new(LockingProtocol::no_wait())),
         ("silo", Arc::new(SiloProtocol::new())),
-        ("ic3", Arc::new(Ic3Protocol::new(ic3_generic(), false))),
     ];
     for (name, proto) in protocols {
         let dir = tmp_dir(&format!("release-{name}"));
@@ -640,12 +629,10 @@ fn durability_failed_abort_releases_locks_under_every_protocol() {
 
         injector.arm();
         {
-            let mut txn = session.begin_on_with(PartitionId(0), TxnOptions::new().template(0));
-            txn.piece_begin(0).unwrap();
+            let mut txn = session.begin_on(PartitionId(0));
             for k in 0..2u64 {
                 txn.update(t, k, |r| r.set(1, Value::I64(99))).unwrap();
             }
-            txn.piece_end().unwrap();
             let err = txn.commit().unwrap_err();
             assert_eq!(
                 err.0,
@@ -672,10 +659,6 @@ fn durability_failed_abort_releases_locks_under_every_protocol() {
                 tup.meta.lock.lock().is_quiescent(),
                 "{name}: key {k} left residual lock state after DurabilityFailed"
             );
-            assert!(
-                tup.meta.ic3.lock().is_quiescent(),
-                "{name}: key {k} left residual ic3 state after DurabilityFailed"
-            );
             assert_eq!(
                 tup.read_row().get_i64(1),
                 0,
@@ -689,12 +672,10 @@ fn durability_failed_abort_releases_locks_under_every_protocol() {
         }
 
         pdb.heal(PartitionId(0)).expect("disarmed heal succeeds");
-        let mut txn = session.begin_on_with(PartitionId(0), TxnOptions::new().template(0));
-        txn.piece_begin(0).unwrap();
+        let mut txn = session.begin_on(PartitionId(0));
         for k in 0..2u64 {
             txn.update(t, k, |r| r.set(1, Value::I64(7))).unwrap();
         }
-        txn.piece_end().unwrap();
         txn.commit().unwrap_or_else(|e| {
             panic!("{name}: follow-up txn blocked by a leaked lock or stuck degraded flag: {e}")
         });
@@ -703,4 +684,39 @@ fn durability_failed_abort_releases_locks_under_every_protocol() {
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// IC3 logs column-local copies that crash recovery cannot replay as
+/// whole-row images, so the pair "IC3 + a database with a `wal_dir`" is
+/// refused where the two meet — binding a session — instead of
+/// acknowledging commits as durable and recovering them wrong.
+#[test]
+#[should_panic(expected = "IC3-pess cannot run on a database with a wal_dir")]
+fn ic3_on_a_durable_database_is_refused() {
+    /// Removes the log directory when the expected panic unwinds.
+    struct Cleanup(PathBuf);
+    impl Drop for Cleanup {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+    let dir = Cleanup(tmp_dir("ic3-refused"));
+    let mut b = PartitionedDb::builder(1);
+    b.add_table(
+        "accounts",
+        Schema::build()
+            .column("k", DataType::U64)
+            .column("v", DataType::I64),
+        RouteStrategy::Hash,
+    );
+    b.with_options(DbOptions::new().with_wal_dir(dir.0.clone()));
+    let generic = vec![TemplateDecl {
+        name: "generic".into(),
+        pieces: vec![PieceDecl::new(vec![PieceAccess::write(
+            ACCOUNTS,
+            u64::MAX,
+            u64::MAX,
+        )])],
+    }];
+    PartSession::new(b.build(), Arc::new(Ic3Protocol::new(generic, false)));
 }

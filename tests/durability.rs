@@ -14,9 +14,8 @@ use std::sync::Arc;
 
 use bamboo_repro::core::partition::{PartSession, PartitionedDb};
 use bamboo_repro::core::protocol::{LockingProtocol, Protocol};
-use bamboo_repro::core::wal::WalHandle;
 use bamboo_repro::core::DbOptions;
-use bamboo_repro::storage::log::{LogDir, SegmentWriter, WalRecord};
+use bamboo_repro::storage::log::{SegmentWriter, WalRecord};
 use bamboo_repro::storage::{
     DataType, FsyncPolicy, PartitionId, RouteStrategy, Row, Schema, TableId, Value,
 };
@@ -534,22 +533,6 @@ fn recovery_rule_comes_from_the_log_not_the_caller() {
         "an EveryCommit log takes the individual-drop rule whatever the caller passes"
     );
     assert_eq!(state(&rec, t), expected, "the later acked group survives");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// `WalHandle::replace_writer` heals *durable* handles; a ring handle
-/// ignores it and stays a ring — its sink kind is fixed at construction.
-#[test]
-fn replace_writer_on_a_ring_handle_leaves_it_a_ring() {
-    let dir = tmp_dir("ring-heal");
-    let wal = WalHandle::for_tests();
-    wal.replace_writer(SegmentWriter::open(&dir, 0, FsyncPolicy::EveryCommit, 1 << 20).unwrap());
-    assert!(!wal.is_durable(), "a ring stays a ring");
-    let landed = wal.append_txn(1, 1, 1, std::iter::empty()).unwrap();
-    assert_eq!(landed.end_lsn, 0, "ring appends carry no LSN");
-    assert_eq!(wal.records(), 1);
-    let scan = LogDir::real(&dir).scan_partition_from(0, 0).unwrap();
-    assert!(scan.records.is_empty(), "nothing reached the segment");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -4,11 +4,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use bamboo_repro::core::executor::{run_bench, BenchConfig, TxnSpec, Workload};
+use bamboo_repro::core::executor::{run_bench, run_part_bench, BenchConfig, TxnSpec, Workload};
 use bamboo_repro::core::protocol::{LockingProtocol, Protocol};
 use bamboo_repro::core::stats::reason_name;
-use bamboo_repro::core::{Abort, AbortReason, Database, Txn};
-use bamboo_repro::storage::{DataType, Row, Schema, TableId, Value};
+use bamboo_repro::core::{Abort, AbortReason, Database, PartSession, PartitionedDb, Txn};
+use bamboo_repro::storage::{DataType, PartitionId, RouteStrategy, Row, Schema, TableId, Value};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -205,4 +205,101 @@ fn wal_bytes_accounted_per_worker() {
         res.totals.log_bytes > res.totals.commits,
         "every commit writes a redo record"
     );
+}
+
+/// A transfer between key `k` on partition 0 and key `100 + k` on
+/// partition 1, homed on either: every commit is cross-partition and logs
+/// a record of one fixed size.
+struct CrossTransfer {
+    t: TableId,
+    k: u64,
+    home: u32,
+}
+
+impl TxnSpec for CrossTransfer {
+    fn home_partition(&self) -> u32 {
+        self.home
+    }
+
+    fn run_piece(&self, _p: usize, txn: &mut Txn<'_>) -> Result<(), Abort> {
+        txn.update(self.t, self.k, |r| r.set(1, Value::I64(r.get_i64(1) - 1)))?;
+        txn.update(self.t, 100 + self.k, |r| {
+            r.set(1, Value::I64(r.get_i64(1) + 1))
+        })
+    }
+}
+
+struct CrossWl {
+    t: TableId,
+}
+
+impl Workload for CrossWl {
+    fn name(&self) -> &str {
+        "cross-transfer"
+    }
+
+    fn generate(&self, _w: usize, rng: &mut SmallRng) -> Box<dyn TxnSpec> {
+        Box::new(CrossTransfer {
+            t: self.t,
+            k: rng.gen_range(0..16),
+            home: rng.gen_range(0..2),
+        })
+    }
+}
+
+/// Without a wal dir a partitioned run logs to its workers' session rings:
+/// `totals.log_bytes` is the sum over *every* session of every worker (the
+/// specs are homed on both partitions), one record per commit, and
+/// cross-partition commits are still counted as such.
+#[test]
+fn partitioned_ring_bytes_summed_over_every_session() {
+    let mut b = PartitionedDb::builder(2);
+    let t = b.add_table(
+        "t",
+        Schema::build()
+            .column("k", DataType::U64)
+            .column("v", DataType::I64),
+        RouteStrategy::Range(vec![100]),
+    );
+    let pdb = b.build();
+    for k in (0..16u64).chain(100..116) {
+        pdb.insert(t, k, Row::from(vec![Value::U64(k), Value::I64(0)]));
+    }
+    let proto: Arc<dyn Protocol> = Arc::new(LockingProtocol::bamboo());
+
+    // One commit's record, measured on a session of its own.
+    let probe = PartSession::new(Arc::clone(&pdb), Arc::clone(&proto));
+    let spec = CrossTransfer { t, k: 0, home: 1 };
+    probe.session(PartitionId(1)).run(&spec).unwrap();
+    let record: u64 = (0..2)
+        .map(|p| probe.session(PartitionId(p)).log_bytes())
+        .sum();
+    assert!(record > 0);
+    assert_eq!(
+        probe.session(PartitionId(1)).log_records(),
+        1,
+        "one ring record"
+    );
+    assert_eq!(probe.session(PartitionId(0)).log_records(), 0);
+
+    let wl: Arc<dyn Workload> = Arc::new(CrossWl { t });
+    let res = run_part_bench(&pdb, &proto, &wl, &BenchConfig::quick(2));
+    assert!(res.totals.commits > 0);
+    assert_eq!(
+        res.totals.cross_partition_commits, res.totals.commits,
+        "every transfer spans both partitions"
+    );
+    // Each commit moved one unit out of partition 0's keys (warmup and the
+    // probe's commit included), and the rings' counters are lifetime ones.
+    let moved: i64 = (0..16u64)
+        .map(|k| {
+            -pdb.table(PartitionId(0), t)
+                .get(k)
+                .unwrap()
+                .read_row()
+                .get_i64(1)
+        })
+        .sum();
+    assert_eq!(res.totals.log_bytes, record * (moved as u64 - 1));
+    assert_eq!(pdb.log_bytes(), 0, "no wal dir: no partition logs");
 }

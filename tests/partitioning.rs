@@ -1,22 +1,30 @@
 //! End-to-end partitioning tests: router determinism at the storage layer,
 //! cross-partition serializability (the bank-transfer invariant under all
-//! five protocols), the zero-extra-locks guarantee of the single-partition
-//! fast path, and the snapshot-scan visibility regression (a remote
-//! partition's post-snapshot insert is a phantom to skip, never an abort).
+//! five protocols), where a cross-partition commit is logged (one ring
+//! record, or one durable group per written partition), the
+//! zero-extra-locks guarantee of the single-partition fast path, that
+//! `Database::builder()` is the one-partition case of the same engine, and
+//! the snapshot-scan visibility regression (a remote partition's
+//! post-snapshot insert is a phantom to skip, never an abort).
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use bamboo_repro::core::executor::Workload;
 use bamboo_repro::core::partition::{PartSession, PartitionedDb};
 use bamboo_repro::core::protocol::{
     Ic3Protocol, InteractiveProtocol, LockingProtocol, PieceAccess, PieceDecl, Protocol,
     SiloProtocol, TemplateDecl,
 };
 use bamboo_repro::core::sync::thread_lock_acquisitions;
-use bamboo_repro::core::{Database, Session};
+use bamboo_repro::core::{Database, DbOptions, Session};
+use bamboo_repro::storage::log::WalRecord;
 use bamboo_repro::storage::{
     DataType, PartitionId, RouteStrategy, Router, Row, Schema, TableId, Value,
 };
+use bamboo_repro::workload::ycsb::{self, YcsbConfig, YcsbWorkload};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 /// Accounts per partition in the bank fixture.
 const ACCOUNTS_PER_PART: u64 = 8;
@@ -32,9 +40,14 @@ fn kv_schema() -> Schema {
 /// A bank of `parts * ACCOUNTS_PER_PART` accounts, range-partitioned so
 /// account `a` lives on partition `a / ACCOUNTS_PER_PART`.
 fn bank(parts: u32) -> (Arc<PartitionedDb>, TableId) {
+    bank_with(parts, DbOptions::new())
+}
+
+fn bank_with(parts: u32, options: DbOptions) -> (Arc<PartitionedDb>, TableId) {
     let bounds = (1..parts as u64).map(|i| i * ACCOUNTS_PER_PART).collect();
     let mut b = PartitionedDb::builder(parts);
     let t = b.add_table("accounts", kv_schema(), RouteStrategy::Range(bounds));
+    b.with_options(options);
     let pdb = b.build();
     for a in 0..parts as u64 * ACCOUNTS_PER_PART {
         pdb.insert(t, a, Row::from(vec![Value::U64(a), Value::I64(INITIAL)]));
@@ -145,17 +158,118 @@ fn cross_partition_bank_transfers_conserve_money_under_all_protocols() {
             2 * ACCOUNTS_PER_PART as i64 * INITIAL,
             "{name}: cross-partition transfers leaked money"
         );
-        assert!(
-            pdb.part(PartitionId(0)).wal().records() > 0
-                && pdb.part(PartitionId(1)).wal().records() > 0,
-            "{name}: cross-partition commits must log on both partitions"
+        // No wal dir: a cross-partition commit is one record on the ring
+        // of the session it committed through (all homed on partition 0).
+        assert_eq!(
+            session.session(PartitionId(0)).log_records(),
+            (threads * per) as u64,
+            "{name}: one ring record per cross-partition commit"
         );
+        assert_eq!(session.session(PartitionId(1)).log_records(), 0);
     }
 }
 
+/// The durable group format of a cross-partition commit, under every
+/// protocol that runs on a durable database: a `Begin … Commit` group on
+/// *each* written partition's log, all carrying the one commit timestamp
+/// and the full written-partition mask — what crash recovery checks
+/// completeness against.
+#[test]
+fn cross_partition_commits_log_a_group_on_every_written_partition() {
+    for (name, proto) in roster() {
+        if !proto.redo_replayable() {
+            continue; // IC3: refused on a durable database.
+        }
+        let dir = std::env::temp_dir().join(format!("bamboo-part-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // FsyncPolicy::Never (the default): the log is read back, not
+        // crashed.
+        let options = DbOptions::new().with_wal_dir(&dir);
+        let log = options.log_dir().expect("wal dir set");
+        let (pdb, t) = bank_with(2, options);
+        let session = PartSession::new(Arc::clone(&pdb), proto);
+        let transfers = 5;
+        for i in 0..transfers {
+            let mut txn = session.begin_on(PartitionId(i as u32 % 2));
+            txn.update(t, i, |r| r.set(1, Value::I64(r.get_i64(1) - 1)))
+                .unwrap();
+            txn.update(t, ACCOUNTS_PER_PART + i, |r| {
+                r.set(1, Value::I64(r.get_i64(1) + 1))
+            })
+            .unwrap();
+            txn.commit().unwrap();
+        }
+        let groups = |p: u32| -> Vec<(u64, u64)> {
+            pdb.part(PartitionId(p)).wal().sync().unwrap();
+            let scan = log.scan_partition_from(p, 0).unwrap();
+            scan.records
+                .iter()
+                .filter_map(|(_, r)| match r {
+                    WalRecord::Begin {
+                        commit_ts,
+                        parts_mask,
+                        ..
+                    } => Some((*commit_ts, *parts_mask)),
+                    _ => None,
+                })
+                .collect()
+        };
+        let (g0, g1) = (groups(0), groups(1));
+        assert_eq!(g0.len(), transfers as usize, "{name}: a group per commit");
+        assert_eq!(g0, g1, "{name}: same commit_ts and mask on both logs");
+        assert!(
+            g0.iter().all(|&(_, mask)| mask == 0b11),
+            "{name}: the mask names both written partitions"
+        );
+        assert_eq!(
+            session.session(PartitionId(0)).log_records(),
+            0,
+            "{name}: the ring is not used beside a durable log"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// `Database::builder()` is the one-partition case of the partitioned
+/// engine, not a second engine: the same seeded single-threaded YCSB run
+/// on a database built through it and on `PartitionedDb::builder(1)`
+/// (range-routed, as `ycsb::load_partitioned` builds it) ends with
+/// identical rows, identical ring bytes and identical record counts.
+#[test]
+fn database_builder_and_one_partition_db_run_ycsb_identically() {
+    let cfg = YcsbConfig::default().with_rows(512);
+    let (pdb, t) = ycsb::load_partitioned(&cfg);
+    let part = Arc::clone(pdb.db(PartitionId(0)));
+    let mut b = Database::builder();
+    let t2 = b.add_table("usertable", part.table(t).schema.clone());
+    assert_eq!(t, t2);
+    let built = b.build();
+    for k in 0..cfg.rows {
+        built
+            .table(t)
+            .insert(k, part.table(t).get(k).unwrap().read_row());
+    }
+    let run = |db: &Arc<Database>| {
+        let session = Session::new(Arc::clone(db), Arc::new(LockingProtocol::bamboo()));
+        let wl = YcsbWorkload::new(cfg.clone(), t);
+        let mut rng = SmallRng::seed_from_u64(7);
+        for _ in 0..200 {
+            session.run(wl.generate(0, &mut rng).as_ref()).unwrap();
+        }
+        let rows: Vec<Row> = (0..cfg.rows)
+            .map(|k| db.table(t).get(k).unwrap().read_row())
+            .collect();
+        (rows, session.log_bytes(), session.log_records())
+    };
+    let (rows_a, bytes_a, records_a) = run(&built);
+    let (rows_b, bytes_b, records_b) = run(&part);
+    assert_eq!(records_a, 200);
+    assert_eq!((bytes_a, records_a), (bytes_b, records_b));
+    assert!(rows_a == rows_b, "the two builds diverged");
+}
+
 /// The single-partition fast path takes **no more lock acquisitions** than
-/// the identical transaction on a pre-refactor-style monolithic database —
-/// measured with the vendored parking_lot shim's per-thread lock counter
+/// the identical transaction on a one-partition database — measured with the vendored parking_lot shim's per-thread lock counter
 /// over the whole begin→read→update→commit cycle (tuple latches, WAL lock,
 /// everything).
 #[test]
@@ -181,16 +295,16 @@ fn single_partition_fast_path_takes_no_extra_locks() {
         thread_lock_acquisitions() - before
     };
 
-    // Monolithic baseline.
+    // One-partition baseline.
     let mut b = Database::builder();
     let t = b.add_table("accounts", kv_schema());
-    let mono = b.build();
+    let one = b.build();
     for a in 0..ACCOUNTS_PER_PART {
-        mono.table(t)
+        one.table(t)
             .insert(a, Row::from(vec![Value::U64(a), Value::I64(0)]));
     }
-    let mono_session = Session::new(mono, Arc::new(LockingProtocol::bamboo()));
-    let mono_locks = ops(&mono_session, t, 0);
+    let one_session = Session::new(one, Arc::new(LockingProtocol::bamboo()));
+    let one_locks = ops(&one_session, t, 0);
 
     // 4-partition database, transaction confined to partition 2's keys.
     let (pdb, t) = bank(4);
@@ -199,9 +313,9 @@ fn single_partition_fast_path_takes_no_extra_locks() {
     let part_locks = ops(psession.session(home), t, 2 * ACCOUNTS_PER_PART);
 
     assert!(
-        part_locks <= mono_locks,
+        part_locks <= one_locks,
         "partition-local fast path took {part_locks} lock acquisitions vs \
-         {mono_locks} on the monolithic baseline"
+         {one_locks} on the one-partition baseline"
     );
 }
 
