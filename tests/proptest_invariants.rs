@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use bamboo_repro::analysis::ir::{AccessMode, Expr, Program, Stmt};
 use bamboo_repro::analysis::{insert_retire_points, run_program};
-use bamboo_repro::core::lock::{Acquired, LockPolicy};
+use bamboo_repro::core::lock::{Acquired, LockPolicy, LockVariant};
 use bamboo_repro::core::protocol::{LockingProtocol, Protocol, SiloProtocol};
 use bamboo_repro::core::ts::TsSource;
 use bamboo_repro::core::txn::{LockMode, TxnShared};
@@ -33,124 +33,271 @@ fn mk_tuple() -> (bamboo_repro::storage::Table<TupleCc>, Arc<Tuple<TupleCc>>) {
 /// Ops the property test drives against a single lock entry.
 #[derive(Clone, Debug)]
 enum LockOp {
-    Acquire { txn: usize, ex: bool },
-    Retire { txn: usize },
-    Release { txn: usize, commit: bool },
-    Wound { txn: usize },
+    Acquire {
+        txn: usize,
+        ex: bool,
+    },
+    Retire {
+        txn: usize,
+    },
+    /// Second write after retiring, or SH→EX of a retired read.
+    Reacquire {
+        txn: usize,
+    },
+    /// SH→EX of a shared owner.
+    Upgrade {
+        txn: usize,
+    },
+    Release {
+        txn: usize,
+        commit: bool,
+    },
+    Wound {
+        txn: usize,
+    },
 }
 
 fn lock_op_strategy(n_txns: usize) -> impl Strategy<Value = LockOp> {
     prop_oneof![
         (0..n_txns, any::<bool>()).prop_map(|(txn, ex)| LockOp::Acquire { txn, ex }),
         (0..n_txns).prop_map(|txn| LockOp::Retire { txn }),
+        (0..n_txns).prop_map(|txn| LockOp::Reacquire { txn }),
+        (0..n_txns).prop_map(|txn| LockOp::Upgrade { txn }),
         (0..n_txns, any::<bool>()).prop_map(|(txn, commit)| LockOp::Release { txn, commit }),
         (0..n_txns).prop_map(|txn| LockOp::Wound { txn }),
     ]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// What the test believes one transaction holds on the entry.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Held {
+    Nothing,
+    Waiting,
+    Owner,
+    Retired,
+}
 
-    /// Drive a single lock entry through arbitrary acquire/retire/release
-    /// sequences; after every step the structural invariants must hold and
-    /// semaphores must stay non-negative; after releasing everything the
-    /// entry must be quiescent and all semaphores zero.
+/// The visibility oracle, kept beside the entry: the images of the writers
+/// currently retired, by writer priority, and the committed row. A grant
+/// must hand out the newest retired image below the grantee's priority,
+/// else the committed row.
+struct Visible {
+    dirty: Vec<((u64, u64), Row)>,
+    committed: Row,
+}
+
+impl Visible {
+    fn image_for(&self, prio: (u64, u64)) -> &Row {
+        self.dirty
+            .iter()
+            .filter(|(p, _)| *p < prio)
+            .max_by_key(|(p, _)| *p)
+            .map_or(&self.committed, |(_, row)| row)
+    }
+
+    fn withdraw(&mut self, prio: (u64, u64)) {
+        self.dirty.retain(|(p, _)| *p != prio);
+    }
+}
+
+/// Drives one lock entry under `pol` through `ops`; after every step the
+/// structural invariants must hold and semaphores must stay non-negative;
+/// every granted image must be the one the visibility oracle names; after
+/// releasing everything the entry must be quiescent and all semaphores
+/// zero.
+fn drive_lock_entry(pol: &LockPolicy, ops: &[LockOp]) {
+    // Writes retire only on the Wound-Wait variant (Bamboo is Wound-Wait
+    // plus retiring, §3.2.2); Wait-Die and No-Wait never see a retired
+    // writer, as under `LockingProtocol`.
+    let retires = pol.variant == LockVariant::WoundWait;
+    let (_table, tup) = mk_tuple();
+    let ts = TsSource::new();
+    let txns: Vec<Arc<TxnShared>> = (0..6)
+        .map(|i| TxnShared::new(i as u64 + 1, ts.assign()))
+        .collect();
+    let mut held = [Held::Nothing; 6];
+    // `ex_mode[t]` records whether t's entry is exclusive (only EX entries
+    // may retire); `rows[t]` keeps the granted image so retire can publish
+    // it and a committing release can install it.
+    let mut ex_mode = [false; 6];
+    let mut rows: [Option<Row>; 6] = Default::default();
+    let mut visible = Visible {
+        dirty: Vec::new(),
+        committed: tup.read_row(),
+    };
+    // Every retire publishes an image no other retire published.
+    let mut stamp = 0i64;
+    for op in ops {
+        match *op {
+            LockOp::Acquire { txn, ex } => {
+                if held[txn] != Held::Nothing || txns[txn].is_aborted() {
+                    continue;
+                }
+                let mode = if ex { LockMode::Ex } else { LockMode::Sh };
+                let mut st = tup.meta.lock.lock();
+                match st.acquire(&tup, pol, &txns[txn], mode, &ts) {
+                    Acquired::Granted { retired, row } => {
+                        assert_eq!(
+                            &row,
+                            visible.image_for(txns[txn].prio()),
+                            "grant of txn {txn} handed out the wrong image"
+                        );
+                        held[txn] = if retired { Held::Retired } else { Held::Owner };
+                        ex_mode[txn] = ex;
+                        rows[txn] = Some(row);
+                    }
+                    Acquired::Wait => {
+                        held[txn] = Held::Waiting;
+                        ex_mode[txn] = ex;
+                    }
+                    Acquired::Die(_) => {}
+                }
+                st.assert_invariants();
+            }
+            LockOp::Retire { txn } => {
+                // Only exclusive owners retire through LockState::retire;
+                // skip wounded txns like a real worker would.
+                if !retires || held[txn] != Held::Owner || !ex_mode[txn] || txns[txn].is_aborted() {
+                    continue;
+                }
+                stamp += 1;
+                let row = rows[txn].as_mut().expect("granted txn kept its row");
+                row.set(1, Value::I64(stamp));
+                visible.dirty.push((txns[txn].prio(), row.clone()));
+                let mut st = tup.meta.lock.lock();
+                st.retire(&txns[txn], row.clone(), pol);
+                st.assert_invariants();
+                held[txn] = Held::Retired;
+            }
+            LockOp::Reacquire { txn } => {
+                if held[txn] != Held::Retired || txns[txn].is_aborted() {
+                    continue;
+                }
+                let mut st = tup.meta.lock.lock();
+                st.reacquire_ex(&txns[txn], pol);
+                st.assert_invariants();
+                drop(st);
+                visible.withdraw(txns[txn].prio());
+                held[txn] = Held::Owner;
+                ex_mode[txn] = true;
+            }
+            LockOp::Upgrade { txn } => {
+                if held[txn] != Held::Owner || ex_mode[txn] || txns[txn].is_aborted() {
+                    continue;
+                }
+                let mut st = tup.meta.lock.lock();
+                match st.try_upgrade(&txns[txn], pol) {
+                    Acquired::Granted { .. } => ex_mode[txn] = true,
+                    // The worker polls again after parking.
+                    Acquired::Wait => {}
+                    Acquired::Die(reason) => {
+                        txns[txn].set_abort(reason);
+                    }
+                }
+                st.assert_invariants();
+            }
+            LockOp::Release { txn, commit } => {
+                if held[txn] == Held::Nothing {
+                    continue;
+                }
+                let mut st = tup.meta.lock.lock();
+                if held[txn] == Held::Waiting {
+                    st.cancel_wait(&txns[txn], pol);
+                } else {
+                    let committed = commit && !txns[txn].is_aborted();
+                    // Retired EX commits install their published version,
+                    // mirroring the protocol's commit path.
+                    let install = match (held[txn], committed, ex_mode[txn]) {
+                        (Held::Retired, true, true) => rows[txn]
+                            .as_ref()
+                            .map(|r| bamboo_repro::core::lock::CommitInstall::untimed(&tup, r)),
+                        _ => None,
+                    };
+                    if install.is_some() {
+                        visible.committed = rows[txn].clone().expect("installing txn kept its row");
+                    }
+                    st.release(&txns[txn], pol, committed, install);
+                    assert_eq!(tup.read_row(), visible.committed, "committed row");
+                }
+                st.assert_invariants();
+                visible.withdraw(txns[txn].prio());
+                held[txn] = Held::Nothing;
+                rows[txn] = None;
+            }
+            LockOp::Wound { txn } => {
+                txns[txn].set_abort(bamboo_repro::core::AbortReason::Wounded);
+            }
+        }
+        // A parked waiter polls `check_granted`; a promotion hands it its
+        // image the same way a direct grant does.
+        let st = tup.meta.lock.lock();
+        for (t, txn) in txns.iter().enumerate() {
+            if held[t] != Held::Waiting {
+                continue;
+            }
+            if let Some((row, retired)) = st.check_granted(&tup, txn) {
+                assert_eq!(
+                    &row,
+                    visible.image_for(txn.prio()),
+                    "promotion of txn {t} handed out the wrong image"
+                );
+                held[t] = if retired { Held::Retired } else { Held::Owner };
+                rows[t] = Some(row);
+            }
+        }
+        assert_eq!(
+            st.versions_len(),
+            visible.dirty.len(),
+            "one version per retired writer"
+        );
+        drop(st);
+        // Semaphores never go negative.
+        for t in &txns {
+            prop_assert!(t.semaphore() >= 0, "negative semaphore");
+        }
+    }
+    // Drain: release everything still held.
+    for (i, t) in txns.iter().enumerate() {
+        let mut st = tup.meta.lock.lock();
+        if held[i] == Held::Waiting {
+            st.cancel_wait(t, pol);
+        } else if held[i] != Held::Nothing {
+            st.release(t, pol, false, None);
+        }
+        st.assert_invariants();
+    }
+    let st = tup.meta.lock.lock();
+    prop_assert!(st.is_quiescent(), "entry must drain to quiescence");
+    drop(st);
+    for t in &txns {
+        prop_assert_eq!(t.semaphore(), 0, "semaphore must return to zero");
+    }
+}
+
+// Default config: `PROPTEST_CASES` scales this one (CI's `check` job runs it
+// at 512); the properties below spin up worker threads per case and stay at
+// their explicit count.
+proptest! {
+    /// Drive a single lock entry through arbitrary acquire / retire /
+    /// reacquire / upgrade / release sequences, once under each of the four
+    /// lock-table presets.
     #[test]
     fn lock_entry_invariants_hold_under_random_ops(
         ops in proptest::collection::vec(lock_op_strategy(6), 1..60),
     ) {
-        let (_table, tup) = mk_tuple();
-        let pol = LockPolicy::bamboo();
-        let ts = TsSource::new();
-        let txns: Vec<Arc<TxnShared>> =
-            (0..6).map(|i| TxnShared::new(i as u64 + 1, ts.assign())).collect();
-        // Track what each txn currently holds: None | Some(granted).
-        let mut state = [0u8; 6]; // 0 none, 1 waiting, 2 granted-owner, 3 granted-retired
-        // `ex[t]` records whether t's grant was exclusive (only EX entries
-        // may retire); `rows[t]` keeps the granted image so retire can
-        // publish it and a committing release can install it.
-        let mut ex_mode = [false; 6];
-        let mut rows: [Option<bamboo_repro::storage::Row>; 6] = Default::default();
-        for op in ops {
-            match op {
-                LockOp::Acquire { txn, ex } => {
-                    if state[txn] != 0 || txns[txn].is_aborted() {
-                        continue;
-                    }
-                    let mode = if ex { LockMode::Ex } else { LockMode::Sh };
-                    let mut st = tup.meta.lock.lock();
-                    match st.acquire(&tup, &pol, &txns[txn], mode, &ts) {
-                        Acquired::Granted { retired, row } => {
-                            state[txn] = if retired { 3 } else { 2 };
-                            ex_mode[txn] = ex;
-                            rows[txn] = Some(row);
-                        }
-                        Acquired::Wait => state[txn] = 1,
-                        Acquired::Die(_) => {}
-                    }
-                    st.assert_invariants();
-                }
-                LockOp::Retire { txn } => {
-                    // Only exclusive owners retire through LockState::retire;
-                    // skip wounded txns like a real worker would.
-                    if state[txn] != 2 || !ex_mode[txn] || txns[txn].is_aborted() {
-                        continue;
-                    }
-                    let row = rows[txn].clone().expect("granted txn kept its row");
-                    let mut st = tup.meta.lock.lock();
-                    st.retire(&txns[txn], row, &pol);
-                    st.assert_invariants();
-                    state[txn] = 3;
-                }
-                LockOp::Release { txn, commit } => {
-                    if state[txn] == 0 {
-                        continue;
-                    }
-                    let mut st = tup.meta.lock.lock();
-                    if state[txn] == 1 {
-                        st.cancel_wait(&txns[txn], &pol);
-                    } else {
-                        let committed = commit && !txns[txn].is_aborted();
-                        // Retired EX commits install their published version,
-                        // mirroring the protocol's commit path.
-                        let install = match (state[txn], committed, ex_mode[txn]) {
-                            (3, true, true) => rows[txn]
-                                .as_ref()
-                                .map(|r| bamboo_repro::core::lock::CommitInstall::untimed(&tup, r)),
-                            _ => None,
-                        };
-                        st.release(&txns[txn], &pol, committed, install);
-                    }
-                    st.assert_invariants();
-                    state[txn] = 0;
-                    rows[txn] = None;
-                }
-                LockOp::Wound { txn } => {
-                    txns[txn].set_abort(bamboo_repro::core::AbortReason::Wounded);
-                }
-            }
-            // Semaphores never go negative.
-            for t in &txns {
-                prop_assert!(t.semaphore() >= 0, "negative semaphore");
-            }
-        }
-        // Drain: release everything still held.
-        for (i, t) in txns.iter().enumerate() {
-            let mut st = tup.meta.lock.lock();
-            if state[i] == 1 {
-                st.cancel_wait(t, &pol);
-            } else if state[i] != 0 {
-                st.release(t, &pol, false, None);
-            }
-            st.assert_invariants();
-        }
-        let st = tup.meta.lock.lock();
-        prop_assert!(st.is_quiescent(), "entry must drain to quiescence");
-        drop(st);
-        for t in &txns {
-            prop_assert_eq!(t.semaphore(), 0, "semaphore must return to zero");
+        for pol in [
+            LockPolicy::bamboo(),
+            LockPolicy::wound_wait(),
+            LockPolicy::wait_die(),
+            LockPolicy::no_wait(),
+        ] {
+            drive_lock_entry(&pol, &ops);
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random concurrent transfer mixes conserve the total balance under
     /// Bamboo and Silo.
