@@ -2,21 +2,26 @@
 //!
 //! # Invariants
 //!
-//! The conceptual list is `concat(retired, owners)`; `waiters` are not yet
-//! in it. The invariants maintained under the tuple latch:
+//! [`LockState`] stores the paper's `concat(retired, owners)` as what it
+//! is, one vector: `list[..retired]` is the `retired` list, `list[retired..]`
+//! the `owners` in grant order; `waiters` are not yet in it. The invariants
+//! maintained under the tuple latch:
 //!
-//! 1. `retired` is sorted by priority `(ts, id)` — the paper's "sorted
-//!    based on the timestamps of transactions in it".
-//! 2. `owners` never contains two conflicting *live* entries (wounded
-//!    leftovers may conflict until their owner thread releases them).
-//! 3. Dirty versions are sorted by writer priority; a transaction with
-//!    priority `p` reads the latest version with priority `< p`, falling
-//!    back to the committed row. Combined with (1) this makes every
-//!    dirty-read dependency point from an older to a younger transaction,
-//!    which is why the commit-semaphore graph cannot deadlock.
+//! 1. `list[..retired]` is sorted by priority `(ts, id)` — the paper's
+//!    "sorted based on the timestamps of transactions in it".
+//! 2. `list[retired..]` never contains two conflicting *live* entries
+//!    (wounded leftovers may conflict until their owner thread releases
+//!    them).
+//! 3. The dirty versions are the `dirty` fields of `list[..retired]` —
+//!    `Some` exactly on the retired exclusive entries — hence sorted by
+//!    writer priority by invariant 1; a transaction with priority `p` reads
+//!    the latest version with priority `< p`, falling back to the committed
+//!    row. Combined with (1) this makes every dirty-read dependency point
+//!    from an older to a younger transaction, which is why the
+//!    commit-semaphore graph cannot deadlock.
 //! 4. `counted` pairing: an entry's flag is true iff the tuple currently
 //!    contributes +1 to its transaction's `commit_semaphore`, and it is
-//!    true iff a *conflicting predecessor* exists in the conceptual list.
+//!    true iff a *conflicting predecessor* exists in `list`.
 //!    Every mutation (insert, retire-move, removal) re-establishes this
 //!    locally, so increments and decrements always pair up exactly.
 //!
@@ -76,47 +81,51 @@ impl LockPolicy {
         }
     }
 
-    /// Plain Wound-Wait (the paper's WOUND_WAIT baseline): no retiring at
-    /// any level; reads hold shared ownership until release.
-    pub fn wound_wait() -> Self {
+    /// A 2PL baseline: no retiring at any level; reads hold shared
+    /// ownership until release.
+    fn baseline(variant: LockVariant) -> Self {
         LockPolicy {
-            variant: LockVariant::WoundWait,
+            variant,
             retire_reads: false,
             no_raw_abort: false,
             dynamic_ts: false,
         }
+    }
+
+    /// Plain Wound-Wait (the paper's WOUND_WAIT baseline).
+    pub fn wound_wait() -> Self {
+        Self::baseline(LockVariant::WoundWait)
     }
 
     /// Wait-Die baseline.
     pub fn wait_die() -> Self {
-        LockPolicy {
-            variant: LockVariant::WaitDie,
-            retire_reads: false,
-            no_raw_abort: false,
-            dynamic_ts: false,
-        }
+        Self::baseline(LockVariant::WaitDie)
     }
 
     /// No-Wait baseline.
     pub fn no_wait() -> Self {
-        LockPolicy {
-            variant: LockVariant::NoWait,
-            retire_reads: false,
-            no_raw_abort: false,
-            dynamic_ts: false,
-        }
+        Self::baseline(LockVariant::NoWait)
     }
 }
 
-/// One entry in `owners` or `retired`.
+/// One entry of `list`: a retired or owning transaction.
 struct Ent {
     txn: Arc<TxnShared>,
     mode: LockMode,
     /// Invariant 4: whether this tuple holds +1 in `txn.commit_semaphore`.
     counted: bool,
+    /// Invariant 3: the uncommitted row this entry published when it
+    /// retired (the dirty data other transactions may read). Boxed: every
+    /// grant writes an `Ent` and every release reads one back, retired or
+    /// not, so the entry stays 24 bytes instead of 40 (EXPERIMENTS.md,
+    /// PR 19: +4 % per Wound-Wait transaction with the row inline).
+    dirty: Option<Box<Row>>,
 }
 
 impl Ent {
+    /// Computed live from the transaction handle because dynamic timestamp
+    /// assignment (Optimization 4) may assign the timestamp *after* the
+    /// entry was granted or retired.
     #[inline]
     fn prio(&self) -> (u64, u64) {
         self.txn.prio()
@@ -130,22 +139,6 @@ struct Waiter {
 }
 
 impl Waiter {
-    #[inline]
-    fn prio(&self) -> (u64, u64) {
-        self.txn.prio()
-    }
-}
-
-/// A published uncommitted row version (the dirty data other transactions
-/// may read). Priority is computed live from the writer handle because
-/// dynamic timestamp assignment (Optimization 4) may assign the writer's
-/// timestamp *after* it retired.
-struct Version {
-    txn: Arc<TxnShared>,
-    row: Row,
-}
-
-impl Version {
     #[inline]
     fn prio(&self) -> (u64, u64) {
         self.txn.prio()
@@ -224,20 +217,31 @@ pub enum CancelOutcome {
 /// Per-tuple lock state — Figure 2 of the paper.
 #[derive(Default)]
 pub struct LockState {
-    owners: Vec<Ent>,
+    /// `concat(retired, owners)`.
+    list: Vec<Ent>,
+    /// Boundary index: `list[..retired]` is `retired`, the rest `owners`.
+    retired: usize,
     waiters: Vec<Waiter>,
-    retired: Vec<Ent>,
-    versions: Vec<Version>,
 }
 
 impl LockState {
+    /// The paper's `retired` list.
+    fn retired(&self) -> &[Ent] {
+        &self.list[..self.retired]
+    }
+
+    /// The paper's `owners` list.
+    fn owners(&self) -> &[Ent] {
+        &self.list[self.retired..]
+    }
+
     // ------------------------------------------------------------------
     // Introspection helpers (tests, assertions, stats).
     // ------------------------------------------------------------------
 
     /// Number of entries in `owners`.
     pub fn owners_len(&self) -> usize {
-        self.owners.len()
+        self.list.len() - self.retired
     }
 
     /// Number of entries in `waiters`.
@@ -247,64 +251,73 @@ impl LockState {
 
     /// Number of entries in `retired`.
     pub fn retired_len(&self) -> usize {
-        self.retired.len()
+        self.retired
     }
 
     /// Number of published uncommitted versions.
     pub fn versions_len(&self) -> usize {
-        self.versions.len()
+        self.retired().iter().filter(|e| e.dirty.is_some()).count()
     }
 
-    /// True when a non-aborted retired entry conflicts with `mode` (used
-    /// by opaque transactions, §3.4: they wait until the retired list has
-    /// no conflicting entries so they never observe uncommitted data).
+    /// True when a non-aborted retired entry conflicts with `mode`.
     pub fn has_conflicting_retired(&self, mode: LockMode) -> bool {
-        self.retired
+        self.retired()
             .iter()
             .any(|e| e.mode.conflicts(mode) && !e.txn.is_aborted())
+    }
+
+    /// True when an opaque transaction may request `mode` (§3.4: it waits
+    /// until it can never observe uncommitted data): no non-aborted retired
+    /// entry conflicts with `mode` and no dirty version is published.
+    pub fn clean_for_opaque(&self, mode: LockMode) -> bool {
+        !self
+            .retired()
+            .iter()
+            .any(|e| e.dirty.is_some() || (e.mode.conflicts(mode) && !e.txn.is_aborted()))
     }
 
     /// Snapshot of the newest dirty version regardless of priority (read
     /// uncommitted, §3.4), falling back to the committed image.
     pub fn dirty_snapshot(&self, tuple: &Tuple<TupleCc>) -> Row {
-        self.versions
-            .last()
-            .map(|v| v.row.clone())
+        self.retired()
+            .iter()
+            .rev()
+            .find_map(|e| e.dirty.as_deref().cloned())
             .unwrap_or_else(|| tuple.read_row())
     }
 
     /// True when every list is empty (quiescent tuple).
     pub fn is_quiescent(&self) -> bool {
-        self.owners.is_empty()
-            && self.waiters.is_empty()
-            && self.retired.is_empty()
-            && self.versions.is_empty()
+        self.list.is_empty() && self.waiters.is_empty()
     }
 
     /// Debug-check of the structural invariants; used by tests and
     /// property tests.
     pub fn assert_invariants(&self) {
+        assert!(self.retired <= self.list.len(), "boundary past the list");
         // retired sorted by priority.
-        for w in self.retired.windows(2) {
+        for w in self.retired().windows(2) {
             assert!(w[0].prio() <= w[1].prio(), "retired list unsorted");
         }
-        // versions sorted by priority.
-        for w in self.versions.windows(2) {
-            assert!(w[0].prio() <= w[1].prio(), "version chain unsorted");
-        }
-        // counted pairing: counted == exists conflicting predecessor.
-        let list: Vec<&Ent> = self.retired.iter().chain(self.owners.iter()).collect();
-        for (i, e) in list.iter().enumerate() {
-            let has_pred = list[..i].iter().any(|p| p.mode.conflicts(e.mode));
+        for (i, e) in self.list.iter().enumerate() {
+            // a dirty version exactly on the retired writers.
             assert_eq!(
-                e.counted, has_pred,
+                e.dirty.is_some(),
+                i < self.retired && e.mode == LockMode::Ex,
+                "dirty version misplaced at position {i} (txn {})",
+                e.txn.id
+            );
+            // counted pairing: counted == exists conflicting predecessor.
+            assert_eq!(
+                e.counted,
+                self.has_conflicting_pred(i, e.mode),
                 "counted flag mismatch at position {i} (txn {})",
                 e.txn.id
             );
         }
         // live owners mutually compatible.
-        for (i, a) in self.owners.iter().enumerate() {
-            for b in &self.owners[i + 1..] {
+        for (i, a) in self.owners().iter().enumerate() {
+            for b in &self.owners()[i + 1..] {
                 if !a.txn.is_aborted() && !b.txn.is_aborted() {
                     assert!(
                         !a.mode.conflicts(b.mode),
@@ -323,49 +336,31 @@ impl LockState {
 
     /// Latest dirty version with priority `< prio`, else the committed row.
     fn visible_row(&self, tuple: &Tuple<TupleCc>, prio: (u64, u64)) -> Row {
-        self.versions
+        self.retired()
             .iter()
             .rev()
-            .find(|v| v.prio() < prio)
-            .map(|v| v.row.clone())
+            .find(|e| e.dirty.is_some() && e.prio() < prio)
+            .and_then(|e| e.dirty.as_deref().cloned())
             .unwrap_or_else(|| tuple.read_row())
     }
 
-    /// Position of `txn_id` in `retired`/`owners` as an index into the
-    /// conceptual list (retired positions first, then owners).
-    fn find_entry(&self, txn_id: u64) -> Option<(bool, usize)> {
-        if let Some(i) = self.retired.iter().position(|e| e.txn.id == txn_id) {
-            return Some((true, i));
-        }
-        self.owners
-            .iter()
-            .position(|e| e.txn.id == txn_id)
-            .map(|i| (false, i))
+    /// Position of `txn_id` in `list`.
+    fn find_entry(&self, txn_id: u64) -> Option<usize> {
+        self.list.iter().position(|e| e.txn.id == txn_id)
     }
 
-    /// True when any entry before conceptual position `pos` conflicts with
-    /// `mode` (predecessor scan over `concat(retired, owners)`).
+    /// True when any entry before position `pos` conflicts with `mode`.
     fn has_conflicting_pred(&self, pos: usize, mode: LockMode) -> bool {
-        self.retired
-            .iter()
-            .chain(self.owners.iter())
-            .take(pos)
-            .any(|e| e.mode.conflicts(mode))
+        self.list[..pos].iter().any(|e| e.mode.conflicts(mode))
     }
 
-    /// Re-establishes invariant 4 for every entry at conceptual position
-    /// `>= from` after an insertion or removal before them.
+    /// Re-establishes invariant 4 for every entry at position `>= from`
+    /// after an insertion or removal before them.
     fn recount_from(&mut self, from: usize) {
-        let rlen = self.retired.len();
-        let total = rlen + self.owners.len();
-        for pos in from..total {
-            let (mode, counted) = {
-                let e = self.ent_at(pos);
-                (e.mode, e.counted)
-            };
-            let has_pred = self.has_conflicting_pred(pos, mode);
-            if has_pred != counted {
-                let e = self.ent_at_mut(pos);
+        for pos in from..self.list.len() {
+            let has_pred = self.has_conflicting_pred(pos, self.list[pos].mode);
+            let e = &mut self.list[pos];
+            if has_pred != e.counted {
                 e.counted = has_pred;
                 if has_pred {
                     e.txn.semaphore_inc();
@@ -376,60 +371,43 @@ impl LockState {
         }
     }
 
-    fn ent_at(&self, pos: usize) -> &Ent {
-        if pos < self.retired.len() {
-            &self.retired[pos]
-        } else {
-            &self.owners[pos - self.retired.len()]
-        }
-    }
-
-    fn ent_at_mut(&mut self, pos: usize) -> &mut Ent {
-        let rlen = self.retired.len();
-        if pos < rlen {
-            &mut self.retired[pos]
-        } else {
-            &mut self.owners[pos - rlen]
-        }
-    }
-
     /// Inserts an entry into `retired` at its priority-sorted position and
-    /// settles `counted` for it and its successors. Returns the insert
-    /// position.
-    fn insert_retired(&mut self, txn: Arc<TxnShared>, mode: LockMode) -> usize {
+    /// settles `counted` for it and its successors.
+    fn insert_retired(&mut self, txn: Arc<TxnShared>, mode: LockMode) {
         let prio = txn.prio();
-        let pos = self.retired.partition_point(|e| e.prio() <= prio);
+        let pos = self.retired().partition_point(|e| e.prio() <= prio);
         let counted = self.has_conflicting_pred(pos, mode);
         if counted {
             txn.semaphore_inc();
         }
-        self.retired.insert(pos, Ent { txn, mode, counted });
+        self.list.insert(
+            pos,
+            Ent {
+                txn,
+                mode,
+                counted,
+                dirty: None,
+            },
+        );
+        self.retired += 1;
         self.recount_from(pos + 1);
-        pos
     }
 
-    /// Removes the entry at conceptual position `pos` and re-settles
-    /// successors' `counted` flags. The departing entry's own outstanding
-    /// contribution is returned to its transaction's semaphore so pairing
-    /// stays exact (only aborting transactions can still be counted here —
-    /// a committing one must have drained to zero before its commit point).
-    fn remove_entry(&mut self, pos: usize) -> Ent {
-        let rlen = self.retired.len();
-        let ent = if pos < rlen {
-            self.retired.remove(pos)
-        } else {
-            self.owners.remove(pos - rlen)
-        };
+    /// Removes the entry at position `pos` (and with it the version it
+    /// published) and re-settles successors' `counted` flags. The departing
+    /// entry's own outstanding contribution is returned to its
+    /// transaction's semaphore so pairing stays exact (only aborting
+    /// transactions can still be counted here — a committing one must have
+    /// drained to zero before its commit point).
+    fn remove_entry(&mut self, pos: usize) {
+        let ent = self.list.remove(pos);
+        if pos < self.retired {
+            self.retired -= 1;
+        }
         if ent.counted {
             ent.txn.semaphore_dec();
         }
         self.recount_from(pos);
-        ent
-    }
-
-    /// Removes this transaction's published version, if any.
-    fn remove_version(&mut self, txn_id: u64) {
-        self.versions.retain(|v| v.txn.id != txn_id);
     }
 
     /// True when a conflicting retired entry is *committed but not yet
@@ -440,7 +418,7 @@ impl LockState {
     /// (microseconds-long) release window instead. Wounding cannot help:
     /// the commit point already won the status CAS.
     fn committed_unreleased_blocks(&self, mode: LockMode, prio: (u64, u64)) -> bool {
-        self.retired.iter().any(|e| {
+        self.retired().iter().any(|e| {
             e.mode.conflicts(mode) && e.prio() > prio && e.txn.status() == TxnStatus::Committed
         })
     }
@@ -464,7 +442,7 @@ impl LockState {
             let Some(w) = self.waiters.first() else {
                 return;
             };
-            if self.owners.iter().any(|o| o.mode.conflicts(w.mode)) {
+            if self.owners().iter().any(|o| o.mode.conflicts(w.mode)) {
                 return;
             }
             if self.committed_unreleased_blocks(w.mode, w.prio()) {
@@ -474,45 +452,66 @@ impl LockState {
             if w.mode == LockMode::Sh && pol.retire_reads {
                 self.insert_retired(Arc::clone(&w.txn), LockMode::Sh);
             } else {
-                let counted = self.retired.iter().any(|e| e.mode.conflicts(w.mode));
+                let counted = self.retired().iter().any(|e| e.mode.conflicts(w.mode));
                 if counted {
                     w.txn.semaphore_inc();
                 }
-                self.owners.push(Ent {
+                self.list.push(Ent {
                     txn: Arc::clone(&w.txn),
                     mode: w.mode,
                     counted,
+                    dirty: None,
                 });
             }
             w.txn.notify();
         }
     }
 
-    fn sort_waiters(&mut self) {
-        self.waiters.sort_by_key(|w| w.prio());
-    }
-
     /// Algorithm 3: on conflict, assign timestamps to every queued
     /// transaction in list order, then to the requester.
     fn dynamic_assign(&mut self, txn: &Arc<TxnShared>, mode: LockMode, ts: &TsSource) {
         let conflict = self
-            .retired
+            .list
             .iter()
-            .chain(self.owners.iter())
             .map(|e| e.mode)
             .chain(self.waiters.iter().map(|w| w.mode))
             .any(|m| m.conflicts(mode));
         if !conflict {
             return;
         }
-        for e in self.retired.iter().chain(self.owners.iter()) {
+        for e in &self.list {
             e.txn.assign_ts_if_unassigned(ts);
         }
         for w in &self.waiters {
             w.txn.assign_ts_if_unassigned(ts);
         }
         txn.assign_ts_if_unassigned(ts);
-        self.sort_waiters();
+        self.waiters.sort_by_key(|w| w.prio());
+    }
+
+    /// Queues the request at its priority-sorted position and grants what
+    /// the queue head allows — possibly this very request.
+    fn enqueue(
+        &mut self,
+        tuple: &Tuple<TupleCc>,
+        pol: &LockPolicy,
+        txn: &Arc<TxnShared>,
+        mode: LockMode,
+    ) -> Acquired {
+        let prio = txn.prio();
+        let pos = self.waiters.partition_point(|w| w.prio() <= prio);
+        self.waiters.insert(
+            pos,
+            Waiter {
+                txn: Arc::clone(txn),
+                mode,
+            },
+        );
+        self.promote_waiters(pol);
+        match self.check_granted(tuple, txn) {
+            Some((row, retired)) => Acquired::Granted { row, retired },
+            None => Acquired::Wait,
+        }
     }
 
     // ------------------------------------------------------------------
@@ -535,123 +534,73 @@ impl LockState {
         if pol.dynamic_ts {
             self.dynamic_assign(txn, mode, ts);
         }
+        let prio = txn.prio();
         match pol.variant {
-            LockVariant::WoundWait => self.acquire_wound_wait(tuple, pol, txn, mode),
-            LockVariant::WaitDie => self.acquire_wait_die(tuple, txn, mode, pol),
-            LockVariant::NoWait => self.acquire_no_wait(tuple, txn, mode, pol),
-        }
-    }
-
-    fn acquire_wound_wait(
-        &mut self,
-        tuple: &Tuple<TupleCc>,
-        pol: &LockPolicy,
-        txn: &Arc<TxnShared>,
-        mode: LockMode,
-    ) -> Acquired {
-        let prio = txn.prio();
-        // Optimization 3: a reader slots directly into `retired` (reading
-        // the newest dirty version older than itself) unless a conflicting
-        // exclusive entry with *higher priority* is in owners or waiters —
-        // in that case skipping ahead would let that older writer retire a
-        // version "before" us that we did not read.
-        if mode == LockMode::Sh && pol.no_raw_abort {
-            let blocked = self
-                .owners
-                .iter()
-                .map(|e| (e.mode, e.prio(), e.txn.is_aborted()))
-                .chain(
-                    self.waiters
-                        .iter()
-                        .map(|w| (w.mode, w.prio(), w.txn.is_aborted())),
-                )
-                .any(|(m, p, dead)| m == LockMode::Ex && p < prio && !dead)
-                || self.committed_unreleased_blocks(mode, prio);
-            if !blocked {
-                let row = self.visible_row(tuple, prio);
-                self.insert_retired(Arc::clone(txn), LockMode::Sh);
-                return Acquired::Granted { row, retired: true };
-            }
-            // Blocked by an older writer: queue without wounding (readers
-            // never wound under Optimization 3).
-        } else {
-            // Algorithm 2 lines 2–7: scan concat(retired, owners); once a
-            // conflict has been seen, wound every younger transaction.
-            let mut has_conflicts = false;
-            for e in self.retired.iter().chain(self.owners.iter()) {
-                if mode.conflicts(e.mode) {
-                    has_conflicts = true;
+            LockVariant::NoWait => {
+                if self.owners().iter().any(|e| mode.conflicts(e.mode)) {
+                    return Acquired::Die(AbortReason::NoWait);
                 }
-                if has_conflicts && prio < e.prio() {
-                    e.txn.set_abort(AbortReason::Wounded);
+                self.list.push(Ent {
+                    txn: Arc::clone(txn),
+                    mode,
+                    counted: false,
+                    dirty: None,
+                });
+                return Acquired::Granted {
+                    row: tuple.read_row(),
+                    retired: false,
+                };
+            }
+            LockVariant::WaitDie => {
+                let must_die = self
+                    .owners()
+                    .iter()
+                    .any(|e| mode.conflicts(e.mode) && e.prio() < prio);
+                if must_die {
+                    return Acquired::Die(AbortReason::WaitDie);
                 }
             }
+            // Optimization 3: a reader slots directly into `retired`
+            // (reading the newest dirty version older than itself) unless a
+            // conflicting exclusive entry with *higher priority* is in
+            // owners or waiters — in that case skipping ahead would let
+            // that older writer retire a version "before" us that we did
+            // not read.
+            LockVariant::WoundWait if mode == LockMode::Sh && pol.no_raw_abort => {
+                let blocked = self
+                    .owners()
+                    .iter()
+                    .map(|e| (e.mode, e.prio(), e.txn.is_aborted()))
+                    .chain(
+                        self.waiters
+                            .iter()
+                            .map(|w| (w.mode, w.prio(), w.txn.is_aborted())),
+                    )
+                    .any(|(m, p, dead)| m == LockMode::Ex && p < prio && !dead)
+                    || self.committed_unreleased_blocks(mode, prio);
+                if !blocked {
+                    let row = self.visible_row(tuple, prio);
+                    self.insert_retired(Arc::clone(txn), LockMode::Sh);
+                    return Acquired::Granted { row, retired: true };
+                }
+                // Blocked by an older writer: queue without wounding
+                // (readers never wound under Optimization 3).
+            }
+            LockVariant::WoundWait => {
+                // Algorithm 2 lines 2–7: scan concat(retired, owners); once
+                // a conflict has been seen, wound every younger transaction.
+                let mut has_conflicts = false;
+                for e in &self.list {
+                    if mode.conflicts(e.mode) {
+                        has_conflicts = true;
+                    }
+                    if has_conflicts && prio < e.prio() {
+                        e.txn.set_abort(AbortReason::Wounded);
+                    }
+                }
+            }
         }
-        let pos = self.waiters.partition_point(|w| w.prio() <= prio);
-        self.waiters.insert(
-            pos,
-            Waiter {
-                txn: Arc::clone(txn),
-                mode,
-            },
-        );
-        self.promote_waiters(pol);
-        match self.check_granted(tuple, txn) {
-            Some((row, retired)) => Acquired::Granted { row, retired },
-            None => Acquired::Wait,
-        }
-    }
-
-    fn acquire_wait_die(
-        &mut self,
-        tuple: &Tuple<TupleCc>,
-        txn: &Arc<TxnShared>,
-        mode: LockMode,
-        pol: &LockPolicy,
-    ) -> Acquired {
-        let prio = txn.prio();
-        let must_die = self
-            .owners
-            .iter()
-            .any(|e| mode.conflicts(e.mode) && e.prio() < prio);
-        if must_die {
-            return Acquired::Die(AbortReason::WaitDie);
-        }
-        let pos = self.waiters.partition_point(|w| w.prio() <= prio);
-        self.waiters.insert(
-            pos,
-            Waiter {
-                txn: Arc::clone(txn),
-                mode,
-            },
-        );
-        self.promote_waiters(pol);
-        match self.check_granted(tuple, txn) {
-            Some((row, retired)) => Acquired::Granted { row, retired },
-            None => Acquired::Wait,
-        }
-    }
-
-    fn acquire_no_wait(
-        &mut self,
-        tuple: &Tuple<TupleCc>,
-        txn: &Arc<TxnShared>,
-        mode: LockMode,
-        pol: &LockPolicy,
-    ) -> Acquired {
-        if self.owners.iter().any(|e| mode.conflicts(e.mode)) {
-            return Acquired::Die(AbortReason::NoWait);
-        }
-        self.owners.push(Ent {
-            txn: Arc::clone(txn),
-            mode,
-            counted: false,
-        });
-        let _ = pol;
-        Acquired::Granted {
-            row: tuple.read_row(),
-            retired: false,
-        }
+        self.enqueue(tuple, pol, txn, mode)
     }
 
     /// Polled by a parked waiter: returns the working image once granted.
@@ -661,8 +610,8 @@ impl LockState {
         tuple: &Tuple<TupleCc>,
         txn: &Arc<TxnShared>,
     ) -> Option<(Row, bool)> {
-        let (in_retired, _) = self.find_entry(txn.id)?;
-        Some((self.visible_row(tuple, txn.prio()), in_retired))
+        let pos = self.find_entry(txn.id)?;
+        Some((self.visible_row(tuple, txn.prio()), pos < self.retired))
     }
 
     /// Aborted while waiting: remove the queue entry. If a concurrent
@@ -686,22 +635,17 @@ impl LockState {
     /// Algorithm 2 `LockRetire`: publish the dirty row and move this
     /// exclusive owner to `retired`, making the version visible.
     pub fn retire(&mut self, txn: &Arc<TxnShared>, row: Row, pol: &LockPolicy) {
-        let Some(i) = self.owners.iter().position(|e| e.txn.id == txn.id) else {
+        let Some(i) = self.owners().iter().position(|e| e.txn.id == txn.id) else {
             panic!("retire: txn {} is not an owner", txn.id);
         };
-        debug_assert_eq!(self.owners[i].mode, LockMode::Ex, "only writes retire here");
-        let ent = self.owners.remove(i);
+        let from = self.retired + i;
+        let ent = &mut self.list[from];
+        debug_assert_eq!(ent.mode, LockMode::Ex, "only writes retire here");
+        ent.dirty = Some(Box::new(row));
         let prio = ent.prio();
-        let vpos = self.versions.partition_point(|v| v.prio() <= prio);
-        self.versions.insert(
-            vpos,
-            Version {
-                txn: Arc::clone(&ent.txn),
-                row,
-            },
-        );
-        let pos = self.retired.partition_point(|e| e.prio() <= prio);
-        self.retired.insert(pos, ent);
+        let pos = self.retired().partition_point(|e| e.prio() <= prio);
+        self.list[pos..=from].rotate_right(1);
+        self.retired += 1;
         // The entry's predecessor set changed (it may gain readers that
         // slotted in while it owned, or lose wounded younger leftovers that
         // now sit after it), and entries between its new and old positions
@@ -716,30 +660,31 @@ impl LockState {
     /// serializability by simply aborting all transactions that have seen
     /// its first write"*), also used for SH→EX upgrades of a retired read.
     ///
-    /// Aborts every successor, removes the published version, and moves the
-    /// entry back to `owners` in exclusive mode. Returns the number of
+    /// Aborts every successor, withdraws the published version, and moves
+    /// the entry back to `owners` in exclusive mode. Returns the number of
     /// cascaded aborts.
-    pub fn reacquire_ex(&mut self, txn: &Arc<TxnShared>, _pol: &LockPolicy) -> usize {
-        let Some((in_retired, i)) = self.find_entry(txn.id) else {
+    pub fn reacquire_ex(&mut self, txn: &Arc<TxnShared>) -> usize {
+        let Some(i) = self.find_entry(txn.id) else {
             panic!("reacquire: txn {} has no entry", txn.id);
         };
-        assert!(in_retired, "reacquire only applies to retired entries");
+        assert!(
+            i < self.retired,
+            "reacquire only applies to retired entries"
+        );
         let mut cascaded = 0;
-        for e in self.retired[i + 1..].iter().chain(self.owners.iter()) {
+        for e in &self.list[i + 1..] {
             if e.txn.set_abort(AbortReason::Cascade) {
                 cascaded += 1;
             }
         }
-        self.remove_version(txn.id);
-        let ent = self.retired.remove(i);
-        self.owners.push(Ent {
-            txn: ent.txn,
-            mode: LockMode::Ex,
-            counted: ent.counted,
-        });
-        // The entry moved to the back of the conceptual list (and possibly
-        // changed mode for SH→EX upgrades); recount settles its own flag
-        // and those of the successors that lost it as a predecessor.
+        let ent = &mut self.list[i];
+        ent.dirty = None;
+        ent.mode = LockMode::Ex;
+        self.list[i..].rotate_left(1);
+        self.retired -= 1;
+        // The entry moved to the back of the list (and possibly changed
+        // mode for SH→EX upgrades); recount settles its own flag and those
+        // of the successors that lost it as a predecessor.
         self.recount_from(i);
         cascaded
     }
@@ -753,46 +698,35 @@ impl LockState {
     /// * `Wait` while co-owners remain (poll again after parking);
     /// * `Die` per the policy.
     pub fn try_upgrade(&mut self, txn: &Arc<TxnShared>, pol: &LockPolicy) -> Acquired {
-        let Some((in_retired, i)) = self.find_entry(txn.id) else {
+        let Some(pos) = self.find_entry(txn.id) else {
             panic!("upgrade: txn {} has no entry", txn.id);
         };
-        assert!(!in_retired, "retired upgrades go through reacquire_ex");
+        assert!(
+            pos >= self.retired,
+            "retired upgrades go through reacquire_ex"
+        );
         let prio = txn.prio();
-        let mut others = false;
-        match pol.variant {
-            LockVariant::WoundWait => {
-                for e in &self.owners {
-                    if e.txn.id == txn.id {
-                        continue;
-                    }
-                    others = true;
-                    if prio < e.prio() {
+        let mut others = self
+            .owners()
+            .iter()
+            .filter(|e| e.txn.id != txn.id)
+            .peekable();
+        if others.peek().is_some() {
+            return match pol.variant {
+                LockVariant::WoundWait => {
+                    for e in others.filter(|e| prio < e.prio()) {
                         e.txn.set_abort(AbortReason::Wounded);
                     }
+                    Acquired::Wait
                 }
-            }
-            LockVariant::WaitDie => {
-                for e in &self.owners {
-                    if e.txn.id == txn.id {
-                        continue;
-                    }
-                    others = true;
-                    if e.prio() < prio {
-                        return Acquired::Die(AbortReason::WaitDie);
-                    }
+                LockVariant::WaitDie if others.any(|e| e.prio() < prio) => {
+                    Acquired::Die(AbortReason::WaitDie)
                 }
-            }
-            LockVariant::NoWait => {
-                if self.owners.len() > 1 {
-                    return Acquired::Die(AbortReason::NoWait);
-                }
-            }
+                LockVariant::WaitDie => Acquired::Wait,
+                LockVariant::NoWait => Acquired::Die(AbortReason::NoWait),
+            };
         }
-        if others {
-            return Acquired::Wait;
-        }
-        let pos = self.retired.len() + i;
-        self.owners[i].mode = LockMode::Ex;
+        self.list[pos].mode = LockMode::Ex;
         self.recount_from(pos);
         Acquired::Granted {
             row: Row::default(),
@@ -803,9 +737,9 @@ impl LockState {
     /// Algorithm 2 `LockRelease`.
     ///
     /// * On commit of a write, `install` carries the final row image, which
-    ///   becomes the new committed version (the *dirty* version-chain entry
-    ///   is dropped; the old committed image moves onto the tuple's MVCC
-    ///   chain for live snapshots).
+    ///   becomes the new committed version (the entry's *dirty* version
+    ///   leaves with it; the old committed image moves onto the tuple's
+    ///   MVCC chain for live snapshots).
     /// * On abort of a write, every successor is cascade-aborted (line 17)
     ///   and the published version is discarded.
     pub fn release(
@@ -815,40 +749,30 @@ impl LockState {
         committed: bool,
         install: Option<CommitInstall<'_>>,
     ) -> ReleaseOutcome {
-        let Some((in_retired, i)) = self.find_entry(txn.id) else {
+        let Some(pos) = self.find_entry(txn.id) else {
             // Already gone (e.g. cancel_wait raced); nothing to do.
             return ReleaseOutcome::default();
         };
-        let pos = if in_retired {
-            i
-        } else {
-            self.retired.len() + i
-        };
-        let mode = self.ent_at(pos).mode;
+        let mode = self.list[pos].mode;
         let mut cascaded = 0;
         if !committed && mode == LockMode::Ex {
             // Cascading aborts: everyone after us may have observed our
             // dirty version (or a version derived from it).
-            let rlen = self.retired.len();
-            let total = rlen + self.owners.len();
-            for p in pos + 1..total {
-                if self.ent_at(p).txn.set_abort(AbortReason::Cascade) {
+            for e in &self.list[pos + 1..] {
+                if e.txn.set_abort(AbortReason::Cascade) {
                     cascaded += 1;
                 }
             }
         }
-        if mode == LockMode::Ex {
-            self.remove_version(txn.id);
-            if committed {
-                if let Some(ci) = install {
-                    if ci.commit_ts == 0 {
-                        // Untimed (non-MVCC) install: overwrite in place —
-                        // a pushed version would never be collected.
-                        ci.tuple.install(ci.row.clone());
-                    } else {
-                        ci.tuple
-                            .install_versioned(ci.row.clone(), ci.commit_ts, ci.watermark);
-                    }
+        if committed && mode == LockMode::Ex {
+            if let Some(ci) = install {
+                if ci.commit_ts == 0 {
+                    // Untimed (non-MVCC) install: overwrite in place —
+                    // a pushed version would never be collected.
+                    ci.tuple.install(ci.row.clone());
+                } else {
+                    ci.tuple
+                        .install_versioned(ci.row.clone(), ci.commit_ts, ci.watermark);
                 }
             }
         }
@@ -1169,7 +1093,7 @@ mod tests {
         let seen = grant(&mut st, &tup, &pol, &r, LockMode::Sh, &ts);
         assert_eq!(seen.get_i64(1), 50);
         // Second write: the reader of v1 must die.
-        let cascaded = st.reacquire_ex(&w, &pol);
+        let cascaded = st.reacquire_ex(&w);
         assert_eq!(cascaded, 1);
         assert!(r.is_aborted());
         assert_eq!(st.versions_len(), 0, "first version withdrawn");
@@ -1520,6 +1444,14 @@ mod upgrade_and_edge_tests {
         st.release(&r, &pol, false, None);
         st.release(&w, &pol, false, None);
         assert!(st.is_quiescent());
+    }
+
+    /// One list, one boundary index, one waiter queue: a fourth vector (or
+    /// a second list) cannot come back unnoticed — every tuple pays for it.
+    #[test]
+    fn lock_state_is_one_list_one_index_one_queue() {
+        assert!(std::mem::size_of::<LockState>() <= 56);
+        assert!(std::mem::size_of::<Ent>() <= 24);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Per-tuple concurrency-control metadata.
 //!
 //! Every [`bamboo_storage::Tuple`] in a [`crate::Database`] carries one
-//! [`TupleCc`]: the 2PL-family lock entry (with Bamboo's `retired` list and
-//! dirty-version chain), Silo's TID word, and IC3's accessor list. Keeping
-//! all three in one struct lets every protocol run against the same loaded
-//! database, which is how DBx1000's "pluggable lock manager" comparison
-//! works (paper §5.1).
+//! [`TupleCc`]: the 2PL-family lock entry (with Bamboo's `retired` list,
+//! whose writers carry their dirty versions), Silo's TID word, and IC3's
+//! accessor list. Keeping all three in one struct lets every protocol run
+//! against the same loaded database, which is how DBx1000's "pluggable lock
+//! manager" comparison works (paper §5.1).
 
 use crate::sync::atomic::AtomicU64;
 
@@ -16,7 +16,8 @@ use crate::protocol::ic3::Ic3TupleState;
 
 /// Concurrency-control state attached to each tuple.
 pub struct TupleCc {
-    /// 2PL-family lock entry (owners / waiters / retired / dirty versions).
+    /// 2PL-family lock entry: `concat(retired, owners)` as one list (a
+    /// retired writer's entry carries its dirty version) and the waiters.
     pub lock: Mutex<LockState>,
     /// Silo TID word: bit 0 = lock bit, bits 1.. = version number.
     pub tid: AtomicU64,

@@ -12,8 +12,7 @@
 //! waiting and `B` the fraction spent on doomed execution. Bamboo shrinks
 //! `A·P_conflict` (early retire ⇒ `A ≈ 1/(K+1)` instead of Wound-Wait's
 //! `1/2`) while adding a cascading-abort term bounded by
-//! `N·P_conflict·P_deadlock`. The closed forms below are the paper's; the
-//! executor's measured breakdowns corroborate them (EXPERIMENTS.md).
+//! `N·P_conflict·P_deadlock`. The closed forms below are the paper's.
 
 /// `P_conflict ≈ N·K² / (2·D)`: probability a transaction hits at least one
 /// conflict during its lifetime (uniform access assumption).

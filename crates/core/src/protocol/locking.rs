@@ -128,40 +128,31 @@ impl LockingProtocol {
         }
     }
 
-    /// Wound-Wait baseline (Bamboo with retiring disabled).
-    pub fn wound_wait() -> Self {
+    /// A 2PL baseline: Bamboo with retiring disabled, under `policy`.
+    fn baseline(policy: LockPolicy, name: &str) -> Self {
         LockingProtocol {
-            policy: LockPolicy::wound_wait(),
+            policy,
             retire_writes: false,
             delta: 0.0,
             adaptive_retire: false,
             isolation: IsolationLevel::Serializable,
-            name: "WOUND_WAIT".into(),
+            name: name.into(),
         }
+    }
+
+    /// Wound-Wait baseline (Bamboo with retiring disabled).
+    pub fn wound_wait() -> Self {
+        Self::baseline(LockPolicy::wound_wait(), "WOUND_WAIT")
     }
 
     /// Wait-Die baseline.
     pub fn wait_die() -> Self {
-        LockingProtocol {
-            policy: LockPolicy::wait_die(),
-            retire_writes: false,
-            delta: 0.0,
-            adaptive_retire: false,
-            isolation: IsolationLevel::Serializable,
-            name: "WAIT_DIE".into(),
-        }
+        Self::baseline(LockPolicy::wait_die(), "WAIT_DIE")
     }
 
     /// No-Wait baseline.
     pub fn no_wait() -> Self {
-        LockingProtocol {
-            policy: LockPolicy::no_wait(),
-            retire_writes: false,
-            delta: 0.0,
-            adaptive_retire: false,
-            isolation: IsolationLevel::Serializable,
-            name: "NO_WAIT".into(),
-        }
+        Self::baseline(LockPolicy::no_wait(), "NO_WAIT")
     }
 
     /// Renames the configuration (ablation studies).
@@ -219,8 +210,7 @@ impl LockingProtocol {
             // lists are empty" — concretely, until no conflicting retired
             // entry (and no dirty version we could observe) remains.
             ctx.wait(LOCK_WAIT, |_| {
-                let st = tuple.meta.lock.lock();
-                (!st.has_conflicting_retired(mode) && st.versions_len() == 0).then_some(())
+                tuple.meta.lock.lock().clean_for_opaque(mode).then_some(())
             })?;
         }
         let outcome = {
@@ -391,7 +381,7 @@ impl LockingProtocol {
                     (AccessState::Retired, _) => {
                         let a = &mut ctx.accesses[i];
                         let mut st = a.tuple.meta.lock.lock();
-                        st.reacquire_ex(&ctx.shared, &self.policy);
+                        st.reacquire_ex(&ctx.shared);
                         drop(st);
                         a.state = AccessState::Owner;
                         a.mode = LockMode::Ex;

@@ -174,7 +174,7 @@ fn drive_lock_entry(pol: &LockPolicy, ops: &[LockOp]) {
                     continue;
                 }
                 let mut st = tup.meta.lock.lock();
-                st.reacquire_ex(&txns[txn], pol);
+                st.reacquire_ex(&txns[txn]);
                 st.assert_invariants();
                 drop(st);
                 visible.withdraw(txns[txn].prio());

@@ -186,9 +186,8 @@ fn arb_program() -> impl Strategy<Value = Program> {
         })
 }
 
+// Default config: `PROPTEST_CASES` scales it (CI's `check` job runs 512).
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
     #[test]
     fn retire_points_never_precede_final_write(
         program in arb_program(),
