@@ -293,20 +293,21 @@ fn group_commit_bench(threads: usize, dur: Duration, repeat: usize, batch: usize
         r
     });
 
-    let mut best: Option<(HammerResult, u64, u64)> = None;
+    let mut best: Option<(HammerResult, u64, u64, (u64, u64))> = None;
     for _ in 0..repeat {
         let dir = tmp_dir("gc");
         let (pdb, t) = bank(Some((&dir, GROUP_POLICY)));
         let r = hammer_deferred(&pdb, t, threads, dur, batch);
         let fsyncs = pdb.group_fsyncs();
         let acks = pdb.group_acks();
+        let wakeups = pdb.group_timeout_wakeups();
         drop(pdb);
         let _ = std::fs::remove_dir_all(&dir);
-        if best.as_ref().is_none_or(|(b, _, _)| r.tput > b.tput) {
-            best = Some((r, fsyncs, acks));
+        if best.as_ref().is_none_or(|(b, ..)| r.tput > b.tput) {
+            best = Some((r, fsyncs, acks, wakeups));
         }
     }
-    let (group, fsyncs, acks) = best.expect("repeat >= 1");
+    let (group, fsyncs, acks, (cover_wakeups, horizon_wakeups)) = best.expect("repeat >= 1");
     let speedup = group.tput / base.tput;
     let mean_batch = if fsyncs > 0 {
         acks as f64 / fsyncs as f64
@@ -315,7 +316,8 @@ fn group_commit_bench(threads: usize, dur: Duration, repeat: usize, batch: usize
     };
     eprintln!(
         "group_commit  every_commit={:.0} txn/s  deferred={:.0} txn/s  speedup={speedup:.1}x  \
-         leader_fsyncs={fsyncs} acks={acks} mean_batch={mean_batch:.1}",
+         leader_fsyncs={fsyncs} acks={acks} mean_batch={mean_batch:.1}  \
+         timeout_wakeups: coverage={cover_wakeups} horizon={horizon_wakeups}",
         base.tput, group.tput
     );
     format!(
@@ -327,7 +329,9 @@ fn group_commit_bench(threads: usize, dur: Duration, repeat: usize, batch: usize
          durability horizon\",\n  \
          \"baseline_every_commit\": {{\"tput\": {:.0}, \"lat_us\": {}}},\n  \
          \"group_commit\": {{\"tput\": {:.0}, \"lat_us\": {}, \"leader_fsyncs\": {fsyncs}, \
-         \"acks\": {acks}, \"mean_batch\": {mean_batch:.1}}},\n  \
+         \"acks\": {acks}, \"mean_batch\": {mean_batch:.1}, \
+         \"coverage_timeout_wakeups\": {cover_wakeups}, \
+         \"horizon_timeout_wakeups\": {horizon_wakeups}}},\n  \
          \"speedup\": {speedup:.2}\n}}\n",
         base.tput,
         base.lat_json(),

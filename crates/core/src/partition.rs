@@ -323,6 +323,19 @@ impl PartitionedDb {
         self.parts[0].db.durability_horizon().acked()
     }
 
+    /// Group-commit parks that ended on the `GROUP_PARK` safety-net poll
+    /// and then found their wait already over, as `(coverage, horizon)`:
+    /// followers of a leader fsync ([`WalHandle::timeout_wakeups`], summed
+    /// over the partitions; 0 when every covered follower is woken) and
+    /// acknowledgments parked on the shared durability horizon
+    /// ([`crate::wal::DurabilityHorizon::timeout_wakeups`]).
+    pub fn group_timeout_wakeups(&self) -> (u64, u64) {
+        (
+            self.wals().iter().map(|w| w.timeout_wakeups()).sum(),
+            self.parts[0].db.durability_horizon().timeout_wakeups(),
+        )
+    }
+
     /// Heals a degraded partition: re-opens its durable segment writer
     /// (scanning the existing segments and truncating any torn tail, so
     /// writing resumes on a clean frame boundary) and re-admits writes.
@@ -462,7 +475,7 @@ impl PartitionedDbBuilder {
         let snapshots = Arc::new(SnapshotRegistry::new());
         let watermark = Arc::new(CachePadded::new(AtomicU64::new(0)));
         let txn_ids = Arc::new(CachePadded::new(AtomicU64::new(1)));
-        let horizon = Arc::new(crate::wal::DurabilityHorizon::new());
+        let horizon = Arc::new(crate::wal::DurabilityHorizon::new(Arc::clone(&wals)));
         let options = DbOptions {
             epoch_commits: self.options.epoch_commits.max(1),
             ..self.options

@@ -32,7 +32,7 @@ pub use silo::SiloProtocol;
 use crate::db::Database;
 use crate::meta::TupleCc;
 use crate::txn::{Abort, AbortReason, Access, AccessState, LockMode, TxnCtx};
-use crate::wal::{DurabilityTicket, WalBuffer, WalWrite};
+use crate::wal::{DurabilityTicket, TicketParts, WalBuffer, WalWrite};
 
 /// A pluggable concurrency-control protocol.
 ///
@@ -347,13 +347,16 @@ fn log_commit(
         db.options().fsync_policy,
         bamboo_storage::FsyncPolicy::GroupCommit { .. }
     );
-    let ticket = |parts: Vec<(u32, bamboo_storage::log::Lsn)>| {
+    let ticket = |parts: TicketParts| {
         if parts.is_empty() {
             None
         } else {
             // Register after every append succeeded, before the caller
-            // installs: see the horizon's type-level invariant.
-            db.durability_horizon().register(ctx.commit_ts);
+            // installs: see the horizon's type-level invariant. The entry
+            // shares the ticket's parts, so it can retire from the
+            // partitions' watermarks without its owner.
+            db.durability_horizon()
+                .register(ctx.commit_ts, Arc::clone(&parts));
             Some(DurabilityTicket {
                 commit_ts: ctx.commit_ts,
                 parts,
@@ -398,7 +401,7 @@ fn log_commit(
             writes(),
         )?;
         if ticketing && !ga.durable {
-            return Ok(ticket(vec![(p.0, ga.end_lsn)]));
+            return Ok(ticket(Arc::from([(p.0, ga.end_lsn)])));
         }
         return Ok(None);
     }
@@ -447,7 +450,7 @@ fn log_commit(
             ends.push((p as u32, ga.end_lsn));
         }
     }
-    Ok(ticket(ends))
+    Ok(ticket(ends.into()))
 }
 
 /// Shared read path of snapshot mode: resolve `key` against the version

@@ -326,12 +326,9 @@ impl Session {
     /// which *every*
     /// commit the acknowledged state could depend on is durable, which is
     /// what makes the acknowledgment crash-safe under early lock release.
-    ///
-    /// Every ticket returned by [`Txn::commit_deferred`] **must** be passed
-    /// here exactly once: an unacked ticket leaves its horizon registration
-    /// pending forever, wedging every later commit's acknowledgment behind
-    /// it. ([`Session::run`] and [`Session::run_many`] uphold this
-    /// internally.)
+    /// Both waits end on fsyncs, not on other sessions: the horizon retires
+    /// a commit once its partitions' watermarks cover it, whether or not
+    /// its owner has come back for its ticket.
     ///
     /// Returns `Err(Abort(DurabilityFailed))` when a batch fsync failed
     /// after this commit installed: the partition is degraded, the commit
@@ -340,25 +337,24 @@ impl Session {
     /// `DURABILITY.md` "Group commit").
     pub fn ack_ticket(&self, ticket: DurabilityTicket) -> Result<(), Abort> {
         let horizon = self.db.durability_horizon();
-        let mut covered = true;
-        for &(p, lsn) in &ticket.parts {
-            if self.db.topology().wals[p as usize]
-                .wait_covered(lsn)
-                .is_err()
-            {
-                covered = false;
-                break;
+        let stable = || self.db.commit_clock.stable();
+        // A horizon already past the timestamp has retired this commit's
+        // entry: every part is on disk, nothing is left to resolve.
+        if horizon.durable_ts() < ticket.commit_ts {
+            let wals = &self.db.topology().wals;
+            let covered = ticket.parts.iter().all(|&(p, lsn)| {
+                wals[p as usize]
+                    .wait_covered(lsn, || horizon.advance(stable()))
+                    .is_ok()
+            });
+            // Covered or not, the entry goes: a failed one must not wedge
+            // sibling acknowledgments behind a hole that will never fill.
+            horizon.resolve(ticket.commit_ts, stable());
+            if !covered {
+                return Err(Abort(AbortReason::DurabilityFailed));
             }
         }
-        let stable = self.db.commit_clock.stable();
-        if !covered {
-            // Withdraw the registration so sibling acknowledgments are not
-            // wedged behind a hole that will never fill.
-            horizon.resolve(ticket.commit_ts, false, stable);
-            return Err(Abort(AbortReason::DurabilityFailed));
-        }
-        horizon.resolve(ticket.commit_ts, true, stable);
-        horizon.wait_acked(ticket.commit_ts, || self.db.commit_clock.stable());
+        horizon.wait_acked(ticket.commit_ts, stable);
         Ok(())
     }
 
@@ -689,9 +685,9 @@ impl<'s> Txn<'s> {
     }
 
     /// Commits the transaction but defers the group-commit acknowledgment:
-    /// on success returns the [`DurabilityTicket`] the caller must later
-    /// pass to [`Session::ack_ticket`] (exactly once — see there), letting
-    /// a batch of transactions share the durability wait. `Ok(None)` means
+    /// on success returns the [`DurabilityTicket`] the caller later passes
+    /// to [`Session::ack_ticket`] to learn the commit is durable, letting a
+    /// batch of transactions share the durability wait. `Ok(None)` means
     /// the commit needed no deferred acknowledgment (any non-group-commit
     /// policy). On failure the attempt is aborted internally, like
     /// [`Txn::commit`].

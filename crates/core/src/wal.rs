@@ -33,18 +33,35 @@
 //! lock release — sound because the log-before-install ordering means a
 //! dependent's group always lands at a higher LSN than its writer's), then
 //! park on [`WalHandle::wait_covered`]: the first parked committer becomes
-//! the **leader**, waits a short accumulation window for more committers
-//! to join, and issues one `fsync` covering every group staged so far,
-//! advancing the per-partition `durable_lsn` watermark. The acknowledgment
-//! additionally waits on the process-wide [`DurabilityHorizon`] so that
-//! *every* commit with a lower timestamp is durable before the client
-//! hears `Ok` — that is what lets crash recovery's horizon cut keep every
-//! acknowledged commit (see `DURABILITY.md` "Group commit").
+//! the **leader** and issues one `fsync` covering every group staged so
+//! far, advancing the per-partition `durable_lsn` watermark. The
+//! acknowledgment additionally waits on the process-wide
+//! [`DurabilityHorizon`] so that *every* commit with a lower timestamp is
+//! durable before the client hears `Ok` — that is what lets crash
+//! recovery's horizon cut keep every acknowledged commit (see
+//! `DURABILITY.md` "Group commit").
+//!
+//! An acknowledgment waits for one thing, the fsync that covers it:
+//!
+//! * **not for its neighbours' acknowledgments** — a horizon entry carries
+//!   the end LSN of each of its redo groups and retires as soon as the
+//!   partitions' watermarks pass them, whoever advances the horizon; the
+//!   session that owns the commit may still be mid-flight, or may have
+//!   dropped its ticket;
+//! * **not for the sink lock** — the leader takes its barrier under the
+//!   lock (flush the buffered bytes, note the LSN) and waits out the
+//!   device with the lock released, so the partition's appenders stage the
+//!   next batch during the fsync instead of after it;
+//! * **not for company it already has** — the leader's accumulation window
+//!   exists to turn a lone group into a batch; a leader whose fsync would
+//!   already cover two or more groups appended since the last barrier
+//!   skips it.
 
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::io;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bamboo_storage::log::{
@@ -194,15 +211,6 @@ pub enum WalWrite<'a> {
     },
 }
 
-/// What a [`WalHandle`] guards: the partition's segment writer — `None`
-/// when it could not be opened, so every append fails fast until
-/// [`WalHandle::replace_writer`] installs one — plus the commit-group
-/// count, which survives a heal.
-struct WalSink {
-    writer: Option<SegmentWriter>,
-    records: u64,
-}
-
 /// Total write/fsync attempts per operation before a transient fault is
 /// escalated to a permanent one (1 initial try + 2 retries).
 const WAL_IO_ATTEMPTS: u32 = 3;
@@ -285,7 +293,15 @@ thread_local! {
 /// where every further append fails fast until
 /// [`WalHandle::replace_writer`] installs a freshly opened writer.
 pub struct WalHandle {
-    sink: Mutex<WalSink>,
+    /// The partition's segment writer — `None` when it could not be
+    /// opened, so every append fails fast until
+    /// [`WalHandle::replace_writer`] installs one.
+    sink: Mutex<Option<SegmentWriter>>,
+    /// Commit groups appended (survives a heal), and its value when the
+    /// last batch barrier was taken: the difference is how many groups the
+    /// next leader's fsync would cover. Both written under the sink lock.
+    records: AtomicU64,
+    records_at_barrier: AtomicU64,
     /// Set on permanent failure; checked (fail-fast) before every append.
     degraded: AtomicBool,
     /// Transient faults retried successfully or not (observability).
@@ -293,11 +309,15 @@ pub struct WalHandle {
     /// Permanent failures that degraded the handle.
     io_failures: AtomicU64,
     /// LSN up to which this partition's log is known durable. Written only
-    /// under the sink lock (leader syncs and strong-policy appends), so
-    /// plain stores stay monotone.
+    /// under the sink lock, from the writer's `synced_lsn` (see
+    /// `publish_synced`).
     durable_lsn: AtomicU64,
     /// Batch fsyncs issued by group-commit leaders.
     group_fsyncs: AtomicU64,
+    /// Follower parks in `wait_covered` that ran out `GROUP_PARK` and then
+    /// found themselves covered: wakeups the leader's notify should have
+    /// delivered.
+    timeout_wakeups: AtomicU64,
     /// Group-commit coordinator state, guarded separately from the sink so
     /// followers can park without blocking the appenders.
     group: Mutex<GroupState>,
@@ -313,11 +333,14 @@ impl WalHandle {
         });
         WalHandle {
             degraded: AtomicBool::new(writer.is_none()),
-            sink: Mutex::new(WalSink { writer, records: 0 }),
+            sink: Mutex::new(writer),
+            records: AtomicU64::new(0),
+            records_at_barrier: AtomicU64::new(0),
             io_retries: AtomicU64::new(0),
             io_failures: AtomicU64::new(0),
             durable_lsn: AtomicU64::new(durable_lsn),
             group_fsyncs: AtomicU64::new(0),
+            timeout_wakeups: AtomicU64::new(0),
             group: Mutex::new(group),
             group_cond: Condvar::new(),
         }
@@ -365,7 +388,7 @@ impl WalHandle {
         // old watermark were never acknowledged, so nothing is retracted.)
         self.durable_lsn
             .store(writer.synced_lsn(), Ordering::Release);
-        sink.writer = Some(writer);
+        *sink = Some(writer);
         // Clear the flag only after the sink is swapped: an append racing
         // the heal either fails fast on the flag or serializes behind the
         // sink mutex and lands in the new writer.
@@ -393,24 +416,37 @@ impl WalHandle {
         self.group_fsyncs.load(Ordering::Relaxed)
     }
 
+    /// Follower parks in [`WalHandle::wait_covered`] that ended on the
+    /// `GROUP_PARK` timeout and then found their LSN already covered — a
+    /// wakeup that came from the safety-net poll instead of the leader's
+    /// notify. Reads 0 when every covered follower is woken.
+    pub fn timeout_wakeups(&self) -> u64 {
+        self.timeout_wakeups.load(Ordering::Relaxed)
+    }
+
     /// Parks until the partition's durability watermark covers `lsn` —
     /// the group-commit coordinator.
     ///
     /// The fast path is one atomic load (a previous leader's fsync already
     /// covered us). Otherwise the caller joins the parked queue; the first
-    /// to find no active leader **becomes** the leader: it waits up to the
-    /// policy's `max_wait_us` for more committers to join (cut short once
+    /// to find no active leader **becomes** the leader. A leader whose
+    /// fsync would cover fewer than two groups waits up to the policy's
+    /// `max_wait_us` for more committers to join (cut short once
     /// `max_batch` are parked, or as soon as arrivals stall — parked
     /// committers' groups are already staged, so waiting longer only adds
-    /// latency), then issues ONE fsync covering every group staged so far
-    /// and publishes the new watermark. Followers re-check
-    /// the watermark on bounded parks, so a lost wakeup or a concurrent
-    /// degrade costs at most one `GROUP_PARK` tick.
+    /// latency); one that already has company does not wait for more. It
+    /// then issues ONE fsync covering every group staged so far — outside
+    /// the sink lock, so appenders keep staging the next batch — publishes
+    /// the new watermark, calls `after_sync` (the session advances the
+    /// durability horizon there, which wakes acknowledgments the fsync
+    /// completed) and wakes the followers. Followers re-check the
+    /// watermark on bounded parks, so a lost wakeup or a concurrent degrade
+    /// costs at most one `GROUP_PARK` tick.
     ///
     /// Returns [`IoFailure`] when the handle degrades before the caller's
     /// group is covered: the caller's commit is installed but not durable,
     /// and must surface `DurabilityFailed` instead of acknowledging.
-    pub fn wait_covered(&self, lsn: Lsn) -> Result<(), IoFailure> {
+    pub fn wait_covered(&self, lsn: Lsn, after_sync: impl Fn()) -> Result<(), IoFailure> {
         // ordering: Acquire pairs with the watermark's Release store after
         // a leader fsync — a covered reader must also observe the sink
         // state that made it durable.
@@ -437,18 +473,22 @@ impl WalHandle {
                     announced = true;
                     self.group_cond.notify_all();
                 }
-                self.group_cond.wait_for(&mut state, GROUP_PARK);
+                let timed_out = self.group_cond.wait_for(&mut state, GROUP_PARK).timed_out();
                 state.waiting -= 1;
+                if timed_out && self.durable_lsn.load(Ordering::Acquire) >= lsn {
+                    self.timeout_wakeups.fetch_add(1, Ordering::Relaxed);
+                }
                 continue;
             }
-            // Leader: accumulate joiners while the group keeps growing, up
-            // to the policy window, then sync once for everyone staged so
-            // far. The short park quantum doubles as a stall detector: a
-            // timeout with no new arrival means waiting longer only adds
-            // latency (every parked committer's group is already staged,
-            // so the sync covers them regardless).
+            // Leader: unless the sync already has company, accumulate
+            // joiners while the group keeps growing, up to the policy
+            // window, then sync once for everyone staged so far. The short
+            // park quantum doubles as a stall detector: a timeout with no
+            // new arrival means waiting longer only adds latency (every
+            // parked committer's group is already staged, so the sync
+            // covers them regardless).
             state.leader_active = true;
-            if !max_wait.is_zero() {
+            if !max_wait.is_zero() && self.groups_since_barrier() < 2 {
                 let deadline = Instant::now() + max_wait;
                 let quantum = (max_wait / 4).max(Duration::from_micros(1));
                 while state.waiting + 1 < max_batch {
@@ -466,11 +506,12 @@ impl WalHandle {
             }
             drop(state); // never hold the queue lock across the sink lock
             let synced = self.sync_as("group fsync");
-            state = self.group.lock();
-            state.leader_active = false;
             if synced.is_ok() {
                 self.group_fsyncs.fetch_add(1, Ordering::Relaxed);
+                after_sync();
             }
+            state = self.group.lock();
+            state.leader_active = false;
             self.group_cond.notify_all();
             match synced {
                 // Loop back: the watermark check decides our own fate (it
@@ -481,19 +522,26 @@ impl WalHandle {
         }
     }
 
-    /// The one I/O retry loop of the durable path: runs `attempt` against
-    /// the writer, retrying a transient failure in place with backoff up to
-    /// `WAL_IO_ATTEMPTS` tries in total. A permanent failure or an
-    /// exhausted budget degrades the handle ([`WalHandle::fail`]). Called
-    /// with the sink lock held (`writer` borrows from it).
+    /// Commit groups appended since the last batch barrier was taken: what
+    /// a leader's fsync would cover beyond its own group. Read without the
+    /// sink lock (appenders hold it), mark first so the difference cannot
+    /// go negative.
+    fn groups_since_barrier(&self) -> u64 {
+        let mark = self.records_at_barrier.load(Ordering::Relaxed);
+        self.records.load(Ordering::Relaxed).saturating_sub(mark)
+    }
+
+    /// The one I/O retry loop of the durable path: runs `attempt`,
+    /// retrying a transient failure with backoff up to `WAL_IO_ATTEMPTS`
+    /// tries in total. A permanent failure or an exhausted budget degrades
+    /// the handle ([`WalHandle::fail`]).
     fn retry_io<T>(
         &self,
-        writer: &mut SegmentWriter,
-        mut attempt: impl FnMut(&mut SegmentWriter) -> Result<T, IoFailure>,
+        mut attempt: impl FnMut() -> Result<T, IoFailure>,
     ) -> Result<T, IoFailure> {
         let mut tries = 1;
         loop {
-            match attempt(writer) {
+            match attempt() {
                 Ok(v) => return Ok(v),
                 Err(f) if f.is_transient() && tries < WAL_IO_ATTEMPTS => {
                     self.io_retries.fetch_add(1, Ordering::Relaxed);
@@ -511,10 +559,11 @@ impl WalHandle {
     /// in an unknown state — nothing more can be written safely, so it is
     /// permanent on the spot. On failure the staged group is dropped.
     fn flush_staged(&self, writer: &mut SegmentWriter, op: &'static str) -> Result<(), IoFailure> {
-        let landed = self.retry_io(writer, |w| {
-            w.flush_group()
+        let landed = self.retry_io(|| {
+            writer
+                .flush_group()
                 .map(drop)
-                .map_err(|e| match w.rewind_partial() {
+                .map_err(|e| match writer.rewind_partial() {
                     Ok(()) => IoFailure::new(op, e),
                     Err(re) => IoFailure::with_class(IoClass::Permanent, "wal rewind", re),
                 })
@@ -525,16 +574,25 @@ impl WalHandle {
         landed
     }
 
-    /// Fsyncs the writer (transients retried) and publishes the new
-    /// durability watermark.
+    /// Fsyncs the writer under the sink lock (transients retried) and
+    /// publishes the new durability watermark — the checkpoint marker's
+    /// barrier, which must not let an append slip between marker and sync.
     fn sync_writer(&self, writer: &mut SegmentWriter, op: &'static str) -> Result<(), IoFailure> {
-        self.retry_io(writer, |w| w.sync().map_err(|e| IoFailure::new(op, e)))?;
-        // ordering: Release publishes the watermark to `wait_covered`'s
-        // fast-path Acquire load; the store happens under the sink lock, so
-        // it is monotone.
+        self.retry_io(|| writer.sync().map_err(|e| IoFailure::new(op, e)))?;
+        self.publish_synced(writer);
+        Ok(())
+    }
+
+    /// Publishes the writer's `synced_lsn` as the durability watermark.
+    /// Called with the sink lock held.
+    fn publish_synced(&self, writer: &SegmentWriter) {
+        // ordering: Release pairs with `wait_covered`'s fast-path Acquire
+        // load and the horizon's coverage check. Stored under the sink
+        // lock from `synced_lsn`, which a finished barrier only raises (an
+        // abandoned group or a heal can lower it, below bytes nobody was
+        // promised), so the plain store never runs ahead of the disk.
         self.durable_lsn
             .store(writer.synced_lsn(), Ordering::Release);
-        Ok(())
     }
 
     /// Appends one transaction's redo group — its share on this handle's
@@ -607,23 +665,18 @@ impl WalHandle {
             }
             frame_record(framed, scratch, &WalRecord::Commit { txn_id, commit_ts });
             let mut sink = self.sink.lock();
-            let sink = &mut *sink;
             // No writer: the handle was born poisoned and is not healed yet.
-            let Some(writer) = sink.writer.as_mut() else {
+            let Some(writer) = sink.as_mut() else {
                 return Err(degraded_error("wal append"));
             };
             writer.stage_framed(framed);
-            self.land_group(writer, &mut sink.records)
+            self.land_group(writer)
         })
     }
 
     /// Lands the staged record group and runs the policy's durability
     /// barrier. Called with the sink lock held (`writer` borrows from it).
-    fn land_group(
-        &self,
-        writer: &mut SegmentWriter,
-        records: &mut u64,
-    ) -> Result<GroupAppend, IoFailure> {
+    fn land_group(&self, writer: &mut SegmentWriter) -> Result<GroupAppend, IoFailure> {
         // Phase 1: land the group.
         self.flush_staged(writer, "wal append")?;
 
@@ -631,19 +684,16 @@ impl WalHandle {
         // never syncs here — its barrier is the leader fsync in
         // `wait_covered` — so under that policy phase 2 cannot fail and
         // every append error stays phase-1 (nothing installed yet).
-        let barrier = self.retry_io(writer, |w| {
-            w.commit_boundary()
+        let barrier = self.retry_io(|| {
+            writer
+                .commit_boundary()
                 .map_err(|e| IoFailure::new("wal fsync", e))
         });
         match barrier {
             Ok(durable) => {
-                *records += 1;
+                self.records.fetch_add(1, Ordering::Relaxed);
                 if durable {
-                    // ordering: Release pairs with `wait_covered`'s
-                    // Acquire fast path; written under the sink lock,
-                    // so the plain store stays monotone.
-                    self.durable_lsn
-                        .store(writer.synced_lsn(), Ordering::Release);
+                    self.publish_synced(writer);
                 }
                 Ok(GroupAppend {
                     durable,
@@ -669,7 +719,7 @@ impl WalHandle {
             return Err(degraded_error("checkpoint append"));
         }
         let mut sink = self.sink.lock();
-        let Some(writer) = sink.writer.as_mut() else {
+        let Some(writer) = sink.as_mut() else {
             return Err(degraded_error("checkpoint append"));
         };
         writer.stage_record(&WalRecord::Checkpoint {
@@ -691,23 +741,45 @@ impl WalHandle {
 
     /// [`WalHandle::sync`] reporting failures as `op` — `wait_covered`'s
     /// leader issues its one batch fsync on behalf of every parked
-    /// committer through here. Transient faults are retried in place, a
-    /// permanent failure degrades the handle, and success publishes the
-    /// new durability watermark.
+    /// committer through here. The sink lock is held only to take the
+    /// barrier (flush the buffered bytes, note the LSN; a fault backend
+    /// draws its fsync fault there) and again to record the result: the
+    /// device wait itself runs with the lock released, so the partition's
+    /// appenders are never stalled behind an fsync. Transient faults are
+    /// retried (a fresh barrier per try), a permanent failure degrades the
+    /// handle, and success publishes the new durability watermark.
     fn sync_as(&self, op: &'static str) -> Result<(), IoFailure> {
         if self.is_degraded() {
             return Err(degraded_error(op));
         }
-        match self.sink.lock().writer.as_mut() {
-            Some(writer) => self.sync_writer(writer, op),
-            None => Err(degraded_error(op)),
-        }
+        self.retry_io(|| {
+            let begun = match self.sink.lock().as_mut() {
+                Some(writer) => {
+                    self.records_at_barrier
+                        .store(self.records.load(Ordering::Relaxed), Ordering::Relaxed);
+                    writer.begin_sync()
+                }
+                None => return Err(degraded_error(op)),
+            };
+            let barrier = begun
+                .and_then(|b| b.wait().map(|()| b))
+                .map_err(|e| IoFailure::new(op, e))?;
+            // Whatever happened to the writer meanwhile — rotation, an
+            // abandoned group, a heal that replaced it — `finish_sync`
+            // only ever raises `synced_lsn`, and only for bytes this
+            // barrier really covered.
+            if let Some(writer) = self.sink.lock().as_mut() {
+                writer.finish_sync(&barrier);
+                self.publish_synced(writer);
+            }
+            Ok(())
+        })
     }
 
     /// The log's current end position: the next LSN (0 while the handle
     /// has no writer).
     pub fn current_lsn(&self) -> Lsn {
-        self.sink.lock().writer.as_ref().map_or(0, |w| w.lsn())
+        self.sink.lock().as_ref().map_or(0, |w| w.lsn())
     }
 
     /// Total bytes appended over the log's lifetime (the same number as
@@ -718,7 +790,7 @@ impl WalHandle {
 
     /// Number of commit groups appended.
     pub fn records(&self) -> u64 {
-        self.sink.lock().records
+        self.records.load(Ordering::Relaxed)
     }
 }
 
@@ -732,9 +804,13 @@ pub struct DurabilityTicket {
     /// The commit timestamp registered on the horizon.
     pub(crate) commit_ts: u64,
     /// `(partition index, end LSN)` for every partition the commit's redo
-    /// groups landed on, in the order they were appended.
-    pub(crate) parts: Vec<(u32, Lsn)>,
+    /// groups landed on, in the order they were appended. Shared with the
+    /// commit's horizon entry — one allocation per commit.
+    pub(crate) parts: TicketParts,
 }
+
+/// `(partition index, end LSN)` of each redo group of one commit.
+pub(crate) type TicketParts = Arc<[(u32, Lsn)]>;
 
 /// The process-wide durability horizon: the highest timestamp `t` such
 /// that every committed transaction with `commit_ts <= t` is durable on
@@ -753,6 +829,13 @@ pub struct DurabilityTicket {
 /// succeeds and *before* installing (and before the commit clock marks
 /// the allocation finished) — so the clock's stable timestamp can never
 /// pass a committed transaction that has not yet registered here.
+///
+/// An entry leaves the ledger when the disk has covered it, whoever
+/// notices: it carries the end LSN of each of its redo groups, and anyone
+/// advancing the horizon retires a leading entry whose partitions'
+/// `durable_lsn` watermarks have all passed them. An acknowledgment
+/// therefore waits for fsyncs, never for the sessions that own the commits
+/// below it to get round to their own acknowledgments.
 pub struct DurabilityHorizon {
     /// The horizon itself. Written only under `pending`'s lock, so plain
     /// stores stay monotone.
@@ -760,20 +843,27 @@ pub struct DurabilityHorizon {
     /// Commits acknowledged through `DurabilityHorizon::wait_acked`
     /// (observability).
     acked: AtomicU64,
-    /// Registered commits not yet known durable: `commit_ts -> covered`.
-    /// An entry flips to `true` once every partition the commit touched
-    /// reports coverage; the horizon advances past leading covered
-    /// entries.
-    pending: Mutex<BTreeMap<u64, bool>>,
+    /// Parks in `wait_acked` that ran out `GROUP_PARK` before the horizon
+    /// reached them, with nobody's notify in between.
+    timeout_wakeups: AtomicU64,
+    /// Registered commits not yet known durable: commit timestamp →
+    /// where its redo groups end. The horizon advances past leading
+    /// entries the partitions' watermarks cover.
+    pending: Mutex<BTreeMap<u64, TicketParts>>,
     cond: Condvar,
+    /// The partition logs whose watermarks retire the entries.
+    wals: Arc<[Arc<WalHandle>]>,
 }
 
 impl DurabilityHorizon {
-    /// An empty horizon (no commit registered, horizon at 0).
-    pub(crate) fn new() -> Self {
+    /// An empty horizon (no commit registered, horizon at 0) over the
+    /// database's partition logs.
+    pub(crate) fn new(wals: Arc<[Arc<WalHandle>]>) -> Self {
         DurabilityHorizon {
+            wals,
             durable_ts: AtomicU64::new(0),
             acked: AtomicU64::new(0),
+            timeout_wakeups: AtomicU64::new(0),
             pending: Mutex::new(BTreeMap::new()),
             cond: Condvar::new(),
         }
@@ -790,31 +880,44 @@ impl DurabilityHorizon {
         self.acked.load(Ordering::Relaxed)
     }
 
-    /// Registers a committed transaction on the horizon. Must be called
-    /// after its last log append succeeded and before it installs (see the
-    /// type-level invariant).
-    pub(crate) fn register(&self, commit_ts: u64) {
-        self.pending.lock().insert(commit_ts, false);
+    /// Parks in `DurabilityHorizon::wait_acked` that ended on the
+    /// `GROUP_PARK` timeout and then found the horizon had reached them —
+    /// progress found by the safety-net poll (a moved commit-clock stable
+    /// point, a watermark nobody advanced the horizon for) instead of
+    /// delivered by a notify.
+    pub fn timeout_wakeups(&self) -> u64 {
+        self.timeout_wakeups.load(Ordering::Relaxed)
     }
 
-    /// Resolves a registered commit: `durable` marks it covered (every
-    /// partition it touched fsynced past its group), `!durable` withdraws
-    /// it — the acknowledgment is failing with `DurabilityFailed`, and
-    /// leaving the entry would wedge every later commit's acknowledgment
+    /// Registers a committed transaction and where its redo groups end.
+    /// Must be called after its last log append succeeded and before it
+    /// installs (see the type-level invariant).
+    pub(crate) fn register(&self, commit_ts: u64, parts: TicketParts) {
+        self.pending.lock().insert(commit_ts, parts);
+    }
+
+    /// Resolves a registered commit from its owner's side: the entry goes,
+    /// whichever way the owner's acknowledgment went. Covered (every
+    /// partition it touched fsynced past its group), it no longer holds
+    /// the horizon back — and may already be gone, retired by whoever saw
+    /// the watermarks first. Failing with `DurabilityFailed`, it is
+    /// withdrawn: the entry of a degraded partition retires no other way,
+    /// and leaving it would wedge every later commit's acknowledgment
     /// behind a hole that will never fill (the durability gap is
-    /// documented: it closes at the post-heal sealing checkpoint). Either
-    /// way the horizon advances as far as `stable` (the commit clock's
-    /// stable timestamp) allows.
-    pub(crate) fn resolve(&self, commit_ts: u64, durable: bool, stable: u64) {
+    /// documented: it closes at the post-heal sealing checkpoint). Then
+    /// the horizon advances as far as the watermarks and `stable` (the
+    /// commit clock's stable timestamp) allow.
+    pub(crate) fn resolve(&self, commit_ts: u64, stable: u64) {
         let mut pending = self.pending.lock();
-        if durable {
-            if let Some(covered) = pending.get_mut(&commit_ts) {
-                *covered = true;
-            }
-        } else {
-            pending.remove(&commit_ts);
-        }
+        pending.remove(&commit_ts);
         self.advance_locked(&mut pending, stable);
+    }
+
+    /// Advances the horizon as far as the partitions' watermarks and
+    /// `stable` allow, waking the acknowledgments it reaches. The
+    /// group-commit leader calls this right after publishing its fsync.
+    pub(crate) fn advance(&self, stable: u64) {
+        self.advance_locked(&mut self.pending.lock(), stable);
     }
 
     /// Parks until the horizon reaches `commit_ts`. `stable` is re-sampled
@@ -822,31 +925,39 @@ impl DurabilityHorizon {
     /// concurrent committer between its allocation and its finish) makes
     /// progress without a dedicated wakeup.
     pub(crate) fn wait_acked(&self, commit_ts: u64, stable: impl Fn() -> u64) {
-        loop {
-            if self.durable_ts.load(Ordering::Acquire) >= commit_ts {
-                self.acked.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
+        if self.durable_ts() < commit_ts {
             let mut pending = self.pending.lock();
-            self.advance_locked(&mut pending, stable());
-            if self.durable_ts.load(Ordering::Acquire) >= commit_ts {
-                drop(pending);
-                self.acked.fetch_add(1, Ordering::Relaxed);
-                return;
+            let mut timed_out = false;
+            loop {
+                self.advance_locked(&mut pending, stable());
+                if self.durable_ts() >= commit_ts {
+                    break;
+                }
+                timed_out = self.cond.wait_for(&mut pending, GROUP_PARK).timed_out();
             }
-            self.cond.wait_for(&mut pending, GROUP_PARK);
+            if timed_out {
+                self.timeout_wakeups.fetch_add(1, Ordering::Relaxed);
+            }
         }
+        self.acked.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Pops leading covered entries and publishes the new horizon:
     /// `min(stable, first still-pending timestamp - 1)` — or `stable`
-    /// alone when nothing is pending. Caller holds the `pending` lock.
-    fn advance_locked(&self, pending: &mut BTreeMap<u64, bool>, stable: u64) {
-        while pending
-            .first_key_value()
-            .is_some_and(|(_, covered)| *covered)
-        {
-            pending.pop_first();
+    /// alone when nothing is pending. An entry is covered when every
+    /// partition it logged to is healthy and has fsynced past its group; a
+    /// degraded partition's watermark is not trusted, so its entries wait
+    /// for their owner's withdrawal. Caller holds the `pending` lock.
+    fn advance_locked(&self, pending: &mut BTreeMap<u64, TicketParts>, stable: u64) {
+        while let Some(first) = pending.first_entry() {
+            let covered = first.get().iter().all(|&(p, lsn)| {
+                let wal = &self.wals[p as usize];
+                !wal.is_degraded() && wal.durable_lsn() >= lsn
+            });
+            if !covered {
+                break;
+            }
+            first.remove();
         }
         let limit = pending
             .keys()
@@ -860,12 +971,6 @@ impl DurabilityHorizon {
             self.durable_ts.store(horizon, Ordering::Release);
             self.cond.notify_all();
         }
-    }
-}
-
-impl Default for DurabilityHorizon {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

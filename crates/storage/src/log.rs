@@ -241,8 +241,27 @@ pub trait LogFile: Send {
     fn write_all(&mut self, buf: &[u8]) -> io::Result<()>;
     /// Pushes buffered bytes to the OS without forcing them to media.
     fn flush(&mut self) -> io::Result<()>;
+    /// Flushes, then hands out the barrier that forces every byte written
+    /// so far to stable media. The barrier does not borrow the file: its
+    /// owner keeps appending (behind whatever lock serializes the appends)
+    /// while another thread waits out the device.
+    fn barrier(&mut self) -> io::Result<FileBarrier>;
     /// Flushes, then forces file data to stable media (`fdatasync`).
-    fn sync_data(&mut self) -> io::Result<()>;
+    fn sync_data(&mut self) -> io::Result<()> {
+        self.barrier()?.wait()
+    }
+}
+
+/// The `fdatasync` half of [`LogFile::barrier`], detached from the handle
+/// it was taken from. It covers the bytes the file held when it was taken;
+/// later appends may or may not ride along.
+pub struct FileBarrier(Arc<File>);
+
+impl FileBarrier {
+    /// Blocks until the covered bytes are on stable media.
+    pub fn wait(&self) -> io::Result<()> {
+        self.0.sync_data()
+    }
 }
 
 /// The filesystem seam under `bamboo_storage::log`: every directory scan,
@@ -273,7 +292,9 @@ pub trait LogBackend: Send + Sync + fmt::Debug {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RealBackend;
 
-struct RealFile(BufWriter<File>);
+/// The file sits behind an `Arc` so a [`FileBarrier`] can outlive the
+/// borrow of the writer that took it.
+struct RealFile(BufWriter<Arc<File>>);
 
 impl LogFile for RealFile {
     fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
@@ -284,9 +305,9 @@ impl LogFile for RealFile {
         self.0.flush()
     }
 
-    fn sync_data(&mut self) -> io::Result<()> {
+    fn barrier(&mut self) -> io::Result<FileBarrier> {
         self.0.flush()?;
-        self.0.get_ref().sync_data()
+        Ok(FileBarrier(Arc::clone(self.0.get_ref())))
     }
 }
 
@@ -309,12 +330,12 @@ impl LogBackend for RealBackend {
             .truncate(true)
             .write(true)
             .open(path)?;
-        Ok(Box::new(RealFile(BufWriter::new(file))))
+        Ok(Box::new(RealFile(BufWriter::new(Arc::new(file)))))
     }
 
     fn open_append(&self, path: &Path) -> io::Result<Box<dyn LogFile>> {
         let file = OpenOptions::new().append(true).open(path)?;
-        Ok(Box::new(RealFile(BufWriter::new(file))))
+        Ok(Box::new(RealFile(BufWriter::new(Arc::new(file)))))
     }
 
     fn file_len(&self, path: &Path) -> io::Result<u64> {
@@ -614,7 +635,10 @@ impl LogFile for FaultFile {
         self.inner.flush()
     }
 
-    fn sync_data(&mut self) -> io::Result<()> {
+    /// The fsync fault is drawn here, when the barrier is taken — under
+    /// the caller's append lock, so the file's draw order does not depend
+    /// on which thread waits out the device.
+    fn barrier(&mut self) -> io::Result<FileBarrier> {
         let (fault, _) = self.injector.draw(&self.name, false);
         if fault == Fault::Fsync {
             // The flush may have pushed bytes to the OS; only the
@@ -622,7 +646,7 @@ impl LogFile for FaultFile {
             let _ = self.inner.flush();
             return Err(injected_transient("fsync failure"));
         }
-        self.inner.sync_data()
+        self.inner.barrier()
     }
 }
 
@@ -1145,6 +1169,11 @@ pub struct SegmentWriter {
     synced_lsn: Lsn,
     /// Start LSN of the group most recently flushed by `flush_group`.
     group_start: Lsn,
+    /// Identity of the bytes below `lsn`: replaced whenever
+    /// `abandon_group` cuts written bytes back out, so a [`SyncBarrier`]
+    /// taken before the cut — or from another writer — cannot vouch for
+    /// what was later written in their place.
+    epoch: Arc<()>,
     /// Framed bytes of the staged (not yet flushed) record group.
     stage: Vec<u8>,
     scratch: Vec<u8>,
@@ -1192,6 +1221,7 @@ impl LogDir {
             lsn: start_lsn,
             synced_lsn: start_lsn,
             group_start: start_lsn,
+            epoch: Arc::new(()),
             stage: Vec::with_capacity(512),
             scratch: Vec::with_capacity(512),
         })
@@ -1299,6 +1329,7 @@ impl SegmentWriter {
         if self.synced_lsn > target {
             self.synced_lsn = target;
         }
+        self.epoch = Arc::new(());
         Ok(())
     }
 
@@ -1350,9 +1381,36 @@ impl SegmentWriter {
 
     /// Flushes buffered bytes and fsyncs the active segment.
     pub fn sync(&mut self) -> io::Result<()> {
-        self.file.sync_data()?;
-        self.synced_lsn = self.lsn;
+        let barrier = self.begin_sync()?;
+        barrier.wait()?;
+        self.finish_sync(&barrier);
         Ok(())
+    }
+
+    /// First half of a sync the caller waits out *without* holding the
+    /// writer: pushes buffered bytes to the OS and returns the barrier
+    /// covering everything up to the current LSN. The caller runs
+    /// [`SyncBarrier::wait`] (other threads may append meanwhile), then
+    /// reports success through [`SegmentWriter::finish_sync`].
+    pub fn begin_sync(&mut self) -> io::Result<SyncBarrier> {
+        Ok(SyncBarrier {
+            file: self.file.barrier()?,
+            lsn: self.lsn,
+            epoch: Arc::clone(&self.epoch),
+        })
+    }
+
+    /// Records that `barrier` reached stable media: `synced_lsn` rises to
+    /// the LSN the barrier was taken at. It never moves backwards (a
+    /// rotation in between already sealed the old segment at a higher
+    /// LSN), and a barrier from before an [`SegmentWriter::abandon_group`]
+    /// is ignored — the bytes it covered are no longer the bytes below its
+    /// LSN. A [`SegmentWriter::rewind_partial`] in between is harmless: it
+    /// only cuts bytes *above* the writer's LSN.
+    pub fn finish_sync(&mut self, barrier: &SyncBarrier) {
+        if Arc::ptr_eq(&self.epoch, &barrier.epoch) && barrier.lsn > self.synced_lsn {
+            self.synced_lsn = barrier.lsn;
+        }
     }
 
     /// Next LSN to be assigned (= total frame bytes written).
@@ -1368,6 +1426,21 @@ impl SegmentWriter {
     /// The writer's fsync policy.
     pub fn policy(&self) -> FsyncPolicy {
         self.policy
+    }
+}
+
+/// A sync in flight: taken by [`SegmentWriter::begin_sync`] under the
+/// caller's append lock, waited out with the lock released.
+pub struct SyncBarrier {
+    file: FileBarrier,
+    lsn: Lsn,
+    epoch: Arc<()>,
+}
+
+impl SyncBarrier {
+    /// Blocks until every byte below the barrier's LSN is on stable media.
+    pub fn wait(&self) -> io::Result<()> {
+        self.file.wait()
     }
 }
 
@@ -2440,6 +2513,142 @@ mod tests {
             .collect();
         assert_eq!(ids, vec![1, 3], "the abandoned group never replays");
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn stage_txn(w: &mut SegmentWriter, txn_id: u64) {
+        w.stage_record(&WalRecord::Begin {
+            txn_id,
+            commit_ts: txn_id,
+            parts_mask: 1,
+        });
+        w.stage_record(&WalRecord::Commit {
+            txn_id,
+            commit_ts: txn_id,
+        });
+    }
+
+    /// A rotation between `begin_sync` and `finish_sync` seals the old
+    /// segment at a higher LSN than the barrier's; the late `finish_sync`
+    /// must not pull `synced_lsn` back down to it.
+    #[test]
+    fn finish_sync_after_a_rotation_never_lowers_synced_lsn() {
+        let dir = tmp_dir("barrier-rotate");
+        let mut w = SegmentWriter::open(&dir, 0, FsyncPolicy::Never, 100).unwrap();
+        stage_txn(&mut w, 1);
+        w.flush_group().unwrap();
+        let barrier = w.begin_sync().unwrap();
+        let taken_at = w.lsn();
+        while w.seg_index == 0 {
+            stage_txn(&mut w, 2);
+            w.flush_group().unwrap();
+        }
+        let sealed = w.synced_lsn();
+        assert!(sealed > taken_at, "rotation synced past the barrier");
+        barrier.wait().unwrap();
+        w.finish_sync(&barrier);
+        assert_eq!(w.synced_lsn(), sealed);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A barrier taken before `abandon_group` covered bytes that are gone:
+    /// it is ignored both while it points above the writer's LSN and after
+    /// new groups have been written over the range it covered.
+    #[test]
+    fn finish_sync_after_abandon_group_is_ignored() {
+        let dir = tmp_dir("barrier-abandon");
+        let mut w = SegmentWriter::open(&dir, 0, FsyncPolicy::Never, 1 << 20).unwrap();
+        stage_txn(&mut w, 1);
+        w.flush_group().unwrap();
+        stage_txn(&mut w, 2);
+        w.flush_group().unwrap();
+        let barrier = w.begin_sync().unwrap();
+        let taken_at = w.lsn();
+        barrier.wait().unwrap();
+        w.abandon_group().unwrap();
+        assert!(taken_at > w.lsn());
+        w.finish_sync(&barrier);
+        assert_eq!(w.synced_lsn(), 0, "a barrier above the writer's lsn");
+        for txn in 3..6 {
+            stage_txn(&mut w, txn);
+            w.flush_group().unwrap();
+        }
+        assert!(w.lsn() > taken_at);
+        w.finish_sync(&barrier);
+        assert_eq!(w.synced_lsn(), 0, "the covered range was rewritten");
+        // A barrier of the current epoch works as ever.
+        w.sync().unwrap();
+        assert_eq!(w.synced_lsn(), w.lsn());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `rewind_partial` re-opens the segment's append handle but only cuts
+    /// bytes above the writer's LSN, so a barrier in flight across it still
+    /// covers what it covered.
+    #[test]
+    fn a_barrier_survives_a_concurrent_rewind_partial() {
+        let dir = tmp_dir("barrier-rewind");
+        let mut w = SegmentWriter::open(&dir, 0, FsyncPolicy::Never, 1 << 20).unwrap();
+        stage_txn(&mut w, 1);
+        w.flush_group().unwrap();
+        let barrier = w.begin_sync().unwrap();
+        let taken_at = w.lsn();
+        stage_txn(&mut w, 2);
+        w.rewind_partial().unwrap();
+        w.flush_group().unwrap();
+        barrier.wait().unwrap();
+        w.finish_sync(&barrier);
+        assert_eq!(w.synced_lsn(), taken_at);
+        drop(w);
+        let scan = LogDir::real(&dir).scan_partition_from(0, 0).unwrap();
+        assert_eq!(scan.records.len(), 4, "both groups intact");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// One seed, one schedule: the fsync fault is drawn when the barrier is
+    /// taken, so a fixed sequence of appends and split syncs replays with
+    /// the same outcome per step and the same injected-fault count.
+    #[test]
+    fn split_sync_replays_identically_per_seed() {
+        let plan = FaultPlan {
+            seed: 4242,
+            fsync_permille: 300,
+            short_write_permille: 200,
+            ..FaultPlan::quiet(4242)
+        };
+        let run = |tag: &str| {
+            let dir = tmp_dir(tag);
+            let inj = FaultInjector::new(plan);
+            let backend: Arc<dyn LogBackend> = Arc::new(FaultBackend::new(Arc::clone(&inj)));
+            let mut w = LogDir::new(&dir, backend)
+                .open_writer(0, FsyncPolicy::Never, 1 << 20)
+                .unwrap();
+            inj.arm();
+            let mut outcomes = Vec::new();
+            for txn in 0..48 {
+                stage_txn(&mut w, txn);
+                let landed = w.flush_group().is_ok();
+                if !landed {
+                    w.rewind_partial().unwrap();
+                    w.clear_group();
+                }
+                let synced = w.begin_sync().and_then(|b| {
+                    b.wait()?;
+                    w.finish_sync(&b);
+                    Ok(())
+                });
+                outcomes.push((landed, synced.is_ok(), w.synced_lsn()));
+            }
+            inj.disarm();
+            drop(w);
+            fs::remove_dir_all(&dir).unwrap();
+            (outcomes, inj.injected())
+        };
+        let (a, ia) = run("split-sync-a");
+        let (b, ib) = run("split-sync-b");
+        assert_eq!(a, b);
+        assert_eq!(ia, ib);
+        assert!(a.iter().any(|&(landed, synced, _)| landed && !synced));
+        assert!(a.iter().any(|&(_, synced, _)| synced));
     }
 
     /// `retire_segments_below` deletes exactly the sealed segments whose

@@ -1,7 +1,8 @@
 //! Stress and property coverage for the lock-free commit pipeline: the
 //! commit clock (atomic `next` + finished-slot ring + cached stable
 //! point), the sharded epoch-bin snapshot registry, and the "snapshot too
-//! old" lag cap.
+//! old" lag cap — and, under group commit, the durability horizon the
+//! acknowledgments park on.
 //!
 //! The lock-free claim is asserted *executably*: the vendored
 //! `parking_lot` shim counts every blocking lock acquisition per thread
@@ -11,21 +12,25 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use bamboo_repro::core::partition::PartitionedDb;
 use bamboo_repro::core::protocol::{LockingProtocol, Protocol, SiloProtocol};
 use bamboo_repro::core::sync::thread_lock_acquisitions;
 use bamboo_repro::core::txn::{Abort, AbortReason};
-use bamboo_repro::core::{Database, Session, TxnOptions};
-use bamboo_repro::storage::{DataType, Row, Schema, TableId, Value};
+use bamboo_repro::core::{Database, DbOptions, Session, TxnOptions};
+use bamboo_repro::storage::{
+    DataType, FsyncPolicy, PartitionId, RouteStrategy, Row, Schema, TableId, Value,
+};
 use proptest::prelude::*;
+
+fn kv_schema() -> Schema {
+    Schema::build()
+        .column("k", DataType::U64)
+        .column("v", DataType::I64)
+}
 
 fn kv_db(keys: u64) -> (Arc<Database>, TableId) {
     let mut b = Database::builder();
-    let t = b.add_table(
-        "kv",
-        Schema::build()
-            .column("k", DataType::U64)
-            .column("v", DataType::I64),
-    );
+    let t = b.add_table("kv", kv_schema());
     let db = b.build();
     for k in 0..keys {
         db.table(t)
@@ -233,6 +238,97 @@ fn capped_long_reader_aborts_snapshot_too_old_while_writers_commit() {
     // With both readers gone the watermark passes the capped snapshot.
     db.publish_watermark();
     assert!(db.gc_watermark() >= capped_ts);
+}
+
+/// A one-partition group-commit database on a real segment file, `keys`
+/// rows loaded.
+fn group_commit_db(tag: &str, keys: u64) -> (Arc<Database>, TableId, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("bamboo-cp-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut b = PartitionedDb::builder(1);
+    let t = b.add_table("kv", kv_schema(), RouteStrategy::Pin(0));
+    b.with_options(
+        DbOptions::new()
+            .with_wal_dir(dir.clone())
+            .with_fsync_policy(FsyncPolicy::GroupCommit {
+                max_batch: 16,
+                max_wait_us: 100,
+            }),
+    );
+    let db = Arc::clone(b.build().db(PartitionId(0)));
+    for k in 0..keys {
+        db.table(t)
+            .insert(k, Row::from(vec![Value::U64(k), Value::I64(0)]));
+    }
+    (db, t, dir)
+}
+
+/// Commits one write to `key` with the acknowledgment deferred.
+fn stage(session: &Session, t: TableId, key: u64) -> bamboo_repro::core::wal::DurabilityTicket {
+    let mut txn = session.begin();
+    txn.update(t, key, |row| row.set(1, Value::I64(1))).unwrap();
+    txn.commit_deferred()
+        .expect("uncontended commit")
+        .expect("group commit on a wal_dir always hands out a ticket")
+}
+
+/// Commits one write to `key` on a session and thread of its own and
+/// acknowledges it; panics if the acknowledgment has not returned within
+/// ten seconds (five orders of magnitude above an fsync).
+fn commit_and_ack_under_watchdog(db: &Arc<Database>, t: TableId, key: u64) {
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let db = Arc::clone(db);
+    let peer = std::thread::spawn(move || {
+        let session = Session::new(db, Arc::new(LockingProtocol::bamboo()));
+        let ticket = stage(&session, t, key);
+        done_tx.send(session.ack_ticket(ticket)).unwrap();
+    });
+    let acked = done_rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("an acknowledgment waited for another session instead of for its fsync");
+    assert_eq!(acked, Ok(()));
+    peer.join().unwrap();
+}
+
+/// The horizon retires an entry when the disk has covered it, not when
+/// its owner says so: session A keeps a flight of unacknowledged tickets
+/// while session B commits above them, and B's acknowledgment — whose
+/// leader fsync covers A's groups on their shared log — must return
+/// without A lifting a finger. A then acknowledges its flight.
+#[test]
+fn a_peer_mid_flight_does_not_hold_back_an_ack() {
+    const FLIGHT: u64 = 8;
+    let (db, t, dir) = group_commit_db("mid-flight", FLIGHT + 1);
+    let a = Session::new(Arc::clone(&db), Arc::new(LockingProtocol::bamboo()));
+    let flight: Vec<_> = (0..FLIGHT).map(|key| stage(&a, t, key)).collect();
+    assert_eq!(
+        db.durability_horizon().durable_ts(),
+        0,
+        "nothing was fsynced yet, so nothing may be acknowledged"
+    );
+
+    commit_and_ack_under_watchdog(&db, t, FLIGHT);
+
+    for ticket in flight {
+        assert_eq!(a.ack_ticket(ticket), Ok(()));
+    }
+    assert_eq!(db.durability_horizon().acked(), FLIGHT + 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A ticket nobody ever acknowledges costs its owner the answer, not
+/// everyone else theirs: the next fsync of its partition retires its
+/// horizon entry.
+#[test]
+fn a_dropped_ticket_does_not_wedge_later_acks() {
+    let (db, t, dir) = group_commit_db("dropped-ticket", 2);
+    let a = Session::new(Arc::clone(&db), Arc::new(LockingProtocol::bamboo()));
+    drop(stage(&a, t, 0));
+
+    commit_and_ack_under_watchdog(&db, t, 1);
+
+    assert!(db.durability_horizon().durable_ts() >= 2);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 proptest! {
