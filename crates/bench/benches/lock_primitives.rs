@@ -1,7 +1,9 @@
 //! Micro-benchmarks of the lock-table primitives: the grant/release cycle,
 //! the retire path (publishing a dirty version), the dirty-read grant and
 //! the contended handoff between two workers — the per-operation costs
-//! behind Optimization 1/2's overhead discussion.
+//! behind Optimization 1/2's overhead discussion — and the primary-key
+//! point lookup every access starts with, from one thread and from two
+//! (a latch shared by all lookups shows only in the second).
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -140,6 +142,59 @@ fn bench(c: &mut Criterion) {
     });
 
     g.finish();
+
+    let mut gt = c.benchmark_group("table_primitives");
+    gt.sample_size(20)
+        .warm_up_time(Duration::from_millis(200))
+        .measurement_time(Duration::from_millis(700));
+
+    // Uniform random `get`s over a 2^18-row table. Keys come from the top
+    // bits of a per-thread LCG, so drawing one costs a multiply-add.
+    const TABLE_BITS: u32 = 18;
+    let big = Table::<TupleCc>::with_capacity(
+        "big",
+        Schema::build()
+            .column("k", DataType::U64)
+            .column("v", DataType::I64),
+        1 << TABLE_BITS,
+    );
+    for k in 0..1u64 << TABLE_BITS {
+        big.insert(k, Row::from(vec![Value::U64(k), Value::I64(0)]));
+    }
+    let random_gets = |seed: u64, iters: u64| {
+        let mut x = seed;
+        for _ in 0..iters {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            criterion::black_box(big.get(x >> (64 - TABLE_BITS)));
+        }
+    };
+
+    gt.bench_function("table_get", |b| {
+        b.iter_custom(|iters| {
+            let start = std::time::Instant::now();
+            random_gets(1, iters);
+            start.elapsed()
+        })
+    });
+
+    gt.bench_function("table_get_2t", |b| {
+        // Two threads look up at once; reported per lookup of one thread
+        // (wall time ÷ `iters`), so it equals `table_get` when nothing is
+        // shared between them.
+        b.iter_custom(|iters| {
+            let start = std::time::Instant::now();
+            std::thread::scope(|s| {
+                for seed in [1, 2] {
+                    s.spawn(move || random_gets(seed, iters));
+                }
+            });
+            start.elapsed()
+        })
+    });
+
+    gt.finish();
 
     let mut g2 = c.benchmark_group("workload_primitives");
     g2.sample_size(20)

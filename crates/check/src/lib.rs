@@ -58,6 +58,15 @@
 //!    defines it): the in-memory ring is the session's, a `WalHandle` is
 //!    only ever a partition's segment file. Borrowing the ring
 //!    (`&Mutex<WalBuffer>` in a signature) is not holding one.
+//! 10. **keyed-hash** — in `crates/{core,storage}/src` production code a
+//!     `HashMap` / `HashSet` keyed by `u64`, `u32`, `RowId`, `TableId` or a
+//!     tuple of those names `BuildKeyHasher` as its hasher: those keys are
+//!     engine-generated, and std's SipHash was a measured share of every
+//!     point access (see `bamboo_storage::index`). The type may span lines
+//!     or be a turbofish. A `let` that builds a std-hashed map
+//!     (`HashMap::new(`, `::with_capacity(`, `::default(`) without a type
+//!     annotation is flagged too: its key type is inferred where the rule
+//!     cannot see it.
 
 use std::fmt;
 use std::path::Path;
@@ -287,7 +296,116 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Finding> {
             );
         }
     }
+
+    // Rule 10: over the whole file, because a map type may span lines.
+    if rel_path.starts_with("crates/core/src/") || rel_path.starts_with("crates/storage/src/") {
+        for (line, msg) in std_hashed_int_maps(&masked.code) {
+            if !test_lines.contains(&line) {
+                findings.push(Finding {
+                    path: rel_path.to_string(),
+                    line: line + 1,
+                    rule: "keyed-hash",
+                    msg,
+                });
+            }
+        }
+    }
     findings
+}
+
+/// Rule 10's sites in `code` (masked): 0-based line and message for each
+/// integer-keyed `HashMap` / `HashSet` type that does not name
+/// `BuildKeyHasher`, and each unannotated `let` that builds a std-hashed
+/// map.
+fn std_hashed_int_maps(code: &str) -> Vec<(usize, String)> {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut out = Vec::new();
+    for name in ["HashMap", "HashSet"] {
+        let mut from = 0;
+        while let Some(pos) = code[from..].find(name) {
+            let at = from + pos;
+            from = at + name.len();
+            if code[..at].chars().last().is_some_and(ident) {
+                continue;
+            }
+            let rest = &code[from..];
+            let line = code[..at].matches('\n').count();
+            let generics = rest.strip_prefix('<').or_else(|| rest.strip_prefix("::<"));
+            if let Some(generics) = generics {
+                let args = generic_args(generics);
+                let named = args[1..]
+                    .iter()
+                    .any(|a| a.trim().rsplit("::").next() == Some("BuildKeyHasher"));
+                if !named && is_int_key(&args[0]) {
+                    out.push((line, format!("`{name}<{}, …>` hashes engine-generated integer keys with std's SipHash — name `bamboo_storage::BuildKeyHasher` as its hasher", args[0].trim())));
+                }
+                continue;
+            }
+            let std_ctor = ["::new(", "::with_capacity(", "::default("]
+                .iter()
+                .any(|c| rest.starts_with(c));
+            let line_code = code.lines().nth(line).unwrap_or("").trim_start();
+            let unannotated = line_code
+                .strip_prefix("let ")
+                .and_then(|l| l.split_once('='))
+                .is_some_and(|(binding, _)| !binding.contains(':'));
+            if std_ctor && unannotated {
+                out.push((line, format!("a `let` builds a std-hashed `{name}` without a type annotation — annotate it so the key type is visible (and name `BuildKeyHasher` if the key is an integer)")));
+            }
+        }
+    }
+    out.sort();
+    out
+}
+
+/// The top-level arguments of a generic list, given the text after its
+/// `<` (stops at the matching `>`; `->` inside is not a bracket).
+fn generic_args(s: &str) -> Vec<String> {
+    let mut args = vec![String::new()];
+    let mut depth = 0usize;
+    let mut prev = ' ';
+    for c in s.chars() {
+        match c {
+            '<' | '(' | '[' => depth += 1,
+            '>' if prev == '-' => {}
+            '>' | ')' | ']' => {
+                if depth == 0 {
+                    break;
+                }
+                depth -= 1;
+            }
+            ',' if depth == 0 => {
+                args.push(String::new());
+                prev = c;
+                continue;
+            }
+            _ => {}
+        }
+        args.last_mut().expect("never empty").push(c);
+        prev = c;
+    }
+    args
+}
+
+/// `u64`, `u32`, `RowId`, `TableId` (path-qualified or not), or a tuple of
+/// them.
+fn is_int_key(ty: &str) -> bool {
+    let ty = ty.trim();
+    let scalar = |t: &str| {
+        let last = t.trim().rsplit("::").next().unwrap_or("");
+        matches!(last, "u64" | "u32" | "RowId" | "TableId")
+    };
+    match ty.strip_prefix('(').and_then(|t| t.strip_suffix(')')) {
+        Some(inner) => {
+            !inner.trim().is_empty()
+                && generic_args(inner)
+                    .iter()
+                    .map(|e| e.trim())
+                    .filter(|e| !e.is_empty())
+                    .all(scalar)
+        }
+        None => scalar(ty),
+    }
 }
 
 /// `proto.begin(` / `protocol.commit(` / `self.proto.abort(` — an
@@ -948,6 +1066,49 @@ mod tests {
         assert!(rules("crates/bench/benches/lock_primitives.rs", src).is_empty());
         let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() { let w = Mutex::new(WalBuffer::for_tests()); let d = Database { topology: t }; }\n}\n";
         assert!(rules("crates/core/src/protocol/locking.rs", src).is_empty());
+    }
+
+    // --- rule 10: keyed-hash ------------------------------------------
+
+    #[test]
+    fn std_hashed_integer_maps_fire_in_core_and_storage() {
+        // The access set and the recovery map as they were.
+        let src = "struct TxnCtx {\n    index: HashMap<(u32, RowId), usize>,\n}\nlet mut groups: HashMap<u64, TxnGroup> = HashMap::new();\n";
+        assert_eq!(
+            rules("crates/core/src/txn.rs", src),
+            vec!["keyed-hash", "keyed-hash"]
+        );
+        // A type rustfmt broke over lines, a set, a turbofish, a path.
+        let src = "shards: Box<[RwLock<HashMap<\n    u64,\n    Vec<u64>,\n>>]>,\nlet s: std::collections::HashSet<bamboo_storage::TableId> = x;\nlet m = HashMap::<u32, u8>::new();\n";
+        let found = scan_source("crates/storage/src/index.rs", src);
+        let lines: Vec<_> = found.iter().map(|f| (f.rule, f.line)).collect();
+        assert_eq!(
+            lines,
+            vec![("keyed-hash", 1), ("keyed-hash", 5), ("keyed-hash", 6)]
+        );
+        // A map whose key type is inferred: the rule cannot see it.
+        let src = "let mut seen = HashSet::with_capacity(16);\nlet mut m = std::collections::HashMap::default();\n";
+        assert_eq!(
+            rules("crates/core/src/durability.rs", src),
+            vec!["keyed-hash", "keyed-hash"]
+        );
+    }
+
+    #[test]
+    fn keyed_hash_exempts_the_mixer_other_keys_other_crates_and_tests() {
+        let src = "index: HashMap<(u32, u64), usize, BuildKeyHasher>,\nlet mut groups: HashMap<u64, TxnGroup, BuildKeyHasher> = HashMap::default();\ntype S = RwLock<HashSet<RowId, bamboo_storage::BuildKeyHasher>>;\n";
+        assert!(rules("crates/core/src/txn.rs", src).is_empty());
+        // Keys that are not engine-generated integers, and a field
+        // initialiser (its type is declared, and checked, on the field).
+        let src = "ops: Mutex<HashMap<String, u64>>,\nops: Mutex::new(HashMap::new()),\nlet m: HashMap<Vec<u64>, u8> = HashMap::new();\nlet b: BTreeMap<u64, u8> = BTreeMap::new();\nuse std::collections::HashMap;\n";
+        assert!(rules("crates/storage/src/log.rs", src).is_empty());
+        // Other crates, test code, comments and strings.
+        let src = "let m: HashMap<u64, u8> = HashMap::new();\n";
+        assert!(rules("crates/workload/src/ycsb.rs", src).is_empty());
+        let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() { let mut names = std::collections::HashSet::new(); let m: HashMap<u64, u8> = HashMap::new(); }\n}\n";
+        assert!(rules("crates/core/src/txn.rs", src).is_empty());
+        let src = "// a HashMap<u64, V> on SipHash\nlet s = \"HashMap<u64, u8>\";\n";
+        assert!(rules("crates/core/src/db.rs", src).is_empty());
     }
 
     // --- masking / regions machinery ----------------------------------

@@ -86,7 +86,7 @@ use std::sync::Arc;
 use bamboo_storage::log::{
     CheckpointMeta, CheckpointPart, LogScan, Lsn, TableDump, TableMeta, WalRecord,
 };
-use bamboo_storage::{PartitionId, TableId};
+use bamboo_storage::{BuildKeyHasher, PartitionId, TableId};
 
 use crate::db::DbOptions;
 use crate::partition::PartitionedDb;
@@ -328,7 +328,7 @@ impl PartitionedDb {
         // Analysis 2/2: reassemble transactions across partitions and
         // decide which are replayable. Keyed by txn id — logs hold tens of
         // thousands of groups, so lookup must not be linear.
-        let mut groups: HashMap<u64, TxnGroup> = HashMap::new();
+        let mut groups: HashMap<u64, TxnGroup, BuildKeyHasher> = HashMap::default();
         let mut max_txn_id = 0u64;
         for (p, scan) in scans.iter().enumerate() {
             let mut open: Option<(u64, Vec<WalRecord>)> = None;

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bamboo_storage::{Row, RowId, TableId, Tuple};
+use bamboo_storage::{BuildKeyHasher, Row, TableId, Tuple};
 use parking_lot::{Condvar, Mutex};
 
 use crate::meta::TupleCc;
@@ -652,7 +652,7 @@ pub struct TxnCtx {
     pub shared: Arc<TxnShared>,
     /// Access set in access order.
     pub accesses: Vec<Access>,
-    index: HashMap<(u32, RowId), usize>,
+    index: HashMap<(u32, u64), usize, BuildKeyHasher>,
     /// Buffered inserts.
     pub inserts: Vec<PendingInsert>,
     /// Read-only snapshot mode: `Some` when every read resolves against
@@ -699,7 +699,7 @@ impl TxnCtx {
         TxnCtx {
             shared,
             accesses: Vec::with_capacity(16),
-            index: HashMap::with_capacity(16),
+            index: HashMap::with_capacity_and_hasher(16, BuildKeyHasher),
             inserts: Vec::new(),
             snapshot: None,
             commit_ts: 0,

@@ -68,7 +68,7 @@ pub mod value;
 pub mod version;
 
 pub use catalog::{Catalog, TableId};
-pub use index::{hash_key, SecondaryIndex, ShardedIndex};
+pub use index::{hash_key, BuildKeyHasher, SecondaryIndex, ShardedIndex};
 pub use log::{
     FaultBackend, FaultInjector, FaultPlan, FsyncPolicy, IoClass, IoFailure, LogBackend, LogDir,
     Lsn, RealBackend, SegmentWriter, WalRecord,

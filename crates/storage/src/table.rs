@@ -7,8 +7,12 @@
 //! entry with `owners`/`waiters`/`retired` lists for the 2PL family, TID
 //! word for Silo, accessor lists for IC3 — see `bamboo-core`).
 //!
-//! Tuple storage is an append-only slab: row ids are stable indexes, and
-//! lookups hold the slab latch only long enough to clone one `Arc`.
+//! Tuple storage is an append-only slab: row ids are stable indexes. The
+//! primary-key index maps a key straight to its tuple's `Arc` (the same one
+//! the slab holds), so a point lookup is one shard probe under that shard's
+//! read latch and never touches the table-wide slab latch; the slab serves
+//! row-id lookups, `len` and dense iteration (checkpoint dumps, secondary
+//! postings).
 
 use std::sync::Arc;
 
@@ -126,7 +130,7 @@ pub struct Table<M> {
     /// Column layout.
     pub schema: Schema,
     slab: RwLock<Vec<Arc<Tuple<M>>>>,
-    pk_index: ShardedIndex<RowId>,
+    pk_index: ShardedIndex<Arc<Tuple<M>>>,
     secondary: RwLock<Vec<Arc<SecondaryIndex>>>,
     ordered: RwLock<Option<Arc<OrderedIndex>>>,
 }
@@ -176,7 +180,7 @@ impl<M: Default> Table<M> {
         });
         slab.push(Arc::clone(&tuple));
         drop(slab);
-        let prev = self.pk_index.insert(key, row_id);
+        let prev = self.pk_index.insert(key, Arc::clone(&tuple));
         assert!(
             prev.is_none(),
             "duplicate primary key {key} in {}",
@@ -193,8 +197,7 @@ impl<M> Table<M> {
     /// Primary-key point lookup.
     #[inline]
     pub fn get(&self, key: u64) -> Option<Arc<Tuple<M>>> {
-        let row_id = self.pk_index.get(key)?;
-        Some(Arc::clone(&self.slab.read()[row_id as usize]))
+        self.pk_index.get(key)
     }
 
     /// Lookup by stable row id.
@@ -281,6 +284,25 @@ mod tests {
         assert_eq!(t.get(10).unwrap().read_row().get_i64(1), 1);
         assert_eq!(t.get(20).unwrap().read_row().get_i64(1), 2);
         assert!(t.get(30).is_none());
+    }
+
+    /// The index and the slab hold the same tuple: `get(k)` and
+    /// `get_by_row_id` of its row id return one `Arc`.
+    fn resolves_to_slab(t: &Table<()>, k: u64) -> bool {
+        let tup = t.get(k).expect("key present");
+        t.get_by_row_id(tup.row_id)
+            .is_some_and(|slot| Arc::ptr_eq(&tup, &slot))
+    }
+
+    #[test]
+    fn index_and_slab_share_each_tuple() {
+        let t = table();
+        for k in 0..100 {
+            t.insert(k * 7, row(k * 7, 0));
+        }
+        for k in 0..100 {
+            assert!(resolves_to_slab(&t, k * 7), "key {}", k * 7);
+        }
     }
 
     #[test]
@@ -374,17 +396,21 @@ mod tests {
         let reader = {
             let t = StdArc::clone(&t);
             std::thread::spawn(move || {
-                let mut seen = 0usize;
-                for _ in 0..10_000 {
-                    if t.get(999).is_some() {
-                        seen += 1;
+                // A key the index already resolves is in the slab too (the
+                // slab is written first), as the same tuple.
+                for i in 0..10_000u64 {
+                    let k = i % 1000;
+                    if t.get(k).is_some() {
+                        assert!(resolves_to_slab(&t, k), "key {k}");
                     }
                 }
-                seen
             })
         };
         writer.join().unwrap();
         reader.join().unwrap();
         assert_eq!(t.len(), 1000);
+        for k in 0..1000 {
+            assert!(resolves_to_slab(&t, k), "key {k}");
+        }
     }
 }

@@ -168,6 +168,46 @@ fn recovering_twice_converges() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A recovered table's primary-key index resolves every key to the tuple
+/// its slab holds at that key's row id — one `Arc`, not a copy — both for
+/// rows restored from the checkpoint image and for inserts replayed from
+/// the log after it.
+#[test]
+fn recovered_index_and_slab_share_each_tuple() {
+    let dir = tmp_dir("identity");
+    let (pdb, t) = durable_bank(&dir, FsyncPolicy::EveryCommit);
+    transfers(&pdb, t, 20, 5);
+    pdb.checkpoint().unwrap();
+    let session = PartSession::new(Arc::clone(&pdb), Arc::new(LockingProtocol::bamboo()));
+    let opened: Vec<u64> = (100..104).collect();
+    for &a in &opened {
+        let mut txn = session.begin_on(PartitionId(1));
+        txn.insert(t, a, Row::from(vec![Value::U64(a), Value::I64(0)]), None)
+            .and_then(|_| txn.commit())
+            .unwrap();
+    }
+    drop(session);
+    let before = state(&pdb, t);
+    drop(pdb);
+
+    let (rec, report) = PartitionedDb::recover(DbOptions::new().with_wal_dir(dir.clone())).unwrap();
+    assert_eq!(state(&rec, t), before);
+    assert_eq!(report.replayed_txns, opened.len() as u64);
+    let mut checked = 0;
+    for p in rec.parts() {
+        let table = p.db().table(t);
+        for r in 0..table.len() as u64 {
+            let key = table.get_by_row_id(r).unwrap().key;
+            let by_key = table.get(key).unwrap();
+            let by_row = table.get_by_row_id(by_key.row_id).unwrap();
+            assert!(Arc::ptr_eq(&by_key, &by_row), "key {key}");
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, before.len());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A checkpoint's cuts skip the log prefix: transactions committed before
 /// the checkpoint are restored from the image, not replayed.
 #[test]
