@@ -1,14 +1,17 @@
 //! Micro-benchmarks of the lock-table primitives: the grant/release cycle,
 //! the retire path (publishing a dirty version), the dirty-read grant and
 //! the contended handoff between two workers — the per-operation costs
-//! behind Optimization 1/2's overhead discussion — and the primary-key
-//! point lookup every access starts with, from one thread and from two
-//! (a latch shared by all lookups shows only in the second).
+//! behind Optimization 1/2's overhead discussion — the primary-key point
+//! lookup every access starts with, from one thread and from two (a latch
+//! shared by all lookups shows only in the second), and what one access
+//! costs in row images: a read's grant, and a write's grant, first `set`,
+//! retire and commit install, on a narrow row and on a wide one with
+//! strings.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use bamboo_core::lock::{CommitInstall, LockPolicy};
+use bamboo_core::lock::{Acquired, CommitInstall, LockPolicy};
 use bamboo_core::protocol::{LockingProtocol, Protocol};
 use bamboo_core::ts::TsSource;
 use bamboo_core::txn::{LockMode, TxnShared};
@@ -57,7 +60,7 @@ fn bench(c: &mut Criterion) {
             let row = {
                 let mut st = tup.meta.lock.lock();
                 match st.acquire(&tup, &pol, &txn, LockMode::Ex, &ts) {
-                    bamboo_core::lock::Acquired::Granted { row, .. } => row,
+                    Acquired::Granted { row, .. } => row,
                     _ => unreachable!(),
                 }
             };
@@ -77,7 +80,7 @@ fn bench(c: &mut Criterion) {
         let row = {
             let mut st = tup.meta.lock.lock();
             let r = match st.acquire(&tup, &pol, &writer, LockMode::Ex, &ts) {
-                bamboo_core::lock::Acquired::Granted { row, .. } => row,
+                Acquired::Granted { row, .. } => row,
                 _ => unreachable!(),
             };
             st.retire(&writer, r.clone(), &pol);
@@ -142,6 +145,96 @@ fn bench(c: &mut Criterion) {
     });
 
     g.finish();
+
+    let mut gr = c.benchmark_group("row_primitives");
+    gr.sample_size(20)
+        .warm_up_time(Duration::from_millis(200))
+        .measurement_time(Duration::from_millis(700));
+
+    // (name, schema, loaded row, the column a write sets and its value): the
+    // synthetic hotspot table's three-column row, and a TPC-C customer row
+    // with its five strings, whose balance Payment updates.
+    let narrow = (
+        "3col",
+        Schema::build()
+            .column("k", DataType::U64)
+            .column("a", DataType::I64)
+            .column("b", DataType::U64),
+        Row::from(vec![Value::U64(0), Value::I64(0), Value::U64(7)]),
+        1,
+        Value::I64(1),
+    );
+    let customer = (
+        "customer",
+        Schema::build()
+            .column("C_KEY", DataType::U64)
+            .column("C_FIRST", DataType::Str)
+            .column("C_MIDDLE", DataType::Str)
+            .column("C_LAST", DataType::Str)
+            .column("C_CREDIT", DataType::Str)
+            .column("C_DISCOUNT", DataType::F64)
+            .column("C_BALANCE", DataType::F64)
+            .column("C_YTD_PAYMENT", DataType::F64)
+            .column("C_PAYMENT_CNT", DataType::U64)
+            .column("C_DATA", DataType::Str),
+        Row::from(vec![
+            Value::U64(0),
+            Value::from("F000001"),
+            Value::from("OE"),
+            Value::from("BARBARBAR"),
+            Value::from("GC"),
+            Value::F64(0.1),
+            Value::F64(-10.0),
+            Value::F64(10.0),
+            Value::U64(1),
+            Value::from("customer-data"),
+        ]),
+        6,
+        Value::F64(-20.0),
+    );
+    for (name, schema, loaded, col, written) in [narrow, customer] {
+        let table = Table::<TupleCc>::new(name, schema);
+        let tup = table.insert(0, loaded);
+        let pol = LockPolicy::bamboo();
+        let mut id = 0u64;
+        gr.bench_function(format!("sh_grant_release_{name}"), |b| {
+            b.iter(|| {
+                id += 1;
+                let txn = TxnShared::new(id, ts.assign());
+                let mut st = tup.meta.lock.lock();
+                let row = match st.acquire(&tup, &pol, &txn, LockMode::Sh, &ts) {
+                    Acquired::Granted { row, .. } => row,
+                    _ => unreachable!(),
+                };
+                criterion::black_box(row);
+                st.release(&txn, &pol, true, None);
+            })
+        });
+        gr.bench_function(format!("ex_grant_set_retire_install_{name}"), |b| {
+            b.iter(|| {
+                id += 1;
+                let txn = TxnShared::new(id, ts.assign());
+                let mut st = tup.meta.lock.lock();
+                let mut row = match st.acquire(&tup, &pol, &txn, LockMode::Ex, &ts) {
+                    Acquired::Granted { row, .. } => row,
+                    _ => unreachable!(),
+                };
+                row.set(col, written.clone());
+                st.retire(&txn, row.clone(), &pol);
+                // A timed install with the watermark one behind, as a
+                // commit makes it when no snapshot is live.
+                let install = CommitInstall {
+                    tuple: &tup,
+                    row: &row,
+                    commit_ts: id,
+                    watermark: id - 1,
+                };
+                st.release(&txn, &pol, true, Some(install));
+            })
+        });
+    }
+
+    gr.finish();
 
     let mut gt = c.benchmark_group("table_primitives");
     gt.sample_size(20)
@@ -222,7 +315,8 @@ fn bench(c: &mut Criterion) {
     });
 
     g2.bench_function("row_local_copy", |b| {
-        // The cost of the per-read local copy Optimization 1 relies on.
+        // The per-read local copy Optimization 1 relies on: a refcount bump
+        // since rows are copy-on-write (a value-by-value copy before).
         let row = Row::from(vec![
             Value::U64(1),
             Value::I64(2),

@@ -88,8 +88,9 @@
 //!   [`Txn::read_opt`]), never as a panic.
 //! * The registry's floor is published as the GC watermark
 //!   ([`db::Database::gc_watermark`]); installs trim versions no live
-//!   snapshot can still see — amortized (on chain growth or watermark
-//!   advance), with the Silo-style epoch tick
+//!   snapshot can still see — whenever the chain's oldest version is dead
+//!   (one comparison; dead versions are a prefix of the chain) or the
+//!   chain is past its threshold, with the Silo-style epoch tick
 //!   ([`db::Database::advance_epoch`], fired every N commits) doubling as
 //!   the watermark publisher so chains drain even without snapshot churn.
 //!

@@ -108,6 +108,19 @@ impl LockPolicy {
     }
 }
 
+/// The copy of `row` a grant in `mode` hands its transaction. A shared grant
+/// shares the image. An exclusive grant gets a private copy
+/// ([`Row::detach`]), made under the tuple latch: its owner's first `set`
+/// then writes in place, instead of cloning the hot image and later
+/// dropping that reference — two writes to the image's refcount line, which
+/// the next writer on the other core would have to pull back.
+fn grant_copy(row: &Row, mode: LockMode) -> Row {
+    match mode {
+        LockMode::Sh => row.clone(),
+        LockMode::Ex => row.detach(),
+    }
+}
+
 /// One entry of `list`: a retired or owning transaction.
 struct Ent {
     txn: Arc<TxnShared>,
@@ -117,8 +130,10 @@ struct Ent {
     /// Invariant 3: the uncommitted row this entry published when it
     /// retired (the dirty data other transactions may read). Boxed: every
     /// grant writes an `Ent` and every release reads one back, retired or
-    /// not, so the entry stays 24 bytes instead of 40 (EXPERIMENTS.md,
-    /// PR 19: +4 % per Wound-Wait transaction with the row inline).
+    /// not, so the entry stays 24 bytes. Inline it cost Wound-Wait 4 % per
+    /// transaction while a row was a 24-byte vector (`Ent` 40 B), and
+    /// gained nothing on `hotspot` or `hotspot_ww` once a row became a
+    /// 16-byte handle (`Ent` 32 B) — see EXPERIMENTS.md.
     dirty: Option<Box<Row>>,
 }
 
@@ -334,14 +349,18 @@ impl LockState {
     // Internal helpers.
     // ------------------------------------------------------------------
 
-    /// Latest dirty version with priority `< prio`, else the committed row.
-    fn visible_row(&self, tuple: &Tuple<TupleCc>, prio: (u64, u64)) -> Row {
-        self.retired()
+    /// The image a grant in `mode` hands out: the latest dirty version with
+    /// priority `< prio`, else the committed row (see [`grant_copy`]).
+    fn visible_row(&self, tuple: &Tuple<TupleCc>, prio: (u64, u64), mode: LockMode) -> Row {
+        match self
+            .retired()
             .iter()
             .rev()
-            .find(|e| e.dirty.is_some() && e.prio() < prio)
-            .and_then(|e| e.dirty.as_deref().cloned())
-            .unwrap_or_else(|| tuple.read_row())
+            .find_map(|e| e.dirty.as_deref().filter(|_| e.prio() < prio))
+        {
+            Some(dirty) => grant_copy(dirty, mode),
+            None => tuple.with_row(|row| grant_copy(row, mode)),
+        }
     }
 
     /// Position of `txn_id` in `list`.
@@ -547,7 +566,7 @@ impl LockState {
                     dirty: None,
                 });
                 return Acquired::Granted {
-                    row: tuple.read_row(),
+                    row: tuple.with_row(|row| grant_copy(row, mode)),
                     retired: false,
                 };
             }
@@ -579,7 +598,7 @@ impl LockState {
                     .any(|(m, p, dead)| m == LockMode::Ex && p < prio && !dead)
                     || self.committed_unreleased_blocks(mode, prio);
                 if !blocked {
-                    let row = self.visible_row(tuple, prio);
+                    let row = self.visible_row(tuple, prio, mode);
                     self.insert_retired(Arc::clone(txn), LockMode::Sh);
                     return Acquired::Granted { row, retired: true };
                 }
@@ -611,7 +630,8 @@ impl LockState {
         txn: &Arc<TxnShared>,
     ) -> Option<(Row, bool)> {
         let pos = self.find_entry(txn.id)?;
-        Some((self.visible_row(tuple, txn.prio()), pos < self.retired))
+        let row = self.visible_row(tuple, txn.prio(), self.list[pos].mode);
+        Some((row, pos < self.retired))
     }
 
     /// Aborted while waiting: remove the queue entry. If a concurrent
@@ -1238,6 +1258,72 @@ mod tests {
         st.release(&w2, &pol, true, Some(CommitInstall::untimed(&tup, &r2)));
         assert_eq!(w3.semaphore(), 0);
         st.assert_invariants();
+    }
+
+    #[test]
+    fn shared_grants_share_the_image_and_exclusive_grants_copy_it() {
+        let table = mk_table();
+        let tup = mk_tuple(&table, 1, 10);
+        let pol = LockPolicy::bamboo();
+        let ts = ts_src();
+        let mut st = LockState::default();
+        let (r0, w1, r2, w3) = (txn(1, 1), txn(2, 2), txn(3, 3), txn(4, 4));
+        // Committed image: a reader shares it, a writer gets its own.
+        let seen = grant(&mut st, &tup, &pol, &r0, LockMode::Sh, &ts);
+        assert!(Row::ptr_eq(&seen, &tup.read_row()));
+        let mut img = grant(&mut st, &tup, &pol, &w1, LockMode::Ex, &ts);
+        assert_eq!(img, tup.read_row());
+        assert!(!Row::ptr_eq(&img, &tup.read_row()));
+        // Dirty image: the retire publishes the writer's own image, a
+        // younger reader shares it, a younger writer gets its own.
+        img.set(1, Value::I64(11));
+        st.retire(&w1, img.clone(), &pol);
+        let dirty = grant(&mut st, &tup, &pol, &r2, LockMode::Sh, &ts);
+        assert!(Row::ptr_eq(&dirty, &img));
+        let next = grant(&mut st, &tup, &pol, &w3, LockMode::Ex, &ts);
+        assert_eq!(next, img);
+        assert!(!Row::ptr_eq(&next, &img));
+        // A waiter granted later takes the same path (`check_granted`).
+        let (row, _) = st.check_granted(&tup, &w3).unwrap();
+        assert!(!Row::ptr_eq(&row, &img));
+        let (row, _) = st.check_granted(&tup, &r2).unwrap();
+        assert!(Row::ptr_eq(&row, &img));
+        // The commit install shares the image it is handed.
+        st.release(&r0, &pol, true, None);
+        st.release(&w1, &pol, true, Some(CommitInstall::untimed(&tup, &img)));
+        assert!(Row::ptr_eq(&tup.read_row(), &img));
+        st.assert_invariants();
+    }
+
+    #[test]
+    fn a_dirty_reader_keeps_its_values_after_the_next_write_and_the_install() {
+        let table = mk_table();
+        let tup = mk_tuple(&table, 1, 10);
+        let pol = LockPolicy::bamboo();
+        let ts = ts_src();
+        let mut st = LockState::default();
+        let (w1, r, w2) = (txn(1, 1), txn(2, 2), txn(3, 3));
+        let mut r1 = grant(&mut st, &tup, &pol, &w1, LockMode::Ex, &ts);
+        r1.set(1, Value::I64(11));
+        st.retire(&w1, r1.clone(), &pol);
+        let seen = grant(&mut st, &tup, &pol, &r, LockMode::Sh, &ts);
+        assert_eq!(seen.get_i64(1), 11);
+        // W2 updates W1's dirty version and retires its own.
+        let mut r2 = grant(&mut st, &tup, &pol, &w2, LockMode::Ex, &ts);
+        assert_eq!(r2.get_i64(1), 11);
+        r2.set(1, Value::I64(12));
+        st.retire(&w2, r2.clone(), &pol);
+        assert_eq!(seen.get_i64(1), 11, "W2's write is not the reader's");
+        assert_eq!(st.dirty_snapshot(&tup).get_i64(1), 12);
+        // W1 installs, then W2 on top of it.
+        st.release(&w1, &pol, true, Some(CommitInstall::untimed(&tup, &r1)));
+        assert_eq!(tup.read_row().get_i64(1), 11);
+        st.release(&r, &pol, true, None);
+        st.release(&w2, &pol, true, Some(CommitInstall::untimed(&tup, &r2)));
+        assert_eq!(tup.read_row().get_i64(1), 12);
+        assert_eq!(seen.get_i64(1), 11, "installs do not reach the reader");
+        assert_eq!(r1.get_i64(1), 11);
+        assert!(st.is_quiescent());
     }
 
     #[test]

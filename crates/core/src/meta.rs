@@ -34,3 +34,23 @@ impl Default for TupleCc {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bamboo_storage::Tuple;
+
+    /// Every tuple is one `Arc` allocation: a 16-byte refcount header plus
+    /// the `Tuple`. glibc's malloc serves a request from a chunk of
+    /// `request + 8` bytes rounded up to 16, so 16 + 216 = 232 B takes a
+    /// 240-byte chunk, where 16 + 232 = 248 B (the size before rows became
+    /// `Arc<[Value]>` and the version chain dropped its remembered
+    /// watermark) took 256. Those 16 bytes per tuple pay for the refcount
+    /// header each committed row image now carries, and keep the loaded
+    /// database's resident size where it was.
+    #[test]
+    fn a_tuple_fits_a_240_byte_malloc_chunk() {
+        let size = std::mem::size_of::<Tuple<TupleCc>>();
+        assert!(size <= 216, "Tuple<TupleCc> is {size} B");
+    }
+}

@@ -544,6 +544,10 @@ pub struct Txn<'s> {
 
 impl<'s> Txn<'s> {
     /// Reads a row (shared access); returns the transaction-local copy.
+    /// Taking it copies nothing: the copy shares the image it was read
+    /// from (committed or dirty), which no other transaction can change.
+    /// Clone the returned [`Row`] to keep it past the borrow; that too is
+    /// a refcount bump.
     ///
     /// In snapshot mode a missing or not-yet-visible row surfaces as
     /// [`AbortReason::SnapshotNotVisible`]; use [`Txn::read_opt`] when the

@@ -11,6 +11,14 @@
 //!   local row copies the paper mandates ("Bamboo keeps a local copy of the
 //!   tuple for each read request", §3.2.2), buffered inserts, per-attempt
 //!   timers, and protocol-specific scratch (Silo read set, IC3 piece state).
+//!
+//! A local copy is a [`Row`]: a handle on an immutable image, shared with
+//! whoever else holds it — the committed version, a retired writer's dirty
+//! version, other readers. Nobody can change an image another holder sees:
+//! a write's first `set` makes the image private (an exclusive grant hands
+//! out a private one to begin with), so the copy behaves exactly like the
+//! paper's, and a read, a retire and a commit install pass one image along
+//! instead of copying it.
 
 use crate::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::cell::Cell;
@@ -504,7 +512,10 @@ pub struct Access {
     pub tuple: Arc<Tuple<TupleCc>>,
     /// Lock mode held (strongest requested so far).
     pub mode: LockMode,
-    /// Local copy: read image, or the in-progress write image.
+    /// Local copy: the read image, or the in-progress write image. A read
+    /// image is shared with the version it was read from; the write image
+    /// is this transaction's own from its first `set` on, and what a
+    /// retire publishes and a commit installs — shared again, not copied.
     pub local: Row,
     /// True once the local copy was modified.
     pub dirty: bool,

@@ -812,6 +812,7 @@ fn enc_u32(buf: &mut Vec<u8>, v: u32) {
 /// A bounds-checked little-endian reader over a byte slice. Every decode
 /// path goes through it so a torn or corrupt payload yields `None` instead
 /// of a panic.
+#[derive(Clone)]
 struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -900,14 +901,32 @@ pub fn encode_row(buf: &mut Vec<u8>, row: &Row) {
     }
 }
 
+/// Steps over one encoded value, checking only that it lies in bounds.
+fn skip_value(c: &mut Cursor<'_>) -> Option<()> {
+    let len = match c.u8()? {
+        3 => c.u64()? as usize,
+        _ => 8,
+    };
+    c.take(len).map(drop)
+}
+
 fn dec_row(c: &mut Cursor<'_>) -> Option<Row> {
     let n = c.u64()? as usize;
-    // Cap the pre-allocation: a corrupt length must not OOM the decoder.
-    let mut values = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        values.push(dec_value(c)?);
-    }
-    Some(Row::from(values))
+    // Walk the values on a copy first. A corrupt length fails there, before
+    // anything is allocated; a sound one lets the row be collected from an
+    // exact-size iterator, in one allocation with no `Vec` in between.
+    let mut probe = c.clone();
+    (0..n).try_for_each(|_| skip_value(&mut probe))?;
+    let mut ok = true;
+    let row = (0..n)
+        .map(|_| {
+            dec_value(c).unwrap_or_else(|| {
+                ok = false;
+                Value::U64(0)
+            })
+        })
+        .collect();
+    ok.then_some(row)
 }
 
 // ---------------------------------------------------------------------------
@@ -2101,6 +2120,36 @@ mod tests {
             bad[0] = 0xFF;
             assert_eq!(decode_record(&bad), None);
         }
+    }
+
+    /// The row decoder's failure paths: a value count the payload cannot
+    /// hold (it must fail before sizing an allocation by it), an unknown
+    /// value tag, and a string that is not UTF-8.
+    #[test]
+    fn decode_rejects_malformed_rows() {
+        let update = |row: &[u8]| {
+            let mut buf = vec![2u8];
+            enc_u32(&mut buf, 3);
+            enc_u64(&mut buf, 99);
+            buf.extend_from_slice(row);
+            buf
+        };
+        let mut good = Vec::new();
+        encode_row(
+            &mut good,
+            &Row::from(vec![Value::U64(1), Value::from("ab")]),
+        );
+        assert!(decode_record(&update(&good)).is_some());
+        let mut huge = good.clone();
+        huge[..8].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+        assert_eq!(decode_record(&update(&huge)), None);
+        let mut tag = good.clone();
+        tag[8] = 9;
+        assert_eq!(decode_record(&update(&tag)), None);
+        let mut utf8 = good.clone();
+        let last = utf8.len() - 1;
+        utf8[last] = 0xFF;
+        assert_eq!(decode_record(&update(&utf8)), None);
     }
 
     #[test]

@@ -41,8 +41,9 @@ pub struct Tuple<M> {
 }
 
 impl<M> Tuple<M> {
-    /// Snapshot the newest committed row (clones values; strings are
-    /// refcounted).
+    /// The newest committed row. The returned [`Row`] shares the committed
+    /// image (a refcount bump under the chain's read latch); writing to it
+    /// copies the image first, so the tuple never sees the write.
     #[inline]
     pub fn read_row(&self) -> Row {
         self.data.read().latest().clone()

@@ -8,10 +8,13 @@ use std::sync::Arc;
 
 /// A single column value.
 ///
-/// Strings are reference-counted so that copying a [`crate::Row`] into a
-/// transaction's local read set (which Bamboo does for *every* read) is a
-/// pointer bump rather than a byte copy — the same cost profile as DBx1000's
-/// pointer-sized column copies.
+/// Strings are reference-counted, and so is the whole [`crate::Row`] that
+/// holds them: a transaction's local copy of a row (which Bamboo keeps for
+/// *every* read) is one refcount bump, not a byte copy. A row is copied
+/// value by value only when it is about to be written — an exclusive grant,
+/// or the first `set` on a shared image — and then each string column
+/// costs a pointer bump rather than a byte copy, the same cost profile as
+/// DBx1000's pointer-sized column copies.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// Unsigned 64-bit integer (also used for encoded composite keys).

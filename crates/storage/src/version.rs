@@ -18,13 +18,14 @@
 //! 3. Installs garbage-collect ([`VersionChain::gc`]) versions that no
 //!    live snapshot can still see — i.e. versions superseded at or below
 //!    the global snapshot watermark maintained by `bamboo-core`'s
-//!    active-transaction registry. The trim is *amortized*, not eager:
-//!    [`VersionChain::install_at`] only walks the chain when it grew past
-//!    a small threshold or the published watermark advanced since the
-//!    last trim, so a hot tuple's steady-state install is a push with no
-//!    GC scan. Chain length stays bounded by the number of commits since
-//!    the oldest live snapshot (plus the threshold), and returns to ~zero
-//!    when no snapshot is active.
+//!    active-transaction registry. Dead versions are always a prefix of
+//!    the chain (successor timestamps ascend), so an install needs one
+//!    comparison to know whether there is anything to trim: it trims when
+//!    its *oldest* retained version is dead, or when the chain is past a
+//!    small threshold. A hot tuple's steady-state install is a push and
+//!    that one comparison; no dead version outlives the next install, so
+//!    chain length stays bounded by the number of commits since the
+//!    oldest live snapshot and returns to ~zero when none is active.
 //!
 //! The chain stores `(commit_ts, row)` pairs sorted by ascending timestamp;
 //! commit timestamps are forced per-tuple monotonic so a chain can never
@@ -36,10 +37,9 @@ use crate::row::Row;
 pub const TS_LOADER: u64 = 0;
 
 /// Default retained-version count above which [`VersionChain::install_at`]
-/// trims even if the watermark looks unchanged — bounds per-install trim
-/// work while keeping idle chains short. Every commit installs with it;
-/// [`VersionChain::install_at_with`] takes another for the benchmark's
-/// `version.*` probes.
+/// runs the trim even when its oldest version is still live. Every commit
+/// installs with it; [`VersionChain::install_at_with`] takes another for
+/// the benchmark's `version.*` probes.
 pub const DEFAULT_TRIM_THRESHOLD: usize = 8;
 
 /// A tuple's committed image plus its retained older versions.
@@ -51,9 +51,6 @@ pub struct VersionChain {
     /// Older committed images as `(commit_ts, row)`, ascending by
     /// timestamp. Empty unless a live snapshot pins history.
     older: Vec<(u64, Row)>,
-    /// Watermark passed to the most recent trim; installs skip the GC
-    /// scan entirely while it has not advanced and the chain is short.
-    last_trim_wm: u64,
 }
 
 impl VersionChain {
@@ -70,7 +67,6 @@ impl VersionChain {
             latest_ts: commit_ts,
             latest: row,
             older: Vec::new(),
-            last_trim_wm: 0,
         }
     }
 
@@ -97,17 +93,17 @@ impl VersionChain {
     /// monotonic per tuple, so an out-of-order or zero `commit_ts` still
     /// yields a valid chain.
     ///
-    /// GC is **amortized**: the trim scan only runs when the chain grew
-    /// past [`DEFAULT_TRIM_THRESHOLD`] or `watermark` advanced since the
-    /// last trim. On the hot path (watermark republished every epoch tick,
-    /// chain short) the install is a plain push.
+    /// The install trims ([`VersionChain::gc`]) when the oldest retained
+    /// version is dead at `watermark` — one comparison — or when the chain
+    /// is past [`DEFAULT_TRIM_THRESHOLD`]. With nothing dead the install is
+    /// a push.
     pub fn install_at(&mut self, row: Row, commit_ts: u64, watermark: u64) {
         self.install_at_with(row, commit_ts, watermark, DEFAULT_TRIM_THRESHOLD);
     }
 
     /// [`VersionChain::install_at`] with an explicit trim threshold: the
-    /// chain trims once it retains more than `trim_threshold` older
-    /// versions, or when `watermark` advanced since the last trim.
+    /// chain trims when its oldest retained version is dead at `watermark`,
+    /// or once it retains more than `trim_threshold` older versions.
     pub fn install_at_with(
         &mut self,
         row: Row,
@@ -119,9 +115,24 @@ impl VersionChain {
         let prev = std::mem::replace(&mut self.latest, row);
         self.older.push((self.latest_ts, prev));
         self.latest_ts = ts;
-        if self.older.len() > trim_threshold || watermark > self.last_trim_wm {
+        if self.older.len() > trim_threshold || self.oldest_dead(watermark) {
             self.gc(watermark);
         }
+    }
+
+    /// Commit timestamp of the version that superseded `older[i]`.
+    #[inline]
+    fn successor_ts(&self, i: usize) -> u64 {
+        self.older.get(i + 1).map_or(self.latest_ts, |(ts, _)| *ts)
+    }
+
+    /// True when the oldest retained version is dead at `watermark`: no
+    /// snapshot at or above it can see that version. Dead versions form a
+    /// prefix of `older`, so this is exactly "a trim would reclaim
+    /// something".
+    #[inline]
+    fn oldest_dead(&self, watermark: u64) -> bool {
+        !self.older.is_empty() && self.successor_ts(0) <= watermark
     }
 
     /// The newest version visible at snapshot timestamp `snap`, or `None`
@@ -164,18 +175,9 @@ impl VersionChain {
     /// see: a version is dead once its *successor* was already committed at
     /// or below the watermark. Returns the number of versions reclaimed.
     pub fn gc(&mut self, watermark: u64) -> usize {
-        self.last_trim_wm = watermark;
         let mut cut = 0;
-        while cut < self.older.len() {
-            let successor_ts = self
-                .older
-                .get(cut + 1)
-                .map_or(self.latest_ts, |(ts, _)| *ts);
-            if successor_ts <= watermark {
-                cut += 1;
-            } else {
-                break;
-            }
+        while cut < self.older.len() && self.successor_ts(cut) <= watermark {
+            cut += 1;
         }
         self.older.drain(..cut);
         cut
@@ -261,21 +263,20 @@ mod tests {
     }
 
     #[test]
-    fn install_defers_trim_until_threshold_or_watermark_advance() {
+    fn install_keeps_pinned_versions_until_the_watermark_passes_them() {
         let mut c = VersionChain::new(row(0));
         // A live snapshot pins the watermark at 5: every retained version
-        // is still needed, and installs below the threshold skip the trim
-        // scan entirely (amortization) — nothing may be reclaimed either
-        // way, and the ts<=5 image stays readable throughout.
+        // is still needed. Past the threshold the trim runs on every
+        // install, reclaims nothing, and the ts<=5 image stays readable.
         let n = DEFAULT_TRIM_THRESHOLD as u64 + 3;
         for i in 1..=n {
             c.install_at(row(i as i64), 10 + i, 5);
             assert_eq!(c.read_at(5).map(val), Some(0), "pinned version lost");
         }
         assert_eq!(c.retained(), n as usize, "all versions still pinned");
-        // The snapshot moved on: the next install sees the advanced
-        // watermark and runs the deferred trim in one sweep, keeping only
-        // the newest version at or below the watermark.
+        // The snapshot moved on: the next install finds its oldest version
+        // dead and trims in one sweep, keeping only the newest version at
+        // or below the watermark.
         c.install_at(row(99), 100, 50);
         assert_eq!(c.retained(), 1);
         assert_eq!(c.read_at(50).map(val), Some(n as i64));
@@ -283,36 +284,63 @@ mod tests {
     }
 
     #[test]
-    fn install_with_static_watermark_skips_gc_scan() {
-        // With the watermark unchanged since the last trim and the chain
-        // short, install is a plain push: the superseded-below-watermark
-        // version from before the last trim wave is reclaimed only once
-        // the watermark moves or the threshold trips.
+    fn a_dead_version_does_not_outlive_the_next_install() {
+        // The watermark sits still at 25. Every version it has passed goes
+        // at the next install; the ones a snapshot at 25 may read stay.
         let mut c = VersionChain::new(row(0));
-        c.install_at(row(1), 10, 8); // trims (watermark 8 > 0), sets wm=8
-        c.install_at(row(2), 20, 8); // amortized: no scan, chain grows
-        c.install_at(row(3), 30, 8); // amortized: no scan
-        assert_eq!(c.retained(), 3);
-        // Watermark advance reclaims the backlog in one sweep.
-        c.install_at(row(4), 40, 30);
-        assert_eq!(c.retained(), 1);
+        c.install_at(row(1), 10, 25);
+        assert_eq!(c.retained(), 0, "ts 0 superseded at 10 <= 25");
+        c.install_at(row(2), 20, 25);
+        assert_eq!(c.retained(), 0, "ts 10 superseded at 20 <= 25");
+        c.install_at(row(3), 30, 25);
+        assert_eq!(c.retained(), 1, "ts 20 is what a snapshot at 25 reads");
+        c.install_at(row(4), 40, 25);
+        assert_eq!(c.retained(), 2);
+        assert_eq!(c.read_at(25).map(val), Some(2));
     }
 
     #[test]
-    fn custom_trim_threshold_bounds_the_backlog() {
-        // With a threshold of 2 the dead-version backlog
-        // that accumulates while the watermark sits still is swept several
-        // installs earlier than under the default of 8.
+    fn no_dead_backlog_forms_whatever_the_threshold() {
+        for threshold in [0, 2, DEFAULT_TRIM_THRESHOLD, usize::MAX] {
+            let mut c = VersionChain::new(row(0));
+            for i in 1..=20u64 {
+                c.install_at_with(row(i as i64), 10 * i, 1_000, threshold);
+                assert_eq!(c.retained(), 0, "threshold {threshold}, install {i}");
+            }
+            // A pinned watermark: a small threshold trims on every install
+            // but can only reclaim dead versions, never a live one.
+            for i in 21..=25u64 {
+                c.install_at_with(row(i as i64), 800 + 10 * i, 1_000, threshold);
+            }
+            assert_eq!(c.retained(), 5, "threshold {threshold}");
+            assert_eq!(c.read_at(1_000).map(val), Some(20));
+        }
+    }
+
+    #[test]
+    fn trims_exactly_when_the_oldest_retained_version_is_dead() {
+        // Threshold out of the way: only the dead check can start a trim.
         let mut c = VersionChain::new(row(0));
-        c.install_at_with(row(1), 10, 100, 2); // wm 100 > 0: trims, wm=100
-        assert_eq!(c.retained(), 0);
-        c.install_at_with(row(2), 20, 100, 2); // push (1 retained, dead)
-        c.install_at_with(row(3), 30, 100, 2); // push (2 retained, dead)
-        assert_eq!(c.retained(), 2, "below threshold: no scan, backlog grows");
-        // The next push exceeds the threshold: the trim runs even though
-        // the watermark has not moved since the last sweep.
-        c.install_at_with(row(4), 40, 100, 2);
-        assert_eq!(c.retained(), 0, "threshold tripped the deferred sweep");
+        c.install_at_with(row(1), 10, 0, usize::MAX);
+        c.install_at_with(row(2), 20, 0, usize::MAX);
+        c.install_at_with(row(3), 30, 9, usize::MAX);
+        // ts 0 is superseded at 10 > 9: live, so nothing went.
+        assert_eq!(c.retained(), 3);
+        assert_eq!(c.read_at(9).map(val), Some(0));
+        // Watermark 10: ts 0 is dead; the trim takes it and stops at ts 10,
+        // superseded at 20 > 10.
+        c.install_at_with(row(4), 40, 10, usize::MAX);
+        assert_eq!(c.retained(), 3);
+        assert_eq!(c.read_at(10).map(val), Some(1));
+        // Watermark 19: the oldest (ts 10, superseded at 20) is live again.
+        c.install_at_with(row(5), 50, 19, usize::MAX);
+        assert_eq!(c.retained(), 4);
+        // Watermark 45: the oldest is dead, and the trim takes every dead
+        // version behind it (ts 10, 20, 30), not only the oldest.
+        c.install_at_with(row(6), 60, 45, usize::MAX);
+        assert_eq!(c.retained(), 2);
+        assert_eq!(c.read_at(45).map(val), Some(4));
+        assert_eq!(c.read_at(60).map(val), Some(6));
     }
 
     #[test]
