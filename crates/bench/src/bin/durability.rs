@@ -20,13 +20,24 @@
 //! * **recovery sweep** — wall-clock time of `PartitionedDb::recover` as
 //!   the replayable log grows (transfers past the genesis checkpoint),
 //!   split into restore + replay by the recovery report's counters.
+//! * **device** — `fdatasync` latency of the directory's device, in raw
+//!   `std::fs` below the log: after an append that grows a file, and
+//!   after an overwrite of a file zero-filled in advance (what a
+//!   preallocated segment's commit path does), with one writer and with
+//!   two writing at once.
+//! * **rotation** — a `SegmentWriter` at the default segment size, fsynced
+//!   every few groups like a group-commit leader would: how long a
+//!   `flush_group` that rotates holds the writer (seal, trim, preallocate
+//!   the next segment), and how many bytes reach the device per log byte
+//!   over whole segments, zero-fill included.
 //!
 //! Output: `BENCH_durability.json` (and optionally
 //! `BENCH_group_commit.json`) — committed at the repo root and
 //! regenerated by CI each run, like the other `BENCH_*.json` files.
 
+use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use bamboo_core::partition::{PartSession, PartitionedDb};
@@ -35,7 +46,8 @@ use bamboo_core::sync::atomic::{AtomicU64, Ordering};
 use bamboo_core::wal::DurabilityTicket;
 use bamboo_core::DbOptions;
 use bamboo_storage::{
-    DataType, FsyncPolicy, PartitionId, RouteStrategy, Row, Schema, TableId, Value,
+    DataType, FsyncPolicy, PartitionId, RouteStrategy, Row, Schema, SegmentWriter, TableId, Value,
+    WalRecord,
 };
 
 const ACCOUNTS_PER_PART: u64 = 64;
@@ -85,13 +97,17 @@ struct HammerResult {
     lat_us: Vec<u64>,
 }
 
+/// The `q` quantile of an ascending `sorted`, 0 when it is empty.
+fn pctile(sorted: &[u64], q: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    sorted[((sorted.len() as f64 - 1.0) * q).round() as usize]
+}
+
 impl HammerResult {
     fn pctile(&self, q: f64) -> u64 {
-        if self.lat_us.is_empty() {
-            return 0;
-        }
-        let idx = ((self.lat_us.len() as f64 - 1.0) * q).round() as usize;
-        self.lat_us[idx]
+        pctile(&self.lat_us, q)
     }
 
     fn lat_json(&self) -> String {
@@ -247,6 +263,37 @@ fn best_of(repeat: usize, mut run: impl FnMut() -> HammerResult) -> HammerResult
     best
 }
 
+/// Bytes the block device under the temp directory has written so far:
+/// sectors written (`/sys/dev/block/MAJ:MIN/stat`, field 7) × 512. Every
+/// writer on that device counts, so read it on a quiet box. `None` when
+/// the directory is not on a block device (tmpfs, overlay) or the kernel
+/// does not say.
+fn device_bytes_written() -> Option<u64> {
+    use std::os::unix::fs::MetadataExt;
+    let dev = std::fs::metadata(std::env::temp_dir()).ok()?.dev();
+    let major = ((dev >> 8) & 0xfff) | ((dev >> 32) & !0xfff);
+    let minor = (dev & 0xff) | ((dev >> 12) & !0xff);
+    let stat = std::fs::read_to_string(format!("/sys/dev/block/{major}:{minor}/stat")).ok()?;
+    let sectors: u64 = stat.split_whitespace().nth(6)?.parse().ok()?;
+    Some(sectors * 512)
+}
+
+/// Bytes the device wrote between two [`device_bytes_written`] readings,
+/// `None` where either is missing.
+fn device_delta(before: Option<u64>, after: Option<u64>) -> Option<u64> {
+    Some(after?.saturating_sub(before?))
+}
+
+fn json_opt(v: Option<f64>) -> String {
+    v.map_or_else(|| "null".into(), |v| format!("{v:.2}"))
+}
+
+const MIB: f64 = (1u64 << 20) as f64;
+
+/// Each durable policy's run also reports what the device wrote for it —
+/// from before the bank is built (so the segments' preallocation counts)
+/// until a final sync has put everything it logged on disk — against the
+/// bytes it logged.
 fn fsync_sweep(threads: usize, dur: Duration, repeat: usize) -> String {
     let policies: [(&str, Option<FsyncPolicy>); 4] = [
         ("ring", None),
@@ -256,28 +303,208 @@ fn fsync_sweep(threads: usize, dur: Duration, repeat: usize) -> String {
     ];
     let mut out = Vec::new();
     for (name, policy) in policies {
-        let r = best_of(repeat, || {
+        let mut best: Option<(HammerResult, Option<u64>, u64)> = None;
+        for _ in 0..repeat {
             let dir = tmp_dir(name);
+            let before = device_bytes_written();
             let (pdb, t) = bank(policy.map(|p| (&dir, p)));
             let r = hammer(&pdb, t, threads, dur);
+            if policy.is_some() {
+                for p in pdb.parts() {
+                    p.wal().sync().expect("bench WAL runs on the real backend");
+                }
+            }
+            let device = device_delta(before, device_bytes_written());
+            let logged = pdb.log_bytes();
             drop(pdb);
             let _ = std::fs::remove_dir_all(&dir);
-            r
-        });
+            if best.as_ref().is_none_or(|(b, ..)| r.tput > b.tput) {
+                best = Some((r, device, logged));
+            }
+        }
+        let (r, device, logged) = best.expect("repeat >= 1");
+        let device_mib = device.filter(|_| policy.is_some()).map(|b| b as f64 / MIB);
         eprintln!(
-            "fsync {name:<13} {:>10.0} txn/s  lat(p50={}us p99={}us p999={}us)",
+            "fsync {name:<13} {:>10.0} txn/s  lat(p50={}us p99={}us p999={}us)  \
+             device={} MiB log={:.2} MiB",
             r.tput,
             r.pctile(0.50),
             r.pctile(0.99),
-            r.pctile(0.999)
+            r.pctile(0.999),
+            json_opt(device_mib),
+            logged as f64 / MIB
         );
         out.push(format!(
-            "{{\"policy\": \"{name}\", \"tput\": {:.0}, \"lat_us\": {}}}",
+            "{{\"policy\": \"{name}\", \"tput\": {:.0}, \"lat_us\": {}, \
+             \"device_mib\": {}, \"log_mib\": {:.2}}}",
             r.tput,
-            r.lat_json()
+            r.lat_json(),
+            json_opt(device_mib),
+            logged as f64 / MIB
         ));
     }
     format!("[{}]", out.join(", "))
+}
+
+/// Bytes written before each `fdatasync` in the device series: about one
+/// `durable_transfer` group-commit batch on one partition (≈ 20 groups of
+/// ≈ 83 B).
+const DEVICE_CHUNK: usize = 2 << 10;
+/// `fdatasync`s per writer per device point.
+const DEVICE_SYNCS: usize = 500;
+
+/// One device point: `writers` threads, each writing [`DEVICE_CHUNK`]
+/// bytes at a time to its own file and `fdatasync`ing after each write,
+/// started together so their syncs overlap. A growing file starts empty,
+/// so every sync also commits the file's new size to the filesystem
+/// journal; a `zero_filled` one was written full of zeros and synced
+/// first, so every sync overwrites blocks the file already owns. Returns
+/// the sorted sync latencies (µs) of all writers, and the bytes the device
+/// wrote per byte they wrote (the zero-fill not counted).
+fn device_point(zero_filled: bool, writers: usize) -> (Vec<u64>, Option<f64>) {
+    let dir = tmp_dir(&format!("device-{zero_filled}-{writers}"));
+    std::fs::create_dir_all(&dir).expect("create device bench directory");
+    let chunk = [0xA5u8; DEVICE_CHUNK];
+    // Both barriers hold the writers and this thread: `ready` once every
+    // zero-fill is on disk, `go` once the device counter has been read.
+    let (ready, go) = (Barrier::new(writers + 1), Barrier::new(writers + 1));
+    let mut lat_slots: Vec<Vec<u64>> = vec![Vec::with_capacity(DEVICE_SYNCS); writers];
+    let mut before = None;
+    std::thread::scope(|s| {
+        for (w, lat) in lat_slots.iter_mut().enumerate() {
+            let (dir, ready, go, chunk) = (&dir, &ready, &go, &chunk);
+            s.spawn(move || {
+                let file = std::fs::File::create(dir.join(format!("w{w}")))
+                    .expect("create device bench file");
+                if zero_filled {
+                    let zeros = vec![0u8; DEVICE_CHUNK * DEVICE_SYNCS];
+                    file.write_all_at(&zeros, 0).expect("zero-fill");
+                    file.sync_all().expect("sync the zero-fill");
+                }
+                ready.wait();
+                go.wait();
+                for i in 0..DEVICE_SYNCS {
+                    file.write_all_at(chunk, (i * DEVICE_CHUNK) as u64)
+                        .expect("device bench write");
+                    let t0 = Instant::now();
+                    file.sync_data().expect("device bench fdatasync");
+                    lat.push(t0.elapsed().as_micros() as u64);
+                }
+            });
+        }
+        ready.wait();
+        before = device_bytes_written();
+        go.wait();
+    });
+    let written = (writers * DEVICE_SYNCS * DEVICE_CHUNK) as f64;
+    let per_byte = device_delta(before, device_bytes_written()).map(|b| b as f64 / written);
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut lat_us = lat_slots.concat();
+    lat_us.sort_unstable();
+    (lat_us, per_byte)
+}
+
+fn device_sweep() -> String {
+    let mut out = Vec::new();
+    for zero_filled in [false, true] {
+        for writers in [1, 2] {
+            let (lat, per_byte) = device_point(zero_filled, writers);
+            let file = if zero_filled {
+                "zero_filled"
+            } else {
+                "growing"
+            };
+            let mean = lat.iter().sum::<u64>() as f64 / lat.len() as f64;
+            eprintln!(
+                "device {file:<11} writers={writers}  fdatasync p50={}us p99={}us mean={mean:.0}us  \
+                 device bytes per byte written={}",
+                pctile(&lat, 0.50),
+                pctile(&lat, 0.99),
+                json_opt(per_byte)
+            );
+            out.push(format!(
+                "{{\"file\": \"{file}\", \"writers\": {writers}, \"fdatasync_us\": \
+                 {{\"p50\": {}, \"p99\": {}, \"mean\": {mean:.0}}}, \
+                 \"device_bytes_per_byte\": {}}}",
+                pctile(&lat, 0.50),
+                pctile(&lat, 0.99),
+                json_opt(per_byte)
+            ));
+        }
+    }
+    format!("[{}]", out.join(", "))
+}
+
+/// Groups per `sync` in the rotation series, about `durable_transfer`'s
+/// mean batch.
+const ROTATION_BATCH: u64 = 20;
+
+/// Appends one partition's share of a transfer (`Begin`, one `Update`,
+/// `Commit`) as a group to a default-sized segment chain, syncing every
+/// [`ROTATION_BATCH`] groups, until the writer has rotated `rotations`
+/// times. Reports each rotating `flush_group`'s wall time next to the
+/// median of the others, and the device bytes per log byte over the run.
+fn rotation_series(rotations: usize) -> String {
+    let dir = tmp_dir("rotation");
+    let segment_bytes = bamboo_core::db::DEFAULT_SEGMENT_BYTES;
+    let before = device_bytes_written();
+    let mut w = SegmentWriter::open(&dir, 0, GROUP_POLICY, segment_bytes)
+        .expect("open the rotation bench log");
+    let row = Row::from(vec![Value::U64(1), Value::I64(INITIAL)]);
+    let (mut stall_us, mut append_ns) = (Vec::new(), Vec::new());
+    let mut txn = 0u64;
+    while stall_us.len() < rotations {
+        txn += 1;
+        w.stage_record(&WalRecord::Begin {
+            txn_id: txn,
+            commit_ts: txn,
+            parts_mask: 0b11,
+        });
+        w.stage_update(0, txn % ACCOUNTS_PER_PART, &row);
+        w.stage_record(&WalRecord::Commit {
+            txn_id: txn,
+            commit_ts: txn,
+        });
+        let segment = w.segment_index();
+        let t0 = Instant::now();
+        w.flush_group().expect("rotation bench append");
+        let took = t0.elapsed();
+        if w.segment_index() != segment {
+            stall_us.push(took.as_micros() as u64);
+        } else {
+            append_ns.push(took.as_nanos() as u64);
+        }
+        if txn % ROTATION_BATCH == 0 {
+            w.sync().expect("rotation bench sync");
+        }
+    }
+    w.sync().expect("rotation bench sync");
+    let logged = w.lsn();
+    let per_log_byte =
+        device_delta(before, device_bytes_written()).map(|b| b as f64 / logged as f64);
+    drop(w);
+    let _ = std::fs::remove_dir_all(&dir);
+    stall_us.sort_unstable();
+    append_ns.sort_unstable();
+    let group_bytes = logged / txn;
+    eprintln!(
+        "rotation  {rotations} rotations of {segment_bytes} B segments: stall p50={}us max={}us  \
+         other appends p50={}ns  device bytes per log byte={}",
+        pctile(&stall_us, 0.5),
+        pctile(&stall_us, 1.0),
+        pctile(&append_ns, 0.5),
+        json_opt(per_log_byte)
+    );
+    format!(
+        "{{\"segment_bytes\": {segment_bytes}, \"group_bytes\": {group_bytes}, \
+         \"groups_per_sync\": {ROTATION_BATCH}, \"rotations\": {rotations}, \
+         \"stall_us\": {{\"p50\": {}, \"max\": {}}}, \"append_ns_p50\": {}, \
+         \"device_bytes_per_log_byte\": {}}}",
+        pctile(&stall_us, 0.5),
+        pctile(&stall_us, 1.0),
+        pctile(&append_ns, 0.5),
+        json_opt(per_log_byte)
+    )
 }
 
 /// The headline group-commit comparison: synchronous `every_commit` acks
@@ -451,13 +678,22 @@ fn main() {
 
     let fsync = fsync_sweep(threads, dur, repeat);
     let recovery = recovery_sweep(&txns);
+    let device = device_sweep();
+    let rotation = rotation_series(5);
     let doc = format!(
         "{{\n  \"bench\": \"durability\",\n  \"protocol\": \"bamboo\",\n  \
          \"threads\": {threads},\n  \"repeat\": {repeat},\n  \"partitions\": {PARTS},\n  \
-         \"fsync\": {{\n    \"note\": \"cross-partition bank transfers; ring = in-memory baseline\",\n    \
+         \"fsync\": {{\n    \"note\": \"cross-partition bank transfers; ring = in-memory baseline; \
+         device_mib = bytes the block device wrote from set-up until the log was synced, \
+         segment preallocation included\",\n    \
          \"series\": {fsync}\n  }},\n  \
          \"recovery\": {{\n    \"note\": \"genesis checkpoint + N transfers, recover from cold\",\n    \
-         \"series\": {recovery}\n  }}\n}}\n",
+         \"series\": {recovery}\n  }},\n  \
+         \"device\": {{\n    \"note\": \"raw std::fs: fdatasync after a {DEVICE_CHUNK}-byte write, \
+         {DEVICE_SYNCS} per writer; growing = appending to an empty file, zero_filled = \
+         overwriting a file zero-filled and synced in advance\",\n    \
+         \"series\": {device}\n  }},\n  \
+         \"rotation\": {rotation}\n}}\n",
     );
     match out {
         Some(path) => {

@@ -100,8 +100,10 @@ pub struct DbOptions {
     /// [`bamboo_storage::FsyncPolicy`] for the durability horizon each
     /// policy buys.
     pub fsync_policy: bamboo_storage::FsyncPolicy,
-    /// Size at which a durable WAL segment rotates to a fresh file.
-    /// Ignored unless [`DbOptions::wal_dir`] is set.
+    /// Frame bytes a durable WAL segment holds before the log rotates to
+    /// a fresh file. Each segment file is preallocated (zero-filled and
+    /// synced) to this size plus its header when it is created. Ignored
+    /// unless [`DbOptions::wal_dir`] is set.
     pub segment_bytes: u64,
     /// Storage backend behind every durable file operation (WAL segments
     /// and checkpoint files). `None` (the default) uses the real

@@ -13,7 +13,10 @@
 //! (little-endian). The CRC covers the payload only; a frame whose length
 //! field runs past the segment or whose CRC mismatches marks the torn tail
 //! of the log — the scan stops cleanly there instead of panicking, which is
-//! exactly what a `kill -9` mid-append leaves behind.
+//! exactly what a `kill -9` mid-append leaves behind. Every payload starts
+//! with its kind byte, so no frame has a zero length word: a zero word
+//! (or a zero remainder shorter than one) is where a segment's data ends,
+//! cleanly, not a tear.
 //!
 //! The payload starts with a one-byte record kind:
 //!
@@ -35,11 +38,23 @@
 //! LSN at which the segment starts, and the fsync policy the writer was
 //! configured with (recovery reads the policy back to pick its completeness
 //! rule).
+//!
+//! A new segment is **preallocated**: zero-filled to header +
+//! `segment_bytes` and synced once when it is created, so the commit path's
+//! `fdatasync` overwrites blocks the file already owns and never changes
+//! its size — on a journaling filesystem it has no size change to commit.
+//! The active segment's file is therefore longer than its data; its data
+//! ends at the first zero length word. A group that would not fit in the
+//! rest of the segment rotates first (only a group larger than a whole
+//! segment grows a file). Rotation trims the segment it seals, so a sealed
+//! segment's file is exactly header + data, and reopening a log trims the
+//! last segment the same way before writing resumes in a fresh one.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufWriter, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -63,8 +78,9 @@ const CKPT_PART_MAGIC: &[u8; 8] = b"BBCKP1\0\0";
 /// On-disk format version (bump on any incompatible codec change).
 const FORMAT_VERSION: u32 = 1;
 /// Fixed size of a segment header: magic + version + partition + segment
-/// index + start LSN + policy tag + policy argument.
-const SEG_HEADER_LEN: u64 = 8 + 4 + 4 + 8 + 8 + 1 + 8;
+/// index + start LSN + policy tag + policy argument. A segment's frame data
+/// starts at this file offset.
+pub const SEG_HEADER_LEN: u64 = 8 + 4 + 4 + 8 + 8 + 1 + 8;
 
 /// When (if ever) the log writer calls `fsync` on the commit path.
 ///
@@ -232,13 +248,20 @@ impl std::error::Error for IoFailure {}
 // Log backend seam
 // ---------------------------------------------------------------------------
 
-/// An open, append-positioned log file handle. The writer side of
-/// [`LogBackend`]: everything [`SegmentWriter`] does to a file goes through
-/// this object so a fault-injecting backend can interpose on each byte.
+/// An open log file handle that writes sequentially from its position. The
+/// writer side of [`LogBackend`]: everything [`SegmentWriter`] does to a
+/// file goes through this object so a fault-injecting backend can interpose
+/// on each byte.
 pub trait LogFile: Send {
-    /// Appends `buf` in full (or fails; a fault backend may persist a
-    /// prefix before failing, modeling a torn write).
+    /// Writes `buf` in full at the handle's position (or fails; a fault
+    /// backend may persist a prefix before failing, modeling a torn write).
     fn write_all(&mut self, buf: &[u8]) -> io::Result<()>;
+    /// Flushes, zero-fills the file from its current length up to `len`
+    /// bytes without moving the write position, then forces data and size
+    /// to stable media with one `fdatasync`. Writes below `len` afterwards
+    /// overwrite blocks the file already owns, so syncing them commits no
+    /// size change.
+    fn preallocate(&mut self, len: u64) -> io::Result<()>;
     /// Pushes buffered bytes to the OS without forcing them to media.
     fn flush(&mut self) -> io::Result<()>;
     /// Flushes, then hands out the barrier that forces every byte written
@@ -296,9 +319,28 @@ pub struct RealBackend;
 /// borrow of the writer that took it.
 struct RealFile(BufWriter<Arc<File>>);
 
+/// The zero-fill source of [`LogFile::preallocate`]: 64 KiB of the program
+/// image, mapped once. Not a heap buffer: one allocated per segment is
+/// freed and made again at every rotation, and the allocator keeps the
+/// pages (a 1 MiB buffer raised `durable_transfer`'s `loaded_rss_mb` by
+/// 1.8 MiB).
+static ZERO_BLOCK: [u8; 64 << 10] = [0; 64 << 10];
+
 impl LogFile for RealFile {
     fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
         self.0.write_all(buf)
+    }
+
+    fn preallocate(&mut self, len: u64) -> io::Result<()> {
+        self.0.flush()?;
+        let file = self.0.get_ref();
+        let mut at = file.metadata()?.len();
+        while at < len {
+            let n = (len - at).min(ZERO_BLOCK.len() as u64);
+            file.write_all_at(&ZERO_BLOCK[..n as usize], at)?;
+            at += n;
+        }
+        file.sync_data()
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -629,6 +671,14 @@ impl LogFile for FaultFile {
             Fault::Enospc => Err(io::Error::from_raw_os_error(28)), // ENOSPC
             _ => self.inner.write_all(buf),
         }
+    }
+
+    /// Draws no fault: preallocation is not an I/O opportunity of the
+    /// schedule, so a seed's `(file, op-index)` draws do not depend on it.
+    /// A real error still fails the segment open, like any other open
+    /// failure.
+    fn preallocate(&mut self, len: u64) -> io::Result<()> {
+        self.inner.preallocate(len)
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -1174,6 +1224,11 @@ fn parse_segment_header(bytes: &[u8]) -> Option<SegHeader> {
 /// buffer intact so the caller can retry after [`SegmentWriter::rewind_partial`]
 /// cut any torn prefix back out — the retry loop in `WalHandle::append_txn`
 /// never needs to re-produce the records.
+///
+/// Each segment it creates is preallocated to header + `segment_bytes`
+/// (see the module docs), and a group that would not fit in what is left
+/// of it goes to the next segment, so the file never grows under the
+/// commit path's fsync unless one group alone is larger than a segment.
 pub struct SegmentWriter {
     dir: LogDir,
     partition: u32,
@@ -1202,16 +1257,19 @@ impl LogDir {
     /// Opens (or creates) partition `p`'s log in this directory for
     /// appending.
     ///
-    /// Existing segments are scanned to find the end of valid data; a torn
-    /// tail on the last segment is truncated away so the stream ends on a
-    /// frame boundary, and writing resumes in a *new* segment starting at
-    /// that LSN. An empty directory starts segment 0 at LSN 0.
+    /// Existing segments are scanned to find the end of valid data. A torn
+    /// tail and the unused preallocation after it are truncated away, so the
+    /// stream ends on a frame boundary and the old segment holds nothing but
+    /// its header and data. Writing resumes in a *new* (preallocated)
+    /// segment starting at that LSN. An empty directory starts segment 0 at
+    /// LSN 0.
     pub fn open_writer(
         &self,
         partition: u32,
         policy: FsyncPolicy,
         segment_bytes: u64,
     ) -> io::Result<SegmentWriter> {
+        let segment_bytes = segment_bytes.max(SEG_HEADER_LEN + 1);
         self.backend.create_dir_all(&self.path)?;
         let (next_index, start_lsn) = match self.list_segments(partition)?.last() {
             None => (0, 0),
@@ -1228,12 +1286,13 @@ impl LogDir {
                 (last_idx + 1, scan.end_lsn)
             }
         };
-        let file = self.open_segment_file(partition, next_index, start_lsn, policy)?;
+        let file =
+            self.open_segment_file(partition, next_index, start_lsn, policy, segment_bytes)?;
         Ok(SegmentWriter {
             dir: self.clone(),
             partition,
             policy,
-            segment_bytes: segment_bytes.max(SEG_HEADER_LEN + 1),
+            segment_bytes,
             file,
             seg_index: next_index,
             seg_start_lsn: start_lsn,
@@ -1284,26 +1343,16 @@ impl SegmentWriter {
     }
 
     /// Writes the staged group to the active segment as one write, rotating
-    /// first when the segment is full. On success the staging buffer is
-    /// cleared, the LSN advances past the group, and the group's start LSN
-    /// is returned. On failure the writer's LSN state is unchanged and the
-    /// staged bytes are kept, so the caller may [`SegmentWriter::rewind_partial`]
-    /// and retry, or [`SegmentWriter::clear_group`] and give up.
+    /// first when the group would not fit in what is left of a segment that
+    /// already holds data. On success the staging buffer is cleared, the LSN
+    /// advances past the group, and the group's start LSN is returned. On
+    /// failure the writer's LSN state is unchanged and the staged bytes are
+    /// kept, so the caller may [`SegmentWriter::rewind_partial`] and retry,
+    /// or [`SegmentWriter::clear_group`] and give up.
     pub fn flush_group(&mut self) -> io::Result<Lsn> {
-        if self.lsn - self.seg_start_lsn >= self.segment_bytes {
-            // Rotation syncs the finished segment: a sealed segment is
-            // always fully durable, so only the active tail can tear. Both
-            // steps leave the writer unchanged on failure (`self.file` only
-            // rebinds after a successful open), so a retry re-runs them.
-            self.sync()?;
-            self.file = self.dir.open_segment_file(
-                self.partition,
-                self.seg_index + 1,
-                self.lsn,
-                self.policy,
-            )?;
-            self.seg_index += 1;
-            self.seg_start_lsn = self.lsn;
+        let used = self.lsn - self.seg_start_lsn;
+        if used > 0 && used + self.stage.len() as u64 > self.segment_bytes {
+            self.rotate()?;
         }
         let at = self.lsn;
         self.file.write_all(&self.stage)?;
@@ -1311,6 +1360,43 @@ impl SegmentWriter {
         self.lsn = at + self.stage.len() as u64;
         self.stage.clear();
         Ok(at)
+    }
+
+    /// Seals the active segment and starts the next, preallocated, at the
+    /// writer's LSN. Sealing syncs the segment — a sealed segment is always
+    /// fully durable, so only the active tail can tear — then trims its
+    /// unused preallocation, so a sealed segment's file is exactly header +
+    /// data: the scan's skip of segments below the replay cut and
+    /// [`LogDir::retire_segments_below`] read a sealed segment's data length
+    /// off its file length. Every step leaves the writer unchanged on
+    /// failure (`self.file` only rebinds after a successful open), so a
+    /// retry re-runs them.
+    fn rotate(&mut self) -> io::Result<()> {
+        self.sync()?;
+        self.dir
+            .trim_segment(&self.segment_path(), self.file_offset(self.lsn))?;
+        self.file = self.dir.open_segment_file(
+            self.partition,
+            self.seg_index + 1,
+            self.lsn,
+            self.policy,
+            self.segment_bytes,
+        )?;
+        self.seg_index += 1;
+        self.seg_start_lsn = self.lsn;
+        Ok(())
+    }
+
+    /// Path of the active segment's file.
+    fn segment_path(&self) -> PathBuf {
+        self.dir
+            .path
+            .join(segment_name(self.partition, self.seg_index))
+    }
+
+    /// File offset in the active segment of the frame at `lsn`.
+    fn file_offset(&self, lsn: Lsn) -> u64 {
+        SEG_HEADER_LEN + (lsn - self.seg_start_lsn)
     }
 
     /// Appends one record as its own group and returns its LSN (the
@@ -1353,34 +1439,27 @@ impl SegmentWriter {
     }
 
     /// Truncates the active segment so exactly `[seg_start_lsn, target)`
-    /// frame bytes remain, then re-opens the append handle.
+    /// frame bytes remain, then re-opens the handle for appending. The cut
+    /// takes the rest of the segment's preallocation with it: later groups
+    /// in this segment grow the file again, a price paid only on the fault
+    /// path and only until the next rotation.
+    ///
+    /// There is no check that the file holds every byte below the writer's
+    /// LSN, because the `flush` below makes it hold: `lsn` advances only
+    /// after `write_all` accepted a whole group, every handle this writer
+    /// replaces was flushed first, and once this flush succeeds every
+    /// accepted byte is in the file. (A file-length check could not tell
+    /// anyway: a preallocated segment is longer than its data from birth,
+    /// and a gap would read as zeros, which the scan takes for the end of
+    /// the data.)
     fn rewind_to(&mut self, target: Lsn) -> io::Result<()> {
         debug_assert!(target >= self.seg_start_lsn, "rewind into a sealed segment");
-        // Push buffered bytes down so file_len below sees everything this
-        // handle ever accepted (a short write's persisted prefix included).
+        // Push buffered bytes down so the cut below also covers what this
+        // handle accepted past the target (a short write's persisted prefix).
         self.file.flush()?;
-        let backend = &self.dir.backend;
-        let path = self
-            .dir
-            .path
-            .join(segment_name(self.partition, self.seg_index));
-        let keep = SEG_HEADER_LEN + (target - self.seg_start_lsn);
-        let on_disk = backend.file_len(&path)?;
-        if on_disk < keep {
-            // Bytes the writer counted as written never reached the file
-            // (lost buffer). Shrink-only is the contract: extending with
-            // `set_len` would zero-fill, and a zero frame header passes the
-            // empty-payload CRC — a scan would mis-read it as a torn tail
-            // in the middle of otherwise valid data.
-            return Err(io::Error::other(format!(
-                "segment {} shorter than its writer's LSN ({on_disk} < {keep})",
-                path.display()
-            )));
-        }
-        if on_disk > keep {
-            backend.truncate(&path, keep)?;
-        }
-        self.file = backend.open_append(&path)?;
+        let path = self.segment_path();
+        self.dir.trim_segment(&path, self.file_offset(target))?;
+        self.file = self.dir.backend.open_append(&path)?;
         Ok(())
     }
 
@@ -1437,6 +1516,11 @@ impl SegmentWriter {
         self.lsn
     }
 
+    /// Index of the active segment: it rises by one at each rotation.
+    pub fn segment_index(&self) -> u64 {
+        self.seg_index
+    }
+
     /// LSN up to which data is known durable.
     pub fn synced_lsn(&self) -> Lsn {
         self.synced_lsn
@@ -1464,13 +1548,16 @@ impl SyncBarrier {
 }
 
 impl LogDir {
-    /// Creates segment file `index` for `partition` and writes its header.
+    /// Creates segment file `index` for `partition`, writes its header and
+    /// preallocates room for `segment_bytes` of frames (one `fdatasync`).
+    /// The handle is left positioned at the first frame.
     fn open_segment_file(
         &self,
         partition: u32,
         index: u64,
         start_lsn: Lsn,
         policy: FsyncPolicy,
+        segment_bytes: u64,
     ) -> io::Result<Box<dyn LogFile>> {
         let path = self.path.join(segment_name(partition, index));
         // A truncating create (not `create_new`): a retried rotation whose
@@ -1481,7 +1568,17 @@ impl LogDir {
         write_segment_header(&mut header, partition, index, start_lsn, policy);
         debug_assert_eq!(header.len() as u64, SEG_HEADER_LEN);
         file.write_all(&header)?;
+        file.preallocate(SEG_HEADER_LEN + segment_bytes)?;
         Ok(file)
+    }
+
+    /// Shrinks the segment at `path` to `len` bytes (synced) unless it is
+    /// no longer than that already.
+    fn trim_segment(&self, path: &Path, len: u64) -> io::Result<()> {
+        if self.backend.file_len(path)? > len {
+            self.backend.truncate(path, len)?;
+        }
+        Ok(())
     }
 }
 
@@ -1574,7 +1671,7 @@ fn scan_segment(
     let data = &bytes[SEG_HEADER_LEN as usize..];
     if !tail && header.start_lsn + data.len() as u64 <= from_lsn {
         // Entirely below the replay cut: trust the sealed segment's length
-        // without parsing its frames.
+        // (rotation trimmed it to header + data) without parsing its frames.
         scan.end_lsn = header.start_lsn + data.len() as u64;
         *expect_start = Some(scan.end_lsn);
         return Ok(());
@@ -1583,8 +1680,16 @@ fn scan_segment(
     let mut off = 0usize;
     let local_torn;
     loop {
-        if off + 8 > data.len() {
-            local_torn = off != data.len();
+        // No frame has a zero length word (every payload has a kind byte),
+        // so zeros here are the unwritten rest of a preallocated segment, or
+        // the end of the file: the data ends cleanly.
+        let rest = &data[off..];
+        if rest[..rest.len().min(4)].iter().all(|&b| b == 0) {
+            local_torn = false;
+            break;
+        }
+        if rest.len() < 8 {
+            local_torn = true;
             break;
         }
         let len =
@@ -1618,10 +1723,11 @@ fn scan_segment(
 }
 
 impl LogDir {
-    /// Truncates partition `p`'s segment chain so that no frame bytes exist
-    /// past `end_lsn`: segments starting at or past the cut are deleted,
-    /// and the segment containing it is shrunk to the matching offset.
-    /// Called by [`LogDir::open_writer`] to drop a torn tail.
+    /// Truncates partition `p`'s segment chain so that no bytes exist past
+    /// `end_lsn`: segments starting at or past the cut are deleted, and the
+    /// segment containing it is shrunk to the matching offset. Called by
+    /// [`LogDir::open_writer`] to drop a torn tail and the zero tail of the
+    /// segment the last writer left preallocated.
     fn truncate_after(&self, partition: u32, end_lsn: Lsn) -> io::Result<()> {
         let backend = &*self.backend;
         for (_, path) in self.list_segments(partition)? {
@@ -1636,10 +1742,7 @@ impl LogDir {
                 backend.remove_file(&path)?;
                 continue;
             }
-            let keep = SEG_HEADER_LEN + (end_lsn - header.start_lsn);
-            if backend.file_len(&path)? > keep {
-                backend.truncate(&path, keep)?;
-            }
+            self.trim_segment(&path, SEG_HEADER_LEN + (end_lsn - header.start_lsn))?;
         }
         Ok(())
     }
@@ -1657,8 +1760,9 @@ impl LogDir {
     /// Retires (deletes) every **sealed** segment of partition `p` whose
     /// frame range lies entirely at or below `cut_lsn` — the newest
     /// checkpoint's replay cut makes those bytes dead weight. The chain's
-    /// last segment (the writer's active one) is never touched. Returns the
-    /// number of segments removed.
+    /// last segment (the writer's active one) is never touched; every other
+    /// one was trimmed when it was sealed, so its file length gives its
+    /// frame range. Returns the number of segments removed.
     pub fn retire_segments_below(&self, partition: u32, cut_lsn: Lsn) -> io::Result<u64> {
         let segments = self.list_segments(partition)?;
         let mut retired = 0u64;
@@ -2253,7 +2357,7 @@ mod tests {
     #[test]
     fn torn_tail_stops_scan_and_open_truncates_it() {
         let dir = tmp_dir("torn");
-        {
+        let data_end = {
             let mut w = SegmentWriter::open(&dir, 0, FsyncPolicy::Never, 1 << 20).unwrap();
             for i in 0..5u64 {
                 w.append_record(&WalRecord::Commit {
@@ -2263,12 +2367,12 @@ mod tests {
                 .unwrap();
             }
             w.sync().unwrap();
-        }
-        // Chop bytes off the tail, landing mid-frame.
+            SEG_HEADER_LEN + w.lsn()
+        };
+        // Chop the file 3 bytes short of its data end, landing mid-frame.
         let (_, path) = LogDir::real(&dir).list_segments(0).unwrap().pop().unwrap();
-        let len = fs::metadata(&path).unwrap().len();
         let f = OpenOptions::new().write(true).open(&path).unwrap();
-        f.set_len(len - 3).unwrap();
+        f.set_len(data_end - 3).unwrap();
         drop(f);
         let scan = LogDir::real(&dir).scan_partition_from(0, 0).unwrap();
         assert!(scan.torn);
@@ -2298,7 +2402,7 @@ mod tests {
     #[test]
     fn corrupt_crc_mid_log_stops_cleanly() {
         let dir = tmp_dir("crcflip");
-        {
+        let data_len = {
             let mut w = SegmentWriter::open(&dir, 0, FsyncPolicy::Never, 1 << 20).unwrap();
             for i in 0..5u64 {
                 w.append_record(&WalRecord::Commit {
@@ -2308,17 +2412,180 @@ mod tests {
                 .unwrap();
             }
             w.sync().unwrap();
-        }
+            w.lsn()
+        };
         let (_, path) = LogDir::real(&dir).list_segments(0).unwrap().pop().unwrap();
         let mut bytes = fs::read(&path).unwrap();
         // Flip one payload byte of the third record (frames are uniform
         // here, so locate it arithmetically).
-        let frame = (bytes.len() as u64 - SEG_HEADER_LEN) / 5;
+        let frame = data_len / 5;
         let at = SEG_HEADER_LEN as usize + 2 * frame as usize + 9;
         bytes[at] ^= 0x40;
         fs::write(&path, &bytes).unwrap();
         let scan = LogDir::real(&dir).scan_partition_from(0, 0).unwrap();
         assert!(scan.torn);
+        assert_eq!(scan.records.len(), 2);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn file_len(path: &Path) -> u64 {
+        fs::metadata(path).unwrap().len()
+    }
+
+    /// A new segment owns its full size from the start; appends overwrite
+    /// its zeros without growing it, and the zeros past the data scan as
+    /// the clean end of the log.
+    #[test]
+    fn a_fresh_segment_is_preallocated_and_scans_clean() {
+        let dir = tmp_dir("prealloc");
+        let mut w = SegmentWriter::open(&dir, 0, FsyncPolicy::Never, 4096).unwrap();
+        let (_, path) = LogDir::real(&dir).list_segments(0).unwrap().pop().unwrap();
+        assert_eq!(file_len(&path), SEG_HEADER_LEN + 4096);
+        let scan = LogDir::real(&dir).scan_partition_from(0, 0).unwrap();
+        assert!(!scan.torn);
+        assert!(scan.records.is_empty());
+        assert_eq!(scan.end_lsn, 0);
+
+        for txn in 0..3 {
+            stage_txn(&mut w, txn);
+            w.flush_group().unwrap();
+        }
+        w.sync().unwrap();
+        assert_eq!(
+            file_len(&path),
+            SEG_HEADER_LEN + 4096,
+            "appends never grow it"
+        );
+        let scan = LogDir::real(&dir).scan_partition_from(0, 0).unwrap();
+        assert!(!scan.torn);
+        assert_eq!(scan.records.len(), 6);
+        assert_eq!(scan.end_lsn, w.lsn());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Rotation seals a segment at exactly header + data and starts the
+    /// next one preallocated. A group that would not fit rotates first; one
+    /// larger than a whole segment gets a segment of its own and grows it.
+    #[test]
+    fn a_sealed_segment_is_exactly_header_plus_data() {
+        let dir = tmp_dir("sealed");
+        let mut w = SegmentWriter::open(&dir, 0, FsyncPolicy::Never, 200).unwrap();
+        let (mut sealed_at, mut txns) = (0, 0);
+        while w.seg_index == 0 {
+            sealed_at = w.lsn();
+            stage_txn(&mut w, 1);
+            w.flush_group().unwrap();
+            txns += 1;
+        }
+        assert!(
+            sealed_at <= 200,
+            "the group that would not fit went to segment 1"
+        );
+        let segs = LogDir::real(&dir).list_segments(0).unwrap();
+        assert_eq!(file_len(&segs[0].1), SEG_HEADER_LEN + sealed_at);
+        assert_eq!(file_len(&segs[1].1), SEG_HEADER_LEN + 200);
+
+        // Five transactions in one group: 290 bytes, more than a segment.
+        let big_at = w.lsn();
+        (2..7).for_each(|txn| stage_txn(&mut w, txn));
+        w.flush_group().unwrap();
+        let big = w.lsn() - big_at;
+        assert!(big > 200);
+        stage_txn(&mut w, 7);
+        w.flush_group().unwrap();
+        w.sync().unwrap();
+        let segs = LogDir::real(&dir).list_segments(0).unwrap();
+        assert_eq!(segs.len(), 4);
+        assert_eq!(file_len(&segs[1].1), SEG_HEADER_LEN + big_at - sealed_at);
+        assert_eq!(file_len(&segs[2].1), SEG_HEADER_LEN + big);
+        let scan = LogDir::real(&dir).scan_partition_from(0, 0).unwrap();
+        assert!(!scan.torn);
+        assert_eq!(scan.end_lsn, w.lsn());
+        assert_eq!(scan.records.len(), 2 * (txns + 6));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Reopening a log trims the zero tail its last writer left, and
+    /// writing resumes at the end of the data in a fresh preallocated
+    /// segment.
+    #[test]
+    fn reopen_trims_the_zero_tail_and_resumes() {
+        let dir = tmp_dir("reopen");
+        let end = {
+            let mut w = SegmentWriter::open(&dir, 0, FsyncPolicy::Never, 4096).unwrap();
+            for txn in 0..3 {
+                stage_txn(&mut w, txn);
+                w.flush_group().unwrap();
+            }
+            w.sync().unwrap();
+            w.lsn()
+        };
+        let (_, first) = LogDir::real(&dir).list_segments(0).unwrap().pop().unwrap();
+        assert_eq!(file_len(&first), SEG_HEADER_LEN + 4096);
+
+        let mut w = SegmentWriter::open(&dir, 0, FsyncPolicy::Never, 4096).unwrap();
+        assert_eq!(w.lsn(), end);
+        assert_eq!(file_len(&first), SEG_HEADER_LEN + end);
+        let segs = LogDir::real(&dir).list_segments(0).unwrap();
+        assert_eq!(segs.len(), 2);
+        assert_eq!(file_len(&segs[1].1), SEG_HEADER_LEN + 4096);
+        stage_txn(&mut w, 9);
+        w.flush_group().unwrap();
+        w.sync().unwrap();
+        drop(w);
+        let scan = LogDir::real(&dir).scan_partition_from(0, 0).unwrap();
+        assert!(!scan.torn);
+        assert_eq!(scan.records.len(), 8);
+        assert!(matches!(
+            scan.records.last().unwrap().1,
+            WalRecord::Commit { txn_id: 9, .. }
+        ));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A short write lands a prefix of a group on the preallocation's
+    /// zeros. The scan still reports it torn (its length word is not zero),
+    /// and reopening cuts the segment back to the last whole group. Seed 7
+    /// cuts the group 10 bytes in, inside its first frame's checksum.
+    #[test]
+    fn a_short_write_into_the_preallocation_is_torn_and_cut_on_reopen() {
+        let dir = tmp_dir("prealloc-torn");
+        let inj = FaultInjector::new(FaultPlan {
+            seed: 7,
+            short_write_permille: 1000,
+            ..FaultPlan::quiet(7)
+        });
+        let backend: Arc<dyn LogBackend> = Arc::new(FaultBackend::new(Arc::clone(&inj)));
+        let mut w = LogDir::new(&dir, backend)
+            .open_writer(0, FsyncPolicy::Never, 4096)
+            .unwrap();
+        stage_txn(&mut w, 1);
+        w.flush_group().unwrap();
+        let clean_end = w.lsn();
+        inj.arm();
+        stage_txn(&mut w, 2);
+        assert!(w.flush_group().is_err(), "the schedule tears every write");
+        drop(w); // the handle's buffered prefix reaches the file
+
+        let (_, path) = LogDir::real(&dir).list_segments(0).unwrap().pop().unwrap();
+        assert_eq!(file_len(&path), SEG_HEADER_LEN + 4096);
+        let at = (SEG_HEADER_LEN + clean_end) as usize;
+        assert_ne!(
+            fs::read(&path).unwrap()[at..at + 4],
+            [0; 4],
+            "a prefix landed"
+        );
+        let scan = LogDir::real(&dir).scan_partition_from(0, 0).unwrap();
+        assert!(scan.torn);
+        assert_eq!(scan.end_lsn, clean_end);
+        assert_eq!(scan.records.len(), 2);
+
+        let w = SegmentWriter::open(&dir, 0, FsyncPolicy::Never, 4096).unwrap();
+        assert_eq!(w.lsn(), clean_end);
+        assert_eq!(file_len(&path), SEG_HEADER_LEN + clean_end);
+        drop(w);
+        let scan = LogDir::real(&dir).scan_partition_from(0, 0).unwrap();
+        assert!(!scan.torn);
         assert_eq!(scan.records.len(), 2);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -2576,13 +2843,52 @@ mod tests {
         });
     }
 
+    /// A rotation whose new segment cannot be opened (created, headed or
+    /// preallocated: one function, one failure path) fails the flush and
+    /// leaves the writer where it was. The rewind and retry that
+    /// `WalHandle`'s retry loop runs then re-run the whole rotation, and the
+    /// log scans clean.
+    #[test]
+    fn a_failed_segment_open_fails_the_rotation_and_the_retry_reruns_it() {
+        let dir = tmp_dir("rotate-open-fails");
+        let inj = FaultInjector::new(FaultPlan {
+            seed: 5,
+            open_permille: 1000,
+            ..FaultPlan::quiet(5)
+        });
+        let backend: Arc<dyn LogBackend> = Arc::new(FaultBackend::new(Arc::clone(&inj)));
+        let mut w = LogDir::new(&dir, backend)
+            .open_writer(0, FsyncPolicy::Never, 200)
+            .unwrap();
+        for txn in 0..3 {
+            stage_txn(&mut w, txn);
+            w.flush_group().unwrap();
+        }
+        let sealed_at = w.lsn();
+        inj.arm();
+        stage_txn(&mut w, 3);
+        assert!(w.flush_group().is_err(), "the group needs a new segment");
+        inj.disarm();
+        assert_eq!((w.segment_index(), w.lsn()), (0, sealed_at));
+        w.rewind_partial().unwrap();
+        w.flush_group().unwrap();
+        assert_eq!(w.segment_index(), 1);
+        w.sync().unwrap();
+        let segs = LogDir::real(&dir).list_segments(0).unwrap();
+        assert_eq!(file_len(&segs[0].1), SEG_HEADER_LEN + sealed_at);
+        let scan = LogDir::real(&dir).scan_partition_from(0, 0).unwrap();
+        assert!(!scan.torn);
+        assert_eq!(scan.records.len(), 2 * 4);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// A rotation between `begin_sync` and `finish_sync` seals the old
     /// segment at a higher LSN than the barrier's; the late `finish_sync`
     /// must not pull `synced_lsn` back down to it.
     #[test]
     fn finish_sync_after_a_rotation_never_lowers_synced_lsn() {
         let dir = tmp_dir("barrier-rotate");
-        let mut w = SegmentWriter::open(&dir, 0, FsyncPolicy::Never, 100).unwrap();
+        let mut w = SegmentWriter::open(&dir, 0, FsyncPolicy::Never, 200).unwrap();
         stage_txn(&mut w, 1);
         w.flush_group().unwrap();
         let barrier = w.begin_sync().unwrap();

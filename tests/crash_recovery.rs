@@ -20,6 +20,9 @@
 //! pipeline that is *already* absorbing fsync failures, torn writes and
 //! `ENOSPC` — the child heals degraded partitions in place and keeps
 //! acking. The same three invariants must hold.
+//!
+//! Every child logs to small segments, so the kill also lands across
+//! segment rotations (seal, trim, preallocate the next).
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -47,6 +50,12 @@ const GROUP_POLICY: FsyncPolicy = FsyncPolicy::GroupCommit {
     max_wait_us: 100,
 };
 
+/// Segment size of every child's log. A transfer logs ≈ 150 bytes, so a
+/// child rotates every dozen or so commits and the 50 acks the parent waits
+/// for span several rotations: the SIGKILL can land while a segment is
+/// being sealed, trimmed or preallocated, not only mid-append.
+const SEGMENT_BYTES: u64 = 2 << 10;
+
 fn build_with(
     dir: &Path,
     backend: Option<Arc<dyn LogBackend>>,
@@ -71,7 +80,8 @@ fn build_with(
     );
     let mut opts = DbOptions::new()
         .with_wal_dir(dir.to_path_buf())
-        .with_fsync_policy(policy);
+        .with_fsync_policy(policy)
+        .with_segment_bytes(SEGMENT_BYTES);
     if let Some(backend) = backend {
         opts = opts.with_log_backend(backend);
     }
@@ -344,6 +354,17 @@ fn run_crash_harness(test_name: &str, fault_seed: Option<u64>, policy: FsyncPoli
         acks.len() >= 50,
         "child exited after only {} acks — it should run until killed",
         acks.len()
+    );
+    let segments = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter(|e| {
+            let name = e.as_ref().unwrap().file_name();
+            name.to_string_lossy().starts_with("wal-p000-")
+        })
+        .count();
+    assert!(
+        segments > 1,
+        "partition 0 logged to {segments} segment(s): the kill had no rotation to land on"
     );
 
     // Recover the directory the child left behind. The recovery options

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use bamboo_repro::core::partition::{PartSession, PartitionedDb};
 use bamboo_repro::core::protocol::{LockingProtocol, Protocol};
 use bamboo_repro::core::DbOptions;
-use bamboo_repro::storage::log::{SegmentWriter, WalRecord};
+use bamboo_repro::storage::log::{SegmentWriter, WalRecord, SEG_HEADER_LEN};
 use bamboo_repro::storage::{
     DataType, FsyncPolicy, PartitionId, RouteStrategy, Row, Schema, TableId, Value,
 };
@@ -301,35 +301,30 @@ fn incomplete_tail_group_is_dropped() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Garbage bytes at the end of a segment (torn write) are detected by the
-/// frame checksum and the tail is discarded; everything before it replays.
+/// Garbage bytes at the end of a segment's data (torn write) are detected
+/// by the frame checksum and the tail is discarded; everything before it
+/// replays.
 #[test]
 fn torn_tail_is_detected_and_skipped() {
     let dir = tmp_dir("torn");
     let (pdb, t) = durable_bank(&dir, FsyncPolicy::EveryCommit);
     transfers(&pdb, t, 15, 29);
     let before = state(&pdb, t);
+    let data_end = SEG_HEADER_LEN + pdb.parts()[0].wal().current_lsn();
     drop(pdb);
 
-    // Append garbage to partition 0's newest segment: a torn frame.
-    let mut segs: Vec<_> = std::fs::read_dir(&dir)
+    // Write garbage right after partition 0's data, onto the zeros its
+    // preallocated segment holds there: a torn frame. The log is one
+    // segment long, starting at LSN 0.
+    let seg = dir.join("wal-p000-00000000.seg");
+    assert!(std::fs::metadata(&seg).unwrap().len() > data_end);
+    use std::os::unix::fs::FileExt as _;
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&seg)
         .unwrap()
-        .filter_map(|e| {
-            let p = e.unwrap().path();
-            let name = p.file_name()?.to_str()?.to_owned();
-            (name.starts_with("wal-p000-") && name.ends_with(".seg")).then_some(p)
-        })
-        .collect();
-    segs.sort();
-    let newest = segs.pop().expect("partition 0 has segments");
-    use std::io::Write as _;
-    let mut f = std::fs::OpenOptions::new()
-        .append(true)
-        .open(newest)
+        .write_all_at(&[0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x02, 0x03], data_end)
         .unwrap();
-    f.write_all(&[0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x02, 0x03])
-        .unwrap();
-    drop(f);
 
     let (rec, report) = PartitionedDb::recover(DbOptions::new().with_wal_dir(dir.clone())).unwrap();
     assert_eq!(state(&rec, t), before);

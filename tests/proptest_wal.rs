@@ -15,6 +15,7 @@ use std::path::PathBuf;
 
 use bamboo_repro::storage::log::{
     decode_record, encode_record, frame_insert, frame_record, frame_update, LogDir, SegmentWriter,
+    SEG_HEADER_LEN,
 };
 use bamboo_repro::storage::{FsyncPolicy, Row, Value, WalRecord};
 use proptest::prelude::*;
@@ -117,7 +118,7 @@ proptest! {
         prop_assert_eq!(&via_fast, &via_record, "frame_update vs frame_record(Update)");
 
         // `stage_update` lands the same frame on disk: the segment's bytes
-        // past its header are exactly the frame.
+        // from its header to its data end are exactly the frame.
         let dir = tmp_dir("stage", case);
         let mut w = SegmentWriter::open(&dir, 0, FsyncPolicy::Never, 1 << 20).unwrap();
         w.stage_update(table, key, &row);
@@ -130,7 +131,8 @@ proptest! {
             .find(|p| p.extension().is_some_and(|e| e == "seg"))
             .unwrap();
         let bytes = std::fs::read(&seg).unwrap();
-        prop_assert_eq!(&bytes[bytes.len() - frame_len..], &via_record[..], "stage_update");
+        let data_start = SEG_HEADER_LEN as usize;
+        prop_assert_eq!(&bytes[data_start..data_start + frame_len], &via_record[..], "stage_update");
         let _ = std::fs::remove_dir_all(&dir);
 
         let insert = WalRecord::Insert { table, key, row: row.clone(), secondary };
@@ -160,14 +162,14 @@ proptest! {
         w.sync().unwrap();
         drop(w);
 
-        // Chop the single segment file at an arbitrary byte offset.
+        // Chop the single segment file at an arbitrary byte offset of its
+        // data.
         let seg = std::fs::read_dir(&dir).unwrap()
             .map(|e| e.unwrap().path())
             .find(|p| p.extension().is_some_and(|e| e == "seg"))
             .unwrap();
         let total = *frame_ends.last().unwrap();
-        let file_len = std::fs::metadata(&seg).unwrap().len();
-        let data_start = file_len - total;
+        let data_start = SEG_HEADER_LEN;
         let cut = data_start + (cut_frac * total as f64) as u64;
         let f = std::fs::OpenOptions::new().write(true).open(&seg).unwrap();
         f.set_len(cut).unwrap();
@@ -210,7 +212,7 @@ proptest! {
             .find(|p| p.extension().is_some_and(|e| e == "seg"))
             .unwrap();
         let mut bytes = std::fs::read(&seg).unwrap();
-        let data_start = bytes.len() - total as usize;
+        let data_start = SEG_HEADER_LEN as usize;
         let pos = data_start + ((pos_frac * total as f64) as usize).min(total as usize - 1);
         bytes[pos] ^= flip;
         std::fs::write(&seg, &bytes).unwrap();
