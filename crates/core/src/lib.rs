@@ -62,8 +62,8 @@
 //! assert_eq!(session.db().table(t).get(1).unwrap().read_row().get_i64(1), 40);
 //! ```
 //!
-//! [`session::TxnOptions`] selects snapshot mode, opacity, planned
-//! operations (Optimization 2's δ) and the IC3 template;
+//! [`session::TxnOptions`] selects snapshot mode, planned operations
+//! (Optimization 2's δ) and the IC3 template;
 //! [`Session::run`] executes a whole [`executor::TxnSpec`] with the
 //! session's [`session::RetryPolicy`] governing restarts.
 //!

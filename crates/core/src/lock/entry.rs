@@ -191,16 +191,16 @@ pub struct CommitInstall<'a> {
     pub row: &'a Row,
     /// The writer's commit timestamp. 0 means "no MVCC context": the image
     /// overwrites the newest committed version in place instead of pushing
-    /// a new chain entry (read-uncommitted early installs, tests) — pushing
-    /// entries that no watermark will ever collect would leak versions.
+    /// a new chain entry (tests and layer probes) — pushing entries that no
+    /// watermark will ever collect would leak versions.
     pub commit_ts: u64,
     /// GC watermark for the eager version-chain collection.
     pub watermark: u64,
 }
 
 impl<'a> CommitInstall<'a> {
-    /// An install without MVCC context (tests and the read-uncommitted
-    /// early-install path): overwrites in place, creating no version.
+    /// An install without MVCC context (tests and layer probes): overwrites
+    /// in place, creating no version.
     pub fn untimed(tuple: &'a Tuple<TupleCc>, row: &'a Row) -> Self {
         CommitInstall {
             tuple,
@@ -272,33 +272,6 @@ impl LockState {
     /// Number of published uncommitted versions.
     pub fn versions_len(&self) -> usize {
         self.retired().iter().filter(|e| e.dirty.is_some()).count()
-    }
-
-    /// True when a non-aborted retired entry conflicts with `mode`.
-    pub fn has_conflicting_retired(&self, mode: LockMode) -> bool {
-        self.retired()
-            .iter()
-            .any(|e| e.mode.conflicts(mode) && !e.txn.is_aborted())
-    }
-
-    /// True when an opaque transaction may request `mode` (§3.4: it waits
-    /// until it can never observe uncommitted data): no non-aborted retired
-    /// entry conflicts with `mode` and no dirty version is published.
-    pub fn clean_for_opaque(&self, mode: LockMode) -> bool {
-        !self
-            .retired()
-            .iter()
-            .any(|e| e.dirty.is_some() || (e.mode.conflicts(mode) && !e.txn.is_aborted()))
-    }
-
-    /// Snapshot of the newest dirty version regardless of priority (read
-    /// uncommitted, §3.4), falling back to the committed image.
-    pub fn dirty_snapshot(&self, tuple: &Tuple<TupleCc>) -> Row {
-        self.retired()
-            .iter()
-            .rev()
-            .find_map(|e| e.dirty.as_deref().cloned())
-            .unwrap_or_else(|| tuple.read_row())
     }
 
     /// True when every list is empty (quiescent tuple).
@@ -1314,7 +1287,6 @@ mod tests {
         r2.set(1, Value::I64(12));
         st.retire(&w2, r2.clone(), &pol);
         assert_eq!(seen.get_i64(1), 11, "W2's write is not the reader's");
-        assert_eq!(st.dirty_snapshot(&tup).get_i64(1), 12);
         // W1 installs, then W2 on top of it.
         st.release(&w1, &pol, true, Some(CommitInstall::untimed(&tup, &r1)));
         assert_eq!(tup.read_row().get_i64(1), 11);
@@ -1456,38 +1428,27 @@ mod upgrade_and_edge_tests {
     }
 
     #[test]
-    fn has_conflicting_retired_ignores_aborted_entries() {
+    fn untimed_installs_overwrite_in_place_and_never_version() {
+        // An untimed install has no commit timestamp; pushing chain entries
+        // that no watermark ever collects would leak a version per write.
+        // The layer probes run this in a tight loop.
         let (_tb, tup, ts) = mk();
         let pol = LockPolicy::bamboo();
         let mut st = LockState::default();
-        let w = TxnShared::new(1, ts.assign());
-        grant(&mut st, &tup, &pol, &w, LockMode::Ex, &ts);
-        let mut row = tup.read_row();
-        row.set(1, Value::I64(5));
-        st.retire(&w, row, &pol);
-        assert!(st.has_conflicting_retired(LockMode::Sh));
-        w.set_abort(AbortReason::User);
-        assert!(
-            !st.has_conflicting_retired(LockMode::Sh),
-            "aborted retired entries do not count"
+        for i in 1..=50i64 {
+            let w = TxnShared::new(i as u64, ts.assign());
+            grant(&mut st, &tup, &pol, &w, LockMode::Ex, &ts);
+            let mut row = tup.read_row();
+            row.set(1, Value::I64(i * 100));
+            st.release(&w, &pol, true, Some(CommitInstall::untimed(&tup, &row)));
+        }
+        assert!(st.is_quiescent());
+        assert_eq!(
+            tup.retained_versions(),
+            0,
+            "untimed installs must not grow the version chain"
         );
-        st.release(&w, &pol, false, None);
-    }
-
-    #[test]
-    fn dirty_snapshot_returns_newest_version_or_base() {
-        let (_tb, tup, ts) = mk();
-        let pol = LockPolicy::bamboo();
-        let mut st = LockState::default();
-        assert_eq!(st.dirty_snapshot(&tup).get_i64(1), 0);
-        let w = TxnShared::new(1, ts.assign());
-        grant(&mut st, &tup, &pol, &w, LockMode::Ex, &ts);
-        let mut row = tup.read_row();
-        row.set(1, Value::I64(42));
-        st.retire(&w, row.clone(), &pol);
-        assert_eq!(st.dirty_snapshot(&tup).get_i64(1), 42);
-        st.release(&w, &pol, true, Some(CommitInstall::untimed(&tup, &row)));
-        assert_eq!(st.dirty_snapshot(&tup).get_i64(1), 42);
+        assert_eq!(tup.read_row().get_i64(1), 5000);
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //!
 //! plus Optimization 2 (δ = don't retire trailing writes; adaptively retire
 //! them anyway if the semaphore wait drags on).
+//!
+//! Every configuration is Serializable. §3.4's weak isolation levels and
+//! opacity are discussion in the paper, not evaluated designs; the one way
+//! to read without locks is snapshot mode
+//! ([`Protocol::begin_snapshot`]).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -24,9 +29,7 @@ use parking_lot::Mutex;
 use crate::db::Database;
 use crate::lock::{Acquired, CommitInstall, LockPolicy};
 use crate::meta::TupleCc;
-use crate::protocol::{
-    commit_snapshot, commit_tail, scan_rows, snapshot_read, unlocked_read, Protocol,
-};
+use crate::protocol::{commit_snapshot, commit_tail, scan_rows, snapshot_read, Protocol};
 use crate::ts::UNASSIGNED;
 use crate::txn::{
     Abort, AbortReason, Access, AccessState, LockMode, Pacing, PendingInsert, TxnCtx, TxnShared,
@@ -34,8 +37,8 @@ use crate::txn::{
 };
 use crate::wal::WalBuffer;
 
-/// Lock, upgrade and opacity waits. The backstop is three orders of
-/// magnitude above a healthy wait (microseconds to a few milliseconds).
+/// Lock and upgrade waits. The backstop is three orders of magnitude
+/// above a healthy wait (microseconds to a few milliseconds).
 const LOCK_WAIT: WaitSite = WaitSite {
     timer: WaitTimer::Lock,
     timeout: Duration::from_millis(500),
@@ -53,34 +56,6 @@ const COMMIT_WAIT: WaitSite = WaitSite {
     pacing: Pacing::Park,
 };
 
-/// Isolation levels (paper §3.4, "Weak Isolation"). Serializable is the
-/// default; the weaker levels trade anomalies for concurrency exactly as
-/// the paper sketches.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IsolationLevel {
-    /// Full serializability (the protocol as specified).
-    Serializable,
-    /// "Repeatable read is supported by giving up phantom protection."
-    /// Point accesses behave identically to Serializable here because the
-    /// workloads have no range predicates; kept as a distinct level for
-    /// API fidelity.
-    RepeatableRead,
-    /// "Read committed is supported by releasing shared locks early": a
-    /// read takes the committed image under the tuple latch and holds no
-    /// entry — non-repeatable reads become possible, dirty reads do not.
-    ReadCommitted,
-    /// "Read uncommitted means each retire becomes a release": writes
-    /// install at retire time with no dependency tracking; reads take the
-    /// newest dirty version with no locks at all. These early installs
-    /// overwrite the committed image *in place* (no commit timestamp, no
-    /// version-chain entry), so RU writers are **not** snapshot-consistent:
-    /// a concurrent [`crate::protocol::Protocol::begin_snapshot`] reader
-    /// may see RU writes mutate under its snapshot. Snapshot mode composes
-    /// with the timestamped commit paths (Serializable / RepeatableRead /
-    /// ReadCommitted writers, Silo, IC3) only.
-    ReadUncommitted,
-}
-
 /// 2PL-family protocol configuration.
 #[derive(Clone, Debug)]
 pub struct LockingProtocol {
@@ -96,8 +71,6 @@ pub struct LockingProtocol {
     /// exceeds δ of the execution time so far, retire the held-back writes
     /// after all.
     pub adaptive_retire: bool,
-    /// Isolation level (§3.4); Serializable unless configured otherwise.
-    pub isolation: IsolationLevel,
     name: String,
 }
 
@@ -110,7 +83,6 @@ impl LockingProtocol {
             retire_writes: true,
             delta: 0.15,
             adaptive_retire: true,
-            isolation: IsolationLevel::Serializable,
             name: "BAMBOO".into(),
         }
     }
@@ -123,7 +95,6 @@ impl LockingProtocol {
             retire_writes: true,
             delta: 0.0,
             adaptive_retire: false,
-            isolation: IsolationLevel::Serializable,
             name: "BAMBOO-base".into(),
         }
     }
@@ -135,7 +106,6 @@ impl LockingProtocol {
             retire_writes: false,
             delta: 0.0,
             adaptive_retire: false,
-            isolation: IsolationLevel::Serializable,
             name: name.into(),
         }
     }
@@ -161,39 +131,6 @@ impl LockingProtocol {
         self
     }
 
-    /// Selects an isolation level (§3.4).
-    pub fn with_isolation(mut self, level: IsolationLevel) -> Self {
-        self.isolation = level;
-        self
-    }
-
-    /// The policy an access of `ctx` should use: opaque transactions never
-    /// bypass into `retired` and never auto-retire reads.
-    fn access_policy(&self, ctx: &TxnCtx) -> LockPolicy {
-        if ctx.opaque {
-            LockPolicy {
-                retire_reads: false,
-                no_raw_abort: false,
-                ..self.policy
-            }
-        } else {
-            self.policy
-        }
-    }
-
-    /// The image a weak-isolation read takes without a lock entry (§3.4):
-    /// under read committed "shared locks release early" — modelled as a
-    /// latched copy of the committed image; under read uncommitted there
-    /// are no read locks at all and the newest dirty version is taken.
-    fn lockless_image(&self, tuple: &Tuple<TupleCc>) -> Row {
-        let st = tuple.meta.lock.lock();
-        if self.isolation == IsolationLevel::ReadUncommitted {
-            st.dirty_snapshot(tuple)
-        } else {
-            tuple.read_row()
-        }
-    }
-
     /// Acquire with wait loop; returns the working image and entry
     /// placement on success.
     fn acquire_blocking(
@@ -204,18 +141,9 @@ impl LockingProtocol {
         mode: LockMode,
     ) -> Result<(Row, bool), Abort> {
         ctx.locks_acquired += 1;
-        let pol = self.access_policy(ctx);
-        if ctx.opaque {
-            // §3.4 opacity: "wait on a tuple until the retired and owners
-            // lists are empty" — concretely, until no conflicting retired
-            // entry (and no dirty version we could observe) remains.
-            ctx.wait(LOCK_WAIT, |_| {
-                tuple.meta.lock.lock().clean_for_opaque(mode).then_some(())
-            })?;
-        }
         let outcome = {
             let mut st = tuple.meta.lock.lock();
-            st.acquire(tuple, &pol, &ctx.shared, mode, &db.ts_source)
+            st.acquire(tuple, &self.policy, &ctx.shared, mode, &db.ts_source)
         };
         match outcome {
             Acquired::Granted { row, retired } => Ok((row, retired)),
@@ -230,7 +158,11 @@ impl LockingProtocol {
                 .inspect_err(|_| {
                     // Leave the queue. A grant may have raced the abort; if
                     // so, cancel_wait fully releases the entry.
-                    tuple.meta.lock.lock().cancel_wait(&ctx.shared, &pol);
+                    tuple
+                        .meta
+                        .lock
+                        .lock()
+                        .cancel_wait(&ctx.shared, &self.policy);
                 }),
         }
     }
@@ -256,9 +188,9 @@ impl LockingProtocol {
     /// unblock anyone for long, but retiring them costs latching and risks
     /// cascades.)
     /// `manual` is [`LockingProtocol::update_manual`]'s explicit request,
-    /// which overrides δ (but never `retire_writes` or opacity).
+    /// which overrides δ (but never `retire_writes`).
     fn should_retire_now(&self, ctx: &TxnCtx, manual: Option<bool>) -> bool {
-        if !self.retire_writes || ctx.opaque {
+        if !self.retire_writes {
             return false;
         }
         if let Some(retire) = manual {
@@ -296,10 +228,11 @@ impl LockingProtocol {
 
     /// Next-key (gap) lock for an insert of `key`: exclusive-locks the
     /// smallest existing key greater than `key`, forcing an ordering with
-    /// any scanner holding that key shared. Only taken under Serializable
-    /// with an ordered index present. On a partitioned database the next
-    /// key is resolved across every shard ([`Database::next_key_after`]),
-    /// so the gap guard spans partition boundaries.
+    /// any scanner holding that key shared. Taken whenever the table has an
+    /// ordered index (inserts never run in snapshot mode). On a partitioned
+    /// database the next key is resolved across every shard
+    /// ([`Database::next_key_after`]), so the gap guard spans partition
+    /// boundaries.
     fn lock_insert_gap(
         &self,
         db: &Database,
@@ -307,9 +240,6 @@ impl LockingProtocol {
         table: TableId,
         key: u64,
     ) -> Result<(), Abort> {
-        if self.isolation != IsolationLevel::Serializable {
-            return Ok(());
-        }
         if !db.has_ordered_index(table) {
             return Ok(());
         }
@@ -373,8 +303,7 @@ impl LockingProtocol {
                 //  * retired (second write after retire, §3.3) or a retired
                 //    read being upgraded: abort observers and move back to
                 //    owners via reacquire;
-                //  * shared owner (baselines): upgrade in place;
-                //  * released (weak isolation): take a fresh exclusive lock.
+                //  * shared owner (baselines): upgrade in place.
                 let (state, mode) = (ctx.accesses[i].state, ctx.accesses[i].mode);
                 match (state, mode) {
                     (AccessState::Owner, LockMode::Ex) => i,
@@ -412,19 +341,9 @@ impl LockingProtocol {
                         ctx.accesses[i].mode = LockMode::Ex;
                         i
                     }
-                    (AccessState::Released, mode) => {
-                        // A weak-isolation read cached this key without a
-                        // lock entry, or (exclusive) read uncommitted
-                        // released the write at its retire; forget it and
-                        // take a fresh exclusive acquire.
-                        debug_assert!(
-                            mode == LockMode::Sh
-                                || self.isolation == IsolationLevel::ReadUncommitted,
-                            "only RU releases writes mid-transaction"
-                        );
-                        ctx.forget_access(table, tuple.key);
-                        self.acquire_ex(db, ctx, table, tuple)?
-                    }
+                    (AccessState::Released, _) => unreachable!(
+                        "a locking access is released only in snapshot mode, which forbids writes"
+                    ),
                 }
             }
             None => self.acquire_ex(db, ctx, table, tuple)?,
@@ -432,23 +351,9 @@ impl LockingProtocol {
         f(&mut ctx.accesses[i].local);
         ctx.accesses[i].dirty = true;
         // Algorithm 1 line 2: retire after the (presumed) last write, subject
-        // to Optimization 2. Under read uncommitted "each retire becomes a
-        // release" (§3.4): the write installs immediately, no dependency is
-        // tracked, and an abort cannot take it back.
+        // to Optimization 2.
         if self.should_retire_now(ctx, manual_retire) {
-            let a = &mut ctx.accesses[i];
-            if self.isolation == IsolationLevel::ReadUncommitted {
-                let mut st = a.tuple.meta.lock.lock();
-                st.release(
-                    &ctx.shared,
-                    &self.policy,
-                    true,
-                    Some(CommitInstall::untimed(&a.tuple, &a.local)),
-                );
-                a.state = AccessState::Released;
-            } else {
-                self.retire_access(&ctx.shared, a);
-            }
+            self.retire_access(&ctx.shared, &mut ctx.accesses[i]);
         }
         Ok(())
     }
@@ -531,24 +436,7 @@ impl Protocol for LockingProtocol {
             .get(key)
             .unwrap_or_else(|| panic!("read: missing key {key} in table {}", table.0));
         if let Some(i) = ctx.find_access(table, tuple.key) {
-            // Own writes are always visible; under read committed a clean
-            // cached read is refreshed instead (non-repeatable by design).
-            if self.isolation == IsolationLevel::ReadCommitted
-                && !ctx.accesses[i].dirty
-                && !ctx.opaque
-            {
-                ctx.accesses[i].local = self.lockless_image(&tuple);
-            }
             return Ok(&ctx.accesses[i].local);
-        }
-        if !ctx.opaque
-            && matches!(
-                self.isolation,
-                IsolationLevel::ReadCommitted | IsolationLevel::ReadUncommitted
-            )
-        {
-            let row = self.lockless_image(&tuple);
-            return Ok(unlocked_read(ctx, table, tuple, row));
         }
         let (row, retired) = self.acquire_blocking(db, ctx, &tuple, LockMode::Sh)?;
         let state = if retired {
@@ -650,14 +538,11 @@ impl Protocol for LockingProtocol {
     /// locking"). Requires the table's ordered index
     /// ([`bamboo_storage::Table::enable_ordered_index`]).
     ///
-    /// Every matching key is read (shared access) and — under
-    /// [`IsolationLevel::Serializable`] — the *next existing key* past the
-    /// range end is share-locked too, so a concurrent insert into the gap
-    /// must order itself after this transaction. Under
-    /// [`IsolationLevel::RepeatableRead`] the next-key lock is skipped:
-    /// "repeatable read is supported by giving up phantom protection".
-    /// Ranges extending past the largest existing key are protected only
-    /// when a sentinel max-key row exists.
+    /// Every matching key is read (shared access) and the *next existing
+    /// key* past the range end is share-locked too, so a concurrent insert
+    /// into the gap must order itself after this transaction. Ranges
+    /// extending past the largest existing key are protected only when a
+    /// sentinel max-key row exists.
     /// Snapshot-mode scans take no locks at all; rows invisible at the
     /// snapshot are skipped as phantoms.
     fn scan(
@@ -668,7 +553,7 @@ impl Protocol for LockingProtocol {
         range: std::ops::RangeInclusive<u64>,
     ) -> Result<Vec<Row>, Abort> {
         let rows = scan_rows(self, db, ctx, table, range.clone())?;
-        if self.isolation == IsolationLevel::Serializable && ctx.snapshot.is_none() {
+        if ctx.snapshot.is_none() {
             if let Some(next) = db.next_key_after(table, *range.end()) {
                 self.read(db, ctx, table, next)?;
             }
@@ -889,28 +774,6 @@ mod tests {
         proto.update(&db, &mut ctx, t, 1, &mut add_100).unwrap();
         proto.commit(&db, &mut ctx, &wal).unwrap();
         assert_eq!(db.table(t).get(1).unwrap().read_row().get_i64(1), 300);
-    }
-
-    #[test]
-    fn read_uncommitted_early_installs_do_not_version() {
-        // RU's retire-becomes-release installs have no commit timestamp;
-        // they must overwrite in place — pushing chain entries that no
-        // watermark ever collects would leak a version per write.
-        let (db, t) = setup();
-        let proto = LockingProtocol::bamboo().with_isolation(IsolationLevel::ReadUncommitted);
-        let wal = Mutex::new(WalBuffer::for_tests());
-        for _ in 0..50 {
-            let mut ctx = proto.begin(&db);
-            proto.update(&db, &mut ctx, t, 0, &mut add_100).unwrap();
-            proto.commit(&db, &mut ctx, &wal).unwrap();
-        }
-        let tup = db.table(t).get(0).unwrap();
-        assert_eq!(
-            tup.retained_versions(),
-            0,
-            "untimed installs must not grow the version chain"
-        );
-        assert_eq!(tup.read_row().get_i64(1), 5000);
     }
 
     #[test]

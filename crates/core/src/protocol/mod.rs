@@ -21,16 +21,15 @@ mod silo;
 use std::sync::Arc;
 
 use bamboo_storage::log::{IoClass, IoFailure};
-use bamboo_storage::{Row, TableId, Tuple};
+use bamboo_storage::{Row, TableId};
 use parking_lot::Mutex;
 
 pub use ic3::{Ic3Protocol, PieceAccess, PieceDecl, TemplateDecl};
 pub use interactive::InteractiveProtocol;
-pub use locking::{IsolationLevel, LockingProtocol};
+pub use locking::LockingProtocol;
 pub use silo::SiloProtocol;
 
 use crate::db::Database;
-use crate::meta::TupleCc;
 use crate::txn::{Abort, AbortReason, Access, AccessState, LockMode, TxnCtx};
 use crate::wal::{DurabilityTicket, TicketParts, WalBuffer, WalWrite};
 
@@ -59,10 +58,7 @@ pub trait Protocol: Send + Sync {
     /// block nor be aborted by writers. Writes are forbidden in this mode.
     ///
     /// Consistency requires writers to commit through the timestamped MVCC
-    /// install path, which every protocol's commit does — except
-    /// [`IsolationLevel::ReadUncommitted`](crate::protocol::IsolationLevel)
-    /// writers, whose early installs overwrite in place and are therefore
-    /// not snapshot-consistent (RU permits dirty reads by definition).
+    /// install path, which every protocol's commit does.
     fn begin_snapshot(&self, db: &Database) -> TxnCtx {
         let mut ctx = self.begin(db);
         ctx.snapshot = Some(crate::txn::SnapshotCtx {
@@ -112,7 +108,7 @@ pub trait Protocol: Send + Sync {
     /// The default implementation performs plain per-key reads — correct
     /// under every protocol, with no phantom protection. Protocols with a
     /// stronger story override it ([`LockingProtocol`] adds §3.4's
-    /// next-key locking under Serializable). The key set merges every
+    /// next-key locking). The key set merges every
     /// partition's index shard ([`Database::scan_keys`]), so a range
     /// spanning partitions reads each key from its owning shard. In
     /// snapshot mode, rows not visible at the snapshot timestamp are
@@ -491,27 +487,11 @@ pub(crate) fn snapshot_read<'c>(
     let Some(row) = tuple.read_at(snap) else {
         return Err(Abort(AbortReason::SnapshotNotVisible));
     };
-    Ok(unlocked_read(ctx, table, tuple, row))
-}
-
-/// Records a read that holds no lock entry — snapshot mode and the 2PL
-/// family's weak isolation levels — and returns the cached copy: a shared
-/// access that is already [`AccessState::Released`], so the release paths
-/// skip it.
-pub(crate) fn unlocked_read(
-    ctx: &mut TxnCtx,
-    table: TableId,
-    tuple: Arc<Tuple<TupleCc>>,
-    row: Row,
-) -> &Row {
-    let i = ctx.push_access(Access::new(
-        table,
-        tuple,
-        LockMode::Sh,
-        row,
-        AccessState::Released,
-    ));
-    &ctx.accesses[i].local
+    // No lock entry backs the read: the access is born released, so the
+    // release paths skip it.
+    let access = Access::new(table, tuple, LockMode::Sh, row, AccessState::Released);
+    let i = ctx.push_access(access);
+    Ok(&ctx.accesses[i].local)
 }
 
 /// Shared commit path of snapshot mode: no locks to release, no log to

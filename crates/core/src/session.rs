@@ -139,7 +139,6 @@ impl RetryPolicy {
 pub struct TxnOptions {
     snapshot: bool,
     snapshot_max_lag: Option<u64>,
-    opaque: bool,
     planned_ops: Option<usize>,
     template: usize,
 }
@@ -173,15 +172,6 @@ impl TxnOptions {
         self
     }
 
-    /// Opacity (§3.4): accesses wait out dirty state and never read
-    /// uncommitted versions — the transaction effectively runs under plain
-    /// Wound-Wait. Only meaningful for the 2PL family; other protocols
-    /// ignore the flag.
-    pub fn opaque(mut self) -> Self {
-        self.opaque = true;
-        self
-    }
-
     /// Declares the total operation count (stored-procedure mode), driving
     /// Optimization 2's δ heuristic. Unset means interactive mode: every
     /// write is treated as potentially the last and retires immediately.
@@ -203,7 +193,6 @@ impl TxnOptions {
         TxnOptions {
             snapshot: spec.read_only_snapshot(),
             snapshot_max_lag: None,
-            opaque: false,
             planned_ops: spec.planned_ops(),
             template: spec.template(),
         }
@@ -308,7 +297,6 @@ impl Session {
         if let Some(snap) = ctx.snapshot.as_mut() {
             snap.max_lag = opts.snapshot_max_lag;
         }
-        ctx.opaque = opts.opaque;
         ctx.planned_ops = opts.planned_ops;
         ctx.ic3.template = opts.template;
         Txn {
@@ -947,10 +935,9 @@ mod tests {
     fn txn_options_apply_to_context() {
         let (db, _t) = setup();
         let session = bamboo_session(&db);
-        let txn = session.begin_with(TxnOptions::new().planned_ops(7).template(3).opaque());
+        let txn = session.begin_with(TxnOptions::new().planned_ops(7).template(3));
         assert_eq!(txn.ctx().planned_ops, Some(7));
         assert_eq!(txn.ctx().ic3.template, 3);
-        assert!(txn.ctx().opaque);
         drop(txn);
     }
 }

@@ -163,9 +163,9 @@ pub enum TxnStatus {
 /// How long a parked transaction sleeps between predicate re-checks. A
 /// notification wakes it immediately and is never slept through (the
 /// eventcount, see [`TxnShared::begin_park`]); the timeout is the poll for
-/// the predicates nothing notifies (the opacity pre-wait, IC3's dependency
-/// wait), so every blocking site inherits it from [`TxnCtx::wait`] instead
-/// of choosing its own.
+/// the one predicate nothing notifies (IC3's dependency wait), so every
+/// blocking site inherits it from [`TxnCtx::wait`] instead of choosing its
+/// own.
 const PARK_TIMEOUT: Duration = Duration::from_micros(100);
 
 /// The most one wait spins before it parks: three to four futex wake round
@@ -686,10 +686,6 @@ pub struct TxnCtx {
     pub op_seq: usize,
     /// Phase timers.
     pub timers: TxnTimers,
-    /// Opacity requested (§3.4): accesses wait out dirty state and never
-    /// read uncommitted versions; the transaction runs effectively under
-    /// plain Wound-Wait.
-    pub opaque: bool,
     /// Attempt start time (for the adaptive clause of Optimization 2).
     pub started: Instant,
     /// Silo read set: (access index) entries live in `accesses` with
@@ -718,7 +714,6 @@ impl TxnCtx {
             planned_ops: None,
             op_seq: 0,
             timers: TxnTimers::default(),
-            opaque: false,
             started: Instant::now(),
             silo_reads: Vec::new(),
             ic3: Ic3Ctx::default(),
@@ -736,13 +731,6 @@ impl TxnCtx {
     #[inline]
     pub fn find_access(&self, table: TableId, key: u64) -> Option<usize> {
         self.index.get(&(table.0, key)).copied()
-    }
-
-    /// Drops the cache entry for `(table, key)` so the next access of the
-    /// key takes a fresh acquire (read-committed re-reads, read-uncommitted
-    /// re-writes).
-    pub fn forget_access(&mut self, table: TableId, key: u64) {
-        self.index.remove(&(table.0, key));
     }
 
     /// Records a new access and returns its index.
@@ -766,7 +754,7 @@ impl TxnCtx {
 
     /// The wait seam: blocks until `ready` yields a value, and is the only
     /// place a transaction blocks. Every wait of every protocol — lock
-    /// grant, upgrade, opacity, commit semaphore, IC3 piece and dependency
+    /// grant, upgrade, commit semaphore, IC3 piece and dependency
     /// waits — is one call, so the abort check, the liveness deadline, the
     /// spin-then-park pause and the phase-timer accounting exist once.
     ///

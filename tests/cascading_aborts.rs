@@ -1,6 +1,6 @@
-//! Cascading-abort behaviour (paper §4): chain formation, chain length
-//! accounting, the SH-no-cascade rule, and the wait-versus-abort trade-off
-//! the δ heuristic navigates.
+//! Cascading-abort behaviour (paper §4): dependency-tracked dirty reads,
+//! chain formation, chain length accounting, the SH-no-cascade rule, and
+//! the wait-versus-abort trade-off the δ heuristic navigates.
 
 use std::sync::Arc;
 
@@ -32,6 +32,25 @@ fn session_with(db: &Arc<Database>, proto: LockingProtocol) -> Session {
 fn bump(row: &mut Row) {
     let v = row.get_i64(1);
     row.set(1, Value::I64(v + 1));
+}
+
+#[test]
+fn serializable_reads_see_dirty_retired_data_with_protection() {
+    // Serializable Bamboo *does* read dirty data — protected by the commit
+    // semaphore and cascades (that is the whole point of the paper).
+    let (db, t) = load(4);
+    let session = session_with(&db, LockingProtocol::bamboo_base());
+    let mut w = session.begin();
+    w.update(t, 0, |row| row.set(1, Value::I64(42))).unwrap();
+    let mut r = session.begin();
+    assert_eq!(r.read(t, 0).unwrap().get_i64(1), 42);
+    assert_eq!(
+        r.shared().semaphore(),
+        1,
+        "dirty read is dependency-tracked"
+    );
+    w.commit().unwrap();
+    r.commit().unwrap();
 }
 
 #[test]

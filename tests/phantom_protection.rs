@@ -1,11 +1,10 @@
 //! §3.4 phantom protection: next-key locking on the ordered index makes
-//! range scans serializable; RepeatableRead gives exactly that protection
-//! up.
+//! range scans serializable.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use bamboo_repro::core::protocol::{IsolationLevel, LockingProtocol, Protocol};
+use bamboo_repro::core::protocol::{LockingProtocol, Protocol};
 use bamboo_repro::core::{Database, Session};
 use bamboo_repro::storage::{DataType, Row, Schema, TableId, Value};
 
@@ -73,36 +72,6 @@ fn serializable_scan_blocks_phantom_insert_until_commit_order() {
     });
     // After both commit, the phantom is durable.
     assert!(db.table(t).get(25).is_some());
-}
-
-#[test]
-fn repeatable_read_gives_up_phantom_protection() {
-    // "repeatable read is supported by giving up phantom protection": the
-    // RR scanner takes no next-key lock, so the inserter proceeds without
-    // any ordering against it.
-    let (db, t) = load();
-    let rr = session_with(
-        &db,
-        LockingProtocol::bamboo().with_isolation(IsolationLevel::RepeatableRead),
-    );
-    let mut scanner = rr.begin();
-    assert_eq!(scanner.scan(t, 15..=35).unwrap().len(), 2);
-
-    // The inserter also runs at RR (no gap lock) — it must complete while
-    // the scanner is still open.
-    let ins = session_with(
-        &db,
-        LockingProtocol::bamboo().with_isolation(IsolationLevel::RepeatableRead),
-    );
-    let mut txn = ins.begin();
-    txn.insert(t, 25, Row::from(vec![Value::U64(25), Value::I64(1)]), None)
-        .unwrap();
-    txn.commit().unwrap();
-
-    // Fresh keys are now visible mid-transaction: the phantom anomaly.
-    let again = scanner.scan(t, 15..=35).unwrap();
-    assert_eq!(again.len(), 3, "RR permits the phantom");
-    scanner.commit().unwrap();
 }
 
 #[test]
