@@ -3,7 +3,8 @@
 //! the contended handoff between two workers — the per-operation costs
 //! behind Optimization 1/2's overhead discussion — the primary-key point
 //! lookup every access starts with, from one thread and from two (a latch
-//! shared by all lookups shows only in the second), and what one access
+//! shared by all lookups shows only in the second) and for a batch of cold
+//! keys with and without a prefetch pass first, and what one access
 //! costs in row images: a read's grant, and a write's grant, first `set`,
 //! retire and commit install, on a narrow row and on a wide one with
 //! strings.
@@ -254,13 +255,16 @@ fn bench(c: &mut Criterion) {
     for k in 0..1u64 << TABLE_BITS {
         big.insert(k, Row::from(vec![Value::U64(k), Value::I64(0)]));
     }
+    let next_key = |x: &mut u64| {
+        *x = x
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        *x >> (64 - TABLE_BITS)
+    };
     let random_gets = |seed: u64, iters: u64| {
         let mut x = seed;
         for _ in 0..iters {
-            x = x
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            criterion::black_box(big.get(x >> (64 - TABLE_BITS)));
+            criterion::black_box(big.get(next_key(&mut x)));
         }
     };
 
@@ -286,6 +290,32 @@ fn bench(c: &mut Criterion) {
             start.elapsed()
         })
     });
+
+    // One synthetic transaction's cold reads: 16 random keys, looked up in
+    // turn, or first all prefetched (`Table::prefetch`) and then looked up.
+    // Reported per key; the gap is what a stored procedure's prefetch pass
+    // saves on each cold tuple.
+    const BATCH: usize = 16;
+    for (name, prefetch) in [("cold_get_16", false), ("cold_prefetch_get_16", true)] {
+        gt.bench_function(name, |b| {
+            b.iter_custom(|iters| {
+                let mut x = 1;
+                let start = std::time::Instant::now();
+                for _ in 0..iters {
+                    let keys: [u64; BATCH] = std::array::from_fn(|_| next_key(&mut x));
+                    if prefetch {
+                        for &k in &keys {
+                            big.prefetch(k);
+                        }
+                    }
+                    for &k in &keys {
+                        criterion::black_box(big.get(k));
+                    }
+                }
+                start.elapsed() / BATCH as u32
+            })
+        });
+    }
 
     gt.finish();
 

@@ -67,6 +67,12 @@
 //!     (`HashMap::new(`, `::with_capacity(`, `::default(`) without a type
 //!     annotation is flagged too: its key type is inferred where the rule
 //!     cannot see it.
+//! 11. **unsafe-confined** — the workspace has exactly one `unsafe`: the
+//!     block around the prefetch instruction in `bamboo_storage::table`'s
+//!     prefetch helper (`prefetch_allocation`), with an adjacent
+//!     `// SAFETY:` comment. Any other `unsafe` — a block, `unsafe fn`,
+//!     `unsafe impl`, test code included, or a second block in the helper —
+//!     is flagged.
 
 use std::fmt;
 use std::path::Path;
@@ -310,7 +316,87 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Finding> {
             }
         }
     }
+
+    // Rule 11: one `unsafe`, in the table's prefetch helper.
+    let mut home_free = rel_path == UNSAFE_HOME.0;
+    for (line, at) in word_sites(&masked.code, "unsafe") {
+        let block = masked.code[at + "unsafe".len()..]
+            .trim_start()
+            .starts_with('{');
+        let in_home = home_free && block && enclosing_fn(&masked.code, at) == Some(UNSAFE_HOME.1);
+        let msg = if !in_home {
+            format!("`unsafe` outside `{}` in {} — the one sanctioned `unsafe` is the prefetch hint's block there", UNSAFE_HOME.1, UNSAFE_HOME.0)
+        } else if !justified(&masked, line, "SAFETY:") {
+            "the prefetch helper's `unsafe` block without an adjacent `// SAFETY:` comment"
+                .to_string()
+        } else {
+            home_free = false;
+            continue;
+        };
+        findings.push(Finding {
+            path: rel_path.to_string(),
+            line: line + 1,
+            rule: "unsafe-confined",
+            msg,
+        });
+    }
     findings
+}
+
+/// Rule 11's one sanctioned site: (file, enclosing function).
+const UNSAFE_HOME: (&str, &str) = ("crates/storage/src/table.rs", "prefetch_allocation");
+
+/// Every occurrence of the whole word `word` in `code` (masked): 0-based
+/// line and byte offset.
+fn word_sites(code: &str, word: &str) -> Vec<(usize, usize)> {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    code.match_indices(word)
+        .filter(|&(at, _)| {
+            !code[..at].chars().last().is_some_and(ident)
+                && !code[at + word.len()..].starts_with(ident)
+        })
+        .map(|(at, _)| (code[..at].matches('\n').count(), at))
+        .collect()
+}
+
+/// The name of the innermost `fn` whose body contains byte `pos` of `code`
+/// (masked).
+fn enclosing_fn(code: &str, pos: usize) -> Option<&str> {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut found = None;
+    for (_, at) in word_sites(code, "fn") {
+        if at > pos {
+            break;
+        }
+        // A declaration without a body (`fn f();`) owns no brace.
+        let Some(open) = code[at..].find(['{', ';']).map(|o| at + o) else {
+            continue;
+        };
+        if code.as_bytes()[open] == b'{' && open < pos && pos < matching_close(code, open) {
+            let name = code[at + 2..].trim_start();
+            found = name.split(|c: char| !ident(c)).next();
+        }
+    }
+    found
+}
+
+/// The byte offset of the `}` matching the `{` at `open` (the end of
+/// `code` when unbalanced).
+fn matching_close(code: &str, open: usize) -> usize {
+    let mut depth = 0usize;
+    for (off, ch) in code[open..].char_indices() {
+        match ch {
+            '{' => depth += 1,
+            '}' => {
+                depth -= 1;
+                if depth == 0 {
+                    return open + off;
+                }
+            }
+            _ => {}
+        }
+    }
+    code.len()
 }
 
 /// Rule 10's sites in `code` (masked): 0-based line and message for each
@@ -727,22 +813,7 @@ fn test_regions(masked: &Masked) -> std::collections::HashSet<usize> {
         let Some(open_rel) = code[at..].find('{') else {
             continue;
         };
-        let open = at + open_rel;
-        let mut depth = 0usize;
-        let mut close = code.len();
-        for (off, ch) in code[open..].char_indices() {
-            match ch {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        close = open + off;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
+        let close = matching_close(code, at + open_rel);
         for l in line_of(at)..=line_of(close) {
             out.insert(l);
         }
@@ -1108,6 +1179,55 @@ mod tests {
         let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() { let mut names = std::collections::HashSet::new(); let m: HashMap<u64, u8> = HashMap::new(); }\n}\n";
         assert!(rules("crates/core/src/txn.rs", src).is_empty());
         let src = "// a HashMap<u64, V> on SipHash\nlet s = \"HashMap<u64, u8>\";\n";
+        assert!(rules("crates/core/src/db.rs", src).is_empty());
+    }
+
+    // --- rule 11: unsafe-confined -------------------------------------
+
+    const PREFETCH_HELPER: &str = "fn prefetch_allocation<T>(arc: &Arc<T>) {\n    for i in 0..lines {\n        // SAFETY: a prefetch never faults.\n        unsafe { _mm_prefetch::<_MM_HINT_T0>(p) };\n    }\n}\n";
+
+    #[test]
+    fn unsafe_fires_outside_the_prefetch_helper() {
+        // The helper's block anywhere else, and every other kind of unsafe.
+        assert_eq!(
+            rules("crates/storage/src/index.rs", PREFETCH_HELPER),
+            vec!["unsafe-confined"]
+        );
+        let src = "fn get(&self) -> &T {\n    // SAFETY: trust me.\n    unsafe { &*self.ptr }\n}\nunsafe impl Send for Slot {}\npub unsafe fn raw() {}\n";
+        let found = scan_source("crates/storage/src/table.rs", src);
+        let lines: Vec<_> = found.iter().map(|f| (f.rule, f.line)).collect();
+        assert_eq!(
+            lines,
+            vec![
+                ("unsafe-confined", 3),
+                ("unsafe-confined", 5),
+                ("unsafe-confined", 6)
+            ]
+        );
+        // Test code is not exempt, and neither is a second block in the
+        // helper or one without its SAFETY note.
+        let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() { unsafe { h() } }\n}\n";
+        assert_eq!(rules("crates/core/src/db.rs", src), vec!["unsafe-confined"]);
+        let twice = PREFETCH_HELPER.replace("    }\n}", "        unsafe { g() };\n    }\n}");
+        let found = scan_source(UNSAFE_HOME.0, &twice);
+        assert_eq!(found.len(), 1);
+        assert_eq!((found[0].rule, found[0].line), ("unsafe-confined", 5));
+        let bare = PREFETCH_HELPER.replace("        // SAFETY: a prefetch never faults.\n", "");
+        assert_eq!(rules(UNSAFE_HOME.0, &bare), vec!["unsafe-confined"]);
+    }
+
+    #[test]
+    fn unsafe_confined_allows_the_helper_comments_and_strings() {
+        assert!(rules(UNSAFE_HOME.0, PREFETCH_HELPER).is_empty());
+        // Inside the helper's file, next to other functions, with a SAFETY
+        // note above a `#[cfg]` gate.
+        let src = format!(
+            "/// `unsafe` in a doc comment.\nfn contains() -> bool {{ true }}\n{}fn after() {{ let s = \"unsafe {{ }}\"; }}\n",
+            PREFETCH_HELPER.replace("        unsafe", "        #[cfg(target_arch = \"x86_64\")]\n        unsafe")
+        );
+        assert!(rules(UNSAFE_HOME.0, &src).is_empty());
+        // Identifiers that merely contain the word.
+        let src = "let unsafe_count = 0;\nfn is_unsafe() {}\n";
         assert!(rules("crates/core/src/db.rs", src).is_empty());
     }
 

@@ -552,7 +552,7 @@ fn replay_record(db: &crate::db::Database, ts: u64, rec: &WalRecord) -> bool {
             secondary,
         } => {
             let t = db.table(TableId(*table));
-            if t.get(*key).is_some() {
+            if t.contains(*key) {
                 return false;
             }
             let tuple = t.insert_at(*key, row.clone(), ts);

@@ -640,6 +640,65 @@ mod tests {
         }
     }
 
+    /// `Txn::prefetch` is a hint: on a key the other partition owns, a
+    /// replicated table's key or an absent key, in a locking transaction
+    /// and in a snapshot, it leaves the attempt and every lock entry as
+    /// they were.
+    #[test]
+    fn prefetch_leaves_the_transaction_untouched() {
+        let schema = || {
+            Schema::build()
+                .column("k", DataType::U64)
+                .column("v", DataType::I64)
+        };
+        let mut b = PartitionedDb::builder(2);
+        let kv = b.add_table("kv", schema(), RouteStrategy::Range(vec![100]));
+        let refs = b.add_table("refs", schema(), RouteStrategy::Replicated);
+        let pdb = b.build();
+        let row = |k: u64| Row::from(vec![Value::U64(k), Value::I64(0)]);
+        for k in [1u64, 150] {
+            pdb.insert(kv, k, row(k));
+        }
+        pdb.insert_replicated(refs, 7, row(7));
+        let quiescent = || {
+            pdb.parts().iter().all(|p| {
+                [kv, refs].iter().all(|&t| {
+                    let table = p.db().table(t);
+                    (0..table.len() as u64).all(|r| {
+                        table
+                            .get_by_row_id(r)
+                            .is_some_and(|tup| tup.meta.lock.lock().is_quiescent())
+                    })
+                })
+            })
+        };
+        let s = PartSession::new(Arc::clone(&pdb), Arc::new(LockingProtocol::bamboo()));
+        for snapshot in [false, true] {
+            let txn = if snapshot {
+                s.snapshot_on(PartitionId(0))
+            } else {
+                s.begin_on(PartitionId(0))
+            };
+            // Remote, replicated, absent (routed both ways), then local.
+            for (t, k) in [
+                (kv, 150),
+                (refs, 7),
+                (kv, 99),
+                (kv, 500),
+                (refs, 8),
+                (kv, 1),
+            ] {
+                txn.prefetch(t, k);
+            }
+            assert!(txn.ctx().accesses.is_empty(), "snapshot={snapshot}");
+            assert!(txn.ctx().inserts.is_empty());
+            assert_eq!(txn.locks_acquired(), 0);
+            assert!(quiescent(), "snapshot={snapshot}");
+            txn.commit().unwrap();
+        }
+        assert_eq!(pdb.total_rows(), 4, "nothing was inserted");
+    }
+
     #[test]
     fn partitions_share_the_commit_clock_and_txn_ids() {
         let (pdb, _t) = two_part_db();

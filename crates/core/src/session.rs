@@ -564,7 +564,7 @@ impl<'s> Txn<'s> {
         {
             return Ok(Some(&self.ctx.inserts[i].row));
         }
-        if self.session.db.table_for(table, key).get(key).is_none() {
+        if !self.session.db.table_for(table, key).contains(key) {
             return Ok(None);
         }
         let in_snapshot = self.ctx.snapshot.is_some();
@@ -585,6 +585,22 @@ impl<'s> Txn<'s> {
             .find_access(table, key)
             .expect("successful read recorded an access");
         Ok(Some(&self.ctx.accesses[i].local))
+    }
+
+    /// A cache hint with no semantic effect: starts loading the cache lines
+    /// of the tuple under `(table, key)` — routed like every access, so a
+    /// remote partition's key or a replicated table's key works — and
+    /// returns at once. It records no access, takes no lock-manager entry,
+    /// does nothing for an absent key, and is legal in any mode, snapshot
+    /// included; a transaction with its hints removed behaves identically.
+    ///
+    /// A stored procedure that knows its keys calls it for each of them
+    /// before its first lock request: the misses into cold tuples then
+    /// overlap each other and the wait for a contended lock, instead of
+    /// stretching the time the procedure holds it.
+    #[inline]
+    pub fn prefetch(&self, table: TableId, key: u64) {
+        self.session.db.table_for(table, key).prefetch(key);
     }
 
     /// Read-modify-write (exclusive access): `f` mutates the local copy;

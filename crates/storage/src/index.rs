@@ -114,7 +114,14 @@ impl<V: Clone> ShardedIndex<V> {
     /// Point lookup.
     #[inline]
     pub fn get(&self, key: u64) -> Option<V> {
-        self.shards[shard_of(key)].read().get(&key).cloned()
+        self.probe(key, V::clone)
+    }
+
+    /// Point lookup that lends the value to `f` under the shard's read
+    /// latch instead of cloning it; `None` when the key is absent.
+    #[inline]
+    pub fn probe<R>(&self, key: u64, f: impl FnOnce(&V) -> R) -> Option<R> {
+        self.shards[shard_of(key)].read().get(&key).map(f)
     }
 
     /// Inserts `key -> value`; returns the previous value if the key was
@@ -129,8 +136,9 @@ impl<V: Clone> ShardedIndex<V> {
     }
 
     /// True when the key is present.
+    #[inline]
     pub fn contains(&self, key: u64) -> bool {
-        self.shards[shard_of(key)].read().contains_key(&key)
+        self.probe(key, |_| ()).is_some()
     }
 
     /// Total number of entries (sums shard sizes; not linearizable under

@@ -13,6 +13,14 @@
 //! read latch and never touches the table-wide slab latch; the slab serves
 //! row-id lookups, `len` and dense iteration (checkpoint dumps, secondary
 //! postings).
+//!
+//! [`Table::prefetch`] is a cache hint with no semantic effect: it asks the
+//! CPU to start loading a tuple's cache lines, so a caller that knows its
+//! keys ahead of time can overlap the misses into cold tuples with other
+//! work instead of taking them one at a time. It reads the index without
+//! cloning the tuple's `Arc`, records nothing and changes nothing; a
+//! program with every hint removed behaves identically. The one `unsafe`
+//! block in the workspace is its prefetch instruction.
 
 use std::sync::Arc;
 
@@ -201,6 +209,24 @@ impl<M> Table<M> {
         self.pk_index.get(key)
     }
 
+    /// True when a tuple is stored under `key`. Touches the index only: the
+    /// tuple's refcount line is not written, as a `get` would write it.
+    #[inline]
+    pub fn contains(&self, key: u64) -> bool {
+        self.pk_index.contains(key)
+    }
+
+    /// Hints the CPU to load every cache line of `key`'s tuple (module
+    /// docs): one index probe, no refcount change, nothing recorded. A
+    /// no-op for an absent key, and on targets other than `x86_64`.
+    #[inline]
+    pub fn prefetch(&self, key: u64) {
+        #[cfg(target_arch = "x86_64")]
+        self.pk_index.probe(key, prefetch_allocation);
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = key;
+    }
+
     /// Lookup by stable row id.
     #[inline]
     pub fn get_by_row_id(&self, row_id: RowId) -> Option<Arc<Tuple<M>>> {
@@ -254,6 +280,31 @@ impl<M> Table<M> {
     /// The ordered index, if enabled.
     pub fn ordered_index(&self) -> Option<Arc<OrderedIndex>> {
         self.ordered.read().clone()
+    }
+}
+
+/// Issues a `T0` prefetch for every cache line of `arc`'s allocation: the
+/// strong and weak counts `Arc` keeps in front of the value, then the value
+/// (for a tuple: the lock entry, the version chain's latch and its newest
+/// image's handle). Touches no byte of it.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn prefetch_allocation<T>(arc: &Arc<T>) {
+    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+    const LINE: usize = 64;
+    // The value sits after the two counts, at the next multiple of its
+    // alignment.
+    let header = (2 * std::mem::size_of::<usize>()).next_multiple_of(std::mem::align_of::<T>());
+    let start = Arc::as_ptr(arc).cast::<u8>().wrapping_sub(header);
+    let skew = start.addr() % LINE;
+    let lines = (skew + header + std::mem::size_of::<T>()).div_ceil(LINE);
+    let first = start.wrapping_sub(skew);
+    for i in 0..lines {
+        // SAFETY: the intrinsic needs `sse`, which every x86_64 target
+        // has. A prefetch is a hint: it never faults and reads nothing the
+        // program can observe, so any address is sound; these are the
+        // lines of an allocation the caller's `Arc` keeps alive.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>(first.wrapping_add(i * LINE).cast::<i8>()) };
     }
 }
 
@@ -363,6 +414,23 @@ mod tests {
         // Point lookups still find the tuple (visibility is the caller's
         // check, matching the protocol layer's contract).
         assert!(t.get(7).is_some());
+    }
+
+    #[test]
+    fn prefetch_and_contains_change_nothing() {
+        let t = table();
+        let tup = t.insert(1, row(1, 7));
+        let strong = Arc::strong_count(&tup);
+        for k in [1, 2, u64::MAX] {
+            t.prefetch(k);
+        }
+        assert_eq!(Arc::strong_count(&tup), strong, "no refcount left behind");
+        assert_eq!(t.len(), 1, "an absent key is not inserted");
+        assert!(t.get(2).is_none() && t.get(u64::MAX).is_none());
+        assert!(t.contains(1));
+        assert!(!t.contains(2));
+        assert_eq!(Arc::strong_count(&tup), strong);
+        assert_eq!(tup.read_row().get_i64(1), 7);
     }
 
     #[test]

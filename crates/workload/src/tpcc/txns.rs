@@ -82,6 +82,17 @@ impl TxnSpec for NewOrderTxn {
     fn run_piece(&self, piece: usize, txn: &mut Txn<'_>) -> Result<(), Abort> {
         match piece {
             0 => {
+                // The customer and every line's item and stock are cold;
+                // start their misses before the first lock request. The
+                // rollback line has no stock key to prefetch.
+                txn.prefetch(self.tables.customer, self.c_key);
+                for line in self.lines.iter().filter(|l| l.item != INVALID_ITEM) {
+                    txn.prefetch(self.tables.item, line.item);
+                    txn.prefetch(
+                        self.tables.stock,
+                        stock_key(line.supply_w, line.item, self.items_per_wh),
+                    );
+                }
                 let row = txn.read(self.tables.warehouse, self.w)?;
                 std::hint::black_box(row.get_f64(wh::W_TAX));
                 if self.read_wytd {
@@ -245,10 +256,15 @@ impl TxnSpec for PaymentTxn {
     fn run_piece(&self, piece: usize, txn: &mut Txn<'_>) -> Result<(), Abort> {
         let amount = self.amount;
         match piece {
-            0 => txn.update(self.tables.warehouse, self.w, |row| {
-                let ytd = row.get_f64(wh::W_YTD);
-                row.set(wh::W_YTD, Value::F64(ytd + amount));
-            }),
+            0 => {
+                // The customer is the one cold tuple: start its miss before
+                // the warehouse lock, the one-warehouse hotspot.
+                txn.prefetch(self.tables.customer, self.c_key);
+                txn.update(self.tables.warehouse, self.w, |row| {
+                    let ytd = row.get_f64(wh::W_YTD);
+                    row.set(wh::W_YTD, Value::F64(ytd + amount));
+                })
+            }
             1 => txn.update(self.tables.district, dist_key(self.w, self.d), |row| {
                 let ytd = row.get_f64(dist::D_YTD);
                 row.set(dist::D_YTD, Value::F64(ytd + amount));
