@@ -4,10 +4,10 @@
 //! behind Optimization 1/2's overhead discussion — the primary-key point
 //! lookup every access starts with, from one thread and from two (a latch
 //! shared by all lookups shows only in the second) and for a batch of cold
-//! keys with and without a prefetch pass first, and what one access
-//! costs in row images: a read's grant, and a write's grant, first `set`,
-//! retire and commit install, on a narrow row and on a wide one with
-//! strings.
+//! keys with and without a prefetch pass first, the writer stall of an
+//! index growth, and what one access costs in row images: a read's grant,
+//! and a write's grant, first `set`, retire and commit install, on a
+//! narrow row and on a wide one with strings.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -316,6 +316,54 @@ fn bench(c: &mut Criterion) {
             })
         });
     }
+
+    // One growth of every shard: a table sized for `GROW_CAP` keys takes
+    // twice as many, so each of its 64 shards copies its ≈ 1 000 entries
+    // into a 4× array once. `insert_grow` is the mean insert across that
+    // span, `insert_grow_worst` the slowest single one: the stall a
+    // growth's copy puts on the writer that triggers it.
+    const GROW_CAP: usize = 1 << 16;
+    let fresh = || {
+        Table::<TupleCc>::with_capacity(
+            "grow",
+            Schema::build()
+                .column("k", DataType::U64)
+                .column("v", DataType::I64),
+            GROW_CAP,
+        )
+    };
+    let row = |k: u64| Row::from(vec![Value::U64(k), Value::I64(0)]);
+    gt.bench_function("insert_grow", |b| {
+        b.iter_custom(|iters| {
+            let mut total = Duration::ZERO;
+            for _ in 0..iters {
+                let t = fresh();
+                let start = std::time::Instant::now();
+                for k in 0..2 * GROW_CAP as u64 {
+                    t.insert(k, row(k));
+                }
+                total += start.elapsed() / (2 * GROW_CAP as u32);
+            }
+            total
+        })
+    });
+    gt.bench_function("insert_grow_worst", |b| {
+        b.iter_custom(|iters| {
+            let mut total = Duration::ZERO;
+            for _ in 0..iters {
+                let t = fresh();
+                let mut worst = Duration::ZERO;
+                for k in 0..2 * GROW_CAP as u64 {
+                    let row = row(k);
+                    let start = std::time::Instant::now();
+                    t.insert(k, row);
+                    worst = worst.max(start.elapsed());
+                }
+                total += worst;
+            }
+            total
+        })
+    });
 
     gt.finish();
 

@@ -9,10 +9,10 @@
 //!
 //! Tuple storage is an append-only slab: row ids are stable indexes. The
 //! primary-key index maps a key straight to its tuple's `Arc` (the same one
-//! the slab holds), so a point lookup is one shard probe under that shard's
-//! read latch and never touches the table-wide slab latch; the slab serves
-//! row-id lookups, `len` and dense iteration (checkpoint dumps, secondary
-//! postings).
+//! the slab holds), so a point lookup is one latch-free shard probe (see
+//! [`crate::index`]) and never touches the table-wide slab latch; the slab
+//! serves row-id lookups, `len` and dense iteration (checkpoint dumps,
+//! secondary postings).
 //!
 //! [`Table::prefetch`] is a cache hint with no semantic effect: it asks the
 //! CPU to start loading a tuple's cache lines, so a caller that knows its
@@ -156,7 +156,7 @@ impl<M: Default> Table<M> {
             name: name.to_owned(),
             schema,
             slab: RwLock::new(Vec::with_capacity(cap)),
-            pk_index: ShardedIndex::with_capacity(cap),
+            pk_index: ShardedIndex::with_capacity(cap).with_growth_hint(prefetch_allocation),
             secondary: RwLock::new(Vec::new()),
             ordered: RwLock::new(None),
         }
@@ -206,7 +206,7 @@ impl<M> Table<M> {
     /// Primary-key point lookup.
     #[inline]
     pub fn get(&self, key: u64) -> Option<Arc<Tuple<M>>> {
-        self.pk_index.get(key)
+        self.pk_index.get(key).cloned()
     }
 
     /// True when a tuple is stored under `key`. Touches the index only: the
@@ -221,10 +221,9 @@ impl<M> Table<M> {
     /// no-op for an absent key, and on targets other than `x86_64`.
     #[inline]
     pub fn prefetch(&self, key: u64) {
-        #[cfg(target_arch = "x86_64")]
-        self.pk_index.probe(key, prefetch_allocation);
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = key;
+        if let Some(tuple) = self.pk_index.get(key) {
+            prefetch_allocation(tuple);
+        }
     }
 
     /// Lookup by stable row id.
@@ -286,26 +285,31 @@ impl<M> Table<M> {
 /// Issues a `T0` prefetch for every cache line of `arc`'s allocation: the
 /// strong and weak counts `Arc` keeps in front of the value, then the value
 /// (for a tuple: the lock entry, the version chain's latch and its newest
-/// image's handle). Touches no byte of it.
-#[cfg(target_arch = "x86_64")]
+/// image's handle). Touches no byte of it; a no-op on targets other than
+/// `x86_64`.
 #[inline]
 fn prefetch_allocation<T>(arc: &Arc<T>) {
-    use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-    const LINE: usize = 64;
-    // The value sits after the two counts, at the next multiple of its
-    // alignment.
-    let header = (2 * std::mem::size_of::<usize>()).next_multiple_of(std::mem::align_of::<T>());
-    let start = Arc::as_ptr(arc).cast::<u8>().wrapping_sub(header);
-    let skew = start.addr() % LINE;
-    let lines = (skew + header + std::mem::size_of::<T>()).div_ceil(LINE);
-    let first = start.wrapping_sub(skew);
-    for i in 0..lines {
-        // SAFETY: the intrinsic needs `sse`, which every x86_64 target
-        // has. A prefetch is a hint: it never faults and reads nothing the
-        // program can observe, so any address is sound; these are the
-        // lines of an allocation the caller's `Arc` keeps alive.
-        unsafe { _mm_prefetch::<_MM_HINT_T0>(first.wrapping_add(i * LINE).cast::<i8>()) };
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        const LINE: usize = 64;
+        // The value sits after the two counts, at the next multiple of its
+        // alignment.
+        let header = (2 * std::mem::size_of::<usize>()).next_multiple_of(std::mem::align_of::<T>());
+        let start = Arc::as_ptr(arc).cast::<u8>().wrapping_sub(header);
+        let skew = start.addr() % LINE;
+        let lines = (skew + header + std::mem::size_of::<T>()).div_ceil(LINE);
+        let first = start.wrapping_sub(skew);
+        for i in 0..lines {
+            // SAFETY: the intrinsic needs `sse`, which every x86_64 target
+            // has. A prefetch is a hint: it never faults and reads nothing
+            // the program can observe, so any address is sound; these are
+            // the lines of an allocation the caller's `Arc` keeps alive.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(first.wrapping_add(i * LINE).cast::<i8>()) };
+        }
     }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = arc;
 }
 
 #[cfg(test)]

@@ -157,6 +157,34 @@ fn session_snapshot_fast_path_acquires_zero_mutexes() {
     }
 }
 
+/// Point lookups take no latch: `Table::{get, contains, prefetch}` on a
+/// present and on an absent key, and `Txn::read_opt` on an absent key,
+/// acquire zero locks (the primary-key index is read with acquire loads
+/// only; see `bamboo_storage::index`).
+#[test]
+fn point_lookups_acquire_zero_locks() {
+    const KEYS: u64 = 64;
+    let (db, t) = kv_db(KEYS);
+    let table = db.table(t);
+    let session = Session::new(Arc::clone(&db), Arc::new(LockingProtocol::bamboo()));
+    let mut txn = session.begin();
+    let before = thread_lock_acquisitions();
+    for i in 0..1_000 {
+        let (present, absent) = (i % KEYS, KEYS + i);
+        assert!(table.get(present).is_some() && table.get(absent).is_none());
+        assert!(table.contains(present) && !table.contains(absent));
+        table.prefetch(present);
+        table.prefetch(absent);
+        assert!(txn.read_opt(t, absent).unwrap().is_none());
+    }
+    assert_eq!(
+        thread_lock_acquisitions() - before,
+        0,
+        "a point lookup acquired a lock"
+    );
+    txn.commit().unwrap();
+}
+
 /// Concurrent register/release churn against committing writers: every
 /// reader observes the published GC watermark at or below its own live
 /// snapshot timestamp for as long as it stays registered.
