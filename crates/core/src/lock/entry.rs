@@ -2,16 +2,19 @@
 //!
 //! # Invariants
 //!
-//! [`LockState`] stores the paper's `concat(retired, owners)` as what it
-//! is, one vector: `list[..retired]` is the `retired` list, `list[retired..]`
-//! the `owners` in grant order; `waiters` are not yet in it. The invariants
-//! maintained under the tuple latch:
+//! [`LockState`] stores the paper's three lists as one vector,
+//! `concat(retired, owners, waiters)`, cut by two boundaries:
+//! `list[..retired]` is the `retired` list, `list[retired..granted]` the
+//! `owners` in grant order and `list[granted..]` the `waiters` in priority
+//! order. The *granted prefix* `list[..granted]` is the paper's
+//! `concat(retired, owners)`. The invariants maintained under the tuple
+//! latch are stated over it:
 //!
 //! 1. `list[..retired]` is sorted by priority `(ts, id)` — the paper's
 //!    "sorted based on the timestamps of transactions in it".
-//! 2. `list[retired..]` never contains two conflicting *live* entries
-//!    (wounded leftovers may conflict until their owner thread releases
-//!    them).
+//! 2. `list[retired..granted]` never contains two conflicting *live*
+//!    entries (wounded leftovers may conflict until their owner thread
+//!    releases them).
 //! 3. The dirty versions are the `dirty` fields of `list[..retired]` —
 //!    `Some` exactly on the retired exclusive entries — hence sorted by
 //!    writer priority by invariant 1; a transaction with priority `p` reads
@@ -21,9 +24,16 @@
 //!    commit-semaphore graph cannot deadlock.
 //! 4. `counted` pairing: an entry's flag is true iff the tuple currently
 //!    contributes +1 to its transaction's `commit_semaphore`, and it is
-//!    true iff a *conflicting predecessor* exists in `list`.
-//!    Every mutation (insert, retire-move, removal) re-establishes this
-//!    locally, so increments and decrements always pair up exactly.
+//!    true iff the entry is granted and a *conflicting predecessor* exists
+//!    in the granted prefix. Every mutation (insert, retire-move,
+//!    promotion, removal) re-establishes this locally, so increments and
+//!    decrements always pair up exactly.
+//!
+//! A waiter is in none of them: it carries no version and is never
+//! counted. A promotion moves the `granted` boundary over the queue head
+//! (a read retiring on grant is rotated into its sorted place first), so a
+//! request's entry — and the one handle clone it was made with — lives
+//! from its enqueue to its release.
 //!
 //! Invariant 4 generalizes the head-departure rule of Algorithm 2 (lines
 //! 19–21): for departures of the head it reduces to "notify the leading
@@ -121,7 +131,7 @@ fn grant_copy(row: &Row, mode: LockMode) -> Row {
     }
 }
 
-/// One entry of `list`: a retired or owning transaction.
+/// One entry of `list`: a retired, owning or waiting transaction.
 struct Ent {
     txn: Arc<TxnShared>,
     mode: LockMode,
@@ -138,22 +148,19 @@ struct Ent {
 }
 
 impl Ent {
+    /// A fresh request's entry: not counted, no version.
+    fn new(txn: Arc<TxnShared>, mode: LockMode) -> Self {
+        Ent {
+            txn,
+            mode,
+            counted: false,
+            dirty: None,
+        }
+    }
+
     /// Computed live from the transaction handle because dynamic timestamp
     /// assignment (Optimization 4) may assign the timestamp *after* the
     /// entry was granted or retired.
-    #[inline]
-    fn prio(&self) -> (u64, u64) {
-        self.txn.prio()
-    }
-}
-
-/// One entry in `waiters`.
-struct Waiter {
-    txn: Arc<TxnShared>,
-    mode: LockMode,
-}
-
-impl Waiter {
     #[inline]
     fn prio(&self) -> (u64, u64) {
         self.txn.prio()
@@ -232,22 +239,35 @@ pub enum CancelOutcome {
 /// Per-tuple lock state — Figure 2 of the paper.
 #[derive(Default)]
 pub struct LockState {
-    /// `concat(retired, owners)`.
+    /// `concat(retired, owners, waiters)`.
     list: Vec<Ent>,
-    /// Boundary index: `list[..retired]` is `retired`, the rest `owners`.
-    retired: usize,
-    waiters: Vec<Waiter>,
+    /// Boundary: `list[..retired]` is `retired`.
+    retired: u32,
+    /// Boundary: `list[retired..granted]` is `owners`, `list[granted..]`
+    /// the `waiters`.
+    granted: u32,
 }
 
 impl LockState {
     /// The paper's `retired` list.
     fn retired(&self) -> &[Ent] {
-        &self.list[..self.retired]
+        &self.list[..self.retired_len()]
     }
 
     /// The paper's `owners` list.
     fn owners(&self) -> &[Ent] {
-        &self.list[self.retired..]
+        &self.list[self.retired_len()..self.granted_len()]
+    }
+
+    /// The paper's `waiters` list.
+    fn waiters(&self) -> &[Ent] {
+        &self.list[self.granted_len()..]
+    }
+
+    /// Length of the granted prefix, `concat(retired, owners)`.
+    #[inline]
+    fn granted_len(&self) -> usize {
+        self.granted as usize
     }
 
     // ------------------------------------------------------------------
@@ -256,17 +276,17 @@ impl LockState {
 
     /// Number of entries in `owners`.
     pub fn owners_len(&self) -> usize {
-        self.list.len() - self.retired
+        self.granted_len() - self.retired_len()
     }
 
     /// Number of entries in `waiters`.
     pub fn waiters_len(&self) -> usize {
-        self.waiters.len()
+        self.list.len() - self.granted_len()
     }
 
     /// Number of entries in `retired`.
     pub fn retired_len(&self) -> usize {
-        self.retired
+        self.retired as usize
     }
 
     /// Number of published uncommitted versions.
@@ -276,13 +296,16 @@ impl LockState {
 
     /// True when every list is empty (quiescent tuple).
     pub fn is_quiescent(&self) -> bool {
-        self.list.is_empty() && self.waiters.is_empty()
+        self.list.is_empty()
     }
 
     /// Debug-check of the structural invariants; used by tests and
     /// property tests.
     pub fn assert_invariants(&self) {
-        assert!(self.retired <= self.list.len(), "boundary past the list");
+        assert!(
+            self.retired <= self.granted && self.granted_len() <= self.list.len(),
+            "boundaries out of order"
+        );
         // retired sorted by priority.
         for w in self.retired().windows(2) {
             assert!(w[0].prio() <= w[1].prio(), "retired list unsorted");
@@ -291,14 +314,15 @@ impl LockState {
             // a dirty version exactly on the retired writers.
             assert_eq!(
                 e.dirty.is_some(),
-                i < self.retired && e.mode == LockMode::Ex,
+                i < self.retired_len() && e.mode == LockMode::Ex,
                 "dirty version misplaced at position {i} (txn {})",
                 e.txn.id
             );
-            // counted pairing: counted == exists conflicting predecessor.
+            // counted pairing: counted == granted with a conflicting
+            // predecessor.
             assert_eq!(
                 e.counted,
-                self.has_conflicting_pred(i, e.mode),
+                i < self.granted_len() && self.has_conflicting_pred(i, e.mode),
                 "counted flag mismatch at position {i} (txn {})",
                 e.txn.id
             );
@@ -336,9 +360,11 @@ impl LockState {
         }
     }
 
-    /// Position of `txn_id` in `list`.
+    /// Position of `txn_id` in the granted prefix.
     fn find_entry(&self, txn_id: u64) -> Option<usize> {
-        self.list.iter().position(|e| e.txn.id == txn_id)
+        self.list[..self.granted_len()]
+            .iter()
+            .position(|e| e.txn.id == txn_id)
     }
 
     /// True when any entry before position `pos` conflicts with `mode`.
@@ -346,10 +372,10 @@ impl LockState {
         self.list[..pos].iter().any(|e| e.mode.conflicts(mode))
     }
 
-    /// Re-establishes invariant 4 for every entry at position `>= from`
-    /// after an insertion or removal before them.
+    /// Re-establishes invariant 4 for every granted entry at position
+    /// `>= from` after an insertion, move or removal before them.
     fn recount_from(&mut self, from: usize) {
-        for pos in from..self.list.len() {
+        for pos in from..self.granted_len() {
             let has_pred = self.has_conflicting_pred(pos, self.list[pos].mode);
             let e = &mut self.list[pos];
             if has_pred != e.counted {
@@ -363,39 +389,33 @@ impl LockState {
         }
     }
 
-    /// Inserts an entry into `retired` at its priority-sorted position and
-    /// settles `counted` for it and its successors.
-    fn insert_retired(&mut self, txn: Arc<TxnShared>, mode: LockMode) {
-        let prio = txn.prio();
-        let pos = self.retired().partition_point(|e| e.prio() <= prio);
-        let counted = self.has_conflicting_pred(pos, mode);
-        if counted {
-            txn.semaphore_inc();
-        }
-        self.list.insert(
-            pos,
-            Ent {
-                txn,
-                mode,
-                counted,
-                dirty: None,
-            },
-        );
-        self.retired += 1;
-        self.recount_from(pos + 1);
+    /// Priority-sorted position for `prio` in `retired`.
+    fn retired_pos(&self, prio: (u64, u64)) -> usize {
+        self.retired().partition_point(|e| e.prio() <= prio)
     }
 
-    /// Removes the entry at position `pos` (and with it the version it
-    /// published) and re-settles successors' `counted` flags. The departing
-    /// entry's own outstanding contribution is returned to its
+    /// Moves the entry at `from` (an owner or the queue head) to its
+    /// priority-sorted position in `retired`, which it joins, and returns
+    /// that position. The caller settles `counted` from it.
+    fn move_to_retired(&mut self, from: usize) -> usize {
+        let pos = self.retired_pos(self.list[from].prio());
+        self.list[pos..=from].rotate_right(1);
+        self.retired += 1;
+        pos
+    }
+
+    /// Removes the granted entry at position `pos` (and with it the version
+    /// it published) and re-settles successors' `counted` flags. The
+    /// departing entry's own outstanding contribution is returned to its
     /// transaction's semaphore so pairing stays exact (only aborting
     /// transactions can still be counted here — a committing one must have
     /// drained to zero before its commit point).
     fn remove_entry(&mut self, pos: usize) {
         let ent = self.list.remove(pos);
-        if pos < self.retired {
+        if pos < self.retired_len() {
             self.retired -= 1;
         }
+        self.granted -= 1;
         if ent.counted {
             ent.txn.semaphore_dec();
         }
@@ -417,72 +437,56 @@ impl LockState {
 
     /// Algorithm 2 `PromoteWaiters`: grant waiters in priority order until
     /// the first one that conflicts with current owners. Shared grants go
-    /// straight to `retired` under Optimization 1.
+    /// straight to `retired` under Optimization 1. A grant moves the
+    /// `granted` boundary over the queue head; the entry itself stays.
     fn promote_waiters(&mut self, pol: &LockPolicy) {
         loop {
+            let head = self.granted_len();
             // Drop waiters that were aborted while queued so they cannot
             // block the queue behind them; their worker's cancel_wait will
             // find nothing, which is fine.
-            while let Some(w) = self.waiters.first() {
-                if w.txn.is_aborted() {
-                    let w = self.waiters.remove(0);
-                    w.txn.notify();
-                } else {
-                    break;
-                }
+            while self.list.get(head).is_some_and(|w| w.txn.is_aborted()) {
+                self.list.remove(head).txn.notify();
             }
-            let Some(w) = self.waiters.first() else {
+            let Some(w) = self.list.get(head) else {
                 return;
             };
-            if self.owners().iter().any(|o| o.mode.conflicts(w.mode)) {
+            let mode = w.mode;
+            if self.owners().iter().any(|o| o.mode.conflicts(mode)) {
                 return;
             }
-            if self.committed_unreleased_blocks(w.mode, w.prio()) {
+            if self.committed_unreleased_blocks(mode, w.prio()) {
                 return;
             }
-            let w = self.waiters.remove(0);
-            if w.mode == LockMode::Sh && pol.retire_reads {
-                self.insert_retired(Arc::clone(&w.txn), LockMode::Sh);
+            let pos = if mode == LockMode::Sh && pol.retire_reads {
+                self.move_to_retired(head)
             } else {
-                let counted = self.retired().iter().any(|e| e.mode.conflicts(w.mode));
-                if counted {
-                    w.txn.semaphore_inc();
-                }
-                self.list.push(Ent {
-                    txn: Arc::clone(&w.txn),
-                    mode: w.mode,
-                    counted,
-                    dirty: None,
-                });
-            }
-            w.txn.notify();
+                head
+            };
+            self.granted += 1;
+            self.recount_from(pos);
+            self.list[pos].txn.notify();
         }
     }
 
     /// Algorithm 3: on conflict, assign timestamps to every queued
     /// transaction in list order, then to the requester.
     fn dynamic_assign(&mut self, txn: &Arc<TxnShared>, mode: LockMode, ts: &TsSource) {
-        let conflict = self
-            .list
-            .iter()
-            .map(|e| e.mode)
-            .chain(self.waiters.iter().map(|w| w.mode))
-            .any(|m| m.conflicts(mode));
-        if !conflict {
+        if !self.list.iter().any(|e| e.mode.conflicts(mode)) {
             return;
         }
         for e in &self.list {
             e.txn.assign_ts_if_unassigned(ts);
         }
-        for w in &self.waiters {
-            w.txn.assign_ts_if_unassigned(ts);
-        }
         txn.assign_ts_if_unassigned(ts);
-        self.waiters.sort_by_key(|w| w.prio());
+        let head = self.granted_len();
+        self.list[head..].sort_by_key(|w| w.prio());
     }
 
-    /// Queues the request at its priority-sorted position and grants what
-    /// the queue head allows — possibly this very request.
+    /// Queues the request at its priority-sorted position among the
+    /// waiters and grants what the queue head allows — possibly this very
+    /// request. The entry made here is the request's only clone of `txn`:
+    /// a grant moves the boundary, not the entry.
     fn enqueue(
         &mut self,
         tuple: &Tuple<TupleCc>,
@@ -491,14 +495,8 @@ impl LockState {
         mode: LockMode,
     ) -> Acquired {
         let prio = txn.prio();
-        let pos = self.waiters.partition_point(|w| w.prio() <= prio);
-        self.waiters.insert(
-            pos,
-            Waiter {
-                txn: Arc::clone(txn),
-                mode,
-            },
-        );
+        let pos = self.granted_len() + self.waiters().partition_point(|w| w.prio() <= prio);
+        self.list.insert(pos, Ent::new(Arc::clone(txn), mode));
         self.promote_waiters(pol);
         match self.check_granted(tuple, txn) {
             Some((row, retired)) => Acquired::Granted { row, retired },
@@ -532,12 +530,10 @@ impl LockState {
                 if self.owners().iter().any(|e| mode.conflicts(e.mode)) {
                     return Acquired::Die(AbortReason::NoWait);
                 }
-                self.list.push(Ent {
-                    txn: Arc::clone(txn),
-                    mode,
-                    counted: false,
-                    dirty: None,
-                });
+                let pos = self.granted_len();
+                self.list.insert(pos, Ent::new(Arc::clone(txn), mode));
+                self.granted += 1;
+                self.recount_from(pos);
                 return Acquired::Granted {
                     row: tuple.with_row(|row| grant_copy(row, mode)),
                     retired: false,
@@ -559,20 +555,17 @@ impl LockState {
             // that older writer retire a version "before" us that we did
             // not read.
             LockVariant::WoundWait if mode == LockMode::Sh && pol.no_raw_abort => {
-                let blocked = self
-                    .owners()
+                let blocked = self.list[self.retired_len()..]
                     .iter()
-                    .map(|e| (e.mode, e.prio(), e.txn.is_aborted()))
-                    .chain(
-                        self.waiters
-                            .iter()
-                            .map(|w| (w.mode, w.prio(), w.txn.is_aborted())),
-                    )
-                    .any(|(m, p, dead)| m == LockMode::Ex && p < prio && !dead)
+                    .any(|e| e.mode == LockMode::Ex && e.prio() < prio && !e.txn.is_aborted())
                     || self.committed_unreleased_blocks(mode, prio);
                 if !blocked {
                     let row = self.visible_row(tuple, prio, mode);
-                    self.insert_retired(Arc::clone(txn), LockMode::Sh);
+                    let pos = self.retired_pos(prio);
+                    self.list.insert(pos, Ent::new(Arc::clone(txn), mode));
+                    self.retired += 1;
+                    self.granted += 1;
+                    self.recount_from(pos);
                     return Acquired::Granted { row, retired: true };
                 }
                 // Blocked by an older writer: queue without wounding
@@ -582,7 +575,7 @@ impl LockState {
                 // Algorithm 2 lines 2–7: scan concat(retired, owners); once
                 // a conflict has been seen, wound every younger transaction.
                 let mut has_conflicts = false;
-                for e in &self.list {
+                for e in &self.list[..self.granted_len()] {
                     if mode.conflicts(e.mode) {
                         has_conflicts = true;
                     }
@@ -604,14 +597,14 @@ impl LockState {
     ) -> Option<(Row, bool)> {
         let pos = self.find_entry(txn.id)?;
         let row = self.visible_row(tuple, txn.prio(), self.list[pos].mode);
-        Some((row, pos < self.retired))
+        Some((row, pos < self.retired_len()))
     }
 
     /// Aborted while waiting: remove the queue entry. If a concurrent
     /// promotion had already granted the lock, fully release it instead.
     pub fn cancel_wait(&mut self, txn: &Arc<TxnShared>, pol: &LockPolicy) -> CancelOutcome {
-        if let Some(i) = self.waiters.iter().position(|w| w.txn.id == txn.id) {
-            self.waiters.remove(i);
+        if let Some(i) = self.waiters().iter().position(|w| w.txn.id == txn.id) {
+            self.list.remove(self.granted_len() + i);
             self.promote_waiters(pol);
             return CancelOutcome::WasWaiting;
         }
@@ -631,14 +624,11 @@ impl LockState {
         let Some(i) = self.owners().iter().position(|e| e.txn.id == txn.id) else {
             panic!("retire: txn {} is not an owner", txn.id);
         };
-        let from = self.retired + i;
+        let from = self.retired_len() + i;
         let ent = &mut self.list[from];
         debug_assert_eq!(ent.mode, LockMode::Ex, "only writes retire here");
         ent.dirty = Some(Box::new(row));
-        let prio = ent.prio();
-        let pos = self.retired().partition_point(|e| e.prio() <= prio);
-        self.list[pos..=from].rotate_right(1);
-        self.retired += 1;
+        let pos = self.move_to_retired(from);
         // The entry's predecessor set changed (it may gain readers that
         // slotted in while it owned, or lose wounded younger leftovers that
         // now sit after it), and entries between its new and old positions
@@ -661,11 +651,12 @@ impl LockState {
             panic!("reacquire: txn {} has no entry", txn.id);
         };
         assert!(
-            i < self.retired,
+            i < self.retired_len(),
             "reacquire only applies to retired entries"
         );
+        let granted = self.granted_len();
         let mut cascaded = 0;
-        for e in &self.list[i + 1..] {
+        for e in &self.list[i + 1..granted] {
             if e.txn.set_abort(AbortReason::Cascade) {
                 cascaded += 1;
             }
@@ -673,9 +664,9 @@ impl LockState {
         let ent = &mut self.list[i];
         ent.dirty = None;
         ent.mode = LockMode::Ex;
-        self.list[i..].rotate_left(1);
+        self.list[i..granted].rotate_left(1);
         self.retired -= 1;
-        // The entry moved to the back of the list (and possibly changed
+        // The entry moved to the back of `owners` (and possibly changed
         // mode for SH→EX upgrades); recount settles its own flag and those
         // of the successors that lost it as a predecessor.
         self.recount_from(i);
@@ -695,7 +686,7 @@ impl LockState {
             panic!("upgrade: txn {} has no entry", txn.id);
         };
         assert!(
-            pos >= self.retired,
+            pos >= self.retired_len(),
             "retired upgrades go through reacquire_ex"
         );
         let prio = txn.prio();
@@ -751,7 +742,7 @@ impl LockState {
         if !committed && mode == LockMode::Ex {
             // Cascading aborts: everyone after us may have observed our
             // dirty version (or a version derived from it).
-            for e in &self.list[pos + 1..] {
+            for e in &self.list[pos + 1..self.granted_len()] {
                 if e.txn.set_abort(AbortReason::Cascade) {
                     cascaded += 1;
                 }
@@ -1493,11 +1484,12 @@ mod upgrade_and_edge_tests {
         assert!(st.is_quiescent());
     }
 
-    /// One list, one boundary index, one waiter queue: a fourth vector (or
-    /// a second list) cannot come back unnoticed — every tuple pays for it.
+    /// One list and two `u32` boundaries: a second vector (a waiter queue
+    /// beside the list, as before) cannot come back unnoticed — every tuple
+    /// pays for it.
     #[test]
-    fn lock_state_is_one_list_one_index_one_queue() {
-        assert!(std::mem::size_of::<LockState>() <= 56);
+    fn lock_state_is_one_list_two_boundaries() {
+        assert!(std::mem::size_of::<LockState>() <= 32);
         assert!(std::mem::size_of::<Ent>() <= 24);
     }
 

@@ -663,6 +663,40 @@ mod tests {
         res
     }
 
+    /// Only IC3 allocates a tuple's IC3 state: Bamboo, Wound-Wait and Silo
+    /// transactions that read and write every tuple leave each cell empty,
+    /// and the first IC3 transaction fills the cells of what it touched.
+    #[test]
+    fn only_ic3_allocates_the_ic3_cell() {
+        use crate::protocol::{LockingProtocol, SiloProtocol};
+        let (db, t0, t1) = setup();
+        let allocated = |t: TableId| {
+            (0..10u64)
+                .filter(|&k| db.table(t).get(k).unwrap().meta.ic3.is_allocated())
+                .count()
+        };
+        let wal = Mutex::new(WalBuffer::for_tests());
+        let others: [Box<dyn Protocol>; 3] = [
+            Box::new(LockingProtocol::bamboo()),
+            Box::new(LockingProtocol::wound_wait()),
+            Box::new(SiloProtocol::new()),
+        ];
+        for p in &others {
+            for k in 0..10u64 {
+                let mut ctx = p.begin(&db);
+                p.read(&db, &mut ctx, t0, k).unwrap();
+                p.update(&db, &mut ctx, t1, k, &mut bump_a).unwrap();
+                p.commit(&db, &mut ctx, &wal).unwrap();
+            }
+        }
+        assert_eq!((allocated(t0), allocated(t1)), (0, 0));
+        let p = Ic3Protocol::new(vec![two_piece_template(t0, t1)], false);
+        run_txn(&p, &db, [3, 4], [t0, t1]).unwrap();
+        assert_eq!((allocated(t0), allocated(t1)), (1, 1));
+        assert!(db.table(t0).get(3).unwrap().meta.ic3.is_allocated());
+        assert!(db.table(t1).get(4).unwrap().meta.ic3.is_allocated());
+    }
+
     #[test]
     fn chopping_keeps_same_order_pieces_separate() {
         let (_, t0, t1) = setup();

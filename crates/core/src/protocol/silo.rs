@@ -4,8 +4,9 @@
 //! Each tuple carries a TID word (`TupleCc::tid`): bit 0 is the lock bit,
 //! the upper bits a version number. Reads are lock-free snapshots validated
 //! by TID stability; writes are buffered locally and installed during a
-//! three-phase commit: (1) lock the write set in global (table, row) order,
-//! (2) validate the read set, (3) install and release with a fresh TID.
+//! three-phase commit: (1) lock the write set in global (table, primary
+//! key) order, (2) validate the read set, (3) install and release with a
+//! fresh TID.
 //!
 //! Simplifications vs. the original: Silo's epoch
 //! machinery exists for recovery/read-only snapshots; our TIDs take the max
@@ -43,6 +44,17 @@ const READ_SPIN: usize = 64;
 /// Bounded spin when locking the write set; beyond this the attempt aborts
 /// (`SiloLockFail`) rather than risking a stall behind a slow writer.
 const LOCK_SPIN: usize = 4096;
+
+/// The indices of the write set in the global order Silo locks it in:
+/// `(table, primary key)`. Not the row id: row ids are per-partition slab
+/// positions (see [`TxnCtx::find_access`]), so two tuples of one table on
+/// different partitions can tie on it, and two committers that take such a
+/// pair in opposite orders each spin out `LOCK_SPIN` and abort.
+fn write_set_in_lock_order(accesses: &[Access]) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..accesses.len()).filter(|&i| accesses[i].dirty).collect();
+    idx.sort_by_key(|&i| (accesses[i].table.0, accesses[i].tuple.key));
+    idx
+}
 
 /// The SILO protocol.
 #[derive(Clone, Debug, Default)]
@@ -212,10 +224,7 @@ impl Protocol for SiloProtocol {
             return commit_snapshot(db, ctx);
         }
         // Phase 1: lock the write set in deterministic global order.
-        let mut write_idx: Vec<usize> = (0..ctx.accesses.len())
-            .filter(|&i| ctx.accesses[i].dirty)
-            .collect();
-        write_idx.sort_by_key(|&i| (ctx.accesses[i].table.0, ctx.accesses[i].tuple.row_id));
+        let write_idx = write_set_in_lock_order(&ctx.accesses);
         let mut locked: Vec<usize> = Vec::with_capacity(write_idx.len());
         for &i in &write_idx {
             ctx.locks_acquired += 1;
@@ -397,6 +406,46 @@ mod tests {
             (threads * per) as i64,
             "every successful increment must be preserved"
         );
+    }
+
+    /// On a 2-partition table the tuples of keys 1 and 150 both have row
+    /// id 0; write sets holding them in either order lock them in one
+    /// order.
+    #[test]
+    fn write_sets_lock_in_primary_key_order_across_partitions() {
+        use crate::partition::PartitionedDb;
+        use bamboo_storage::{PartitionId, RouteStrategy};
+        let mut b = PartitionedDb::builder(2);
+        let t = b.add_table(
+            "kv",
+            Schema::build()
+                .column("k", DataType::U64)
+                .column("v", DataType::I64),
+            RouteStrategy::Range(vec![100]),
+        );
+        let pdb = b.build();
+        for k in [1u64, 150] {
+            pdb.insert(t, k, Row::from(vec![Value::U64(k), Value::I64(0)]));
+        }
+        let tuple = |k: u64| pdb.db(PartitionId(0)).table_for(t, k).get(k).unwrap();
+        assert_eq!((tuple(1).row_id, tuple(150).row_id), (0, 0));
+        let locked_keys = |keys: [u64; 2]| -> Vec<u64> {
+            let set = keys.map(|k| {
+                let mut a = Access::new(
+                    t,
+                    tuple(k),
+                    LockMode::Ex,
+                    Row::default(),
+                    AccessState::Released,
+                );
+                a.dirty = true;
+                a
+            });
+            let order = write_set_in_lock_order(&set);
+            order.iter().map(|&i| set[i].tuple.key).collect()
+        };
+        assert_eq!(locked_keys([1, 150]), vec![1, 150]);
+        assert_eq!(locked_keys([150, 1]), vec![1, 150]);
     }
 
     #[test]
