@@ -736,7 +736,8 @@ impl Database {
         &self.options
     }
 
-    /// The version-chain trim threshold commits install with.
+    /// The version-chain trim threshold commits install with (unused by
+    /// the trim, which reclaims exactly the dead versions).
     #[inline]
     pub fn trim_threshold(&self) -> usize {
         bamboo_storage::DEFAULT_TRIM_THRESHOLD

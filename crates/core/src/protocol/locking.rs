@@ -169,6 +169,13 @@ impl LockingProtocol {
 
     /// Takes a fresh exclusive lock on `tuple` and records the (still clean)
     /// access; returns its index.
+    ///
+    /// It first reclaims the tuple's dead versions ([`Tuple::trim_versions`]),
+    /// before the request: the grant copies the committed row, and the
+    /// copy reuses the chunk the dead image (same size) just freed instead
+    /// of the commit freeing it later, cold, in a burst with the others.
+    /// The watermark alone decides what is dead, so the trim needs only
+    /// the chain latch, not the lock entry.
     fn acquire_ex(
         &self,
         db: &Database,
@@ -176,6 +183,7 @@ impl LockingProtocol {
         table: TableId,
         tuple: Arc<Tuple<TupleCc>>,
     ) -> Result<usize, Abort> {
+        tuple.trim_versions(db.gc_watermark());
         let (row, retired) = self.acquire_blocking(db, ctx, &tuple, LockMode::Ex)?;
         debug_assert!(!retired, "exclusive grants start as owners");
         let access = Access::new(table, tuple, LockMode::Ex, row, AccessState::Owner);

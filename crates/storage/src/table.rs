@@ -80,7 +80,7 @@ impl<M> Tuple<M> {
     }
 
     /// [`Tuple::install_versioned`] with an explicit version-chain trim
-    /// threshold.
+    /// threshold, which the trim ignores (see [`VersionChain::install_at_with`]).
     #[inline]
     pub fn install_versioned_with(
         &self,
@@ -92,6 +92,16 @@ impl<M> Tuple<M> {
         self.data
             .write()
             .install_at_with(row, commit_ts, watermark, trim_threshold);
+    }
+
+    /// Reclaims the versions no snapshot at or above `watermark` can see
+    /// ([`VersionChain::gc`]) under the chain's write latch, and nothing
+    /// else: the newest image and every version a live snapshot may read
+    /// stay. A writer calls it just before it copies the row, so the copy
+    /// reuses the allocation the dead image frees.
+    #[inline]
+    pub fn trim_versions(&self, watermark: u64) {
+        self.data.write().gc(watermark);
     }
 
     /// The newest version visible at snapshot timestamp `snap`, or `None`

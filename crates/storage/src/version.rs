@@ -15,17 +15,16 @@
 //! 2. Snapshot readers call [`VersionChain::read_at`]; rows whose first
 //!    version postdates the snapshot are *invisible* (`None`), which is how
 //!    snapshot scans avoid phantoms from later inserts.
-//! 3. Installs garbage-collect ([`VersionChain::gc`]) versions that no
-//!    live snapshot can still see — i.e. versions superseded at or below
-//!    the global snapshot watermark maintained by `bamboo-core`'s
-//!    active-transaction registry. Dead versions are always a prefix of
-//!    the chain (successor timestamps ascend), so an install needs one
-//!    comparison to know whether there is anything to trim: it trims when
-//!    its *oldest* retained version is dead, or when the chain is past a
-//!    small threshold. A hot tuple's steady-state install is a push and
-//!    that one comparison; no dead version outlives the next install, so
-//!    chain length stays bounded by the number of commits since the
-//!    oldest live snapshot and returns to ~zero when none is active.
+//! 3. [`VersionChain::gc`] reclaims the versions no live snapshot can see:
+//!    those superseded at or below the global snapshot watermark kept by
+//!    `bamboo-core`'s active-transaction registry. Dead versions are a
+//!    prefix of the chain (successor timestamps ascend), so a trim with
+//!    nothing to do is one comparison. The 2PL family's writer trims just
+//!    before it requests its exclusive lock, so the dead image's chunk is
+//!    free when the grant copies the row into one of the same size; every
+//!    install trims too, the backstop for writers that skip that request
+//!    (Silo, IC3, lock upgrades). No dead version outlives the next write,
+//!    so a chain is bounded by the commits since the oldest live snapshot.
 //!
 //! The chain stores `(commit_ts, row)` pairs sorted by ascending timestamp;
 //! commit timestamps are forced per-tuple monotonic so a chain can never
@@ -36,10 +35,8 @@ use crate::row::Row;
 /// Commit timestamp of loader-inserted rows: visible to every snapshot.
 pub const TS_LOADER: u64 = 0;
 
-/// Default retained-version count above which [`VersionChain::install_at`]
-/// runs the trim even when its oldest version is still live. Every commit
-/// installs with it; [`VersionChain::install_at_with`] takes another for
-/// the benchmark's `version.*` probes.
+/// The trim threshold [`VersionChain::install_at`] passes on. Unused: a trim
+/// reclaims exactly the dead versions, whatever the chain's length.
 pub const DEFAULT_TRIM_THRESHOLD: usize = 8;
 
 /// A tuple's committed image plus its retained older versions.
@@ -94,45 +91,33 @@ impl VersionChain {
     /// yields a valid chain.
     ///
     /// The install trims ([`VersionChain::gc`]) when the oldest retained
-    /// version is dead at `watermark` — one comparison — or when the chain
-    /// is past [`DEFAULT_TRIM_THRESHOLD`]. With nothing dead the install is
-    /// a push.
+    /// version is dead at `watermark`, one comparison; with nothing dead
+    /// the install is a push.
     pub fn install_at(&mut self, row: Row, commit_ts: u64, watermark: u64) {
         self.install_at_with(row, commit_ts, watermark, DEFAULT_TRIM_THRESHOLD);
     }
 
-    /// [`VersionChain::install_at`] with an explicit trim threshold: the
-    /// chain trims when its oldest retained version is dead at `watermark`,
-    /// or once it retains more than `trim_threshold` older versions.
+    /// [`VersionChain::install_at`]. `_trim_threshold` is unused: dead
+    /// versions are a prefix of the chain, so a length threshold would
+    /// start trims that reclaim nothing the dead check misses.
     pub fn install_at_with(
         &mut self,
         row: Row,
         commit_ts: u64,
         watermark: u64,
-        trim_threshold: usize,
+        _trim_threshold: usize,
     ) {
         let ts = commit_ts.max(self.latest_ts + 1);
         let prev = std::mem::replace(&mut self.latest, row);
         self.older.push((self.latest_ts, prev));
         self.latest_ts = ts;
-        if self.older.len() > trim_threshold || self.oldest_dead(watermark) {
-            self.gc(watermark);
-        }
+        self.gc(watermark);
     }
 
     /// Commit timestamp of the version that superseded `older[i]`.
     #[inline]
     fn successor_ts(&self, i: usize) -> u64 {
         self.older.get(i + 1).map_or(self.latest_ts, |(ts, _)| *ts)
-    }
-
-    /// True when the oldest retained version is dead at `watermark`: no
-    /// snapshot at or above it can see that version. Dead versions form a
-    /// prefix of `older`, so this is exactly "a trim would reclaim
-    /// something".
-    #[inline]
-    fn oldest_dead(&self, watermark: u64) -> bool {
-        !self.older.is_empty() && self.successor_ts(0) <= watermark
     }
 
     /// The newest version visible at snapshot timestamp `snap`, or `None`
@@ -173,7 +158,8 @@ impl VersionChain {
 
     /// Reclaims every version that no snapshot at or above `watermark` can
     /// see: a version is dead once its *successor* was already committed at
-    /// or below the watermark. Returns the number of versions reclaimed.
+    /// or below the watermark. Dead versions are a prefix, so with none the
+    /// call is one comparison. Returns the number of versions reclaimed.
     pub fn gc(&mut self, watermark: u64) -> usize {
         let mut cut = 0;
         while cut < self.older.len() && self.successor_ts(cut) <= watermark {
@@ -266,8 +252,8 @@ mod tests {
     fn install_keeps_pinned_versions_until_the_watermark_passes_them() {
         let mut c = VersionChain::new(row(0));
         // A live snapshot pins the watermark at 5: every retained version
-        // is still needed. Past the threshold the trim runs on every
-        // install, reclaims nothing, and the ts<=5 image stays readable.
+        // is still needed, so no install reclaims anything, however long
+        // the chain grows, and the ts<=5 image stays readable.
         let n = DEFAULT_TRIM_THRESHOLD as u64 + 3;
         for i in 1..=n {
             c.install_at(row(i as i64), 10 + i, 5);
@@ -307,8 +293,8 @@ mod tests {
                 c.install_at_with(row(i as i64), 10 * i, 1_000, threshold);
                 assert_eq!(c.retained(), 0, "threshold {threshold}, install {i}");
             }
-            // A pinned watermark: a small threshold trims on every install
-            // but can only reclaim dead versions, never a live one.
+            // A pinned watermark: whatever the threshold, no live version
+            // is reclaimed.
             for i in 21..=25u64 {
                 c.install_at_with(row(i as i64), 800 + 10 * i, 1_000, threshold);
             }

@@ -387,3 +387,90 @@ fn snapshot_mix_accounted_and_conserves_balance() {
         assert_eq!(db.snapshots.active_count(), 0, "{}", res.protocol);
     }
 }
+
+/// Commits one write of `bal = v` to account `key`, then publishes the
+/// watermark so that the next writer sees it.
+fn write_and_publish(session: &Session, db: &Database, t: TableId, key: u64, v: i64) {
+    let mut w = session.begin();
+    w.update(t, key, |row| row.set(1, Value::I64(v))).unwrap();
+    w.commit().unwrap();
+    db.publish_watermark();
+}
+
+/// The 2PL family's writer reclaims a tuple's dead versions before it
+/// requests its exclusive lock, not at its own install: once the watermark
+/// has passed the previous writer's commit, the next writer's `update`
+/// leaves the chain empty while that writer is still running.
+#[test]
+fn a_writer_reclaims_dead_versions_before_it_copies() {
+    for proto in [LockingProtocol::bamboo(), LockingProtocol::wound_wait()] {
+        let (db, t) = load();
+        let session = Session::new(Arc::clone(&db), Arc::new(proto) as Arc<dyn Protocol>);
+        let name = session.protocol().name().to_owned();
+        let tuple = db.table(t).get(5).unwrap();
+
+        write_and_publish(&session, &db, t, 5, 1);
+        assert_eq!(
+            tuple.retained_versions(),
+            1,
+            "{name}: the loader image is dead but still retained"
+        );
+
+        let mut w2 = session.begin();
+        w2.update(t, 5, |row| row.set(1, Value::I64(2))).unwrap();
+        assert_eq!(
+            tuple.retained_versions(),
+            0,
+            "{name}: the writer's update must reclaim the dead image"
+        );
+        w2.commit().unwrap();
+        assert_eq!(tuple.read_row().get_i64(1), 2, "{name}");
+    }
+}
+
+/// A writer's trim reclaims only what the watermark says is dead: a
+/// snapshot taken after the first write keeps reading that write's image
+/// through two later writes, and once the snapshot ends the next writer
+/// reclaims the whole chain before it commits.
+#[test]
+fn a_live_snapshot_keeps_its_version_through_a_writers_trim() {
+    let (db, t) = load();
+    let session = Session::new(
+        Arc::clone(&db),
+        Arc::new(LockingProtocol::bamboo()) as Arc<dyn Protocol>,
+    );
+    let tuple = db.table(t).get(5).unwrap();
+
+    write_and_publish(&session, &db, t, 5, 1);
+    let mut snap = session.snapshot();
+    assert_eq!(snap.read(t, 5).unwrap().get_i64(1), 1);
+    let ts = snap.snapshot_ts().unwrap();
+
+    for v in [2, 3] {
+        write_and_publish(&session, &db, t, 5, v);
+        assert_eq!(
+            tuple.read_at(ts).map(|row| row.get_i64(1)),
+            Some(1),
+            "the snapshot's version went with the write of {v}"
+        );
+    }
+    assert_eq!(snap.read(t, 5).unwrap().get_i64(1), 1);
+    assert!(
+        tuple.retained_versions() >= 2,
+        "the snapshot pins two images"
+    );
+    snap.commit().unwrap();
+    db.publish_watermark();
+
+    let mut w = session.begin();
+    w.update(t, 5, |row| row.set(1, Value::I64(4))).unwrap();
+    assert_eq!(
+        tuple.retained_versions(),
+        0,
+        "with the snapshot gone the writer reclaims every older image"
+    );
+    w.commit().unwrap();
+    let mut later = session.snapshot();
+    assert_eq!(later.read(t, 5).unwrap().get_i64(1), 4);
+    later.commit().unwrap();
+}
