@@ -4,7 +4,8 @@
 //! behind Optimization 1/2's overhead discussion — the primary-key point
 //! lookup every access starts with, from one thread and from two (a latch
 //! shared by all lookups shows only in the second) and for a batch of cold
-//! keys with and without a prefetch pass first, the writer stall of an
+//! keys with and without a prefetch pass first (from the table alone and
+//! through a transaction, with one hint pass or two), the writer stall of an
 //! index growth, and what one access costs in row images: a read's grant,
 //! and a write's grant, first `set`, retire and commit install, on a
 //! narrow row and on a wide one with strings.
@@ -316,6 +317,64 @@ fn bench(c: &mut Criterion) {
             })
         });
     }
+
+    // The same 16 cold reads through the engine: one Bamboo transaction
+    // reads them and commits, with no hint, with pass 1 only
+    // (`Table::prefetch` per key) or with both passes (`Txn::prefetch`).
+    // Reported per key. Pass 2 adds the loads of each tuple's newest image
+    // and lock-list buffer, the two misses a cold shared grant takes after
+    // the tuple's own. Every tuple is read once first, so its list has a
+    // buffer, as in a running database.
+    let mut builder = Database::builder();
+    let cold = builder.add_table_with_capacity(
+        "cold",
+        Schema::build()
+            .column("k", DataType::U64)
+            .column("v", DataType::I64),
+        1 << TABLE_BITS,
+    );
+    let cold_db = builder.build();
+    for k in 0..1u64 << TABLE_BITS {
+        cold_db
+            .table(cold)
+            .insert(k, Row::from(vec![Value::U64(k), Value::I64(0)]));
+    }
+    let session = Session::new(Arc::clone(&cold_db), Arc::new(LockingProtocol::bamboo()));
+    for first in (0..1u64 << TABLE_BITS).step_by(BATCH) {
+        let mut txn = session.begin();
+        for k in first..first + BATCH as u64 {
+            txn.read(cold, k).unwrap();
+        }
+        txn.commit().unwrap();
+    }
+    for (name, passes) in [
+        ("cold_read_16_nohint", 0),
+        ("cold_read_16_pass1", 1),
+        ("cold_read_16_pass1_2", 2),
+    ] {
+        gt.bench_function(name, |b| {
+            b.iter_custom(|iters| {
+                let mut x = 1;
+                let start = std::time::Instant::now();
+                for _ in 0..iters {
+                    let keys: [u64; BATCH] = std::array::from_fn(|_| next_key(&mut x));
+                    let mut txn = session.begin();
+                    match passes {
+                        1 => keys.iter().for_each(|&k| cold_db.table(cold).prefetch(k)),
+                        2 => txn.prefetch(keys.iter().map(|&k| (cold, k))),
+                        _ => {}
+                    }
+                    for &k in &keys {
+                        criterion::black_box(txn.read(cold, k).unwrap());
+                    }
+                    txn.commit().unwrap();
+                }
+                start.elapsed() / BATCH as u32
+            })
+        });
+    }
+    drop(session);
+    drop(cold_db);
 
     // One growth of every shard: a table sized for `GROW_CAP` keys takes
     // twice as many, so each of its 64 shards copies its ≈ 1 000 entries

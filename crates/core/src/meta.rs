@@ -59,7 +59,11 @@ mod tests {
     /// `request + 8` bytes rounded up to 16, so 16 + 144 = 160 B takes a
     /// 176-byte chunk, where 16 + 216 = 232 B (IC3's state inline and the
     /// waiters in a second vector) took 240 — one cache line less per
-    /// tuple, and less for `Table::prefetch` to fetch.
+    /// tuple, and less for `Table::prefetch` to fetch. The tuple's lines
+    /// are only the first level `Txn::prefetch` loads: the lock list's
+    /// buffer and the newest row image are allocations of their own,
+    /// which its second pass loads, so neither needs to move inline to
+    /// avoid a miss.
     #[test]
     fn a_tuple_fits_a_176_byte_malloc_chunk() {
         let size = std::mem::size_of::<Tuple<TupleCc>>();

@@ -680,16 +680,14 @@ mod tests {
                 s.begin_on(PartitionId(0))
             };
             // Remote, replicated, absent (routed both ways), then local.
-            for (t, k) in [
+            txn.prefetch([
                 (kv, 150),
                 (refs, 7),
                 (kv, 99),
                 (kv, 500),
                 (refs, 8),
                 (kv, 1),
-            ] {
-                txn.prefetch(t, k);
-            }
+            ]);
             assert!(txn.ctx().accesses.is_empty(), "snapshot={snapshot}");
             assert!(txn.ctx().inserts.is_empty());
             assert_eq!(txn.locks_acquired(), 0);

@@ -588,19 +588,62 @@ impl<'s> Txn<'s> {
     }
 
     /// A cache hint with no semantic effect: starts loading the cache lines
-    /// of the tuple under `(table, key)` — routed like every access, so a
-    /// remote partition's key or a replicated table's key works — and
-    /// returns at once. It records no access, takes no lock-manager entry,
-    /// does nothing for an absent key, and is legal in any mode, snapshot
-    /// included; a transaction with its hints removed behaves identically.
+    /// a read or write of each `(table, key)` will miss on, and returns
+    /// without waiting for any of them. Keys are routed like every access,
+    /// so a remote partition's key or a replicated table's key works. It
+    /// records no access, creates no lock entry, holds no latch from one
+    /// key to the next, does nothing for an absent key, and is legal in any
+    /// mode; a transaction with its hints removed behaves identically.
     ///
-    /// A stored procedure that knows its keys calls it for each of them
-    /// before its first lock request: the misses into cold tuples then
-    /// overlap each other and the wait for a contended lock, instead of
-    /// stretching the time the procedure holds it.
-    #[inline]
-    pub fn prefetch(&self, table: TableId, key: u64) {
-        self.session.db.table_for(table, key).prefetch(key);
+    /// It runs two passes over `keys`:
+    ///
+    /// 1. [`Table::prefetch`](bamboo_storage::Table::prefetch) for each
+    ///    key: an index probe and the tuple's own lines, latch-free.
+    /// 2. For each key again, the two allocations the tuple points to: its
+    ///    newest committed image ([`Tuple::prefetch_row`], under the version
+    ///    chain's read latch), whose refcount a read's grant writes, and
+    ///    its lock list's buffer ([`LockState::prefetch_list`]), which the
+    ///    grant inserts into.
+    ///
+    /// The second pass must wait for the first: the two pointers live in
+    /// the tuple, so reading them for a key whose lines are still on the
+    /// way would stall on that miss and serialize the keys again. After
+    /// pass 1 the tuples' misses are in flight together, and pass 2's
+    /// index probes hit the cache. The lock list is read under its entry
+    /// latch taken with `try_lock` only: when another thread holds it the
+    /// pass skips that list rather than wait, since a hint never waits. A
+    /// snapshot never touches the lock manager, so in snapshot mode pass 2
+    /// loads the image only.
+    ///
+    /// A stored procedure that knows its keys calls it once, before its
+    /// first lock request: the misses into cold tuples then overlap each
+    /// other and the wait for a contended lock, instead of stretching the
+    /// time the procedure holds it.
+    ///
+    /// [`Tuple::prefetch_row`]: bamboo_storage::Tuple::prefetch_row
+    /// [`LockState::prefetch_list`]: crate::lock::LockState::prefetch_list
+    pub fn prefetch<I>(&self, keys: I)
+    where
+        I: IntoIterator<Item = (TableId, u64)>,
+        I::IntoIter: Clone,
+    {
+        let keys = keys.into_iter();
+        let db = &self.session.db;
+        for (table, key) in keys.clone() {
+            db.table_for(table, key).prefetch(key);
+        }
+        let locking = self.ctx.snapshot.is_none();
+        for (table, key) in keys {
+            let Some(tuple) = db.table_for(table, key).get_ref(key) else {
+                continue;
+            };
+            tuple.prefetch_row();
+            if locking {
+                if let Some(entry) = tuple.meta.lock.try_lock() {
+                    entry.prefetch_list();
+                }
+            }
+        }
     }
 
     /// Read-modify-write (exclusive access): `f` mutates the local copy;

@@ -95,6 +95,12 @@ impl Row {
     pub fn values(&self) -> &[Value] {
         &self.values
     }
+
+    /// The shared image itself, for the table's cache hint.
+    #[inline]
+    pub(crate) fn image(&self) -> &Arc<[Value]> {
+        &self.values
+    }
 }
 
 impl From<Vec<Value>> for Row {

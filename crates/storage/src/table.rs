@@ -19,8 +19,12 @@
 //! keys ahead of time can overlap the misses into cold tuples with other
 //! work instead of taking them one at a time. It reads the index without
 //! cloning the tuple's `Arc`, records nothing and changes nothing; a
-//! program with every hint removed behaves identically. The one `unsafe`
-//! block in the workspace is its prefetch instruction.
+//! program with every hint removed behaves identically. A second level
+//! goes one pointer further: [`Table::get_ref`] borrows a tuple without a
+//! refcount write, and [`Tuple::prefetch_row`] loads its newest image's
+//! allocation. Every hint ends in [`prefetch_allocation`], which covers
+//! any byte range (a tuple, a row image, a lock list's buffer); its
+//! prefetch instruction is the one `unsafe` block in the workspace.
 
 use std::sync::Arc;
 
@@ -127,6 +131,15 @@ impl<M> Tuple<M> {
         self.data.read().visible_at(snap)
     }
 
+    /// Hints the CPU to load the newest committed image's allocation (its
+    /// refcounts and values), which the next grant clones or copies. Holds
+    /// the chain's read latch for the hint only; changes no refcount and
+    /// records nothing.
+    #[inline]
+    pub fn prefetch_row(&self) {
+        prefetch_arc(self.data.read().latest().image());
+    }
+
     /// Commit timestamp of the newest committed image (0 for loader rows).
     #[inline]
     pub fn commit_ts(&self) -> u64 {
@@ -166,7 +179,7 @@ impl<M: Default> Table<M> {
             name: name.to_owned(),
             schema,
             slab: RwLock::new(Vec::with_capacity(cap)),
-            pk_index: ShardedIndex::with_capacity(cap).with_growth_hint(prefetch_allocation),
+            pk_index: ShardedIndex::with_capacity(cap).with_growth_hint(prefetch_arc),
             secondary: RwLock::new(Vec::new()),
             ordered: RwLock::new(None),
         }
@@ -226,13 +239,21 @@ impl<M> Table<M> {
         self.pk_index.contains(key)
     }
 
+    /// Primary-key point lookup that borrows the tuple instead of cloning
+    /// its `Arc`, so the tuple's refcount line is not written. The borrow
+    /// lives as long as the table: no tuple leaves the index.
+    #[inline]
+    pub fn get_ref(&self, key: u64) -> Option<&Tuple<M>> {
+        self.pk_index.get(key).map(|tuple| &**tuple)
+    }
+
     /// Hints the CPU to load every cache line of `key`'s tuple (module
     /// docs): one index probe, no refcount change, nothing recorded. A
     /// no-op for an absent key, and on targets other than `x86_64`.
     #[inline]
     pub fn prefetch(&self, key: u64) {
         if let Some(tuple) = self.pk_index.get(key) {
-            prefetch_allocation(tuple);
+            prefetch_arc(tuple);
         }
     }
 
@@ -292,34 +313,44 @@ impl<M> Table<M> {
     }
 }
 
-/// Issues a `T0` prefetch for every cache line of `arc`'s allocation: the
-/// strong and weak counts `Arc` keeps in front of the value, then the value
-/// (for a tuple: the lock entry, the version chain's latch and its newest
-/// image's handle). Touches no byte of it; a no-op on targets other than
-/// `x86_64`.
+/// Issues a `T0` prefetch for every cache line of the `len` bytes at
+/// `start`: a whole allocation, such as an `Arc`'s counts and value
+/// ([`Table::prefetch`], [`Tuple::prefetch_row`]) or a vector's buffer up
+/// to its capacity (the lock list's hint in `bamboo-core`). Reads and
+/// writes no byte of the range, so any address is sound, a dangling one
+/// included; a no-op on targets other than `x86_64`.
 #[inline]
-fn prefetch_allocation<T>(arc: &Arc<T>) {
+pub fn prefetch_allocation(start: *const u8, len: usize) {
     #[cfg(target_arch = "x86_64")]
     {
         use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
         const LINE: usize = 64;
-        // The value sits after the two counts, at the next multiple of its
-        // alignment.
-        let header = (2 * std::mem::size_of::<usize>()).next_multiple_of(std::mem::align_of::<T>());
-        let start = Arc::as_ptr(arc).cast::<u8>().wrapping_sub(header);
         let skew = start.addr() % LINE;
-        let lines = (skew + header + std::mem::size_of::<T>()).div_ceil(LINE);
+        let lines = (skew + len).div_ceil(LINE);
         let first = start.wrapping_sub(skew);
         for i in 0..lines {
             // SAFETY: the intrinsic needs `sse`, which every x86_64 target
             // has. A prefetch is a hint: it never faults and reads nothing
-            // the program can observe, so any address is sound; these are
-            // the lines of an allocation the caller's `Arc` keeps alive.
+            // the program can observe, so any address is sound.
             unsafe { _mm_prefetch::<_MM_HINT_T0>(first.wrapping_add(i * LINE).cast::<i8>()) };
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = arc;
+    let _ = (start, len);
+}
+
+/// [`prefetch_allocation`] over `arc`'s allocation: the strong and weak
+/// counts `Arc` keeps in front of the value, then the value (for a tuple:
+/// the lock entry, the version chain's latch and its newest image's
+/// handle; for a row image: its values).
+#[inline]
+fn prefetch_arc<T: ?Sized>(arc: &Arc<T>) {
+    // The value sits after the two counts, at the next multiple of its
+    // alignment.
+    let header =
+        (2 * std::mem::size_of::<usize>()).next_multiple_of(std::mem::align_of_val(&**arc));
+    let start = Arc::as_ptr(arc).cast::<u8>().wrapping_sub(header);
+    prefetch_allocation(start, header + std::mem::size_of_val(&**arc));
 }
 
 #[cfg(test)]
@@ -435,9 +466,16 @@ mod tests {
         let t = table();
         let tup = t.insert(1, row(1, 7));
         let strong = Arc::strong_count(&tup);
+        let image = tup.with_row(|r| Arc::strong_count(r.image()));
         for k in [1, 2, u64::MAX] {
             t.prefetch(k);
+            if let Some(borrowed) = t.get_ref(k) {
+                assert!(std::ptr::eq(borrowed, &*tup));
+                borrowed.prefetch_row();
+            }
         }
+        assert!(t.get_ref(2).is_none());
+        assert_eq!(tup.with_row(|r| Arc::strong_count(r.image())), image);
         assert_eq!(Arc::strong_count(&tup), strong, "no refcount left behind");
         assert_eq!(t.len(), 1, "an absent key is not inserted");
         assert!(t.get(2).is_none() && t.get(u64::MAX).is_none());

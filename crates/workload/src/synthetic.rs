@@ -117,11 +117,10 @@ impl TxnSpec for SyntheticTxn {
     fn run_piece(&self, _piece: usize, txn: &mut Txn<'_>) -> Result<(), Abort> {
         // Start the cold reads' cache misses before the hot lock is
         // requested, so they overlap its wait instead of its hold.
-        for op in &self.ops {
-            if let Op::Read(k) = op {
-                txn.prefetch(self.table, *k);
-            }
-        }
+        txn.prefetch(self.ops.iter().filter_map(|op| match op {
+            Op::Read(k) => Some((self.table, *k)),
+            Op::HotRmw(_) => None,
+        }));
         for op in &self.ops {
             match op {
                 Op::Read(k) => {

@@ -85,14 +85,13 @@ impl TxnSpec for NewOrderTxn {
                 // The customer and every line's item and stock are cold;
                 // start their misses before the first lock request. The
                 // rollback line has no stock key to prefetch.
-                txn.prefetch(self.tables.customer, self.c_key);
-                for line in self.lines.iter().filter(|l| l.item != INVALID_ITEM) {
-                    txn.prefetch(self.tables.item, line.item);
-                    txn.prefetch(
-                        self.tables.stock,
-                        stock_key(line.supply_w, line.item, self.items_per_wh),
-                    );
-                }
+                let t = &self.tables;
+                let lines = self.lines.iter().filter(|l| l.item != INVALID_ITEM);
+                let line_keys = lines.flat_map(|l| {
+                    let stock = stock_key(l.supply_w, l.item, self.items_per_wh);
+                    [(t.item, l.item), (t.stock, stock)]
+                });
+                txn.prefetch(std::iter::once((t.customer, self.c_key)).chain(line_keys));
                 let row = txn.read(self.tables.warehouse, self.w)?;
                 std::hint::black_box(row.get_f64(wh::W_TAX));
                 if self.read_wytd {
@@ -259,7 +258,7 @@ impl TxnSpec for PaymentTxn {
             0 => {
                 // The customer is the one cold tuple: start its miss before
                 // the warehouse lock, the one-warehouse hotspot.
-                txn.prefetch(self.tables.customer, self.c_key);
+                txn.prefetch([(self.tables.customer, self.c_key)]);
                 txn.update(self.tables.warehouse, self.w, |row| {
                     let ytd = row.get_f64(wh::W_YTD);
                     row.set(wh::W_YTD, Value::F64(ytd + amount));

@@ -194,9 +194,7 @@ impl TxnSpec for YcsbTxn {
     fn run_piece(&self, _piece: usize, txn: &mut Txn<'_>) -> Result<(), Abort> {
         // Every key is known up front: start all their cache misses before
         // the first lock request.
-        for op in &self.ops {
-            txn.prefetch(self.table, op.key);
-        }
+        txn.prefetch(self.ops.iter().map(|op| (self.table, op.key)));
         for op in &self.ops {
             if op.write {
                 let (field, value) = (op.field, op.value);

@@ -157,7 +157,7 @@ fn session_snapshot_fast_path_acquires_zero_mutexes() {
     }
 }
 
-/// Point lookups take no latch: `Table::{get, contains, prefetch}` on a
+/// Point lookups take no latch: `Table::{get, get_ref, contains, prefetch}` on a
 /// present and on an absent key, and `Txn::read_opt` on an absent key,
 /// acquire zero locks (the primary-key index is read with acquire loads
 /// only; see `bamboo_storage::index`).
@@ -172,6 +172,7 @@ fn point_lookups_acquire_zero_locks() {
     for i in 0..1_000 {
         let (present, absent) = (i % KEYS, KEYS + i);
         assert!(table.get(present).is_some() && table.get(absent).is_none());
+        assert!(table.get_ref(present).is_some() && table.get_ref(absent).is_none());
         assert!(table.contains(present) && !table.contains(absent));
         table.prefetch(present);
         table.prefetch(absent);
@@ -183,6 +184,137 @@ fn point_lookups_acquire_zero_locks() {
         "a point lookup acquired a lock"
     );
     txn.commit().unwrap();
+}
+
+/// `Txn::prefetch`'s latch budget. Pass 1 is `Table::prefetch`, which
+/// takes none (above). Pass 2 takes, per present key, the version chain's
+/// read latch and, in a locking transaction, the lock entry's latch by
+/// `try_lock`. Over N present keys a locking transaction takes 2N, a
+/// snapshot N, and absent keys take none.
+#[test]
+fn the_prefetch_hint_takes_two_latches_per_present_key() {
+    const KEYS: u64 = 64;
+    let (db, t) = kv_db(KEYS);
+    let session = Session::new(Arc::clone(&db), Arc::new(LockingProtocol::bamboo()));
+    for (snapshot, per_key) in [(false, 2), (true, 1)] {
+        let txn = if snapshot {
+            session.snapshot()
+        } else {
+            session.begin()
+        };
+        let before = thread_lock_acquisitions();
+        txn.prefetch((0..KEYS).map(|k| (t, k)));
+        assert_eq!(
+            thread_lock_acquisitions() - before,
+            per_key * KEYS,
+            "present keys, snapshot={snapshot}"
+        );
+        let before = thread_lock_acquisitions();
+        txn.prefetch((KEYS..2 * KEYS).map(|k| (t, k)));
+        assert_eq!(
+            thread_lock_acquisitions() - before,
+            0,
+            "absent keys, snapshot={snapshot}"
+        );
+        txn.commit().unwrap();
+    }
+}
+
+/// The hint never waits on a latch: while another thread holds a tuple's
+/// lock-entry latch, `Txn::prefetch` over that key still returns (pass 2
+/// skips the list it cannot `try_lock`), and once the latch is released a
+/// read of the key sees the committed row.
+#[test]
+fn the_prefetch_hint_never_waits_on_a_latch() {
+    let (db, t) = kv_db(4);
+    let session = Session::new(Arc::clone(&db), Arc::new(LockingProtocol::bamboo()));
+    let mut writer = session.begin();
+    writer
+        .update(t, 2, |row| row.set(1, Value::I64(7)))
+        .unwrap();
+    writer.commit().unwrap();
+    let tuple = db.table(t).get(2).unwrap();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let (go_tx, go_rx) = std::sync::mpsc::channel();
+    let timeout = std::time::Duration::from_secs(10);
+    std::thread::scope(|s| {
+        let held = tuple.meta.lock.lock();
+        let session = &session;
+        s.spawn(move || {
+            let mut txn = session.begin();
+            txn.prefetch([(t, 3), (t, 2)]);
+            done_tx.send(None).unwrap();
+            go_rx.recv_timeout(timeout).unwrap();
+            let v = txn.read(t, 2).unwrap().get_i64(1);
+            txn.commit().unwrap();
+            done_tx.send(Some(v)).unwrap();
+        });
+        let returned = done_rx.recv_timeout(timeout);
+        drop(held);
+        assert_eq!(returned, Ok(None), "the hint waited on a held entry latch");
+        go_tx.send(()).unwrap();
+        assert_eq!(done_rx.recv_timeout(timeout), Ok(Some(7)));
+    });
+}
+
+/// The hint races writers' grants, retires and installs: while two Bamboo
+/// writers increment a few keys, a third thread hints every key, in
+/// locking transactions and in snapshots, and then reads them. No
+/// increment is lost, and every snapshot sees every key.
+#[test]
+fn the_prefetch_hint_races_writers() {
+    const KEYS: u64 = 8;
+    const TXNS: u64 = 2_000;
+    let (db, t) = kv_db(KEYS);
+    let proto: Arc<dyn Protocol> = Arc::new(LockingProtocol::bamboo());
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let (db, proto, done) = (&db, &proto, &done);
+        let writers: Vec<_> = (0..2u64)
+            .map(|w| {
+                s.spawn(move || {
+                    let session = Session::new(Arc::clone(db), Arc::clone(proto));
+                    for i in 0..TXNS {
+                        let k = (i * 3 + w) % KEYS;
+                        loop {
+                            let mut txn = session.begin();
+                            let bumped = txn.update(t, k, |row| {
+                                let v = row.get_i64(1);
+                                row.set(1, Value::I64(v + 1));
+                            });
+                            if bumped.and_then(|()| txn.commit()).is_ok() {
+                                break;
+                            }
+                        }
+                    }
+                })
+            })
+            .collect();
+        s.spawn(move || {
+            let session = Session::new(Arc::clone(db), Arc::clone(proto));
+            let mut snapshot = false;
+            while !done.load(Ordering::Relaxed) {
+                snapshot = !snapshot;
+                let mut txn = if snapshot {
+                    session.snapshot()
+                } else {
+                    session.begin()
+                };
+                txn.prefetch((0..KEYS).map(|k| (t, k)));
+                let read_all = (0..KEYS).try_for_each(|k| txn.read(t, k).map(|_| ()));
+                let committed = read_all.and_then(|()| txn.commit());
+                assert!(!snapshot || committed.is_ok(), "{committed:?}");
+            }
+        });
+        for w in writers {
+            w.join().unwrap();
+        }
+        done.store(true, Ordering::Relaxed);
+    });
+    let total: i64 = (0..KEYS)
+        .map(|k| db.table(t).get(k).unwrap().read_row().get_i64(1))
+        .sum();
+    assert_eq!(total, 2 * TXNS as i64);
 }
 
 /// Concurrent register/release churn against committing writers: every
