@@ -193,12 +193,17 @@ pub fn fig7(opts: &RunOpts) {
         let delta = crate::harness::assert_snapshot_fast_path_lock_free(&db, &proto);
         println!("{:<14} snapshot begin/commit locks={delta}", proto.name());
     }
-    println!("-- snapshot series: long-RO bucket (locks must be 0) --");
+    println!("-- snapshot series: long-RO bucket (locks and aborts must be 0) --");
     for p in &ss.points {
         let r = &p.result;
         assert_eq!(
             r.totals.snapshot_lock_acquisitions, 0,
             "snapshot mode acquired locks"
+        );
+        assert_eq!(
+            r.totals.snapshot_aborts, 0,
+            "{}: snapshot readers can neither block nor abort",
+            r.protocol
         );
         println!(
             "threads={:<3} {:<14} snap_commits={:<6} snap_locks={} snap_aborts={} writer_tput={:.0}",

@@ -82,8 +82,7 @@ pub fn all_protocols_interactive(rpc: Duration) -> Vec<Arc<dyn Protocol>> {
 /// mutex/rwlock acquisitions (commit-clock stable load + one registry
 /// shard refcount CAS only), measured against the vendored shim's
 /// per-thread lock counter. Returns the measured delta (always 0 on
-/// success) so callers can print it. Shared by the fig7 figure driver and
-/// the fig7 criterion bench.
+/// success) so callers can print it (the fig7 figure driver).
 pub fn assert_snapshot_fast_path_lock_free(db: &Arc<Database>, proto: &Arc<dyn Protocol>) -> u64 {
     let session = Session::new(Arc::clone(db), Arc::clone(proto));
     // Steady state: warm the session and this thread's registry shard.
@@ -102,58 +101,6 @@ pub fn assert_snapshot_fast_path_lock_free(db: &Arc<Database>, proto: &Arc<dyn P
         proto.name()
     );
     delta
-}
-
-/// Criterion helper: executes `iters` transactions serially (one worker)
-/// and returns the elapsed wall time — the per-transaction protocol cost
-/// without contention.
-pub fn time_serial_txns(
-    db: &Arc<Database>,
-    proto: &Arc<dyn Protocol>,
-    wl: &Arc<dyn Workload>,
-    iters: u64,
-) -> Duration {
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-    let mut rng = SmallRng::seed_from_u64(0xC0FFEE);
-    let session = Session::new(Arc::clone(db), Arc::clone(proto));
-    let start = std::time::Instant::now();
-    for _ in 0..iters {
-        let spec = wl.generate(0, &mut rng);
-        let _ = session.run(spec.as_ref());
-    }
-    start.elapsed()
-}
-
-/// Runs one short contended measurement (`threads` workers, 120 ms) and
-/// returns the full result — the criterion helpers and the bench-side
-/// snapshot assertions share it.
-pub fn run_contended(
-    db: &Arc<Database>,
-    proto: &Arc<dyn Protocol>,
-    wl: &Arc<dyn Workload>,
-    threads: usize,
-) -> BenchResult {
-    let cfg = BenchConfig::quick(threads)
-        .with_duration(Duration::from_millis(120))
-        .with_warmup(Duration::from_millis(30))
-        .with_seed(11);
-    run_bench(db, proto, wl, &cfg)
-}
-
-/// Criterion helper: runs a short contended benchmark (`threads` workers,
-/// 120 ms) and scales the measured per-commit time to `iters` transactions,
-/// so Criterion reports time-per-transaction *under contention*.
-pub fn time_contended_txns(
-    db: &Arc<Database>,
-    proto: &Arc<dyn Protocol>,
-    wl: &Arc<dyn Workload>,
-    threads: usize,
-    iters: u64,
-) -> Duration {
-    let res = run_contended(db, proto, wl, threads);
-    let per_txn = res.elapsed.as_secs_f64() / res.totals.commits.max(1) as f64;
-    Duration::from_secs_f64(per_txn * iters as f64)
 }
 
 /// One measured point of a series.

@@ -59,8 +59,8 @@
 //!    only ever a partition's segment file. Borrowing the ring
 //!    (`&Mutex<WalBuffer>` in a signature) is not holding one.
 //! 10. **keyed-hash** — in `crates/{core,storage}/src` production code a
-//!     `HashMap` / `HashSet` keyed by `u64`, `u32`, `RowId`, `TableId` or a
-//!     tuple of those names `BuildKeyHasher` as its hasher: those keys are
+//!     `HashMap` / `HashSet` keyed by `u64`, `u32`, `TableId` or a tuple
+//!     of those names `BuildKeyHasher` as its hasher: those keys are
 //!     engine-generated, and std's SipHash was a measured share of every
 //!     point access (see `bamboo_storage::index`). The type may span lines
 //!     or be a turbofish. A `let` that builds a std-hashed map
@@ -473,13 +473,12 @@ fn generic_args(s: &str) -> Vec<String> {
     args
 }
 
-/// `u64`, `u32`, `RowId`, `TableId` (path-qualified or not), or a tuple of
-/// them.
+/// `u64`, `u32`, `TableId` (path-qualified or not), or a tuple of them.
 fn is_int_key(ty: &str) -> bool {
     let ty = ty.trim();
     let scalar = |t: &str| {
         let last = t.trim().rsplit("::").next().unwrap_or("");
-        matches!(last, "u64" | "u32" | "RowId" | "TableId")
+        matches!(last, "u64" | "u32" | "TableId")
     };
     match ty.strip_prefix('(').and_then(|t| t.strip_suffix(')')) {
         Some(inner) => {
@@ -1144,7 +1143,7 @@ mod tests {
     #[test]
     fn std_hashed_integer_maps_fire_in_core_and_storage() {
         // The access set and the recovery map as they were.
-        let src = "struct TxnCtx {\n    index: HashMap<(u32, RowId), usize>,\n}\nlet mut groups: HashMap<u64, TxnGroup> = HashMap::new();\n";
+        let src = "struct TxnCtx {\n    index: HashMap<(u32, u64), usize>,\n}\nlet mut groups: HashMap<u64, TxnGroup> = HashMap::new();\n";
         assert_eq!(
             rules("crates/core/src/txn.rs", src),
             vec!["keyed-hash", "keyed-hash"]
@@ -1167,7 +1166,7 @@ mod tests {
 
     #[test]
     fn keyed_hash_exempts_the_mixer_other_keys_other_crates_and_tests() {
-        let src = "index: HashMap<(u32, u64), usize, BuildKeyHasher>,\nlet mut groups: HashMap<u64, TxnGroup, BuildKeyHasher> = HashMap::default();\ntype S = RwLock<HashSet<RowId, bamboo_storage::BuildKeyHasher>>;\n";
+        let src = "index: HashMap<(u32, u64), usize, BuildKeyHasher>,\nlet mut groups: HashMap<u64, TxnGroup, BuildKeyHasher> = HashMap::default();\ntype S = RwLock<HashSet<u64, bamboo_storage::BuildKeyHasher>>;\n";
         assert!(rules("crates/core/src/txn.rs", src).is_empty());
         // Keys that are not engine-generated integers, and a field
         // initialiser (its type is declared, and checked, on the field).

@@ -781,7 +781,7 @@ impl Database {
                 .table(table)
                 .ordered_index()
                 .expect("scan requires an ordered index (Table::enable_ordered_index)");
-            keys.extend(idx.range(range.clone()).into_iter().map(|(k, _)| k));
+            keys.extend(idx.range(range.clone()));
         }
         keys.sort_unstable();
         keys
@@ -794,10 +794,7 @@ impl Database {
     pub fn next_key_after(&self, table: TableId, key: u64) -> Option<u64> {
         self.shards_of(table)
             .iter()
-            .filter_map(|cat| {
-                let idx = cat.table(table).ordered_index()?;
-                idx.next_key_after(key).map(|(k, _)| k)
-            })
+            .filter_map(|cat| cat.table(table).ordered_index()?.next_key_after(key))
             .min()
     }
 

@@ -244,11 +244,9 @@ impl PartitionedDb {
     }
 
     /// Dumps one partition shard's tables as of `stable_ts`: tuples in
-    /// row-id order through the version chains, secondary postings as
-    /// `(secondary key, primary key)` pairs (primary keys survive the
-    /// row-id reassignment of recovery; raw row ids would not, because
-    /// tuples inserted after `stable_ts` leave row-id gaps the replay
-    /// fills in a different order).
+    /// insertion order through the version chains, and the secondary
+    /// postings whose tuple is visible at `stable_ts`, as they are
+    /// (`(secondary key, primary key)` pairs).
     fn dump_shard(&self, p: PartitionId, stable_ts: u64) -> Vec<TableDump> {
         let db = self.db(p);
         db.catalog()
@@ -256,9 +254,8 @@ impl PartitionedDb {
             .iter()
             .map(|table| {
                 let mut dump = TableDump::default();
-                let len = table.len() as u64;
-                for row_id in 0..len {
-                    let tuple = table.get_by_row_id(row_id).expect("row ids are dense");
+                for n in 0..table.len() as u64 {
+                    let tuple = table.get_by_row_id(n).expect("slab positions are dense");
                     if let Some((ts, row)) = tuple.read_version_at(stable_ts) {
                         dump.tuples.push((tuple.key, ts, row));
                     }
@@ -268,9 +265,8 @@ impl PartitionedDb {
                         .secondary_index(slot)
                         .entries()
                         .into_iter()
-                        .filter_map(|(skey, row_id)| {
-                            let tuple = table.get_by_row_id(row_id)?;
-                            tuple.visible_at(stable_ts).then_some((skey, tuple.key))
+                        .filter(|&(_, key)| {
+                            table.get_ref(key).is_some_and(|t| t.visible_at(stable_ts))
                         })
                         .collect();
                     dump.secondary.push(postings);
@@ -416,8 +412,8 @@ impl PartitionedDb {
         }
 
         // Restore the checkpoint image, one thread per partition. Tuples
-        // are re-inserted in dump (row-id) order with their dumped version
-        // timestamps.
+        // are re-inserted in dump order with their dumped version
+        // timestamps, and postings as they were dumped.
         let restored: Vec<io::Result<u64>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..parts_n)
                 .map(|p| {
@@ -435,11 +431,8 @@ impl PartitionedDb {
                             }
                             for (slot, postings) in dump.secondary.iter().enumerate() {
                                 let idx = table.secondary_index(slot);
-                                for (skey, primary) in postings {
-                                    let tuple = table
-                                        .get(*primary)
-                                        .expect("postings reference dumped tuples");
-                                    idx.insert(*skey, tuple.row_id);
+                                for &(skey, primary) in postings {
+                                    idx.insert(skey, primary);
                                 }
                             }
                         }
@@ -555,10 +548,9 @@ fn replay_record(db: &crate::db::Database, ts: u64, rec: &WalRecord) -> bool {
             if t.contains(*key) {
                 return false;
             }
-            let tuple = t.insert_at(*key, row.clone(), ts);
+            t.insert_at(*key, row.clone(), ts);
             if let Some((slot, skey)) = secondary {
-                t.secondary_index(*slot as usize)
-                    .insert(*skey, tuple.row_id);
+                t.secondary_index(*slot as usize).insert(*skey, *key);
             }
             true
         }

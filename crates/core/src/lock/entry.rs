@@ -11,7 +11,12 @@
 //! latch are stated over it:
 //!
 //! 1. `list[..retired]` is sorted by priority `(ts, id)` — the paper's
-//!    "sorted based on the timestamps of transactions in it".
+//!    "sorted based on the timestamps of transactions in it" — for every
+//!    two entries that conflict. Only a run of mutually compatible entries
+//!    can fall out of order, and only under Optimization 4: entries placed
+//!    without a timestamp sort last by id, and may then be assigned one
+//!    elsewhere in the other order. Every conflicting request assigns
+//!    everyone a timestamp and sorts the list before it places anything.
 //! 2. `list[retired..granted]` never contains two conflicting *live*
 //!    entries (wounded leftovers may conflict until their owner thread
 //!    releases them).
@@ -55,8 +60,8 @@ pub enum LockVariant {
     /// Wound-Wait: requesters abort younger conflicting holders and wait
     /// for older ones. Bamboo is built on this variant (§2.1, §3.2).
     WoundWait,
-    /// Wait-Die: requesters older than every conflicting holder wait;
-    /// younger requesters self-abort.
+    /// Wait-Die: requesters older than every live conflicting entry
+    /// (holder or waiter) wait; younger requesters self-abort.
     WaitDie,
     /// No-Wait: any conflict self-aborts the requester.
     NoWait,
@@ -317,7 +322,9 @@ impl LockState {
             self.retired <= self.granted && self.granted_len() <= self.list.len(),
             "boundaries out of order"
         );
-        // retired sorted by priority.
+        // retired sorted by priority. Stricter than invariant 1, which lets
+        // a compatible run fall out of order between conflicting requests;
+        // every state the tests check is fully sorted.
         for w in self.retired().windows(2) {
             assert!(w[0].prio() <= w[1].prio(), "retired list unsorted");
         }
@@ -481,7 +488,10 @@ impl LockState {
     }
 
     /// Algorithm 3: on conflict, assign timestamps to every queued
-    /// transaction in list order, then to the requester.
+    /// transaction in list order, then to the requester. Then restore
+    /// invariant 1 before anything is placed by priority: a retired entry
+    /// placed here without a timestamp may have been assigned one
+    /// elsewhere since, out of its order here.
     fn dynamic_assign(&mut self, txn: &Arc<TxnShared>, mode: LockMode, ts: &TsSource) {
         if !self.list.iter().any(|e| e.mode.conflicts(mode)) {
             return;
@@ -490,6 +500,12 @@ impl LockState {
             e.txn.assign_ts_if_unassigned(ts);
         }
         txn.assign_ts_if_unassigned(ts);
+        // Only a run of readers can be out of order (invariant 1), so the
+        // sort changes no entry's conflicting predecessors: `counted` holds.
+        let retired = self.retired_len();
+        if !self.list[..retired].is_sorted_by_key(Ent::prio) {
+            self.list[..retired].sort_by_key(Ent::prio);
+        }
         let head = self.granted_len();
         self.list[head..].sort_by_key(|w| w.prio());
     }
@@ -550,13 +566,22 @@ impl LockState {
                     retired: false,
                 };
             }
+            // Only an older transaction ever waits for a younger one, so
+            // no wait closes a cycle. The request dies against any older
+            // live entry it conflicts with, queued ones included; the
+            // younger conflicting waiters it queues ahead of die, as they
+            // would have had they arrived after it.
             LockVariant::WaitDie => {
-                let must_die = self
-                    .owners()
+                let live_conflict = |e: &Ent| mode.conflicts(e.mode) && !e.txn.is_aborted();
+                if self
+                    .list
                     .iter()
-                    .any(|e| mode.conflicts(e.mode) && e.prio() < prio);
-                if must_die {
+                    .any(|e| live_conflict(e) && e.prio() < prio)
+                {
                     return Acquired::Die(AbortReason::WaitDie);
+                }
+                for w in self.waiters().iter().filter(|w| live_conflict(w)) {
+                    w.txn.set_abort(AbortReason::WaitDie);
                 }
             }
             // Optimization 3: a reader slots directly into `retired`
@@ -1054,6 +1079,77 @@ mod tests {
         st.assert_invariants();
     }
 
+    /// Two transactions that each hold what the other waits for. T1 (ts 20)
+    /// holds k and waits for j, held by the younger H; T2 (ts 10) queues
+    /// on j ahead of T1, is granted when H releases, then requests k. T1
+    /// must die when T2 queues ahead of it: otherwise T1 waits for the
+    /// older T2, which waits for T1, and only the wait ceiling ends it.
+    #[test]
+    fn wait_die_older_request_kills_younger_waiters_it_queues_ahead_of() {
+        let table = mk_table();
+        let k = mk_tuple(&table, 1, 10);
+        let j = mk_tuple(&table, 2, 20);
+        let pol = LockPolicy::wait_die();
+        let ts = ts_src();
+        let (mut sk, mut sj) = (LockState::default(), LockState::default());
+        let t1 = txn(1, 20);
+        let h = txn(2, 30);
+        let t2 = txn(3, 10);
+        grant(&mut sk, &k, &pol, &t1, LockMode::Ex, &ts);
+        grant(&mut sj, &j, &pol, &h, LockMode::Ex, &ts);
+        assert!(matches!(
+            sj.acquire(&j, &pol, &t1, LockMode::Ex, &ts),
+            Acquired::Wait
+        ));
+        assert!(matches!(
+            sj.acquire(&j, &pol, &t2, LockMode::Ex, &ts),
+            Acquired::Wait
+        ));
+        assert!(
+            t1.is_aborted(),
+            "T1 would wait for the older T2 it queued behind"
+        );
+        assert_eq!(t1.abort_reason(), AbortReason::WaitDie);
+        sj.release(&h, &pol, true, None);
+        assert!(sj.check_granted(&j, &t2).is_some());
+        assert!(sj.check_granted(&j, &t1).is_none());
+        assert!(matches!(
+            sk.acquire(&k, &pol, &t2, LockMode::Ex, &ts),
+            Acquired::Wait
+        ));
+        // T1 unwinds: its queued request goes, then its lock on k.
+        assert_eq!(sj.cancel_wait(&t1, &pol), CancelOutcome::WasWaiting);
+        sk.release(&t1, &pol, false, None);
+        assert!(sk.check_granted(&k, &t2).is_some());
+        assert!(!t2.is_aborted());
+        sk.assert_invariants();
+        sj.assert_invariants();
+    }
+
+    #[test]
+    fn wait_die_request_dies_behind_an_older_waiter() {
+        let table = mk_table();
+        let tup = mk_tuple(&table, 1, 10);
+        let pol = LockPolicy::wait_die();
+        let ts = ts_src();
+        let mut st = LockState::default();
+        let young_owner = txn(1, 30);
+        let old = txn(2, 10);
+        let mid = txn(3, 20);
+        grant(&mut st, &tup, &pol, &young_owner, LockMode::Ex, &ts);
+        assert!(matches!(
+            st.acquire(&tup, &pol, &old, LockMode::Ex, &ts),
+            Acquired::Wait
+        ));
+        // `mid` is older than the owner but younger than the queued `old`.
+        assert!(matches!(
+            st.acquire(&tup, &pol, &mid, LockMode::Ex, &ts),
+            Acquired::Die(AbortReason::WaitDie)
+        ));
+        assert!(!old.is_aborted());
+        st.assert_invariants();
+    }
+
     #[test]
     fn no_wait_any_conflict_dies() {
         let table = mk_table();
@@ -1204,6 +1300,43 @@ mod tests {
         assert!(a.ts() < b.ts(), "list entries assigned before requester");
         st1.assert_invariants();
         st2.assert_invariants();
+    }
+
+    /// Optimization 4 hands out timestamps on conflict, on any tuple.
+    /// Readers placed here without one are ordered by id, and `r` is
+    /// assigned its timestamp elsewhere before `e`, placed ahead of it. A
+    /// writer `w` younger than `r` must still retire behind it: ahead of
+    /// it, `r` would wait at commit for `w`, while `w` waits for the lock
+    /// `r` holds on another tuple, until the lock-wait ceiling ends the
+    /// cycle.
+    #[test]
+    fn a_late_timestamp_does_not_put_an_older_reader_behind_a_younger_writer() {
+        let table = mk_table();
+        let a = mk_tuple(&table, 1, 10);
+        let b = mk_tuple(&table, 2, 20);
+        let pol = LockPolicy::bamboo();
+        let ts = ts_src();
+        let (mut sa, mut sb) = (LockState::default(), LockState::default());
+        let [x, e, r, w] = [1, 2, 3, 4].map(|id| txn(id, crate::ts::UNASSIGNED));
+        for t in [&x, &e, &r] {
+            grant(&mut sa, &a, &pol, t, LockMode::Sh, &ts);
+        }
+        // Conflicts elsewhere assign `x`, `r` and `w`; `e` has none yet.
+        for t in [&x, &r, &w] {
+            t.assign_ts_if_unassigned(&ts);
+        }
+        grant(&mut sb, &b, &pol, &r, LockMode::Ex, &ts);
+        let mut row = grant(&mut sa, &a, &pol, &w, LockMode::Ex, &ts);
+        assert!(e.is_aborted(), "e got the youngest timestamp: wounded");
+        row.set(1, Value::I64(11));
+        sa.retire(&w, row, &pol);
+        assert_eq!(r.semaphore(), 0, "r waits for no younger writer");
+        assert!(matches!(
+            sb.acquire(&b, &pol, &w, LockMode::Ex, &ts),
+            Acquired::Wait
+        ));
+        sa.assert_invariants();
+        sb.assert_invariants();
     }
 
     #[test]

@@ -56,18 +56,17 @@ mod tests {
 
     /// Every tuple is one `Arc` allocation: a 16-byte refcount header plus
     /// the `Tuple`. glibc's malloc serves a request from a chunk of
-    /// `request + 8` bytes rounded up to 16, so 16 + 144 = 160 B takes a
-    /// 176-byte chunk, where 16 + 216 = 232 B (IC3's state inline and the
-    /// waiters in a second vector) took 240 — one cache line less per
-    /// tuple, and less for `Table::prefetch` to fetch. The tuple's lines
+    /// `request + 8` bytes rounded up to 16, so 16 + 136 = 152 B takes a
+    /// 160-byte chunk, and 8 bytes more would take a 176-byte one: one
+    /// more line for `Table::prefetch` to fetch. The tuple's lines
     /// are only the first level `Txn::prefetch` loads: the lock list's
     /// buffer and the newest row image are allocations of their own,
     /// which its second pass loads, so neither needs to move inline to
     /// avoid a miss.
     #[test]
-    fn a_tuple_fits_a_176_byte_malloc_chunk() {
+    fn a_tuple_fits_a_160_byte_malloc_chunk() {
         let size = std::mem::size_of::<Tuple<TupleCc>>();
-        assert!(size <= 144, "Tuple<TupleCc> is {size} B");
+        assert!(size <= 136, "Tuple<TupleCc> is {size} B");
     }
 
     #[test]

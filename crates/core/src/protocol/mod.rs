@@ -262,9 +262,9 @@ pub(crate) fn commit_tail(
 fn apply_inserts(db: &Database, ctx: &mut TxnCtx) {
     for ins in ctx.inserts.drain(..) {
         let table = db.table_for(ins.table, ins.key);
-        let tuple = table.insert_at(ins.key, ins.row, ctx.commit_ts);
+        table.insert_at(ins.key, ins.row, ctx.commit_ts);
         if let Some((slot, skey)) = ins.secondary {
-            table.secondary_index(slot).insert(skey, tuple.row_id);
+            table.secondary_index(slot).insert(skey, ins.key);
         }
     }
 }
@@ -327,12 +327,10 @@ fn log_commit(
     let topo = db.topology();
     let dirty = || ctx.accesses.iter().filter(|a| a.dirty);
     if topo.wals.is_empty() {
-        // Updates carry the row id, inserts the key: the ring's
-        // historical record.
         ring.lock().append_commit(
             ctx.shared.id,
             dirty()
-                .map(|a| (a.table, a.tuple.row_id, &a.local))
+                .map(|a| (a.table, a.tuple.key, &a.local))
                 .chain(ctx.inserts.iter().map(|i| (i.table, i.key, &i.row))),
         );
         return Ok(None);

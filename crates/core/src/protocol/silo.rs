@@ -46,10 +46,9 @@ const READ_SPIN: usize = 64;
 const LOCK_SPIN: usize = 4096;
 
 /// The indices of the write set in the global order Silo locks it in:
-/// `(table, primary key)`. Not the row id: row ids are per-partition slab
-/// positions (see [`TxnCtx::find_access`]), so two tuples of one table on
-/// different partitions can tie on it, and two committers that take such a
-/// pair in opposite orders each spin out `LOCK_SPIN` and abort.
+/// `(table, primary key)`, unique across partitions, so two committers
+/// never take one pair of tuples in opposite orders (each would spin out
+/// `LOCK_SPIN` and abort).
 fn write_set_in_lock_order(accesses: &[Access]) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..accesses.len()).filter(|&i| accesses[i].dirty).collect();
     idx.sort_by_key(|&i| (accesses[i].table.0, accesses[i].tuple.key));
@@ -408,9 +407,9 @@ mod tests {
         );
     }
 
-    /// On a 2-partition table the tuples of keys 1 and 150 both have row
-    /// id 0; write sets holding them in either order lock them in one
-    /// order.
+    /// On a 2-partition table the tuples of keys 1 and 150 sit on
+    /// different partitions; write sets holding them in either order lock
+    /// them in one order.
     #[test]
     fn write_sets_lock_in_primary_key_order_across_partitions() {
         use crate::partition::PartitionedDb;
@@ -428,7 +427,6 @@ mod tests {
             pdb.insert(t, k, Row::from(vec![Value::U64(k), Value::I64(0)]));
         }
         let tuple = |k: u64| pdb.db(PartitionId(0)).table_for(t, k).get(k).unwrap();
-        assert_eq!((tuple(1).row_id, tuple(150).row_id), (0, 0));
         let locked_keys = |keys: [u64; 2]| -> Vec<u64> {
             let set = keys.map(|k| {
                 let mut a = Access::new(

@@ -721,13 +721,10 @@ impl TxnCtx {
         }
     }
 
-    /// Finds an existing access of `(table, key)`. Keyed by *primary key*,
-    /// not row id: row ids are per-shard slab positions, so on a
-    /// partitioned database two tuples of one table on different
-    /// partitions can share a row id — the primary key is unique across
-    /// the whole logical keyspace (replicated tables always resolve to
-    /// the local replica, so one key still means one tuple per
-    /// transaction).
+    /// Finds an existing access of `(table, key)`. The primary key is
+    /// unique across the whole logical keyspace of a partitioned database
+    /// (replicated tables always resolve to the local replica, so one key
+    /// still means one tuple per transaction).
     #[inline]
     pub fn find_access(&self, table: TableId, key: u64) -> Option<usize> {
         self.index.get(&(table.0, key)).copied()

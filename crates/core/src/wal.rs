@@ -68,7 +68,7 @@ use bamboo_storage::log::{
     encode_row, frame_insert, frame_record, frame_update, IoClass, IoFailure, Lsn, SegmentWriter,
     WalRecord,
 };
-use bamboo_storage::{FsyncPolicy, Row, RowId, TableId};
+use bamboo_storage::{FsyncPolicy, Row, TableId};
 use parking_lot::{Condvar, Mutex};
 
 /// Default per-worker ring capacity (16 MiB, comfortably larger than any
@@ -140,22 +140,22 @@ impl WalBuffer {
     }
 
     /// Appends one commit record: txn id plus the after-image of every
-    /// write `(table, row, image)`. Encoded into the reusable scratch
+    /// write `(table, primary key, image)`. Encoded into the reusable scratch
     /// buffer, then copied into the ring in one `put` — no per-record
     /// allocation.
     pub fn append_commit<'a>(
         &mut self,
         txn_id: u64,
-        writes: impl Iterator<Item = (TableId, RowId, &'a Row)>,
+        writes: impl Iterator<Item = (TableId, u64, &'a Row)>,
     ) {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
         scratch.extend_from_slice(b"CMT!");
         scratch.extend_from_slice(&txn_id.to_le_bytes());
         let mut n = 0u64;
-        for (table, row_id, row) in writes {
+        for (table, key, row) in writes {
             scratch.extend_from_slice(&(table.0 as u64).to_le_bytes());
-            scratch.extend_from_slice(&row_id.to_le_bytes());
+            scratch.extend_from_slice(&key.to_le_bytes());
             // The durable log's row codec: one spelling of a tagged value.
             encode_row(&mut scratch, row);
             n += 1;
@@ -191,8 +191,7 @@ pub enum WalWrite<'a> {
     Update {
         /// Owning table.
         table: TableId,
-        /// Primary key (keys are stable across recoveries by construction,
-        /// row ids only per shard).
+        /// Primary key.
         key: u64,
         /// The full after-image.
         after: &'a Row,
@@ -1016,7 +1015,7 @@ mod tests {
     #[test]
     fn scratch_encoding_preserves_record_format() {
         // Byte-exact format lock for the scratch-encoded record: magic +
-        // txn id + per-write (table + row id + len + tagged values) +
+        // txn id + per-write (table + key + len + tagged values) +
         // write count. Guards the single-put rewrite of the append path.
         let mut w = WalBuffer::for_tests();
         let r = row(); // [U64, I64, Str("hi")]
@@ -1045,7 +1044,7 @@ mod tests {
             b'C', b'M', b'T', b'!',
             1, 0, 0, 0, 0, 0, 0, 0, // txn id
             0, 0, 0, 0, 0, 0, 0, 0, // table
-            5, 0, 0, 0, 0, 0, 0, 0, // row id
+            5, 0, 0, 0, 0, 0, 0, 0, // primary key
             3, 0, 0, 0, 0, 0, 0, 0, // value count
             0, 7, 0, 0, 0, 0, 0, 0, 0, // U64(7)
             1, 0xFD, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, // I64(-3)

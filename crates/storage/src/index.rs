@@ -333,15 +333,16 @@ pub fn hash_key<K: Hash>(key: &K) -> u64 {
     h.finish()
 }
 
-/// A non-unique secondary index: one key maps to a set of row ids, kept in
-/// insertion order (TPC-C's by-last-name lookup then picks the midpoint of
-/// the matching customers ordered by first name — the loader inserts in
-/// first-name order so positional midpoint matches the spec).
+/// A non-unique secondary index: one key maps to the primary keys of its
+/// tuples, kept in insertion order (TPC-C's by-last-name lookup then picks
+/// the midpoint of the matching customers ordered by first name — the
+/// loader inserts in first-name order so positional midpoint matches the
+/// spec). A posting resolves through [`crate::Table::get`].
 pub struct SecondaryIndex {
     shards: Box<[PostingShard]>,
 }
 
-/// One shard of a secondary index: key → posting list of row ids.
+/// One shard of a secondary index: key → posting list of primary keys.
 type PostingShard = RwLock<HashMap<u64, Vec<u64>, BuildKeyHasher>>;
 
 impl SecondaryIndex {
@@ -354,13 +355,13 @@ impl SecondaryIndex {
         SecondaryIndex { shards }
     }
 
-    /// Appends `row` to the posting list of `key`.
-    pub fn insert(&self, key: u64, row: u64) {
+    /// Appends `primary` to the posting list of `key`.
+    pub fn insert(&self, key: u64, primary: u64) {
         self.shards[shard_of(key)]
             .write()
             .entry(key)
             .or_default()
-            .push(row);
+            .push(primary);
     }
 
     /// Returns a copy of the posting list for `key` (empty when absent).
@@ -372,28 +373,17 @@ impl SecondaryIndex {
             .unwrap_or_default()
     }
 
-    /// Every `(key, row id)` posting in the index, in unspecified key order
-    /// but insertion order within one key (the checkpoint dump path; the
-    /// per-key order is what the TPC-C midpoint lookup depends on).
+    /// Every `(key, primary key)` posting in the index, in unspecified key
+    /// order but insertion order within one key (the checkpoint dump path;
+    /// the per-key order is what the TPC-C midpoint lookup depends on).
     pub fn entries(&self) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         for shard in self.shards.iter() {
-            for (key, rows) in shard.read().iter() {
-                out.extend(rows.iter().map(|&r| (*key, r)));
+            for (key, primaries) in shard.read().iter() {
+                out.extend(primaries.iter().map(|&p| (*key, p)));
             }
         }
         out
-    }
-
-    /// Removes one row id from the posting list of `key`.
-    pub fn remove(&self, key: u64, row: u64) {
-        let mut shard = self.shards[shard_of(key)].write();
-        if let Some(list) = shard.get_mut(&key) {
-            list.retain(|&r| r != row);
-            if list.is_empty() {
-                shard.remove(&key);
-            }
-        }
     }
 }
 
@@ -569,10 +559,9 @@ mod tests {
         assert_eq!(idx.get(7), vec![100, 101]);
         assert_eq!(idx.get(8), vec![200]);
         assert_eq!(idx.get(9), Vec::<u64>::new());
-        idx.remove(7, 100);
-        assert_eq!(idx.get(7), vec![101]);
-        idx.remove(7, 101);
-        assert_eq!(idx.get(7), Vec::<u64>::new());
+        let mut entries = idx.entries();
+        entries.sort_unstable();
+        assert_eq!(entries, vec![(7, 100), (7, 101), (8, 200)]);
     }
 
     /// Distinct values the `field` of `hashes` takes, as a share of what a

@@ -78,6 +78,6 @@ pub use ordered::OrderedIndex;
 pub use partition::{PartitionId, RouteStrategy, Router};
 pub use row::Row;
 pub use schema::{ColumnDef, DataType, Schema};
-pub use table::{RowId, Table, Tuple};
+pub use table::{Table, Tuple};
 pub use value::Value;
 pub use version::{VersionChain, DEFAULT_TRIM_THRESHOLD, TS_LOADER};

@@ -1822,13 +1822,10 @@ pub struct CheckpointMeta {
 /// One table's dumped tuples and index entries within one partition shard.
 #[derive(Clone, Debug, Default)]
 pub struct TableDump {
-    /// `(key, version_ts, row)` in row-id order.
+    /// `(key, version_ts, row)` in the shard's insertion order.
     pub tuples: Vec<(u64, u64, Row)>,
-    /// Per secondary-index slot: `(secondary key, primary key)` postings.
-    /// Postings are keyed by primary key, not row id: tuples inserted
-    /// after the checkpoint's stable bound occupy row-id slots that
-    /// recovery reassigns in a different order, so row ids do not survive
-    /// a restore — primary keys do.
+    /// Per secondary-index slot: `(secondary key, primary key)` postings,
+    /// in the index's per-key insertion order.
     pub secondary: Vec<Vec<(u64, u64)>>,
 }
 
@@ -2061,9 +2058,9 @@ impl LogDir {
             enc_u32(&mut buf, t.secondary.len() as u32);
             for entries in &t.secondary {
                 enc_u64(&mut buf, entries.len() as u64);
-                for (skey, row_id) in entries {
+                for (skey, primary) in entries {
                     enc_u64(&mut buf, *skey);
-                    enc_u64(&mut buf, *row_id);
+                    enc_u64(&mut buf, *primary);
                 }
             }
         }

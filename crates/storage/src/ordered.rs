@@ -8,59 +8,50 @@
 //! key past the range end*, and inserts lock their successor — blocking
 //! phantoms exactly like ARIES/KVL.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 use std::ops::RangeInclusive;
 
 use parking_lot::RwLock;
 
-/// An ordered unique index from `u64` keys to row ids.
+/// An ordered set of a table's primary keys. A key resolves to its tuple
+/// through the table's primary-key index, like any other posting.
 pub struct OrderedIndex {
-    map: RwLock<BTreeMap<u64, u64>>,
+    keys: RwLock<BTreeSet<u64>>,
 }
 
 impl OrderedIndex {
     /// Creates an empty index.
     pub fn new() -> Self {
         OrderedIndex {
-            map: RwLock::new(BTreeMap::new()),
+            keys: RwLock::new(BTreeSet::new()),
         }
     }
 
-    /// Inserts `key -> row`; returns the previous row id if present.
-    pub fn insert(&self, key: u64, row: u64) -> Option<u64> {
-        self.map.write().insert(key, row)
+    /// Adds `key`; returns false when it was already present.
+    pub fn insert(&self, key: u64) -> bool {
+        self.keys.write().insert(key)
     }
 
-    /// Removes a key.
-    pub fn remove(&self, key: u64) -> Option<u64> {
-        self.map.write().remove(&key)
-    }
-
-    /// Point lookup.
-    pub fn get(&self, key: u64) -> Option<u64> {
-        self.map.read().get(&key).copied()
-    }
-
-    /// All `(key, row)` pairs within the inclusive range, in key order.
-    pub fn range(&self, r: RangeInclusive<u64>) -> Vec<(u64, u64)> {
-        self.map.read().range(r).map(|(k, v)| (*k, *v)).collect()
+    /// Every key within the inclusive range, in key order.
+    pub fn range(&self, r: RangeInclusive<u64>) -> Vec<u64> {
+        self.keys.read().range(r).copied().collect()
     }
 
     /// The smallest existing key strictly greater than `key` (the
-    /// *next key* of next-key locking), with its row id.
-    pub fn next_key_after(&self, key: u64) -> Option<(u64, u64)> {
+    /// *next key* of next-key locking).
+    pub fn next_key_after(&self, key: u64) -> Option<u64> {
         let next = key.checked_add(1)?;
-        self.map.read().range(next..).next().map(|(k, v)| (*k, *v))
+        self.keys.read().range(next..).next().copied()
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.map.read().len()
+        self.keys.read().len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.map.read().is_empty()
+        self.keys.read().is_empty()
     }
 }
 
@@ -77,7 +68,7 @@ mod tests {
     fn idx() -> OrderedIndex {
         let i = OrderedIndex::new();
         for k in [10u64, 20, 30, 40] {
-            i.insert(k, k * 100);
+            i.insert(k);
         }
         i
     }
@@ -85,33 +76,33 @@ mod tests {
     #[test]
     fn range_scan_in_key_order() {
         let i = idx();
-        assert_eq!(i.range(15..=35), vec![(20, 2000), (30, 3000)]);
-        assert_eq!(i.range(10..=10), vec![(10, 1000)]);
-        assert_eq!(i.range(41..=99), vec![]);
+        assert_eq!(i.range(15..=35), vec![20, 30]);
+        assert_eq!(i.range(10..=10), vec![10]);
+        assert_eq!(i.range(41..=99), Vec::<u64>::new());
     }
 
     #[test]
     fn next_key_after_finds_successor() {
         let i = idx();
-        assert_eq!(i.next_key_after(15), Some((20, 2000)));
-        assert_eq!(i.next_key_after(20), Some((30, 3000)));
+        assert_eq!(i.next_key_after(15), Some(20));
+        assert_eq!(i.next_key_after(20), Some(30));
         assert_eq!(i.next_key_after(40), None);
-        assert_eq!(i.next_key_after(0), Some((10, 1000)));
+        assert_eq!(i.next_key_after(0), Some(10));
     }
 
     #[test]
-    fn insert_remove_roundtrip() {
+    fn insert_reports_duplicates() {
         let i = idx();
-        assert_eq!(i.insert(25, 2500), None);
-        assert_eq!(i.range(20..=30), vec![(20, 2000), (25, 2500), (30, 3000)]);
-        assert_eq!(i.remove(25), Some(2500));
-        assert_eq!(i.len(), 4);
+        assert!(i.insert(25));
+        assert!(!i.insert(25));
+        assert_eq!(i.range(20..=30), vec![20, 25, 30]);
+        assert_eq!(i.len(), 5);
     }
 
     #[test]
     fn next_key_after_max_is_none() {
         let i = OrderedIndex::new();
-        i.insert(u64::MAX, 1);
+        i.insert(u64::MAX);
         assert_eq!(i.next_key_after(u64::MAX), None);
     }
 
@@ -130,7 +121,7 @@ mod tests {
                 let i = Arc::clone(&i);
                 std::thread::spawn(move || {
                     for k in (parity..2000).step_by(2) {
-                        i.insert(k, k * 10);
+                        i.insert(k);
                     }
                 })
             })
@@ -142,18 +133,12 @@ mod tests {
                     for _ in 0..200 {
                         let v = i.range(0..=1999);
                         assert!(
-                            v.windows(2).all(|w| w[0].0 < w[1].0),
+                            v.windows(2).all(|w| w[0] < w[1]),
                             "scan must be sorted and duplicate-free"
                         );
-                        for (k, row) in &v {
-                            assert_eq!(*row, k * 10, "value must match its key");
-                        }
                         for parity in [0u64, 1] {
-                            let class: Vec<u64> = v
-                                .iter()
-                                .map(|(k, _)| *k)
-                                .filter(|k| k % 2 == parity)
-                                .collect();
+                            let class: Vec<u64> =
+                                v.iter().copied().filter(|k| k % 2 == parity).collect();
                             assert!(
                                 class.windows(2).all(|w| w[1] == w[0] + 2),
                                 "per-writer inserts must appear as a contiguous prefix"
@@ -171,34 +156,35 @@ mod tests {
     }
 
     #[test]
-    fn next_key_after_races_insert_and_remove() {
-        // A mutator inserts and removes a gap key while readers probe
-        // next_key_after around it: the answer must always be one of the
-        // two legal successors, never a torn state.
+    fn next_key_after_races_inserts() {
+        // A writer fills the gap between 10 and 1000 from the top down
+        // while readers probe next_key_after(10): every answer must be the
+        // lowest key inserted so far, so it never rises and never leaves
+        // the gap's legal successors.
         use std::sync::Arc;
         let i = Arc::new(OrderedIndex::new());
-        i.insert(10, 100);
-        i.insert(30, 300);
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let mutator = {
+        i.insert(10);
+        i.insert(1000);
+        let writer = {
             let i = Arc::clone(&i);
-            let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    i.insert(20, 200);
-                    i.remove(20);
+                for k in (11..1000).rev() {
+                    i.insert(k);
                 }
             })
         };
+        let mut last = 1000;
         for _ in 0..20_000 {
-            match i.next_key_after(10) {
-                Some((20, 200)) | Some((30, 300)) => {}
-                other => panic!("next_key_after saw inconsistent successor {other:?}"),
-            }
-            assert_eq!(i.next_key_after(30), None);
+            let next = i.next_key_after(10).expect("1000 is always a successor");
+            assert!(
+                (11..=last).contains(&next),
+                "next_key_after saw {next} after {last}"
+            );
+            last = next;
+            assert_eq!(i.next_key_after(1000), None);
         }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        mutator.join().unwrap();
+        writer.join().unwrap();
+        assert_eq!(i.next_key_after(10), Some(11));
     }
 
     #[test]
@@ -209,7 +195,7 @@ mod tests {
             let i = Arc::clone(&i);
             std::thread::spawn(move || {
                 for k in 0..1000u64 {
-                    i.insert(k, k);
+                    i.insert(k);
                 }
             })
         };
@@ -219,7 +205,7 @@ mod tests {
                 for _ in 0..100 {
                     let v = i.range(0..=999);
                     // Sorted at every instant.
-                    assert!(v.windows(2).all(|w| w[0].0 < w[1].0));
+                    assert!(v.windows(2).all(|w| w[0] < w[1]));
                 }
             })
         };

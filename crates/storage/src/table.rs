@@ -7,12 +7,14 @@
 //! entry with `owners`/`waiters`/`retired` lists for the 2PL family, TID
 //! word for Silo, accessor lists for IC3 — see `bamboo-core`).
 //!
-//! Tuple storage is an append-only slab: row ids are stable indexes. The
-//! primary-key index maps a key straight to its tuple's `Arc` (the same one
-//! the slab holds), so a point lookup is one latch-free shard probe (see
-//! [`crate::index`]) and never touches the table-wide slab latch; the slab
-//! serves row-id lookups, `len` and dense iteration (checkpoint dumps,
-//! secondary postings).
+//! A tuple has one name, its primary key: the primary-key index maps a key
+//! straight to its tuple's `Arc`, so a point lookup is one latch-free shard
+//! probe (see [`crate::index`]), and the secondary and ordered indexes hold
+//! primary keys too. Beside the index, every tuple also sits in an
+//! append-only slab in insertion order. The slab names nothing: it serves
+//! `len`, dense walks (checkpoint dumps, [`Table::get_by_row_id`]) and the
+//! ordered index's backfill, none of which the index can answer without a
+//! walk over its shards.
 //!
 //! [`Table::prefetch`] is a cache hint with no semantic effect: it asks the
 //! CPU to start loading a tuple's cache lines, so a caller that knows its
@@ -36,13 +38,8 @@ use crate::row::Row;
 use crate::schema::Schema;
 use crate::version::VersionChain;
 
-/// Stable identifier of a tuple within its table (slab position).
-pub type RowId = u64;
-
 /// A physical tuple: committed version chain + protocol metadata.
 pub struct Tuple<M> {
-    /// Stable id of this tuple within its table.
-    pub row_id: RowId,
     /// Primary key the tuple was inserted under.
     pub key: u64,
     /// Committed images: the current row plus older versions retained for
@@ -202,16 +199,12 @@ impl<M: Default> Table<M> {
     /// [`Table::insert`].
     pub fn insert_at(&self, key: u64, row: Row, commit_ts: u64) -> Arc<Tuple<M>> {
         debug_assert!(self.schema.validate(row.values()).is_ok());
-        let mut slab = self.slab.write();
-        let row_id = slab.len() as RowId;
         let tuple = Arc::new(Tuple {
-            row_id,
             key,
             data: RwLock::new(VersionChain::new_at(row, commit_ts)),
             meta: M::default(),
         });
-        slab.push(Arc::clone(&tuple));
-        drop(slab);
+        self.slab.write().push(Arc::clone(&tuple));
         let prev = self.pk_index.insert(key, Arc::clone(&tuple));
         assert!(
             prev.is_none(),
@@ -219,7 +212,7 @@ impl<M: Default> Table<M> {
             self.name
         );
         if let Some(idx) = self.ordered.read().as_ref() {
-            idx.insert(key, row_id);
+            idx.insert(key);
         }
         tuple
     }
@@ -257,10 +250,13 @@ impl<M> Table<M> {
         }
     }
 
-    /// Lookup by stable row id.
+    /// The `n`-th tuple inserted into this table object (0-based), for a
+    /// dense walk over `0..len()`. Positions are not stable across
+    /// recovery: a restored table is rebuilt in checkpoint-dump order. To
+    /// name a tuple, use its primary key.
     #[inline]
-    pub fn get_by_row_id(&self, row_id: RowId) -> Option<Arc<Tuple<M>>> {
-        self.slab.read().get(row_id as usize).cloned()
+    pub fn get_by_row_id(&self, n: u64) -> Option<Arc<Tuple<M>>> {
+        self.slab.read().get(n as usize).cloned()
     }
 
     /// Number of tuples.
@@ -301,7 +297,7 @@ impl<M> Table<M> {
         }
         let idx = Arc::new(OrderedIndex::new());
         for t in self.slab.read().iter() {
-            idx.insert(t.key, t.row_id);
+            idx.insert(t.key);
         }
         *guard = Some(Arc::clone(&idx));
         idx
@@ -383,11 +379,11 @@ mod tests {
         assert!(t.get(30).is_none());
     }
 
-    /// The index and the slab hold the same tuple: `get(k)` and
-    /// `get_by_row_id` of its row id return one `Arc`.
-    fn resolves_to_slab(t: &Table<()>, k: u64) -> bool {
+    /// The index and the slab hold the same tuple: `get(k)` and the slab's
+    /// `n`-th tuple are one `Arc`.
+    fn resolves_to_slab(t: &Table<()>, k: u64, n: u64) -> bool {
         let tup = t.get(k).expect("key present");
-        t.get_by_row_id(tup.row_id)
+        t.get_by_row_id(n)
             .is_some_and(|slot| Arc::ptr_eq(&tup, &slot))
     }
 
@@ -398,19 +394,19 @@ mod tests {
             t.insert(k * 7, row(k * 7, 0));
         }
         for k in 0..100 {
-            assert!(resolves_to_slab(&t, k * 7), "key {}", k * 7);
+            assert!(resolves_to_slab(&t, k * 7, k), "key {}", k * 7);
         }
     }
 
     #[test]
-    fn row_ids_are_stable_and_dense() {
+    fn slab_positions_are_dense_in_insertion_order() {
         let t = table();
         for k in 0..100 {
-            let tup = t.insert(k, row(k, k as i64));
-            assert_eq!(tup.row_id, k);
+            let tup = t.insert(k * 3, row(k * 3, k as i64));
+            assert!(Arc::ptr_eq(&tup, &t.get_by_row_id(k).unwrap()));
         }
         for k in 0..100 {
-            assert_eq!(t.get_by_row_id(k).unwrap().key, k);
+            assert_eq!(t.get_by_row_id(k).unwrap().key, k * 3);
         }
         assert!(t.get_by_row_id(100).is_none());
     }
@@ -497,9 +493,9 @@ mod tests {
     fn secondary_index_registration() {
         let t = table();
         let idx = t.add_secondary_index();
-        let tup = t.insert(1, row(1, 0));
-        idx.insert(42, tup.row_id);
-        assert_eq!(t.secondary_index(0).get(42), vec![tup.row_id]);
+        t.insert(1, row(1, 0));
+        idx.insert(42, 1);
+        assert_eq!(t.secondary_index(0).get(42), vec![1]);
     }
 
     #[test]
@@ -522,7 +518,7 @@ mod tests {
                 for i in 0..10_000u64 {
                     let k = i % 1000;
                     if t.get(k).is_some() {
-                        assert!(resolves_to_slab(&t, k), "key {k}");
+                        assert!(resolves_to_slab(&t, k, k), "key {k}");
                     }
                 }
             })
@@ -531,7 +527,7 @@ mod tests {
         reader.join().unwrap();
         assert_eq!(t.len(), 1000);
         for k in 0..1000 {
-            assert!(resolves_to_slab(&t, k), "key {k}");
+            assert!(resolves_to_slab(&t, k, k), "key {k}");
         }
     }
 }

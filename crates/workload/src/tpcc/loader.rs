@@ -295,12 +295,12 @@ pub fn load_partitioned(
             for c in 0..cpd {
                 let name_num = customer_name_num(c, &mut rng);
                 let key = cust_key(w, d, c, cpd);
-                let tuple = pdb.insert(
+                pdb.insert(
                     tables.customer,
                     key,
                     customer_row(key, c, name_num, &mut rng),
                 );
-                lastname[shard].insert(lastname_index_key(w, d, name_num), tuple.row_id);
+                lastname[shard].insert(lastname_index_key(w, d, name_num), key);
             }
         }
     }
@@ -356,9 +356,9 @@ mod tests {
         let cfg = tiny();
         let (db, t, idx) = load(&cfg);
         // Customer 5 of district (0,0) has name number 5 (< 1000 rule).
-        let rows = idx.get(lastname_index_key(0, 0, 5));
-        assert!(!rows.is_empty());
-        let tuple = db.table(t.customer).get_by_row_id(rows[0]).unwrap();
+        let keys = idx.get(lastname_index_key(0, 0, 5));
+        assert!(!keys.is_empty());
+        let tuple = db.table(t.customer).get(keys[0]).unwrap();
         assert_eq!(tuple.read_row().get_str(cust::C_LAST), last_name(5));
     }
 

@@ -257,8 +257,8 @@ impl TpccWorkload {
         let c_shard = self.shard(c_w);
         let c_key = if rng.gen::<f64>() < 0.6 {
             let name_num = nurand(rng, 255, 0, LAST_NAMES - 1);
-            let rows = self.lastname[c_shard].get(lastname_index_key(c_w, c_d, name_num));
-            if rows.is_empty() {
+            let keys = self.lastname[c_shard].get(lastname_index_key(c_w, c_d, name_num));
+            if keys.is_empty() {
                 cust_key(
                     c_w,
                     c_d,
@@ -269,12 +269,7 @@ impl TpccWorkload {
                 // Midpoint of the matching customers (spec: n/2 rounded up
                 // in first-name order; the loader inserts in first-name
                 // order).
-                let row_id = rows[rows.len() / 2];
-                self.dbs[c_shard]
-                    .table(self.tables.customer)
-                    .get_by_row_id(row_id)
-                    .expect("customer row")
-                    .key
+                keys[keys.len() / 2]
             }
         } else {
             cust_key(
@@ -545,12 +540,9 @@ mod tests {
             assert_eq!(pdb.table(PartitionId(p), t.item).len(), cfg.items as usize);
         }
         // Each partition's lastname index resolves only its own customers.
-        let rows = lastname[1].get(lastname_index_key(1, 0, 5));
-        assert!(!rows.is_empty());
-        let tuple = pdb
-            .table(PartitionId(1), t.customer)
-            .get_by_row_id(rows[0])
-            .unwrap();
+        let keys = lastname[1].get(lastname_index_key(1, 0, 5));
+        assert!(!keys.is_empty());
+        let tuple = pdb.table(PartitionId(1), t.customer).get(keys[0]).unwrap();
         assert_eq!(tuple.key, cust_key(1, 0, 5, cfg.customers_per_district));
     }
 

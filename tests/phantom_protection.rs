@@ -105,7 +105,11 @@ fn ordered_index_tracks_commit_time_inserts() {
         .unwrap();
     txn.commit().unwrap();
     let idx = db.table(t).ordered_index().unwrap();
-    assert!(idx.get(33).is_some(), "insert reached the ordered index");
+    assert_eq!(
+        idx.range(33..=33),
+        vec![33],
+        "insert reached the ordered index"
+    );
     let mut c2 = session.begin();
     let rows = c2.scan(t, 30..=35).unwrap();
     assert_eq!(rows.len(), 2); // 30 and 33

@@ -102,9 +102,10 @@ impl Visible {
 
 /// Drives one lock entry under `pol` through `ops`; after every step the
 /// structural invariants must hold and semaphores must stay non-negative;
-/// every granted image must be the one the visibility oracle names; after
-/// releasing everything the entry must be quiescent and all semaphores
-/// zero.
+/// every granted image must be the one the visibility oracle names; under
+/// Wait-Die no live waiter has an older, live, conflicting entry ahead of
+/// it (a granted one, or a waiter queued before it); after releasing
+/// everything the entry must be quiescent and all semaphores zero.
 fn drive_lock_entry(pol: &LockPolicy, ops: &[LockOp]) {
     // Writes retire only on the Wound-Wait variant (Bamboo is Wound-Wait
     // plus retiring, §3.2.2); Wait-Die and No-Wait never see a retired
@@ -251,6 +252,21 @@ fn drive_lock_entry(pol: &LockPolicy, ops: &[LockOp]) {
             "one version per retired writer"
         );
         drop(st);
+        if pol.variant == LockVariant::WaitDie {
+            let live =
+                |t: usize, states: &[Held]| states.contains(&held[t]) && !txns[t].is_aborted();
+            for w in (0..6).filter(|&w| live(w, &[Held::Waiting])) {
+                let ahead = (0..6).find(|&t| {
+                    live(t, &[Held::Waiting, Held::Owner, Held::Retired])
+                        && txns[t].prio() < txns[w].prio()
+                        && (ex_mode[t] || ex_mode[w])
+                });
+                prop_assert!(
+                    ahead.is_none(),
+                    "wait-die: txn {w} waits behind the older txn {ahead:?}"
+                );
+            }
+        }
         // Semaphores never go negative.
         for t in &txns {
             prop_assert!(t.semaphore() >= 0, "negative semaphore");
