@@ -6,14 +6,15 @@
 //!
 //! * **fsync sweep** — committed throughput and commit-latency
 //!   percentiles (p50/p99/p999) under the in-memory ring baseline and
-//!   each durable fsync policy (`never`, `every_commit`,
+//!   each durable fsync policy (`never`, and group commit with a batch of
+//!   one, `group_commit_1`, and with the bench's batching window,
 //!   `group_commit`). The spread is the headline: how
 //!   much of the commit path the durability horizon costs, from "buffered
 //!   appends only" to "every ack survives `kill -9`".
 //! * **group-commit bench** — the deferred-ack pipeline
 //!   ([`bamboo_core::session::Txn::commit_deferred`] +
 //!   [`bamboo_core::session::Session::ack_ticket`]) against the
-//!   synchronous `every_commit` baseline: locks release and versions
+//!   synchronous `group_commit_1` baseline: locks release and versions
 //!   install immediately, one leader fsync covers the whole staged
 //!   flight, acks ride the durability horizon. Written to a separate
 //!   `BENCH_group_commit.json` when `--group-out` is given.
@@ -54,10 +55,17 @@ const ACCOUNTS_PER_PART: u64 = 64;
 const PARTS: u32 = 2;
 const INITIAL: i64 = 1_000;
 
-/// Coordinator parameters used everywhere this bench runs `GroupCommit`.
+/// Coordinator parameters used everywhere this bench batches `GroupCommit`.
 const GROUP_POLICY: FsyncPolicy = FsyncPolicy::GroupCommit {
     max_batch: 64,
     max_wait_us: 100,
+};
+/// Group commit with a batch of one: one fsync per commit, before the
+/// synchronous `commit()` returns — the baseline the batching is measured
+/// against.
+const GROUP_COMMIT_1: FsyncPolicy = FsyncPolicy::GroupCommit {
+    max_batch: 1,
+    max_wait_us: 0,
 };
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -298,7 +306,7 @@ fn fsync_sweep(threads: usize, dur: Duration, repeat: usize) -> String {
     let policies: [(&str, Option<FsyncPolicy>); 4] = [
         ("ring", None),
         ("never", Some(FsyncPolicy::Never)),
-        ("every_commit", Some(FsyncPolicy::EveryCommit)),
+        ("group_commit_1", Some(GROUP_COMMIT_1)),
         ("group_commit", Some(GROUP_POLICY)),
     ];
     let mut out = Vec::new();
@@ -507,13 +515,13 @@ fn rotation_series(rotations: usize) -> String {
     )
 }
 
-/// The headline group-commit comparison: synchronous `every_commit` acks
+/// The headline group-commit comparison: synchronous `group_commit_1` acks
 /// vs the deferred-ack batch pipeline under [`GROUP_POLICY`]. Returns the
 /// full `BENCH_group_commit.json` document.
 fn group_commit_bench(threads: usize, dur: Duration, repeat: usize, batch: usize) -> String {
     let base = best_of(repeat, || {
         let dir = tmp_dir("gc-base");
-        let (pdb, t) = bank(Some((&dir, FsyncPolicy::EveryCommit)));
+        let (pdb, t) = bank(Some((&dir, GROUP_COMMIT_1)));
         let r = hammer(&pdb, t, threads, dur);
         drop(pdb);
         let _ = std::fs::remove_dir_all(&dir);
@@ -542,7 +550,7 @@ fn group_commit_bench(threads: usize, dur: Duration, repeat: usize, batch: usize
         0.0
     };
     eprintln!(
-        "group_commit  every_commit={:.0} txn/s  deferred={:.0} txn/s  speedup={speedup:.1}x  \
+        "group_commit  group_commit_1={:.0} txn/s  deferred={:.0} txn/s  speedup={speedup:.1}x  \
          leader_fsyncs={fsyncs} acks={acks} mean_batch={mean_batch:.1}  \
          timeout_wakeups: coverage={cover_wakeups} horizon={horizon_wakeups}",
         base.tput, group.tput
@@ -554,7 +562,7 @@ fn group_commit_bench(threads: usize, dur: Duration, repeat: usize, batch: usize
          \"note\": \"cross-partition bank transfers; baseline acks each commit's fsync \
          synchronously, group_commit stages batches via commit_deferred and acks on the \
          durability horizon\",\n  \
-         \"baseline_every_commit\": {{\"tput\": {:.0}, \"lat_us\": {}}},\n  \
+         \"baseline_group_commit_1\": {{\"tput\": {:.0}, \"lat_us\": {}}},\n  \
          \"group_commit\": {{\"tput\": {:.0}, \"lat_us\": {}, \"leader_fsyncs\": {fsyncs}, \
          \"acks\": {acks}, \"mean_batch\": {mean_batch:.1}, \
          \"coverage_timeout_wakeups\": {cover_wakeups}, \

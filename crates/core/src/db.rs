@@ -1084,9 +1084,13 @@ mod tests {
         assert_eq!(opts.fsync_policy, FsyncPolicy::Never);
         assert_eq!(opts.segment_bytes, DEFAULT_SEGMENT_BYTES);
         // The builders set each knob independently.
+        let group = FsyncPolicy::GroupCommit {
+            max_batch: 1,
+            max_wait_us: 0,
+        };
         let opts = DbOptions::new()
             .with_wal_dir("/tmp/bamboo-wal")
-            .with_fsync_policy(FsyncPolicy::EveryCommit)
+            .with_fsync_policy(group)
             .with_segment_bytes(1 << 16);
         assert_eq!(
             opts.wal_dir.as_deref(),
@@ -1096,13 +1100,13 @@ mod tests {
             opts.log_dir().expect("wal dir set").path(),
             std::path::Path::new("/tmp/bamboo-wal")
         );
-        assert_eq!(opts.fsync_policy, FsyncPolicy::EveryCommit);
+        assert_eq!(opts.fsync_policy, group);
         assert_eq!(opts.segment_bytes, 1 << 16);
         // A database built without a wal dir ignores the other knobs (in
         // particular its options survive round-tripping through build).
         let mut b = Database::builder();
-        b.with_options(DbOptions::new().with_fsync_policy(FsyncPolicy::EveryCommit));
-        assert_eq!(b.build().options().fsync_policy, FsyncPolicy::EveryCommit);
+        b.with_options(DbOptions::new().with_fsync_policy(group));
+        assert_eq!(b.build().options().fsync_policy, group);
     }
 
     #[test]

@@ -23,44 +23,39 @@
 //!   pass: the commit pipeline logs **after** the commit-point CAS, so
 //!   uncommitted work never reaches a segment.
 //!
-//! # Replayability and the fsync policy
+//! # Replayability: one rule
 //!
 //! Within one partition the log is written by a single appender under the
 //! WAL lock, so whatever survives a crash is a byte-prefix of what was
 //! written, and a transaction's record group (`Begin … Commit`) is never
 //! interleaved with another group or split by a checkpoint cut. Across
 //! partitions, a transaction is replayable iff its group is complete on
-//! *every* partition in its mask:
+//! *every* partition in its mask.
 //!
-//! * Under [`bamboo_storage::FsyncPolicy::EveryCommit`] an incomplete transaction was
-//!   never acknowledged **and never installed** (installs happen after all
-//!   appends), so no later transaction can depend on it — incomplete
-//!   groups are dropped individually and every fsync-acknowledged commit
-//!   survives.
-//! * Under [`bamboo_storage::FsyncPolicy::Never`] a suffix of any
-//!   partition's log may vanish,
-//!   so recovery applies a **horizon cut**: every transaction with a
-//!   commit timestamp at or above the oldest incomplete transaction's is
-//!   discarded. Dependency closure holds because a reader's group always
-//!   sits above its writer's group on the shared partition's log — if the
-//!   reader survived the prefix, so did the writer (or the writer is
-//!   incomplete elsewhere and the horizon removes both).
-//! * [`bamboo_storage::FsyncPolicy::GroupCommit`] also takes the horizon
-//!   branch even though its acknowledgments are durable: it installs
-//!   *before* the batch fsync (early lock release), so a dependent that is
-//!   durable on its own partitions can outlive a writer that never became
-//!   durable elsewhere — only the horizon cut removes both. Every
-//!   acknowledged commit still survives, because the acknowledgment waited
-//!   for the global durability horizon: when `T` was acked, every commit
-//!   with a timestamp at or below `T`'s was already durable on all its
-//!   partitions, so the oldest incomplete transaction (and hence the cut)
-//!   sits strictly above `T`. See `DURABILITY.md` "Group commit".
+//! Recovery keeps a timestamp-prefix of the commit order: the **horizon
+//! cut** discards every transaction with a commit timestamp at or above
+//! the oldest incomplete transaction's. Dependency closure holds because a
+//! reader's group always sits above its writer's group on the shared
+//! partition's log — if the reader survived the prefix, so did the writer
+//! (or the writer is incomplete elsewhere and the horizon removes both).
+//! Early lock release makes the cut necessary: a commit installs before
+//! the fsync that makes it durable, so a dependent that is durable on its
+//! own partitions can outlive a writer that never became durable
+//! elsewhere.
 //!
-//! Which rule applies is read from the **log**, not from the recovering
-//! caller's [`DbOptions`]: every segment header records the policy its
-//! writer ran under, and recovery drops individually only when every
-//! scanned segment says `EveryCommit`. (The caller's `fsync_policy` only
-//! configures the writers the recovered database opens.)
+//! The cut never discards an acknowledged commit, because every
+//! acknowledgment waits for the horizon. Under
+//! [`bamboo_storage::FsyncPolicy::GroupCommit`] a commit `T` is
+//! acknowledged only once every commit with a timestamp at or below `T`'s
+//! is durable on all its partitions, so the oldest incomplete transaction
+//! — and hence the cut — sits strictly above `T`. Short of a crash (or the
+//! double fault `DURABILITY.md` names), nothing leaves an incomplete group
+//! behind: a commit whose append fails on one partition cuts the groups it
+//! landed on the others back out before it is revoked
+//! (`append_txn_across` in [`crate::wal`]), so no orphan sits in the middle
+//! of a log. Under [`bamboo_storage::FsyncPolicy::Never`]
+//! acknowledgments promise nothing, and the cut loses a suffix at most.
+//! See `DURABILITY.md` "Group commit".
 //!
 //! Recovery ends by taking a fresh checkpoint of the recovered state, so
 //! the ambiguous log region behind it is never scanned again — running
@@ -104,7 +99,8 @@ pub struct RecoveryReport {
     /// Individual redo records applied.
     pub replayed_writes: u64,
     /// Transactions dropped because a partition's group was missing or
-    /// unterminated (never acknowledged under `EveryCommit`).
+    /// unterminated: a crash landed inside the commit's appends, or before
+    /// one of its groups was durable. Never an acknowledged commit.
     pub dropped_incomplete: u64,
     /// Complete transactions discarded by the horizon cut.
     pub dropped_horizon: u64,
@@ -366,22 +362,14 @@ impl PartitionedDb {
         }
         let complete = |g: &TxnGroup| g.seen_mask & g.parts_mask == g.parts_mask;
         report.dropped_incomplete = groups.values().filter(|g| !complete(g)).count() as u64;
-        // The horizon cut (every policy that installs before durability —
-        // see module docs; `GroupCommit` acks are durable but its installs
-        // are not, so it takes the horizon branch like `Never`). The rule
-        // is read from the scanned segment headers — what the *writer* ran
-        // under — never from the caller's options: individual drop only
-        // when every scanned log was written under `EveryCommit`.
-        let horizon = if scans.iter().all(|s| s.individual_drop) {
-            u64::MAX
-        } else {
-            groups
-                .values()
-                .filter(|g| !complete(g))
-                .map(|g| g.commit_ts)
-                .min()
-                .unwrap_or(u64::MAX)
-        };
+        // The horizon cut (see module docs): the oldest incomplete commit
+        // timestamp bounds what replays.
+        let horizon = groups
+            .values()
+            .filter(|g| !complete(g))
+            .map(|g| g.commit_ts)
+            .min()
+            .unwrap_or(u64::MAX);
         report.dropped_horizon = groups
             .values()
             .filter(|g| complete(g) && g.commit_ts >= horizon)

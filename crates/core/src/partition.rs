@@ -51,12 +51,14 @@
 //!    partition's WAL segment **in ascending partition-id order** (see
 //!    `log_commit` in `protocol`), every append carrying the same commit
 //!    timestamp and the full written-partition mask (what crash recovery
-//!    checks cross-partition completeness against). Appends never nest —
-//!    each WAL lock is held for exactly one append — and the fixed
-//!    acquisition order keeps the discipline deadlock-free if segment
-//!    locks are ever held across appends (e.g. future group commit).
-//!    Installs run only after every partition's append, so anything a
-//!    dependent transaction can read was logged first.
+//!    checks cross-partition completeness against). The commit takes
+//!    every written partition's WAL lock, in that order, before its first
+//!    append and holds them until its last group landed; if an append
+//!    fails, the groups already landed are cut back out, so a commit's
+//!    groups are on every partition it writes or on none. The fixed
+//!    acquisition order keeps the nesting deadlock-free. Installs run
+//!    only after every partition's append, so anything a dependent
+//!    transaction can read was logged first.
 //!
 //! ```
 //! use std::sync::Arc;

@@ -20,7 +20,7 @@ mod silo;
 
 use std::sync::Arc;
 
-use bamboo_storage::log::{IoClass, IoFailure};
+use bamboo_storage::log::IoFailure;
 use bamboo_storage::{Row, TableId};
 use parking_lot::Mutex;
 
@@ -31,7 +31,7 @@ pub use silo::SiloProtocol;
 
 use crate::db::Database;
 use crate::txn::{Abort, AbortReason, Access, AccessState, LockMode, TxnCtx};
-use crate::wal::{DurabilityTicket, TicketParts, WalBuffer, WalWrite};
+use crate::wal::{append_txn_across, DurabilityTicket, TicketParts, WalBuffer, WalWrite};
 
 /// A pluggable concurrency-control protocol.
 ///
@@ -197,19 +197,19 @@ pub(crate) fn scan_rows<P: Protocol + ?Sized>(
 /// 3. **Log** ([`log_commit`]) — *after* the commit point, so a wounded
 ///    transaction never reaches the log (with a durable log that is what
 ///    makes recovery redo-only), and *before* every install: if the process
-///    dies between an fsync-acknowledged log and the install, replay redoes
-///    the writes; if it dies before the log write completes, nothing was
-///    installed either. Under group commit the appends defer the fsync and
-///    return a durability ticket, stashed in the context for the session to
-///    wait out *after* this commit installed and released — early lock
-///    release.
-/// 4. **On a log failure, revoke.** The group never became durable (torn
-///    bytes were rewound / the group abandoned), nothing is installed, no
-///    lock released, no dependent saw a `Committed` status it could act on:
-///    revoke the commit point, retire the timestamp so the stable point
-///    cannot stall on a commit that never was, and abort this one
-///    transaction with [`AbortReason::DurabilityFailed`]. Locks and accessor
-///    entries are released by the `abort` call the `Err` obliges.
+///    dies between the log write and the install, replay redoes the writes
+///    once they are durable; if it dies before the log write completes,
+///    nothing was installed either. The appends never fsync: under group
+///    commit they return a durability ticket, stashed in the context for
+///    the session to wait out *after* this commit installed and released —
+///    early lock release.
+/// 4. **On a log failure, revoke.** No group of the commit is left in any
+///    log (torn bytes were rewound, landed groups cut back out), nothing is
+///    installed, no lock released, no dependent saw a `Committed` status it
+///    could act on: revoke the commit point, retire the timestamp so the
+///    stable point cannot stall on a commit that never was, and abort this
+///    one transaction with [`AbortReason::DurabilityFailed`]. Locks and
+///    accessor entries are released by the `abort` call the `Err` obliges.
 /// 5. **Apply inserts, then install and release** (`install`), then
 ///    **finish the timestamp** ([`Database::note_commit`]). Inserts land
 ///    before any lock is released so a scanner queued on the inserter's
@@ -287,7 +287,11 @@ fn apply_inserts(db: &Database, ctx: &mut TxnCtx) {
 ///   [`crate::partition::PartitionedDb`]. Every per-partition group
 ///   carries the same commit timestamp and the full partition mask, which
 ///   is what lets recovery check cross-partition completeness. A
-///   partition-local transaction therefore performs exactly one append.
+///   partition-local transaction therefore performs exactly one append,
+///   under one sink lock; a cross-partition one
+///   ([`append_txn_across`]) takes every written partition's sink lock, in
+///   that order, before its first write and holds them all until its last
+///   group landed.
 ///
 /// Buffered inserts are logged alongside updates: an insert's row lives in
 /// `ctx.inserts` until [`apply_inserts`] runs (after this), so the log
@@ -295,15 +299,17 @@ fn apply_inserts(db: &Database, ctx: &mut TxnCtx) {
 ///
 /// ## Group commit
 ///
-/// Under [`bamboo_storage::FsyncPolicy::GroupCommit`] the appends return
-/// without a durability barrier. This function then registers the commit
-/// on the global [`crate::wal::DurabilityHorizon`] — after the *last*
-/// append succeeded and before anything installs, the ordering that keeps
-/// the commit clock's stable point from passing an unregistered committed
-/// transaction — and returns a [`DurabilityTicket`] carrying the end LSN
-/// of every per-partition group. The session parks on the ticket before
+/// The appends never fsync. Under
+/// [`bamboo_storage::FsyncPolicy::GroupCommit`] this function then
+/// registers the commit on the global
+/// [`crate::wal::DurabilityHorizon`] — after the *last* append succeeded
+/// and before anything installs, the ordering that keeps the commit
+/// clock's stable point from passing an unregistered committed transaction
+/// — and returns a [`DurabilityTicket`] carrying the end LSN of every
+/// per-partition group. The session parks on the ticket before
 /// acknowledging (`Session` ack path); the protocols just thread it from
-/// here into [`TxnCtx::durability`](crate::txn::TxnCtx).
+/// here into [`TxnCtx::durability`](crate::txn::TxnCtx). Under `Never`
+/// there is no ticket.
 ///
 /// ## Failure semantics
 ///
@@ -313,12 +319,18 @@ fn apply_inserts(db: &Database, ctx: &mut TxnCtx) {
 /// installing nothing. (Every error here is a *pre-install* failure, even
 /// under group commit: the deferred batch fsync happens after install, but
 /// its failures surface through the ticket wait, not through this
-/// function.) On the cross-partition path the degraded flag of
-/// *every* target partition is checked before the first append, so a
-/// commit never writes an orphan group to a healthy partition only to
-/// fail fast on a known-degraded sibling; a fault that strikes *during*
-/// the sequence can still orphan earlier groups, which recovery drops
-/// because their `seen_mask` never completes `parts_mask`.
+/// function.) A failed commit leaves none of its groups in any log:
+///
+/// * a degraded (or writer-less) target partition fails the commit while
+///   the sink locks are being taken, before anything is written;
+/// * a failed append has already cut its own torn bytes back out, and the
+///   groups landed on lower partitions are cut back out too
+///   ([`SegmentWriter::abandon_group`](bamboo_storage::log::SegmentWriter::abandon_group),
+///   a synced truncate) while their locks are still held, so no other
+///   group sits above them and no fsync covered them.
+///
+/// If that cut itself fails, the partition degrades and the group's fate
+/// is unknown: the one double fault `DURABILITY.md` leaves ambiguous.
 fn log_commit(
     db: &Database,
     ctx: &TxnCtx,
@@ -335,26 +347,21 @@ fn log_commit(
         );
         return Ok(None);
     }
-    // Tickets exist only under group commit, and only when the append
-    // actually deferred the barrier.
+    // Tickets exist exactly under group commit.
     let ticketing = matches!(
         db.options().fsync_policy,
         bamboo_storage::FsyncPolicy::GroupCommit { .. }
     );
     let ticket = |parts: TicketParts| {
-        if parts.is_empty() {
-            None
-        } else {
-            // Register after every append succeeded, before the caller
-            // installs: see the horizon's type-level invariant. The entry
-            // shares the ticket's parts, so it can retire from the
-            // partitions' watermarks without its owner.
-            db.durability_horizon()
-                .register(ctx.commit_ts, Arc::clone(&parts));
-            Some(DurabilityTicket {
-                commit_ts: ctx.commit_ts,
-                parts,
-            })
+        // Register after every append succeeded, before the caller
+        // installs: see the horizon's type-level invariant. The entry
+        // shares the ticket's parts, so it can retire from the partitions'
+        // watermarks without its owner.
+        db.durability_horizon()
+            .register(ctx.commit_ts, Arc::clone(&parts));
+        DurabilityTicket {
+            commit_ts: ctx.commit_ts,
+            parts,
         }
     };
     // Partition bit for the completeness mask (durable databases have at
@@ -376,75 +383,28 @@ fn log_commit(
     };
     let route = |w: &WalWrite<'_>| {
         let (WalWrite::Update { table, key, .. } | WalWrite::Insert { table, key, .. }) = w;
-        topo.router.route_from(topo.me, *table, *key)
+        topo.router.route_from(topo.me, *table, *key).idx()
     };
+    // The written partitions, scanned without allocating.
+    let parts_mask = writes().fold(0u64, |m, w| m | part_bit(route(&w)));
     // Fast path: the write set usually lives on a single partition (the
-    // partition-local transactions the architecture optimizes for), so
-    // first scan for the set of written partitions without allocating.
-    let mut routes = writes().map(|w| route(&w));
-    let first = routes.next();
-    // A commit with no writes still logs its header group, to the home
+    // partition-local transactions the architecture optimizes for). A
+    // commit with no writes still logs its header group, to the home
     // partition; a single-partition write set appends once to the owning
     // log — no grouping, no allocation.
-    if routes.all(|p| Some(p) == first) {
-        let p = first.unwrap_or(topo.me);
-        let ga = topo.wals[p.idx()].append_txn(
-            ctx.shared.id,
-            ctx.commit_ts,
-            part_bit(p.idx()),
-            writes(),
-        )?;
-        if ticketing && !ga.durable {
-            return Ok(ticket(Arc::from([(p.0, ga.end_lsn)])));
-        }
-        return Ok(None);
+    if parts_mask.count_ones() <= 1 {
+        let p = if parts_mask == 0 {
+            topo.me.idx()
+        } else {
+            parts_mask.trailing_zeros() as usize
+        };
+        let end = topo.wals[p].append_txn(ctx.shared.id, ctx.commit_ts, part_bit(p), writes())?;
+        return Ok(ticketing.then(|| ticket(Arc::from([(p as u32, end)]))));
     }
-    // Cross-partition write set: group by owning partition (small vecs of
-    // write descriptors; write sets are tens of entries, partitions a
-    // handful).
-    let mut groups: Vec<Vec<WalWrite<'_>>> = topo.wals.iter().map(|_| Vec::new()).collect();
-    for w in writes() {
-        groups[route(&w).idx()].push(w);
-    }
-    let parts_mask = groups
-        .iter()
-        .enumerate()
-        .filter(|(_, g)| !g.is_empty())
-        .fold(0u64, |m, (p, _)| m | part_bit(p));
-    // Fail fast before the *first* append when any target partition is
-    // already known-degraded: better one clean DurabilityFailed abort than
-    // orphan groups on the healthy partitions.
-    for (p, group) in groups.iter().enumerate() {
-        if !group.is_empty() && topo.wals[p].is_degraded() {
-            return Err(IoFailure::with_class(
-                IoClass::Permanent,
-                "wal append",
-                std::io::Error::other(format!(
-                    "partition {p} WAL is degraded (read-only until healed)"
-                )),
-            ));
-        }
-    }
-    // Ascending partition-id order: the fixed acquisition order of the
-    // commit-ordering contract.
-    let mut last: Option<usize> = None;
-    let mut ends: Vec<(u32, bamboo_storage::log::Lsn)> = Vec::new();
-    for (p, group) in groups.iter_mut().enumerate() {
-        if group.is_empty() {
-            continue;
-        }
-        debug_assert!(
-            last.is_none_or(|l| l < p),
-            "cross-partition WAL appends out of order: {last:?} before {p}"
-        );
-        last = Some(p);
-        let ga =
-            topo.wals[p].append_txn(ctx.shared.id, ctx.commit_ts, parts_mask, group.drain(..))?;
-        if ticketing && !ga.durable {
-            ends.push((p as u32, ga.end_lsn));
-        }
-    }
-    Ok(ticket(ends.into()))
+    let ends = append_txn_across(&topo.wals, ctx.shared.id, ctx.commit_ts, parts_mask, |p| {
+        writes().filter(move |w| route(w) == p)
+    })?;
+    Ok(ticketing.then(|| ticket(ends.into())))
 }
 
 /// Shared read path of snapshot mode: resolve `key` against the version

@@ -19,22 +19,30 @@
 //!   [`bamboo_storage::log::SegmentWriter`] of checksummed
 //!   `Begin`/`Update`/`Insert`/`Commit` records that [`crate::durability`]
 //!   replays after a crash. It exists only when the database has a
-//!   `wal_dir`; the protocol code then calls [`WalHandle::append_txn`]
-//!   exactly once per written partition.
+//!   `wal_dir`; the protocol code then appends exactly one group per
+//!   written partition — through [`WalHandle::append_txn`] when the commit
+//!   writes one partition, through `append_txn_across` when it writes
+//!   several.
 //!
 //! Either way the log write happens after the commit point succeeded — so
 //! only committed work ever reaches a durable log, which is what makes
-//! recovery redo-only.
+//! recovery redo-only. A commit's redo groups land on every partition it
+//! writes or on none: a cross-partition commit holds all its partitions'
+//! sink locks until its last group landed, and cuts the landed ones back
+//! out if a later append fails. No orphan group
+//! is ever left in the middle of a log, so recovery needs one rule, the
+//! horizon cut (see [`crate::durability`]).
 //!
 //! # Group commit
 //!
-//! Under [`FsyncPolicy::GroupCommit`] the append itself never fsyncs.
-//! Committers log, install, and release their locks immediately (early
-//! lock release — sound because the log-before-install ordering means a
-//! dependent's group always lands at a higher LSN than its writer's), then
-//! park on [`WalHandle::wait_covered`]: the first parked committer becomes
-//! the **leader** and issues one `fsync` covering every group staged so
-//! far, advancing the per-partition `durable_lsn` watermark. The
+//! The append itself never fsyncs, under either policy. Under
+//! [`FsyncPolicy::GroupCommit`] committers log, install, and release their
+//! locks immediately (early lock release — sound because the
+//! log-before-install ordering means a dependent's group always lands at a
+//! higher LSN than its writer's), then park on
+//! [`WalHandle::wait_covered`]: the first parked committer becomes the
+//! **leader** and issues one `fsync` covering every group staged so far,
+//! advancing the per-partition `durable_lsn` watermark. The
 //! acknowledgment additionally waits on the process-wide
 //! [`DurabilityHorizon`] so that *every* commit with a lower timestamp is
 //! durable before the client hears `Ok` — that is what lets crash
@@ -69,7 +77,7 @@ use bamboo_storage::log::{
     WalRecord,
 };
 use bamboo_storage::{FsyncPolicy, Row, TableId};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 /// Default per-worker ring capacity (16 MiB, comfortably larger than any
 /// single record).
@@ -233,16 +241,6 @@ fn degraded_error(op: &'static str) -> IoFailure {
     )
 }
 
-/// Outcome of one [`WalHandle::append_txn`].
-#[derive(Clone, Copy, Debug)]
-pub struct GroupAppend {
-    /// True when every byte of the group is durable on return.
-    pub durable: bool,
-    /// LSN just past the group on this partition's log — the coverage
-    /// target a group-commit acknowledgment waits for.
-    pub end_lsn: Lsn,
-}
-
 /// Group-commit coordinator state: who is leading the current batch fsync
 /// and how many committers are parked waiting to be covered by it.
 #[derive(Default)]
@@ -255,7 +253,7 @@ struct GroupState {
     /// whenever a writer is installed — parked committers read it here,
     /// under the queue lock they already hold, and never touch the sink
     /// lock (held by appenders across their file write) before the
-    /// leader's sync. Zero unless the policy is `GroupCommit`.
+    /// leader's sync. Zero under `Never`.
     max_batch: u32,
     max_wait: Duration,
 }
@@ -267,7 +265,7 @@ impl GroupState {
                 max_batch,
                 max_wait_us,
             } => (max_batch, Duration::from_micros(max_wait_us)),
-            _ => (0, Duration::ZERO),
+            FsyncPolicy::Never => (0, Duration::ZERO),
         };
     }
 }
@@ -281,10 +279,13 @@ thread_local! {
         RefCell::new((Vec::with_capacity(512), Vec::with_capacity(256)));
 }
 
-/// One partition's durable log: a segment writer behind a mutex that is
-/// taken **only for the duration of one append**, shared by every session
-/// of the database (the segment file is the serialization point anyway).
-/// A database without [`crate::DbOptions::with_wal_dir`] has none.
+/// One partition's durable log: a segment writer behind a mutex, shared by
+/// every session of the database (the segment file is the serialization
+/// point anyway). An append holds the mutex for its file write; a
+/// cross-partition commit holds every target partition's mutex, taken in
+/// ascending partition order, from before its first write until its last
+/// group landed (see `append_txn_across`). A database without
+/// [`crate::DbOptions::with_wal_dir`] has none.
 ///
 /// Storage faults surface as [`IoFailure`] instead of panicking: transient
 /// faults are retried in place with bounded backoff, permanent ones (or an
@@ -405,7 +406,7 @@ impl WalHandle {
     }
 
     /// LSN up to which this partition's log is known durable (advanced by
-    /// group-commit leader fsyncs and strong-policy commit boundaries).
+    /// group-commit leader fsyncs and checkpoint markers).
     pub fn durable_lsn(&self) -> Lsn {
         self.durable_lsn.load(Ordering::Acquire)
     }
@@ -596,14 +597,10 @@ impl WalHandle {
 
     /// Appends one transaction's redo group — its share on this handle's
     /// partition — after the commit point succeeded: a `Begin` / writes /
-    /// `Commit` record group carrying `commit_ts` and `parts_mask`, then
-    /// the fsync policy runs at the commit boundary.
-    ///
-    /// Returns a [`GroupAppend`]: `durable: true` when every byte of the
-    /// group is durable on return, `durable: false` when the group is
-    /// written but the fsync policy deferred the barrier — under
-    /// [`FsyncPolicy::GroupCommit`] the caller later parks on
-    /// [`WalHandle::wait_covered`] with the returned `end_lsn`.
+    /// `Commit` record group carrying `commit_ts` and `parts_mask`. Returns
+    /// the LSN just past the group: the coverage target a group-commit
+    /// acknowledgment parks on ([`WalHandle::wait_covered`]). The append
+    /// itself never fsyncs.
     ///
     /// The whole framed group is encoded into a per-thread buffer *before*
     /// the sink lock is taken, so the lock covers only the file write
@@ -622,94 +619,27 @@ impl WalHandle {
         commit_ts: u64,
         parts_mask: u64,
         writes: impl Iterator<Item = WalWrite<'a>>,
-    ) -> Result<GroupAppend, IoFailure> {
+    ) -> Result<Lsn, IoFailure> {
         if self.is_degraded() {
             return Err(degraded_error("wal append"));
         }
-        // Frame the whole Begin / writes / Commit group into the
-        // per-thread buffer before taking the sink lock. The iterator is
-        // consumed exactly once, and retries rewrite the staged bytes
-        // verbatim.
         GROUP_ENCODE.with(|cell| {
             let (framed, scratch) = &mut *cell.borrow_mut();
             framed.clear();
-            frame_record(
-                framed,
-                scratch,
-                &WalRecord::Begin {
-                    txn_id,
-                    commit_ts,
-                    parts_mask,
-                },
-            );
-            for w in writes {
-                match w {
-                    WalWrite::Update { table, key, after } => {
-                        frame_update(framed, scratch, table.0, key, after)
-                    }
-                    WalWrite::Insert {
-                        table,
-                        key,
-                        row,
-                        secondary,
-                    } => frame_insert(
-                        framed,
-                        scratch,
-                        table.0,
-                        key,
-                        row,
-                        secondary.map(|(i, k)| (i as u32, k)),
-                    ),
-                }
-            }
-            frame_record(framed, scratch, &WalRecord::Commit { txn_id, commit_ts });
-            let mut sink = self.sink.lock();
-            // No writer: the handle was born poisoned and is not healed yet.
-            let Some(writer) = sink.as_mut() else {
-                return Err(degraded_error("wal append"));
-            };
-            writer.stage_framed(framed);
-            self.land_group(writer)
+            frame_group(framed, scratch, txn_id, commit_ts, parts_mask, writes);
+            self.lock_for_append()?.land(framed)
         })
     }
 
-    /// Lands the staged record group and runs the policy's durability
-    /// barrier. Called with the sink lock held (`writer` borrows from it).
-    fn land_group(&self, writer: &mut SegmentWriter) -> Result<GroupAppend, IoFailure> {
-        // Phase 1: land the group.
-        self.flush_staged(writer, "wal append")?;
-
-        // Phase 2: the durability barrier (per fsync policy). GroupCommit
-        // never syncs here — its barrier is the leader fsync in
-        // `wait_covered` — so under that policy phase 2 cannot fail and
-        // every append error stays phase-1 (nothing installed yet).
-        let barrier = self.retry_io(|| {
-            writer
-                .commit_boundary()
-                .map_err(|e| IoFailure::new("wal fsync", e))
-        });
-        match barrier {
-            Ok(durable) => {
-                self.records.fetch_add(1, Ordering::Relaxed);
-                if durable {
-                    self.publish_synced(writer);
-                }
-                Ok(GroupAppend {
-                    durable,
-                    end_lsn: writer.lsn(),
-                })
-            }
-            Err(f) => {
-                // The group is written but cannot be promised durable,
-                // and the commit is about to abort: remove it so
-                // recovery never replays an aborted transaction. If
-                // even that fails the group's fate is ambiguous — the
-                // handle is degraded either way, and heal + recovery
-                // re-establish a clean tail.
-                let _ = writer.abandon_group();
-                Err(f)
-            }
+    /// Takes the sink lock for an append. Fails — before anything is
+    /// written — when the handle is degraded, which a handle without a
+    /// writer (born poisoned, not healed yet) always is.
+    fn lock_for_append(&self) -> Result<SinkGuard<'_>, IoFailure> {
+        let sink = self.sink.lock();
+        if self.is_degraded() {
+            return Err(degraded_error("wal append"));
         }
+        Ok(SinkGuard { wal: self, sink })
     }
 
     /// Appends a checkpoint marker and returns the log's end LSN.
@@ -790,6 +720,137 @@ impl WalHandle {
     /// Number of commit groups appended.
     pub fn records(&self) -> u64 {
         self.records.load(Ordering::Relaxed)
+    }
+}
+
+/// Appends one cross-partition commit's redo groups: for every partition
+/// `p` whose bit is set in `parts_mask`, in ascending order, the group of
+/// `group(p)`'s writes to `wals[p]`. The groups land on every partition or
+/// on none.
+///
+/// Every group is framed into the per-thread buffer first. Then every
+/// target partition's sink lock is taken, in ascending partition order (the
+/// fixed acquisition order that keeps the nesting deadlock-free), before
+/// the first write: a degraded target fails the commit here, with nothing
+/// written anywhere. The groups land with every lock held; if one append
+/// fails, the groups already landed are cut back out
+/// (`SinkGuard::abandon`) before the error returns. Returns `(partition,
+/// end LSN)` per group, in ascending partition order.
+pub(crate) fn append_txn_across<'a, W: Iterator<Item = WalWrite<'a>>>(
+    wals: &[Arc<WalHandle>],
+    txn_id: u64,
+    commit_ts: u64,
+    parts_mask: u64,
+    group: impl Fn(usize) -> W,
+) -> Result<Vec<(u32, Lsn)>, IoFailure> {
+    GROUP_ENCODE.with(|cell| {
+        let (framed, scratch) = &mut *cell.borrow_mut();
+        framed.clear();
+        // (partition, its group's bytes in `framed`), ascending.
+        let mut groups = Vec::new();
+        for p in (0..wals.len()).filter(|p| parts_mask & (1 << p) != 0) {
+            let start = framed.len();
+            frame_group(framed, scratch, txn_id, commit_ts, parts_mask, group(p));
+            groups.push((p, start..framed.len()));
+        }
+        let mut sinks = Vec::with_capacity(groups.len());
+        for (p, _) in &groups {
+            sinks.push(wals[*p].lock_for_append()?);
+        }
+        let mut ends = Vec::with_capacity(groups.len());
+        for (i, (p, bytes)) in groups.iter().enumerate() {
+            match sinks[i].land(&framed[bytes.clone()]) {
+                Ok(end) => ends.push((*p as u32, end)),
+                Err(f) => {
+                    for landed in &mut sinks[..i] {
+                        landed.abandon();
+                    }
+                    return Err(f);
+                }
+            }
+        }
+        Ok(ends)
+    })
+}
+
+/// Frames one commit's `Begin` / writes / `Commit` record group onto the
+/// end of `framed`. The iterator is consumed exactly once; retries rewrite
+/// the framed bytes verbatim.
+fn frame_group<'a>(
+    framed: &mut Vec<u8>,
+    scratch: &mut Vec<u8>,
+    txn_id: u64,
+    commit_ts: u64,
+    parts_mask: u64,
+    writes: impl Iterator<Item = WalWrite<'a>>,
+) {
+    frame_record(
+        framed,
+        scratch,
+        &WalRecord::Begin {
+            txn_id,
+            commit_ts,
+            parts_mask,
+        },
+    );
+    for w in writes {
+        match w {
+            WalWrite::Update { table, key, after } => {
+                frame_update(framed, scratch, table.0, key, after)
+            }
+            WalWrite::Insert {
+                table,
+                key,
+                row,
+                secondary,
+            } => frame_insert(
+                framed,
+                scratch,
+                table.0,
+                key,
+                row,
+                secondary.map(|(i, k)| (i as u32, k)),
+            ),
+        }
+    }
+    frame_record(framed, scratch, &WalRecord::Commit { txn_id, commit_ts });
+}
+
+/// One partition's sink lock, taken by `WalHandle::lock_for_append` on a
+/// healthy partition. [`append_txn_across`] holds one per written
+/// partition until the commit's last group landed, so that if one append
+/// fails it can cut the groups it already landed back out.
+struct SinkGuard<'a> {
+    wal: &'a WalHandle,
+    sink: MutexGuard<'a, Option<SegmentWriter>>,
+}
+
+impl SinkGuard<'_> {
+    /// Writes one framed group and counts it; returns its end LSN. A
+    /// failed append has degraded the partition and left nothing of the
+    /// group on it.
+    fn land(&mut self, framed: &[u8]) -> Result<Lsn, IoFailure> {
+        let wal = self.wal;
+        let Some(writer) = self.sink.as_mut() else {
+            return Err(degraded_error("wal append"));
+        };
+        writer.stage_framed(framed);
+        wal.flush_staged(writer, "wal append")?;
+        wal.records.fetch_add(1, Ordering::Relaxed);
+        Ok(writer.lsn())
+    }
+
+    /// Cuts the group this lock's append just landed back out of the log
+    /// (a synced truncate) and un-counts it. The lock was held since the
+    /// append, so no other group landed above it and no barrier covered
+    /// it. If the cut itself fails, the group's fate is unknown and the
+    /// partition degrades: the double fault `DURABILITY.md` names.
+    fn abandon(&mut self) {
+        let wal = self.wal;
+        wal.records.fetch_sub(1, Ordering::Relaxed);
+        if let Some(Err(e)) = self.sink.as_mut().map(SegmentWriter::abandon_group) {
+            wal.fail(IoFailure::new("wal abandon", e));
+        }
     }
 }
 

@@ -36,8 +36,8 @@
 //! `wal-p{partition:03}-{index:08}.seg`; each opens with a fixed header
 //! carrying magic, format version, partition id, segment index, the stream
 //! LSN at which the segment starts, and the fsync policy the writer was
-//! configured with (recovery reads the policy back to pick its completeness
-//! rule).
+//! configured with (a header whose policy tag is retired or unknown does
+//! not parse).
 //!
 //! A new segment is **preallocated**: zero-filled to header +
 //! `segment_bytes` and synced once when it is created, so the commit path's
@@ -85,18 +85,16 @@ pub const SEG_HEADER_LEN: u64 = 8 + 4 + 4 + 8 + 8 + 1 + 8;
 /// When (if ever) the log writer calls `fsync` on the commit path.
 ///
 /// The policy trades commit latency against the durability horizon recovery
-/// can promise: under [`FsyncPolicy::EveryCommit`] and
-/// [`FsyncPolicy::GroupCommit`] every acknowledged commit survives a crash;
-/// under [`FsyncPolicy::Never`] a suffix of acknowledged commits may be
-/// lost, and recovery applies a consistent-prefix cut (see `DURABILITY.md`).
+/// can promise: under [`FsyncPolicy::GroupCommit`] every acknowledged commit
+/// survives a crash; under [`FsyncPolicy::Never`] a suffix of acknowledged
+/// commits may be lost. Recovery applies the same consistent-prefix cut
+/// under both (see `DURABILITY.md`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// Never fsync on the commit path: buffered writes only (the OS flushes
     /// eventually, or the caller syncs explicitly). The in-memory cost
     /// profile, plus a real file for post-mortem replay.
     Never,
-    /// fsync once per commit, before the commit is acknowledged.
-    EveryCommit,
     /// Leader-driven group commit with a durable acknowledgment: committers
     /// never fsync on their own commit path. They install and release
     /// immediately after logging, then park on the partition's durability
@@ -104,8 +102,9 @@ pub enum FsyncPolicy {
     /// to `max_wait_us` microseconds for more committers to join (cutting
     /// the window short once `max_batch` are parked), and issues one fsync
     /// covering every group staged so far. Acknowledgments wait for the
-    /// global durability horizon, so — like `EveryCommit` — an acknowledged
-    /// commit always survives a crash, at a fraction of the fsync count.
+    /// global durability horizon, so an acknowledged commit always survives
+    /// a crash. `GroupCommit { max_batch: 1, max_wait_us: 0 }` fsyncs once
+    /// per commit before `commit()` returns.
     GroupCommit {
         /// Batch size that cuts the leader's accumulation window short.
         max_batch: u32,
@@ -117,11 +116,11 @@ pub enum FsyncPolicy {
 
 impl FsyncPolicy {
     /// Encodes the policy as a (tag, argument) pair for the segment header.
-    /// Tags 2 and 3 belonged to retired policies and are never reused.
+    /// Tags 1 (`EveryCommit`), 2 and 3 belonged to retired policies and are
+    /// never reused.
     fn encode(self) -> (u8, u64) {
         match self {
             FsyncPolicy::Never => (0, 0),
-            FsyncPolicy::EveryCommit => (1, 0),
             FsyncPolicy::GroupCommit {
                 max_batch,
                 max_wait_us,
@@ -136,35 +135,12 @@ impl FsyncPolicy {
     fn decode(tag: u8, arg: u64) -> Option<Self> {
         Some(match tag {
             0 => FsyncPolicy::Never,
-            1 => FsyncPolicy::EveryCommit,
             4 => FsyncPolicy::GroupCommit {
                 max_batch: (arg >> 32) as u32,
                 max_wait_us: arg & u32::MAX as u64,
             },
             _ => return None,
         })
-    }
-
-    /// True when a commit acknowledgment implies its records are durable —
-    /// under `EveryCommit` because the committer fsynced before returning,
-    /// under `GroupCommit` because the acknowledgment waited for the
-    /// durability horizon.
-    pub fn acks_are_durable(self) -> bool {
-        matches!(
-            self,
-            FsyncPolicy::EveryCommit | FsyncPolicy::GroupCommit { .. }
-        )
-    }
-
-    /// True when recovery may drop incomplete transactions *individually*
-    /// instead of applying the horizon cut. Only `EveryCommit` qualifies:
-    /// it installs after its own fsync, so an incomplete group was never
-    /// installed and nothing can depend on it. `GroupCommit` installs
-    /// *before* durability (early lock release), so a durable dependent of
-    /// a non-durable writer can exist — recovery must cut at the oldest
-    /// incomplete commit timestamp like `Never` does.
-    pub fn recovery_drops_individually(self) -> bool {
-        matches!(self, FsyncPolicy::EveryCommit)
     }
 }
 
@@ -1189,7 +1165,6 @@ struct SegHeader {
     partition: u32,
     index: u64,
     start_lsn: Lsn,
-    policy: FsyncPolicy,
 }
 
 fn parse_segment_header(bytes: &[u8]) -> Option<SegHeader> {
@@ -1203,12 +1178,13 @@ fn parse_segment_header(bytes: &[u8]) -> Option<SegHeader> {
     let partition = c.u32()?;
     let index = c.u64()?;
     let start_lsn = c.u64()?;
-    let policy = FsyncPolicy::decode(c.u8()?, c.u64()?)?;
+    // A retired or unknown policy tag fails the parse; nothing reads the
+    // policy back.
+    FsyncPolicy::decode(c.u8()?, c.u64()?)?;
     Some(SegHeader {
         partition,
         index,
         start_lsn,
-        policy,
     })
 }
 
@@ -1423,10 +1399,11 @@ impl SegmentWriter {
     }
 
     /// Durably removes the group most recently flushed by
-    /// [`SegmentWriter::flush_group`] (failed commit-boundary path: the
-    /// group is written but its durability barrier failed, and the commit
-    /// is being aborted — the group must not survive into recovery). Any
-    /// error leaves the group's fate ambiguous; the caller must degrade.
+    /// [`SegmentWriter::flush_group`]: a cross-partition commit landed it,
+    /// a later partition's append failed, and the commit is being revoked —
+    /// the group must not survive into recovery. (The checkpoint marker
+    /// whose sync failed goes the same way.) Any error leaves the group's
+    /// fate ambiguous; the caller must degrade.
     pub fn abandon_group(&mut self) -> io::Result<()> {
         let target = self.group_start;
         self.rewind_to(target)?;
@@ -1461,20 +1438,6 @@ impl SegmentWriter {
         self.dir.trim_segment(&path, self.file_offset(target))?;
         self.file = self.dir.backend.open_append(&path)?;
         Ok(())
-    }
-
-    /// Marks the end of one transaction's record group and applies the
-    /// fsync policy. Returns `true` when the group is durable on return
-    /// (i.e. the acknowledgment the caller is about to send is crash-proof).
-    pub fn commit_boundary(&mut self) -> io::Result<bool> {
-        // Only `EveryCommit` syncs here. Under `GroupCommit` the committer
-        // never syncs its own group: the group-commit leader batches the
-        // fsync across the whole parked queue (`WalHandle::wait_covered` in
-        // `bamboo_core`).
-        if self.policy == FsyncPolicy::EveryCommit {
-            self.sync()?;
-        }
-        Ok(self.synced_lsn == self.lsn)
     }
 
     /// Flushes buffered bytes and fsyncs the active segment.
@@ -1594,13 +1557,6 @@ pub struct LogScan {
     pub end_lsn: Lsn,
     /// True when the scan stopped at a torn or corrupt frame.
     pub torn: bool,
-    /// True when every segment the scan read frames from was written under
-    /// a policy that lets recovery drop incomplete groups individually
-    /// ([`FsyncPolicy::recovery_drops_individually`]). Sealed segments
-    /// wholly below the requested start LSN contribute no records and do
-    /// not count. Recovery picks its completeness rule from this — from
-    /// what the *writer* recorded, not from the recovering caller's options.
-    pub individual_drop: bool,
 }
 
 impl LogDir {
@@ -1615,7 +1571,6 @@ impl LogDir {
             records: Vec::new(),
             end_lsn: 0,
             torn: false,
-            individual_drop: true,
         };
         let mut expect_start: Option<Lsn> = None;
         for (pos, (index, path)) in segments.iter().enumerate() {
@@ -1676,7 +1631,6 @@ fn scan_segment(
         *expect_start = Some(scan.end_lsn);
         return Ok(());
     }
-    scan.individual_drop &= header.policy.recovery_drops_individually();
     let mut off = 0usize;
     let local_torn;
     loop {
@@ -2259,8 +2213,9 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 
-    /// The surviving policies keep their header tags; the retired tags (2:
-    /// `GroupEveryN`, 3: `IntervalMs`) are rejected like any unknown tag.
+    /// The surviving policies keep their header tags; the retired tags (1,
+    /// 2 and 3, see `FsyncPolicy::encode`) are rejected like any unknown
+    /// tag.
     #[test]
     fn policy_header_tags_are_stable_and_retired_tags_rejected() {
         let group = FsyncPolicy::GroupCommit {
@@ -2268,13 +2223,12 @@ mod tests {
             max_wait_us: 100,
         };
         assert_eq!(FsyncPolicy::Never.encode().0, 0);
-        assert_eq!(FsyncPolicy::EveryCommit.encode().0, 1);
         assert_eq!(group.encode().0, 4);
-        for policy in [FsyncPolicy::Never, FsyncPolicy::EveryCommit, group] {
+        for policy in [FsyncPolicy::Never, group] {
             let (tag, arg) = policy.encode();
             assert_eq!(FsyncPolicy::decode(tag, arg), Some(policy));
         }
-        for tag in [2, 3, 5, 0xFF] {
+        for tag in [1, 2, 3, 5, 0xFF] {
             assert_eq!(FsyncPolicy::decode(tag, 8), None);
         }
     }
@@ -2284,15 +2238,14 @@ mod tests {
         let dir = tmp_dir("roundtrip");
         let recs = sample_records();
         {
-            let mut w = SegmentWriter::open(&dir, 0, FsyncPolicy::EveryCommit, 1 << 20).unwrap();
+            let mut w = SegmentWriter::open(&dir, 0, FsyncPolicy::Never, 1 << 20).unwrap();
             for r in &recs {
                 w.append_record(r).unwrap();
             }
-            assert!(w.commit_boundary().unwrap());
+            w.sync().unwrap();
         }
         let scan = LogDir::real(&dir).scan_partition_from(0, 0).unwrap();
         assert!(!scan.torn);
-        assert!(scan.individual_drop, "every segment says EveryCommit");
         let got: Vec<_> = scan.records.iter().map(|(_, r)| r.clone()).collect();
         assert_eq!(got, recs);
         // LSNs are strictly increasing and end_lsn covers the last frame.
@@ -2731,12 +2684,12 @@ mod tests {
                 w.stage_record(r);
             }
             w.flush_group().unwrap();
-            w.commit_boundary().unwrap();
+            w.sync().unwrap();
         };
         // Reference: one clean group.
         let clean = tmp_dir("rewind-clean");
         {
-            let mut w = SegmentWriter::open(&clean, 0, FsyncPolicy::EveryCommit, 1 << 20).unwrap();
+            let mut w = SegmentWriter::open(&clean, 0, FsyncPolicy::Never, 1 << 20).unwrap();
             write_group(&mut w);
         }
         // Faulted: a short write tears the first flush; rewind + retry.
@@ -2749,7 +2702,7 @@ mod tests {
             });
             let backend: Arc<dyn LogBackend> = Arc::new(FaultBackend::new(Arc::clone(&inj)));
             let mut w = LogDir::new(&torn, backend)
-                .open_writer(0, FsyncPolicy::EveryCommit, 1 << 20)
+                .open_writer(0, FsyncPolicy::Never, 1 << 20)
                 .unwrap();
             inj.arm();
             for r in &recs {
@@ -2759,7 +2712,7 @@ mod tests {
             inj.disarm();
             w.rewind_partial().unwrap();
             w.flush_group().unwrap();
-            w.commit_boundary().unwrap();
+            w.sync().unwrap();
         }
         let a = LogDir::real(&clean).scan_partition_from(0, 0).unwrap();
         let b = LogDir::real(&torn).scan_partition_from(0, 0).unwrap();
@@ -2775,7 +2728,7 @@ mod tests {
     #[test]
     fn abandon_group_removes_it_from_disk() {
         let dir = tmp_dir("abandon");
-        let mut w = SegmentWriter::open(&dir, 0, FsyncPolicy::EveryCommit, 1 << 20).unwrap();
+        let mut w = SegmentWriter::open(&dir, 0, FsyncPolicy::Never, 1 << 20).unwrap();
         w.stage_record(&WalRecord::Begin {
             txn_id: 1,
             commit_ts: 10,
@@ -2786,7 +2739,7 @@ mod tests {
             commit_ts: 10,
         });
         let start = w.flush_group().unwrap();
-        w.commit_boundary().unwrap();
+        w.sync().unwrap();
 
         w.stage_record(&WalRecord::Begin {
             txn_id: 2,
@@ -2812,7 +2765,7 @@ mod tests {
             commit_ts: 12,
         });
         w.flush_group().unwrap();
-        w.commit_boundary().unwrap();
+        w.sync().unwrap();
         drop(w);
 
         let scan = LogDir::real(&dir).scan_partition_from(0, 0).unwrap();

@@ -9,15 +9,17 @@
 //!   `AbortReason::DurabilityFailed` aborts of the one affected commit;
 //! * money is conserved, in memory while the faults fire and on disk after
 //!   recovery;
-//! * no acked-but-lost commits: every transfer acknowledged under
-//!   `FsyncPolicy::EveryCommit` survives recovery;
+//! * no acked-but-lost commits: every transfer acknowledged under group
+//!   commit survives recovery — a commit whose append fails on one
+//!   partition leaves no orphan group on another, so the horizon cut,
+//!   recovery's one rule, keeps everything acknowledged;
 //! * a poisoned partition serves snapshot reads while degraded and the
 //!   other partitions keep committing;
 //! * `PartitionedDb::heal` + recovery converge.
 //!
 //! Every test prints its seed (`chaos seed: N`); export
 //! `BAMBOO_CHAOS_SEED=N` to reproduce a failing schedule exactly. The CI
-//! `chaos` job sweeps five fixed seeds in debug and release.
+//! `chaos` job sweeps six fixed seeds in debug and release.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -44,6 +46,12 @@ const LEDGER: TableId = TableId(1);
 const GROUP_POLICY: FsyncPolicy = FsyncPolicy::GroupCommit {
     max_batch: 8,
     max_wait_us: 100,
+};
+/// Group commit with a batch of one: one fsync per commit, before
+/// `commit()` returns.
+const GROUP_COMMIT_1: FsyncPolicy = FsyncPolicy::GroupCommit {
+    max_batch: 1,
+    max_wait_us: 0,
 };
 
 /// The schedule seed: `BAMBOO_CHAOS_SEED` when set (the CI sweep and the
@@ -185,7 +193,7 @@ fn seeded_fault_fire_preserves_acked_commits_and_money() {
         enospc_permille: 12,
         ..FaultPlan::quiet(seed)
     };
-    let (pdb, injector) = build_faulty(&dir, plan, FsyncPolicy::EveryCommit);
+    let (pdb, injector) = build_faulty(&dir, plan, GROUP_COMMIT_1);
     let proto: Arc<dyn Protocol> = Arc::new(LockingProtocol::bamboo());
     let session = PartSession::new(Arc::clone(&pdb), proto);
 
@@ -194,7 +202,7 @@ fn seeded_fault_fire_preserves_acked_commits_and_money() {
     let mut failed = 0u64;
     for seq in 1u64..=400 {
         // Alternate partition-local and cross-partition transfers so both
-        // the single-append and the multi-append (orphan-group) paths see
+        // the single-append and the multi-append (cut-back-out) paths see
         // faults.
         let from = seq % ACCOUNTS_PER_PART;
         let to = if seq % 2 == 0 {
@@ -262,16 +270,10 @@ fn seeded_fault_fire_preserves_acked_commits_and_money() {
     }
     drop(session);
     drop(pdb);
-    // The log was written under `EveryCommit`: every acked group was
-    // individually fsynced, so recovery — reading the rule from the
-    // segment headers — drops the orphaned cross-partition groups that sit
-    // mid-log one by one. The horizon cut would discard every acked commit
-    // above the first orphan; this is why two recovery rules remain. (The
-    // policy passed here only configures the recovered database's writers.)
     let (rec, report) = PartitionedDb::recover(
         DbOptions::new()
             .with_wal_dir(dir.clone())
-            .with_fsync_policy(FsyncPolicy::EveryCommit),
+            .with_fsync_policy(GROUP_COMMIT_1),
     )
     .unwrap_or_else(|e| panic!("recovery after chaos fire (seed {seed}): {e}"));
 
@@ -314,14 +316,16 @@ fn degraded_partition_is_read_only_until_heal() {
     let seed = chaos_seed();
     println!("chaos seed: {seed}");
     let dir = tmp_dir("degrade");
-    // Every fsync fails: the first durable commit exhausts its transient
-    // retries and escalates to a permanent degrade.
+    // Every write tears: the first durable commit's append exhausts its
+    // transient retries and escalates to a permanent degrade, before
+    // anything installs. (Under group commit an fsync failure surfaces
+    // after install, at the acknowledgment.)
     let plan = FaultPlan {
         seed,
-        fsync_permille: 1000,
+        short_write_permille: 1000,
         ..FaultPlan::quiet(seed)
     };
-    let (pdb, injector) = build_faulty(&dir, plan, FsyncPolicy::EveryCommit);
+    let (pdb, injector) = build_faulty(&dir, plan, GROUP_COMMIT_1);
     let proto: Arc<dyn Protocol> = Arc::new(LockingProtocol::bamboo());
     let session = PartSession::new(Arc::clone(&pdb), proto);
 
@@ -336,7 +340,7 @@ fn degraded_partition_is_read_only_until_heal() {
     assert!(!pdb.parts()[1].wal().is_degraded());
     assert!(
         pdb.wal_io_retries() >= 2,
-        "transient fsync faults are retried before escalating"
+        "transient write faults are retried before escalating"
     );
     assert!(pdb.wal_io_failures() >= 1);
 
@@ -398,7 +402,7 @@ fn degraded_partition_is_read_only_until_heal() {
     let (rec, _report) = PartitionedDb::recover(
         DbOptions::new()
             .with_wal_dir(dir.clone())
-            .with_fsync_policy(FsyncPolicy::EveryCommit),
+            .with_fsync_policy(GROUP_COMMIT_1),
     )
     .unwrap();
     assert_eq!(balances(&rec), before, "recovery after heal converges");
@@ -424,7 +428,7 @@ fn same_seed_reproduces_the_same_outcomes() {
             enospc_permille: 15,
             ..FaultPlan::quiet(seed)
         };
-        let (pdb, injector) = build_faulty(&dir, plan, FsyncPolicy::EveryCommit);
+        let (pdb, injector) = build_faulty(&dir, plan, GROUP_COMMIT_1);
         let proto: Arc<dyn Protocol> = Arc::new(LockingProtocol::bamboo());
         let session = PartSession::new(Arc::clone(&pdb), proto);
         injector.arm();
@@ -454,8 +458,8 @@ fn same_seed_reproduces_the_same_outcomes() {
 }
 
 /// Group-commit batch-fsync failure: the whole staged batch surfaces
-/// `DurabilityFailed` at *ack* time — the commit points all passed (under
-/// `GroupCommit` the commit boundary never syncs), versions installed and
+/// `DurabilityFailed` at *ack* time — the commit points all passed (the
+/// append never syncs), versions installed and
 /// locks released, so the batch fsync is the first thing that can fail.
 /// The failing partition degrades, the sibling keeps committing, and
 /// heal + checkpoint + recovery converge on the installed state.
@@ -591,10 +595,11 @@ fn durability_failed_abort_releases_locks_under_every_protocol() {
     ];
     for (name, proto) in protocols {
         let dir = tmp_dir(&format!("release-{name}"));
-        // Every fsync fails: the first durable commit is revoked.
+        // Every write fails with ENOSPC: the first durable commit's append
+        // fails before anything installs, and the commit is revoked.
         let plan = FaultPlan {
             seed: chaos_seed(),
-            fsync_permille: 1000,
+            enospc_permille: 1000,
             ..FaultPlan::quiet(chaos_seed())
         };
         let injector = FaultInjector::new(plan);
@@ -610,7 +615,7 @@ fn durability_failed_abort_releases_locks_under_every_protocol() {
         b.with_options(
             DbOptions::new()
                 .with_wal_dir(dir.clone())
-                .with_fsync_policy(FsyncPolicy::EveryCommit)
+                .with_fsync_policy(GROUP_COMMIT_1)
                 .with_log_backend(backend),
         );
         let pdb = b.build();

@@ -1,6 +1,7 @@
 //! The `kill -9` crash harness: a child process loads a durable bank,
-//! fires transfers under `FsyncPolicy::EveryCommit` and prints an `ACK`
-//! line for every fsync-acknowledged commit; the parent SIGKILLs it in
+//! fires transfers under group commit with a batch of one (one fsync per
+//! commit, before the synchronous `commit()` returns) and prints an `ACK`
+//! line for every acknowledged commit; the parent SIGKILLs it in
 //! steady state — so the crash lands at an arbitrary point of the commit
 //! pipeline, possibly mid-append — then recovers the directory and checks:
 //!
@@ -48,6 +49,11 @@ const LEDGER: TableId = TableId(1);
 const GROUP_POLICY: FsyncPolicy = FsyncPolicy::GroupCommit {
     max_batch: 8,
     max_wait_us: 100,
+};
+/// Group commit with a batch of one: the synchronous children's policy.
+const GROUP_COMMIT_1: FsyncPolicy = FsyncPolicy::GroupCommit {
+    max_batch: 1,
+    max_wait_us: 0,
 };
 
 /// Segment size of every child's log. A transfer logs ≈ 150 bytes, so a
@@ -109,7 +115,7 @@ fn child_main(dir: PathBuf, fault_seed: Option<u64>) -> ! {
     let backend = injector
         .as_ref()
         .map(|i| Arc::new(FaultBackend::new(Arc::clone(i))) as Arc<dyn LogBackend>);
-    let pdb = build_with(&dir, backend, FsyncPolicy::EveryCommit);
+    let pdb = build_with(&dir, backend, GROUP_COMMIT_1);
     for a in 0..PARTS as u64 * ACCOUNTS_PER_PART {
         pdb.insert(
             ACCOUNTS,
@@ -162,8 +168,9 @@ fn child_main(dir: PathBuf, fault_seed: Option<u64>) -> ! {
             })
             .and_then(|_| txn.commit());
         if committed.is_ok() {
-            // The commit fsynced (EveryCommit): acknowledge it. Flush so
-            // the parent sees the ack before any SIGKILL.
+            // `commit()` returned after the durability horizon passed the
+            // commit: acknowledge it. Flush so the parent sees the ack
+            // before any SIGKILL.
             let mut out = stdout.lock();
             writeln!(out, "ACK {seq} {from} {to} {amount}").unwrap();
             out.flush().unwrap();
@@ -268,7 +275,7 @@ fn kill9_crash_preserves_acked_commits() {
     run_crash_harness(
         "kill9_crash_preserves_acked_commits",
         None,
-        FsyncPolicy::EveryCommit,
+        GROUP_COMMIT_1,
         "clean",
     );
 }
@@ -296,7 +303,7 @@ fn kill9_crash_with_storage_faults_preserves_acked_commits() {
         child_main(PathBuf::from(dir), Some(seed));
     }
     // Reuse the chaos-suite seed knob so the CI sweep exercises this
-    // harness under the same five schedules.
+    // harness under the same six schedules.
     let seed = std::env::var("BAMBOO_CHAOS_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -305,7 +312,7 @@ fn kill9_crash_with_storage_faults_preserves_acked_commits() {
     run_crash_harness(
         "kill9_crash_with_storage_faults_preserves_acked_commits",
         Some(seed),
-        FsyncPolicy::EveryCommit,
+        GROUP_COMMIT_1,
         "fault",
     );
 }
@@ -367,12 +374,9 @@ fn run_crash_harness(test_name: &str, fault_seed: Option<u64>, policy: FsyncPoli
         "partition 0 logged to {segments} segment(s): the kill had no rotation to land on"
     );
 
-    // Recover the directory the child left behind. The recovery options
-    // carry the writer's fsync policy: under `EveryCommit` every acked
-    // group was individually fsynced, so groups drop individually; under
-    // `GroupCommit` locks released before the batch fsync, so recovery
-    // cuts at the durability horizon instead — every ack implies the
-    // whole prefix below it is durable either way.
+    // Recover the directory the child left behind. Locks released before
+    // the fsync, so recovery cuts at the durability horizon: every ack
+    // implies the whole prefix below it is durable.
     let (rec, report) = PartitionedDb::recover(
         DbOptions::new()
             .with_wal_dir(dir.clone())

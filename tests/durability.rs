@@ -1,21 +1,25 @@
 //! End-to-end durability tests: checkpoint → crash (drop) → recover round
 //! trips, recovery idempotence, checkpoint replay-prefix skipping,
 //! crash-during-recovery fallback, incomplete-group and torn-tail
-//! handling, the completeness rule read from the log (not the caller), and
-//! the no-checkpoint failure mode.
+//! handling, the horizon cut, a failed cross-partition append that leaves
+//! no orphan group behind, and the no-checkpoint failure mode.
 //!
 //! "Crash" here is dropping the database mid-state and recovering from the
 //! directory it left behind — the real `kill -9` variant lives in
 //! `tests/crash_recovery.rs`.
 
 use std::collections::BTreeMap;
+use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use bamboo_repro::core::partition::{PartSession, PartitionedDb};
 use bamboo_repro::core::protocol::{LockingProtocol, Protocol};
-use bamboo_repro::core::DbOptions;
-use bamboo_repro::storage::log::{SegmentWriter, WalRecord, SEG_HEADER_LEN};
+use bamboo_repro::core::{AbortReason, DbOptions};
+use bamboo_repro::storage::log::{
+    FileBarrier, LogBackend, LogDir, LogFile, RealBackend, SegmentWriter, WalRecord, SEG_HEADER_LEN,
+};
 use bamboo_repro::storage::{
     DataType, FsyncPolicy, PartitionId, RouteStrategy, Row, Schema, TableId, Value,
 };
@@ -23,6 +27,12 @@ use bamboo_repro::storage::{
 const ACCOUNTS_PER_PART: u64 = 8;
 const INITIAL: i64 = 1000;
 const PARTS: u32 = 2;
+/// Group commit with a batch of one: one fsync per commit, before
+/// `commit()` returns.
+const GROUP_COMMIT_1: FsyncPolicy = FsyncPolicy::GroupCommit {
+    max_batch: 1,
+    max_wait_us: 0,
+};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("bamboo-dur-{}-{}", std::process::id(), tag));
@@ -40,14 +50,19 @@ fn kv_schema() -> Schema {
 /// `a / ACCOUNTS_PER_PART`. Ends with the genesis checkpoint so the
 /// loaded rows are recoverable.
 fn durable_bank(dir: &Path, policy: FsyncPolicy) -> (Arc<PartitionedDb>, TableId) {
-    let bounds = (1..PARTS as u64).map(|i| i * ACCOUNTS_PER_PART).collect();
-    let mut b = PartitionedDb::builder(PARTS);
-    let t = b.add_table("accounts", kv_schema(), RouteStrategy::Range(bounds));
-    b.with_options(
+    durable_bank_with(
         DbOptions::new()
             .with_wal_dir(dir.to_path_buf())
             .with_fsync_policy(policy),
-    );
+    )
+}
+
+/// [`durable_bank`] under explicit options (a log backend, say).
+fn durable_bank_with(opts: DbOptions) -> (Arc<PartitionedDb>, TableId) {
+    let bounds = (1..PARTS as u64).map(|i| i * ACCOUNTS_PER_PART).collect();
+    let mut b = PartitionedDb::builder(PARTS);
+    let t = b.add_table("accounts", kv_schema(), RouteStrategy::Range(bounds));
+    b.with_options(opts);
     let pdb = b.build();
     for a in 0..PARTS as u64 * ACCOUNTS_PER_PART {
         pdb.insert(t, a, Row::from(vec![Value::U64(a), Value::I64(INITIAL)]));
@@ -106,7 +121,7 @@ fn total(pdb: &PartitionedDb, t: TableId) -> i64 {
 #[test]
 fn genesis_checkpoint_then_recover_restores_loaded_rows() {
     let dir = tmp_dir("genesis");
-    let (pdb, t) = durable_bank(&dir, FsyncPolicy::EveryCommit);
+    let (pdb, t) = durable_bank(&dir, GROUP_COMMIT_1);
     let before = state(&pdb, t);
     drop(pdb);
 
@@ -121,7 +136,7 @@ fn genesis_checkpoint_then_recover_restores_loaded_rows() {
 #[test]
 fn committed_transfers_survive_recovery() {
     let dir = tmp_dir("roundtrip");
-    let (pdb, t) = durable_bank(&dir, FsyncPolicy::EveryCommit);
+    let (pdb, t) = durable_bank(&dir, GROUP_COMMIT_1);
     let n = transfers(&pdb, t, 40, 7);
     assert_eq!(n, 40);
     let before = state(&pdb, t);
@@ -148,7 +163,7 @@ fn committed_transfers_survive_recovery() {
 #[test]
 fn recovering_twice_converges() {
     let dir = tmp_dir("idem");
-    let (pdb, t) = durable_bank(&dir, FsyncPolicy::EveryCommit);
+    let (pdb, t) = durable_bank(&dir, GROUP_COMMIT_1);
     transfers(&pdb, t, 25, 3);
     let before = state(&pdb, t);
     drop(pdb);
@@ -175,7 +190,7 @@ fn recovering_twice_converges() {
 #[test]
 fn recovered_index_and_slab_share_each_tuple() {
     let dir = tmp_dir("identity");
-    let (pdb, t) = durable_bank(&dir, FsyncPolicy::EveryCommit);
+    let (pdb, t) = durable_bank(&dir, GROUP_COMMIT_1);
     transfers(&pdb, t, 20, 5);
     pdb.checkpoint().unwrap();
     let session = PartSession::new(Arc::clone(&pdb), Arc::new(LockingProtocol::bamboo()));
@@ -276,7 +291,7 @@ fn secondary_postings_survive_recovery() {
 #[test]
 fn checkpoint_skips_replay_prefix() {
     let dir = tmp_dir("prefix");
-    let (pdb, t) = durable_bank(&dir, FsyncPolicy::EveryCommit);
+    let (pdb, t) = durable_bank(&dir, GROUP_COMMIT_1);
     transfers(&pdb, t, 30, 11);
     let mid_ts = pdb.checkpoint().unwrap();
     transfers(&pdb, t, 5, 13);
@@ -300,7 +315,7 @@ fn checkpoint_skips_replay_prefix() {
 #[test]
 fn crash_during_recovery_falls_back_to_previous_checkpoint() {
     let dir = tmp_dir("midcrash");
-    let (pdb, t) = durable_bank(&dir, FsyncPolicy::EveryCommit);
+    let (pdb, t) = durable_bank(&dir, GROUP_COMMIT_1);
     transfers(&pdb, t, 20, 17);
     let before = state(&pdb, t);
     drop(pdb);
@@ -324,12 +339,12 @@ fn crash_during_recovery_falls_back_to_previous_checkpoint() {
 }
 
 /// An unterminated record group at the log tail (crash mid-append) is
-/// dropped: it was never acknowledged, and under `EveryCommit` nothing
-/// after it exists to depend on it.
+/// dropped: it was never acknowledged, and its timestamp is above every
+/// complete group's, so the horizon cut keeps them all.
 #[test]
 fn incomplete_tail_group_is_dropped() {
     let dir = tmp_dir("incomplete");
-    let (pdb, t) = durable_bank(&dir, FsyncPolicy::EveryCommit);
+    let (pdb, t) = durable_bank(&dir, GROUP_COMMIT_1);
     transfers(&pdb, t, 10, 23);
     let before = state(&pdb, t);
     let next_ts = before.len() as u64; // any ts above the committed history
@@ -337,7 +352,7 @@ fn incomplete_tail_group_is_dropped() {
 
     // Forge a crash mid-append: a Begin + Update with no Commit on
     // partition 0's log.
-    let mut w = SegmentWriter::open(&dir, 0, FsyncPolicy::EveryCommit, 1 << 20).unwrap();
+    let mut w = SegmentWriter::open(&dir, 0, GROUP_COMMIT_1, 1 << 20).unwrap();
     w.append_record(&WalRecord::Begin {
         txn_id: u64::MAX,
         commit_ts: 1_000_000 + next_ts,
@@ -370,7 +385,7 @@ fn incomplete_tail_group_is_dropped() {
 #[test]
 fn torn_tail_is_detected_and_skipped() {
     let dir = tmp_dir("torn");
-    let (pdb, t) = durable_bank(&dir, FsyncPolicy::EveryCommit);
+    let (pdb, t) = durable_bank(&dir, GROUP_COMMIT_1);
     transfers(&pdb, t, 15, 29);
     let before = state(&pdb, t);
     let data_end = SEG_HEADER_LEN + pdb.parts()[0].wal().current_lsn();
@@ -498,9 +513,8 @@ fn run_many_batches_acks_under_group_commit() {
 
 /// Under `Never`, a complete-looking transaction above the oldest
 /// incomplete one is discarded by the horizon cut: a lost log suffix on one
-/// partition must not resurrect dependents elsewhere. The cut follows the
-/// policy the *log* was written under — recovering with `EveryCommit`
-/// options must not downgrade it to the individual-drop rule.
+/// partition must not resurrect dependents elsewhere. The cut is the one
+/// rule, whatever policy the recovering caller passes.
 #[test]
 fn weak_policy_horizon_cut_drops_later_transactions() {
     let dir = tmp_dir("horizon");
@@ -552,7 +566,7 @@ fn weak_policy_horizon_cut_drops_later_transactions() {
     let (rec, report) = PartitionedDb::recover(
         DbOptions::new()
             .with_wal_dir(dir.clone())
-            .with_fsync_policy(FsyncPolicy::EveryCommit),
+            .with_fsync_policy(GROUP_COMMIT_1),
     )
     .unwrap();
     assert_eq!(report.dropped_incomplete, 1);
@@ -568,70 +582,158 @@ fn weak_policy_horizon_cut_drops_later_transactions() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Recovery reads its completeness rule from the segment headers, not from
-/// the caller's options. An `EveryCommit` log can hold an orphan
-/// cross-partition group *mid-log* — a non-crash failure between the two
-/// appends of one commit, which was aborted and never installed — followed
-/// by complete, acknowledged groups. Recovering that directory with default
-/// options (`Never`) must still drop the orphan individually and keep the
-/// later groups; the horizon cut would discard acknowledged commits.
-#[test]
-fn recovery_rule_comes_from_the_log_not_the_caller() {
-    let dir = tmp_dir("rule-from-log");
-    let (pdb, t) = durable_bank(&dir, FsyncPolicy::EveryCommit);
-    transfers(&pdb, t, 5, 41);
-    let mut expected = state(&pdb, t);
+/// A [`LogBackend`] on the real filesystem whose writes to partition 1's
+/// segments fail, permanently, while `fail_p1` is on.
+#[derive(Debug)]
+struct FailingP1 {
+    fail_p1: Arc<AtomicBool>,
+}
+
+/// A segment file of [`FailingP1`]: `fail` is set for partition 1's.
+struct MaybeFailing {
+    inner: Box<dyn LogFile>,
+    fail: Option<Arc<AtomicBool>>,
+}
+
+impl LogFile for MaybeFailing {
+    fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
+        match &self.fail {
+            Some(on) if on.load(Ordering::SeqCst) => Err(io::Error::other("partition 1 refuses")),
+            _ => self.inner.write_all(buf),
+        }
+    }
+    fn preallocate(&mut self, len: u64) -> io::Result<()> {
+        self.inner.preallocate(len)
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+    fn barrier(&mut self) -> io::Result<FileBarrier> {
+        self.inner.barrier()
+    }
+}
+
+impl FailingP1 {
+    fn wrap(&self, path: &Path, inner: Box<dyn LogFile>) -> Box<dyn LogFile> {
+        let p1 = path
+            .file_name()
+            .is_some_and(|n| n.to_string_lossy().starts_with("wal-p001-"));
+        Box::new(MaybeFailing {
+            inner,
+            fail: p1.then(|| Arc::clone(&self.fail_p1)),
+        })
+    }
+}
+
+impl LogBackend for FailingP1 {
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        RealBackend.create_dir_all(dir)
+    }
+    fn list_dir(&self, dir: &Path) -> io::Result<Vec<String>> {
+        RealBackend.list_dir(dir)
+    }
+    fn create(&self, path: &Path) -> io::Result<Box<dyn LogFile>> {
+        Ok(self.wrap(path, RealBackend.create(path)?))
+    }
+    fn open_append(&self, path: &Path) -> io::Result<Box<dyn LogFile>> {
+        Ok(self.wrap(path, RealBackend.open_append(path)?))
+    }
+    fn file_len(&self, path: &Path) -> io::Result<u64> {
+        RealBackend.file_len(path)
+    }
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        RealBackend.read(path)
+    }
+    fn truncate(&self, path: &Path, len: u64) -> io::Result<()> {
+        RealBackend.truncate(path, len)
+    }
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        RealBackend.remove_file(path)
+    }
+}
+
+/// One transfer through `session`, reporting how it ended.
+fn transfer(
+    session: &PartSession,
+    t: TableId,
+    from: u64,
+    to: u64,
+    amount: i64,
+) -> Result<(), AbortReason> {
+    let mut txn = session.begin_on(PartitionId(0));
+    txn.update(t, from, |r| r.set(1, Value::I64(r.get_i64(1) - amount)))
+        .and_then(|_| txn.update(t, to, |r| r.set(1, Value::I64(r.get_i64(1) + amount))))
+        .and_then(|_| txn.commit())
+        .map_err(|e| e.0)
+}
+
+/// A cross-partition commit whose partition-1 append fails leaves no
+/// group on partition 0 either: its groups land on every partition it
+/// writes or on none. So the acknowledged partition-0 commits after it are
+/// not held behind an orphan by recovery's horizon cut — with `heal`, the
+/// cross-partition commits after the heal neither.
+fn failed_cross_partition_append_leaves_no_orphan(tag: &str, heal: bool) {
+    let dir = tmp_dir(tag);
+    let fail_p1 = Arc::new(AtomicBool::new(false));
+    let backend = Arc::new(FailingP1 {
+        fail_p1: Arc::clone(&fail_p1),
+    });
+    let (pdb, t) = durable_bank_with(
+        DbOptions::new()
+            .with_wal_dir(dir.clone())
+            .with_fsync_policy(GROUP_COMMIT_1)
+            .with_log_backend(backend),
+    );
+    let session = PartSession::new(Arc::clone(&pdb), Arc::new(LockingProtocol::bamboo()));
+    transfer(&session, t, 0, ACCOUNTS_PER_PART, 5).expect("a clean cross-partition transfer");
+
+    fail_p1.store(true, Ordering::SeqCst);
+    let failed_ts = pdb.parts()[0].db().commit_clock.next();
+    let err = transfer(&session, t, 1, ACCOUNTS_PER_PART + 1, 7).unwrap_err();
+    fail_p1.store(false, Ordering::SeqCst);
+    assert_eq!(err, AbortReason::DurabilityFailed);
+    assert!(pdb.parts()[1].wal().is_degraded(), "partition 1 degrades");
+    assert!(!pdb.parts()[0].wal().is_degraded());
+
+    for from in 2..7 {
+        transfer(&session, t, from, from + 1, 3).expect("partition-0 transfers acknowledge");
+    }
+    if heal {
+        pdb.heal(PartitionId(1)).expect("heal re-opens partition 1");
+        for from in 0..3 {
+            transfer(&session, t, from, ACCOUNTS_PER_PART + 2 + from, 2)
+                .expect("cross-partition transfers acknowledge after heal");
+        }
+    }
+    let acked = state(&pdb, t);
+    drop(session);
     drop(pdb);
 
-    let mut w = SegmentWriter::open(&dir, 0, FsyncPolicy::EveryCommit, 1 << 20).unwrap();
-    // The orphan: claims partition 1 too, whose half never landed.
-    w.append_record(&WalRecord::Begin {
-        txn_id: u64::MAX - 1,
-        commit_ts: 500_000,
-        parts_mask: 0b11,
-    })
-    .unwrap();
-    w.append_record(&WalRecord::Update {
-        table: 0,
-        key: 0,
-        row: Row::from(vec![Value::U64(0), Value::I64(-999_999)]),
-    })
-    .unwrap();
-    w.append_record(&WalRecord::Commit {
-        txn_id: u64::MAX - 1,
-        commit_ts: 500_000,
-    })
-    .unwrap();
-    // A later complete (acknowledged) partition-0 commit.
-    w.append_record(&WalRecord::Begin {
-        txn_id: u64::MAX,
-        commit_ts: 500_001,
-        parts_mask: 0b01,
-    })
-    .unwrap();
-    w.append_record(&WalRecord::Update {
-        table: 0,
-        key: 1,
-        row: Row::from(vec![Value::U64(1), Value::I64(4242)]),
-    })
-    .unwrap();
-    w.append_record(&WalRecord::Commit {
-        txn_id: u64::MAX,
-        commit_ts: 500_001,
-    })
-    .unwrap();
-    w.sync().unwrap();
-    drop(w);
-    expected.insert(1, 4242);
-
-    let (rec, report) = PartitionedDb::recover(DbOptions::new().with_wal_dir(dir.clone())).unwrap();
-    assert_eq!(report.dropped_incomplete, 1, "the orphan never replays");
-    assert_eq!(
-        report.dropped_horizon, 0,
-        "an EveryCommit log takes the individual-drop rule whatever the caller passes"
+    let scan = LogDir::real(&dir).scan_partition_from(0, 0).unwrap();
+    assert!(
+        !scan.records.iter().any(
+            |(_, r)| matches!(r, WalRecord::Begin { commit_ts, .. } if *commit_ts == failed_ts)
+        ),
+        "the failed commit left a group on partition 0"
     );
-    assert_eq!(state(&rec, t), expected, "the later acked group survives");
+    let (rec, report) = PartitionedDb::recover(DbOptions::new().with_wal_dir(dir.clone())).unwrap();
+    assert_eq!(
+        (report.dropped_incomplete, report.dropped_horizon),
+        (0, 0),
+        "nothing to drop: {report:?}"
+    );
+    assert_eq!(state(&rec, t), acked, "every acknowledged balance survives");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_failed_cross_partition_append_leaves_no_orphan_group() {
+    failed_cross_partition_append_leaves_no_orphan("no-orphan", false);
+}
+
+#[test]
+fn a_failed_cross_partition_append_then_heal_leaves_no_orphan_group() {
+    failed_cross_partition_append_leaves_no_orphan("no-orphan-heal", true);
 }
 
 /// Log compaction: once a *second* complete checkpoint exists, sealed
@@ -649,7 +751,7 @@ fn compaction_retires_sealed_segments_and_recovery_survives() {
     b.with_options(
         DbOptions::new()
             .with_wal_dir(dir.clone())
-            .with_fsync_policy(FsyncPolicy::EveryCommit)
+            .with_fsync_policy(GROUP_COMMIT_1)
             // Tiny segments so the transfer fire seals many of them.
             .with_segment_bytes(512),
     );
@@ -698,7 +800,7 @@ fn compaction_retires_sealed_segments_and_recovery_survives() {
     let (rec, report) = PartitionedDb::recover(
         DbOptions::new()
             .with_wal_dir(dir.clone())
-            .with_fsync_policy(FsyncPolicy::EveryCommit),
+            .with_fsync_policy(GROUP_COMMIT_1),
     )
     .expect("recovery from the compacted log");
     assert_eq!(

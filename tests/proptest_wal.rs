@@ -245,6 +245,11 @@ mod fault_schedule {
     const ACCOUNTS_PER_PART: u64 = 8;
     const PARTS: u32 = 2;
     const INITIAL: i64 = 1000;
+    /// Group commit with a batch of one: one fsync per commit.
+    const GROUP_COMMIT_1: FsyncPolicy = FsyncPolicy::GroupCommit {
+        max_batch: 1,
+        max_wait_us: 0,
+    };
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
@@ -283,7 +288,7 @@ mod fault_schedule {
             b.with_options(
                 DbOptions::new()
                     .with_wal_dir(dir.clone())
-                    .with_fsync_policy(FsyncPolicy::EveryCommit)
+                    .with_fsync_policy(GROUP_COMMIT_1)
                     .with_log_backend(backend),
             );
             let pdb = b.build();
@@ -370,7 +375,7 @@ mod fault_schedule {
             let (rec, _report) = PartitionedDb::recover(
                 DbOptions::new()
                     .with_wal_dir(dir.clone())
-                    .with_fsync_policy(FsyncPolicy::EveryCommit),
+                    .with_fsync_policy(GROUP_COMMIT_1),
             )
             .unwrap_or_else(|e| panic!("recovery of the faulted prefix failed: {e}"));
             let mut total = 0i64;
