@@ -8,13 +8,10 @@
 //! records the measured *shapes* against the paper's.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use bamboo_core::executor::Workload;
 use bamboo_core::model;
-use bamboo_core::protocol::{
-    Ic3Protocol, InteractiveProtocol, LockingProtocol, Protocol, SiloProtocol,
-};
+use bamboo_core::protocol::{Ic3Protocol, LockingProtocol, Protocol, SiloProtocol};
 use bamboo_workload::synthetic::{self, SyntheticConfig, SyntheticWorkload};
 use bamboo_workload::tpcc::{self, TpccConfig, TpccWorkload};
 use bamboo_workload::ycsb::{self, YcsbConfig, YcsbWorkload};
@@ -438,14 +435,4 @@ pub fn model_table() {
         );
     }
     println!("\ngain condition N^2*K^4/(2D^2) < (K-1)/(K+1); A_ww=1/2, A_bb=1/(K+1)");
-}
-
-/// Interactive-mode single protocol comparison used by `sec52`; exposed for
-/// ad-hoc runs.
-pub fn interactive_pair(opts: &RunOpts, rpc: Duration) -> (Arc<dyn Protocol>, Arc<dyn Protocol>) {
-    let _ = opts;
-    (
-        Arc::new(InteractiveProtocol::new(LockingProtocol::bamboo(), rpc)),
-        Arc::new(InteractiveProtocol::new(LockingProtocol::wound_wait(), rpc)),
-    )
 }

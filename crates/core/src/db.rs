@@ -1,6 +1,6 @@
 //! The database: a storage catalog instantiated with [`crate::TupleCc`]
 //! metadata plus the global counters the protocols share (timestamp source,
-//! transaction-id allocator, Silo epoch) and the MVCC snapshot machinery
+//! transaction-id allocator) and the MVCC snapshot machinery
 //! (commit clock, active-snapshot registry, published GC watermark).
 //!
 //! # The lock-free commit pipeline
@@ -59,15 +59,14 @@ use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use bamboo_storage::{Catalog, PartitionId, RouteStrategy, Router, Schema, Table, TableId};
 
 use crate::meta::TupleCc;
-use crate::partition::{PartitionStats, PartitionedDb, PartitionedDbBuilder};
+use crate::partition::{PartitionedDb, PartitionedDbBuilder};
 use crate::sync::CachePadded;
 use crate::ts::TsSource;
 use crate::wal::{DurabilityHorizon, WalHandle};
 
-/// Default epoch-tick period: every `EPOCH_COMMITS`-th commit advances the
-/// Silo epoch and republishes the snapshot watermark (the epoch advance
-/// doubles as the watermark publisher, so GC keeps up even when no
-/// snapshot churn refreshes it). Tunable per database through
+/// Default watermark-publish tick: every `EPOCH_COMMITS`-th commit
+/// republishes the snapshot GC watermark, so GC keeps up even when no
+/// snapshot churn refreshes it. Tunable per database through
 /// [`DbOptions::epoch_commits`].
 pub const EPOCH_COMMITS: u64 = 64;
 
@@ -78,12 +77,11 @@ pub const EPOCH_COMMITS: u64 = 64;
 /// behaves exactly as before the knobs existed.
 #[derive(Clone, Debug)]
 pub struct DbOptions {
-    /// Epoch-tick period: every `epoch_commits`-th commit advances the
-    /// Silo epoch and republishes the snapshot GC watermark. Smaller
-    /// values keep the watermark fresher (tighter version-chain GC) at the
-    /// cost of more registry scans; larger values amortize the scan
-    /// further but let chains run up to one extra epoch of commits long.
-    /// Must be at least 1.
+    /// Watermark-publish tick: every `epoch_commits`-th commit
+    /// republishes the snapshot GC watermark. Smaller values keep the
+    /// watermark fresher (tighter version-chain GC) at the cost of more
+    /// registry scans; larger values amortize the scan further but let
+    /// chains run up to one extra tick of commits long. Must be at least 1.
     pub epoch_commits: u64,
     /// Directory for durable per-partition WAL segments. `None` (the
     /// default) logs every commit to the committing session's in-memory
@@ -135,7 +133,7 @@ impl DbOptions {
         Self::default()
     }
 
-    /// Sets the epoch-tick period (clamped to at least 1).
+    /// Sets the watermark-publish tick (clamped to at least 1).
     pub fn with_epoch_commits(mut self, n: u64) -> Self {
         self.epoch_commits = n.max(1);
         self
@@ -187,7 +185,7 @@ impl DbOptions {
 }
 
 /// A partition's view of the whole database: the router plus every
-/// partition's catalog, durable log and stats slab. Held by each
+/// partition's catalog and durable log. Held by each
 /// partition's [`Database`] so any partition can resolve any
 /// `(table, key)` — the seam that lets one `Session` execute
 /// cross-partition transactions without new protocol plumbing.
@@ -204,9 +202,6 @@ pub(crate) struct Topology {
     /// when the database has no [`DbOptions::wal_dir`] (commits then go to
     /// the committing session's ring).
     pub(crate) wals: Arc<[Arc<WalHandle>]>,
-    /// Every partition's stats slab (cache-padded), indexed by partition
-    /// id.
-    pub(crate) stats: Arc<[CachePadded<PartitionStats>]>,
     /// The partition this view belongs to.
     pub(crate) me: PartitionId,
 }
@@ -649,18 +644,15 @@ impl SnapshotRegistry {
 /// every partition. [`Database::builder`] builds the one-partition case
 /// and hands out that partition.
 ///
-/// The commit clock, snapshot registry, timestamp source, epoch counter,
-/// published watermark and transaction-id source are behind `Arc`s so
-/// every partition of one database shares them: commit
-/// timestamps stay globally unique and snapshots stay globally consistent
-/// no matter which partition a transaction enters through.
+/// The commit clock, snapshot registry, timestamp source, published
+/// watermark and transaction-id source are behind `Arc`s so every
+/// partition of one database shares them: commit timestamps stay globally
+/// unique and snapshots stay globally consistent no matter which partition
+/// a transaction enters through.
 pub struct Database {
     pub(crate) catalog: Arc<Catalog<TupleCc>>,
     /// Global timestamp source (Wound-Wait priorities).
     pub ts_source: Arc<TsSource>,
-    /// Silo epoch counter (advanced every [`DbOptions::epoch_commits`]
-    /// commits; the advance also republishes the snapshot watermark).
-    pub epoch: Arc<CachePadded<AtomicU64>>,
     /// MVCC commit clock: versioned installs are tagged with its
     /// timestamps; snapshots are taken at its stable point.
     pub commit_clock: Arc<CommitClock>,
@@ -841,11 +833,11 @@ impl Database {
     /// [`Database::register_snapshot`], letting the watermark advance.
     ///
     /// One compare-exchange; the watermark itself is republished lazily by
-    /// the next epoch tick ([`Database::advance_epoch`], every
-    /// `EPOCH_COMMITS`-th commit) or an explicit
+    /// the next tick ([`Database::note_commit`], every
+    /// [`DbOptions::epoch_commits`]-th commit) or an explicit
     /// [`Database::publish_watermark`] — keeping the registry scan off the
     /// snapshot-end hot path. The staleness only delays GC by at most one
-    /// epoch of commits; it never reclaims a live version.
+    /// tick of commits; it never reclaims a live version.
     pub fn release_snapshot(&self, grant: SnapshotGrant) {
         self.snapshots.unregister(grant);
     }
@@ -876,29 +868,12 @@ impl Database {
 
     /// Commit-side bookkeeping after a versioned install completes: marks
     /// `commit_ts` finished on the clock and, every
-    /// [`DbOptions::epoch_commits`]-th commit, advances the Silo epoch and
-    /// republishes the watermark. Also bumps this partition's commit
-    /// counter (one relaxed add on a cache-padded slab owned by this
-    /// partition).
+    /// [`DbOptions::epoch_commits`]-th commit, republishes the watermark.
     pub fn note_commit(&self, commit_ts: u64) {
         self.commit_clock.finish(commit_ts);
-        let t = &self.topology;
-        // ordering: Relaxed — statistics counter; read only by quiesced
-        // reporting paths.
-        t.stats[t.me.idx()].commits.fetch_add(1, Ordering::Relaxed);
         if commit_ts % self.options.epoch_commits == 0 {
-            self.advance_epoch();
+            self.publish_watermark();
         }
-    }
-
-    /// Advances the Silo epoch and republishes the snapshot watermark (the
-    /// paper-style epoch tick doubles as the watermark publisher).
-    pub fn advance_epoch(&self) {
-        // ordering: AcqRel — Silo's epoch protocol requires a committer
-        // that reads epoch `e` to see every installation the advancer to
-        // `e` observed; the RMW chains advancers into one release sequence.
-        self.epoch.fetch_add(1, Ordering::AcqRel);
-        self.publish_watermark();
     }
 
     /// Total rows across all tables (sanity checks / stats).
@@ -1020,7 +995,7 @@ mod tests {
         assert!(db.gc_watermark() <= snap.ts);
         db.release_snapshot(snap);
         assert_eq!(db.snapshots.active_count(), 0);
-        // Release itself is one CAS; the next publish (epoch tick or
+        // Release itself is one CAS; the next publish (tick or
         // explicit) moves the watermark past the released snapshot.
         db.publish_watermark();
         assert_eq!(db.gc_watermark(), 3 + BIN_WIDTH * 2);
@@ -1041,12 +1016,13 @@ mod tests {
     #[test]
     fn epoch_advance_publishes_watermark() {
         let db = Database::builder().build();
-        let e0 = db.epoch.load(Ordering::Acquire);
-        for _ in 0..EPOCH_COMMITS {
+        for _ in 0..EPOCH_COMMITS - 1 {
             let ts = db.commit_clock.allocate();
             db.note_commit(ts);
         }
-        assert_eq!(db.epoch.load(Ordering::Acquire), e0 + 1);
+        assert_eq!(db.gc_watermark(), 0, "nothing published before the tick");
+        let ts = db.commit_clock.allocate();
+        db.note_commit(ts);
         assert_eq!(db.gc_watermark(), EPOCH_COMMITS);
     }
 
@@ -1056,17 +1032,18 @@ mod tests {
         let db = Database::builder().build();
         assert_eq!(db.options().epoch_commits, EPOCH_COMMITS);
         assert_eq!(db.trim_threshold(), bamboo_storage::DEFAULT_TRIM_THRESHOLD);
-        // A shorter period ticks the epoch (and republishes the
-        // watermark) proportionally earlier.
+        // A shorter period republishes the watermark proportionally
+        // earlier.
         let mut b = Database::builder();
         b.with_options(DbOptions::new().with_epoch_commits(4));
         let db = b.build();
-        let e0 = db.epoch.load(Ordering::Acquire);
-        for _ in 0..4 {
+        for _ in 0..3 {
             let ts = db.commit_clock.allocate();
             db.note_commit(ts);
         }
-        assert_eq!(db.epoch.load(Ordering::Acquire), e0 + 1);
+        assert_eq!(db.gc_watermark(), 0, "nothing published before the tick");
+        let ts = db.commit_clock.allocate();
+        db.note_commit(ts);
         assert_eq!(db.gc_watermark(), 4);
         // A zero period is clamped rather than dividing by zero.
         let mut b = Database::builder();

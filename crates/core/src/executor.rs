@@ -20,7 +20,7 @@ use rand::SeedableRng;
 use crate::db::Database;
 use crate::partition::{PartSession, PartitionedDb};
 use crate::protocol::Protocol;
-use crate::session::{RetryPolicy, Session, Txn};
+use crate::session::{Session, Txn};
 use crate::stats::{BenchResult, WorkerStats};
 use crate::sync::CachePadded;
 use crate::txn::Abort;
@@ -88,8 +88,6 @@ pub struct BenchConfig {
     pub warmup: Duration,
     /// RNG seed (worker `i` uses `seed + i`).
     pub seed: u64,
-    /// Retry/backoff rules handed to each worker's [`Session`].
-    pub retry: RetryPolicy,
 }
 
 impl Default for BenchConfig {
@@ -106,7 +104,6 @@ impl BenchConfig {
             duration: Duration::from_millis(200),
             warmup: Duration::from_millis(20),
             seed: 42,
-            retry: RetryPolicy::default(),
         }
     }
 
@@ -125,18 +122,6 @@ impl BenchConfig {
     /// Sets the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the worker-thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Sets the retry/backoff policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
         self
     }
 }
@@ -232,7 +217,7 @@ pub fn run_bench(
     cfg: &BenchConfig,
 ) -> BenchResult {
     drive_bench(proto.name(), workload, cfg, || {
-        vec![Session::new(Arc::clone(db), Arc::clone(proto)).with_retry(cfg.retry.clone())]
+        vec![Session::new(Arc::clone(db), Arc::clone(proto))]
     })
 }
 
@@ -251,9 +236,7 @@ pub fn run_part_bench(
 ) -> BenchResult {
     let log_before = pdb.log_bytes();
     let mut res = drive_bench(proto.name(), workload, cfg, || {
-        PartSession::new(Arc::clone(pdb), Arc::clone(proto))
-            .with_retry(cfg.retry.clone())
-            .into_sessions()
+        PartSession::new(Arc::clone(pdb), Arc::clone(proto)).into_sessions()
     });
     // Includes warmup, like the rings' lifetime counters.
     res.totals.log_bytes += pdb.log_bytes() - log_before;

@@ -87,12 +87,13 @@
 //!   [`AbortReason::SnapshotNotVisible`] (or `Ok(None)` through
 //!   [`Txn::read_opt`]), never as a panic.
 //! * The registry's floor is published as the GC watermark
-//!   ([`db::Database::gc_watermark`]); installs trim versions no live
-//!   snapshot can still see — whenever the chain's oldest version is dead
-//!   (one comparison; dead versions are a prefix of the chain) or the
-//!   chain is past its threshold, with the Silo-style epoch tick
-//!   ([`db::Database::advance_epoch`], fired every N commits) doubling as
-//!   the watermark publisher so chains drain even without snapshot churn.
+//!   ([`db::Database::gc_watermark`]); versions no live snapshot can
+//!   still see are trimmed whenever the chain's oldest version is dead
+//!   (one comparison; dead versions are a prefix of the chain) — by a 2PL
+//!   writer before it copies the row, and by every install. Every
+//!   [`db::DbOptions::epoch_commits`]-th commit republishes the watermark
+//!   ([`db::Database::note_commit`]), so chains drain even without
+//!   snapshot churn.
 //!
 //! The commit clock, snapshot registry and watermark are all lock-free:
 //! no `Mutex`/`RwLock` sits on the commit or snapshot-begin path (see
@@ -106,9 +107,9 @@
 //!
 //! [`partition::PartitionedDb`] splits the storage into N partitions —
 //! each its own catalog shard (tuple slabs, indexes, version chains,
-//! per-tuple lock entries), durable log and stats slab — while the commit
-//! clock, snapshot registry and watermark stay shared, so commit
-//! timestamps remain globally ordered and snapshots globally consistent.
+//! per-tuple lock entries) and durable log — while the commit clock,
+//! snapshot registry and watermark stay shared, so commit timestamps
+//! remain globally ordered and snapshots globally consistent.
 //! [`partition::PartSession`] extends the `Session` seam with a
 //! partition-local fast path ([`partition::PartSession::begin_on`]);
 //! cross-partition transactions route per-key through
@@ -117,8 +118,8 @@
 //! log appends in partition-id order (the commit-ordering contract — see
 //! [`partition`]'s module docs). [`Database::builder`] is the
 //! one-partition case of the same engine. Build-time tuning knobs
-//! (epoch-tick period, the durable log's directory and fsync policy) live
-//! in [`db::DbOptions`].
+//! (watermark-publish tick, the durable log's directory and fsync policy)
+//! live in [`db::DbOptions`].
 
 pub mod db;
 pub mod durability;

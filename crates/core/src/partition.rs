@@ -2,11 +2,11 @@
 //!
 //! [`PartitionedDb`] splits the storage and execution state that *can* be
 //! split — catalog (tuple slabs, hash/ordered indexes, version chains,
-//! per-tuple lock entries), durable log, stats slab — into per-partition
-//! shards, while the state that defines transactional consistency — the
-//! commit clock, snapshot registry, GC watermark, timestamp and
-//! transaction-id sources — stays **shared** across partitions (one `Arc`
-//! each, see [`crate::db::Database`]). A snapshot taken on any partition
+//! per-tuple lock entries) and durable log — into per-partition shards,
+//! while the state that defines transactional consistency — the commit
+//! clock, snapshot registry, GC watermark, timestamp and transaction-id
+//! sources — stays **shared** across partitions (one `Arc` each, see
+//! [`crate::db::Database`]). A snapshot taken on any partition
 //! is therefore consistent across all of them, and commit timestamps
 //! remain globally unique and totally ordered.
 //!
@@ -94,27 +94,10 @@ use bamboo_storage::{Catalog, PartitionId, RouteStrategy, Router, Row, Schema, T
 use crate::db::{CommitClock, Database, DbOptions, SnapshotRegistry, Topology};
 use crate::meta::TupleCc;
 use crate::protocol::Protocol;
-use crate::session::{RetryPolicy, Session, Txn, TxnOptions};
+use crate::session::{Session, Txn};
 use crate::sync::CachePadded;
 use crate::ts::TsSource;
 use crate::wal::WalHandle;
-
-/// Per-partition counters, each slab cache-padded so partitions never
-/// share a line. Commit counts are *home-attributed*: a cross-partition
-/// commit bumps the counter of the partition whose session ran it.
-#[derive(Debug, Default)]
-pub struct PartitionStats {
-    /// Committed transactions whose commit bookkeeping ran on this
-    /// partition.
-    pub commits: AtomicU64,
-}
-
-impl PartitionStats {
-    /// Committed-transaction count.
-    pub fn commits(&self) -> u64 {
-        self.commits.load(Ordering::Relaxed)
-    }
-}
 
 /// One partition: its `Database` view (catalog shard + shared globals +
 /// topology).
@@ -148,11 +131,6 @@ impl Partition {
             .get(self.id().idx())
             .expect("no partition log: the database has no DbOptions::wal_dir")
     }
-
-    /// The partition's stats slab.
-    pub fn stats(&self) -> &PartitionStats {
-        &self.db.topology().stats[self.id().idx()]
-    }
 }
 
 /// A database split into N partitions sharing one commit clock and
@@ -161,7 +139,6 @@ impl Partition {
 pub struct PartitionedDb {
     router: Arc<Router>,
     parts: Vec<Partition>,
-    stats: Arc<[CachePadded<PartitionStats>]>,
     /// Sealed WAL segments deleted by checkpoint-time log compaction.
     segments_retired: AtomicU64,
 }
@@ -257,11 +234,6 @@ impl PartitionedDb {
     /// once per replica).
     pub fn total_rows(&self) -> usize {
         self.parts.iter().map(|p| p.db.total_rows()).sum()
-    }
-
-    /// Sum of the per-partition commit counters.
-    pub fn total_commits(&self) -> u64 {
-        self.stats.iter().map(|s| s.commits()).sum()
     }
 
     /// Every partition's durable log — empty without a
@@ -465,14 +437,10 @@ impl PartitionedDbBuilder {
             }
             None => Arc::from([]),
         };
-        let stats: Arc<[CachePadded<PartitionStats>]> = (0..self.partitions)
-            .map(|_| CachePadded::new(PartitionStats::default()))
-            .collect();
         // The shared commit pipeline: one of each, cloned into every
         // partition's Database so commit timestamps and snapshots stay
         // globally consistent.
         let ts_source = Arc::new(TsSource::new());
-        let epoch = Arc::new(CachePadded::new(AtomicU64::new(1)));
         let commit_clock = Arc::new(CommitClock::new());
         let snapshots = Arc::new(SnapshotRegistry::new());
         let watermark = Arc::new(CachePadded::new(AtomicU64::new(0)));
@@ -489,7 +457,6 @@ impl PartitionedDbBuilder {
                     db: Arc::new(Database {
                         catalog: Arc::clone(&catalogs[me.idx()]),
                         ts_source: Arc::clone(&ts_source),
-                        epoch: Arc::clone(&epoch),
                         commit_clock: Arc::clone(&commit_clock),
                         snapshots: Arc::clone(&snapshots),
                         watermark: Arc::clone(&watermark),
@@ -500,7 +467,6 @@ impl PartitionedDbBuilder {
                             router: Arc::clone(&router),
                             catalogs: Arc::clone(&catalogs),
                             wals: Arc::clone(&wals),
-                            stats: Arc::clone(&stats),
                             me,
                         },
                     }),
@@ -510,7 +476,6 @@ impl PartitionedDbBuilder {
         Arc::new(PartitionedDb {
             router,
             parts,
-            stats,
             segments_retired: AtomicU64::new(0),
         })
     }
@@ -530,8 +495,7 @@ pub struct PartSession {
 }
 
 impl PartSession {
-    /// Binds every partition of `pdb` to `proto` with the default
-    /// [`RetryPolicy`].
+    /// Binds every partition of `pdb` to `proto`.
     pub fn new(pdb: Arc<PartitionedDb>, proto: Arc<dyn Protocol>) -> Self {
         let sessions = pdb
             .parts()
@@ -539,16 +503,6 @@ impl PartSession {
             .map(|p| Session::new(Arc::clone(p.db()), Arc::clone(&proto)))
             .collect();
         PartSession { pdb, sessions }
-    }
-
-    /// Replaces the retry policy on every partition's session.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.sessions = self
-            .sessions
-            .into_iter()
-            .map(|s| s.with_retry(retry.clone()))
-            .collect();
-        self
     }
 
     /// Every partition's session, in partition-id order.
@@ -566,22 +520,11 @@ impl PartSession {
         &self.sessions[p.idx()]
     }
 
-    /// The session of the partition owning `(table, key)` — the home
-    /// session a single-partition transaction on that key should use.
-    pub fn session_for(&self, table: TableId, key: u64) -> &Session {
-        self.session(self.pdb.route(table, key))
-    }
-
     /// Starts a read-write transaction homed on partition `p` (the
     /// single-partition fast path when the transaction only touches `p`'s
     /// keys; cross-partition accesses route transparently).
     pub fn begin_on(&self, p: PartitionId) -> Txn<'_> {
         self.session(p).begin()
-    }
-
-    /// Starts a transaction homed on `p` with explicit options.
-    pub fn begin_on_with(&self, p: PartitionId, opts: TxnOptions) -> Txn<'_> {
-        self.session(p).begin_with(opts)
     }
 
     /// Starts a read-only snapshot transaction homed on partition `p`.
@@ -739,8 +682,6 @@ mod tests {
         assert_eq!(s.session(PartitionId(0)).log_records(), 1);
         assert_eq!(s.session(PartitionId(1)).log_records(), 1);
         assert_eq!(pdb.log_records(), 0, "no wal dir: no partition logs");
-        assert_eq!(pdb.part(PartitionId(0)).stats().commits(), 1);
-        assert_eq!(pdb.part(PartitionId(1)).stats().commits(), 1);
     }
 
     #[test]
@@ -752,7 +693,6 @@ mod tests {
         txn.commit().unwrap();
         assert_eq!(pdb.part(PartitionId(1)).wal().records(), 1);
         assert_eq!(pdb.part(PartitionId(0)).wal().records(), 0);
-        assert_eq!(pdb.part(PartitionId(1)).stats().commits(), 1);
         assert_eq!(s.session(PartitionId(1)).log_records(), 0, "ring unused");
         let _ = std::fs::remove_dir_all(log.path());
     }
@@ -852,13 +792,16 @@ mod tests {
         for p in [PartitionId(0), PartitionId(1)] {
             assert_eq!(pdb.db(p).options().epoch_commits, 8);
         }
-        // The epoch tick fires on the shared clock at the configured period.
+        // The watermark-publish tick fires on the shared clock at the
+        // configured period: not at commit 7, at commit 8.
         let db = pdb.db(PartitionId(0));
-        let e0 = db.epoch.load(Ordering::Acquire);
-        for _ in 0..8 {
+        for _ in 0..7 {
             let ts = db.commit_clock.allocate();
             db.note_commit(ts);
         }
-        assert_eq!(db.epoch.load(Ordering::Acquire), e0 + 1);
+        assert_eq!(db.gc_watermark(), 0);
+        let ts = db.commit_clock.allocate();
+        db.note_commit(ts);
+        assert_eq!(pdb.db(PartitionId(1)).gc_watermark(), 8);
     }
 }

@@ -22,10 +22,6 @@ use crate::protocol::Protocol;
 use crate::txn::{Abort, TxnCtx};
 use crate::wal::WalBuffer;
 
-/// Default simulated round-trip: in the ballpark of an intra-datacenter
-/// gRPC call.
-pub const DEFAULT_RPC: Duration = Duration::from_micros(100);
-
 /// Wraps a protocol with per-operation RPC delays.
 pub struct InteractiveProtocol<P> {
     inner: P,
@@ -38,11 +34,6 @@ impl<P: Protocol> InteractiveProtocol<P> {
     pub fn new(inner: P, rpc: Duration) -> Self {
         let name = format!("{}(interactive)", inner.name());
         InteractiveProtocol { inner, rpc, name }
-    }
-
-    /// Wraps with the default round-trip.
-    pub fn with_default_rpc(inner: P) -> Self {
-        Self::new(inner, DEFAULT_RPC)
     }
 
     #[inline]

@@ -8,9 +8,10 @@
 //! key) order, (2) validate the read set, (3) install and release with a
 //! fresh TID.
 //!
-//! Simplifications vs. the original: Silo's epoch
-//! machinery exists for recovery/read-only snapshots; our TIDs take the max
-//! of observed versions + 1, which preserves all concurrency behaviour the
+//! Simplifications vs. the original: Silo's epochs exist for recovery and
+//! read-only snapshots, which this engine does without them (the redo log
+//! and the commit clock), so there is no epoch; our TIDs take the max of
+//! observed versions + 1, which preserves all concurrency behaviour the
 //! paper's figures depend on (abort rate under contention, cache-warm-up
 //! retries, no lock waiting).
 //!
@@ -272,10 +273,9 @@ impl Protocol for SiloProtocol {
                 }
             },
             // Phase 3: install the write set as new committed versions,
-            // bump TIDs, unlock. Finishing the timestamp afterwards doubles
-            // as Silo's epoch tick: every EPOCH_COMMITS-th commit advances
-            // the epoch and republishes the snapshot watermark
-            // (db::note_commit).
+            // bump TIDs, unlock. The commit tail then finishes the
+            // timestamp (db::note_commit, which republishes the snapshot
+            // watermark every EPOCH_COMMITS-th commit).
             |ctx| {
                 let watermark = db.gc_watermark();
                 for &i in &write_idx {

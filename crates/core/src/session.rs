@@ -19,8 +19,7 @@
 //!   (`ctx.planned_ops = …; ctx.ic3.template = …; begin` vs
 //!   `begin_snapshot`) with one builder.
 //! * [`Session::run`] / [`Session::run_reporting`] subsume the executor's
-//!   attempt/retry loop, with the backoff constants carried by the
-//!   session's [`RetryPolicy`] instead of hard-coded in the executor.
+//!   attempt/retry loop under the session's [`RetryPolicy`].
 //!
 //! ```
 //! use std::sync::Arc;
@@ -58,22 +57,22 @@ use crate::wal::{DurabilityTicket, WalBuffer};
 use bamboo_storage::{Row, TableId};
 use parking_lot::Mutex;
 
+/// Failures up to this count only yield the CPU (no sleep).
+const YIELD_ATTEMPTS: u32 = 1;
+/// Backoff base in microseconds (DBx1000's restart penalty).
+const BACKOFF_BASE_US: u64 = 5;
+/// The exponential backoff saturates at this many doublings.
+const BACKOFF_MAX_SHIFT: u32 = 6;
+
 /// Retry rules for [`Session::run`]: when an aborted attempt is retried
 /// and how long to back off between attempts.
 ///
-/// The defaults reproduce DBx1000's restart penalty (previously hard-coded
-/// in the executor): the first failure yields the CPU, later failures
-/// sleep `base << min(attempt, max_shift)` microseconds — exponential
-/// backoff that lets conflicting transactions drain instead of re-colliding
-/// immediately, which is vital for cascade storms.
-#[derive(Clone, Debug)]
+/// The backoff is DBx1000's restart penalty: the first failure yields the
+/// CPU, later failures sleep `5 << min(attempt, 6)` microseconds —
+/// exponential backoff that lets conflicting transactions drain instead
+/// of re-colliding immediately, which is vital for cascade storms.
+#[derive(Clone, Debug, Default)]
 pub struct RetryPolicy {
-    /// Failures up to this count only yield the CPU (no sleep).
-    pub yield_attempts: u32,
-    /// Backoff base in microseconds (DBx1000's restart penalty: 5).
-    pub backoff_base_us: u64,
-    /// The exponential shift saturates at this many doublings.
-    pub backoff_max_shift: u32,
     /// Whether user-initiated aborts are retried. `false` by default:
     /// a user abort (e.g. TPC-C's invalid-item NewOrder) is a logical
     /// rollback — the transaction is *done*, and re-running it would abort
@@ -81,31 +80,12 @@ pub struct RetryPolicy {
     pub retry_user_aborts: bool,
 }
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            yield_attempts: 1,
-            backoff_base_us: 5,
-            backoff_max_shift: 6,
-            retry_user_aborts: false,
-        }
-    }
-}
-
 impl RetryPolicy {
     /// Backoff before retry number `attempt` (1-based count of failures so
     /// far): `None` means yield the CPU, `Some(d)` means sleep `d`.
     pub fn backoff(&self, attempt: u32) -> Option<Duration> {
-        if attempt <= self.yield_attempts {
-            None
-        } else {
-            // Saturate rather than shift-overflow: a misconfigured
-            // `backoff_max_shift` must degrade to "very long backoff",
-            // never to a debug-build panic or a silently truncated sleep.
-            let shift = attempt.min(self.backoff_max_shift).min(63);
-            let us = self.backoff_base_us.saturating_mul(1u64 << shift);
-            Some(Duration::from_micros(us))
-        }
+        (attempt > YIELD_ATTEMPTS)
+            .then(|| Duration::from_micros(BACKOFF_BASE_US << attempt.min(BACKOFF_MAX_SHIFT)))
     }
 
     /// Whether an abort for `reason` should be retried at all.
@@ -199,10 +179,10 @@ impl TxnOptions {
     }
 }
 
-/// A transaction session: one database + one protocol + the retry rules,
-/// plus the session's redo ring (the paper's in-memory redo log; §5.1 logs
-/// "to main memory") — where its commits are logged unless the database
-/// has durable partition logs.
+/// A transaction session: one database + one protocol, plus the
+/// session's redo ring (the paper's in-memory redo log; §5.1 logs "to
+/// main memory") — where its commits are logged unless the database has
+/// durable partition logs.
 ///
 /// Sessions are cheap to construct (two `Arc` clones + the ring
 /// allocation) and `Sync`; the benchmark executor gives each worker thread
@@ -211,7 +191,6 @@ impl TxnOptions {
 pub struct Session {
     db: Arc<Database>,
     proto: Arc<dyn Protocol>,
-    retry: RetryPolicy,
     /// Behind a mutex the commit path takes for one append only, so the
     /// lock is uncontended with one session per worker and a shared
     /// session's waiting commits never hold the log.
@@ -219,8 +198,7 @@ pub struct Session {
 }
 
 impl Session {
-    /// Binds a database and a protocol with the default [`RetryPolicy`]
-    /// and a default-sized ring.
+    /// Binds a database and a protocol with a default-sized ring.
     ///
     /// # Panics
     ///
@@ -238,15 +216,8 @@ impl Session {
         Session {
             db,
             proto,
-            retry: RetryPolicy::default(),
             ring: Mutex::new(WalBuffer::new()),
         }
-    }
-
-    /// Replaces the retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
     }
 
     /// The bound database.
@@ -259,9 +230,12 @@ impl Session {
         &self.proto
     }
 
-    /// The session's retry policy.
+    /// The session's retry policy: the default one, which retries every
+    /// abort but a user's, a hard snapshot miss and a durability failure.
     pub fn retry(&self) -> &RetryPolicy {
-        &self.retry
+        &RetryPolicy {
+            retry_user_aborts: false,
+        }
     }
 
     /// Total redo-log bytes this session's commits appended to its ring
@@ -303,7 +277,6 @@ impl Session {
             session: self,
             ctx,
             finished: false,
-            defer_ack: false,
         }
     }
 
@@ -346,47 +319,12 @@ impl Session {
         Ok(())
     }
 
-    /// Runs a batch of specs with every group-commit acknowledgment
-    /// deferred to the end of the batch: each transaction executes,
-    /// commits and releases its locks immediately — its writes overlap the
-    /// *next* spec's execution instead of an fsync wait — and the
-    /// durability waits run once at the end, in commit-timestamp order, so
-    /// the whole batch shares a handful of leader fsyncs instead of
-    /// parking once per transaction. Under every other fsync policy this
-    /// is equivalent to calling [`Session::run`] in a loop.
-    ///
-    /// Returns one result per spec, in order. An entry is
-    /// `Err(Abort(DurabilityFailed))` when its batch fsync failed after
-    /// install: the commit stands in memory but was never acknowledged
-    /// (see [`Session::ack_ticket`]).
-    pub fn run_many(&self, specs: &[&dyn TxnSpec]) -> Vec<Result<(), Abort>> {
-        let mut tickets: Vec<(usize, DurabilityTicket)> = Vec::new();
-        let mut results: Vec<Result<(), Abort>> = specs
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| {
-                let ticket = self.run_inner(*spec, true, None, None, None)?;
-                tickets.extend(ticket.map(|t| (i, t)));
-                Ok(())
-            })
-            .collect();
-        // Acknowledge in commit-timestamp order: the horizon advances in
-        // that order, so earlier commits never park behind later ones.
-        tickets.sort_by_key(|(_, t)| t.commit_ts);
-        for (i, ticket) in tickets {
-            if let Err(e) = self.ack_ticket(ticket) {
-                results[i] = Err(e);
-            }
-        }
-        results
-    }
-
     /// Runs `spec` to commit, retrying aborted attempts per the session's
     /// [`RetryPolicy`]. Returns the terminal [`Abort`] only when the
     /// policy declines to retry it (by default: user-initiated aborts,
     /// which are logical rollbacks, not failures).
     pub fn run(&self, spec: &dyn TxnSpec) -> Result<(), Abort> {
-        self.run_inner(spec, false, None, None, None).map(|_| ())
+        self.run_inner(spec, None, None, None)
     }
 
     /// [`Session::run`] with benchmark instrumentation: per-attempt
@@ -400,28 +338,25 @@ impl Session {
         stop: &AtomicBool,
         deadline: Instant,
     ) -> bool {
-        self.run_inner(spec, false, Some(stats), Some(stop), Some(deadline))
+        self.run_inner(spec, Some(stats), Some(stop), Some(deadline))
             .is_ok()
     }
 
-    /// The one attempt/retry/backoff loop, behind [`Session::run`],
-    /// [`Session::run_reporting`] and [`Session::run_many`]. `Ok` carries
-    /// the commit's unacknowledged durability ticket when `defer_ack` asked
-    /// for it; `Err` is the abort the policy (or `stop` / `deadline`)
-    /// declined to retry.
+    /// The one attempt/retry/backoff loop, behind [`Session::run`] and
+    /// [`Session::run_reporting`]. `Err` is the abort the policy (or
+    /// `stop` / `deadline`) declined to retry.
     fn run_inner(
         &self,
         spec: &dyn TxnSpec,
-        defer_ack: bool,
         mut stats: Option<&mut WorkerStats>,
         stop: Option<&AtomicBool>,
         deadline: Option<Instant>,
-    ) -> Result<Option<DurabilityTicket>, Abort> {
+    ) -> Result<(), Abort> {
         let snapshot = spec.read_only_snapshot();
         let mut attempt = 0u32;
         loop {
             let t0 = Instant::now();
-            let (res, cascaded, timers, locks, spanned) = self.attempt(spec, defer_ack);
+            let (res, cascaded, timers, locks, spanned) = self.attempt(spec);
             if let Some(stats) = stats.as_deref_mut() {
                 stats.lock_wait += timers.lock_wait;
                 stats.commit_wait += timers.commit_wait;
@@ -451,18 +386,15 @@ impl Session {
                     }
                 }
             }
-            let e = match res {
-                Ok(ticket) => return Ok(ticket),
-                Err(e) => e,
-            };
-            if !self.retry.retryable(e.0)
+            let Err(e) = res else { return Ok(()) };
+            if !self.retry().retryable(e.0)
                 || stop.is_some_and(|s| s.load(Ordering::Relaxed))
                 || deadline.is_some_and(|d| Instant::now() >= d)
             {
                 return Err(e);
             }
             attempt += 1;
-            match self.retry.backoff(attempt) {
+            match self.retry().backoff(attempt) {
                 None => std::thread::yield_now(),
                 Some(d) => std::thread::sleep(d),
             }
@@ -470,24 +402,11 @@ impl Session {
     }
 
     /// One attempt: begin per the spec's options, run the pieces in order,
-    /// commit — aborting the attempt on any failure. With `defer_ack` a
-    /// group-commit acknowledgment is not waited out; the ticket comes back
-    /// in the result instead. Returns the result, the abort-cascade count,
-    /// the attempt's timers/lock counters, and the number of partitions the
-    /// access set spanned.
-    fn attempt(
-        &self,
-        spec: &dyn TxnSpec,
-        defer_ack: bool,
-    ) -> (
-        Result<Option<DurabilityTicket>, Abort>,
-        usize,
-        TxnTimers,
-        u64,
-        u32,
-    ) {
+    /// commit — aborting the attempt on any failure. Returns the result,
+    /// the abort-cascade count, the attempt's timers/lock counters, and the
+    /// number of partitions the access set spanned.
+    fn attempt(&self, spec: &dyn TxnSpec) -> (Result<(), Abort>, usize, TxnTimers, u64, u32) {
         let mut txn = self.begin_with(TxnOptions::for_spec(spec));
-        txn.defer_ack = defer_ack;
         let mut spanned = 1;
         let res = (|| {
             for p in 0..spec.pieces() {
@@ -498,8 +417,7 @@ impl Session {
             // Before the commit: apply_inserts drains the buffered inserts,
             // which count toward the partition span.
             spanned = txn.partitions_spanned();
-            txn.commit_in_place()?;
-            Ok(txn.ctx.durability.take())
+            txn.commit_in_place(false)
         })();
         let timers = txn.ctx.timers;
         let locks = txn.ctx.locks_acquired;
@@ -524,10 +442,6 @@ pub struct Txn<'s> {
     session: &'s Session,
     ctx: TxnCtx,
     finished: bool,
-    /// Group-commit acknowledgments are *not* waited in `commit_in_place`;
-    /// the ticket stays in the context for the caller to batch
-    /// ([`Session::run_many`], [`Txn::commit_deferred`]).
-    defer_ack: bool,
 }
 
 impl<'s> Txn<'s> {
@@ -728,7 +642,7 @@ impl<'s> Txn<'s> {
     /// reaches its timestamp — `Ok` means durable, under every policy that
     /// promises durable acknowledgments.
     pub fn commit(mut self) -> Result<(), Abort> {
-        let res = self.commit_in_place();
+        let res = self.commit_in_place(false);
         if res.is_err() {
             self.abort_in_place();
         }
@@ -743,8 +657,7 @@ impl<'s> Txn<'s> {
     /// policy). On failure the attempt is aborted internally, like
     /// [`Txn::commit`].
     pub fn commit_deferred(mut self) -> Result<Option<DurabilityTicket>, Abort> {
-        self.defer_ack = true;
-        match self.commit_in_place() {
+        match self.commit_in_place(true) {
             Ok(()) => Ok(self.ctx.durability.take()),
             Err(e) => {
                 self.abort_in_place();
@@ -813,8 +726,10 @@ impl<'s> Txn<'s> {
     /// Commit without consuming `self` (shared by the public consuming
     /// `commit` and the session's attempt loop, which still needs the
     /// context's timers afterwards). Marks the attempt finished on
-    /// success.
-    fn commit_in_place(&mut self) -> Result<(), Abort> {
+    /// success. With `defer_ack` a group-commit acknowledgment is not
+    /// waited out: the ticket stays in the context for
+    /// [`Txn::commit_deferred`] to hand back.
+    fn commit_in_place(&mut self, defer_ack: bool) -> Result<(), Abort> {
         debug_assert!(!self.finished, "commit on a finished attempt");
         self.session
             .proto
@@ -827,7 +742,7 @@ impl<'s> Txn<'s> {
         // attempt already marked finished, so the abort paths (consuming
         // `commit`, the session retry loop, `Drop`) are all no-ops: the
         // installed state stands, only the acknowledgment is withheld.
-        if !self.defer_ack {
+        if !defer_ack {
             if let Some(ticket) = self.ctx.durability.take() {
                 self.session.ack_ticket(ticket)?;
             }
@@ -979,15 +894,6 @@ mod tests {
         // retrying with a fresh snapshot loops forever when the key simply
         // never exists.
         assert!(!p.retryable(AbortReason::SnapshotNotVisible));
-        // Misconfigured shifts saturate instead of overflowing.
-        let wild = RetryPolicy {
-            backoff_max_shift: 64,
-            ..RetryPolicy::default()
-        };
-        assert_eq!(
-            wild.backoff(64),
-            Some(Duration::from_micros(5u64.saturating_mul(1 << 63)))
-        );
     }
 
     #[test]

@@ -39,11 +39,6 @@ impl TsSource {
     pub fn assign(&self) -> u64 {
         self.next.fetch_add(1, Ordering::Relaxed)
     }
-
-    /// The next timestamp that would be handed out (for tests/stats).
-    pub fn peek(&self) -> u64 {
-        self.next.load(Ordering::Relaxed)
-    }
 }
 
 impl Default for TsSource {

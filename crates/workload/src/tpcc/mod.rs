@@ -579,11 +579,6 @@ mod tests {
             (dw - dd).abs() < 1e-3 && (dw - dc).abs() < 1e-3,
             "partitioned money leaked (ΔW={dw} ΔD={dd} ΔC={dc})"
         );
-        assert!(
-            pdb.total_commits() >= res.totals.commits,
-            "partition commit counters are lifetime counters (warmup included), \
-             so they must cover at least the measured commits"
-        );
     }
 
     #[test]

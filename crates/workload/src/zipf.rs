@@ -17,7 +17,6 @@ pub struct Zipfian {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2theta: f64,
 }
 
 impl Zipfian {
@@ -27,16 +26,14 @@ impl Zipfian {
         assert!(n > 0, "zipfian over empty domain");
         assert!((0.0..1.0).contains(&theta), "theta must be in [0,1)");
         let zetan = Self::zeta(n, theta);
-        let zeta2theta = Self::zeta(2, theta);
         let alpha = 1.0 / (1.0 - theta);
-        let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2theta / zetan);
+        let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - Self::zeta(2, theta) / zetan);
         Zipfian {
             n,
             theta,
             alpha,
             zetan,
             eta,
-            zeta2theta,
         }
     }
 
@@ -70,11 +67,6 @@ impl Zipfian {
         }
         let spread = self.eta.mul_add(u, 1.0 - self.eta);
         ((self.n as f64) * spread.powf(self.alpha)) as u64 % self.n
-    }
-
-    /// The zeta(2, θ) term (exposed for tests).
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2theta
     }
 }
 

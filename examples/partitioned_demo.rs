@@ -73,13 +73,6 @@ fn main() {
         "  {} KiB of redo on the workers' session rings",
         res.totals.log_bytes / 1024
     );
-    for part in pdb.parts() {
-        println!(
-            "  partition {}: {} home commits",
-            part.id().0,
-            part.stats().commits(),
-        );
-    }
 
     // The money invariant, summed across every partition's shards.
     let mut w_ytd = 0.0;

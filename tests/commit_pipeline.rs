@@ -506,7 +506,7 @@ proptest! {
         let mut live = Vec::new();
         for (op, idx) in ops {
             match op {
-                // A commit: allocate + finish (epoch ticks publish).
+                // A commit: allocate + finish (every EPOCH_COMMITS-th publishes).
                 0 => {
                     let ts = db.commit_clock.allocate();
                     db.note_commit(ts);

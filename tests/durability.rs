@@ -438,60 +438,50 @@ fn recover_without_checkpoint_fails_cleanly() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `Session::run_many` under `GroupCommit`: the whole batch commits with
-/// early lock release, acks ride the durability horizon, one leader
-/// fsync covers the flight (not one per commit), and recovery replays
-/// every acked transfer.
+/// A flight of 8 `Txn::commit_deferred` calls under `GroupCommit`, then
+/// one `Session::ack_ticket` each (the batching the benchmark and the
+/// `kill -9` harness use): every transfer commits with early lock release,
+/// acks ride the durability horizon, the flight shares leader fsyncs (not
+/// one per commit), and recovery replays every acked transfer.
 #[test]
 fn run_many_batches_acks_under_group_commit() {
-    use bamboo_repro::core::executor::TxnSpec;
-    use bamboo_repro::core::{Abort, Txn};
-
     const POLICY: FsyncPolicy = FsyncPolicy::GroupCommit {
         max_batch: 16,
         max_wait_us: 100,
     };
 
-    struct Transfer {
-        t: TableId,
-        from: u64,
-        to: u64,
-    }
-    impl TxnSpec for Transfer {
-        fn run_piece(&self, _p: usize, txn: &mut Txn<'_>) -> Result<(), Abort> {
-            txn.update(self.t, self.from, |r| {
-                r.set(1, Value::I64(r.get_i64(1) - 5))
-            })?;
-            txn.update(self.t, self.to, |r| r.set(1, Value::I64(r.get_i64(1) + 5)))
-        }
-    }
-
-    let dir = tmp_dir("run-many-group");
+    let dir = tmp_dir("deferred-flight");
     let (pdb, t) = durable_bank(&dir, POLICY);
     let proto: Arc<dyn Protocol> = Arc::new(LockingProtocol::bamboo());
     let session = PartSession::new(Arc::clone(&pdb), proto);
+    let home = session.session(PartitionId(0));
 
-    // Partition-0-local transfers; consecutive specs conflict (spec i's
-    // `to` is spec i+1's `from`), which only works back-to-back because
+    // Partition-0-local transfers; consecutive ones conflict (transfer i's
+    // `to` is transfer i+1's `from`), which only works back-to-back because
     // early lock release frees the tuple at the commit point.
-    let specs: Vec<Transfer> = (0..8u64)
-        .map(|i| Transfer {
-            t,
-            from: i % ACCOUNTS_PER_PART,
-            to: (i + 1) % ACCOUNTS_PER_PART,
+    let tickets: Vec<_> = (0..8u64)
+        .map(|i| {
+            let (from, to) = (i % ACCOUNTS_PER_PART, (i + 1) % ACCOUNTS_PER_PART);
+            let mut txn = home.begin();
+            txn.update(t, from, |r| r.set(1, Value::I64(r.get_i64(1) - 5)))
+                .unwrap();
+            txn.update(t, to, |r| r.set(1, Value::I64(r.get_i64(1) + 5)))
+                .unwrap();
+            txn.commit_deferred()
+                .unwrap()
+                .expect("group commit defers the ack")
         })
         .collect();
-    let refs: Vec<&dyn TxnSpec> = specs.iter().map(|s| s as &dyn TxnSpec).collect();
-    let results = session.session(PartitionId(0)).run_many(&refs);
-    assert_eq!(results.len(), 8);
-    for (i, r) in results.iter().enumerate() {
-        assert!(r.is_ok(), "batch entry {i} failed: {r:?}");
+    assert_eq!(tickets.len(), 8);
+    for (i, ticket) in tickets.into_iter().enumerate() {
+        let r = home.ack_ticket(ticket);
+        assert!(r.is_ok(), "flight entry {i} failed: {r:?}");
     }
     assert_eq!(pdb.group_acks(), 8, "every entry acked through the horizon");
     let fsyncs = pdb.group_fsyncs();
     assert!(
         (1..8).contains(&fsyncs),
-        "the batch must share leader fsyncs, got {fsyncs} for 8 commits"
+        "the flight must share leader fsyncs, got {fsyncs} for 8 commits"
     );
 
     assert_eq!(
@@ -506,8 +496,8 @@ fn run_many_batches_acks_under_group_commit() {
             .with_wal_dir(dir.clone())
             .with_fsync_policy(POLICY),
     )
-    .expect("recovery after run_many");
-    assert_eq!(state(&rec, t), before, "acked batch survives recovery");
+    .expect("recovery after a deferred flight");
+    assert_eq!(state(&rec, t), before, "acked flight survives recovery");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
