@@ -73,6 +73,14 @@
 //!     `// SAFETY:` comment. Any other `unsafe` — a block, `unsafe fn`,
 //!     `unsafe impl`, test code included, or a second block in the helper —
 //!     is flagged.
+//! 12. **session-owns-snapshots** — the protocol plug is concurrency
+//!     control and nothing else. Production code under
+//!     `crates/core/src/protocol/` names no `.snapshot` field, no
+//!     `SnapshotCtx`, `begin_snapshot` or `forbid_snapshot_write`, calls
+//!     no `snapshot_read(`, `commit_snapshot(`, `end_snapshot(` or
+//!     `inserts.push(`, and defines no `fn insert(`: `Txn` (`session.rs`)
+//!     serves snapshot transactions and buffers inserts, once for every
+//!     protocol, and a protocol's say in an insert is `lock_insert`.
 
 use std::fmt;
 use std::path::Path;
@@ -266,6 +274,39 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Finding> {
                         format!("`{what}` in protocol code — block through `TxnCtx::wait`, the one copy of the abort check, deadline, spin-then-park pause and timer accounting (or justify a non-transaction pause with `// wait-seam:`)"),
                     );
                 }
+            }
+        }
+
+        // Rule 12: the session owns snapshot mode and insert buffering.
+        if rel_path.starts_with("crates/core/src/protocol/") && !in_test {
+            // A whole word; `.snapshot` only as a field.
+            let named = |w: &str| match w.strip_prefix('.') {
+                Some(field) => word_sites(line, field)
+                    .into_iter()
+                    .any(|(_, at)| line[..at].ends_with('.')),
+                None => !word_sites(line, w).is_empty(),
+            };
+            let calls = [
+                "snapshot_read(",
+                "commit_snapshot(",
+                "end_snapshot(",
+                "inserts.push(",
+            ];
+            let what = [
+                ".snapshot",
+                "SnapshotCtx",
+                "begin_snapshot",
+                "forbid_snapshot_write",
+            ]
+            .into_iter()
+            .find(|w| named(w))
+            .or_else(|| calls.into_iter().find(|c| has_call(line, c)))
+            .or_else(|| line.contains("fn insert(").then_some("fn insert("));
+            if let Some(what) = what {
+                push(
+                    "session-owns-snapshots",
+                    format!("`{what}` in protocol code — `Txn` (session.rs) owns snapshot mode and insert buffering for every protocol; a protocol implements concurrency control only (`Protocol::lock_insert` for an insert)"),
+                );
             }
         }
 
@@ -1083,6 +1124,39 @@ mod tests {
         // Unit tests may pace themselves.
         let src =
             "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() { std::thread::yield_now(); }\n}\n";
+        assert!(rules("crates/core/src/protocol/locking.rs", src).is_empty());
+    }
+
+    // --- rule 12: session-owns-snapshots --------------------------------
+
+    #[test]
+    fn snapshot_and_insert_buffering_fire_in_protocol_code() {
+        // A protocol re-growing snapshot mode and its own insert buffer.
+        let src = "if ctx.snapshot.is_some() {\n    return snapshot_read(db, ctx, table, key);\n}\nctx.forbid_snapshot_write(\"update\");\nlet s: Option<SnapshotCtx> = None;\nreturn crate::protocol::commit_snapshot(db, ctx);\nctx.end_snapshot(db);\nctx.inserts.push(PendingInsert { table, key, row, secondary });\nfn begin_snapshot(&self, db: &Database) -> TxnCtx {}\nfn insert(\n";
+        assert_eq!(
+            rules("crates/core/src/protocol/fourth.rs", src),
+            vec!["session-owns-snapshots"; 9]
+        );
+        assert_eq!(
+            rules(
+                "crates/core/src/protocol/ic3/mod.rs",
+                "ctx.inserts.push(ins);\n"
+            ),
+            vec!["session-owns-snapshots"]
+        );
+    }
+
+    #[test]
+    fn session_owns_snapshots_exempts_the_session_other_names_and_tests() {
+        // The session is where they live.
+        let src = "if self.ctx.snapshot.is_some() {\n    return self.snapshot_read(table, key);\n}\nself.ctx.inserts.push(PendingInsert { table, key, row, secondary });\n";
+        assert!(rules("crates/core/src/session.rs", src).is_empty());
+        // Other names: the registry, a timestamp, the insert hook, a
+        // comment, the commit tail draining the buffer.
+        let src = "db.snapshots.active_count();\nlet ts = txn.snapshot_ts();\nfn lock_insert(&self) {}\n// ctx.snapshot is the session's\nfor ins in ctx.inserts.drain(..) {}\n";
+        assert!(rules("crates/core/src/protocol/mod.rs", src).is_empty());
+        // Unit tests may drive a snapshot through a session.
+        let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() { let s = session.snapshot(); assert!(txn.ctx().snapshot.is_none()); }\n}\n";
         assert!(rules("crates/core/src/protocol/locking.rs", src).is_empty());
     }
 

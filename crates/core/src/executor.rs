@@ -56,7 +56,7 @@ pub trait TxnSpec: Send {
     /// True when this transaction is read-only and should run in snapshot
     /// mode: reads resolve against the committed version chains with zero
     /// lock-manager interaction
-    /// ([`Protocol::begin_snapshot`]).
+    /// ([`crate::session::TxnOptions::snapshot`]).
     /// Defaults to the locking read path.
     fn read_only_snapshot(&self) -> bool {
         false

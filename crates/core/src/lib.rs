@@ -32,7 +32,7 @@
 //! implementors, no longer needed by users):
 //!
 //! ```text
-//! let mut ctx = proto.begin(&db);
+//! let mut ctx = proto.begin(&db, &TxnOptions::new());
 //! proto.update(&db, &mut ctx, t, 1, &mut |row| { /* … */ })?;   // on Err:
 //! proto.commit(&db, &mut ctx, &mut wal)?;                       // caller MUST
 //! // … proto.abort(&db, &mut ctx) exactly once, by convention   // remember
@@ -78,12 +78,12 @@
 //!   a commit timestamp from [`db::CommitClock`]; the clock's *stable*
 //!   point (all smaller timestamps fully installed) is the only timestamp
 //!   snapshots are taken at.
-//! * [`Session::snapshot`] (over
-//!   [`protocol::Protocol::begin_snapshot`]) registers a snapshot in the
-//!   [`db::SnapshotRegistry`] and returns a [`Txn`] whose reads resolve
-//!   against the version chains with **zero lock-manager interaction** —
-//!   the reader can neither block nor be wounded, and writers never wait
-//!   for it. A row invisible at the snapshot surfaces as
+//! * [`Session::snapshot`] (or [`session::TxnOptions::snapshot`])
+//!   registers a snapshot in the [`db::SnapshotRegistry`] and returns a
+//!   [`Txn`] whose reads resolve against the version chains with **zero
+//!   lock-manager interaction** — the session serves it without calling
+//!   the protocol, so the reader can neither block nor be wounded under
+//!   any protocol, and writers never wait for it. A row invisible at the snapshot surfaces as
 //!   [`AbortReason::SnapshotNotVisible`] (or `Ok(None)` through
 //!   [`Txn::read_opt`]), never as a panic.
 //! * The registry's floor is published as the GC watermark

@@ -32,9 +32,9 @@ pub use graph::{chop, group_accesses, Chopping, PieceAccess, PieceDecl, Template
 use crate::db::Database;
 use crate::meta::TupleCc;
 use crate::protocol::Protocol;
+use crate::session::TxnOptions;
 use crate::txn::{
-    Abort, AbortReason, Access, AccessState, LockMode, Pacing, PendingInsert, TxnCtx, WaitSite,
-    WaitTimer,
+    Abort, AbortReason, Access, AccessState, LockMode, Pacing, TxnCtx, WaitSite, WaitTimer,
 };
 use crate::wal::WalBuffer;
 
@@ -240,7 +240,6 @@ impl Ic3Protocol {
         key: u64,
         write: bool,
     ) -> Result<usize, Abort> {
-        ctx.op_seq += 1;
         let tuple = db
             .table_for(table, key)
             .get(key)
@@ -410,9 +409,11 @@ impl Protocol for Ic3Protocol {
         &self.name
     }
 
-    fn begin(&self, db: &Database) -> TxnCtx {
+    fn begin(&self, db: &Database, opts: &TxnOptions) -> TxnCtx {
         let id = db.next_txn_id();
-        TxnCtx::new(crate::txn::TxnShared::new(id, id))
+        let mut ctx = TxnCtx::new(crate::txn::TxnShared::new(id, id));
+        ctx.ic3.template = opts.template;
+        ctx
     }
 
     fn piece_begin(&self, _db: &Database, ctx: &mut TxnCtx, piece: usize) -> Result<(), Abort> {
@@ -442,9 +443,6 @@ impl Protocol for Ic3Protocol {
         table: TableId,
         key: u64,
     ) -> Result<&'c Row, Abort> {
-        if ctx.snapshot.is_some() {
-            return crate::protocol::snapshot_read(db, ctx, table, key);
-        }
         let i = self.access(db, ctx, table, key, false)?;
         Ok(&ctx.accesses[i].local)
     }
@@ -457,33 +455,9 @@ impl Protocol for Ic3Protocol {
         key: u64,
         f: &mut dyn FnMut(&mut Row),
     ) -> Result<(), Abort> {
-        ctx.forbid_snapshot_write("update");
         let i = self.access(db, ctx, table, key, true)?;
         f(&mut ctx.accesses[i].local);
         ctx.accesses[i].dirty = true;
-        Ok(())
-    }
-
-    fn insert(
-        &self,
-        _db: &Database,
-        ctx: &mut TxnCtx,
-        table: TableId,
-        key: u64,
-        row: Row,
-        secondary: Option<(usize, u64)>,
-    ) -> Result<(), Abort> {
-        if ctx.shared.is_aborted() {
-            return Err(ctx.abort_err());
-        }
-        ctx.forbid_snapshot_write("insert");
-        ctx.op_seq += 1;
-        ctx.inserts.push(PendingInsert {
-            table,
-            key,
-            row,
-            secondary,
-        });
         Ok(())
     }
 
@@ -493,12 +467,6 @@ impl Protocol for Ic3Protocol {
         ctx: &mut TxnCtx,
         ring: &Mutex<WalBuffer>,
     ) -> Result<(), Abort> {
-        // Snapshot mode bypasses pieces, dependencies and accessor lists.
-        if ctx.snapshot.is_some() {
-            let res = crate::protocol::commit_snapshot(db, ctx);
-            ctx.shared.mark_released();
-            return res;
-        }
         // The manual (piece-less) session API never calls `piece_end`, so
         // the final group's writes are still unpublished here. Finalize it
         // now — publish the pending versions (and validate the group in
@@ -572,10 +540,7 @@ impl Protocol for Ic3Protocol {
         false
     }
 
-    fn abort(&self, db: &Database, ctx: &mut TxnCtx) -> usize {
-        ctx.shared.set_abort(AbortReason::User);
-        ctx.inserts.clear();
-        ctx.end_snapshot(db);
+    fn abort(&self, _db: &Database, ctx: &mut TxnCtx) -> usize {
         let mut cascaded = 0;
         for i in 0..ctx.accesses.len() {
             if ctx.accesses[i].state == AccessState::Released {
@@ -647,8 +612,7 @@ mod tests {
         tables: [TableId; 2],
     ) -> Result<(), Abort> {
         let wal = Mutex::new(WalBuffer::for_tests());
-        let mut ctx = p.begin(db);
-        ctx.ic3.template = 0;
+        let mut ctx = p.begin(db, &TxnOptions::new());
         let res = (|| {
             for piece in 0..2 {
                 p.piece_begin(db, &mut ctx, piece)?;
@@ -683,7 +647,7 @@ mod tests {
         ];
         for p in &others {
             for k in 0..10u64 {
-                let mut ctx = p.begin(&db);
+                let mut ctx = p.begin(&db, &TxnOptions::new());
                 p.read(&db, &mut ctx, t0, k).unwrap();
                 p.update(&db, &mut ctx, t1, k, &mut bump_a).unwrap();
                 p.commit(&db, &mut ctx, &wal).unwrap();
@@ -723,12 +687,12 @@ mod tests {
         let (db, t0, t1) = setup();
         let p = Ic3Protocol::new(vec![two_piece_template(t0, t1)], false);
         let wal = Mutex::new(WalBuffer::for_tests());
-        let mut c1 = p.begin(&db);
+        let mut c1 = p.begin(&db, &TxnOptions::new());
         c1.ic3.template = 0;
         p.piece_begin(&db, &mut c1, 0).unwrap();
         p.update(&db, &mut c1, t0, 0, &mut bump_a).unwrap();
         p.piece_end(&db, &mut c1).unwrap();
-        let mut c2 = p.begin(&db);
+        let mut c2 = p.begin(&db, &TxnOptions::new());
         c2.ic3.template = 0;
         p.piece_begin(&db, &mut c2, 0).unwrap();
         p.update(&db, &mut c2, t0, 0, &mut bump_a).unwrap();
@@ -759,12 +723,12 @@ mod tests {
         // T1 never finishes in this test.
         let (db, t0, t1) = setup();
         let p = Ic3Protocol::new(vec![two_piece_template(t0, t1)], false);
-        let mut c1 = p.begin(&db);
+        let mut c1 = p.begin(&db, &TxnOptions::new());
         c1.ic3.template = 0;
         p.piece_begin(&db, &mut c1, 0).unwrap();
         p.update(&db, &mut c1, t0, 0, &mut bump_a).unwrap();
         // no piece_end: piece unfinished.
-        let mut c2 = p.begin(&db);
+        let mut c2 = p.begin(&db, &TxnOptions::new());
         c2.ic3.template = 0;
         p.piece_begin(&db, &mut c2, 0).unwrap();
         let t_start = std::time::Instant::now();
@@ -780,12 +744,12 @@ mod tests {
     fn abort_cascades_to_piece_readers() {
         let (db, t0, t1) = setup();
         let p = Ic3Protocol::new(vec![two_piece_template(t0, t1)], false);
-        let mut c1 = p.begin(&db);
+        let mut c1 = p.begin(&db, &TxnOptions::new());
         c1.ic3.template = 0;
         p.piece_begin(&db, &mut c1, 0).unwrap();
         p.update(&db, &mut c1, t0, 0, &mut bump_a).unwrap();
         p.piece_end(&db, &mut c1).unwrap();
-        let mut c2 = p.begin(&db);
+        let mut c2 = p.begin(&db, &TxnOptions::new());
         c2.ic3.template = 0;
         p.piece_begin(&db, &mut c2, 0).unwrap();
         p.update(&db, &mut c2, t0, 0, &mut bump_a).unwrap();
@@ -819,13 +783,13 @@ mod tests {
         };
         let p = Ic3Protocol::new(vec![ta, tb], false);
         let wal = Mutex::new(WalBuffer::for_tests());
-        let mut c1 = p.begin(&db);
+        let mut c1 = p.begin(&db, &TxnOptions::new());
         c1.ic3.template = 0;
         p.piece_begin(&db, &mut c1, 0).unwrap();
         p.update(&db, &mut c1, t0, 0, &mut bump_a).unwrap();
         // c1's piece is *not* finished. c2 writes column b of the same
         // tuple: must proceed without waiting (column-disjoint).
-        let mut c2 = p.begin(&db);
+        let mut c2 = p.begin(&db, &TxnOptions::new());
         c2.ic3.template = 1;
         p.piece_begin(&db, &mut c2, 0).unwrap();
         p.update(&db, &mut c2, t0, 0, &mut |row| {

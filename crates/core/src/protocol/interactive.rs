@@ -19,6 +19,7 @@ use parking_lot::Mutex;
 
 use crate::db::Database;
 use crate::protocol::Protocol;
+use crate::session::TxnOptions;
 use crate::txn::{Abort, TxnCtx};
 use crate::wal::WalBuffer;
 
@@ -49,8 +50,8 @@ impl<P: Protocol> Protocol for InteractiveProtocol<P> {
         &self.name
     }
 
-    fn begin(&self, db: &Database) -> TxnCtx {
-        let mut ctx = self.inner.begin(db);
+    fn begin(&self, db: &Database, opts: &TxnOptions) -> TxnCtx {
+        let mut ctx = self.inner.begin(db, opts);
         // Interactive clients do not know access positions ahead of time —
         // the δ heuristic is inapplicable (paper §5.1: "the second
         // optimization of no retiring does not apply").
@@ -81,17 +82,15 @@ impl<P: Protocol> Protocol for InteractiveProtocol<P> {
         self.inner.update(db, ctx, table, key, f)
     }
 
-    fn insert(
+    fn lock_insert(
         &self,
         db: &Database,
         ctx: &mut TxnCtx,
         table: TableId,
         key: u64,
-        row: Row,
-        secondary: Option<(usize, u64)>,
     ) -> Result<(), Abort> {
         self.round_trip();
-        self.inner.insert(db, ctx, table, key, row, secondary)
+        self.inner.lock_insert(db, ctx, table, key)
     }
 
     fn scan(
@@ -158,7 +157,7 @@ mod tests {
         let p = InteractiveProtocol::new(LockingProtocol::bamboo(), Duration::from_millis(2));
         assert!(p.name().contains("interactive"));
         let wal = Mutex::new(WalBuffer::for_tests());
-        let mut ctx = p.begin(&db);
+        let mut ctx = p.begin(&db, &TxnOptions::new().planned_ops(3));
         assert_eq!(ctx.planned_ops, None);
         let t0 = Instant::now();
         p.read(&db, &mut ctx, t, 1).unwrap();

@@ -18,7 +18,8 @@
 //! Every configuration is Serializable. §3.4's weak isolation levels and
 //! opacity are discussion in the paper, not evaluated designs; the one way
 //! to read without locks is snapshot mode
-//! ([`Protocol::begin_snapshot`]).
+//! ([`crate::session::TxnOptions::snapshot`]), which the session serves
+//! without this protocol.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -29,11 +30,12 @@ use parking_lot::Mutex;
 use crate::db::Database;
 use crate::lock::{Acquired, CommitInstall, LockPolicy};
 use crate::meta::TupleCc;
-use crate::protocol::{commit_snapshot, commit_tail, scan_rows, snapshot_read, Protocol};
+use crate::protocol::{commit_tail, scan_rows, Protocol};
+use crate::session::TxnOptions;
 use crate::ts::UNASSIGNED;
 use crate::txn::{
-    Abort, AbortReason, Access, AccessState, LockMode, Pacing, PendingInsert, TxnCtx, TxnShared,
-    WaitSite, WaitTimer,
+    Abort, AbortReason, Access, AccessState, LockMode, Pacing, TxnCtx, TxnShared, WaitSite,
+    WaitTimer,
 };
 use crate::wal::WalBuffer;
 
@@ -234,40 +236,6 @@ impl LockingProtocol {
         }
     }
 
-    /// Next-key (gap) lock for an insert of `key`: exclusive-locks the
-    /// smallest existing key greater than `key`, forcing an ordering with
-    /// any scanner holding that key shared. Taken whenever the table has an
-    /// ordered index (inserts never run in snapshot mode). On a partitioned
-    /// database the next key is resolved across every shard
-    /// ([`Database::next_key_after`]), so the gap guard spans partition
-    /// boundaries.
-    fn lock_insert_gap(
-        &self,
-        db: &Database,
-        ctx: &mut TxnCtx,
-        table: TableId,
-        key: u64,
-    ) -> Result<(), Abort> {
-        if !db.has_ordered_index(table) {
-            return Ok(());
-        }
-        let Some(next) = db.next_key_after(table, key) else {
-            return Ok(());
-        };
-        let tuple = db
-            .table_for(table, next)
-            .get(next)
-            .expect("ordered index points at existing tuple");
-        if ctx.find_access(table, tuple.key).is_some() {
-            // Already hold it (e.g. several inserts into one gap): any
-            // held mode suffices for ordering with scanners.
-            return Ok(());
-        }
-        // Gap guard only: the access stays clean, nothing installs.
-        self.acquire_ex(db, ctx, table, tuple)?;
-        Ok(())
-    }
-
     /// Like [`Protocol::update`] but with explicit retire control: when
     /// `retire` is false the lock is kept in `owners` regardless of the δ
     /// heuristic. Used by the §3.3 retire-point analysis, whose synthesized
@@ -298,7 +266,6 @@ impl LockingProtocol {
         if ctx.shared.is_aborted() {
             return Err(ctx.abort_err());
         }
-        ctx.forbid_snapshot_write("update");
         ctx.op_seq += 1;
         let tuple = db
             .table_for(table, key)
@@ -349,9 +316,9 @@ impl LockingProtocol {
                         ctx.accesses[i].mode = LockMode::Ex;
                         i
                     }
-                    (AccessState::Released, _) => unreachable!(
-                        "a locking access is released only in snapshot mode, which forbids writes"
-                    ),
+                    (AccessState::Released, _) => {
+                        unreachable!("a locking access is released only by commit or abort")
+                    }
                 }
             }
             None => self.acquire_ex(db, ctx, table, tuple)?,
@@ -415,14 +382,16 @@ impl Protocol for LockingProtocol {
         &self.name
     }
 
-    fn begin(&self, db: &Database) -> TxnCtx {
+    fn begin(&self, db: &Database, opts: &TxnOptions) -> TxnCtx {
         let id = db.next_txn_id();
         let ts = if self.policy.dynamic_ts {
             UNASSIGNED
         } else {
             db.ts_source.assign()
         };
-        TxnCtx::new(crate::txn::TxnShared::new(id, ts))
+        let mut ctx = TxnCtx::new(TxnShared::new(id, ts));
+        ctx.planned_ops = opts.planned_ops;
+        ctx
     }
 
     fn read<'c>(
@@ -436,9 +405,6 @@ impl Protocol for LockingProtocol {
             return Err(ctx.abort_err());
         }
         ctx.op_seq += 1;
-        if ctx.snapshot.is_some() {
-            return snapshot_read(db, ctx, table, key);
-        }
         let tuple = db
             .table_for(table, key)
             .get(key)
@@ -467,30 +433,38 @@ impl Protocol for LockingProtocol {
         self.update_with(db, ctx, table, key, f, None)
     }
 
-    fn insert(
+    /// Next-key (gap) lock for an insert of `key`: exclusive-locks the
+    /// smallest existing key greater than `key`, forcing an ordering with
+    /// any scanner holding that key shared — phantom protection. Tables
+    /// without an ordered index skip it, as DBx1000's hash-only
+    /// configuration does. On a partitioned database the next key is
+    /// resolved across every shard ([`Database::next_key_after`]), so the
+    /// gap guard spans partition boundaries.
+    fn lock_insert(
         &self,
         db: &Database,
         ctx: &mut TxnCtx,
         table: TableId,
         key: u64,
-        row: Row,
-        secondary: Option<(usize, u64)>,
     ) -> Result<(), Abort> {
-        if ctx.shared.is_aborted() {
-            return Err(ctx.abort_err());
-        }
-        ctx.forbid_snapshot_write("insert");
         ctx.op_seq += 1;
-        // Phantom protection: lock the gap before making the insert
-        // pending (tables without an ordered index skip this, as DBx1000's
-        // hash-only configuration does).
-        self.lock_insert_gap(db, ctx, table, key)?;
-        ctx.inserts.push(PendingInsert {
-            table,
-            key,
-            row,
-            secondary,
-        });
+        if !db.has_ordered_index(table) {
+            return Ok(());
+        }
+        let Some(next) = db.next_key_after(table, key) else {
+            return Ok(());
+        };
+        let tuple = db
+            .table_for(table, next)
+            .get(next)
+            .expect("ordered index points at existing tuple");
+        if ctx.find_access(table, tuple.key).is_some() {
+            // Already hold it (e.g. several inserts into one gap): any
+            // held mode suffices for ordering with scanners.
+            return Ok(());
+        }
+        // Gap guard only: the access stays clean, nothing installs.
+        self.acquire_ex(db, ctx, table, tuple)?;
         Ok(())
     }
 
@@ -500,11 +474,6 @@ impl Protocol for LockingProtocol {
         ctx: &mut TxnCtx,
         ring: &Mutex<WalBuffer>,
     ) -> Result<(), Abort> {
-        // Snapshot mode holds no locks, wrote nothing, and cannot be
-        // wounded: the commit is just the registry release.
-        if ctx.snapshot.is_some() {
-            return commit_snapshot(db, ctx);
-        }
         // Algorithm 1 lines 4–5: wait for the commit semaphore. The
         // adaptive clause of Optimization 2 fires mid-wait: once we have
         // been stalled for longer than δ of the execution time so far, the
@@ -551,8 +520,6 @@ impl Protocol for LockingProtocol {
     /// into the gap must order itself after this transaction. Ranges
     /// extending past the largest existing key are protected only when a
     /// sentinel max-key row exists.
-    /// Snapshot-mode scans take no locks at all; rows invisible at the
-    /// snapshot are skipped as phantoms.
     fn scan(
         &self,
         db: &Database,
@@ -561,19 +528,13 @@ impl Protocol for LockingProtocol {
         range: std::ops::RangeInclusive<u64>,
     ) -> Result<Vec<Row>, Abort> {
         let rows = scan_rows(self, db, ctx, table, range.clone())?;
-        if ctx.snapshot.is_none() {
-            if let Some(next) = db.next_key_after(table, *range.end()) {
-                self.read(db, ctx, table, next)?;
-            }
+        if let Some(next) = db.next_key_after(table, *range.end()) {
+            self.read(db, ctx, table, next)?;
         }
         Ok(rows)
     }
 
-    fn abort(&self, db: &Database, ctx: &mut TxnCtx) -> usize {
-        // Self-aborts (user logic) arrive here without a prior set_abort.
-        ctx.shared.set_abort(AbortReason::User);
-        ctx.inserts.clear();
-        ctx.end_snapshot(db);
+    fn abort(&self, _db: &Database, ctx: &mut TxnCtx) -> usize {
         self.release_all(ctx, false, 0)
     }
 }
@@ -581,6 +542,7 @@ impl Protocol for LockingProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::Session;
     use bamboo_storage::{DataType, Schema, Value};
 
     fn setup() -> (Arc<Database>, TableId) {
@@ -617,7 +579,7 @@ mod tests {
         ] {
             let (db, t) = setup();
             let wal = Mutex::new(WalBuffer::for_tests());
-            let mut ctx = proto.begin(&db);
+            let mut ctx = proto.begin(&db, &TxnOptions::new());
             assert_eq!(proto.read(&db, &mut ctx, t, 3).unwrap().get_i64(1), 300);
             proto.update(&db, &mut ctx, t, 3, &mut add_100).unwrap();
             // Read-own-write.
@@ -636,20 +598,12 @@ mod tests {
     #[test]
     fn abort_discards_writes_and_inserts() {
         let (db, t) = setup();
-        let proto = LockingProtocol::bamboo();
-        let mut ctx = proto.begin(&db);
-        proto.update(&db, &mut ctx, t, 5, &mut add_100).unwrap();
-        proto
-            .insert(
-                &db,
-                &mut ctx,
-                t,
-                99,
-                Row::from(vec![Value::U64(99), Value::I64(0)]),
-                None,
-            )
+        let session = Session::new(Arc::clone(&db), Arc::new(LockingProtocol::bamboo()));
+        let mut txn = session.begin();
+        txn.update(t, 5, add_100).unwrap();
+        txn.insert(t, 99, Row::from(vec![Value::U64(99), Value::I64(0)]), None)
             .unwrap();
-        proto.abort(&db, &mut ctx);
+        txn.abort();
         assert_eq!(db.table(t).get(5).unwrap().read_row().get_i64(1), 500);
         assert!(db.table(t).get(99).is_none());
     }
@@ -657,20 +611,11 @@ mod tests {
     #[test]
     fn insert_visible_after_commit() {
         let (db, t) = setup();
-        let proto = LockingProtocol::bamboo();
-        let wal = Mutex::new(WalBuffer::for_tests());
-        let mut ctx = proto.begin(&db);
-        proto
-            .insert(
-                &db,
-                &mut ctx,
-                t,
-                42,
-                Row::from(vec![Value::U64(42), Value::I64(7)]),
-                None,
-            )
+        let session = Session::new(Arc::clone(&db), Arc::new(LockingProtocol::bamboo()));
+        let mut txn = session.begin();
+        txn.insert(t, 42, Row::from(vec![Value::U64(42), Value::I64(7)]), None)
             .unwrap();
-        proto.commit(&db, &mut ctx, &wal).unwrap();
+        txn.commit().unwrap();
         assert_eq!(db.table(t).get(42).unwrap().read_row().get_i64(1), 7);
     }
 
@@ -681,8 +626,8 @@ mod tests {
         let (db, t) = setup();
         let proto = LockingProtocol::bamboo_base();
         let wal = Mutex::new(WalBuffer::for_tests());
-        let mut c1 = proto.begin(&db);
-        let mut c2 = proto.begin(&db);
+        let mut c1 = proto.begin(&db, &TxnOptions::new());
+        let mut c2 = proto.begin(&db, &TxnOptions::new());
         proto.update(&db, &mut c1, t, 0, &mut add_100).unwrap();
         // T2 sees the dirty value because T1 retired its lock.
         proto.update(&db, &mut c2, t, 0, &mut add_100).unwrap();
@@ -705,8 +650,8 @@ mod tests {
     fn bamboo_cascade_on_writer_abort() {
         let (db, t) = setup();
         let proto = LockingProtocol::bamboo_base();
-        let mut c1 = proto.begin(&db);
-        let mut c2 = proto.begin(&db);
+        let mut c1 = proto.begin(&db, &TxnOptions::new());
+        let mut c2 = proto.begin(&db, &TxnOptions::new());
         proto.update(&db, &mut c1, t, 0, &mut add_100).unwrap();
         proto.update(&db, &mut c2, t, 0, &mut add_100).unwrap();
         // T1 aborts: T2 must be cascade-aborted.
@@ -728,14 +673,14 @@ mod tests {
         let (db, t) = setup();
         let proto = LockingProtocol::wound_wait();
         let wal = Mutex::new(WalBuffer::for_tests());
-        let mut c1 = proto.begin(&db);
+        let mut c1 = proto.begin(&db, &TxnOptions::new());
         proto.update(&db, &mut c1, t, 0, &mut add_100).unwrap();
         // Younger writer on another thread: must block until T1 commits.
         let db2 = Arc::clone(&db);
         let proto2 = proto.clone();
         let h = std::thread::spawn(move || {
             let wal = Mutex::new(WalBuffer::for_tests());
-            let mut c2 = proto2.begin(&db2);
+            let mut c2 = proto2.begin(&db2, &TxnOptions::new());
             proto2.update(&db2, &mut c2, t, 0, &mut add_100).unwrap();
             proto2.commit(&db2, &mut c2, &wal).unwrap();
         });
@@ -750,7 +695,7 @@ mod tests {
     fn delta_heuristic_skips_trailing_writes() {
         let (db, t) = setup();
         let proto = LockingProtocol::bamboo(); // δ = 0.15
-        let mut ctx = proto.begin(&db);
+        let mut ctx = proto.begin(&db, &TxnOptions::new());
         ctx.planned_ops = Some(10);
         // ops 1..=8 are within the first 85%; ops 9, 10 are the trailing δ.
         for k in 0..8u64 {
@@ -776,7 +721,7 @@ mod tests {
         let (db, t) = setup();
         let proto = LockingProtocol::bamboo_base();
         let wal = Mutex::new(WalBuffer::for_tests());
-        let mut ctx = proto.begin(&db);
+        let mut ctx = proto.begin(&db, &TxnOptions::new());
         proto.update(&db, &mut ctx, t, 1, &mut add_100).unwrap();
         assert_eq!(ctx.accesses[0].state, AccessState::Retired);
         proto.update(&db, &mut ctx, t, 1, &mut add_100).unwrap();
@@ -788,8 +733,8 @@ mod tests {
     fn no_wait_conflict_self_aborts() {
         let (db, t) = setup();
         let proto = LockingProtocol::no_wait();
-        let mut c1 = proto.begin(&db);
-        let mut c2 = proto.begin(&db);
+        let mut c1 = proto.begin(&db, &TxnOptions::new());
+        let mut c2 = proto.begin(&db, &TxnOptions::new());
         proto.update(&db, &mut c1, t, 0, &mut add_100).unwrap();
         let err = proto.update(&db, &mut c2, t, 0, &mut add_100).unwrap_err();
         assert_eq!(err.0, AbortReason::NoWait);

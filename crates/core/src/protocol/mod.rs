@@ -30,43 +30,35 @@ pub use locking::LockingProtocol;
 pub use silo::SiloProtocol;
 
 use crate::db::Database;
-use crate::txn::{Abort, AbortReason, Access, AccessState, LockMode, TxnCtx};
+use crate::session::TxnOptions;
+use crate::txn::{Abort, AbortReason, TxnCtx};
 use crate::wal::{append_txn_across, DurabilityTicket, TicketParts, WalBuffer, WalWrite};
 
 /// A pluggable concurrency-control protocol.
 ///
 /// Contract: a transaction is driven as
-/// `begin → (read | update | insert | scan)* → commit | abort`; any
+/// `begin → (read | update | lock_insert | scan)* → commit | abort`; any
 /// `Err(Abort)` from an operation obliges the caller to invoke
 /// [`Protocol::abort`] exactly once for the attempt. `commit` consumes the
 /// attempt on success.
 ///
-/// This trait is the *internal* plug — the seam protocols implement. User
-/// code drives transactions through [`crate::session::Session`] and the
-/// RAII [`crate::session::Txn`] guard, which own this lifecycle contract
-/// (in particular the "abort exactly once" obligation) by construction.
+/// This trait is the *internal* plug — the seam protocols implement, and
+/// concurrency control is all it holds. User code drives transactions
+/// through [`crate::session::Session`] and the RAII
+/// [`crate::session::Txn`] guard, which own this lifecycle contract (in
+/// particular the "abort exactly once" obligation) by construction, and
+/// everything around it: snapshot mode (a snapshot transaction never
+/// reaches the protocol) and insert buffering
+/// ([`crate::session::Txn::insert`] buffers the row once
+/// [`Protocol::lock_insert`] succeeded; the commit tail applies it).
 pub trait Protocol: Send + Sync {
     /// Protocol display name (matches the paper's legends).
     fn name(&self) -> &str;
 
-    /// Starts a new transaction attempt.
-    fn begin(&self, db: &Database) -> TxnCtx;
-
-    /// Starts a *read-only snapshot* attempt: every read resolves against
-    /// the committed version chains at the registered snapshot timestamp
-    /// with zero lock-manager interaction — the transaction can neither
-    /// block nor be aborted by writers. Writes are forbidden in this mode.
-    ///
-    /// Consistency requires writers to commit through the timestamped MVCC
-    /// install path, which every protocol's commit does.
-    fn begin_snapshot(&self, db: &Database) -> TxnCtx {
-        let mut ctx = self.begin(db);
-        ctx.snapshot = Some(crate::txn::SnapshotCtx {
-            grant: db.register_snapshot(),
-            max_lag: None,
-        });
-        ctx
-    }
+    /// Starts a new read-write attempt, copying from `opts` what the
+    /// protocol reads (the 2PL family its planned operations, IC3 its
+    /// template).
+    fn begin(&self, db: &Database, opts: &TxnOptions) -> TxnCtx;
 
     /// Reads a row (shared access); returns a reference to the
     /// transaction-local copy.
@@ -90,17 +82,18 @@ pub trait Protocol: Send + Sync {
         f: &mut dyn FnMut(&mut Row),
     ) -> Result<(), Abort>;
 
-    /// Buffers an insert; applied atomically at commit. `secondary` is an
-    /// optional `(secondary index slot, secondary key)` to maintain.
-    fn insert(
+    /// Concurrency control for an insert of `key` into `table`, before the
+    /// session buffers the row. Nothing by default: the row is invisible
+    /// until the commit tail applies it.
+    fn lock_insert(
         &self,
-        db: &Database,
-        ctx: &mut TxnCtx,
-        table: TableId,
-        key: u64,
-        row: Row,
-        secondary: Option<(usize, u64)>,
-    ) -> Result<(), Abort>;
+        _db: &Database,
+        _ctx: &mut TxnCtx,
+        _table: TableId,
+        _key: u64,
+    ) -> Result<(), Abort> {
+        Ok(())
+    }
 
     /// Range scan over the table's ordered index: reads every key in
     /// `range` (shared access) and returns copies of the matching rows.
@@ -110,13 +103,7 @@ pub trait Protocol: Send + Sync {
     /// stronger story override it ([`LockingProtocol`] adds §3.4's
     /// next-key locking). The key set merges every
     /// partition's index shard ([`Database::scan_keys`]), so a range
-    /// spanning partitions reads each key from its owning shard. In
-    /// snapshot mode, rows not visible at the snapshot timestamp are
-    /// skipped — an index entry committed after the snapshot was taken is
-    /// a phantom to this transaction, not an error — and the skip applies
-    /// identically to local and remote partitions' keys (the same
-    /// `Ok(None)`-style absorption as [`crate::session::Txn::read_opt`],
-    /// never an abort).
+    /// spanning partitions reads each key from its owning shard.
     fn scan(
         &self,
         db: &Database,
@@ -142,9 +129,10 @@ pub trait Protocol: Send + Sync {
         true
     }
 
-    /// Aborts the attempt, releasing everything. Returns the number of
-    /// transactions cascadingly aborted by this release (abort-chain
-    /// accounting, §4.2).
+    /// Aborts the attempt, releasing everything. The session has already
+    /// marked it aborted (a self-abort books [`AbortReason::User`]) and
+    /// dropped its buffered inserts. Returns the number of transactions
+    /// cascadingly aborted by this release (abort-chain accounting, §4.2).
     fn abort(&self, db: &Database, ctx: &mut TxnCtx) -> usize;
 
     /// IC3 hook: a new piece begins. No-op elsewhere.
@@ -169,16 +157,10 @@ pub(crate) fn scan_rows<P: Protocol + ?Sized>(
     table: TableId,
     range: std::ops::RangeInclusive<u64>,
 ) -> Result<Vec<Row>, Abort> {
-    let in_snapshot = ctx.snapshot.is_some();
-    let mut rows = Vec::new();
-    for key in db.scan_keys(table, range) {
-        match proto.read(db, ctx, table, key) {
-            Ok(row) => rows.push(row.clone()),
-            Err(Abort(AbortReason::SnapshotNotVisible)) if in_snapshot => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(rows)
+    db.scan_keys(table, range)
+        .into_iter()
+        .map(|key| proto.read(db, ctx, table, key).cloned())
+        .collect()
 }
 
 /// The one commit tail (Algorithm 1 lines 6–8), shared by every protocol.
@@ -405,63 +387,4 @@ fn log_commit(
         writes().filter(move |w| route(w) == p)
     })?;
     Ok(ticketing.then(|| ticket(ends.into())))
-}
-
-/// Shared read path of snapshot mode: resolve `key` against the version
-/// chain at the context's snapshot timestamp — no lock-manager interaction
-/// of any kind. A row that does not exist, or is not yet visible at the
-/// snapshot (inserted by a transaction that committed after the snapshot
-/// was taken), surfaces as
-/// [`AbortReason::SnapshotNotVisible`](crate::txn::AbortReason): callers
-/// scanning volatile key spaces treat it as "row absent" (that is what
-/// [`crate::session::Txn::read_opt`] does), never as a failed attempt.
-pub(crate) fn snapshot_read<'c>(
-    db: &Database,
-    ctx: &'c mut TxnCtx,
-    table: TableId,
-    key: u64,
-) -> Result<&'c Row, Abort> {
-    let snap = ctx
-        .snapshot
-        .expect("snapshot_read outside snapshot mode")
-        .ts();
-    // "Snapshot too old" lag cap (TxnOptions::snapshot_max_lag): a capped
-    // long reader whose snapshot fell more than `lag` commit timestamps
-    // behind the stable point is aborted so its registration stops
-    // pinning the GC watermark. One atomic load — the check keeps the
-    // read path lock-free.
-    if let Some(lag) = ctx.snapshot.and_then(|s| s.max_lag) {
-        if db.commit_clock.stable().saturating_sub(snap) > lag {
-            ctx.shared.set_abort(AbortReason::SnapshotTooOld);
-            return Err(Abort(AbortReason::SnapshotTooOld));
-        }
-    }
-    let Some(tuple) = db.table_for(table, key).get(key) else {
-        return Err(Abort(AbortReason::SnapshotNotVisible));
-    };
-    if let Some(i) = ctx.find_access(table, tuple.key) {
-        return Ok(&ctx.accesses[i].local);
-    }
-    let Some(row) = tuple.read_at(snap) else {
-        return Err(Abort(AbortReason::SnapshotNotVisible));
-    };
-    // No lock entry backs the read: the access is born released, so the
-    // release paths skip it.
-    let access = Access::new(table, tuple, LockMode::Sh, row, AccessState::Released);
-    let i = ctx.push_access(access);
-    Ok(&ctx.accesses[i].local)
-}
-
-/// Shared commit path of snapshot mode: no locks to release, no log to
-/// write — pass the commit point and release the snapshot registration so
-/// the GC watermark can advance.
-pub(crate) fn commit_snapshot(db: &Database, ctx: &mut TxnCtx) -> Result<(), Abort> {
-    debug_assert_eq!(
-        ctx.locks_acquired, 0,
-        "snapshot mode must never touch the lock manager"
-    );
-    let committed = ctx.shared.try_commit_point();
-    debug_assert!(committed, "nothing can wound a snapshot transaction");
-    ctx.end_snapshot(db);
-    Ok(())
 }

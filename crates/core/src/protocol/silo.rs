@@ -33,8 +33,9 @@ use parking_lot::Mutex;
 
 use crate::db::Database;
 use crate::meta::TupleCc;
-use crate::protocol::{commit_snapshot, commit_tail, snapshot_read, Protocol};
-use crate::txn::{Abort, AbortReason, Access, AccessState, LockMode, PendingInsert, TxnCtx};
+use crate::protocol::{commit_tail, Protocol};
+use crate::session::TxnOptions;
+use crate::txn::{Abort, AbortReason, Access, AccessState, LockMode, TxnCtx};
 use crate::wal::WalBuffer;
 
 const LOCK_BIT: u64 = 1;
@@ -131,7 +132,7 @@ impl Protocol for SiloProtocol {
         "SILO"
     }
 
-    fn begin(&self, db: &Database) -> TxnCtx {
+    fn begin(&self, db: &Database, _opts: &TxnOptions) -> TxnCtx {
         // OCC has no priorities; the id doubles as the timestamp for the
         // shared handle (unused in validation).
         let id = db.next_txn_id();
@@ -145,10 +146,6 @@ impl Protocol for SiloProtocol {
         table: TableId,
         key: u64,
     ) -> Result<&'c Row, Abort> {
-        ctx.op_seq += 1;
-        if ctx.snapshot.is_some() {
-            return snapshot_read(db, ctx, table, key);
-        }
         let tuple = db
             .table_for(table, key)
             .get(key)
@@ -171,8 +168,6 @@ impl Protocol for SiloProtocol {
         key: u64,
         f: &mut dyn FnMut(&mut Row),
     ) -> Result<(), Abort> {
-        ctx.forbid_snapshot_write("update");
-        ctx.op_seq += 1;
         let tuple = db
             .table_for(table, key)
             .get(key)
@@ -193,36 +188,12 @@ impl Protocol for SiloProtocol {
         Ok(())
     }
 
-    fn insert(
-        &self,
-        _db: &Database,
-        ctx: &mut TxnCtx,
-        table: TableId,
-        key: u64,
-        row: Row,
-        secondary: Option<(usize, u64)>,
-    ) -> Result<(), Abort> {
-        ctx.forbid_snapshot_write("insert");
-        ctx.op_seq += 1;
-        ctx.inserts.push(PendingInsert {
-            table,
-            key,
-            row,
-            secondary,
-        });
-        Ok(())
-    }
-
     fn commit(
         &self,
         db: &Database,
         ctx: &mut TxnCtx,
         ring: &Mutex<WalBuffer>,
     ) -> Result<(), Abort> {
-        // Snapshot mode: no write set to lock, no read set to validate.
-        if ctx.snapshot.is_some() {
-            return commit_snapshot(db, ctx);
-        }
         // Phase 1: lock the write set in deterministic global order.
         let write_idx = write_set_in_lock_order(&ctx.accesses);
         let mut locked: Vec<usize> = Vec::with_capacity(write_idx.len());
@@ -288,11 +259,8 @@ impl Protocol for SiloProtocol {
         )
     }
 
-    fn abort(&self, db: &Database, ctx: &mut TxnCtx) -> usize {
-        ctx.shared.set_abort(AbortReason::User);
-        ctx.inserts.clear();
-        ctx.end_snapshot(db);
-        0 // OCC never cascades.
+    fn abort(&self, _db: &Database, _ctx: &mut TxnCtx) -> usize {
+        0 // OCC holds nothing until commit, and never cascades.
     }
 }
 
@@ -327,7 +295,7 @@ mod tests {
         let (db, t) = setup();
         let p = SiloProtocol::new();
         let wal = Mutex::new(WalBuffer::for_tests());
-        let mut ctx = p.begin(&db);
+        let mut ctx = p.begin(&db, &TxnOptions::new());
         assert_eq!(p.read(&db, &mut ctx, t, 1).unwrap().get_i64(1), 0);
         p.update(&db, &mut ctx, t, 1, &mut inc).unwrap();
         p.commit(&db, &mut ctx, &wal).unwrap();
@@ -342,11 +310,11 @@ mod tests {
         let p = SiloProtocol::new();
         let wal = Mutex::new(WalBuffer::for_tests());
         // T1 reads key 1.
-        let mut c1 = p.begin(&db);
+        let mut c1 = p.begin(&db, &TxnOptions::new());
         p.read(&db, &mut c1, t, 1).unwrap();
         p.update(&db, &mut c1, t, 2, &mut inc).unwrap();
         // T2 writes key 1 and commits first.
-        let mut c2 = p.begin(&db);
+        let mut c2 = p.begin(&db, &TxnOptions::new());
         p.update(&db, &mut c2, t, 1, &mut inc).unwrap();
         p.commit(&db, &mut c2, &wal).unwrap();
         // T1's validation must fail.
@@ -361,8 +329,8 @@ mod tests {
         let (db, t) = setup();
         let p = SiloProtocol::new();
         let wal = Mutex::new(WalBuffer::for_tests());
-        let mut c1 = p.begin(&db);
-        let mut c2 = p.begin(&db);
+        let mut c1 = p.begin(&db, &TxnOptions::new());
+        let mut c2 = p.begin(&db, &TxnOptions::new());
         p.update(&db, &mut c1, t, 3, &mut inc).unwrap();
         p.update(&db, &mut c2, t, 3, &mut inc).unwrap();
         p.commit(&db, &mut c1, &wal).unwrap();
@@ -385,7 +353,7 @@ mod tests {
                     let wal = Mutex::new(WalBuffer::for_tests());
                     let mut done = 0;
                     while done < per {
-                        let mut ctx = p.begin(&db);
+                        let mut ctx = p.begin(&db, &TxnOptions::new());
                         p.update(&db, &mut ctx, t, 0, &mut inc).unwrap();
                         match p.commit(&db, &mut ctx, &wal) {
                             Ok(()) => done += 1,
@@ -450,7 +418,7 @@ mod tests {
     fn read_own_write() {
         let (db, t) = setup();
         let p = SiloProtocol::new();
-        let mut ctx = p.begin(&db);
+        let mut ctx = p.begin(&db, &TxnOptions::new());
         p.update(&db, &mut ctx, t, 5, &mut inc).unwrap();
         assert_eq!(p.read(&db, &mut ctx, t, 5).unwrap().get_i64(1), 1);
     }

@@ -14,10 +14,13 @@
 //! * [`Txn`] is an RAII attempt guard: `read`/`update`/`insert`/`scan`
 //!   without handle-threading, `commit`/`abort` consume the guard, and
 //!   `Drop` aborts an unfinished attempt **exactly once** — leaking a lock
-//!   by forgetting the abort call is unrepresentable.
-//! * [`TxnOptions`] replaces the scattered attempt setup
-//!   (`ctx.planned_ops = …; ctx.ic3.template = …; begin` vs
-//!   `begin_snapshot`) with one builder.
+//!   by forgetting the abort call is unrepresentable. It also owns what is
+//!   not concurrency control, written once for every protocol: snapshot
+//!   mode (a snapshot transaction reads the version chains and never
+//!   reaches the protocol), insert buffering, and the abort prologue.
+//! * [`TxnOptions`] is the one builder for an attempt's setup (snapshot
+//!   mode, planned operations, IC3 template); each protocol's `begin`
+//!   copies what it reads.
 //! * [`Session::run`] / [`Session::run_reporting`] subsume the executor's
 //!   attempt/retry loop under the session's [`RetryPolicy`].
 //!
@@ -52,7 +55,11 @@ use crate::db::Database;
 use crate::executor::TxnSpec;
 use crate::protocol::Protocol;
 use crate::stats::WorkerStats;
-use crate::txn::{Abort, AbortReason, TxnCtx, TxnShared, TxnTimers};
+use crate::ts::UNASSIGNED;
+use crate::txn::{
+    Abort, AbortReason, Access, AccessState, LockMode, PendingInsert, SnapshotCtx, TxnCtx,
+    TxnShared, TxnTimers,
+};
 use crate::wal::{DurabilityTicket, WalBuffer};
 use bamboo_storage::{Row, TableId};
 use parking_lot::Mutex;
@@ -111,16 +118,16 @@ impl RetryPolicy {
     }
 }
 
-/// Per-attempt options: the builder replacing the scattered
-/// `ctx.planned_ops = …; ctx.ic3.template = …; begin` vs `begin_snapshot`
-/// setup. Construct with [`TxnOptions::new`], consume with
-/// [`Session::begin_with`].
+/// Per-attempt options. Construct with [`TxnOptions::new`], consume with
+/// [`Session::begin_with`]: the session serves snapshot mode itself, and
+/// hands the rest to [`Protocol::begin`], which copies what its protocol
+/// reads.
 #[derive(Clone, Debug, Default)]
 pub struct TxnOptions {
     snapshot: bool,
     snapshot_max_lag: Option<u64>,
-    planned_ops: Option<usize>,
-    template: usize,
+    pub(crate) planned_ops: Option<usize>,
+    pub(crate) template: usize,
 }
 
 impl TxnOptions {
@@ -129,10 +136,12 @@ impl TxnOptions {
         TxnOptions::default()
     }
 
-    /// Read-only MVCC snapshot mode
-    /// ([`Protocol::begin_snapshot`]):
-    /// reads resolve against the committed version chains with zero
-    /// lock-manager interaction; writes are forbidden.
+    /// Read-only MVCC snapshot mode: reads resolve against the committed
+    /// version chains at the registered snapshot timestamp with zero
+    /// lock-manager interaction — the transaction can neither block nor be
+    /// aborted by writers, under any protocol. Writes are forbidden.
+    /// Consistency rests on every protocol's commit installing through the
+    /// timestamped MVCC path, the shared commit tail.
     pub fn snapshot(mut self) -> Self {
         self.snapshot = true;
         self
@@ -155,6 +164,8 @@ impl TxnOptions {
     /// Declares the total operation count (stored-procedure mode), driving
     /// Optimization 2's δ heuristic. Unset means interactive mode: every
     /// write is treated as potentially the last and retires immediately.
+    /// [`crate::protocol::InteractiveProtocol`] ignores it: an interactive
+    /// client does not know its access positions (paper §5.1).
     pub fn planned_ops(mut self, n: usize) -> Self {
         self.planned_ops = Some(n);
         self
@@ -261,18 +272,21 @@ impl Session {
         self.begin_with(TxnOptions::new().snapshot())
     }
 
-    /// Starts a transaction with explicit [`TxnOptions`].
+    /// Starts a transaction with explicit [`TxnOptions`]. A snapshot
+    /// registers its timestamp here and never calls the protocol: it holds
+    /// no lock entry and is in no other transaction's way, so it needs no
+    /// priority timestamp either.
     pub fn begin_with(&self, opts: TxnOptions) -> Txn<'_> {
-        let mut ctx = if opts.snapshot {
-            self.proto.begin_snapshot(&self.db)
+        let ctx = if opts.snapshot {
+            let mut ctx = TxnCtx::new(TxnShared::new(self.db.next_txn_id(), UNASSIGNED));
+            ctx.snapshot = Some(SnapshotCtx {
+                grant: self.db.register_snapshot(),
+                max_lag: opts.snapshot_max_lag,
+            });
+            ctx
         } else {
-            self.proto.begin(&self.db)
+            self.proto.begin(&self.db, &opts)
         };
-        if let Some(snap) = ctx.snapshot.as_mut() {
-            snap.max_lag = opts.snapshot_max_lag;
-        }
-        ctx.planned_ops = opts.planned_ops;
-        ctx.ic3.template = opts.template;
         Txn {
             session: self,
             ctx,
@@ -455,6 +469,11 @@ impl<'s> Txn<'s> {
     /// [`AbortReason::SnapshotNotVisible`]; use [`Txn::read_opt`] when the
     /// key's existence is not guaranteed.
     pub fn read(&mut self, table: TableId, key: u64) -> Result<&Row, Abort> {
+        if self.ctx.snapshot.is_some() {
+            return self
+                .snapshot_read(table, key)?
+                .ok_or(Abort(AbortReason::SnapshotNotVisible));
+        }
         self.session
             .proto
             .read(&self.session.db, &mut self.ctx, table, key)
@@ -478,27 +497,51 @@ impl<'s> Txn<'s> {
         {
             return Ok(Some(&self.ctx.inserts[i].row));
         }
+        if self.ctx.snapshot.is_some() {
+            return self.snapshot_read(table, key);
+        }
         if !self.session.db.table_for(table, key).contains(key) {
             return Ok(None);
         }
-        let in_snapshot = self.ctx.snapshot.is_some();
-        match self
-            .session
+        self.session
             .proto
             .read(&self.session.db, &mut self.ctx, table, key)
-        {
-            Ok(_) => {}
-            Err(Abort(AbortReason::SnapshotNotVisible)) if in_snapshot => return Ok(None),
-            Err(e) => return Err(e),
+            .map(Some)
+    }
+
+    /// Snapshot mode's read: resolves `key` against the version chain at
+    /// the snapshot timestamp, with no lock-manager interaction of any
+    /// kind. `Ok(None)` when the row does not exist or is not yet visible
+    /// at the snapshot (inserted by a transaction that committed after the
+    /// snapshot was taken).
+    fn snapshot_read(&mut self, table: TableId, key: u64) -> Result<Option<&Row>, Abort> {
+        let db = &self.session.db;
+        let ctx = &mut self.ctx;
+        let snap = ctx.snapshot.expect("snapshot_read outside snapshot mode");
+        // "Snapshot too old" lag cap (TxnOptions::snapshot_max_lag): a capped
+        // long reader whose snapshot fell more than `lag` commit timestamps
+        // behind the stable point is aborted so its registration stops
+        // pinning the GC watermark. One atomic load — the check keeps the
+        // read path lock-free.
+        if let Some(lag) = snap.max_lag {
+            if db.commit_clock.stable().saturating_sub(snap.ts()) > lag {
+                ctx.shared.set_abort(AbortReason::SnapshotTooOld);
+                return Err(Abort(AbortReason::SnapshotTooOld));
+            }
         }
-        // Re-borrow through the access cache: the match above cannot
-        // return the row directly without extending the mutable borrow
-        // over the error arms (NLL limitation).
-        let i = self
-            .ctx
-            .find_access(table, key)
-            .expect("successful read recorded an access");
-        Ok(Some(&self.ctx.accesses[i].local))
+        let Some(tuple) = db.table_for(table, key).get(key) else {
+            return Ok(None);
+        };
+        if let Some(i) = ctx.find_access(table, tuple.key) {
+            return Ok(Some(&ctx.accesses[i].local));
+        }
+        let Some(row) = tuple.read_at(snap.ts()) else {
+            return Ok(None);
+        };
+        // No lock entry backs the read: the access is born released.
+        let access = Access::new(table, tuple, LockMode::Sh, row, AccessState::Released);
+        let i = ctx.push_access(access);
+        Ok(Some(&ctx.accesses[i].local))
     }
 
     /// A cache hint with no semantic effect: starts loading the cache lines
@@ -569,14 +612,15 @@ impl<'s> Txn<'s> {
         key: u64,
         mut f: impl FnMut(&mut Row),
     ) -> Result<(), Abort> {
-        self.forbid_replicated_write(table, "update");
+        self.forbid_write(table, "update");
         self.session
             .proto
             .update(&self.session.db, &mut self.ctx, table, key, &mut f)
     }
 
-    /// Buffers an insert; applied atomically at commit. `secondary` is an
-    /// optional `(secondary index slot, secondary key)` to maintain.
+    /// Buffers an insert once the protocol's [`Protocol::lock_insert`]
+    /// succeeded; applied atomically at commit. `secondary` is an optional
+    /// `(secondary index slot, secondary key)` to maintain.
     pub fn insert(
         &mut self,
         table: TableId,
@@ -584,50 +628,84 @@ impl<'s> Txn<'s> {
         row: Row,
         secondary: Option<(usize, u64)>,
     ) -> Result<(), Abort> {
-        self.forbid_replicated_write(table, "insert");
+        self.forbid_write(table, "insert");
+        if self.ctx.shared.is_aborted() {
+            return Err(self.ctx.abort_err());
+        }
         self.session
             .proto
-            .insert(&self.session.db, &mut self.ctx, table, key, row, secondary)
+            .lock_insert(&self.session.db, &mut self.ctx, table, key)?;
+        self.ctx.inserts.push(PendingInsert {
+            table,
+            key,
+            row,
+            secondary,
+        });
+        Ok(())
     }
 
-    /// A write to a replicated table would only touch the *local* replica
-    /// and silently diverge the copies — replicated tables are read-only
-    /// reference data by contract, enforced here at the one user-facing
-    /// write chokepoint.
+    /// The one write chokepoint's checks. A snapshot is read-only. A write
+    /// to a replicated table would only touch the *local* replica and
+    /// silently diverge the copies — replicated tables are read-only
+    /// reference data by contract.
     #[inline]
-    fn forbid_replicated_write(&self, _table: TableId, _op: &str) {
+    fn forbid_write(&self, table: TableId, op: &str) {
+        assert!(
+            self.ctx.snapshot.is_none(),
+            "read-only snapshot transactions cannot {op}"
+        );
         debug_assert!(
-            !self.session.db.is_table_replicated(_table),
-            "cannot {_op} replicated table {}: writes only reach the local \
+            !self.session.db.is_table_replicated(table),
+            "cannot {op} replicated table {}: writes only reach the local \
              replica and would diverge the copies (replicated tables are \
              read-only reference data)",
-            _table.0
+            table.0
         );
     }
 
     /// Range scan over the table's ordered index (phantom-protected under
     /// the 2PL family's Serializable level; see
-    /// [`Protocol::scan`]).
+    /// [`Protocol::scan`]). In snapshot mode, rows not visible at the
+    /// snapshot timestamp are skipped — an index entry committed after the
+    /// snapshot was taken is a phantom to this transaction, not an error —
+    /// on local and remote partitions' keys alike.
     pub fn scan(
         &mut self,
         table: TableId,
         range: std::ops::RangeInclusive<u64>,
     ) -> Result<Vec<Row>, Abort> {
-        self.session
-            .proto
-            .scan(&self.session.db, &mut self.ctx, table, range)
+        if self.ctx.snapshot.is_none() {
+            return self
+                .session
+                .proto
+                .scan(&self.session.db, &mut self.ctx, table, range);
+        }
+        let mut rows = Vec::new();
+        for key in self.session.db.scan_keys(table, range) {
+            if let Some(row) = self.snapshot_read(table, key)? {
+                rows.push(row.clone());
+            }
+        }
+        Ok(rows)
     }
 
-    /// IC3 hook: a new piece begins. No-op under other protocols.
+    /// IC3 hook: a new piece begins. No-op under other protocols and in
+    /// snapshot mode.
     pub fn piece_begin(&mut self, piece: usize) -> Result<(), Abort> {
+        if self.ctx.snapshot.is_some() {
+            return Ok(());
+        }
         self.session
             .proto
             .piece_begin(&self.session.db, &mut self.ctx, piece)
     }
 
     /// IC3 hook: the current piece ended (publish piece writes). No-op
-    /// under other protocols.
+    /// under other protocols and in snapshot mode.
     pub fn piece_end(&mut self) -> Result<(), Abort> {
+        if self.ctx.snapshot.is_some() {
+            return Ok(());
+        }
         self.session
             .proto
             .piece_end(&self.session.db, &mut self.ctx)
@@ -731,9 +809,13 @@ impl<'s> Txn<'s> {
     /// [`Txn::commit_deferred`] to hand back.
     fn commit_in_place(&mut self, defer_ack: bool) -> Result<(), Abort> {
         debug_assert!(!self.finished, "commit on a finished attempt");
-        self.session
-            .proto
-            .commit(&self.session.db, &mut self.ctx, &self.session.ring)?;
+        if self.ctx.snapshot.is_some() {
+            self.commit_snapshot()?;
+        } else {
+            self.session
+                .proto
+                .commit(&self.session.db, &mut self.ctx, &self.session.ring)?;
+        }
         self.finished = true;
         // Group commit: the commit point passed, versions are installed
         // and every lock is released (early lock release) — but the client
@@ -750,13 +832,50 @@ impl<'s> Txn<'s> {
         Ok(())
     }
 
+    /// Snapshot mode's commit: no locks to release, no log to write, and
+    /// no commit point to pass — nothing can wound a snapshot, and no other
+    /// transaction holds its handle. A reader already aborted as too old
+    /// stays aborted; any other snapshot ends its registration, so the GC
+    /// watermark can advance.
+    fn commit_snapshot(&mut self) -> Result<(), Abort> {
+        debug_assert_eq!(
+            self.ctx.locks_acquired, 0,
+            "snapshot mode must never touch the lock manager"
+        );
+        if self.ctx.shared.is_aborted() {
+            return Err(self.ctx.abort_err());
+        }
+        self.end_snapshot();
+        Ok(())
+    }
+
+    /// Releases the snapshot registration, if this attempt is a snapshot;
+    /// returns whether it was.
+    fn end_snapshot(&mut self) -> bool {
+        let Some(snap) = self.ctx.snapshot.take() else {
+            return false;
+        };
+        self.session.db.release_snapshot(snap.grant);
+        true
+    }
+
     /// Abort without consuming `self`; idempotence guard included so the
-    /// `Drop` path can never double-release.
+    /// `Drop` path can never double-release. The prologue every protocol
+    /// shares runs here once: a self-abort (user logic, a dropped guard)
+    /// books [`AbortReason::User`] — a wound or failed validation recorded
+    /// earlier keeps its reason — and the buffered inserts are dropped. A
+    /// snapshot then only ends its registration; anything else is released
+    /// by [`Protocol::abort`].
     fn abort_in_place(&mut self) -> usize {
         if self.finished {
             return 0;
         }
         self.finished = true;
+        self.ctx.shared.set_abort(AbortReason::User);
+        self.ctx.inserts.clear();
+        if self.end_snapshot() {
+            return 0;
+        }
         self.session.proto.abort(&self.session.db, &mut self.ctx)
     }
 }
@@ -897,12 +1016,159 @@ mod tests {
     }
 
     #[test]
-    fn txn_options_apply_to_context() {
+    fn txn_options_apply_to_context_bamboo() {
         let (db, _t) = setup();
         let session = bamboo_session(&db);
         let txn = session.begin_with(TxnOptions::new().planned_ops(7).template(3));
         assert_eq!(txn.ctx().planned_ops, Some(7));
-        assert_eq!(txn.ctx().ic3.template, 3);
         drop(txn);
+    }
+
+    #[test]
+    fn txn_options_apply_to_context_ic3() {
+        let (db, t) = setup();
+        let template = crate::protocol::TemplateDecl {
+            name: "one".into(),
+            pieces: vec![crate::protocol::PieceDecl {
+                accesses: vec![crate::protocol::PieceAccess {
+                    table: t,
+                    read_cols: 0b10,
+                    write_cols: 0b10,
+                }],
+            }],
+        };
+        let ic3 = crate::protocol::Ic3Protocol::new(vec![template.clone(), template], false);
+        let session = Session::new(Arc::clone(&db), Arc::new(ic3));
+        let txn = session.begin_with(TxnOptions::new().planned_ops(7).template(1));
+        assert_eq!(txn.ctx().ic3.template, 1);
+        drop(txn);
+    }
+
+    /// Optimization 2 does not apply in interactive mode (paper §5.1): a
+    /// client does not know its access positions, so a declared operation
+    /// count must not hold back its last writes.
+    #[test]
+    fn interactive_bamboo_retires_every_write() {
+        let (db, t) = setup();
+        let proto =
+            crate::protocol::InteractiveProtocol::new(LockingProtocol::bamboo(), Duration::ZERO);
+        let session = Session::new(Arc::clone(&db), Arc::new(proto));
+        let mut txn = session.begin_with(TxnOptions::new().planned_ops(1));
+        assert_eq!(txn.ctx().planned_ops, None);
+        txn.update(t, 0, |row| row.set(1, Value::I64(1))).unwrap();
+        assert_eq!(
+            txn.ctx().accesses[0].state,
+            crate::txn::AccessState::Retired
+        );
+        txn.commit().unwrap();
+    }
+
+    /// A protocol that must never be called: every method but `name`
+    /// panics.
+    struct Unreachable;
+
+    impl Protocol for Unreachable {
+        fn name(&self) -> &str {
+            "UNREACHABLE"
+        }
+        fn begin(&self, _: &Database, _: &TxnOptions) -> TxnCtx {
+            unreachable!("begin")
+        }
+        fn read<'c>(
+            &self,
+            _: &Database,
+            _: &'c mut TxnCtx,
+            _: TableId,
+            _: u64,
+        ) -> Result<&'c Row, Abort> {
+            unreachable!("read")
+        }
+        fn update(
+            &self,
+            _: &Database,
+            _: &mut TxnCtx,
+            _: TableId,
+            _: u64,
+            _: &mut dyn FnMut(&mut Row),
+        ) -> Result<(), Abort> {
+            unreachable!("update")
+        }
+        fn lock_insert(
+            &self,
+            _: &Database,
+            _: &mut TxnCtx,
+            _: TableId,
+            _: u64,
+        ) -> Result<(), Abort> {
+            unreachable!("lock_insert")
+        }
+        fn scan(
+            &self,
+            _: &Database,
+            _: &mut TxnCtx,
+            _: TableId,
+            _: std::ops::RangeInclusive<u64>,
+        ) -> Result<Vec<Row>, Abort> {
+            unreachable!("scan")
+        }
+        fn commit(&self, _: &Database, _: &mut TxnCtx, _: &Mutex<WalBuffer>) -> Result<(), Abort> {
+            unreachable!("commit")
+        }
+        fn redo_replayable(&self) -> bool {
+            unreachable!("redo_replayable")
+        }
+        fn abort(&self, _: &Database, _: &mut TxnCtx) -> usize {
+            unreachable!("abort")
+        }
+        fn piece_begin(&self, _: &Database, _: &mut TxnCtx, _: usize) -> Result<(), Abort> {
+            unreachable!("piece_begin")
+        }
+        fn piece_end(&self, _: &Database, _: &mut TxnCtx) -> Result<(), Abort> {
+            unreachable!("piece_end")
+        }
+    }
+
+    #[test]
+    fn snapshot_transactions_never_call_the_protocol() {
+        let (db, t) = setup();
+        db.table(t).enable_ordered_index();
+        let session = Session::new(Arc::clone(&db), Arc::new(Unreachable));
+        let mut snap = session.snapshot();
+        snap.piece_begin(0).unwrap();
+        assert_eq!(snap.read(t, 2).unwrap().get_i64(1), 0);
+        assert_eq!(snap.read(t, 2).unwrap().get_i64(1), 0, "re-read");
+        assert!(snap.read_opt(t, 999).unwrap().is_none());
+        assert_eq!(
+            snap.read(t, 999).unwrap_err(),
+            Abort(AbortReason::SnapshotNotVisible)
+        );
+        assert_eq!(snap.scan(t, 3..=100).unwrap().len(), 5);
+        snap.piece_end().unwrap();
+        snap.commit().unwrap();
+        drop(session.snapshot());
+        assert_eq!(db.snapshots.active_count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "read-only snapshot transactions cannot update")]
+    fn snapshot_rejects_update() {
+        let (db, t) = setup();
+        let session = bamboo_session(&db);
+        let mut snap = session.snapshot();
+        let _ = snap.update(t, 1, |row| row.set(1, Value::I64(1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "read-only snapshot transactions cannot insert")]
+    fn snapshot_rejects_insert() {
+        let (db, t) = setup();
+        let session = bamboo_session(&db);
+        let mut snap = session.snapshot();
+        let _ = snap.insert(
+            t,
+            100,
+            Row::from(vec![Value::U64(100), Value::I64(0)]),
+            None,
+        );
     }
 }

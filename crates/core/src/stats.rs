@@ -73,8 +73,8 @@ pub struct WorkerStats {
     /// not pollute the short-transaction percentiles).
     pub snapshot_latency_us_log2: [u64; 32],
     /// Committed transactions whose access set spanned more than one
-    /// partition (also counted in [`WorkerStats::commits`]). The partition-scaling benches report the
-    /// cross-partition share from this.
+    /// partition (also counted in [`WorkerStats::commits`]);
+    /// [`BenchResult::cross_partition_share`] reports it as a share.
     pub cross_partition_commits: u64,
 }
 

@@ -476,8 +476,8 @@ impl std::fmt::Debug for TxnShared {
 /// from [`crate::session::TxnOptions::snapshot_max_lag`].
 #[derive(Clone, Copy, Debug)]
 pub struct SnapshotCtx {
-    /// The registry registration; released exactly once by
-    /// [`TxnCtx::end_snapshot`].
+    /// The registry registration; released exactly once, when the
+    /// [`crate::session::Txn`] commits or aborts.
     pub grant: crate::db::SnapshotGrant,
     /// Abort reads with [`AbortReason::SnapshotTooOld`] once the commit
     /// clock's stable point runs more than this many timestamps ahead of
@@ -664,13 +664,15 @@ pub struct TxnCtx {
     /// Access set in access order.
     pub accesses: Vec<Access>,
     index: HashMap<(u32, u64), usize, BuildKeyHasher>,
-    /// Buffered inserts.
+    /// Inserts buffered by [`crate::session::Txn::insert`], applied by the
+    /// commit tail.
     pub inserts: Vec<PendingInsert>,
     /// Read-only snapshot mode: `Some` when every read resolves against
     /// the committed version chains at the grant's timestamp with zero
-    /// lock-manager interaction. Writes are forbidden. Set by
-    /// [`crate::protocol::Protocol::begin_snapshot`], cleared (and the
-    /// registry entry released) by [`TxnCtx::end_snapshot`].
+    /// lock-manager interaction. Writes are forbidden. The session owns
+    /// it: set by [`crate::session::Session::begin_with`], taken (and the
+    /// registry entry released) when the [`crate::session::Txn`] commits
+    /// or aborts. A snapshot context never reaches the protocol.
     pub snapshot: Option<SnapshotCtx>,
     /// Commit timestamp allocated at the commit point (0 until then);
     /// versioned installs and commit-time inserts are tagged with it.
@@ -680,9 +682,11 @@ pub struct TxnCtx {
     /// stats layer asserts the read path truly bypasses the lock manager.
     pub locks_acquired: u64,
     /// Declared number of operations (stored-procedure mode) for the δ
-    /// heuristic of Optimization 2; `None` in interactive mode.
+    /// heuristic of Optimization 2, copied from the options by the 2PL
+    /// family's `begin`; `None` in interactive mode.
     pub planned_ops: Option<usize>,
-    /// Operations issued so far this attempt.
+    /// Operations issued so far this attempt, counted by the 2PL family
+    /// (Optimization 2's δ is its one reader).
     pub op_seq: usize,
     /// Phase timers.
     pub timers: TxnTimers,
@@ -852,26 +856,6 @@ impl TxnCtx {
             }
         }
         res
-    }
-
-    /// Panics when this context is a read-only snapshot: every protocol's
-    /// write paths call this before mutating, keeping the enforcement (and
-    /// its message) uniform.
-    #[inline]
-    pub fn forbid_snapshot_write(&self, op: &str) {
-        assert!(
-            self.snapshot.is_none(),
-            "read-only snapshot transactions cannot {op}"
-        );
-    }
-
-    /// Ends snapshot mode: releases the registry entry so the GC
-    /// watermark can advance past this snapshot. Idempotent; called by
-    /// every protocol's commit and abort paths.
-    pub fn end_snapshot(&mut self, db: &crate::db::Database) {
-        if let Some(snap) = self.snapshot.take() {
-            db.release_snapshot(snap.grant);
-        }
     }
 }
 

@@ -101,10 +101,9 @@ impl TpccConfig {
         self
     }
 
-    /// Sets both remote knobs at once — the "remote ratio" of the
-    /// partition-scaling benches: `r` is the fraction of Payments paying a
-    /// remote customer *and* the per-line probability of a remote
-    /// supplying warehouse. 0 makes every transaction single-warehouse
+    /// Sets both remote knobs at once — one "remote ratio": `r` is the
+    /// fraction of Payments paying a remote customer *and* the per-line
+    /// probability of a remote supplying warehouse. 0 makes every transaction single-warehouse
     /// (and, partitioned, single-partition).
     pub fn with_remote_ratio(mut self, r: f64) -> Self {
         self.remote_payment_fraction = r;

@@ -11,7 +11,7 @@
 //! Before (the raw protocol surface — what protocol *implementors* see):
 //!
 //! ```text
-//! let mut ctx = protocol.begin(&database);          // thread three handles
+//! let mut ctx = protocol.begin(&database, &opts);   // thread three handles
 //! protocol.update(&database, &mut ctx, t, 0, &mut |r| …)?;  // everywhere,
 //! protocol.commit(&database, &mut ctx, &wal)?;      // and on any Err you
 //! // …must remember: protocol.abort(&database, &mut ctx), exactly once.
