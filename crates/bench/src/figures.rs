@@ -16,7 +16,7 @@ use bamboo_workload::synthetic::{self, SyntheticConfig, SyntheticWorkload};
 use bamboo_workload::tpcc::{self, TpccConfig, TpccWorkload};
 use bamboo_workload::ycsb::{self, YcsbConfig, YcsbWorkload};
 
-use crate::harness::{all_protocols, all_protocols_interactive, RunOpts, Series};
+use crate::harness::{all_protocols, RunOpts, Series};
 
 fn bamboo_vs_ww() -> Vec<Arc<dyn Protocol>> {
     vec![
@@ -41,8 +41,8 @@ pub fn sec52(opts: &RunOpts) {
     s.print();
 
     let mut si = Series::new("sec5.2 single hotspot at beginning (interactive)");
-    for proto in all_protocols_interactive(opts.rpc) {
-        si.run_point(threads, &db, &proto, &wl, &opts.config(threads));
+    for proto in all_protocols() {
+        si.run_point(threads, &db, &proto, &wl, &opts.interactive(threads));
     }
     si.print();
 }
@@ -104,7 +104,9 @@ fn two_hotspot_protocols() -> Vec<Arc<dyn Protocol>> {
 /// swept; BAMBOO-base vs BAMBOO vs WOUND_WAIT, throughput + breakdown.
 pub fn fig4(opts: &RunOpts) {
     let threads = 32.min(*opts.threads.last().unwrap_or(&32));
-    let mut s = Series::new("fig4 two hotspots, 1st at beginning, 2nd swept (32 threads)");
+    let mut s = Series::new(&format!(
+        "fig4 two hotspots, 1st at beginning, 2nd swept ({threads} threads)"
+    ));
     let base = SyntheticConfig::two_hotspots(0.0, 0.5);
     let (db, t) = synthetic::load(&base);
     for dist in [0.0, 0.25, 0.5, 0.75, 1.0] {
@@ -120,7 +122,9 @@ pub fn fig4(opts: &RunOpts) {
 /// Figure 5: second hotspot fixed at the end, first swept.
 pub fn fig5(opts: &RunOpts) {
     let threads = 32.min(*opts.threads.last().unwrap_or(&32));
-    let mut s = Series::new("fig5 two hotspots, 2nd at end, 1st swept (32 threads)");
+    let mut s = Series::new(&format!(
+        "fig5 two hotspots, 2nd at end, 1st swept ({threads} threads)"
+    ));
     let base = SyntheticConfig::two_hotspots(0.0, 1.0);
     let (db, t) = synthetic::load(&base);
     for dist in [0.0, 0.25, 0.5, 0.75, 1.0] {
@@ -242,8 +246,12 @@ pub fn fig7(opts: &RunOpts) {
 /// procedure and interactive modes.
 pub fn fig8(opts: &RunOpts) {
     let threads = 16.min(*opts.threads.last().unwrap_or(&16));
-    let mut s = Series::new("fig8a YCSB theta swept (16 threads, stored procedure)");
-    let mut si = Series::new("fig8b YCSB theta swept (16 threads, interactive)");
+    let mut s = Series::new(&format!(
+        "fig8a YCSB theta swept ({threads} threads, stored procedure)"
+    ));
+    let mut si = Series::new(&format!(
+        "fig8b YCSB theta swept ({threads} threads, interactive)"
+    ));
     let base = YcsbConfig::default();
     let (db, t) = ycsb::load(&base);
     for theta in [0.5, 0.7, 0.8, 0.9, 0.99] {
@@ -252,8 +260,8 @@ pub fn fig8(opts: &RunOpts) {
         for proto in all_protocols() {
             s.run_point(theta, &db, &proto, &wl, &opts.config(threads));
         }
-        for proto in all_protocols_interactive(opts.rpc) {
-            si.run_point(theta, &db, &proto, &wl, &opts.config(threads));
+        for proto in all_protocols() {
+            si.run_point(theta, &db, &proto, &wl, &opts.interactive(threads));
         }
     }
     s.print();
@@ -263,7 +271,9 @@ pub fn fig8(opts: &RunOpts) {
 /// §5.4 "Varying Read Ratio": Bamboo's improvement across read ratios.
 pub fn read_ratio(opts: &RunOpts) {
     let threads = 16.min(*opts.threads.last().unwrap_or(&16));
-    let mut s = Series::new("sec5.4 YCSB read ratio swept (theta=0.9, 16 threads)");
+    let mut s = Series::new(&format!(
+        "sec5.4 YCSB read ratio swept (theta=0.9, {threads} threads)"
+    ));
     let base = YcsbConfig::default();
     let (db, t) = ycsb::load(&base);
     for rr in [0.1, 0.3, 0.5, 0.7, 0.9] {
@@ -292,8 +302,8 @@ pub fn fig9(opts: &RunOpts) {
     s.print();
     let mut si = Series::new("fig9b TPC-C 1 warehouse, threads swept (interactive)");
     for &threads in &opts.threads {
-        for proto in all_protocols_interactive(opts.rpc) {
-            si.run_point(threads, &db, &proto, &wl, &opts.config(threads));
+        for proto in all_protocols() {
+            si.run_point(threads, &db, &proto, &wl, &opts.interactive(threads));
         }
     }
     si.print();
@@ -302,8 +312,12 @@ pub fn fig9(opts: &RunOpts) {
 /// Figure 10: TPC-C with the warehouse count swept at a fixed thread count.
 pub fn fig10(opts: &RunOpts) {
     let threads = 32.min(*opts.threads.last().unwrap_or(&32));
-    let mut s = Series::new("fig10a TPC-C warehouses swept (32 threads, stored procedure)");
-    let mut si = Series::new("fig10b TPC-C warehouses swept (32 threads, interactive)");
+    let mut s = Series::new(&format!(
+        "fig10a TPC-C warehouses swept ({threads} threads, stored procedure)"
+    ));
+    let mut si = Series::new(&format!(
+        "fig10b TPC-C warehouses swept ({threads} threads, interactive)"
+    ));
     for wh in [16u64, 8, 4, 2, 1] {
         let cfg = TpccConfig::default().with_warehouses(wh);
         let (db, tables, idx) = tpcc::load(&cfg);
@@ -312,8 +326,8 @@ pub fn fig10(opts: &RunOpts) {
         for proto in all_protocols() {
             s.run_point(wh, &db, &proto, &wl, &opts.config(threads));
         }
-        for proto in all_protocols_interactive(opts.rpc) {
-            si.run_point(wh, &db, &proto, &wl, &opts.config(threads));
+        for proto in all_protocols() {
+            si.run_point(wh, &db, &proto, &wl, &opts.interactive(threads));
         }
     }
     s.print();

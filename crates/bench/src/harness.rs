@@ -5,9 +5,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bamboo_core::executor::{run_bench, BenchConfig, Workload};
-use bamboo_core::protocol::{InteractiveProtocol, LockingProtocol, Protocol, SiloProtocol};
+use bamboo_core::protocol::{LockingProtocol, Protocol, SiloProtocol};
 use bamboo_core::stats::BenchResult;
-use bamboo_core::{Database, Session};
+use bamboo_core::{AbortReason, Database, Session};
 
 /// Options shared by every experiment run.
 #[derive(Clone, Debug)]
@@ -53,6 +53,11 @@ impl RunOpts {
             .with_warmup(self.warmup)
             .with_seed(self.seed)
     }
+
+    /// The per-point config of an interactive-mode series.
+    pub fn interactive(&self, threads: usize) -> BenchConfig {
+        self.config(threads).interactive(self.rpc)
+    }
 }
 
 /// The paper's five stored-procedure protocols (§5.1 roster).
@@ -63,17 +68,6 @@ pub fn all_protocols() -> Vec<Arc<dyn Protocol>> {
         Arc::new(LockingProtocol::wait_die()),
         Arc::new(LockingProtocol::no_wait()),
         Arc::new(SiloProtocol::new()),
-    ]
-}
-
-/// Interactive-mode variants of the same roster.
-pub fn all_protocols_interactive(rpc: Duration) -> Vec<Arc<dyn Protocol>> {
-    vec![
-        Arc::new(InteractiveProtocol::new(LockingProtocol::bamboo(), rpc)),
-        Arc::new(InteractiveProtocol::new(LockingProtocol::wound_wait(), rpc)),
-        Arc::new(InteractiveProtocol::new(LockingProtocol::wait_die(), rpc)),
-        Arc::new(InteractiveProtocol::new(LockingProtocol::no_wait(), rpc)),
-        Arc::new(InteractiveProtocol::new(SiloProtocol::new(), rpc)),
     ]
 }
 
@@ -148,11 +142,13 @@ impl Series {
     }
 
     /// Prints the paper-style table: throughput plus the runtime-analysis
-    /// breakdown (lock wait / abort / commit wait, amortized ms per commit).
+    /// breakdown (lock wait / abort / commit wait, amortized ms per commit)
+    /// and the aborts a wait backstop fired (`timeouts`, 0 in a healthy
+    /// run).
     pub fn print(&self) {
         println!("\n== {} ==", self.title);
         println!(
-            "{:<10} {:<14} {:>12} {:>9} {:>12} {:>9} {:>10} {:>10} {:>13} {:>7}",
+            "{:<10} {:<14} {:>12} {:>9} {:>12} {:>9} {:>10} {:>10} {:>13} {:>7} {:>8}",
             "x",
             "protocol",
             "tput(txn/s)",
@@ -162,13 +158,14 @@ impl Series {
             "spinwk/txn",
             "abort_ms",
             "commitwait_ms",
-            "chain"
+            "chain",
+            "timeouts"
         );
         for p in &self.points {
             let r = &p.result;
             let (parks, spin_wakes) = r.parks_spin_wakes_per_commit();
             println!(
-                "{:<10} {:<14} {:>12.0} {:>8.1}% {:>12.4} {:>9.3} {:>10.3} {:>10.4} {:>13.4} {:>7}",
+                "{:<10} {:<14} {:>12.0} {:>8.1}% {:>12.4} {:>9.3} {:>10.3} {:>10.4} {:>13.4} {:>7} {:>8}",
                 p.x,
                 r.protocol,
                 r.throughput(),
@@ -179,6 +176,7 @@ impl Series {
                 r.abort_ms_per_commit(),
                 r.commit_wait_ms_per_commit(),
                 r.totals.max_chain,
+                r.totals.aborts_by_reason[AbortReason::WaitTimeout.index()],
             );
         }
     }
@@ -199,10 +197,6 @@ mod tests {
     #[test]
     fn rosters_have_five_protocols() {
         assert_eq!(all_protocols().len(), 5);
-        assert_eq!(
-            all_protocols_interactive(Duration::from_micros(10)).len(),
-            5
-        );
         let names: Vec<_> = all_protocols()
             .iter()
             .map(|p| p.name().to_owned())

@@ -42,14 +42,15 @@
 //!    order once (their definitions in `txn.rs` are not calls). A new
 //!    protocol calls the shared tail; it cannot re-grow a private copy.
 //! 8. **wait-seam** — under `crates/core/src/protocol/` nothing parks,
-//!    yields, spins or charges a phase timer by hand: no `park_brief(`,
-//!    `yield_now(`, `spin_loop(`, `.wait_for(`, `timers.lock_wait +=` or
-//!    `timers.commit_wait +=`. A transaction blocks through
-//!    `TxnCtx::wait` (`txn.rs`), the one copy of the abort check, the
-//!    liveness deadline, the spin-then-park pause and the timer
-//!    accounting. A pause that is not a transaction wait (Silo's TID-word
-//!    spins) says so in an adjacent `// wait-seam:` comment, like rule 4's
-//!    `// ordering:`.
+//!    yields, spins, sleeps or charges a phase timer by hand: no
+//!    `park_brief(`, `yield_now(`, `spin_loop(`, `.wait_for(`,
+//!    `thread::sleep(`, `timers.lock_wait +=` or `timers.commit_wait +=`.
+//!    A transaction blocks through `TxnCtx::wait` (`txn.rs`), the one copy
+//!    of the abort check, the liveness deadline, the spin-then-park pause
+//!    and the timer accounting; an interactive client's round trip is
+//!    slept by the session (`Txn::round_trip`), not by a protocol. A
+//!    pause that is not a transaction wait (Silo's TID-word spins) says so
+//!    in an adjacent `// wait-seam:` comment, like rule 4's `// ordering:`.
 //! 9. **one-database** — there is one kind of database and one place that
 //!    builds it: a `Database { .. }` struct literal or a `topology:`
 //!    initialiser appears only in `crates/core/src/partition.rs`
@@ -261,9 +262,15 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Finding> {
 
         // Rule 8: protocols block through the wait seam only.
         if rel_path.starts_with("crates/core/src/protocol/") && !in_test {
-            let pause = ["park_brief(", "yield_now(", "spin_loop(", "wait_for("]
-                .into_iter()
-                .find(|call| has_call(line, call));
+            let pause = [
+                "park_brief(",
+                "yield_now(",
+                "spin_loop(",
+                "wait_for(",
+                "thread::sleep(",
+            ]
+            .into_iter()
+            .find(|call| has_call(line, call));
             let charge = ["timers.lock_wait +=", "timers.commit_wait +="]
                 .into_iter()
                 .find(|charge| line.contains(charge));
@@ -271,7 +278,7 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Finding> {
                 if !justified(&masked, i, "wait-seam:") {
                     push(
                         "wait-seam",
-                        format!("`{what}` in protocol code — block through `TxnCtx::wait`, the one copy of the abort check, deadline, spin-then-park pause and timer accounting (or justify a non-transaction pause with `// wait-seam:`)"),
+                        format!("`{what}` in protocol code — block through `TxnCtx::wait`, the one copy of the abort check, deadline, spin-then-park pause and timer accounting; a client delay belongs to the session (or justify a non-transaction pause with `// wait-seam:`)"),
                     );
                 }
             }
@@ -1101,6 +1108,13 @@ mod tests {
             rules("crates/core/src/protocol/locking.rs", src),
             vec!["wait-seam"]
         );
+        // A protocol charging a client's round trip: interactive mode is
+        // the session's, slept once in `Txn::round_trip`.
+        let src = "fn read(&self) {\n    std::thread::sleep(self.rpc);\n}\n";
+        assert_eq!(
+            rules("crates/core/src/protocol/interactive.rs", src),
+            vec!["wait-seam"]
+        );
     }
 
     #[test]
@@ -1121,9 +1135,11 @@ mod tests {
         assert!(rules("crates/core/src/protocol/silo.rs", src).is_empty());
         let src = "// wait-seam: bounded TID-word spin.\nstd::hint::spin_loop();\n";
         assert!(rules("crates/core/src/protocol/silo.rs", src).is_empty());
-        // Unit tests may pace themselves.
-        let src =
-            "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() { std::thread::yield_now(); }\n}\n";
+        // The session sleeps the round trip; unit tests may pace
+        // themselves.
+        let src = "std::thread::sleep(rpc);\n";
+        assert!(rules("crates/core/src/session.rs", src).is_empty());
+        let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() { std::thread::yield_now(); std::thread::sleep(D); }\n}\n";
         assert!(rules("crates/core/src/protocol/locking.rs", src).is_empty());
     }
 

@@ -88,6 +88,9 @@ pub struct BenchConfig {
     pub warmup: Duration,
     /// RNG seed (worker `i` uses `seed + i`).
     pub seed: u64,
+    /// The client round trip when the workers' sessions run in interactive
+    /// mode ([`Session::interactive`]); `None` runs stored procedures.
+    pub interactive: Option<Duration>,
 }
 
 impl Default for BenchConfig {
@@ -104,6 +107,7 @@ impl BenchConfig {
             duration: Duration::from_millis(200),
             warmup: Duration::from_millis(20),
             seed: 42,
+            interactive: None,
         }
     }
 
@@ -124,6 +128,13 @@ impl BenchConfig {
         self.seed = seed;
         self
     }
+
+    /// Runs every worker's sessions in interactive mode with round trip
+    /// `rpc`.
+    pub fn interactive(mut self, rpc: Duration) -> Self {
+        self.interactive = Some(rpc);
+        self
+    }
 }
 
 /// The measurement scaffold shared by [`run_bench`] and
@@ -135,9 +146,10 @@ impl BenchConfig {
 /// handles).
 ///
 /// A worker is its sessions, one per partition, built on its own thread
-/// by `make_sessions`: each spec runs on the session of its
-/// [`TxnSpec::home_partition`], and the bytes on the sessions' rings are
-/// the worker's `log_bytes` (lifetime counters: warmup included).
+/// by `make_sessions` and made interactive when `cfg` says so: each spec
+/// runs on the session of its [`TxnSpec::home_partition`], and the bytes
+/// on the sessions' rings are the worker's `log_bytes` (lifetime
+/// counters: warmup included).
 fn drive_bench(
     protocol: &str,
     workload: &Arc<dyn Workload>,
@@ -160,7 +172,13 @@ fn drive_bench(
                 (&measuring, &stop, &ready, &make_sessions);
             s.spawn(move || {
                 let mut rng = SmallRng::seed_from_u64(seed);
-                let sessions = make_sessions();
+                let sessions: Vec<Session> = match cfg.interactive {
+                    Some(rpc) => make_sessions()
+                        .into_iter()
+                        .map(|s| s.interactive(rpc))
+                        .collect(),
+                    None => make_sessions(),
+                };
                 ready.wait();
                 let mut warm = WorkerStats::default();
                 let measured: &mut WorkerStats = slot;

@@ -88,6 +88,7 @@
 
 use crate::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use bamboo_storage::{Catalog, PartitionId, RouteStrategy, Router, Row, Schema, Table, TableId};
 
@@ -503,6 +504,17 @@ impl PartSession {
             .map(|p| Session::new(Arc::clone(p.db()), Arc::clone(&proto)))
             .collect();
         PartSession { pdb, sessions }
+    }
+
+    /// Interactive mode on every partition's session
+    /// ([`Session::interactive`]).
+    pub fn interactive(mut self, rpc: Duration) -> Self {
+        self.sessions = self
+            .sessions
+            .into_iter()
+            .map(|s| s.interactive(rpc))
+            .collect();
+        self
     }
 
     /// Every partition's session, in partition-id order.

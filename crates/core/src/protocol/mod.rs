@@ -10,11 +10,8 @@
 //!   NO_WAIT configurations).
 //! * [`SiloProtocol`] — the OCC baseline (SILO).
 //! * [`ic3::Ic3Protocol`] — the transaction-chopping baseline (IC3).
-//! * [`InteractiveProtocol`] — a decorator that charges a simulated RPC
-//!   round-trip per operation, reproducing the paper's interactive mode.
 
 pub mod ic3;
-mod interactive;
 mod locking;
 mod silo;
 
@@ -25,7 +22,6 @@ use bamboo_storage::{Row, TableId};
 use parking_lot::Mutex;
 
 pub use ic3::{Ic3Protocol, PieceAccess, PieceDecl, TemplateDecl};
-pub use interactive::InteractiveProtocol;
 pub use locking::LockingProtocol;
 pub use silo::SiloProtocol;
 
@@ -48,9 +44,11 @@ use crate::wal::{append_txn_across, DurabilityTicket, TicketParts, WalBuffer, Wa
 /// [`crate::session::Txn`] guard, which own this lifecycle contract (in
 /// particular the "abort exactly once" obligation) by construction, and
 /// everything around it: snapshot mode (a snapshot transaction never
-/// reaches the protocol) and insert buffering
+/// reaches the protocol), insert buffering
 /// ([`crate::session::Txn::insert`] buffers the row once
-/// [`Protocol::lock_insert`] succeeded; the commit tail applies it).
+/// [`Protocol::lock_insert`] succeeded; the commit tail applies it) and
+/// interactive mode's client round trips
+/// ([`crate::session::Session::interactive`]).
 pub trait Protocol: Send + Sync {
     /// Protocol display name (matches the paper's legends).
     fn name(&self) -> &str;

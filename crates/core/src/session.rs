@@ -17,7 +17,8 @@
 //!   by forgetting the abort call is unrepresentable. It also owns what is
 //!   not concurrency control, written once for every protocol: snapshot
 //!   mode (a snapshot transaction reads the version chains and never
-//!   reaches the protocol), insert buffering, and the abort prologue.
+//!   reaches the protocol), insert buffering, the abort prologue, and
+//!   interactive mode's client round trips ([`Session::interactive`]).
 //! * [`TxnOptions`] is the one builder for an attempt's setup (snapshot
 //!   mode, planned operations, IC3 template); each protocol's `begin`
 //!   copies what it reads.
@@ -162,10 +163,10 @@ impl TxnOptions {
     }
 
     /// Declares the total operation count (stored-procedure mode), driving
-    /// Optimization 2's δ heuristic. Unset means interactive mode: every
-    /// write is treated as potentially the last and retires immediately.
-    /// [`crate::protocol::InteractiveProtocol`] ignores it: an interactive
-    /// client does not know its access positions (paper §5.1).
+    /// Optimization 2's δ heuristic. Unset, every write is treated as
+    /// potentially the last and retires immediately. An interactive
+    /// session ([`Session::interactive`]) ignores it: its client does not
+    /// know its access positions.
     pub fn planned_ops(mut self, n: usize) -> Self {
         self.planned_ops = Some(n);
         self
@@ -206,6 +207,8 @@ pub struct Session {
     /// lock is uncontended with one session per worker and a shared
     /// session's waiting commits never hold the log.
     ring: Mutex<WalBuffer>,
+    /// The client round trip of interactive mode ([`Session::interactive`]).
+    rpc: Option<Duration>,
 }
 
 impl Session {
@@ -228,7 +231,27 @@ impl Session {
             db,
             proto,
             ring: Mutex::new(WalBuffer::new()),
+            rpc: None,
         }
+    }
+
+    /// Interactive mode (paper §5.1): the transaction logic runs on a
+    /// client that sends each `get_row()` / `update_row()` / `commit()` to
+    /// the server over RPC. Every client call of this session's
+    /// transactions — [`Txn::read`], [`Txn::read_opt`], [`Txn::update`],
+    /// [`Txn::insert`], [`Txn::scan`], a commit and an abort — first sleeps
+    /// `rpc`, whatever its outcome and in snapshot mode too. That
+    /// stretches lock hold times and makes aborted work dearer: the two
+    /// effects behind Figures 8–10's interactive panels. Sleeping rather
+    /// than spinning lets oversubscribed thread counts behave like blocked
+    /// RPC clients. The client does not know its access positions, so
+    /// Optimization 2's δ does not apply: [`TxnOptions::planned_ops`] is
+    /// ignored and every write retires at once. Hints
+    /// ([`Txn::prefetch`]) and IC3 piece boundaries are not client
+    /// requests and cost nothing.
+    pub fn interactive(mut self, rpc: Duration) -> Self {
+        self.rpc = Some(rpc);
+        self
     }
 
     /// The bound database.
@@ -276,7 +299,9 @@ impl Session {
     /// registers its timestamp here and never calls the protocol: it holds
     /// no lock entry and is in no other transaction's way, so it needs no
     /// priority timestamp either.
-    pub fn begin_with(&self, opts: TxnOptions) -> Txn<'_> {
+    pub fn begin_with(&self, mut opts: TxnOptions) -> Txn<'_> {
+        // An interactive client does not know its access positions.
+        opts.planned_ops = opts.planned_ops.filter(|_| self.rpc.is_none());
         let ctx = if opts.snapshot {
             let mut ctx = TxnCtx::new(TxnShared::new(self.db.next_txn_id(), UNASSIGNED));
             ctx.snapshot = Some(SnapshotCtx {
@@ -469,6 +494,7 @@ impl<'s> Txn<'s> {
     /// [`AbortReason::SnapshotNotVisible`]; use [`Txn::read_opt`] when the
     /// key's existence is not guaranteed.
     pub fn read(&mut self, table: TableId, key: u64) -> Result<&Row, Abort> {
+        self.round_trip();
         if self.ctx.snapshot.is_some() {
             return self
                 .snapshot_read(table, key)?
@@ -486,6 +512,7 @@ impl<'s> Txn<'s> {
     /// reads back as present. The TPC-C read-only transactions walk
     /// volatile order keys through this.
     pub fn read_opt(&mut self, table: TableId, key: u64) -> Result<Option<&Row>, Abort> {
+        self.round_trip();
         // Read-your-own-buffered-insert: a key this transaction inserted
         // exists from its own point of view even though the insert is only
         // applied at commit (latest buffered image wins).
@@ -612,6 +639,7 @@ impl<'s> Txn<'s> {
         key: u64,
         mut f: impl FnMut(&mut Row),
     ) -> Result<(), Abort> {
+        self.round_trip();
         self.forbid_write(table, "update");
         self.session
             .proto
@@ -628,6 +656,7 @@ impl<'s> Txn<'s> {
         row: Row,
         secondary: Option<(usize, u64)>,
     ) -> Result<(), Abort> {
+        self.round_trip();
         self.forbid_write(table, "insert");
         if self.ctx.shared.is_aborted() {
             return Err(self.ctx.abort_err());
@@ -642,6 +671,19 @@ impl<'s> Txn<'s> {
             secondary,
         });
         Ok(())
+    }
+
+    /// Interactive mode's one charge: a client call's round trip to the
+    /// server ([`Session::interactive`]), paid at the top of the call
+    /// whatever its outcome. A range predicate is one request: the scan,
+    /// next-key locking included, runs on the server without further hops.
+    #[inline]
+    fn round_trip(&self) {
+        if let Some(rpc) = self.session.rpc {
+            #[cfg(test)]
+            tests::ROUND_TRIPS.with(|n| n.set(n.get() + 1));
+            std::thread::sleep(rpc);
+        }
     }
 
     /// The one write chokepoint's checks. A snapshot is read-only. A write
@@ -674,6 +716,7 @@ impl<'s> Txn<'s> {
         table: TableId,
         range: std::ops::RangeInclusive<u64>,
     ) -> Result<Vec<Row>, Abort> {
+        self.round_trip();
         if self.ctx.snapshot.is_none() {
             return self
                 .session
@@ -809,6 +852,7 @@ impl<'s> Txn<'s> {
     /// [`Txn::commit_deferred`] to hand back.
     fn commit_in_place(&mut self, defer_ack: bool) -> Result<(), Abort> {
         debug_assert!(!self.finished, "commit on a finished attempt");
+        self.round_trip();
         if self.ctx.snapshot.is_some() {
             self.commit_snapshot()?;
         } else {
@@ -870,6 +914,7 @@ impl<'s> Txn<'s> {
         if self.finished {
             return 0;
         }
+        self.round_trip();
         self.finished = true;
         self.ctx.shared.set_abort(AbortReason::User);
         self.ctx.inserts.clear();
@@ -894,6 +939,21 @@ mod tests {
     use super::*;
     use crate::protocol::LockingProtocol;
     use bamboo_storage::{DataType, Schema, Value};
+    use std::cell::Cell;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    thread_local! {
+        /// Round trips this thread's transactions paid: bumped by
+        /// `Txn::round_trip`, the seam.
+        pub(super) static ROUND_TRIPS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Round trips paid while `call` runs.
+    fn trips(call: impl FnOnce()) -> u64 {
+        let before = ROUND_TRIPS.with(Cell::get);
+        call();
+        ROUND_TRIPS.with(Cell::get) - before
+    }
 
     fn setup() -> (Arc<Database>, TableId) {
         let mut b = Database::builder();
@@ -1050,9 +1110,7 @@ mod tests {
     #[test]
     fn interactive_bamboo_retires_every_write() {
         let (db, t) = setup();
-        let proto =
-            crate::protocol::InteractiveProtocol::new(LockingProtocol::bamboo(), Duration::ZERO);
-        let session = Session::new(Arc::clone(&db), Arc::new(proto));
+        let session = bamboo_session(&db).interactive(Duration::ZERO);
         let mut txn = session.begin_with(TxnOptions::new().planned_ops(1));
         assert_eq!(txn.ctx().planned_ops, None);
         txn.update(t, 0, |row| row.set(1, Value::I64(1))).unwrap();
@@ -1061,6 +1119,67 @@ mod tests {
             crate::txn::AccessState::Retired
         );
         txn.commit().unwrap();
+    }
+
+    /// Interactive mode charges one round trip per client call, whatever
+    /// its outcome and whether or not the attempt is a snapshot: a hit, a
+    /// miss, a write a snapshot refuses, a commit, an explicit abort and a
+    /// dropped attempt's. Beginning, hints and piece boundaries are free.
+    #[test]
+    fn interactive_charges_one_round_trip_per_client_call() {
+        let (db, t) = setup();
+        db.table(t).enable_ordered_index();
+        let session = bamboo_session(&db).interactive(Duration::ZERO);
+        for snapshot in [false, true] {
+            let mode = if snapshot { "snapshot" } else { "locking" };
+            let opts = || {
+                let opts = TxnOptions::new();
+                if snapshot {
+                    opts.snapshot()
+                } else {
+                    opts
+                }
+            };
+            let mut txn = session.begin_with(opts());
+            assert_eq!(trips(|| assert!(txn.read(t, 1).is_ok())), 1, "{mode} read");
+            let hit = trips(|| assert!(txn.read_opt(t, 2).unwrap().is_some()));
+            assert_eq!(hit, 1, "{mode} read_opt hit");
+            let miss = trips(|| assert!(txn.read_opt(t, 999).unwrap().is_none()));
+            assert_eq!(miss, 1, "{mode} read_opt miss");
+            let scan = trips(|| assert_eq!(txn.scan(t, 0..=3).unwrap().len(), 4));
+            assert_eq!(scan, 1, "{mode} scan");
+            // A snapshot refuses a write by panicking, after the request
+            // reached the server.
+            let update = trips(|| {
+                let res = catch_unwind(AssertUnwindSafe(|| {
+                    txn.update(t, 4, |row| row.set(1, Value::I64(1))).unwrap()
+                }));
+                assert_eq!(res.is_err(), snapshot);
+            });
+            assert_eq!(update, 1, "{mode} update");
+            let insert = trips(|| {
+                let row = Row::from(vec![Value::U64(100), Value::I64(0)]);
+                let res = catch_unwind(AssertUnwindSafe(|| txn.insert(t, 100, row, None).unwrap()));
+                assert_eq!(res.is_err(), snapshot);
+            });
+            assert_eq!(insert, 1, "{mode} insert");
+            assert_eq!(trips(|| txn.prefetch([(t, 5)])), 0, "{mode} prefetch");
+            let pieces = trips(|| {
+                txn.piece_begin(0).unwrap();
+                txn.piece_end().unwrap();
+            });
+            assert_eq!(pieces, 0, "{mode} piece hooks");
+            assert_eq!(trips(|| txn.commit().unwrap()), 1, "{mode} commit");
+            let txn = session.begin_with(opts());
+            let abort = trips(|| {
+                txn.abort();
+            });
+            assert_eq!(abort, 1, "{mode} abort");
+            // Begin is free, so this is the dropped attempt's abort.
+            assert_eq!(trips(|| drop(session.begin_with(opts()))), 1, "{mode} drop");
+        }
+        assert_eq!(db.table(t).get(100).unwrap().read_row().get_i64(1), 0);
+        assert_eq!(db.snapshots.active_count(), 0);
     }
 
     /// A protocol that must never be called: every method but `name`

@@ -1,14 +1,22 @@
-//! Interactive-mode integration: the decorator preserves protocol semantics
-//! while charging per-operation round-trips, and reproduces the paper's
-//! core interactive-mode finding — waiting-based protocols collapse while
-//! Bamboo pipelines through the hotspot.
+//! Interactive-mode integration: sessions that pay a round trip per client
+//! call preserve protocol semantics, and reproduce the paper's core
+//! interactive-mode finding — waiting-based protocols collapse while
+//! Bamboo pipelines through the hotspot. No run fires a wait backstop.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use bamboo_repro::core::executor::{run_bench, BenchConfig, Workload};
-use bamboo_repro::core::protocol::{InteractiveProtocol, LockingProtocol, Protocol};
+use bamboo_repro::core::protocol::{LockingProtocol, Protocol};
+use bamboo_repro::core::stats::BenchResult;
+use bamboo_repro::core::AbortReason;
 use bamboo_repro::workload::synthetic::{self, SyntheticConfig, SyntheticWorkload};
+
+/// Aborts a lock-wait or commit-wait backstop fired: a healthy run has
+/// none, so a wait cycle fails here instead of retrying silently.
+fn timeouts(r: &BenchResult) -> u64 {
+    r.totals.aborts_by_reason[AbortReason::WaitTimeout.index()]
+}
 
 #[test]
 fn interactive_bamboo_beats_interactive_wound_wait_on_hotspot() {
@@ -21,12 +29,10 @@ fn interactive_bamboo_beats_interactive_wound_wait_on_hotspot() {
     let bench = BenchConfig::quick(4)
         .with_duration(Duration::from_millis(600))
         .with_warmup(Duration::from_millis(100))
-        .with_seed(77);
-    let rpc = Duration::from_micros(200);
-    let bamboo: Arc<dyn Protocol> =
-        Arc::new(InteractiveProtocol::new(LockingProtocol::bamboo(), rpc));
-    let ww: Arc<dyn Protocol> =
-        Arc::new(InteractiveProtocol::new(LockingProtocol::wound_wait(), rpc));
+        .with_seed(77)
+        .interactive(Duration::from_micros(200));
+    let bamboo: Arc<dyn Protocol> = Arc::new(LockingProtocol::bamboo());
+    let ww: Arc<dyn Protocol> = Arc::new(LockingProtocol::wound_wait());
     let rb = run_bench(&db, &bamboo, &wl, &bench);
     let rw = run_bench(&db, &ww, &wl, &bench);
     assert!(rb.totals.commits > 0 && rw.totals.commits > 0);
@@ -43,19 +49,18 @@ fn interactive_bamboo_beats_interactive_wound_wait_on_hotspot() {
         rw.lock_wait_ms_per_commit(),
         rb.lock_wait_ms_per_commit()
     );
+    assert_eq!(timeouts(&rb), 0, "BAMBOO fired a wait backstop");
+    assert_eq!(timeouts(&rw), 0, "WOUND_WAIT fired a wait backstop");
 }
 
 #[test]
 fn interactive_mode_counts_are_consistent() {
     // The hot counter equals at least the number of measured commits —
-    // the RPC decorator must not double-apply or skip operations.
+    // the round-trip seam must not double-apply or skip operations.
     let cfg = SyntheticConfig::one_hotspot(0.0).with_rows(512).with_ops(4);
     let (db, t) = synthetic::load(&cfg);
     let wl: Arc<dyn Workload> = Arc::new(SyntheticWorkload::new(cfg, t));
-    let proto: Arc<dyn Protocol> = Arc::new(InteractiveProtocol::new(
-        LockingProtocol::bamboo(),
-        Duration::from_micros(50),
-    ));
+    let proto: Arc<dyn Protocol> = Arc::new(LockingProtocol::bamboo());
     let res = run_bench(
         &db,
         &proto,
@@ -63,9 +68,11 @@ fn interactive_mode_counts_are_consistent() {
         &BenchConfig::quick(2)
             .with_duration(Duration::from_millis(300))
             .with_warmup(Duration::from_millis(30))
-            .with_seed(3),
+            .with_seed(3)
+            .interactive(Duration::from_micros(50)),
     );
     let hot = db.table(t).get(0).unwrap().read_row().get_i64(1);
     assert!(hot >= res.totals.commits as i64);
     assert!(res.totals.commits > 0);
+    assert_eq!(timeouts(&res), 0, "BAMBOO fired a wait backstop");
 }

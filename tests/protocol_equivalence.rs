@@ -138,8 +138,7 @@ fn all_protocols_agree_on_serial_execution() {
 }
 
 #[test]
-fn interactive_wrapper_preserves_semantics() {
-    use bamboo_repro::core::protocol::InteractiveProtocol;
+fn interactive_session_preserves_semantics() {
     let txns = script(0xBEEF);
     let (db1, t1) = load();
     let plain = Session::new(
@@ -148,13 +147,11 @@ fn interactive_wrapper_preserves_semantics() {
     );
     run_script(&plain, t1, &txns);
     let (db2, t2) = load();
-    let wrapped = Session::new(
+    let interactive = Session::new(
         Arc::clone(&db2),
-        Arc::new(InteractiveProtocol::new(
-            LockingProtocol::bamboo(),
-            std::time::Duration::from_micros(1),
-        )) as Arc<dyn Protocol>,
-    );
-    run_script(&wrapped, t2, &txns);
+        Arc::new(LockingProtocol::bamboo()) as Arc<dyn Protocol>,
+    )
+    .interactive(std::time::Duration::from_micros(1));
+    run_script(&interactive, t2, &txns);
     assert_eq!(snapshot(&db1, t1), snapshot(&db2, t2));
 }
