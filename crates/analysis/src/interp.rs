@@ -1,16 +1,17 @@
 //! Interpreter: executes an (analysed) IR program as one transaction
-//! against a database through the Bamboo locking protocol.
+//! through the session's [`Txn`] API.
 //!
-//! Writes issued by the interpreter never auto-retire — retiring happens
-//! exclusively at the synthesized [`Stmt::RetireIf`] points, which is the
-//! §3.3 deployment model: the analysis inserts `LockRetire()` calls into
-//! the program, the protocol obeys them.
+//! Retiring happens at the synthesized [`Stmt::RetireIf`] points, through
+//! [`Txn::retire`] — the §3.3 deployment model: the analysis inserts
+//! `LockRetire()` calls into the program, the protocol obeys them. Run it
+//! on a session whose writes never retire by themselves (a BAMBOO-base
+//! [`bamboo_core::protocol::LockingProtocol`] with `retire_writes` off) and
+//! those points are the only retires.
 
 use std::collections::HashMap;
 
-use bamboo_core::protocol::{LockingProtocol, Protocol};
 use bamboo_core::txn::AccessState;
-use bamboo_core::{Abort, Database, Txn, TxnCtx};
+use bamboo_core::{Abort, Txn};
 use bamboo_storage::Value;
 
 use crate::ir::{AccessMode, Expr, Program, Stmt};
@@ -70,13 +71,8 @@ impl Env {
 /// Runs `program` with `params` inside the open transaction `txn`. The
 /// caller owns the transaction lifecycle ([`Txn::commit`]/[`Txn::abort`],
 /// or RAII drop) so programs compose with the normal session flow; the
-/// interpreter only issues accesses and the §3.3 retire calls. `proto`
-/// must be the protocol configuration the transaction's session runs —
-/// the interpreter drives [`LockingProtocol::update_manual`] /
-/// [`LockingProtocol::retire_now`] with it, the low-level knobs the
-/// retire-point deployment model needs.
+/// interpreter only issues accesses and the §3.3 retire calls.
 pub fn run_program(
-    proto: &LockingProtocol,
     txn: &mut Txn<'_>,
     program: &Program,
     params: &[u64],
@@ -87,15 +83,12 @@ pub fn run_program(
         ..Default::default()
     };
     let mut stats = RunStats::default();
-    let (db, ctx) = txn.raw_parts();
-    exec_block(db, proto, ctx, &program.stmts, &mut env, &mut stats)?;
+    exec_block(txn, &program.stmts, &mut env, &mut stats)?;
     Ok(stats)
 }
 
 fn exec_block(
-    db: &Database,
-    proto: &LockingProtocol,
-    ctx: &mut TxnCtx,
+    txn: &mut Txn<'_>,
     stmts: &[Stmt],
     env: &mut Env,
     stats: &mut RunStats,
@@ -122,30 +115,22 @@ fn exec_block(
                 stats.accesses += 1;
                 match mode {
                     AccessMode::Read => {
-                        let row = proto.read(db, ctx, *table, k)?;
+                        let row = txn.read(*table, k)?;
                         std::hint::black_box(row.get_i64(1));
                     }
                     AccessMode::Write => {
                         // Track would-be second writes: a correct analysis
                         // never retires a lock that is written again.
-                        if let Some(t) = db.table_for(*table, k).get(k) {
-                            if let Some(i) = ctx.find_access(*table, t.key) {
-                                if ctx.accesses[i].state == AccessState::Retired {
-                                    stats.reacquires += 1;
-                                }
+                        let ctx = txn.ctx();
+                        if let Some(i) = ctx.find_access(*table, k) {
+                            if ctx.accesses[i].state == AccessState::Retired {
+                                stats.reacquires += 1;
                             }
                         }
-                        proto.update_manual(
-                            db,
-                            ctx,
-                            *table,
-                            k,
-                            &mut |row| {
-                                let v = row.get_i64(1);
-                                row.set(1, Value::I64(v + 1));
-                            },
-                            false,
-                        )?;
+                        txn.update(*table, k, |row| {
+                            let v = row.get_i64(1);
+                            row.set(1, Value::I64(v + 1));
+                        })?;
                     }
                 }
             }
@@ -154,24 +139,25 @@ fn exec_block(
                 then_branch,
                 else_branch,
             } => {
-                if env.eval(cond) != 0 {
-                    exec_block(db, proto, ctx, then_branch, env, stats)?;
+                let branch = if env.eval(cond) != 0 {
+                    then_branch
                 } else {
-                    exec_block(db, proto, ctx, else_branch, env, stats)?;
-                }
+                    else_branch
+                };
+                exec_block(txn, branch, env, stats)?;
             }
             Stmt::For { var, count, body } => {
                 let n = env.eval(count);
                 for i in 0..n {
                     env.scalars.insert(var.clone(), i);
-                    exec_block(db, proto, ctx, body, env, stats)?;
+                    exec_block(txn, body, env, stats)?;
                 }
             }
             Stmt::RetireIf {
                 table, key, cond, ..
             } => {
                 if env.eval(cond) != 0 {
-                    proto.retire_now(ctx, *table, env.eval(key));
+                    txn.retire(*table, env.eval(key));
                     stats.retires += 1;
                 } else {
                     stats.retires_skipped += 1;
@@ -185,11 +171,12 @@ fn exec_block(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bamboo_core::Session;
+    use bamboo_core::protocol::LockingProtocol;
+    use bamboo_core::{Database, Session};
     use bamboo_storage::{DataType, Row, Schema, TableId};
     use std::sync::Arc;
 
-    fn setup(rows: u64) -> (std::sync::Arc<Database>, LockingProtocol, Session) {
+    fn setup(rows: u64) -> (Arc<Database>, Session) {
         let mut b = Database::builder();
         let t = b.add_table(
             "t",
@@ -203,14 +190,15 @@ mod tests {
             db.table(t)
                 .insert(k, Row::from(vec![Value::U64(k), Value::I64(0)]));
         }
-        let proto = LockingProtocol::bamboo();
-        let session = Session::new(Arc::clone(&db), Arc::new(proto.clone()));
-        (db, proto, session)
+        let mut proto = LockingProtocol::bamboo_base();
+        proto.retire_writes = false;
+        let session = Session::new(Arc::clone(&db), Arc::new(proto));
+        (db, session)
     }
 
     #[test]
     fn straight_line_program_executes() {
-        let (db, proto, session) = setup(8);
+        let (db, session) = setup(8);
         let mut txn = session.begin();
         let p = Program {
             params: 1,
@@ -233,7 +221,7 @@ mod tests {
                 },
             ],
         };
-        let stats = run_program(&proto, &mut txn, &p, &[3]).unwrap();
+        let stats = run_program(&mut txn, &p, &[3]).unwrap();
         assert_eq!(stats.retires, 1);
         assert_eq!(stats.reacquires, 0);
         txn.commit().unwrap();
@@ -245,7 +233,7 @@ mod tests {
 
     #[test]
     fn loops_and_arrays_evaluate() {
-        let (db, proto, session) = setup(4);
+        let (db, session) = setup(4);
         let mut txn = session.begin();
         let p = Program {
             params: 0,
@@ -267,7 +255,7 @@ mod tests {
                 ],
             }],
         };
-        let stats = run_program(&proto, &mut txn, &p, &[]).unwrap();
+        let stats = run_program(&mut txn, &p, &[]).unwrap();
         assert_eq!(stats.accesses, 4);
         txn.commit().unwrap();
         for k in 0..4 {
@@ -281,7 +269,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "undefined variable")]
     fn undefined_variable_panics() {
-        let (_db, proto, session) = setup(1);
+        let (_db, session) = setup(1);
         let mut txn = session.begin();
         let p = Program {
             params: 0,
@@ -290,6 +278,6 @@ mod tests {
                 expr: Expr::var("missing"),
             }],
         };
-        let _ = run_program(&proto, &mut txn, &p, &[]);
+        let _ = run_program(&mut txn, &p, &[]);
     }
 }

@@ -12,9 +12,8 @@
 //! * [`ir`] — the mini-language (expressions, lets, ifs, `for`, accesses);
 //! * [`analyze`] — [`analyze::insert_retire_points`]: the transformation;
 //! * [`interp`] — an interpreter that runs (analysed) programs inside an
-//!   open [`bamboo_core::Txn`] (driving
-//!   [`bamboo_core::protocol::LockingProtocol`]'s manual-retire knobs),
-//!   retiring exactly where the analysis said to.
+//!   open [`bamboo_core::Txn`] through its `read` / `update` / `retire`
+//!   calls, retiring exactly where the analysis said to.
 //!
 //! ```
 //! use bamboo_analysis::ir::{AccessMode, Expr, Program, Stmt};

@@ -10,11 +10,14 @@
 //!
 //! Defaults are quick smoke settings (~300 ms per point); `--full` matches
 //! longer paper-style runs. See EXPERIMENTS.md for recorded outputs.
+//!
+//! Exits 1 after printing every series when a stored-procedure point fired
+//! a wait backstop (a `WaitTimeout` abort), naming each such point.
 
 use std::time::Duration;
 
-use bamboo_bench::figures;
 use bamboo_bench::RunOpts;
+use bamboo_bench::{figures, harness};
 
 fn usage() -> ! {
     eprintln!(
@@ -119,5 +122,12 @@ fn main() {
         }
     } else {
         run(&exp, &opts);
+    }
+    let failures = harness::take_backstop_failures();
+    for point in &failures {
+        eprintln!("wait backstop fired (WaitTimeout abort): {point}");
+    }
+    if !failures.is_empty() {
+        std::process::exit(1);
     }
 }

@@ -1,13 +1,14 @@
 //! Shared experiment plumbing: protocol roster, run options, and series
 //! printing.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Duration;
 
 use bamboo_core::executor::{run_bench, BenchConfig, Workload};
 use bamboo_core::protocol::{LockingProtocol, Protocol, SiloProtocol};
 use bamboo_core::stats::BenchResult;
-use bamboo_core::{AbortReason, Database, Session};
+use bamboo_core::{Database, Session};
 
 /// Options shared by every experiment run.
 #[derive(Clone, Debug)]
@@ -97,6 +98,22 @@ pub fn assert_snapshot_fast_path_lock_free(db: &Arc<Database>, proto: &Arc<dyn P
     delta
 }
 
+thread_local! {
+    /// The stored-procedure points this thread ran that fired a wait
+    /// backstop ([`take_backstop_failures`]).
+    static BACKSTOPS: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Takes the stored-procedure points this thread ran whose run recorded a
+/// [`BenchResult::wait_timeouts`] abort, named `series, x=…, protocol`.
+/// A backstop is a failure, not a retry: `repro` prints every series and
+/// then exits non-zero if this is not empty. An interactive point is
+/// reported in its `timeouts` column only: its waits include other
+/// clients' round trips.
+pub fn take_backstop_failures() -> Vec<String> {
+    BACKSTOPS.take()
+}
+
 /// One measured point of a series.
 #[derive(Clone, Debug)]
 pub struct Point {
@@ -133,11 +150,13 @@ impl Series {
         wl: &Arc<dyn Workload>,
         cfg: &BenchConfig,
     ) -> &BenchResult {
+        let x = x.to_string();
         let result = run_bench(db, proto, wl, cfg);
-        self.points.push(Point {
-            x: x.to_string(),
-            result,
-        });
+        if cfg.interactive.is_none() && result.wait_timeouts() > 0 {
+            let point = format!("{}, x={x}, {}", self.title, result.protocol);
+            BACKSTOPS.with_borrow_mut(|b| b.push(point));
+        }
+        self.points.push(Point { x, result });
         &self.points.last().unwrap().result
     }
 
@@ -176,7 +195,7 @@ impl Series {
                 r.abort_ms_per_commit(),
                 r.commit_wait_ms_per_commit(),
                 r.totals.max_chain,
-                r.totals.aborts_by_reason[AbortReason::WaitTimeout.index()],
+                r.wait_timeouts(),
             );
         }
     }

@@ -14,9 +14,15 @@
 //!    scanned). Everything else goes through `crate::sync::atomic` /
 //!    `parking_lot`, which is what lets `cfg(bamboo_model)` swap in the
 //!    model-checker types.
-//! 2. **protocol-calls** — no direct `proto*.begin/commit/abort(` calls
-//!    outside `session.rs`: the Session/Txn RAII layer is the only entry
-//!    to the protocol lifecycle (the PR-3 contract).
+//! 2. **protocol-calls** — no direct call of a `Protocol` method on a
+//!    `proto*` receiver outside `crates/core/src/session.rs`: the
+//!    Session/Txn RAII layer is the only entry to the protocol. The
+//!    lifecycle calls (`begin`, `commit`, `abort`) appear nowhere else; the
+//!    per-access ones (`read`, `update`, `lock_insert`, `scan`, `retire`,
+//!    `piece_begin`, `piece_end`) also under `crates/core/src/protocol/`,
+//!    where one protocol method builds on another (`scan_rows` reads each
+//!    key). A caller that went around `Txn` would skip its round trip, its
+//!    snapshot guard and its abort prologue.
 //! 3. **table-routing** — protocol-layer code resolves tuples with
 //!    `Database::table_for`, never `db.table(`: on a partitioned database
 //!    `table(` returns the *local* shard regardless of key ownership (the
@@ -184,12 +190,22 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Finding> {
             }
         }
 
-        // Rule 2: protocol lifecycle calls only from session.rs.
-        if rel_path.starts_with("crates/core/src/")
-            && !rel_path.ends_with("/session.rs")
-            && !in_test
-        {
-            for method in ["begin", "commit", "abort"] {
+        // Rule 2: protocol calls only from session.rs (per-access ones
+        // also inside the protocol layer).
+        if rel_path != "crates/core/src/session.rs" && !in_test {
+            let in_protocols = rel_path.starts_with("crates/core/src/protocol/");
+            let lifecycle = ["begin", "commit", "abort"];
+            let per_access = [
+                "read",
+                "update",
+                "lock_insert",
+                "scan",
+                "retire",
+                "piece_begin",
+                "piece_end",
+            ];
+            let checked: &[&str] = if in_protocols { &[] } else { &per_access };
+            for method in lifecycle.iter().chain(checked) {
                 if has_proto_call(line, method) {
                     push(
                         "protocol-calls",
@@ -915,6 +931,23 @@ mod tests {
         );
         let src = "self.protocol.commit(&db, &mut ctx, &wal)?;\n";
         assert_eq!(rules("crates/core/src/txn.rs", src), vec!["protocol-calls"]);
+        // The §3.3 interpreter's old side door past `Txn`.
+        let src = "let row = proto.read(db, ctx, *table, k)?;\n";
+        assert_eq!(
+            rules("crates/analysis/src/interp.rs", src),
+            vec!["protocol-calls"]
+        );
+        let src = "proto.retire(db, ctx, table, key);\nproto.piece_end(db, ctx)?;\n";
+        assert_eq!(
+            rules("crates/bench/src/figures.rs", src),
+            vec!["protocol-calls", "protocol-calls"]
+        );
+        // Inside the protocol layer only the lifecycle calls fire.
+        let src = "let ctx = proto.begin(&db, &opts);\n";
+        assert_eq!(
+            rules("crates/core/src/protocol/ic3/mod.rs", src),
+            vec!["protocol-calls"]
+        );
     }
 
     #[test]
@@ -926,6 +959,12 @@ mod tests {
         assert!(rules("crates/core/src/executor.rs", src).is_empty());
         let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g(proto: &P) { proto.commit(&db, &mut c, &w); }\n}\n";
         assert!(rules("crates/core/src/protocol/locking.rs", src).is_empty());
+        // A protocol method building on another (`scan_rows`).
+        let src = ".map(|key| proto.read(db, ctx, table, key).cloned())\n";
+        assert!(rules("crates/core/src/protocol/mod.rs", src).is_empty());
+        // The interpreter on `Txn`, and longer method names.
+        let src = "txn.retire(*table, k);\nlet ks = proto.scan_keys(t);\n";
+        assert!(rules("crates/analysis/src/interp.rs", src).is_empty());
     }
 
     // --- rule 3: table-routing ----------------------------------------

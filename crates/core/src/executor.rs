@@ -321,6 +321,12 @@ mod tests {
         let proto: Arc<dyn Protocol> = Arc::new(LockingProtocol::bamboo());
         let wl: Arc<dyn Workload> = Arc::new(IncWorkload { table: t, keys: 4 });
         let res = run_bench(&db, &proto, &wl, &BenchConfig::quick(2));
+        assert_eq!(
+            res.wait_timeouts(),
+            0,
+            "{} fired a wait backstop",
+            res.protocol
+        );
         assert!(res.totals.commits > 0, "some transactions must commit");
         assert!(res.throughput() > 0.0);
         // Conservation: the sum of counters equals total commits across

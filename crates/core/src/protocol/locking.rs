@@ -13,7 +13,9 @@
 //! ```
 //!
 //! plus Optimization 2 (δ = don't retire trailing writes; adaptively retire
-//! them anyway if the semaphore wait drags on).
+//! them anyway if the semaphore wait drags on) and §3.3's explicit
+//! `LockRetire()` ([`Protocol::retire`], the session's
+//! [`crate::session::Txn::retire`]).
 //!
 //! Every configuration is Serializable. §3.4's weak isolation levels and
 //! opacity are discussion in the paper, not evaluated designs; the one way
@@ -28,7 +30,7 @@ use bamboo_storage::{Row, TableId, Tuple};
 use parking_lot::Mutex;
 
 use crate::db::Database;
-use crate::lock::{Acquired, CommitInstall, LockPolicy};
+use crate::lock::{Acquired, CommitInstall, LockPolicy, LockVariant};
 use crate::meta::TupleCc;
 use crate::protocol::{commit_tail, scan_rows, Protocol};
 use crate::session::TxnOptions;
@@ -63,16 +65,18 @@ const COMMIT_WAIT: WaitSite = WaitSite {
 pub struct LockingProtocol {
     /// Lock-table policy (variant + list-level optimizations).
     pub policy: LockPolicy,
-    /// Whether writes may retire at all (Bamboo yes, baselines no).
+    /// Whether writes retire automatically (subject to δ): Bamboo yes,
+    /// the baselines no. [`Protocol::retire`] (§3.3's explicit
+    /// `LockRetire()`, [`crate::session::Txn::retire`]) retires regardless,
+    /// on the Wound-Wait variant: a BAMBOO-base configuration with this
+    /// off retires exactly where its program says.
     pub retire_writes: bool,
     /// Optimization 2's δ: writes among the last `δ` fraction of a
     /// stored procedure's accesses are not retired (0 disables the
-    /// heuristic — the paper's BAMBOO-base).
+    /// heuristic — the paper's BAMBOO-base). Above 0 it brings the
+    /// adaptive clause too: if the commit-semaphore wait exceeds δ of the
+    /// execution time so far, the held-back writes retire after all.
     pub delta: f64,
-    /// Optimization 2's adaptive clause: if the commit-semaphore wait
-    /// exceeds δ of the execution time so far, retire the held-back writes
-    /// after all.
-    pub adaptive_retire: bool,
     name: String,
 }
 
@@ -84,7 +88,6 @@ impl LockingProtocol {
             policy: LockPolicy::bamboo(),
             retire_writes: true,
             delta: 0.15,
-            adaptive_retire: true,
             name: "BAMBOO".into(),
         }
     }
@@ -96,7 +99,6 @@ impl LockingProtocol {
             policy: LockPolicy::bamboo(),
             retire_writes: true,
             delta: 0.0,
-            adaptive_retire: false,
             name: "BAMBOO-base".into(),
         }
     }
@@ -107,7 +109,6 @@ impl LockingProtocol {
             policy,
             retire_writes: false,
             delta: 0.0,
-            adaptive_retire: false,
             name: name.into(),
         }
     }
@@ -197,14 +198,9 @@ impl LockingProtocol {
     /// not retired" — hotspots at the very end of a transaction would not
     /// unblock anyone for long, but retiring them costs latching and risks
     /// cascades.)
-    /// `manual` is [`LockingProtocol::update_manual`]'s explicit request,
-    /// which overrides δ (but never `retire_writes`).
-    fn should_retire_now(&self, ctx: &TxnCtx, manual: Option<bool>) -> bool {
+    fn should_retire(&self, ctx: &TxnCtx) -> bool {
         if !self.retire_writes {
             return false;
-        }
-        if let Some(retire) = manual {
-            return retire;
         }
         if self.delta <= 0.0 {
             return true;
@@ -232,117 +228,6 @@ impl LockingProtocol {
     /// of Optimization 2 during the semaphore wait).
     fn retire_pending(&self, ctx: &mut TxnCtx) {
         for a in ctx.accesses.iter_mut() {
-            self.retire_access(&ctx.shared, a);
-        }
-    }
-
-    /// Like [`Protocol::update`] but with explicit retire control: when
-    /// `retire` is false the lock is kept in `owners` regardless of the δ
-    /// heuristic. Used by the §3.3 retire-point analysis, whose synthesized
-    /// conditions decide retiring at runtime (see `bamboo-analysis`).
-    pub fn update_manual(
-        &self,
-        db: &Database,
-        ctx: &mut TxnCtx,
-        table: TableId,
-        key: u64,
-        f: &mut dyn FnMut(&mut Row),
-        retire: bool,
-    ) -> Result<(), Abort> {
-        self.update_with(db, ctx, table, key, f, Some(retire))
-    }
-
-    /// [`Protocol::update`], with [`LockingProtocol::update_manual`]'s
-    /// retire request threaded through to the retire decision.
-    fn update_with(
-        &self,
-        db: &Database,
-        ctx: &mut TxnCtx,
-        table: TableId,
-        key: u64,
-        f: &mut dyn FnMut(&mut Row),
-        manual_retire: Option<bool>,
-    ) -> Result<(), Abort> {
-        if ctx.shared.is_aborted() {
-            return Err(ctx.abort_err());
-        }
-        ctx.op_seq += 1;
-        let tuple = db
-            .table_for(table, key)
-            .get(key)
-            .unwrap_or_else(|| panic!("update: missing key {key} in table {}", table.0));
-        let i = match ctx.find_access(table, tuple.key) {
-            Some(i) => {
-                // Re-access:
-                //  * still an exclusive owner: just mutate the local copy;
-                //  * retired (second write after retire, §3.3) or a retired
-                //    read being upgraded: abort observers and move back to
-                //    owners via reacquire;
-                //  * shared owner (baselines): upgrade in place.
-                let (state, mode) = (ctx.accesses[i].state, ctx.accesses[i].mode);
-                match (state, mode) {
-                    (AccessState::Owner, LockMode::Ex) => i,
-                    (AccessState::Retired, _) => {
-                        let a = &mut ctx.accesses[i];
-                        let mut st = a.tuple.meta.lock.lock();
-                        st.reacquire_ex(&ctx.shared);
-                        drop(st);
-                        a.state = AccessState::Owner;
-                        a.mode = LockMode::Ex;
-                        i
-                    }
-                    (AccessState::Owner, LockMode::Sh) => {
-                        // Shared-owner upgrade (baselines where reads hold
-                        // ownership). The local copy stays valid: we held SH
-                        // continuously, so the committed image cannot have
-                        // changed under us.
-                        ctx.locks_acquired += 1;
-                        ctx.wait(LOCK_WAIT, |ctx| {
-                            let outcome = ctx.accesses[i]
-                                .tuple
-                                .meta
-                                .lock
-                                .lock()
-                                .try_upgrade(&ctx.shared, &self.policy);
-                            match outcome {
-                                Acquired::Granted { .. } => Some(()),
-                                Acquired::Die(reason) => {
-                                    ctx.shared.set_abort(reason);
-                                    None
-                                }
-                                Acquired::Wait => None,
-                            }
-                        })?;
-                        ctx.accesses[i].mode = LockMode::Ex;
-                        i
-                    }
-                    (AccessState::Released, _) => {
-                        unreachable!("a locking access is released only by commit or abort")
-                    }
-                }
-            }
-            None => self.acquire_ex(db, ctx, table, tuple)?,
-        };
-        f(&mut ctx.accesses[i].local);
-        ctx.accesses[i].dirty = true;
-        // Algorithm 1 line 2: retire after the (presumed) last write, subject
-        // to Optimization 2.
-        if self.should_retire_now(ctx, manual_retire) {
-            self.retire_access(&ctx.shared, &mut ctx.accesses[i]);
-        }
-        Ok(())
-    }
-
-    /// Explicitly retires an already-written access (Algorithm 2
-    /// `LockRetire` as a standalone call — "the LockRetire() function call
-    /// is completely optional" §3.2.2). No-op when the access already
-    /// retired or is clean.
-    pub fn retire_now(&self, ctx: &mut TxnCtx, table: TableId, key: u64) {
-        if let Some(a) = ctx
-            .accesses
-            .iter_mut()
-            .find(|a| a.table == table && a.tuple.key == key)
-        {
             self.retire_access(&ctx.shared, a);
         }
     }
@@ -430,7 +315,86 @@ impl Protocol for LockingProtocol {
         key: u64,
         f: &mut dyn FnMut(&mut Row),
     ) -> Result<(), Abort> {
-        self.update_with(db, ctx, table, key, f, None)
+        if ctx.shared.is_aborted() {
+            return Err(ctx.abort_err());
+        }
+        ctx.op_seq += 1;
+        let tuple = db
+            .table_for(table, key)
+            .get(key)
+            .unwrap_or_else(|| panic!("update: missing key {key} in table {}", table.0));
+        let i = match ctx.find_access(table, tuple.key) {
+            Some(i) => {
+                // Re-access:
+                //  * still an exclusive owner: just mutate the local copy;
+                //  * retired (second write after retire, §3.3) or a retired
+                //    read being upgraded: abort observers and move back to
+                //    owners via reacquire;
+                //  * shared owner (baselines): upgrade in place.
+                let (state, mode) = (ctx.accesses[i].state, ctx.accesses[i].mode);
+                match (state, mode) {
+                    (AccessState::Owner, LockMode::Ex) => i,
+                    (AccessState::Retired, _) => {
+                        let a = &mut ctx.accesses[i];
+                        let mut st = a.tuple.meta.lock.lock();
+                        st.reacquire_ex(&ctx.shared);
+                        drop(st);
+                        a.state = AccessState::Owner;
+                        a.mode = LockMode::Ex;
+                        i
+                    }
+                    (AccessState::Owner, LockMode::Sh) => {
+                        // Shared-owner upgrade (baselines where reads hold
+                        // ownership). The local copy stays valid: we held SH
+                        // continuously, so the committed image cannot have
+                        // changed under us.
+                        ctx.locks_acquired += 1;
+                        ctx.wait(LOCK_WAIT, |ctx| {
+                            let outcome = ctx.accesses[i]
+                                .tuple
+                                .meta
+                                .lock
+                                .lock()
+                                .try_upgrade(&ctx.shared, &self.policy);
+                            match outcome {
+                                Acquired::Granted { .. } => Some(()),
+                                Acquired::Die(reason) => {
+                                    ctx.shared.set_abort(reason);
+                                    None
+                                }
+                                Acquired::Wait => None,
+                            }
+                        })?;
+                        ctx.accesses[i].mode = LockMode::Ex;
+                        i
+                    }
+                    (AccessState::Released, _) => {
+                        unreachable!("a locking access is released only by commit or abort")
+                    }
+                }
+            }
+            None => self.acquire_ex(db, ctx, table, tuple)?,
+        };
+        f(&mut ctx.accesses[i].local);
+        ctx.accesses[i].dirty = true;
+        // Algorithm 1 line 2: retire after the (presumed) last write, subject
+        // to Optimization 2.
+        if self.should_retire(ctx) {
+            self.retire_access(&ctx.shared, &mut ctx.accesses[i]);
+        }
+        Ok(())
+    }
+
+    /// §3.3's `LockRetire()`, on the Wound-Wait variant Bamboo is defined
+    /// over (§3.2): "the LockRetire() function call is completely
+    /// optional" (§3.2.2), so Wait-Die and No-Wait ignore it.
+    fn retire(&self, _db: &Database, ctx: &mut TxnCtx, table: TableId, key: u64) {
+        if self.policy.variant != LockVariant::WoundWait {
+            return;
+        }
+        if let Some(i) = ctx.find_access(table, key) {
+            self.retire_access(&ctx.shared, &mut ctx.accesses[i]);
+        }
     }
 
     /// Next-key (gap) lock for an insert of `key`: exclusive-locks the
@@ -479,7 +443,7 @@ impl Protocol for LockingProtocol {
         // been stalled for longer than δ of the execution time so far, the
         // trailing writes held back by the δ heuristic are blocking others
         // for real, so retire them after all.
-        let mut may_retire_late = self.adaptive_retire && self.delta > 0.0;
+        let mut may_retire_late = self.delta > 0.0;
         let mut retire_at: Option<Instant> = None;
         ctx.wait(COMMIT_WAIT, |ctx| {
             if ctx.shared.semaphore() == 0 {
@@ -714,6 +678,44 @@ mod tests {
         );
         let wal = Mutex::new(WalBuffer::for_tests());
         proto.commit(&db, &mut ctx, &wal).unwrap();
+    }
+
+    /// Optimization 2's adaptive clause: a write δ held back retires
+    /// during the commit-semaphore wait once that wait outlasts δ of the
+    /// execution so far, so a later writer is granted it dirty before the
+    /// transaction it waits on commits.
+    #[test]
+    fn adaptive_clause_retires_held_back_write_during_commit_wait() {
+        let (db, t) = setup();
+        let proto = LockingProtocol::bamboo(); // δ = 0.15
+        let wal = Mutex::new(WalBuffer::for_tests());
+        let mut c0 = proto.begin(&db, &TxnOptions::new());
+        proto.update(&db, &mut c0, t, 0, &mut add_100).unwrap();
+        assert_eq!(c0.accesses[0].state, AccessState::Retired);
+        // T1 dirty-reads T0's retired write, then issues its last write,
+        // which δ holds back.
+        let mut c1 = proto.begin(&db, &TxnOptions::new().planned_ops(2));
+        assert_eq!(proto.read(&db, &mut c1, t, 0).unwrap().get_i64(1), 100);
+        proto.update(&db, &mut c1, t, 1, &mut add_100).unwrap();
+        assert_eq!(c1.accesses[1].state, AccessState::Owner, "δ holds it");
+        assert_eq!(c1.shared.semaphore(), 1, "T1 depends on T0");
+        let (db1, proto1) = (Arc::clone(&db), proto.clone());
+        let h = std::thread::spawn(move || {
+            let wal = Mutex::new(WalBuffer::for_tests());
+            proto1.commit(&db1, &mut c1, &wal)
+        });
+        // T1 blocks in the semaphore wait while T0 stays open; the clause
+        // must retire its write, or this younger writer waits out the
+        // lock backstop.
+        let mut c2 = proto.begin(&db, &TxnOptions::new());
+        proto.update(&db, &mut c2, t, 1, &mut add_100).unwrap();
+        assert_eq!(c2.accesses[0].local.get_i64(1), 300, "T1's dirty 200 + 100");
+        assert_eq!(c2.shared.semaphore(), 1, "T2 depends on T1");
+        assert!(!h.is_finished(), "T1 still waits on T0");
+        proto.commit(&db, &mut c0, &wal).unwrap();
+        h.join().unwrap().unwrap();
+        proto.commit(&db, &mut c2, &wal).unwrap();
+        assert_eq!(db.table(t).get(1).unwrap().read_row().get_i64(1), 300);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::wal::{append_txn_across, DurabilityTicket, TicketParts, WalBuffer, Wa
 /// A pluggable concurrency-control protocol.
 ///
 /// Contract: a transaction is driven as
-/// `begin → (read | update | lock_insert | scan)* → commit | abort`; any
+/// `begin → (read | update | retire | lock_insert | scan)* → commit | abort`; any
 /// `Err(Abort)` from an operation obliges the caller to invoke
 /// [`Protocol::abort`] exactly once for the attempt. `commit` consumes the
 /// attempt on success.
@@ -79,6 +79,15 @@ pub trait Protocol: Send + Sync {
         key: u64,
         f: &mut dyn FnMut(&mut Row),
     ) -> Result<(), Abort>;
+
+    /// §3.3's explicit `LockRetire()`: the program wrote `key` for the
+    /// last time, so its dirty write may become visible now, whatever
+    /// `update`'s own retire rule decided. Nothing by default, and nothing
+    /// for a key this attempt holds no dirty exclusive lock on; only the
+    /// Wound-Wait variant of [`LockingProtocol`] honours it (Bamboo is
+    /// defined over Wound-Wait, §3.2). Retiring too early is not unsound:
+    /// a later write to the key aborts whoever read the retired version.
+    fn retire(&self, _db: &Database, _ctx: &mut TxnCtx, _table: TableId, _key: u64) {}
 
     /// Concurrency control for an insert of `key` into `table`, before the
     /// session buffers the row. Nothing by default: the row is invisible

@@ -11,8 +11,8 @@
 //! * [`Session`] binds an [`Arc<Database>`] + [`Arc<dyn Protocol>`] pair
 //!   (plus a [`RetryPolicy`] and the session's redo ring) and is the only
 //!   thing that starts transactions.
-//! * [`Txn`] is an RAII attempt guard: `read`/`update`/`insert`/`scan`
-//!   without handle-threading, `commit`/`abort` consume the guard, and
+//! * [`Txn`] is an RAII attempt guard: `read`/`update`/`retire`/`insert`/
+//!   `scan` without handle-threading, `commit`/`abort` consume the guard, and
 //!   `Drop` aborts an unfinished attempt **exactly once** — leaking a lock
 //!   by forgetting the abort call is unrepresentable. It also owns what is
 //!   not concurrency control, written once for every protocol: snapshot
@@ -247,8 +247,8 @@ impl Session {
     /// RPC clients. The client does not know its access positions, so
     /// Optimization 2's δ does not apply: [`TxnOptions::planned_ops`] is
     /// ignored and every write retires at once. Hints
-    /// ([`Txn::prefetch`]) and IC3 piece boundaries are not client
-    /// requests and cost nothing.
+    /// ([`Txn::prefetch`]), explicit retires ([`Txn::retire`]) and IC3
+    /// piece boundaries are not client requests and cost nothing.
     pub fn interactive(mut self, rpc: Duration) -> Self {
         self.rpc = Some(rpc);
         self
@@ -646,6 +646,25 @@ impl<'s> Txn<'s> {
             .update(&self.session.db, &mut self.ctx, table, key, &mut f)
     }
 
+    /// §3.3's `LockRetire()`: this transaction has written `(table, key)`
+    /// for the last time, so [`Protocol::retire`] may make the dirty write
+    /// visible to others now. Under a Wound-Wait-based [`LockingProtocol`]
+    /// whose `retire_writes` is off this is the only way a write retires
+    /// before commit, which is how the §3.3 analysis places retires
+    /// (`bamboo_analysis::run_program`). A no-op in snapshot mode, under
+    /// every other protocol and on a key not written. Like
+    /// [`Txn::prefetch`] it is not a client request: the call belongs to a
+    /// stored procedure, and an interactive session charges it nothing.
+    ///
+    /// [`LockingProtocol`]: crate::protocol::LockingProtocol
+    pub fn retire(&mut self, table: TableId, key: u64) {
+        if self.ctx.snapshot.is_none() {
+            self.session
+                .proto
+                .retire(&self.session.db, &mut self.ctx, table, key);
+        }
+    }
+
     /// Buffers an insert once the protocol's [`Protocol::lock_insert`]
     /// succeeded; applied atomically at commit. `secondary` is an optional
     /// `(secondary index slot, secondary key)` to maintain.
@@ -832,16 +851,6 @@ impl<'s> Txn<'s> {
     /// The bound database.
     pub fn db(&self) -> &Database {
         &self.session.db
-    }
-
-    /// Low-level escape hatch for instrumentation layers that drive
-    /// protocol internals directly (the §3.3 retire-point interpreter in
-    /// `bamboo-analysis` calls `LockingProtocol::update_manual` /
-    /// `retire_now`, which need the raw context). The `Txn` remains the
-    /// lifecycle owner: do **not** commit or abort through the returned
-    /// context — use [`Txn::commit`] / [`Txn::abort`].
-    pub fn raw_parts(&mut self) -> (&Database, &mut TxnCtx) {
-        (&self.session.db, &mut self.ctx)
     }
 
     /// Commit without consuming `self` (shared by the public consuming
@@ -1124,7 +1133,8 @@ mod tests {
     /// Interactive mode charges one round trip per client call, whatever
     /// its outcome and whether or not the attempt is a snapshot: a hit, a
     /// miss, a write a snapshot refuses, a commit, an explicit abort and a
-    /// dropped attempt's. Beginning, hints and piece boundaries are free.
+    /// dropped attempt's. Beginning, hints, explicit retires and piece
+    /// boundaries are free: they belong to a stored procedure.
     #[test]
     fn interactive_charges_one_round_trip_per_client_call() {
         let (db, t) = setup();
@@ -1164,6 +1174,7 @@ mod tests {
             });
             assert_eq!(insert, 1, "{mode} insert");
             assert_eq!(trips(|| txn.prefetch([(t, 5)])), 0, "{mode} prefetch");
+            assert_eq!(trips(|| txn.retire(t, 4)), 0, "{mode} retire");
             let pieces = trips(|| {
                 txn.piece_begin(0).unwrap();
                 txn.piece_end().unwrap();
@@ -1180,6 +1191,50 @@ mod tests {
         }
         assert_eq!(db.table(t).get(100).unwrap().read_row().get_i64(1), 0);
         assert_eq!(db.snapshots.active_count(), 0);
+    }
+
+    /// `Txn::retire` is §3.3's `LockRetire()` on the Wound-Wait variant
+    /// only: WOUND_WAIT retires the write it never retires by itself, and
+    /// WAIT_DIE, NO_WAIT, SILO and IC3 leave the access as it was (snapshot
+    /// mode is `snapshot_transactions_never_call_the_protocol`'s).
+    #[test]
+    fn retire_is_honoured_on_wound_wait_only() {
+        use crate::protocol::{Ic3Protocol, PieceAccess, PieceDecl, SiloProtocol, TemplateDecl};
+        let (db, t) = setup();
+        let template = TemplateDecl {
+            name: "one".into(),
+            pieces: vec![PieceDecl {
+                accesses: vec![PieceAccess {
+                    table: t,
+                    read_cols: 0b10,
+                    write_cols: 0b10,
+                }],
+            }],
+        };
+        let protos: [(Arc<dyn Protocol>, bool); 5] = [
+            (Arc::new(LockingProtocol::wound_wait()), true),
+            (Arc::new(LockingProtocol::wait_die()), false),
+            (Arc::new(LockingProtocol::no_wait()), false),
+            (Arc::new(SiloProtocol::new()), false),
+            (Arc::new(Ic3Protocol::new(vec![template], false)), false),
+        ];
+        for (proto, honoured) in protos {
+            let name = proto.name().to_owned();
+            let session = Session::new(Arc::clone(&db), proto);
+            let mut txn = session.begin();
+            txn.piece_begin(0).unwrap();
+            txn.update(t, 1, |row| row.set(1, Value::I64(1))).unwrap();
+            let before = txn.ctx().accesses[0].state;
+            txn.retire(t, 1);
+            let expected = if honoured {
+                AccessState::Retired
+            } else {
+                before
+            };
+            assert_eq!(txn.ctx().accesses[0].state, expected, "{name}");
+            txn.piece_end().unwrap();
+            txn.commit().unwrap();
+        }
     }
 
     /// A protocol that must never be called: every method but `name`
@@ -1211,6 +1266,9 @@ mod tests {
             _: &mut dyn FnMut(&mut Row),
         ) -> Result<(), Abort> {
             unreachable!("update")
+        }
+        fn retire(&self, _: &Database, _: &mut TxnCtx, _: TableId, _: u64) {
+            unreachable!("retire")
         }
         fn lock_insert(
             &self,
@@ -1256,6 +1314,7 @@ mod tests {
         snap.piece_begin(0).unwrap();
         assert_eq!(snap.read(t, 2).unwrap().get_i64(1), 0);
         assert_eq!(snap.read(t, 2).unwrap().get_i64(1), 0, "re-read");
+        snap.retire(t, 2);
         assert!(snap.read_opt(t, 999).unwrap().is_none());
         assert_eq!(
             snap.read(t, 999).unwrap_err(),

@@ -168,6 +168,14 @@ impl BenchResult {
         }
     }
 
+    /// Aborts a wait backstop fired ([`AbortReason::WaitTimeout`]: a lock
+    /// wait past 500 ms or a commit-semaphore wait past 2 s). A healthy
+    /// run fires none; one that does has hit a wait cycle or a stuck
+    /// predecessor, which the retry would otherwise hide.
+    pub fn wait_timeouts(&self) -> u64 {
+        self.totals.aborts_by_reason[AbortReason::WaitTimeout.index()]
+    }
+
     /// Amortized *lock wait* per committed transaction, in milliseconds —
     /// the paper's runtime-analysis bar.
     pub fn lock_wait_ms_per_commit(&self) -> f64 {

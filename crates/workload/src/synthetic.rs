@@ -219,6 +219,12 @@ mod tests {
         let proto: Arc<dyn Protocol> = Arc::new(LockingProtocol::bamboo());
         let wl: Arc<dyn Workload> = Arc::new(SyntheticWorkload::new(cfg, t));
         let res = run_bench(&db, &proto, &wl, &BenchConfig::quick(2));
+        assert_eq!(
+            res.wait_timeouts(),
+            0,
+            "{} fired a wait backstop",
+            res.protocol
+        );
         assert!(res.totals.commits > 0);
         let hot = db.table(t).get(0).unwrap().read_row().get_i64(1);
         assert!(

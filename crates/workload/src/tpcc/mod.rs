@@ -415,6 +415,12 @@ mod tests {
             let before = money_totals(&db, &wl.tables());
             let wl2: Arc<dyn Workload> = Arc::clone(&wl) as _;
             let res = run_bench(&db, &proto, &wl2, &BenchConfig::quick(2));
+            assert_eq!(
+                res.wait_timeouts(),
+                0,
+                "{} fired a wait backstop",
+                res.protocol
+            );
             assert!(res.totals.commits > 0, "{}", res.protocol);
             let after = money_totals(&db, &wl.tables());
             let dw = after.0 - before.0;
@@ -436,6 +442,12 @@ mod tests {
         let before = money_totals(&db, &wl.tables());
         let wl2: Arc<dyn Workload> = Arc::clone(&wl) as _;
         let res = run_bench(&db, &proto, &wl2, &BenchConfig::quick(2));
+        assert_eq!(
+            res.wait_timeouts(),
+            0,
+            "{} fired a wait backstop",
+            res.protocol
+        );
         assert!(res.totals.commits > 0);
         let after = money_totals(&db, &wl.tables());
         let dw = after.0 - before.0;
@@ -453,7 +465,13 @@ mod tests {
         let (db, wl) = build(&cfg);
         let proto: Arc<dyn Protocol> = Arc::new(LockingProtocol::bamboo());
         let wl2: Arc<dyn Workload> = Arc::clone(&wl) as _;
-        run_bench(&db, &proto, &wl2, &BenchConfig::quick(2));
+        let res = run_bench(&db, &proto, &wl2, &BenchConfig::quick(2));
+        assert_eq!(
+            res.wait_timeouts(),
+            0,
+            "{} fired a wait backstop",
+            res.protocol
+        );
         let t = wl.tables();
         // Every inserted order is reachable via its district's counter
         // range, and counts match.
@@ -565,6 +583,12 @@ mod tests {
         let before = money_totals_partitioned(&pdb, &wl.tables());
         let wl2: Arc<dyn Workload> = Arc::clone(&wl) as _;
         let res = run_part_bench(&pdb, &proto, &wl2, &BenchConfig::quick(2));
+        assert_eq!(
+            res.wait_timeouts(),
+            0,
+            "{} fired a wait backstop",
+            res.protocol
+        );
         assert!(res.totals.commits > 0);
         assert!(
             res.totals.cross_partition_commits > 0,
@@ -598,6 +622,12 @@ mod tests {
         ));
         let proto: Arc<dyn Protocol> = Arc::new(LockingProtocol::bamboo());
         let res = run_part_bench(&pdb, &proto, &wl, &BenchConfig::quick(2));
+        assert_eq!(
+            res.wait_timeouts(),
+            0,
+            "{} fired a wait backstop",
+            res.protocol
+        );
         assert!(res.totals.commits > 0);
         assert_eq!(
             res.totals.cross_partition_commits, 0,
@@ -613,6 +643,12 @@ mod tests {
         let proto: Arc<dyn Protocol> = Arc::new(LockingProtocol::bamboo());
         let wl2: Arc<dyn Workload> = Arc::clone(&wl) as _;
         let res = run_bench(&db, &proto, &wl2, &BenchConfig::quick(1));
+        assert_eq!(
+            res.wait_timeouts(),
+            0,
+            "{} fired a wait backstop",
+            res.protocol
+        );
         let t = wl.tables();
         assert_eq!(db.table(t.orders).len(), 0, "all NewOrders rolled back");
         assert!(

@@ -254,6 +254,12 @@ mod tests {
             Arc::new(TpccWorkload::new(cfg.clone(), Arc::clone(&db), tables, idx));
         let proto: Arc<dyn Protocol> = Arc::new(LockingProtocol::bamboo());
         let res = run_bench(&db, &proto, &wl, &BenchConfig::quick(2));
+        assert_eq!(
+            res.wait_timeouts(),
+            0,
+            "{} fired a wait backstop",
+            res.protocol
+        );
         assert!(res.totals.commits > 0);
         // Orders exist (NewOrders ran) and the read-only mix did not
         // corrupt anything: district counters still match order counts.

@@ -383,6 +383,12 @@ mod tests {
         let proto: Arc<dyn Protocol> = Arc::new(LockingProtocol::bamboo());
         let wl: Arc<dyn Workload> = Arc::new(YcsbWorkload::new(cfg.clone(), t));
         let res = run_part_bench(&pdb, &proto, &wl, &BenchConfig::quick(2));
+        assert_eq!(
+            res.wait_timeouts(),
+            0,
+            "{} fired a wait backstop",
+            res.protocol
+        );
         assert!(res.totals.commits > 0);
         assert!(
             res.totals.cross_partition_commits > 0,
@@ -401,6 +407,12 @@ mod tests {
         let (pdb, t) = load_partitioned(&local);
         let wl: Arc<dyn Workload> = Arc::new(YcsbWorkload::new(local.clone(), t));
         let res = run_part_bench(&pdb, &proto, &wl, &BenchConfig::quick(2));
+        assert_eq!(
+            res.wait_timeouts(),
+            0,
+            "{} fired a wait backstop",
+            res.protocol
+        );
         assert!(res.totals.commits > 0);
         assert_eq!(
             res.totals.cross_partition_commits, 0,
@@ -432,6 +444,12 @@ mod tests {
         ] {
             let wl: Arc<dyn Workload> = Arc::new(YcsbWorkload::new(cfg.clone(), t));
             let res = run_bench(&db, &proto, &wl, &BenchConfig::quick(2));
+            assert_eq!(
+                res.wait_timeouts(),
+                0,
+                "{} fired a wait backstop",
+                res.protocol
+            );
             assert!(
                 res.totals.snapshot_commits > 0,
                 "{}: snapshot transactions must commit",
@@ -460,6 +478,12 @@ mod tests {
         ] {
             let wl: Arc<dyn Workload> = Arc::new(YcsbWorkload::new(cfg.clone(), t));
             let res = run_bench(&db, &proto, &wl, &BenchConfig::quick(2));
+            assert_eq!(
+                res.wait_timeouts(),
+                0,
+                "{} fired a wait backstop",
+                res.protocol
+            );
             assert!(
                 res.totals.commits > 0,
                 "{} must commit transactions",

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use bamboo_repro::analysis::ir::{AccessMode, Expr, Program, Stmt};
 use bamboo_repro::analysis::{insert_retire_points, run_program, Decision};
-use bamboo_repro::core::protocol::{LockingProtocol, Protocol};
+use bamboo_repro::core::protocol::LockingProtocol;
 use bamboo_repro::core::{Database, Session};
 use bamboo_repro::storage::{DataType, Row, Schema, TableId, Value};
 
@@ -94,13 +94,11 @@ fn listing3() -> Program {
 
 fn main() {
     let db = load();
-    // The interpreter drives LockingProtocol's manual-retire knobs, so it
-    // takes the concrete protocol config alongside the session's Txn.
-    let proto = LockingProtocol::bamboo();
-    let session = Session::new(
-        Arc::clone(&db),
-        Arc::new(proto.clone()) as Arc<dyn Protocol>,
-    );
+    // BAMBOO-base whose writes never retire by themselves: the program's
+    // `Txn::retire` calls are the only retires.
+    let mut proto = LockingProtocol::bamboo_base();
+    proto.retire_writes = false;
+    let session = Session::new(Arc::clone(&db), Arc::new(proto));
 
     println!("--- Listing 1 → Listing 2 (synthesized retire condition) ---");
     let a1 = insert_retire_points(&listing1());
@@ -110,7 +108,7 @@ fn main() {
     assert_eq!(a1.report[0].decision, Decision::Conditional);
     // cond = true but keys differ (param1 % 64 = 9 ≠ 5): retire fires.
     let mut txn = session.begin();
-    let stats = run_program(&proto, &mut txn, &a1.program, &[1, 9]).unwrap();
+    let stats = run_program(&mut txn, &a1.program, &[1, 9]).unwrap();
     txn.commit().unwrap();
     println!(
         "run(cond=1, key=9): retires={} skipped={}",
@@ -119,7 +117,7 @@ fn main() {
     assert_eq!(stats.retires, 2); // op1's conditional + op2's immediate
                                   // cond = true and keys EQUAL: retire of op1 must be skipped.
     let mut txn = session.begin();
-    let stats = run_program(&proto, &mut txn, &a1.program, &[1, 5]).unwrap();
+    let stats = run_program(&mut txn, &a1.program, &[1, 5]).unwrap();
     txn.commit().unwrap();
     println!(
         "run(cond=1, key=5): retires={} skipped={}",
@@ -135,7 +133,7 @@ fn main() {
     }
     assert_eq!(a3.report[0].decision, Decision::LoopFission);
     let mut txn = session.begin();
-    let stats = run_program(&proto, &mut txn, &a3.program, &[]).unwrap();
+    let stats = run_program(&mut txn, &a3.program, &[]).unwrap();
     txn.commit().unwrap();
     println!(
         "run: accesses={} retires={} skipped={} reacquires={}",

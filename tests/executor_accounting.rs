@@ -84,6 +84,12 @@ fn user_aborts_counted_and_not_retried() {
             .with_warmup(Duration::from_millis(25))
             .with_seed(8),
     );
+    assert_eq!(
+        res.wait_timeouts(),
+        0,
+        "{} fired a wait backstop",
+        res.protocol
+    );
     let user_aborts = res.totals.aborts_by_reason[6];
     assert_eq!(reason_name(6), "user");
     assert!(user_aborts > 0, "the 25% user aborts must be visible");
@@ -162,6 +168,12 @@ fn snapshot_transactions_counted_in_their_own_bucket() {
             .with_warmup(Duration::from_millis(25))
             .with_seed(9),
     );
+    assert_eq!(
+        res.wait_timeouts(),
+        0,
+        "{} fired a wait backstop",
+        res.protocol
+    );
     // Both buckets populated, independently.
     assert!(res.totals.commits > 0, "locking commits missing");
     assert!(res.totals.snapshot_commits > 0, "snapshot bucket empty");
@@ -190,6 +202,12 @@ fn latency_percentiles_are_monotonic() {
     let proto: Arc<dyn Protocol> = Arc::new(LockingProtocol::bamboo());
     let wl: Arc<dyn Workload> = Arc::new(Wl { t });
     let res = run_bench(&db, &proto, &wl, &BenchConfig::quick(2));
+    assert_eq!(
+        res.wait_timeouts(),
+        0,
+        "{} fired a wait backstop",
+        res.protocol
+    );
     let p50 = res.latency_percentile_us(0.5);
     let p99 = res.latency_percentile_us(0.99);
     assert!(p50 > 0 && p99 >= p50, "p50={p50} p99={p99}");
@@ -201,6 +219,12 @@ fn wal_bytes_accounted_per_worker() {
     let proto: Arc<dyn Protocol> = Arc::new(LockingProtocol::bamboo());
     let wl: Arc<dyn Workload> = Arc::new(Wl { t });
     let res = run_bench(&db, &proto, &wl, &BenchConfig::quick(2));
+    assert_eq!(
+        res.wait_timeouts(),
+        0,
+        "{} fired a wait backstop",
+        res.protocol
+    );
     assert!(
         res.totals.log_bytes > res.totals.commits,
         "every commit writes a redo record"
@@ -284,6 +308,12 @@ fn partitioned_ring_bytes_summed_over_every_session() {
 
     let wl: Arc<dyn Workload> = Arc::new(CrossWl { t });
     let res = run_part_bench(&pdb, &proto, &wl, &BenchConfig::quick(2));
+    assert_eq!(
+        res.wait_timeouts(),
+        0,
+        "{} fired a wait backstop",
+        res.protocol
+    );
     assert!(res.totals.commits > 0);
     assert_eq!(
         res.totals.cross_partition_commits, res.totals.commits,

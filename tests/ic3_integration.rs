@@ -52,6 +52,12 @@ fn ic3_optimistic_and_pessimistic_both_conserve_money() {
                 .with_warmup(Duration::from_millis(30))
                 .with_seed(5),
         );
+        assert_eq!(
+            res.wait_timeouts(),
+            0,
+            "{} fired a wait backstop",
+            res.protocol
+        );
         assert!(res.totals.commits > 0, "{} stalled", res.protocol);
         // W_YTD delta equals the district YTD deltas.
         let w_after = db
@@ -99,7 +105,7 @@ fn modified_neworder_creates_warehouse_conflicts_for_ic3_only() {
         let wl_t = Arc::new(TpccWorkload::new(cfg.clone(), Arc::clone(&db), tables, idx));
         let proto: Arc<dyn Protocol> = Arc::new(Ic3Protocol::new(wl_t.ic3_templates(), true));
         let wl: Arc<dyn Workload> = wl_t;
-        run_bench(
+        let res = run_bench(
             &db,
             &proto,
             &wl,
@@ -107,7 +113,14 @@ fn modified_neworder_creates_warehouse_conflicts_for_ic3_only() {
                 .with_duration(Duration::from_millis(300))
                 .with_warmup(Duration::from_millis(30))
                 .with_seed(21),
-        )
+        );
+        assert_eq!(
+            res.wait_timeouts(),
+            0,
+            "{} fired a wait backstop",
+            res.protocol
+        );
+        res
     };
     let original = run(false);
     let modified = run(true);
@@ -134,7 +147,7 @@ fn bamboo_is_unaffected_by_the_modified_neworder() {
         let wl: Arc<dyn Workload> =
             Arc::new(TpccWorkload::new(cfg.clone(), Arc::clone(&db), tables, idx));
         let proto: Arc<dyn Protocol> = Arc::new(LockingProtocol::bamboo());
-        run_bench(
+        let res = run_bench(
             &db,
             &proto,
             &wl,
@@ -142,7 +155,14 @@ fn bamboo_is_unaffected_by_the_modified_neworder() {
                 .with_duration(Duration::from_millis(250))
                 .with_warmup(Duration::from_millis(30))
                 .with_seed(9),
-        )
+        );
+        assert_eq!(
+            res.wait_timeouts(),
+            0,
+            "{} fired a wait backstop",
+            res.protocol
+        );
+        res
     };
     let orig = run(false).throughput();
     let modi = run(true).throughput();

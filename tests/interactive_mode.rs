@@ -8,15 +8,7 @@ use std::time::Duration;
 
 use bamboo_repro::core::executor::{run_bench, BenchConfig, Workload};
 use bamboo_repro::core::protocol::{LockingProtocol, Protocol};
-use bamboo_repro::core::stats::BenchResult;
-use bamboo_repro::core::AbortReason;
 use bamboo_repro::workload::synthetic::{self, SyntheticConfig, SyntheticWorkload};
-
-/// Aborts a lock-wait or commit-wait backstop fired: a healthy run has
-/// none, so a wait cycle fails here instead of retrying silently.
-fn timeouts(r: &BenchResult) -> u64 {
-    r.totals.aborts_by_reason[AbortReason::WaitTimeout.index()]
-}
 
 #[test]
 fn interactive_bamboo_beats_interactive_wound_wait_on_hotspot() {
@@ -49,8 +41,8 @@ fn interactive_bamboo_beats_interactive_wound_wait_on_hotspot() {
         rw.lock_wait_ms_per_commit(),
         rb.lock_wait_ms_per_commit()
     );
-    assert_eq!(timeouts(&rb), 0, "BAMBOO fired a wait backstop");
-    assert_eq!(timeouts(&rw), 0, "WOUND_WAIT fired a wait backstop");
+    assert_eq!(rb.wait_timeouts(), 0, "BAMBOO fired a wait backstop");
+    assert_eq!(rw.wait_timeouts(), 0, "WOUND_WAIT fired a wait backstop");
 }
 
 #[test]
@@ -74,5 +66,5 @@ fn interactive_mode_counts_are_consistent() {
     let hot = db.table(t).get(0).unwrap().read_row().get_i64(1);
     assert!(hot >= res.totals.commits as i64);
     assert!(res.totals.commits > 0);
-    assert_eq!(timeouts(&res), 0, "BAMBOO fired a wait backstop");
+    assert_eq!(res.wait_timeouts(), 0, "BAMBOO fired a wait backstop");
 }

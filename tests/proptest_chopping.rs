@@ -10,7 +10,7 @@
 use bamboo_repro::analysis::ir::{AccessMode, Expr, Program, Stmt};
 use bamboo_repro::analysis::{insert_retire_points, run_program};
 use bamboo_repro::core::protocol::ic3::{chop, PieceAccess, PieceDecl, TemplateDecl};
-use bamboo_repro::core::protocol::{LockingProtocol, Protocol};
+use bamboo_repro::core::protocol::LockingProtocol;
 use bamboo_repro::core::{Database, Session};
 use bamboo_repro::storage::{DataType, Row, Schema, TableId, Value};
 use proptest::prelude::*;
@@ -138,10 +138,11 @@ fn snapshot(db: &Database) -> Vec<i64> {
 }
 
 fn exec(db: &Arc<Database>, program: &Program, params: &[u64]) {
-    let proto = LockingProtocol::bamboo();
-    let session = Session::new(Arc::clone(db), Arc::new(proto.clone()) as Arc<dyn Protocol>);
+    let mut proto = LockingProtocol::bamboo_base();
+    proto.retire_writes = false;
+    let session = Session::new(Arc::clone(db), Arc::new(proto));
     let mut txn = session.begin();
-    run_program(&proto, &mut txn, program, params).unwrap();
+    run_program(&mut txn, program, params).unwrap();
     txn.commit().unwrap();
 }
 

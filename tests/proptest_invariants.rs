@@ -364,7 +364,7 @@ proptest! {
                 db.table(t).insert(k, Row::from(vec![Value::U64(k), Value::I64(100)]));
             }
             let wl: Arc<dyn Workload> = Arc::new(Wl { t });
-            run_bench(
+            let res = run_bench(
                 &db,
                 &proto,
                 &wl,
@@ -373,6 +373,7 @@ proptest! {
                     .with_warmup(std::time::Duration::from_millis(5))
                     .with_seed(seed),
             );
+            prop_assert_eq!(res.wait_timeouts(), 0, "{} fired a wait backstop", res.protocol);
             let total: i64 = (0..N)
                 .map(|k| db.table(t).get(k).unwrap().read_row().get_i64(1))
                 .sum();
@@ -430,13 +431,11 @@ proptest! {
         for k in 0..8u64 {
             db.table(t).insert(k, Row::from(vec![Value::U64(k), Value::I64(0)]));
         }
-        let proto = LockingProtocol::bamboo();
-        let session = bamboo_repro::core::Session::new(
-            Arc::clone(&db),
-            Arc::new(proto.clone()) as Arc<dyn Protocol>,
-        );
+        let mut proto = LockingProtocol::bamboo_base();
+        proto.retire_writes = false;
+        let session = bamboo_repro::core::Session::new(Arc::clone(&db), Arc::new(proto));
         let mut txn = session.begin();
-        let stats = run_program(&proto, &mut txn, &analysed.program, &[cond, key2]).unwrap();
+        let stats = run_program(&mut txn, &analysed.program, &[cond, key2]).unwrap();
         txn.commit().unwrap();
         prop_assert_eq!(stats.reacquires, 0, "retire must never precede a same-tuple write");
         // And the retire must actually fire whenever it is safe.

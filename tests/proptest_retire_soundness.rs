@@ -4,8 +4,8 @@
 //! conditionals, fixed-trip loops over computed key arrays —
 //! `insert_retire_points` must never retire a lock *before* the access's
 //! final write. The interpreter is the oracle: it runs the analysed
-//! program under the Bamboo locking protocol in manual-retire mode and
-//! counts writes that hit an already-retired access
+//! program through a session whose writes retire only at explicit
+//! `Txn::retire` calls and counts writes that hit an already-retired access
 //! ([`RunStats::reacquires`]); a sound analysis keeps that count at 0 on
 //! every execution path. A second oracle re-runs the *original* program
 //! on a fresh database and compares final states, so the transformation
@@ -13,7 +13,7 @@
 
 use bamboo_repro::analysis::ir::{AccessMode, Expr, Program, Stmt};
 use bamboo_repro::analysis::{insert_retire_points, run_program, RunStats};
-use bamboo_repro::core::protocol::{LockingProtocol, Protocol};
+use bamboo_repro::core::protocol::LockingProtocol;
 use bamboo_repro::core::{Database, Session};
 use bamboo_repro::storage::{DataType, Row, Schema, TableId, Value};
 use proptest::prelude::*;
@@ -43,21 +43,22 @@ fn snapshot(db: &Database) -> Vec<i64> {
 }
 
 /// Runs `program` as one committed transaction, returning its stats.
-/// Manual-retire configuration: the interpreter's writes never
-/// auto-retire by construction ([`run_program`] drives `update_manual`),
-/// and the protocol's eager read placements are disabled too —
-/// `retire_reads` and Optimization 3 (`no_raw_abort`, which slots readers
-/// straight into `retired`) both off. The *only* retires left are the
-/// synthesized `RetireIf` points, so `RunStats::reacquires` counts
-/// exactly the analysis's premature retires — the §3.3 deployment model
-/// the soundness property is about.
+/// Explicit-retire configuration: BAMBOO-base with `retire_writes` off, so
+/// the session's writes never retire by themselves, and the protocol's
+/// eager read placements are disabled too — `retire_reads` and
+/// Optimization 3 (`no_raw_abort`, which slots readers straight into
+/// `retired`) both off. The *only* retires left are the synthesized
+/// `RetireIf` points, issued through `Txn::retire`, so
+/// `RunStats::reacquires` counts exactly the analysis's premature retires
+/// — the §3.3 deployment model the soundness property is about.
 fn exec(db: &Arc<Database>, program: &Program, params: &[u64]) -> RunStats {
-    let mut proto = LockingProtocol::bamboo();
+    let mut proto = LockingProtocol::bamboo_base();
+    proto.retire_writes = false;
     proto.policy.retire_reads = false;
     proto.policy.no_raw_abort = false;
-    let session = Session::new(Arc::clone(db), Arc::new(proto.clone()) as Arc<dyn Protocol>);
+    let session = Session::new(Arc::clone(db), Arc::new(proto));
     let mut txn = session.begin();
-    let stats = run_program(&proto, &mut txn, program, params).unwrap();
+    let stats = run_program(&mut txn, program, params).unwrap();
     txn.commit().unwrap();
     stats
 }

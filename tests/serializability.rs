@@ -116,6 +116,12 @@ fn money_conservation_under_heavy_hotspot_contention() {
                 .with_warmup(Duration::from_millis(30))
                 .with_seed(17),
         );
+        assert_eq!(
+            res.wait_timeouts(),
+            0,
+            "{} fired a wait backstop",
+            res.protocol
+        );
         assert!(res.totals.commits > 0, "{} made no progress", res.protocol);
         // Conservation: fees (+1 per commit into account 0) are balanced by
         // the −1 on `from`, so total stays fixed.

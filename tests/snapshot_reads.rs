@@ -357,6 +357,12 @@ fn snapshot_mix_accounted_and_conserves_balance() {
                 .with_warmup(Duration::from_millis(25))
                 .with_seed(23),
         );
+        assert_eq!(
+            res.wait_timeouts(),
+            0,
+            "{} fired a wait backstop",
+            res.protocol
+        );
         assert!(res.totals.commits > 0, "{}: writers starved", res.protocol);
         assert!(
             res.totals.snapshot_commits > 0,

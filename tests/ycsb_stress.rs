@@ -44,6 +44,12 @@ fn high_skew_progress_for_every_protocol() {
     for proto in protocols() {
         let wl: Arc<dyn Workload> = Arc::new(YcsbWorkload::new(cfg.clone(), t));
         let res = run_bench(&db, &proto, &wl, &quick(4));
+        assert_eq!(
+            res.wait_timeouts(),
+            0,
+            "{} fired a wait backstop",
+            res.protocol
+        );
         assert!(
             res.totals.commits > 10,
             "{} starved at theta=0.99 ({} commits)",
@@ -73,6 +79,12 @@ fn long_readonly_mix_commits_long_transactions() {
     ] {
         let wl: Arc<dyn Workload> = Arc::new(YcsbWorkload::new(cfg.clone(), t));
         let res = run_bench(&db, &proto, &wl, &quick(2));
+        assert_eq!(
+            res.wait_timeouts(),
+            0,
+            "{} fired a wait backstop",
+            res.protocol
+        );
         assert!(res.totals.commits > 0, "{}", res.protocol);
         // Bamboo's RAW optimization means readers never block writers:
         // its lock-wait share should stay tiny even with long readers.
@@ -105,6 +117,12 @@ fn uniform_load_all_protocols_agree_on_progress() {
     for proto in protocols() {
         let wl: Arc<dyn Workload> = Arc::new(YcsbWorkload::new(cfg.clone(), t));
         let res = run_bench(&db, &proto, &wl, &quick(2));
+        assert_eq!(
+            res.wait_timeouts(),
+            0,
+            "{} fired a wait backstop",
+            res.protocol
+        );
         assert!(
             res.abort_rate() < 0.05,
             "{} aborted {}% under uniform load",
@@ -130,7 +148,13 @@ fn tuple_lock_state_quiesces_after_run() {
     let (db, t) = ycsb::load(&cfg);
     let proto: Arc<dyn Protocol> = Arc::new(LockingProtocol::bamboo());
     let wl: Arc<dyn Workload> = Arc::new(YcsbWorkload::new(cfg.clone(), t));
-    run_bench(&db, &proto, &wl, &quick(4));
+    let res = run_bench(&db, &proto, &wl, &quick(4));
+    assert_eq!(
+        res.wait_timeouts(),
+        0,
+        "{} fired a wait backstop",
+        res.protocol
+    );
     // After all workers exit, no tuple may hold residual entries or
     // versions, and the structural invariants must hold everywhere.
     for k in 0..cfg.rows {
