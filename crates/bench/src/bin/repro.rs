@@ -5,23 +5,23 @@
 //!                    [--rpc-us N] [--full]
 //!
 //! experiments: sec52 fig3a fig3b fig4 fig5 fig6 fig7 fig8 readratio
-//!              fig9 fig10 fig11 ablation model all
+//!              fig9 fig10 fig11 ablation model micro all
 //! ```
 //!
 //! Defaults are quick smoke settings (~300 ms per point); `--full` matches
-//! longer paper-style runs. See EXPERIMENTS.md for recorded outputs.
+//! longer paper-style runs and fills in only the flags not given. `micro`
+//! prints the per-operation probes the repo benchmark lacks. See
+//! EXPERIMENTS.md for recorded outputs.
 //!
 //! Exits 1 after printing every series when a stored-procedure point fired
 //! a wait backstop (a `WaitTimeout` abort), naming each such point.
 
-use std::time::Duration;
-
 use bamboo_bench::RunOpts;
-use bamboo_bench::{figures, harness};
+use bamboo_bench::{figures, harness, micro};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro <sec52|fig3a|fig3b|fig4|fig5|fig6|fig7|fig8|readratio|fig9|fig10|fig11|ablation|model|all>\n\
+        "usage: repro <sec52|fig3a|fig3b|fig4|fig5|fig6|fig7|fig8|readratio|fig9|fig10|fig11|ablation|model|micro|all>\n\
          \x20      [--duration-ms N] [--warmup-ms N] [--threads a,b,c] [--rpc-us N] [--full]"
     );
     std::process::exit(2)
@@ -33,55 +33,7 @@ fn main() {
         usage();
     }
     let exp = args[0].clone();
-    let mut opts = RunOpts::default();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--full" => {
-                opts = RunOpts {
-                    threads: opts.threads.clone(),
-                    ..RunOpts::full()
-                }
-            }
-            "--duration-ms" => {
-                i += 1;
-                opts.duration = Duration::from_millis(
-                    args.get(i)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--warmup-ms" => {
-                i += 1;
-                opts.warmup = Duration::from_millis(
-                    args.get(i)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--rpc-us" => {
-                i += 1;
-                opts.rpc = Duration::from_micros(
-                    args.get(i)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage()),
-                );
-            }
-            "--threads" => {
-                i += 1;
-                opts.threads = args
-                    .get(i)
-                    .map(|v| {
-                        v.split(',')
-                            .map(|s| s.parse().unwrap_or_else(|_| usage()))
-                            .collect()
-                    })
-                    .unwrap_or_else(|| usage());
-            }
-            _ => usage(),
-        }
-        i += 1;
-    }
+    let opts = RunOpts::from_args(&args[1..]).unwrap_or_else(|| usage());
 
     let run = |name: &str, opts: &RunOpts| match name {
         "sec52" => figures::sec52(opts),
@@ -98,12 +50,14 @@ fn main() {
         "fig10" => figures::fig10(opts),
         "fig11" => figures::fig11(opts),
         "model" => figures::model_table(),
+        "micro" => micro::run(opts),
         _ => usage(),
     };
 
     if exp == "all" {
         for name in [
             "model",
+            "micro",
             "sec52",
             "fig3a",
             "fig3b",

@@ -47,6 +47,38 @@ impl RunOpts {
         }
     }
 
+    /// Parses `repro`'s flags (`--duration-ms N`, `--warmup-ms N`,
+    /// `--threads a,b,c`, `--rpc-us N`, `--full`) in any order. `--full`
+    /// supplies [`RunOpts::full`]'s values for the flags not given. `None`
+    /// on an unknown flag or a missing or malformed value.
+    pub fn from_args(args: &[String]) -> Option<RunOpts> {
+        let (mut duration, mut warmup, mut rpc, mut threads) = (None, None, None, None);
+        let mut full = false;
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next()?.parse::<u64>().ok();
+            match flag.as_str() {
+                "--full" => full = true,
+                "--duration-ms" => duration = Some(Duration::from_millis(value()?)),
+                "--warmup-ms" => warmup = Some(Duration::from_millis(value()?)),
+                "--rpc-us" => rpc = Some(Duration::from_micros(value()?)),
+                "--threads" => {
+                    let list = args.next()?.split(',').map(|s| s.parse().ok());
+                    threads = Some(list.collect::<Option<Vec<usize>>>()?);
+                }
+                _ => return None,
+            }
+        }
+        let base = full.then(RunOpts::full).unwrap_or_default();
+        Some(RunOpts {
+            duration: duration.unwrap_or(base.duration),
+            warmup: warmup.unwrap_or(base.warmup),
+            rpc: rpc.unwrap_or(base.rpc),
+            threads: threads.unwrap_or(base.threads),
+            ..base
+        })
+    }
+
     /// Builds the per-point bench config.
     pub fn config(&self, threads: usize) -> BenchConfig {
         BenchConfig::quick(threads)
@@ -222,6 +254,31 @@ mod tests {
             .collect();
         assert!(names.contains(&"BAMBOO".to_owned()));
         assert!(names.contains(&"SILO".to_owned()));
+    }
+
+    #[test]
+    fn full_fills_in_only_the_flags_not_given() {
+        let parse = |line: &str| {
+            let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+            RunOpts::from_args(&args).expect("valid flags")
+        };
+        let opts = parse("--rpc-us 10 --full");
+        assert_eq!(opts.rpc, Duration::from_micros(10));
+        assert_eq!(opts.duration, Duration::from_millis(2000));
+        assert_eq!(
+            parse("--duration-ms 500 --full").duration,
+            Duration::from_millis(500)
+        );
+        let opts = parse("--full");
+        assert_eq!(opts.duration, Duration::from_millis(2000));
+        assert_eq!(opts.warmup, Duration::from_millis(300));
+        let opts = parse("--threads 1,2 --warmup-ms 5");
+        assert_eq!(
+            (opts.threads, opts.warmup),
+            (vec![1, 2], Duration::from_millis(5))
+        );
+        assert!(RunOpts::from_args(&["--threads".into(), "1,x".into()]).is_none());
+        assert!(RunOpts::from_args(&["--bogus".into()]).is_none());
     }
 
     #[test]

@@ -1259,10 +1259,10 @@ mod tests {
         // Protocols borrow the ring to log one commit; they never hold it.
         let src = "use crate::wal::{DurabilityTicket, WalBuffer, WalWrite};\nfn commit(&self, ring: &Mutex<WalBuffer>) {}\nfn log(ring: &parking_lot::Mutex<WalBuffer>, b: &mut WalBuffer, c: &'a WalBuffer) {}\n";
         assert!(rules("crates/core/src/protocol/mod.rs", src).is_empty());
-        // Benches and the benchmark's probes time a bare ring; tests build
+        // Probes outside crates/core/src time a bare ring; tests build
         // scratch ones.
         let src = "let mut ring = WalBuffer::new();\n";
-        assert!(rules("crates/bench/benches/lock_primitives.rs", src).is_empty());
+        assert!(rules("crates/bench/src/micro.rs", src).is_empty());
         let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() { let w = Mutex::new(WalBuffer::for_tests()); let d = Database { topology: t }; }\n}\n";
         assert!(rules("crates/core/src/protocol/locking.rs", src).is_empty());
     }

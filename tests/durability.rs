@@ -444,7 +444,7 @@ fn recover_without_checkpoint_fails_cleanly() {
 /// acks ride the durability horizon, the flight shares leader fsyncs (not
 /// one per commit), and recovery replays every acked transfer.
 #[test]
-fn run_many_batches_acks_under_group_commit() {
+fn deferred_flight_batches_acks_under_group_commit() {
     const POLICY: FsyncPolicy = FsyncPolicy::GroupCommit {
         max_batch: 16,
         max_wait_us: 100,
