@@ -2,7 +2,8 @@
 //! trips, recovery idempotence, checkpoint replay-prefix skipping,
 //! crash-during-recovery fallback, incomplete-group and torn-tail
 //! handling, the horizon cut, a failed cross-partition append that leaves
-//! no orphan group behind, and the no-checkpoint failure mode.
+//! no orphan group behind, the no-checkpoint failure mode, and the log's
+//! on-disk bytes for every kind of group a commit writes.
 //!
 //! "Crash" here is dropping the database mid-state and recovering from the
 //! directory it left behind — the real `kill -9` variant lives in
@@ -806,5 +807,111 @@ fn compaction_retires_sealed_segments_and_recovery_survives() {
         report.replayed_txns >= 20,
         "the post-checkpoint transfers must come from log replay (report: {report:?})"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Lowercase hex of `bytes`, no separators.
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// The durable log's bytes on disk, pinned. A 2-partition database under
+/// `Never` writes, through three committed transactions:
+///
+/// * a single-partition commit on partition 0 — `Begin`, `Update`,
+///   `Insert` with a secondary entry, `Commit`;
+/// * a cross-partition commit — one group per partition, the same
+///   `commit_ts` and the mask `0b11` in both;
+/// * a commit with no writes, homed on partition 1 — its header group
+///   (`Begin` / `Commit`, mask `0b10`) still lands on its home partition.
+///
+/// Each segment file opens with the fixed header and holds exactly these
+/// frames, `[len][crc32][payload]`, up to the writer's LSN.
+#[test]
+fn durable_log_bytes_are_pinned() {
+    let dir = tmp_dir("golden");
+    let mut b = PartitionedDb::builder(PARTS);
+    let t = b.add_table(
+        "golden",
+        kv_schema(),
+        RouteStrategy::Range(vec![ACCOUNTS_PER_PART]),
+    );
+    b.with_options(
+        DbOptions::new()
+            .with_wal_dir(dir.clone())
+            .with_fsync_policy(FsyncPolicy::Never),
+    );
+    let pdb = b.build();
+    for p in pdb.parts() {
+        p.db().table(t).add_secondary_index();
+    }
+    let row = |k: u64, v: i64| Row::from(vec![Value::U64(k), Value::I64(v)]);
+    for k in [1, ACCOUNTS_PER_PART + 1] {
+        pdb.insert(t, k, row(k, 100));
+    }
+    let session = PartSession::new(Arc::clone(&pdb), Arc::new(LockingProtocol::bamboo()));
+    let mut txn = session.begin_on(PartitionId(0));
+    txn.update(t, 1, |r| r.set(1, Value::I64(101)))
+        .and_then(|_| txn.insert(t, 2, row(2, 7), Some((0, 77))))
+        .and_then(|_| txn.commit())
+        .expect("single-partition commit");
+    transfer(&session, t, 1, ACCOUNTS_PER_PART + 1, 5).expect("cross-partition commit");
+    session
+        .begin_on(PartitionId(1))
+        .commit()
+        .expect("no-write commit");
+    drop(session);
+    let ends: Vec<u64> = pdb.parts().iter().map(|p| p.wal().current_lsn()).collect();
+    drop(pdb);
+
+    let logged = |p: u32| {
+        let bytes = std::fs::read(dir.join(format!("wal-p{p:03}-00000000.seg"))).unwrap();
+        let end = (SEG_HEADER_LEN + ends[p as usize]) as usize;
+        assert!(
+            bytes[end..].iter().all(|&b| b == 0),
+            "p{p}: data ends at the LSN"
+        );
+        hex(&bytes[..end])
+    };
+    // magic "BBWAL1\0\0", format version 1, partition, segment index 0,
+    // start LSN 0, policy tag 0 (`Never`) and its argument 0.
+    let header = |p: &str| {
+        format!(
+            "424257414c310000 01000000 {p} 0000000000000000 0000000000000000 00 0000000000000000"
+        )
+    };
+    let p0 = [
+        header("00000000"),
+        // Begin: txn 1, ts 1, mask 0b01.
+        "19000000 a96aa3af 01 0100000000000000 0100000000000000 0100000000000000".into(),
+        // Update: table 0, key 1, row [U64 1, I64 101].
+        "27000000 f488fe24 02 00000000 0100000000000000 0200000000000000 00 0100000000000000 01 6500000000000000".into(),
+        // Insert: table 0, key 2, row [U64 2, I64 7], secondary (slot 0, key 77).
+        "34000000 0e209e50 03 00000000 0200000000000000 0200000000000000 00 0200000000000000 01 0700000000000000 01 00000000 4d00000000000000".into(),
+        // Commit: txn 1, ts 1.
+        "11000000 7d4725d8 04 0100000000000000 0100000000000000".into(),
+        // Cross-partition Begin: txn 2, ts 2, mask 0b11.
+        "19000000 0e70509c 01 0200000000000000 0200000000000000 0300000000000000".into(),
+        // Update: table 0, key 1, row [U64 1, I64 96].
+        "27000000 90861e6c 02 00000000 0100000000000000 0200000000000000 00 0100000000000000 01 6000000000000000".into(),
+        // Commit: txn 2, ts 2.
+        "11000000 6cf4627f 04 0200000000000000 0200000000000000".into(),
+    ];
+    let p1 = [
+        header("01000000"),
+        // Cross-partition Begin: the same bytes as partition 0's.
+        "19000000 0e70509c 01 0200000000000000 0200000000000000 0300000000000000".into(),
+        // Update: table 0, key 9, row [U64 9, I64 105].
+        "27000000 d45d226a 02 00000000 0900000000000000 0200000000000000 00 0900000000000000 01 6900000000000000".into(),
+        // Commit: txn 2, ts 2.
+        "11000000 6cf4627f 04 0200000000000000 0200000000000000".into(),
+        // The no-write commit's header group on its home partition: Begin
+        // (txn 3, ts 3, mask 0b10), Commit (txn 3, ts 3).
+        "19000000 2684b77f 01 0300000000000000 0300000000000000 0200000000000000".into(),
+        "11000000 6365a01d 04 0300000000000000 0300000000000000".into(),
+    ];
+    let spelled = |frames: &[String]| frames.concat().replace(' ', "");
+    assert_eq!(logged(0), spelled(&p0), "partition 0");
+    assert_eq!(logged(1), spelled(&p1), "partition 1");
     let _ = std::fs::remove_dir_all(&dir);
 }
