@@ -52,7 +52,7 @@
 //! double fault `DURABILITY.md` names), nothing leaves an incomplete group
 //! behind: a commit whose append fails on one partition cuts the groups it
 //! landed on the others back out before it is revoked
-//! (`append_txn_across` in [`crate::wal`]), so no orphan sits in the middle
+//! (`append_groups` in [`crate::wal`]), so no orphan sits in the middle
 //! of a log. Under [`bamboo_storage::FsyncPolicy::Never`]
 //! acknowledgments promise nothing, and the cut loses a suffix at most.
 //! See `DURABILITY.md` "Group commit".

@@ -247,7 +247,7 @@ impl PartitionedDb {
     /// without a [`DbOptions::wal_dir`]: the sessions' rings count their
     /// own, [`Session::log_bytes`]).
     pub fn log_bytes(&self) -> u64 {
-        self.wals().iter().map(|w| w.bytes_logged()).sum()
+        self.wals().iter().map(|w| w.current_lsn()).sum()
     }
 
     /// Total commit groups across every partition's durable log.

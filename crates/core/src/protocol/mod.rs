@@ -28,7 +28,7 @@ pub use silo::SiloProtocol;
 use crate::db::Database;
 use crate::session::TxnOptions;
 use crate::txn::{Abort, AbortReason, TxnCtx};
-use crate::wal::{append_txn_across, DurabilityTicket, TicketParts, WalBuffer, WalWrite};
+use crate::wal::{append_groups, DurabilityTicket, TicketParts, WalBuffer, WalWrite};
 
 /// A pluggable concurrency-control protocol.
 ///
@@ -273,14 +273,13 @@ fn apply_inserts(db: &Database, ctx: &mut TxnCtx) {
 /// * **Durable partition logs:** the group is split by partition and
 ///   appended to each *written* partition's log **in ascending
 ///   partition-id order** — the commit-ordering contract of
-///   [`crate::partition::PartitionedDb`]. Every per-partition group
-///   carries the same commit timestamp and the full partition mask, which
-///   is what lets recovery check cross-partition completeness. A
-///   partition-local transaction therefore performs exactly one append,
-///   under one sink lock; a cross-partition one
-///   ([`append_txn_across`]) takes every written partition's sink lock, in
-///   that order, before its first write and holds them all until its last
-///   group landed.
+///   [`crate::partition::PartitionedDb`] — by one call,
+///   [`append_groups`], which takes every written partition's sink lock,
+///   in that order, before its first write and holds them all until its
+///   last group landed. Every per-partition group carries the same commit
+///   timestamp and the full partition mask, which is what lets recovery
+///   check cross-partition completeness. A commit with no writes logs its
+///   header group on its home partition.
 ///
 /// Buffered inserts are logged alongside updates: an insert's row lives in
 /// `ctx.inserts` until [`apply_inserts`] runs (after this), so the log
@@ -374,23 +373,13 @@ fn log_commit(
         let (WalWrite::Update { table, key, .. } | WalWrite::Insert { table, key, .. }) = w;
         topo.router.route_from(topo.me, *table, *key).idx()
     };
-    // The written partitions, scanned without allocating.
-    let parts_mask = writes().fold(0u64, |m, w| m | part_bit(route(&w)));
-    // Fast path: the write set usually lives on a single partition (the
-    // partition-local transactions the architecture optimizes for). A
-    // commit with no writes still logs its header group, to the home
-    // partition; a single-partition write set appends once to the owning
-    // log — no grouping, no allocation.
-    if parts_mask.count_ones() <= 1 {
-        let p = if parts_mask == 0 {
-            topo.me.idx()
-        } else {
-            parts_mask.trailing_zeros() as usize
-        };
-        let end = topo.wals[p].append_txn(ctx.shared.id, ctx.commit_ts, part_bit(p), writes())?;
-        return Ok(ticketing.then(|| ticket(Arc::from([(p as u32, end)]))));
-    }
-    let ends = append_txn_across(&topo.wals, ctx.shared.id, ctx.commit_ts, parts_mask, |p| {
+    // The written partitions, scanned without allocating; a commit with no
+    // writes still logs its header group, on its home partition.
+    let parts_mask = match writes().fold(0u64, |m, w| m | part_bit(route(&w))) {
+        0 => part_bit(topo.me.idx()),
+        written => written,
+    };
+    let ends = append_groups(&topo.wals, ctx.shared.id, ctx.commit_ts, parts_mask, |p| {
         writes().filter(move |w| route(w) == p)
     })?;
     Ok(ticketing.then(|| ticket(ends.into())))

@@ -20,9 +20,8 @@
 //!   `Begin`/`Update`/`Insert`/`Commit` records that [`crate::durability`]
 //!   replays after a crash. It exists only when the database has a
 //!   `wal_dir`; the protocol code then appends exactly one group per
-//!   written partition — through [`WalHandle::append_txn`] when the commit
-//!   writes one partition, through `append_txn_across` when it writes
-//!   several.
+//!   written partition, all of a commit's groups through one call,
+//!   `append_groups`.
 //!
 //! Either way the log write happens after the commit point succeeded — so
 //! only committed work ever reaches a durable log, which is what makes
@@ -191,8 +190,8 @@ impl Default for WalBuffer {
     }
 }
 
-/// One write inside a commit's redo group, as handed to
-/// [`WalHandle::append_txn`]. Borrowed from the transaction context — the
+/// One write inside a commit's redo group, as handed to `append_groups`.
+/// Borrowed from the transaction context — the
 /// append encodes borrowed bytes and clones nothing.
 pub enum WalWrite<'a> {
     /// After-image of an updated row.
@@ -284,7 +283,7 @@ thread_local! {
 /// point anyway). An append holds the mutex for its file write; a
 /// cross-partition commit holds every target partition's mutex, taken in
 /// ascending partition order, from before its first write until its last
-/// group landed (see `append_txn_across`). A database without
+/// group landed (see `append_groups`). A database without
 /// [`crate::DbOptions::with_wal_dir`] has none.
 ///
 /// Storage faults surface as [`IoFailure`] instead of panicking: transient
@@ -595,42 +594,6 @@ impl WalHandle {
             .store(writer.synced_lsn(), Ordering::Release);
     }
 
-    /// Appends one transaction's redo group — its share on this handle's
-    /// partition — after the commit point succeeded: a `Begin` / writes /
-    /// `Commit` record group carrying `commit_ts` and `parts_mask`. Returns
-    /// the LSN just past the group: the coverage target a group-commit
-    /// acknowledgment parks on ([`WalHandle::wait_covered`]). The append
-    /// itself never fsyncs.
-    ///
-    /// The whole framed group is encoded into a per-thread buffer *before*
-    /// the sink lock is taken, so the lock covers only the file write
-    /// every committer serializes on.
-    ///
-    /// I/O errors surface as [`IoFailure`] instead of a panic:
-    /// transient faults are retried up to `WAL_IO_ATTEMPTS` times with
-    /// backoff (the whole record group is staged up front, so a retry
-    /// rewrites identical bytes without re-consuming `writes`); a permanent
-    /// fault, an exhausted budget, or a failed rewind degrades the handle
-    /// and returns an `IoClass::Permanent` failure — the caller must abort
-    /// the transaction (`AbortReason::DurabilityFailed`) without acking.
-    pub fn append_txn<'a>(
-        &self,
-        txn_id: u64,
-        commit_ts: u64,
-        parts_mask: u64,
-        writes: impl Iterator<Item = WalWrite<'a>>,
-    ) -> Result<Lsn, IoFailure> {
-        if self.is_degraded() {
-            return Err(degraded_error("wal append"));
-        }
-        GROUP_ENCODE.with(|cell| {
-            let (framed, scratch) = &mut *cell.borrow_mut();
-            framed.clear();
-            frame_group(framed, scratch, txn_id, commit_ts, parts_mask, writes);
-            self.lock_for_append()?.land(framed)
-        })
-    }
-
     /// Takes the sink lock for an append. Fails — before anything is
     /// written — when the handle is degraded, which a handle without a
     /// writer (born poisoned, not healed yet) always is.
@@ -711,32 +674,35 @@ impl WalHandle {
         self.sink.lock().as_ref().map_or(0, |w| w.lsn())
     }
 
-    /// Total bytes appended over the log's lifetime (the same number as
-    /// [`WalHandle::current_lsn`], read as a volume rather than a position).
-    pub fn bytes_logged(&self) -> u64 {
-        self.current_lsn()
-    }
-
     /// Number of commit groups appended.
     pub fn records(&self) -> u64 {
         self.records.load(Ordering::Relaxed)
     }
 }
 
-/// Appends one cross-partition commit's redo groups: for every partition
-/// `p` whose bit is set in `parts_mask`, in ascending order, the group of
-/// `group(p)`'s writes to `wals[p]`. The groups land on every partition or
-/// on none.
+/// Appends one commit's redo groups after its commit point succeeded: for
+/// every partition `p` whose bit is set in `parts_mask`, in ascending
+/// order, a `Begin` / `group(p)`'s writes / `Commit` group carrying
+/// `commit_ts` and `parts_mask` to `wals[p]`. The groups land on every
+/// partition or on none. The appends never fsync.
 ///
-/// Every group is framed into the per-thread buffer first. Then every
-/// target partition's sink lock is taken, in ascending partition order (the
-/// fixed acquisition order that keeps the nesting deadlock-free), before
-/// the first write: a degraded target fails the commit here, with nothing
-/// written anywhere. The groups land with every lock held; if one append
-/// fails, the groups already landed are cut back out
-/// (`SinkGuard::abandon`) before the error returns. Returns `(partition,
-/// end LSN)` per group, in ascending partition order.
-pub(crate) fn append_txn_across<'a, W: Iterator<Item = WalWrite<'a>>>(
+/// Every group is framed into the per-thread buffer first, so the sink
+/// locks cover only the file writes. Then every target partition's sink
+/// lock is taken, in ascending partition order (the fixed acquisition
+/// order that keeps the nesting deadlock-free), before the first write: a
+/// degraded target fails the commit here, with nothing written anywhere.
+/// The groups land with every lock held; if one append fails, the groups
+/// already landed are cut back out (`SinkGuard::abandon`) before the
+/// error returns.
+///
+/// Returns `(partition, end LSN)` per group, in ascending partition order:
+/// the coverage targets a group-commit acknowledgment parks on
+/// ([`WalHandle::wait_covered`]). An I/O error surfaces as [`IoFailure`]:
+/// transients are retried in place (the group stays framed, so a retry
+/// rewrites identical bytes), and a permanent fault degrades the partition
+/// — the caller aborts the transaction (`AbortReason::DurabilityFailed`)
+/// without acking.
+pub(crate) fn append_groups<'a, W: Iterator<Item = WalWrite<'a>>>(
     wals: &[Arc<WalHandle>],
     txn_id: u64,
     commit_ts: u64,
@@ -817,7 +783,7 @@ fn frame_group<'a>(
 }
 
 /// One partition's sink lock, taken by `WalHandle::lock_for_append` on a
-/// healthy partition. [`append_txn_across`] holds one per written
+/// healthy partition. [`append_groups`] holds one per written
 /// partition until the commit's last group landed, so that if one append
 /// fails it can cut the groups it already landed back out.
 struct SinkGuard<'a> {
