@@ -136,54 +136,14 @@ fn rng_next(state: &mut u64) -> u64 {
     *state
 }
 
-/// Cross-partition transfers from `threads` workers for `dur`, committing
-/// synchronously (each `commit()` acks before returning).
-fn hammer(pdb: &Arc<PartitionedDb>, t: TableId, threads: usize, dur: Duration) -> HammerResult {
-    let proto: Arc<dyn Protocol> = Arc::new(LockingProtocol::bamboo());
-    let session = Arc::new(PartSession::new(Arc::clone(pdb), proto));
-    let committed = AtomicU64::new(0);
-    let mut lat_slots: Vec<Vec<u64>> = (0..threads).map(|_| Vec::new()).collect();
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for (w, lat) in lat_slots.iter_mut().enumerate() {
-            let session = Arc::clone(&session);
-            let committed = &committed;
-            s.spawn(move || {
-                let mut rng = (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-                let mut local = 0u64;
-                while start.elapsed() < dur {
-                    let from = rng_next(&mut rng) % ACCOUNTS_PER_PART;
-                    let to = ACCOUNTS_PER_PART + rng_next(&mut rng) % ACCOUNTS_PER_PART;
-                    let amount = (rng_next(&mut rng) % 10) as i64 + 1;
-                    let t0 = Instant::now();
-                    let mut txn = session.begin_on(PartitionId(0));
-                    let ok = txn
-                        .update(t, from, |r| r.set(1, Value::I64(r.get_i64(1) - amount)))
-                        .and_then(|_| {
-                            txn.update(t, to, |r| r.set(1, Value::I64(r.get_i64(1) + amount)))
-                        })
-                        .and_then(|_| txn.commit());
-                    if ok.is_ok() {
-                        local += 1;
-                        lat.push(t0.elapsed().as_micros() as u64);
-                    }
-                }
-                committed.fetch_add(local, Ordering::Relaxed);
-            });
-        }
-    });
-    let tput = committed.load(Ordering::Relaxed) as f64 / start.elapsed().as_secs_f64();
-    let mut lat_us = lat_slots.concat();
-    lat_us.sort_unstable();
-    HammerResult { tput, lat_us }
-}
-
-/// Like [`hammer`], but through the deferred-ack pipeline: each worker
-/// stages up to `batch` transfers with `commit_deferred` (commit point
-/// hit, locks released, versions installed — no fsync wait) and then
-/// acknowledges the whole flight with `ack_ticket`, so one leader fsync
-/// covers the batch. Latency is begin → ack: it includes the deferral
-/// window, which is exactly what a client of the batched API observes.
+/// Cross-partition transfers from `threads` workers for `dur`, through the
+/// deferred-ack pipeline: each worker stages up to `batch` transfers with
+/// `commit_deferred` (commit point hit, locks released, versions installed
+/// — no fsync wait) and then acknowledges the whole flight with
+/// `ack_ticket`, so one leader fsync covers the batch. Latency is begin →
+/// ack: it includes the deferral window, which is exactly what a client of
+/// the batched API observes. `batch = 1` is the synchronous commit:
+/// `Txn::commit` is `commit_deferred` followed by `ack_ticket`.
 fn hammer_deferred(
     pdb: &Arc<PartitionedDb>,
     t: TableId,
@@ -316,7 +276,7 @@ fn fsync_sweep(threads: usize, dur: Duration, repeat: usize) -> String {
             let dir = tmp_dir(name);
             let before = device_bytes_written();
             let (pdb, t) = bank(policy.map(|p| (&dir, p)));
-            let r = hammer(&pdb, t, threads, dur);
+            let r = hammer_deferred(&pdb, t, threads, dur, 1);
             if policy.is_some() {
                 for p in pdb.parts() {
                     p.wal().sync().expect("bench WAL runs on the real backend");
@@ -522,7 +482,7 @@ fn group_commit_bench(threads: usize, dur: Duration, repeat: usize, batch: usize
     let base = best_of(repeat, || {
         let dir = tmp_dir("gc-base");
         let (pdb, t) = bank(Some((&dir, GROUP_COMMIT_1)));
-        let r = hammer(&pdb, t, threads, dur);
+        let r = hammer_deferred(&pdb, t, threads, dur, 1);
         drop(pdb);
         let _ = std::fs::remove_dir_all(&dir);
         r

@@ -204,7 +204,9 @@ pub fn run(opts: &RunOpts) {
     }
 
     // Uniform random `get`s over a 2^18-row table. Keys come from the top
-    // bits of a per-thread LCG, so drawing one costs a multiply-add.
+    // bits of a per-thread LCG, so drawing one costs a multiply-add. Each
+    // probe's LCG runs on across its batches, so no batch rereads the keys
+    // an earlier one warmed: a short run's batch fits in the cache.
     let big = Table::<TupleCc>::with_capacity("big", kv_schema(), 1 << TABLE_BITS);
     for k in 0..1u64 << TABLE_BITS {
         big.insert(k, kv_row(k));
@@ -215,30 +217,31 @@ pub fn run(opts: &RunOpts) {
             .wrapping_add(1_442_695_040_888_963_407);
         *x >> (64 - TABLE_BITS)
     };
-    let random_gets = |seed: u64, iters: u64| {
-        let mut x = seed;
+    let random_gets = |x: &mut u64, iters: u64| {
         for _ in 0..iters {
-            black_box(big.get(next_key(&mut x)));
+            black_box(big.get(next_key(x)));
         }
     };
+    let mut x = 1;
     report(
         "table_get",
         per_op(scale(200_000), |iters| {
             let start = Instant::now();
-            random_gets(1, iters);
+            random_gets(&mut x, iters);
             start.elapsed()
         }),
     );
     // Two threads look up at once; reported per lookup of one thread (wall
     // time ÷ `iters`), so it equals `table_get` when nothing is shared
     // between them.
+    let mut xs = [1, 2];
     report(
         "table_get_2t",
         per_op(scale(200_000), |iters| {
             let start = Instant::now();
             std::thread::scope(|s| {
-                for seed in [1, 2] {
-                    s.spawn(move || random_gets(seed, iters));
+                for x in &mut xs {
+                    s.spawn(move || random_gets(x, iters));
                 }
             });
             start.elapsed()
@@ -250,8 +253,8 @@ pub fn run(opts: &RunOpts) {
     // Reported per key; the gap is what a stored procedure's prefetch pass
     // saves on each cold tuple.
     for (name, prefetch) in [("cold_get_16", false), ("cold_prefetch_get_16", true)] {
+        let mut x = 1;
         let ns = per_op(scale(10_000), |iters| {
-            let mut x = 1;
             let start = Instant::now();
             for _ in 0..iters {
                 let keys: [u64; BATCH] = std::array::from_fn(|_| next_key(&mut x));
@@ -296,8 +299,8 @@ pub fn run(opts: &RunOpts) {
         ("cold_read_16_pass1", 1),
         ("cold_read_16_pass1_2", 2),
     ] {
+        let mut x = 1;
         let ns = per_op(scale(2_000), |iters| {
-            let mut x = 1;
             let start = Instant::now();
             for _ in 0..iters {
                 let keys: [u64; BATCH] = std::array::from_fn(|_| next_key(&mut x));

@@ -191,8 +191,8 @@ impl Default for WalBuffer {
 }
 
 /// One write inside a commit's redo group, as handed to `append_groups`.
-/// Borrowed from the transaction context — the
-/// append encodes borrowed bytes and clones nothing.
+/// Borrowed from the transaction context — the append encodes borrowed
+/// bytes and clones nothing.
 pub enum WalWrite<'a> {
     /// After-image of an updated row.
     Update {
