@@ -2,7 +2,8 @@
 //! trips, recovery idempotence, checkpoint replay-prefix skipping,
 //! crash-during-recovery fallback, incomplete-group and torn-tail
 //! handling, the horizon cut, a failed cross-partition append that leaves
-//! no orphan group behind, the no-checkpoint failure mode, and the log's
+//! no orphan group behind, the no-checkpoint failure mode, every recovery
+//! report field in one recovery, and the log's
 //! on-disk bytes for every kind of group a commit writes.
 //!
 //! "Crash" here is dropping the database mid-state and recovering from the
@@ -570,6 +571,140 @@ fn weak_policy_horizon_cut_drops_later_transactions() {
         genesis,
         "horizon-dropped writes must not apply"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One recovery that exercises every [`RecoveryReport`] field at once:
+/// committed transfers and an insert with a secondary posting replay; a
+/// cross-partition group whose `Commit` landed on partition 0 only is
+/// incomplete and sets the horizon; a complete group on partition 1 above
+/// it is cut; and partition 1's log ends in a torn tail after it.
+///
+/// [`RecoveryReport`]: bamboo_repro::core::RecoveryReport
+#[test]
+fn recovery_report_is_pinned() {
+    const SKEYS: u64 = 2;
+    let dir = tmp_dir("pinned");
+    let mut b = PartitionedDb::builder(PARTS);
+    let t = b.add_table(
+        "accounts",
+        kv_schema(),
+        RouteStrategy::Range(vec![ACCOUNTS_PER_PART]),
+    );
+    b.with_options(
+        DbOptions::new()
+            .with_wal_dir(dir.clone())
+            .with_fsync_policy(GROUP_COMMIT_1),
+    );
+    let pdb = b.build();
+    for p in pdb.parts() {
+        p.db().table(t).add_secondary_index();
+    }
+    let accounts = PARTS as u64 * ACCOUNTS_PER_PART;
+    for a in 0..accounts {
+        pdb.insert(t, a, Row::from(vec![Value::U64(a), Value::I64(INITIAL)]));
+        pdb.table(pdb.route(t, a), t)
+            .secondary_index(0)
+            .insert(a % SKEYS, a);
+    }
+    let genesis_ts = pdb.checkpoint().expect("genesis checkpoint");
+    assert_eq!(transfers(&pdb, t, 6, 41), 6);
+    // One insert with a posting, on partition 1.
+    let new_key = 100;
+    let session = PartSession::new(Arc::clone(&pdb), Arc::new(LockingProtocol::bamboo()));
+    let mut txn = session.begin_on(pdb.route(t, new_key));
+    txn.insert(
+        t,
+        new_key,
+        Row::from(vec![Value::U64(new_key), Value::I64(7)]),
+        Some((0, 1)),
+    )
+    .and_then(|_| txn.commit())
+    .unwrap();
+    drop(session);
+    let before = state(&pdb, t);
+    let before_postings = postings(&pdb, t, SKEYS);
+    drop(pdb);
+
+    // Partition 0: a group that claims partitions 0 and 1, complete here
+    // and absent on partition 1. Its timestamp is the horizon.
+    let mut w0 = SegmentWriter::open(&dir, 0, GROUP_COMMIT_1, 1 << 20).unwrap();
+    w0.append_record(&WalRecord::Begin {
+        txn_id: 1_000_001,
+        commit_ts: 1_000_000,
+        parts_mask: 0b11,
+    })
+    .unwrap();
+    w0.append_record(&WalRecord::Update {
+        table: 0,
+        key: 0,
+        row: Row::from(vec![Value::U64(0), Value::I64(-999)]),
+    })
+    .unwrap();
+    w0.append_record(&WalRecord::Commit {
+        txn_id: 1_000_001,
+        commit_ts: 1_000_000,
+    })
+    .unwrap();
+    w0.sync().unwrap();
+    drop(w0);
+    // Partition 1: a complete one-partition group above the horizon, then
+    // a torn frame right after it.
+    let mut w1 = SegmentWriter::open(&dir, 1, GROUP_COMMIT_1, 1 << 20).unwrap();
+    let (seg, start) = (w1.segment_index(), w1.lsn());
+    w1.append_record(&WalRecord::Begin {
+        txn_id: 1_000_002,
+        commit_ts: 1_000_001,
+        parts_mask: 0b10,
+    })
+    .unwrap();
+    w1.append_record(&WalRecord::Update {
+        table: 0,
+        key: ACCOUNTS_PER_PART,
+        row: Row::from(vec![Value::U64(ACCOUNTS_PER_PART), Value::I64(-777)]),
+    })
+    .unwrap();
+    w1.append_record(&WalRecord::Commit {
+        txn_id: 1_000_002,
+        commit_ts: 1_000_001,
+    })
+    .unwrap();
+    w1.sync().unwrap();
+    let data_end = SEG_HEADER_LEN + (w1.lsn() - start);
+    drop(w1);
+    let seg = dir.join(format!("wal-p001-{seg:08}.seg"));
+    assert!(std::fs::metadata(&seg).unwrap().len() > data_end);
+    use std::os::unix::fs::FileExt as _;
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&seg)
+        .unwrap()
+        .write_all_at(&[0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x02, 0x03], data_end)
+        .unwrap();
+
+    let (rec, report) = PartitionedDb::recover(DbOptions::new().with_wal_dir(dir.clone())).unwrap();
+    assert_eq!(report.checkpoint_ts, genesis_ts);
+    assert_eq!(report.restored_tuples, accounts);
+    assert_eq!(report.replayed_txns, 7, "six transfers and the insert");
+    assert_eq!(report.replayed_writes, 13, "two per transfer, one insert");
+    assert_eq!(report.dropped_incomplete, 1);
+    assert_eq!(report.dropped_horizon, 1);
+    assert_eq!(report.torn_partitions, 1);
+    assert_eq!(
+        report.recovered_ts,
+        genesis_ts + 7,
+        "the newest replayed commit"
+    );
+    assert_eq!(state(&rec, t), before);
+    assert_eq!(total(&rec, t), accounts as i64 * INITIAL + 7);
+    assert_eq!(postings(&rec, t, SKEYS), before_postings);
+    let mut expected: BTreeMap<(u32, u64), Vec<u64>> = BTreeMap::new();
+    for a in 0..accounts {
+        let p = (a / ACCOUNTS_PER_PART) as u32;
+        expected.entry((p, a % SKEYS)).or_default().push(a);
+    }
+    expected.get_mut(&(1, 1)).unwrap().push(new_key);
+    assert_eq!(before_postings, expected);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
