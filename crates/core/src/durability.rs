@@ -76,6 +76,7 @@
 
 use std::collections::HashMap;
 use std::io;
+use std::ops::Range;
 use std::sync::Arc;
 
 use bamboo_storage::log::{
@@ -110,15 +111,35 @@ pub struct RecoveryReport {
     pub recovered_ts: u64,
 }
 
-/// One transaction reassembled during the analysis pass.
+/// One transaction reassembled during the analysis pass. Its redo
+/// records stay in the partitions' scans.
 struct TxnGroup {
     commit_ts: u64,
     /// Partitions the transaction declared it would log to.
     parts_mask: u64,
     /// Partitions a *complete* group was found on.
     seen_mask: u64,
-    /// Per-partition redo records, in append order.
-    writes: Vec<(u32, Vec<WalRecord>)>,
+}
+
+impl TxnGroup {
+    /// Whether a complete group was found on every declared partition.
+    fn complete(&self) -> bool {
+        self.seen_mask & self.parts_mask == self.parts_mask
+    }
+}
+
+/// Runs `f` for every partition in `0..n`, each on a thread of its own,
+/// and returns the results in partition order. A panic in `f` is
+/// re-raised here.
+fn per_partition<T: Send>(n: u32, f: impl Fn(u32) -> T + Sync) -> Vec<T> {
+    std::thread::scope(|s| {
+        let f = &f;
+        let handles: Vec<_> = (0..n).map(|p| s.spawn(move || f(p))).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
 }
 
 impl PartitionedDb {
@@ -183,27 +204,15 @@ impl PartitionedDb {
         // 5. Dump every shard as of S, one thread per partition, then
         //    write the data files. The meta file goes last — its presence
         //    is what commits the checkpoint.
-        let dumps: Vec<io::Result<()>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..self.partitions())
-                .map(|p| {
-                    let dir = &dir;
-                    s.spawn(move || {
-                        dir.write_checkpoint_part(&CheckpointPart {
-                            stable_ts,
-                            partition: p,
-                            tables: self.dump_shard(PartitionId(p), stable_ts),
-                        })
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("checkpoint dump thread panicked"))
-                .collect()
-        });
-        for r in dumps {
-            r?;
-        }
+        per_partition(self.partitions(), |p| {
+            dir.write_checkpoint_part(&CheckpointPart {
+                stable_ts,
+                partition: p,
+                tables: self.dump_shard(PartitionId(p), stable_ts),
+            })
+        })
+        .into_iter()
+        .collect::<io::Result<Vec<()>>>()?;
         dir.write_checkpoint_meta(&CheckpointMeta {
             stable_ts,
             partitions: self.partitions(),
@@ -295,91 +304,80 @@ impl PartitionedDb {
 
         // Analysis 1/2: scan every partition's log from its cut, in
         // parallel. Scans stop cleanly at a torn or corrupt frame.
-        let scans: Vec<LogScan> = {
-            let results: Vec<io::Result<_>> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..parts_n)
-                    .map(|p| {
-                        let dir = &dir;
-                        let from = meta.cuts[p as usize];
-                        s.spawn(move || dir.scan_partition_from(p, from))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("log scan thread panicked"))
-                    .collect()
-            });
-            results.into_iter().collect::<io::Result<Vec<_>>>()?
-        };
+        let scans = per_partition(parts_n, |p| {
+            dir.scan_partition_from(p, meta.cuts[p as usize])
+        })
+        .into_iter()
+        .collect::<io::Result<Vec<LogScan>>>()?;
         let mut report = RecoveryReport {
             checkpoint_ts: meta.stable_ts,
             torn_partitions: scans.iter().filter(|s| s.torn).count() as u32,
             ..RecoveryReport::default()
         };
 
-        // Analysis 2/2: reassemble transactions across partitions and
-        // decide which are replayable. Keyed by txn id — logs hold tens of
-        // thousands of groups, so lookup must not be linear.
+        // Analysis 2/2: reassemble transactions across partitions, keyed
+        // by txn id (logs hold tens of thousands of groups, so lookup must
+        // not be linear). Each partition's complete groups are kept as
+        // ranges into its own scan, which redo reads in place.
         let mut groups: HashMap<u64, TxnGroup, BuildKeyHasher> = HashMap::default();
+        let mut shares: Vec<Vec<(u64, Range<usize>)>> = vec![Vec::new(); parts_n as usize];
         let mut max_txn_id = 0u64;
         for (p, scan) in scans.iter().enumerate() {
-            let mut open: Option<(u64, Vec<WalRecord>)> = None;
-            for (_, rec) in &scan.records {
-                match rec {
+            let mut open: Option<(u64, u64, usize)> = None;
+            for (i, (_, rec)) in scan.records.iter().enumerate() {
+                match *rec {
                     WalRecord::Begin {
                         txn_id,
                         commit_ts,
                         parts_mask,
                     } => {
-                        max_txn_id = max_txn_id.max(*txn_id);
+                        max_txn_id = max_txn_id.max(txn_id);
                         debug_assert!(open.is_none(), "record groups never interleave");
-                        open = Some((*txn_id, Vec::new()));
-                        groups.entry(*txn_id).or_insert_with(|| TxnGroup {
-                            commit_ts: *commit_ts,
-                            parts_mask: *parts_mask,
+                        open = Some((txn_id, commit_ts, i + 1));
+                        groups.entry(txn_id).or_insert(TxnGroup {
+                            commit_ts,
+                            parts_mask,
                             seen_mask: 0,
-                            writes: Vec::new(),
                         });
                     }
-                    WalRecord::Update { .. } | WalRecord::Insert { .. } => {
-                        if let Some((_, writes)) = open.as_mut() {
-                            writes.push(rec.clone());
-                        }
-                    }
                     WalRecord::Commit { txn_id, .. } => {
-                        if let Some((id, writes)) = open.take() {
-                            debug_assert_eq!(id, *txn_id, "Commit closes its own Begin");
+                        if let Some((id, commit_ts, first)) = open.take() {
+                            debug_assert_eq!(id, txn_id, "Commit closes its own Begin");
                             let g = groups.get_mut(&id).expect("Begin registered the group");
                             g.seen_mask |= 1u64 << p;
-                            g.writes.push((p as u32, writes));
+                            shares[p].push((commit_ts, first..i));
                         }
                     }
-                    WalRecord::Checkpoint { .. } => {}
+                    _ => {}
                 }
             }
             // An unterminated group at the tail: the crash landed inside
             // the append. The transaction is incomplete by construction.
         }
-        let complete = |g: &TxnGroup| g.seen_mask & g.parts_mask == g.parts_mask;
-        report.dropped_incomplete = groups.values().filter(|g| !complete(g)).count() as u64;
         // The horizon cut (see module docs): the oldest incomplete commit
-        // timestamp bounds what replays.
+        // timestamp bounds what replays. Every transaction below it is
+        // complete, so a partition's share is its groups below it.
         let horizon = groups
             .values()
-            .filter(|g| !complete(g))
+            .filter(|g| !g.complete())
             .map(|g| g.commit_ts)
             .min()
             .unwrap_or(u64::MAX);
-        report.dropped_horizon = groups
-            .values()
-            .filter(|g| complete(g) && g.commit_ts >= horizon)
-            .count() as u64;
-        let mut kept: Vec<TxnGroup> = groups
-            .into_values()
-            .filter(|g| complete(g) && g.commit_ts < horizon)
-            .collect();
-        kept.sort_by_key(|g| g.commit_ts);
-        report.replayed_txns = kept.len() as u64;
+        let mut max_ts = meta.stable_ts;
+        for g in groups.values() {
+            if !g.complete() {
+                report.dropped_incomplete += 1;
+            } else if g.commit_ts >= horizon {
+                report.dropped_horizon += 1;
+            } else {
+                report.replayed_txns += 1;
+                max_ts = max_ts.max(g.commit_ts);
+            }
+        }
+        for share in &mut shares {
+            share.retain(|&(ts, _)| ts < horizon);
+            share.sort_by_key(|&(ts, _)| ts);
+        }
 
         // Rebuild the catalog shards from the checkpoint's table metadata.
         // `build` opens fresh durable segment writers (truncating any torn
@@ -388,7 +386,7 @@ impl PartitionedDb {
         for m in &meta.tables {
             builder.add_table(&m.name, m.schema.clone(), m.route.clone());
         }
-        builder.with_options(opts.clone());
+        builder.with_options(opts);
         let pdb = builder.build();
         for (i, m) in meta.tables.iter().enumerate() {
             for p in pdb.parts() {
@@ -399,86 +397,46 @@ impl PartitionedDb {
             }
         }
 
-        // Restore the checkpoint image, one thread per partition. Tuples
-        // are re-inserted in dump order with their dumped version
-        // timestamps, and postings as they were dumped.
-        let restored: Vec<io::Result<u64>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..parts_n)
-                .map(|p| {
-                    let dir = &dir;
-                    let pdb = &pdb;
-                    let stable_ts = meta.stable_ts;
-                    s.spawn(move || {
-                        let part = dir.read_checkpoint_part(stable_ts, p)?;
-                        let mut restored = 0u64;
-                        for (t, dump) in part.tables.iter().enumerate() {
-                            let table = pdb.db(PartitionId(p)).table(TableId(t as u32));
-                            for (key, ts, row) in &dump.tuples {
-                                table.insert_at(*key, row.clone(), *ts);
-                                restored += 1;
-                            }
-                            for (slot, postings) in dump.secondary.iter().enumerate() {
-                                let idx = table.secondary_index(slot);
-                                for &(skey, primary) in postings {
-                                    idx.insert(skey, primary);
-                                }
-                            }
-                        }
-                        Ok(restored)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("checkpoint restore thread panicked"))
-                .collect()
-        });
-        for r in restored {
-            report.restored_tuples += r?;
-        }
-
-        // Redo: replay each partition's share of every kept transaction,
-        // one thread per partition, in commit-timestamp order. Shards are
-        // disjoint, so partitions replay independently; the per-tuple
+        // Restore, then redo, one thread per partition. The checkpoint
+        // image goes in first: tuples in dump order with their dumped
+        // version timestamps, postings as they were dumped. Then the
+        // partition's share of every kept transaction replays in
+        // commit-timestamp order. A partition's log holds only writes
+        // routed to it, so shares touch disjoint shards; the per-tuple
         // timestamp guards make replay idempotent.
-        let mut per_part: Vec<Vec<(u64, &[WalRecord])>> =
-            (0..parts_n as usize).map(|_| Vec::new()).collect();
-        for g in &kept {
-            for (p, writes) in &g.writes {
-                per_part[*p as usize].push((g.commit_ts, writes.as_slice()));
+        let per_part = per_partition(parts_n, |p| -> io::Result<(u64, u64)> {
+            let db = pdb.db(PartitionId(p));
+            let part = dir.read_checkpoint_part(meta.stable_ts, p)?;
+            let mut restored = 0u64;
+            for (t, dump) in part.tables.into_iter().enumerate() {
+                let table = db.table(TableId(t as u32));
+                restored += dump.tuples.len() as u64;
+                for (key, ts, row) in dump.tuples {
+                    table.insert_at(key, row, ts);
+                }
+                for (slot, postings) in dump.secondary.into_iter().enumerate() {
+                    let idx = table.secondary_index(slot);
+                    for (skey, primary) in postings {
+                        idx.insert(skey, primary);
+                    }
+                }
             }
-        }
-        let replayed: Vec<u64> = std::thread::scope(|s| {
-            let handles: Vec<_> = per_part
-                .iter()
-                .enumerate()
-                .map(|(p, share)| {
-                    let pdb = &pdb;
-                    s.spawn(move || {
-                        let db = pdb.db(PartitionId(p as u32));
-                        let mut applied = 0u64;
-                        for (ts, writes) in share {
-                            for rec in *writes {
-                                applied += u64::from(replay_record(db, *ts, rec));
-                            }
-                        }
-                        applied
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("redo thread panicked"))
-                .collect()
+            let records = &scans[p as usize].records;
+            let mut applied = 0u64;
+            for (ts, range) in &shares[p as usize] {
+                for (_, rec) in &records[range.clone()] {
+                    applied += u64::from(replay_record(db, *ts, rec));
+                }
+            }
+            Ok((restored, applied))
         });
-        report.replayed_writes = replayed.into_iter().sum();
+        for r in per_part {
+            let (restored, applied) = r?;
+            report.restored_tuples += restored;
+            report.replayed_writes += applied;
+        }
 
         // Resume the commit pipeline where the replayed history ends.
-        let max_ts = kept
-            .last()
-            .map(|g| g.commit_ts)
-            .unwrap_or(0)
-            .max(meta.stable_ts);
         let db0 = pdb.db(PartitionId(0));
         db0.commit_clock.restore(max_ts);
         // ordering: Release — the recovered watermark must be visible to
