@@ -1,23 +1,24 @@
 //! Durability bench: what the WAL costs and what recovery buys back.
 //!
-//! Three sweeps, all over the partitioned bank (cross-partition transfers
+//! Four series over the partitioned bank (cross-partition transfers
 //! through the manual session API — every commit is a genuine group
-//! commit spanning two per-partition WALs):
+//! commit spanning two per-partition WALs), then two below the log:
 //!
 //! * **fsync sweep** — committed throughput and commit-latency
-//!   percentiles (p50/p99/p999) under the in-memory ring baseline and
-//!   each durable fsync policy (`never`, and group commit with a batch of
-//!   one, `group_commit_1`, and with the bench's batching window,
-//!   `group_commit`). The spread is the headline: how
-//!   much of the commit path the durability horizon costs, from "buffered
-//!   appends only" to "every ack survives `kill -9`".
-//! * **group-commit bench** — the deferred-ack pipeline
-//!   ([`bamboo_core::session::Txn::commit_deferred`] +
-//!   [`bamboo_core::session::Session::ack_ticket`]) against the
-//!   synchronous `group_commit_1` baseline: locks release and versions
-//!   install immediately, one leader fsync covers the whole staged
-//!   flight, acks ride the durability horizon. Written to a separate
-//!   `BENCH_group_commit.json` when `--group-out` is given.
+//!   percentiles (p50/p99/p999) under the in-memory ring baseline, each
+//!   durable fsync policy (`never`, and group commit with a batch of one,
+//!   `group_commit_1`, and with the bench's batching window,
+//!   `group_commit`), and the deferred-ack pipeline under that window,
+//!   `group_commit_flight`: flights of `--batch` commits staged with
+//!   [`bamboo_core::session::Txn::commit_deferred`] and acknowledged with
+//!   [`bamboo_core::session::Session::ack_ticket`], so locks release and
+//!   versions install immediately, one leader fsync covers the whole
+//!   staged flight, and acks ride the durability horizon. The spread is
+//!   the headline: how much of the commit path the durability horizon
+//!   costs, from "buffered appends only" to "every ack survives
+//!   `kill -9`", and what the flight buys back over `group_commit_1`
+//!   (`speedup`). Every durable series also records the coordinator's
+//!   leader fsyncs, acks, mean batch and timeout-sourced wakeups.
 //! * **recovery sweep** — wall-clock time of `PartitionedDb::recover` as
 //!   the replayable log grows (transfers past the genesis checkpoint),
 //!   split into restore + replay by the recovery report's counters.
@@ -32,9 +33,9 @@
 //!   the next segment), and how many bytes reach the device per log byte
 //!   over whole segments, zero-fill included.
 //!
-//! Output: `BENCH_durability.json` (and optionally
-//! `BENCH_group_commit.json`) — committed at the repo root and
-//! regenerated by CI each run, like the other `BENCH_*.json` files.
+//! Output: one JSON document, to `--out FILE` or stdout —
+//! `BENCH_durability.json` at the repo root is CI's run, regenerated each
+//! time like the other `BENCH_*.json` files.
 
 use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
@@ -217,20 +218,6 @@ fn hammer_deferred(
     HammerResult { tput, lat_us }
 }
 
-fn best_of(repeat: usize, mut run: impl FnMut() -> HammerResult) -> HammerResult {
-    let mut best = HammerResult {
-        tput: f64::MIN,
-        lat_us: Vec::new(),
-    };
-    for _ in 0..repeat {
-        let r = run();
-        if r.tput > best.tput {
-            best = r;
-        }
-    }
-    best
-}
-
 /// Bytes the block device under the temp directory has written so far:
 /// sectors written (`/sys/dev/block/MAJ:MIN/stat`, field 7) × 512. Every
 /// writer on that device counts, so read it on a quiet box. `None` when
@@ -258,58 +245,112 @@ fn json_opt(v: Option<f64>) -> String {
 
 const MIB: f64 = (1u64 << 20) as f64;
 
+/// One fsync-sweep run: the hammer's result, the device bytes written
+/// (see [`fsync_sweep`]), the bytes logged, and the group-commit
+/// coordinator's leader fsyncs, acks and (coverage, horizon) timeout
+/// wakeups.
+struct SweepRun {
+    r: HammerResult,
+    device: Option<u64>,
+    logged: u64,
+    fsyncs: u64,
+    acks: u64,
+    wakeups: (u64, u64),
+}
+
 /// Each durable policy's run also reports what the device wrote for it —
 /// from before the bank is built (so the segments' preallocation counts)
 /// until a final sync has put everything it logged on disk — against the
-/// bytes it logged.
-fn fsync_sweep(threads: usize, dur: Duration, repeat: usize) -> String {
-    let policies: [(&str, Option<FsyncPolicy>); 4] = [
-        ("ring", None),
-        ("never", Some(FsyncPolicy::Never)),
-        ("group_commit_1", Some(GROUP_COMMIT_1)),
-        ("group_commit", Some(GROUP_POLICY)),
+/// bytes it logged. `group_commit_flight` acks in flights of `batch`; its
+/// `speedup` is over the `group_commit_1` series.
+fn fsync_sweep(o: &Opts) -> String {
+    let series: [(&str, Option<FsyncPolicy>, usize); 5] = [
+        ("ring", None, 1),
+        ("never", Some(FsyncPolicy::Never), 1),
+        ("group_commit_1", Some(GROUP_COMMIT_1), 1),
+        ("group_commit", Some(GROUP_POLICY), 1),
+        ("group_commit_flight", Some(GROUP_POLICY), o.batch),
     ];
     let mut out = Vec::new();
-    for (name, policy) in policies {
-        let mut best: Option<(HammerResult, Option<u64>, u64)> = None;
-        for _ in 0..repeat {
+    let mut base_tput = f64::NAN;
+    for (name, policy, batch) in series {
+        let mut best: Option<SweepRun> = None;
+        for _ in 0..o.repeat {
             let dir = tmp_dir(name);
             let before = device_bytes_written();
             let (pdb, t) = bank(policy.map(|p| (&dir, p)));
-            let r = hammer_deferred(&pdb, t, threads, dur, 1);
+            let r = hammer_deferred(&pdb, t, o.threads, o.dur, batch);
+            let (fsyncs, acks, wakeups) = (
+                pdb.group_fsyncs(),
+                pdb.group_acks(),
+                pdb.group_timeout_wakeups(),
+            );
             if policy.is_some() {
                 for p in pdb.parts() {
                     p.wal().sync().expect("bench WAL runs on the real backend");
                 }
             }
-            let device = device_delta(before, device_bytes_written());
-            let logged = pdb.log_bytes();
+            let run = SweepRun {
+                r,
+                device: device_delta(before, device_bytes_written()),
+                logged: pdb.log_bytes(),
+                fsyncs,
+                acks,
+                wakeups,
+            };
             drop(pdb);
             let _ = std::fs::remove_dir_all(&dir);
-            if best.as_ref().is_none_or(|(b, ..)| r.tput > b.tput) {
-                best = Some((r, device, logged));
+            if best.as_ref().is_none_or(|b| run.r.tput > b.r.tput) {
+                best = Some(run);
             }
         }
-        let (r, device, logged) = best.expect("repeat >= 1");
-        let device_mib = device.filter(|_| policy.is_some()).map(|b| b as f64 / MIB);
+        let run = best.expect("repeat >= 1");
+        let r = &run.r;
+        let device_mib = run
+            .device
+            .filter(|_| policy.is_some())
+            .map(|b| b as f64 / MIB);
         eprintln!(
-            "fsync {name:<13} {:>10.0} txn/s  lat(p50={}us p99={}us p999={}us)  \
+            "fsync {name:<19} {:>10.0} txn/s  lat(p50={}us p99={}us p999={}us)  \
              device={} MiB log={:.2} MiB",
             r.tput,
             r.pctile(0.50),
             r.pctile(0.99),
             r.pctile(0.999),
             json_opt(device_mib),
-            logged as f64 / MIB
+            run.logged as f64 / MIB
         );
-        out.push(format!(
+        let mut json = format!(
             "{{\"policy\": \"{name}\", \"tput\": {:.0}, \"lat_us\": {}, \
-             \"device_mib\": {}, \"log_mib\": {:.2}}}",
+             \"device_mib\": {}, \"log_mib\": {:.2}",
             r.tput,
             r.lat_json(),
             json_opt(device_mib),
-            logged as f64 / MIB
-        ));
+            run.logged as f64 / MIB
+        );
+        if policy.is_some() {
+            let mean_batch = run.acks as f64 / run.fsyncs.max(1) as f64;
+            let (cover, horizon) = run.wakeups;
+            eprintln!(
+                "      leader_fsyncs={} acks={} mean_batch={mean_batch:.1}  \
+                 timeout_wakeups: coverage={cover} horizon={horizon}",
+                run.fsyncs, run.acks
+            );
+            json += &format!(
+                ", \"leader_fsyncs\": {}, \"acks\": {}, \"mean_batch\": {mean_batch:.1}, \
+                 \"coverage_timeout_wakeups\": {cover}, \"horizon_timeout_wakeups\": {horizon}",
+                run.fsyncs, run.acks
+            );
+        }
+        if name == "group_commit_1" {
+            base_tput = r.tput;
+        }
+        if name == "group_commit_flight" {
+            let speedup = r.tput / base_tput;
+            eprintln!("      batch={batch} speedup over group_commit_1={speedup:.1}x");
+            json += &format!(", \"batch\": {batch}, \"speedup\": {speedup:.2}");
+        }
+        out.push(json + "}");
     }
     format!("[{}]", out.join(", "))
 }
@@ -475,66 +516,6 @@ fn rotation_series(rotations: usize) -> String {
     )
 }
 
-/// The headline group-commit comparison: synchronous `group_commit_1` acks
-/// vs the deferred-ack batch pipeline under [`GROUP_POLICY`]. Returns the
-/// full `BENCH_group_commit.json` document.
-fn group_commit_bench(threads: usize, dur: Duration, repeat: usize, batch: usize) -> String {
-    let base = best_of(repeat, || {
-        let dir = tmp_dir("gc-base");
-        let (pdb, t) = bank(Some((&dir, GROUP_COMMIT_1)));
-        let r = hammer_deferred(&pdb, t, threads, dur, 1);
-        drop(pdb);
-        let _ = std::fs::remove_dir_all(&dir);
-        r
-    });
-
-    let mut best: Option<(HammerResult, u64, u64, (u64, u64))> = None;
-    for _ in 0..repeat {
-        let dir = tmp_dir("gc");
-        let (pdb, t) = bank(Some((&dir, GROUP_POLICY)));
-        let r = hammer_deferred(&pdb, t, threads, dur, batch);
-        let fsyncs = pdb.group_fsyncs();
-        let acks = pdb.group_acks();
-        let wakeups = pdb.group_timeout_wakeups();
-        drop(pdb);
-        let _ = std::fs::remove_dir_all(&dir);
-        if best.as_ref().is_none_or(|(b, ..)| r.tput > b.tput) {
-            best = Some((r, fsyncs, acks, wakeups));
-        }
-    }
-    let (group, fsyncs, acks, (cover_wakeups, horizon_wakeups)) = best.expect("repeat >= 1");
-    let speedup = group.tput / base.tput;
-    let mean_batch = if fsyncs > 0 {
-        acks as f64 / fsyncs as f64
-    } else {
-        0.0
-    };
-    eprintln!(
-        "group_commit  group_commit_1={:.0} txn/s  deferred={:.0} txn/s  speedup={speedup:.1}x  \
-         leader_fsyncs={fsyncs} acks={acks} mean_batch={mean_batch:.1}  \
-         timeout_wakeups: coverage={cover_wakeups} horizon={horizon_wakeups}",
-        base.tput, group.tput
-    );
-    format!(
-        "{{\n  \"bench\": \"group_commit\",\n  \"protocol\": \"bamboo\",\n  \
-         \"threads\": {threads},\n  \"partitions\": {PARTS},\n  \"repeat\": {repeat},\n  \
-         \"batch\": {batch},\n  \
-         \"note\": \"cross-partition bank transfers; baseline acks each commit's fsync \
-         synchronously, group_commit stages batches via commit_deferred and acks on the \
-         durability horizon\",\n  \
-         \"baseline_group_commit_1\": {{\"tput\": {:.0}, \"lat_us\": {}}},\n  \
-         \"group_commit\": {{\"tput\": {:.0}, \"lat_us\": {}, \"leader_fsyncs\": {fsyncs}, \
-         \"acks\": {acks}, \"mean_batch\": {mean_batch:.1}, \
-         \"coverage_timeout_wakeups\": {cover_wakeups}, \
-         \"horizon_timeout_wakeups\": {horizon_wakeups}}},\n  \
-         \"speedup\": {speedup:.2}\n}}\n",
-        base.tput,
-        base.lat_json(),
-        group.tput,
-        group.lat_json(),
-    )
-}
-
 fn recovery_sweep(txn_counts: &[u64]) -> String {
     let mut out = Vec::new();
     for &n in txn_counts {
@@ -591,67 +572,78 @@ fn recovery_sweep(txn_counts: &[u64]) -> String {
     format!("[{}]", out.join(", "))
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let mut out: Option<String> = None;
-    let mut group_out: Option<String> = None;
-    let mut dur = Duration::from_millis(300);
-    let mut threads = 4usize;
-    let mut repeat = 3usize;
-    let mut batch = 32usize;
-    let mut txns: Vec<u64> = vec![1_000, 5_000, 20_000];
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                out = Some(args[i + 1].clone());
-                i += 2;
-            }
-            "--group-out" => {
-                group_out = Some(args[i + 1].clone());
-                i += 2;
-            }
-            "--duration-ms" => {
-                dur = Duration::from_millis(args[i + 1].parse().expect("duration in ms"));
-                i += 2;
-            }
-            "--threads" => {
-                threads = args[i + 1].parse().expect("thread count");
-                i += 2;
-            }
-            "--repeat" => {
-                repeat = args[i + 1].parse::<usize>().expect("repeat count").max(1);
-                i += 2;
-            }
-            "--batch" => {
-                batch = args[i + 1].parse::<usize>().expect("batch size").max(1);
-                i += 2;
-            }
-            "--txns" => {
-                txns = args[i + 1]
-                    .split(',')
-                    .map(|p| p.trim().parse().expect("txn count"))
-                    .collect();
-                i += 2;
-            }
-            other => panic!("unknown flag {other}"),
+/// The bench's flags, each with its default.
+#[derive(Debug, PartialEq)]
+struct Opts {
+    out: Option<String>,
+    dur: Duration,
+    threads: usize,
+    repeat: usize,
+    batch: usize,
+    txns: Vec<u64>,
+}
+
+impl Default for Opts {
+    fn default() -> Self {
+        Opts {
+            out: None,
+            dur: Duration::from_millis(300),
+            threads: 4,
+            repeat: 3,
+            batch: 32,
+            txns: vec![1_000, 5_000, 20_000],
         }
     }
+}
 
-    if let Some(path) = group_out {
-        let doc = group_commit_bench(threads, dur, repeat, batch);
-        std::fs::write(&path, &doc).expect("write group-commit JSON output");
-        eprintln!("wrote {path}");
+impl Opts {
+    /// Parses `--out FILE`, `--duration-ms N`, `--threads N`, `--repeat N`,
+    /// `--batch N` and `--txns a,b,c` in any order. `None` on an unknown
+    /// flag or a missing or malformed value.
+    fn from_args(args: &[String]) -> Option<Opts> {
+        let mut o = Opts::default();
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let value = args.next()?;
+            match flag.as_str() {
+                "--out" => o.out = Some(value.clone()),
+                "--duration-ms" => o.dur = Duration::from_millis(value.parse().ok()?),
+                "--threads" => o.threads = value.parse().ok()?,
+                "--repeat" => o.repeat = value.parse::<usize>().ok()?.max(1),
+                "--batch" => o.batch = value.parse::<usize>().ok()?.max(1),
+                "--txns" => {
+                    let list = value.split(',').map(|n| n.trim().parse().ok());
+                    o.txns = list.collect::<Option<Vec<u64>>>()?;
+                }
+                _ => return None,
+            }
+        }
+        Some(o)
     }
+}
 
-    let fsync = fsync_sweep(threads, dur, repeat);
-    let recovery = recovery_sweep(&txns);
+fn usage() -> ! {
+    eprintln!(
+        "usage: durability [--out FILE] [--duration-ms N] [--threads N] [--repeat N] \
+         [--batch N] [--txns a,b,c]"
+    );
+    std::process::exit(2)
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let o = Opts::from_args(&args).unwrap_or_else(|| usage());
+    let fsync = fsync_sweep(&o);
+    let recovery = recovery_sweep(&o.txns);
     let device = device_sweep();
     let rotation = rotation_series(5);
+    let (threads, repeat) = (o.threads, o.repeat);
     let doc = format!(
         "{{\n  \"bench\": \"durability\",\n  \"protocol\": \"bamboo\",\n  \
          \"threads\": {threads},\n  \"repeat\": {repeat},\n  \"partitions\": {PARTS},\n  \
          \"fsync\": {{\n    \"note\": \"cross-partition bank transfers; ring = in-memory baseline; \
+         group_commit_flight = group_commit acking flights of batch commits deferred \
+         (commit_deferred + ack_ticket), speedup = its tput over group_commit_1's; \
          device_mib = bytes the block device wrote from set-up until the log was synced, \
          segment preallocation included\",\n    \
          \"series\": {fsync}\n  }},\n  \
@@ -663,11 +655,63 @@ fn main() {
          \"series\": {device}\n  }},\n  \
          \"rotation\": {rotation}\n}}\n",
     );
-    match out {
+    match o.out {
         Some(path) => {
             std::fs::write(&path, &doc).expect("write JSON output");
             eprintln!("wrote {path}");
         }
         None => print!("{doc}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &str) -> Option<Opts> {
+        let args: Vec<String> = args.split_whitespace().map(String::from).collect();
+        Opts::from_args(&args)
+    }
+
+    #[test]
+    fn no_flags_give_the_defaults() {
+        assert_eq!(parse(""), Some(Opts::default()));
+    }
+
+    #[test]
+    fn every_flag_parses_in_any_order() {
+        let o = parse(
+            "--txns 1000,5000 --out b.json --repeat 0 --threads 2 --batch 8 --duration-ms 20",
+        )
+        .unwrap();
+        assert_eq!(
+            o,
+            Opts {
+                out: Some("b.json".into()),
+                dur: Duration::from_millis(20),
+                threads: 2,
+                repeat: 1,
+                batch: 8,
+                txns: vec![1000, 5000],
+            }
+        );
+    }
+
+    #[test]
+    fn a_trailing_flag_is_refused() {
+        assert_eq!(parse("--out"), None);
+        assert_eq!(parse("--repeat 2 --out"), None);
+    }
+
+    #[test]
+    fn an_unknown_flag_is_refused() {
+        assert_eq!(parse("--group-out g.json"), None);
+        assert_eq!(parse("--frobnicate"), None);
+    }
+
+    #[test]
+    fn a_malformed_number_is_refused() {
+        assert_eq!(parse("--txns 1,x"), None);
+        assert_eq!(parse("--threads four"), None);
     }
 }
