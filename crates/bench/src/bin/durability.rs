@@ -1,8 +1,9 @@
 //! Durability bench: what the WAL costs and what recovery buys back.
 //!
-//! Four series over the partitioned bank (cross-partition transfers
+//! Two sweeps over the partitioned bank (cross-partition transfers
 //! through the manual session API — every commit is a genuine group
-//! commit spanning two per-partition WALs), then two below the log:
+//! commit spanning two per-partition WALs), then two series below the
+//! log:
 //!
 //! * **fsync sweep** — committed throughput and commit-latency
 //!   percentiles (p50/p99/p999) under the in-memory ring baseline, each
@@ -280,11 +281,6 @@ fn fsync_sweep(o: &Opts) -> String {
             let before = device_bytes_written();
             let (pdb, t) = bank(policy.map(|p| (&dir, p)));
             let r = hammer_deferred(&pdb, t, o.threads, o.dur, batch);
-            let (fsyncs, acks, wakeups) = (
-                pdb.group_fsyncs(),
-                pdb.group_acks(),
-                pdb.group_timeout_wakeups(),
-            );
             if policy.is_some() {
                 for p in pdb.parts() {
                     p.wal().sync().expect("bench WAL runs on the real backend");
@@ -294,9 +290,9 @@ fn fsync_sweep(o: &Opts) -> String {
                 r,
                 device: device_delta(before, device_bytes_written()),
                 logged: pdb.log_bytes(),
-                fsyncs,
-                acks,
-                wakeups,
+                fsyncs: pdb.group_fsyncs(),
+                acks: pdb.group_acks(),
+                wakeups: pdb.group_timeout_wakeups(),
             };
             drop(pdb);
             let _ = std::fs::remove_dir_all(&dir);
@@ -705,7 +701,7 @@ mod tests {
 
     #[test]
     fn an_unknown_flag_is_refused() {
-        assert_eq!(parse("--group-out g.json"), None);
+        assert_eq!(parse("--output b.json"), None);
         assert_eq!(parse("--frobnicate"), None);
     }
 
