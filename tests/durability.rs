@@ -3,8 +3,9 @@
 //! crash-during-recovery fallback, incomplete-group and torn-tail
 //! handling, the horizon cut, a failed cross-partition append that leaves
 //! no orphan group behind, the no-checkpoint failure mode, every recovery
-//! report field in one recovery, and the log's
-//! on-disk bytes for every kind of group a commit writes.
+//! report field in one recovery, the log's
+//! on-disk bytes for every kind of group a commit writes, and where a
+//! reopened log resumes on hand-made segment chains.
 //!
 //! "Crash" here is dropping the database mid-state and recovering from the
 //! directory it left behind — the real `kill -9` variant lives in
@@ -1049,4 +1050,189 @@ fn durable_log_bytes_are_pinned() {
     assert_eq!(logged(0), spelled(&p0), "partition 0");
     assert_eq!(logged(1), spelled(&p1), "partition 1");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Partition 0's frame bytes per segment in [`write_chain`]: three
+/// `Begin` (33-byte frame) / `Commit` (25-byte frame) pairs of 58 bytes.
+const CHAIN_SEG_DATA: u64 = 3 * 58;
+/// LSN at the end of [`write_chain`]'s 40 pairs.
+const CHAIN_END: u64 = 40 * 58;
+
+/// Partition 0's segment `index` in `dir`.
+fn seg_path(dir: &Path, index: u64) -> PathBuf {
+    dir.join(format!("wal-p000-{index:08}.seg"))
+}
+
+/// Partition 0's segment files in `dir`: (index, length), by index.
+fn segment_files(dir: &Path) -> Vec<(u64, u64)> {
+    let mut out: Vec<(u64, u64)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .filter_map(|e| {
+            let name = e.file_name().to_string_lossy().into_owned();
+            let index = name.strip_prefix("wal-p000-")?.strip_suffix(".seg")?;
+            Some((index.parse().unwrap(), e.metadata().unwrap().len()))
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// Writes partition 0's log into a fresh `dir`: 40 `Begin` / `Commit`
+/// pairs, one group each, in 200-byte segments. Each segment holds three
+/// pairs, so the chain is 14 segments and ends at [`CHAIN_END`]; the
+/// writer's last segment keeps its preallocated zeros.
+fn write_chain(dir: &Path) {
+    std::fs::create_dir_all(dir).unwrap();
+    let mut w = SegmentWriter::open(dir, 0, FsyncPolicy::Never, 200).unwrap();
+    for txn_id in 0..40 {
+        w.stage_record(&WalRecord::Begin {
+            txn_id,
+            commit_ts: txn_id,
+            parts_mask: 1,
+        });
+        w.stage_record(&WalRecord::Commit {
+            txn_id,
+            commit_ts: txn_id,
+        });
+        w.flush_group().unwrap();
+    }
+    w.sync().unwrap();
+    assert_eq!((w.lsn(), w.segment_index()), (CHAIN_END, 13));
+}
+
+/// Shrinks `path` to `len` bytes.
+fn set_len(path: &Path, len: u64) {
+    let f = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+    f.set_len(len).unwrap();
+}
+
+/// Seals [`write_chain`]'s last segment as a rotation would (trimmed to
+/// header + data) and puts `bytes` where the next segment's file goes: a
+/// crash inside `open_segment_file` after the create.
+fn rotated_into(dir: &Path, bytes: &[u8]) {
+    set_len(&seg_path(dir, 13), SEG_HEADER_LEN + 58);
+    std::fs::write(seg_path(dir, 14), bytes).unwrap();
+}
+
+/// One hand-made chain for `open_writer_resumes_each_hand_made_chain`.
+struct ChainCase {
+    name: &'static str,
+    /// Turns [`write_chain`]'s clean chain into this case's chain.
+    make: fn(&Path),
+    /// The LSN writing resumes at.
+    lsn: u64,
+    /// The kept segments below the resumed one: `sealed` full segments,
+    /// then `last` (index, length) if set.
+    sealed: u64,
+    last: Option<(u64, u64)>,
+    /// The resumed segment's index.
+    index: u64,
+}
+
+/// `open_writer` on six hand-made chains: where writing resumes, which
+/// segment files it leaves and how long they are, and that a fresh scan of
+/// the reopened log ends where writing resumed. Every frame of every
+/// segment is checked on reopening, so a bad checksum in a sealed segment
+/// ends the log there, and a gap in the chain ends it at the gap.
+#[test]
+fn open_writer_resumes_each_hand_made_chain() {
+    let h = SEG_HEADER_LEN;
+    let cases = [
+        ChainCase {
+            name: "clean chain",
+            make: |_| {},
+            lsn: CHAIN_END,
+            sealed: 13,
+            last: Some((13, h + 58)),
+            index: 14,
+        },
+        ChainCase {
+            name: "torn last frame",
+            // Three bytes short of the last Commit frame's end.
+            make: |dir| set_len(&seg_path(dir, 13), SEG_HEADER_LEN + 58 - 3),
+            lsn: CHAIN_END - 25,
+            sealed: 13,
+            last: Some((13, h + 33)),
+            index: 14,
+        },
+        ChainCase {
+            name: "zeroed last header",
+            make: |dir| rotated_into(dir, &[0; SEG_HEADER_LEN as usize + 200]),
+            lsn: CHAIN_END,
+            sealed: 13,
+            last: Some((13, h + 58)),
+            index: 14,
+        },
+        ChainCase {
+            name: "last header cut short",
+            make: |dir| {
+                let header = std::fs::read(seg_path(dir, 13)).unwrap();
+                rotated_into(dir, &header[..20]);
+            },
+            lsn: CHAIN_END,
+            sealed: 13,
+            last: Some((13, h + 58)),
+            index: 14,
+        },
+        ChainCase {
+            name: "empty preallocated last segment",
+            // A writer opened on the clean chain and dropped unused.
+            make: |dir| drop(SegmentWriter::open(dir, 0, FsyncPolicy::Never, 200).unwrap()),
+            lsn: CHAIN_END,
+            sealed: 13,
+            last: Some((13, h + 58)),
+            index: 14,
+        },
+        ChainCase {
+            name: "missing middle segment",
+            make: |dir| std::fs::remove_file(seg_path(dir, 5)).unwrap(),
+            lsn: 5 * CHAIN_SEG_DATA,
+            sealed: 5,
+            last: None,
+            index: 5,
+        },
+        ChainCase {
+            name: "bad CRC in a sealed middle segment",
+            // One payload byte of segment 5's second frame (a Commit).
+            make: |dir| {
+                let path = seg_path(dir, 5);
+                let mut bytes = std::fs::read(&path).unwrap();
+                bytes[(SEG_HEADER_LEN + 33 + 8 + 1) as usize] ^= 0x40;
+                std::fs::write(&path, &bytes).unwrap();
+            },
+            lsn: 5 * CHAIN_SEG_DATA + 33,
+            sealed: 5,
+            last: Some((5, h + 33)),
+            index: 6,
+        },
+    ];
+    for case in &cases {
+        let dir = tmp_dir("hand-made-chain");
+        write_chain(&dir);
+        (case.make)(&dir);
+        let w = LogDir::real(&dir)
+            .open_writer(0, FsyncPolicy::Never, 200)
+            .unwrap_or_else(|e| panic!("{}: {e}", case.name));
+        assert_eq!(
+            (w.lsn(), w.segment_index()),
+            (case.lsn, case.index),
+            "{}: where writing resumes",
+            case.name
+        );
+        drop(w);
+        let mut files: Vec<(u64, u64)> =
+            (0..case.sealed).map(|i| (i, h + CHAIN_SEG_DATA)).collect();
+        files.extend(case.last);
+        files.push((case.index, h + 200));
+        assert_eq!(segment_files(&dir), files, "{}: segment files", case.name);
+        let scan = LogDir::real(&dir).scan_partition_from(0, 0).unwrap();
+        assert_eq!(
+            (scan.end_lsn, scan.torn),
+            (case.lsn, false),
+            "{}: a fresh scan",
+            case.name
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
