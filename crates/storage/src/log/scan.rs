@@ -1,7 +1,10 @@
-//! Reading a partition's segment chain back: the scan recovery replays and
-//! a reopened writer resumes from.
+//! Reading a partition's segment chain back. One walk reads every segment
+//! file the log code reads: the scan recovery replays, the end of the log
+//! a reopened writer resumes from, and the sealed prefix retirement
+//! deletes all come from it.
 
 use std::io;
+use std::path::PathBuf;
 
 use super::backend::LogDir;
 use super::codec::{crc32, decode_record, WalRecord};
@@ -18,6 +21,21 @@ pub struct LogScan {
     pub torn: bool,
 }
 
+/// What a walk of one partition's segment chain found.
+pub(super) struct Chain {
+    /// Every segment file of the partition, sorted by index.
+    pub(super) files: Vec<(u64, PathBuf)>,
+    /// Start LSN of each segment the walk accepted, a prefix of `files`:
+    /// its header parsed, named the partition and the file's index, and
+    /// started where the segment before it ended.
+    pub(super) starts: Vec<Lsn>,
+    /// LSN just past the last valid frame.
+    pub(super) end_lsn: Lsn,
+    /// True when the walk stopped at a torn or corrupt frame or at one its
+    /// sink refused, or at a segment that does not join the chain.
+    pub(super) torn: bool,
+}
+
 impl LogDir {
     /// Scans partition `p`'s segments, decoding records whose LSN is
     /// `>= from_lsn`. Frames below `from_lsn` are CRC-verified but not
@@ -25,114 +43,116 @@ impl LogDir {
     /// without parsing. The scan stops cleanly at the first torn or corrupt
     /// frame.
     pub fn scan_partition_from(&self, partition: u32, from_lsn: Lsn) -> io::Result<LogScan> {
-        let segments = self.list_segments(partition)?;
-        let mut scan = LogScan {
-            records: Vec::new(),
+        let mut records = Vec::new();
+        let chain = self.walk_chain(partition, from_lsn, |lsn, payload| {
+            decode_record(payload)
+                .map(|rec| records.push((lsn, rec)))
+                .is_some()
+        })?;
+        Ok(LogScan {
+            records,
+            end_lsn: chain.end_lsn,
+            torn: chain.torn,
+        })
+    }
+
+    /// Walks partition `p`'s segment chain in index order, reading each
+    /// file whole, and hands every CRC-checked frame at or past `from_lsn`
+    /// to `sink` with its LSN; a `false` from the sink ends the walk at
+    /// that frame. Frames below `from_lsn` are CRC-checked and not handed
+    /// over, and a sealed segment that ends at or below `from_lsn` is
+    /// skipped by its length. The walk ends cleanly at the first torn or
+    /// corrupt frame and at the first segment that does not join the
+    /// chain. A read error fails it.
+    pub(super) fn walk_chain(
+        &self,
+        partition: u32,
+        from_lsn: Lsn,
+        mut sink: impl FnMut(Lsn, &[u8]) -> bool,
+    ) -> io::Result<Chain> {
+        let files = self.list_segments(partition)?;
+        let mut chain = Chain {
+            files: Vec::new(),
+            starts: Vec::new(),
             end_lsn: 0,
             torn: false,
         };
-        let mut expect_start: Option<Lsn> = None;
-        for (pos, (index, path)) in segments.iter().enumerate() {
-            let last_segment = pos + 1 == segments.len();
+        for (pos, (index, path)) in files.iter().enumerate() {
             let bytes = self.backend.read(path)?;
-            let step = scan_segment(
-                &bytes,
-                partition,
-                *index,
-                from_lsn,
-                &mut expect_start,
-                &mut scan,
-                last_segment,
-            );
-            if step.is_err() {
-                scan.torn = true;
+            let tail = pos + 1 == files.len();
+            if !scan_segment(
+                &bytes, partition, *index, from_lsn, tail, &mut chain, &mut sink,
+            ) {
+                chain.torn = true;
                 break;
             }
         }
-        Ok(scan)
+        chain.files = files;
+        Ok(chain)
     }
 }
 
-/// Parses one segment's bytes into the scan accumulators. Returns `Err(())`
-/// when the stream tears here. `tail` marks the chain's last segment (the
-/// only one allowed to tear without being an error in sealed data).
+/// Walks one segment's bytes onto `chain`. Returns `false` when the walk
+/// ends here: the segment does not join the chain, or a frame is torn,
+/// corrupt or refused by `sink`. `tail` marks the chain's last segment
+/// (the only one allowed to tear without being an error in sealed data),
+/// whose frames are walked even below `from_lsn`.
 fn scan_segment(
     bytes: &[u8],
     partition: u32,
     index: u64,
     from_lsn: Lsn,
-    expect_start: &mut Option<Lsn>,
-    scan: &mut LogScan,
     tail: bool,
-) -> Result<(), ()> {
-    if bytes.len() < SEG_HEADER_LEN as usize {
-        return Err(());
-    }
-    let Some(header) = parse_segment_header(&bytes[..SEG_HEADER_LEN as usize]) else {
-        return Err(());
+    chain: &mut Chain,
+    sink: &mut impl FnMut(Lsn, &[u8]) -> bool,
+) -> bool {
+    let Some(header) = bytes
+        .get(..SEG_HEADER_LEN as usize)
+        .and_then(parse_segment_header)
+    else {
+        return false;
     };
-    if header.partition != partition || header.index != index {
-        return Err(());
-    }
     // A gap in the chain (missing segment or start-LSN mismatch) ends the
     // usable stream at the previous segment.
-    if let Some(expected) = *expect_start {
-        if header.start_lsn != expected {
-            return Err(());
-        }
+    if header.partition != partition
+        || header.index != index
+        || (!chain.starts.is_empty() && header.start_lsn != chain.end_lsn)
+    {
+        return false;
     }
-    scan.end_lsn = header.start_lsn;
+    chain.starts.push(header.start_lsn);
+    chain.end_lsn = header.start_lsn;
     let data = &bytes[SEG_HEADER_LEN as usize..];
     if !tail && header.start_lsn + data.len() as u64 <= from_lsn {
-        // Entirely below the replay cut: trust the sealed segment's length
+        // Entirely below `from_lsn`: trust the sealed segment's length
         // (rotation trimmed it to header + data) without parsing its frames.
-        scan.end_lsn = header.start_lsn + data.len() as u64;
-        *expect_start = Some(scan.end_lsn);
-        return Ok(());
+        chain.end_lsn += data.len() as u64;
+        return true;
     }
     let mut off = 0usize;
-    let local_torn;
     loop {
         // No frame has a zero length word (every payload has a kind byte),
         // so zeros here are the unwritten rest of a preallocated segment, or
         // the end of the file: the data ends cleanly.
         let rest = &data[off..];
         if rest[..rest.len().min(4)].iter().all(|&b| b == 0) {
-            local_torn = false;
-            break;
+            return true;
         }
         if rest.len() < 8 {
-            local_torn = true;
-            break;
+            return false;
         }
-        let len =
-            u32::from_le_bytes([data[off], data[off + 1], data[off + 2], data[off + 3]]) as usize;
-        let crc = u32::from_le_bytes([data[off + 4], data[off + 5], data[off + 6], data[off + 7]]);
-        if off + 8 + len > data.len() {
-            local_torn = true;
-            break;
-        }
-        let payload = &data[off + 8..off + 8 + len];
-        if crc32(payload) != crc {
-            local_torn = true;
-            break;
-        }
+        let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
+        let crc = u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]);
+        let Some(payload) = rest[8..].get(..len) else {
+            return false;
+        };
         let lsn = header.start_lsn + off as u64;
-        if lsn >= from_lsn {
-            let Some(rec) = decode_record(payload) else {
-                local_torn = true;
-                break;
-            };
-            scan.records.push((lsn, rec));
+        if crc32(payload) != crc || (lsn >= from_lsn && !sink(lsn, payload)) {
+            return false;
         }
         off += 8 + len;
-        scan.end_lsn = header.start_lsn + off as u64;
+        chain.end_lsn = lsn + 8 + len as u64;
     }
-    if local_torn {
-        return Err(());
-    }
-    *expect_start = Some(scan.end_lsn);
-    Ok(())
 }
 
 #[cfg(test)]

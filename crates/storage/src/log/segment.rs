@@ -138,12 +138,17 @@ impl LogDir {
     /// Opens (or creates) partition `p`'s log in this directory for
     /// appending.
     ///
-    /// Existing segments are scanned to find the end of valid data. A torn
-    /// tail and the unused preallocation after it are truncated away, so the
-    /// stream ends on a frame boundary and the old segment holds nothing but
-    /// its header and data. Writing resumes in a *new* (preallocated)
-    /// segment starting at that LSN. An empty directory starts segment 0 at
-    /// LSN 0.
+    /// One walk of the existing segments finds the end of valid data: it
+    /// checks every frame's CRC from LSN 0 and decodes none. Acting on that
+    /// walk, without reading a file again, the segment holding the end is
+    /// cut back to it, which drops a torn tail and the unused preallocation
+    /// after it, so the stream ends on a frame boundary and the segment
+    /// holds nothing but its header and data; every segment file after it
+    /// (one starting at the end, or one the walk did not accept) is
+    /// deleted. Writing resumes at that LSN in a *new* (preallocated)
+    /// segment after the last one kept. An empty directory starts segment
+    /// 0 at LSN 0. A read error fails the call before anything is cut or
+    /// deleted.
     pub fn open_writer(
         &self,
         partition: u32,
@@ -152,21 +157,18 @@ impl LogDir {
     ) -> io::Result<SegmentWriter> {
         let segment_bytes = segment_bytes.max(SEG_HEADER_LEN + 1);
         self.backend.create_dir_all(&self.path)?;
-        let (next_index, start_lsn) = match self.list_segments(partition)?.last() {
-            None => (0, 0),
-            Some(_) => {
-                let scan = self.scan_partition_from(partition, 0)?;
-                // Drop the torn tail (if any) so future scans read through
-                // cleanly to the segments this writer is about to add.
-                self.truncate_after(partition, scan.end_lsn)?;
-                let last_idx = self
-                    .list_segments(partition)?
-                    .last()
-                    .map(|(i, _)| *i)
-                    .unwrap_or(0);
-                (last_idx + 1, scan.end_lsn)
+        let chain = self.walk_chain(partition, 0, |_, _| true)?;
+        let start_lsn = chain.end_lsn;
+        let mut next_index = 0;
+        for (pos, (index, path)) in chain.files.iter().enumerate() {
+            match chain.starts.get(pos) {
+                Some(&start) if start < start_lsn => {
+                    self.trim_segment(path, SEG_HEADER_LEN + (start_lsn - start))?;
+                    next_index = index + 1;
+                }
+                _ => self.backend.remove_file(path)?,
             }
-        };
+        }
         let file =
             self.open_segment_file(partition, next_index, start_lsn, policy, segment_bytes)?;
         Ok(SegmentWriter {
@@ -451,66 +453,27 @@ impl LogDir {
 }
 
 impl LogDir {
-    /// Truncates partition `p`'s segment chain so that no bytes exist past
-    /// `end_lsn`: segments starting at or past the cut are deleted, and the
-    /// segment containing it is shrunk to the matching offset. Called by
-    /// [`LogDir::open_writer`] to drop a torn tail and the zero tail of the
-    /// segment the last writer left preallocated.
-    fn truncate_after(&self, partition: u32, end_lsn: Lsn) -> io::Result<()> {
-        let backend = &*self.backend;
-        for (_, path) in self.list_segments(partition)? {
-            let Some(header) = self.read_segment_header(&path) else {
-                backend.remove_file(&path)?;
-                continue;
-            };
-            if header.start_lsn >= end_lsn {
-                // Nothing from this segment survives; an empty segment at
-                // exactly the cut is also removed (the writer will start a
-                // fresh one).
-                backend.remove_file(&path)?;
-                continue;
-            }
-            self.trim_segment(&path, SEG_HEADER_LEN + (end_lsn - header.start_lsn))?;
-        }
-        Ok(())
-    }
-
-    /// Reads and parses one segment's header, `None` when unreadable or
-    /// malformed.
-    fn read_segment_header(&self, path: &Path) -> Option<SegHeader> {
-        let bytes = self.backend.read(path).ok()?;
-        if bytes.len() < SEG_HEADER_LEN as usize {
-            return None;
-        }
-        parse_segment_header(&bytes[..SEG_HEADER_LEN as usize])
-    }
-
     /// Retires (deletes) every **sealed** segment of partition `p` whose
     /// frame range lies entirely at or below `cut_lsn` — the newest
-    /// checkpoint's replay cut makes those bytes dead weight. The chain's
-    /// last segment (the writer's active one) is never touched; every other
-    /// one was trimmed when it was sealed, so its file length gives its
-    /// frame range. Returns the number of segments removed.
+    /// checkpoint's replay cut makes those bytes dead weight. This is the
+    /// chain walk from the cut, stopped at its first frame: the walk skips
+    /// each sealed segment below the cut by its length (rotation trimmed it
+    /// to header + data), and a segment retires when the next accepted one
+    /// starts at or below the cut, so the chain's last segment (the
+    /// writer's active one) never does. A read error fails the call before
+    /// anything is deleted. Returns the number of segments removed.
     pub fn retire_segments_below(&self, partition: u32, cut_lsn: Lsn) -> io::Result<u64> {
-        let segments = self.list_segments(partition)?;
-        let mut retired = 0u64;
-        for (pos, (_, path)) in segments.iter().enumerate() {
-            if pos + 1 == segments.len() {
-                break; // never the active segment
-            }
-            let Some(header) = self.read_segment_header(path) else {
-                continue; // unreadable prefix junk is recovery's problem, not compaction's
-            };
-            let data_len = self.backend.file_len(path)?.saturating_sub(SEG_HEADER_LEN);
-            if header.start_lsn + data_len <= cut_lsn {
-                self.backend.remove_file(path)?;
-                retired += 1;
-            } else {
-                // Segments are LSN-ordered: nothing later can be below the cut.
-                break;
-            }
+        let chain = self.walk_chain(partition, cut_lsn, |_, _| false)?;
+        let below = chain
+            .starts
+            .iter()
+            .skip(1)
+            .take_while(|&&start| start <= cut_lsn)
+            .count();
+        for (_, path) in &chain.files[..below] {
+            self.backend.remove_file(path)?;
         }
-        Ok(retired)
+        Ok(below as u64)
     }
 }
 

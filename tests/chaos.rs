@@ -191,6 +191,7 @@ fn seeded_fault_fire_preserves_acked_commits_and_money() {
         fsync_permille: 40,
         short_write_permille: 25,
         enospc_permille: 12,
+        read_permille: 150,
         ..FaultPlan::quiet(seed)
     };
     let (pdb, injector) = build_faulty(&dir, plan, GROUP_COMMIT_1);

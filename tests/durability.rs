@@ -5,7 +5,8 @@
 //! no orphan group behind, the no-checkpoint failure mode, every recovery
 //! report field in one recovery, the log's
 //! on-disk bytes for every kind of group a commit writes, and where a
-//! reopened log resumes on hand-made segment chains.
+//! reopened log resumes on hand-made segment chains, and that a failed
+//! read never makes reopening or retirement delete a segment.
 //!
 //! "Crash" here is dropping the database mid-state and recovering from the
 //! directory it left behind — the real `kill -9` variant lives in
@@ -21,10 +22,12 @@ use bamboo_repro::core::partition::{PartSession, PartitionedDb};
 use bamboo_repro::core::protocol::{LockingProtocol, Protocol};
 use bamboo_repro::core::{AbortReason, DbOptions};
 use bamboo_repro::storage::log::{
-    FileBarrier, LogBackend, LogDir, LogFile, RealBackend, SegmentWriter, WalRecord, SEG_HEADER_LEN,
+    FaultInjector, FileBarrier, LogBackend, LogDir, LogFile, RealBackend, SegmentWriter, WalRecord,
+    SEG_HEADER_LEN,
 };
 use bamboo_repro::storage::{
-    DataType, FsyncPolicy, PartitionId, RouteStrategy, Row, Schema, TableId, Value,
+    DataType, FaultBackend, FaultPlan, FsyncPolicy, PartitionId, RouteStrategy, Row, Schema,
+    TableId, Value,
 };
 
 const ACCOUNTS_PER_PART: u64 = 8;
@@ -1235,4 +1238,86 @@ fn open_writer_resumes_each_hand_made_chain() {
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Copies every file of `from` into a fresh `to`.
+fn copy_dir(from: &Path, to: &Path) {
+    let _ = std::fs::remove_dir_all(to);
+    std::fs::create_dir_all(to).unwrap();
+    for e in std::fs::read_dir(from).unwrap() {
+        let e = e.unwrap();
+        std::fs::copy(e.path(), to.join(e.file_name())).unwrap();
+    }
+}
+
+/// `dir` behind an armed fault schedule that fails one read in five.
+fn read_faulty(dir: &Path, seed: u64) -> LogDir {
+    let injector = FaultInjector::new(FaultPlan {
+        seed,
+        read_permille: 200,
+        ..FaultPlan::quiet(seed)
+    });
+    injector.arm();
+    LogDir::new(dir, Arc::new(FaultBackend::new(injector)))
+}
+
+/// A read that fails while a log is reopened fails the reopening and
+/// deletes nothing: over 300 fault schedules, `open_writer` on
+/// [`write_chain`]'s clean chain either fails and leaves the chain whole,
+/// or resumes at its end, and a clean rescan then ends there too.
+#[test]
+fn a_failed_read_never_makes_reopening_delete_a_segment() {
+    let chain = tmp_dir("read-fault-chain");
+    write_chain(&chain);
+    let dir = tmp_dir("read-fault-open");
+    let mut lost = Vec::new();
+    for seed in 0..300 {
+        copy_dir(&chain, &dir);
+        let opened = read_faulty(&dir, seed)
+            .open_writer(0, FsyncPolicy::Never, 200)
+            .map(|w| w.lsn());
+        let scan = LogDir::real(&dir).scan_partition_from(0, 0).unwrap();
+        if (scan.end_lsn, scan.torn) != (CHAIN_END, false)
+            || opened.as_ref().is_ok_and(|&l| l != CHAIN_END)
+        {
+            lost.push((seed, opened.ok(), scan.end_lsn));
+        }
+    }
+    let _ = std::fs::remove_dir_all(&chain);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        lost.is_empty(),
+        "{} of 300 schedules lost data (seed, resumed at, a clean rescan ends at): {lost:?}",
+        lost.len()
+    );
+}
+
+/// A read that fails while segments are retired fails the retirement and
+/// deletes nothing: over 300 fault schedules, retiring below the cut
+/// after 30 of [`write_chain`]'s 40 pairs either fails or retires the ten
+/// segments wholly below it, and the 20 records past the cut always scan.
+#[test]
+fn a_failed_read_never_makes_retirement_leave_a_gap() {
+    let cut = 30 * 58;
+    let chain = tmp_dir("read-fault-retire-chain");
+    write_chain(&chain);
+    let dir = tmp_dir("read-fault-retire");
+    let mut broken = Vec::new();
+    for seed in 0..300 {
+        copy_dir(&chain, &dir);
+        let retired = read_faulty(&dir, seed).retire_segments_below(0, cut);
+        let scan = LogDir::real(&dir).scan_partition_from(0, cut).unwrap();
+        if (scan.records.len(), scan.end_lsn, scan.torn) != (20, CHAIN_END, false)
+            || retired.as_ref().is_ok_and(|&n| n != 10)
+        {
+            broken.push((seed, retired.ok(), scan.records.len()));
+        }
+    }
+    let _ = std::fs::remove_dir_all(&chain);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        broken.is_empty(),
+        "{} of 300 schedules broke the log past the cut (seed, retired, records past it): {broken:?}",
+        broken.len()
+    );
 }
