@@ -249,9 +249,9 @@ impl SegmentWriter {
     /// writer's LSN. Sealing syncs the segment — a sealed segment is always
     /// fully durable, so only the active tail can tear — then trims its
     /// unused preallocation, so a sealed segment's file is exactly header +
-    /// data: the scan's skip of segments below the replay cut and
-    /// [`LogDir::retire_segments_below`] read a sealed segment's data length
-    /// off its file length. Every step leaves the writer unchanged on
+    /// data: the chain walk skips a sealed segment below the LSN it walks
+    /// from (recovery's replay cut, retirement's cut) by reading its data
+    /// length off its file length. Every step leaves the writer unchanged on
     /// failure (`self.file` only rebinds after a successful open), so a
     /// retry re-runs them.
     fn rotate(&mut self) -> io::Result<()> {

@@ -2,8 +2,9 @@
 //!
 //! A [`bamboo_storage::FaultBackend`] sits between the durable commit
 //! pipeline and the filesystem, injecting transient fsync failures, short
-//! (torn) writes and `ENOSPC` from a reproducible per-seed schedule. The
-//! suite asserts the graceful-degradation contract end to end:
+//! (torn) writes, `ENOSPC` and failed reads from a reproducible per-seed
+//! schedule. The suite asserts the graceful-degradation contract end to
+//! end:
 //!
 //! * no process panic, ever — storage faults surface as
 //!   `AbortReason::DurabilityFailed` aborts of the one affected commit;
@@ -181,6 +182,8 @@ fn transfer(
 /// The tentpole chaos run: seeded fsync/short-write/ENOSPC fire during
 /// cross-partition transfers. Money conserved, every acked commit durable,
 /// heal keeps the fire going after permanent faults, recovery converges.
+/// Reads fail too, so a heal's reopening of the log is under fire: a failed
+/// read must fail the heal, never delete a segment holding acked commits.
 #[test]
 fn seeded_fault_fire_preserves_acked_commits_and_money() {
     let seed = chaos_seed();
