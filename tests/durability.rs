@@ -3,10 +3,10 @@
 //! crash-during-recovery fallback, incomplete-group and torn-tail
 //! handling, the horizon cut, a failed cross-partition append that leaves
 //! no orphan group behind, the no-checkpoint failure mode, every recovery
-//! report field in one recovery, the log's
-//! on-disk bytes for every kind of group a commit writes, and where a
-//! reopened log resumes on hand-made segment chains, and that a failed
-//! read never makes reopening or retirement delete a segment.
+//! report field in one recovery, the log's on-disk bytes for every kind
+//! of group a commit writes, where a reopened log resumes on hand-made
+//! segment chains, and that a failed read never makes reopening or
+//! retirement delete a segment.
 //!
 //! "Crash" here is dropping the database mid-state and recovering from the
 //! directory it left behind — the real `kill -9` variant lives in
