@@ -125,6 +125,15 @@ impl TxnSpec for StockLevelTxn {
     }
 
     fn run_piece(&self, _piece: usize, txn: &mut Txn<'_>) -> Result<(), Abort> {
+        std::hint::black_box(self.low_stock(txn)?);
+        Ok(())
+    }
+}
+
+impl StockLevelTxn {
+    /// The transaction's result: how many distinct items of the district's
+    /// last 20 orders have `S_QUANTITY` below the threshold.
+    pub fn low_stock(&self, txn: &mut Txn<'_>) -> Result<u64, Abort> {
         let next = {
             let row = txn.read(self.tables.district, dist_key(self.w, self.d))?;
             row.get_u64(dist::D_NEXT_O_ID)
@@ -158,8 +167,7 @@ impl TxnSpec for StockLevelTxn {
                 }
             }
         }
-        std::hint::black_box(low);
-        Ok(())
+        Ok(low)
     }
 }
 
@@ -169,7 +177,10 @@ mod tests {
     use super::*;
     use bamboo_core::executor::{run_bench, BenchConfig, Workload};
     use bamboo_core::protocol::{LockingProtocol, Protocol};
-    use bamboo_core::Session;
+    use bamboo_core::{Database, Session, TxnOptions};
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+    use std::collections::BTreeSet;
     use std::sync::Arc;
 
     fn tiny() -> TpccConfig {
@@ -243,6 +254,81 @@ mod tests {
         );
         txn.commit().unwrap();
         assert_eq!(db.snapshots.active_count(), 0, "snapshot must deregister");
+    }
+
+    /// StockLevel's count computed straight from the committed rows: the
+    /// distinct items of the district's last 20 orders whose `S_QUANTITY`
+    /// is below `threshold`.
+    fn low_stock_from_rows(db: &Database, sl: &StockLevelTxn) -> u64 {
+        let t = &sl.tables;
+        let committed = |table, key| db.table(table).get(key).map(|tuple| tuple.read_row());
+        let next = committed(t.district, dist_key(sl.w, sl.d))
+            .unwrap()
+            .get_u64(dist::D_NEXT_O_ID);
+        let mut items = BTreeSet::new();
+        for o in next.saturating_sub(20).max(3001)..next {
+            let okey = order_key(sl.w, sl.d, o);
+            let Some(order) = committed(t.orders, okey) else {
+                continue;
+            };
+            for line in 0..order.get_u64(orders::O_OL_CNT) {
+                if let Some(row) = committed(t.order_line, order_line_key(okey, line)) {
+                    items.insert(row.get_u64(order_line::OL_I_ID));
+                }
+            }
+        }
+        items
+            .into_iter()
+            .filter(|&i| {
+                let stock = committed(t.stock, stock_key(sl.w, i, sl.items_per_wh)).unwrap();
+                stock.get_i64(stock::S_QUANTITY) < sl.threshold
+            })
+            .count() as u64
+    }
+
+    #[test]
+    fn stock_level_counts_the_committed_low_stock_items() {
+        let cfg = tiny();
+        let (db, tables, idx) = load(&cfg);
+        let wl = TpccWorkload::new(cfg.clone(), Arc::clone(&db), tables, idx);
+        let session = Session::new(
+            Arc::clone(&db),
+            Arc::new(LockingProtocol::bamboo()) as Arc<dyn Protocol>,
+        );
+        let mut rng = SmallRng::seed_from_u64(52);
+        for _ in 0..400 {
+            // A rolled-back NewOrder is part of the mix: it leaves no order.
+            let _ = session.run(&wl.gen_new_order(&mut rng));
+        }
+        let mut total = 0;
+        for d in 0..DISTRICTS_PER_WAREHOUSE {
+            for threshold in [10, 15, 20] {
+                for snapshot in [true, false] {
+                    let sl = StockLevelTxn {
+                        tables,
+                        w: 0,
+                        d,
+                        threshold,
+                        items_per_wh: cfg.items,
+                        snapshot,
+                        home: 0,
+                    };
+                    let expected = low_stock_from_rows(&db, &sl);
+                    let mut txn = session.begin_with(TxnOptions::for_spec(&sl));
+                    let low = sl.low_stock(&mut txn).unwrap();
+                    txn.commit().unwrap();
+                    assert_eq!(
+                        low, expected,
+                        "d={d} threshold={threshold} snapshot={snapshot}"
+                    );
+                    total += low;
+                }
+            }
+        }
+        assert!(
+            total > 0,
+            "some item must be low for the test to count anything"
+        );
     }
 
     #[test]

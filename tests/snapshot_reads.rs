@@ -12,9 +12,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bamboo_repro::core::executor::{run_bench, BenchConfig, TxnSpec, Workload};
+use bamboo_repro::core::partition::{PartSession, PartitionedDb};
 use bamboo_repro::core::protocol::{LockingProtocol, Protocol, SiloProtocol};
 use bamboo_repro::core::{Abort, AbortReason, Database, Session, Txn};
-use bamboo_repro::storage::{DataType, Row, Schema, TableId, Value};
+use bamboo_repro::storage::{DataType, PartitionId, RouteStrategy, Row, Schema, TableId, Value};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -284,6 +285,65 @@ fn snapshot_reads_are_repeatable_across_concurrent_commits() {
     let mut snap2 = session.snapshot();
     assert_eq!(snap2.read(t, 3).unwrap().get_i64(1), 999);
     snap2.commit().unwrap();
+}
+
+/// A snapshot reads key `k`; a writer then commits a new value of `k` and
+/// inserts key `j`. Reading `k` again returns its first value and `j` is
+/// absent: on one partition, and with both keys on a partition other than
+/// the snapshot's home.
+#[test]
+fn a_snapshot_rereads_its_first_value_and_misses_a_later_insert() {
+    for parts in [1u32, 2] {
+        let mut b = PartitionedDb::builder(parts);
+        let t = b.add_table(
+            "acct",
+            Schema::build()
+                .column("id", DataType::U64)
+                .column("bal", DataType::I64),
+            RouteStrategy::Range((1..parts as u64).map(|p| p * 1000).collect()),
+        );
+        let pdb = b.build();
+        let base = (parts as u64 - 1) * 1000;
+        let (k, j) = (base + 1, base + 2);
+        for key in [base, k] {
+            pdb.insert(
+                t,
+                key,
+                Row::from(vec![Value::U64(key), Value::I64(INITIAL)]),
+            );
+        }
+        let session = PartSession::new(Arc::clone(&pdb), Arc::new(LockingProtocol::bamboo()));
+        let writer_home = PartitionId(parts - 1);
+
+        let mut snap = session.snapshot_on(PartitionId(0));
+        assert_eq!(snap.read(t, k).unwrap().get_i64(1), INITIAL);
+        let mut w = session.begin_on(writer_home);
+        w.update(t, k, |row| row.set(1, Value::I64(INITIAL + 1)))
+            .unwrap();
+        w.insert(t, j, Row::from(vec![Value::U64(j), Value::I64(7)]), None)
+            .unwrap();
+        w.commit().unwrap();
+
+        assert_eq!(
+            snap.read(t, k).unwrap().get_i64(1),
+            INITIAL,
+            "parts={parts}"
+        );
+        assert!(snap.read_opt(t, j).unwrap().is_none(), "parts={parts}");
+        assert_eq!(snap.read(t, base).unwrap().get_i64(1), INITIAL);
+        assert_eq!(
+            snap.read(t, k).unwrap().get_i64(1),
+            INITIAL,
+            "parts={parts}"
+        );
+        assert_eq!(snap.locks_acquired(), 0);
+        snap.commit().unwrap();
+
+        let mut fresh = session.snapshot_on(PartitionId(0));
+        assert_eq!(fresh.read(t, k).unwrap().get_i64(1), INITIAL + 1);
+        assert_eq!(fresh.read(t, j).unwrap().get_i64(1), 7);
+        fresh.commit().unwrap();
+    }
 }
 
 /// The executor-level view: a transfer workload with a snapshot-scanning
