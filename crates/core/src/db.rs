@@ -639,6 +639,13 @@ impl SnapshotRegistry {
     }
 }
 
+/// The bit of partition `p` in a partition mask. Past 64 partitions the
+/// ids fold onto the `u64`, which can only under-count a span that wide.
+#[inline]
+pub(crate) fn partition_bit(p: PartitionId) -> u64 {
+    1 << (p.0 % 64)
+}
+
 /// A loaded database shared by all worker threads: *one partition* of a
 /// [`PartitionedDb`] — its own catalog shard plus a `Topology` view of
 /// every partition. [`Database::builder`] builds the one-partition case
@@ -696,9 +703,16 @@ impl Database {
     /// write tuples of every partition.
     #[inline]
     pub fn table_for(&self, table: TableId, key: u64) -> &Arc<Table<TupleCc>> {
+        self.route(table, key).1
+    }
+
+    /// Routes `(table, key)`: the partition that owns it and that
+    /// partition's shard of `table`.
+    #[inline]
+    pub(crate) fn route(&self, table: TableId, key: u64) -> (PartitionId, &Arc<Table<TupleCc>>) {
         let t = &self.topology;
         let p = t.router.route_from(t.me, table, key);
-        t.catalogs[p.idx()].table(table)
+        (p, t.catalogs[p.idx()].table(table))
     }
 
     /// Table id by name (setup paths).
@@ -790,16 +804,14 @@ impl Database {
             .min()
     }
 
-    /// Number of distinct partitions the given `(table, key)` accesses
-    /// touch. Drives the executor's cross-partition commit accounting.
-    /// Counts in a `u64` bitmask; past 64 partitions the ids fold onto it,
-    /// which can only under-count a span that wide.
-    pub fn partitions_spanned(&self, keys: impl Iterator<Item = (TableId, u64)>) -> u32 {
+    /// The partitions the given `(table, key)` accesses touch, one
+    /// [`partition_bit`] each. Drives the executor's cross-partition
+    /// commit accounting.
+    pub(crate) fn partition_mask(&self, keys: impl Iterator<Item = (TableId, u64)>) -> u64 {
         let t = &self.topology;
-        let seen = keys.fold(0u64, |seen, (table, key)| {
-            seen | 1 << (t.router.route_from(t.me, table, key).0 % 64)
-        });
-        seen.count_ones().max(1)
+        keys.fold(0, |mask, (table, key)| {
+            mask | partition_bit(t.router.route_from(t.me, table, key))
+        })
     }
 
     /// The global durability horizon (group-commit acknowledgments park

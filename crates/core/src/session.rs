@@ -52,15 +52,12 @@ use crate::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::db::Database;
+use crate::db::{partition_bit, Database};
 use crate::executor::TxnSpec;
 use crate::protocol::Protocol;
 use crate::stats::WorkerStats;
 use crate::ts::UNASSIGNED;
-use crate::txn::{
-    Abort, AbortReason, Access, AccessState, LockMode, PendingInsert, SnapshotCtx, TxnCtx,
-    TxnShared, TxnTimers,
-};
+use crate::txn::{Abort, AbortReason, PendingInsert, SnapshotCtx, TxnCtx, TxnShared, TxnTimers};
 use crate::wal::{DurabilityTicket, WalBuffer};
 use bamboo_storage::{Row, TableId};
 use parking_lot::Mutex;
@@ -303,12 +300,10 @@ impl Session {
         // An interactive client does not know its access positions.
         opts.planned_ops = opts.planned_ops.filter(|_| self.rpc.is_none());
         let ctx = if opts.snapshot {
-            let mut ctx = TxnCtx::new(TxnShared::new(self.db.next_txn_id(), UNASSIGNED));
-            ctx.snapshot = Some(SnapshotCtx {
-                grant: self.db.register_snapshot(),
-                max_lag: opts.snapshot_max_lag,
-            });
-            ctx
+            TxnCtx::snapshot(
+                TxnShared::new(self.db.next_txn_id(), UNASSIGNED),
+                SnapshotCtx::new(self.db.register_snapshot(), opts.snapshot_max_lag),
+            )
         } else {
             self.proto.begin(&self.db, &opts)
         };
@@ -536,15 +531,22 @@ impl<'s> Txn<'s> {
             .map(Some)
     }
 
-    /// Snapshot mode's read: resolves `key` against the version chain at
-    /// the snapshot timestamp, with no lock-manager interaction of any
-    /// kind. `Ok(None)` when the row does not exist or is not yet visible
-    /// at the snapshot (inserted by a transaction that committed after the
-    /// snapshot was taken).
+    /// Snapshot mode's read: an index probe and a version pick. It
+    /// resolves `key` against the version chain at the snapshot timestamp,
+    /// with no lock-manager interaction of any kind, and records nothing
+    /// but the key's partition: it borrows the tuple instead of cloning
+    /// its `Arc`, and keeps only the row it returns, until the next read.
+    /// Rereading a key needs no cache: at a registered snapshot the
+    /// version a key resolves to cannot change. `Ok(None)` when the row
+    /// does not exist or is not yet visible at the snapshot (inserted by a
+    /// transaction that committed after the snapshot was taken).
     fn snapshot_read(&mut self, table: TableId, key: u64) -> Result<Option<&Row>, Abort> {
         let db = &self.session.db;
-        let ctx = &mut self.ctx;
-        let snap = ctx.snapshot.expect("snapshot_read outside snapshot mode");
+        let snap = self
+            .ctx
+            .snapshot
+            .as_mut()
+            .expect("snapshot_read outside snapshot mode");
         // "Snapshot too old" lag cap (TxnOptions::snapshot_max_lag): a capped
         // long reader whose snapshot fell more than `lag` commit timestamps
         // behind the stable point is aborted so its registration stops
@@ -552,23 +554,16 @@ impl<'s> Txn<'s> {
         // read path lock-free.
         if let Some(lag) = snap.max_lag {
             if db.commit_clock.stable().saturating_sub(snap.ts()) > lag {
-                ctx.shared.set_abort(AbortReason::SnapshotTooOld);
+                self.ctx.shared.set_abort(AbortReason::SnapshotTooOld);
                 return Err(Abort(AbortReason::SnapshotTooOld));
             }
         }
-        let Some(tuple) = db.table_for(table, key).get(key) else {
+        let (part, shard) = db.route(table, key);
+        let Some(row) = shard.get_ref(key).and_then(|t| t.read_at(snap.ts())) else {
             return Ok(None);
         };
-        if let Some(i) = ctx.find_access(table, tuple.key) {
-            return Ok(Some(&ctx.accesses[i].local));
-        }
-        let Some(row) = tuple.read_at(snap.ts()) else {
-            return Ok(None);
-        };
-        // No lock entry backs the read: the access is born released.
-        let access = Access::new(table, tuple, LockMode::Sh, row, AccessState::Released);
-        let i = ctx.push_access(access);
-        Ok(Some(&ctx.accesses[i].local))
+        snap.parts |= partition_bit(part);
+        Ok(Some(snap.last.insert(row)))
     }
 
     /// A cache hint with no semantic effect: starts loading the cache lines
@@ -821,7 +816,7 @@ impl<'s> Txn<'s> {
 
     /// The snapshot timestamp, when running in snapshot mode.
     pub fn snapshot_ts(&self) -> Option<u64> {
-        self.ctx.snapshot.map(|s| s.ts())
+        self.ctx.snapshot.as_ref().map(SnapshotCtx::ts)
     }
 
     /// Lock-manager acquisitions by this attempt (0 in snapshot mode —
@@ -830,17 +825,19 @@ impl<'s> Txn<'s> {
         self.ctx.locks_acquired
     }
 
-    /// Number of distinct partitions this attempt's access set (reads,
-    /// writes, buffered inserts) touches — 1 for the partition-local fast
-    /// path.
+    /// Number of distinct partitions this attempt touches — its access
+    /// set (reads, writes, buffered inserts) or, in snapshot mode, the
+    /// rows it read — 1 for the partition-local fast path.
     pub fn partitions_spanned(&self) -> u32 {
-        self.session.db.partitions_spanned(
+        let accessed = self.session.db.partition_mask(
             self.ctx
                 .accesses
                 .iter()
                 .map(|a| (a.table, a.tuple.key))
                 .chain(self.ctx.inserts.iter().map(|i| (i.table, i.key))),
-        )
+        );
+        let read = self.ctx.snapshot.as_ref().map_or(0, |s| s.parts);
+        (accessed | read).count_ones().max(1)
     }
 
     /// Read-only view of the execution context (assertions, diagnostics).
@@ -1227,7 +1224,7 @@ mod tests {
             let before = txn.ctx().accesses[0].state;
             txn.retire(t, 1);
             let expected = if honoured {
-                AccessState::Retired
+                crate::txn::AccessState::Retired
             } else {
                 before
             };

@@ -472,9 +472,12 @@ impl std::fmt::Debug for TxnShared {
 }
 
 /// Snapshot-mode state of a [`TxnCtx`]: the registry grant (which carries
-/// the snapshot timestamp) plus the optional "snapshot too old" lag cap
-/// from [`crate::session::TxnOptions::snapshot_max_lag`].
-#[derive(Clone, Copy, Debug)]
+/// the snapshot timestamp), the optional "snapshot too old" lag cap from
+/// [`crate::session::TxnOptions::snapshot_max_lag`], and the little a read
+/// leaves behind. A snapshot read records no access: at a registered
+/// snapshot a key's visible version cannot change, so there is nothing to
+/// deduplicate or release.
+#[derive(Debug)]
 pub struct SnapshotCtx {
     /// The registry registration; released exactly once, when the
     /// [`crate::session::Txn`] commits or aborts.
@@ -483,9 +486,25 @@ pub struct SnapshotCtx {
     /// clock's stable point runs more than this many timestamps ahead of
     /// the snapshot. `None` (the default) = never.
     pub max_lag: Option<u64>,
+    /// The partitions the snapshot has read a row from, bit `id % 64`
+    /// each: what [`crate::session::Txn::partitions_spanned`] counts.
+    pub parts: u64,
+    /// The row the latest read returned, which the read lends out; the
+    /// next read replaces it.
+    pub last: Option<Row>,
 }
 
 impl SnapshotCtx {
+    /// A snapshot at `grant` that has read nothing yet.
+    pub fn new(grant: crate::db::SnapshotGrant, max_lag: Option<u64>) -> Self {
+        SnapshotCtx {
+            grant,
+            max_lag,
+            parts: 0,
+            last: None,
+        }
+    }
+
     /// The snapshot timestamp reads resolve at.
     #[inline]
     pub fn ts(&self) -> u64 {
@@ -707,10 +726,23 @@ pub struct TxnCtx {
 impl TxnCtx {
     /// Fresh context for one attempt.
     pub fn new(shared: Arc<TxnShared>) -> Self {
+        Self::with_access_capacity(shared, 16)
+    }
+
+    /// Fresh context for a snapshot attempt. A snapshot read records no
+    /// access, so the context allocates no access buffers.
+    pub fn snapshot(shared: Arc<TxnShared>, snapshot: SnapshotCtx) -> Self {
+        TxnCtx {
+            snapshot: Some(snapshot),
+            ..Self::with_access_capacity(shared, 0)
+        }
+    }
+
+    fn with_access_capacity(shared: Arc<TxnShared>, capacity: usize) -> Self {
         TxnCtx {
             shared,
-            accesses: Vec::with_capacity(16),
-            index: HashMap::with_capacity_and_hasher(16, BuildKeyHasher),
+            accesses: Vec::with_capacity(capacity),
+            index: HashMap::with_capacity_and_hasher(capacity, BuildKeyHasher),
             inserts: Vec::new(),
             snapshot: None,
             commit_ts: 0,

@@ -13,10 +13,22 @@
 //! after the snapshot was taken
 //! ([`AbortReason::SnapshotNotVisible`](bamboo_core::AbortReason)) — is a
 //! phantom this transaction skips, not an error.
+//!
+//! Neither knows its keys up front: each step's keys come out of the rows
+//! the step before it read. So they pass [`Txn::prefetch`] each batch of
+//! keys as soon as it is known (StockLevel: the 20 order keys, then each
+//! order's line keys once its `O_OL_CNT` is read, then the stock keys of
+//! the items that order adds; OrderStatus: the matching order's lines),
+//! and a batch's cold misses overlap instead of following one another. A
+//! snapshot holds no lock, so a hint taken mid-transaction moves no cold
+//! work out of a lock's hold either.
+
+use std::collections::HashSet;
 
 use bamboo_core::executor::TxnSpec;
 use bamboo_core::txn::Abort;
 use bamboo_core::Txn;
+use bamboo_storage::BuildKeyHasher;
 
 use super::loader::TpccTables;
 use super::schema::*;
@@ -77,8 +89,9 @@ impl TxnSpec for OrderStatusTxn {
             if c != self.c_key {
                 continue;
             }
-            for line in 0..ol_cnt {
-                let lkey = order_line_key(okey, line);
+            let lines = (0..ol_cnt).map(|line| order_line_key(okey, line));
+            txn.prefetch(lines.clone().map(|lkey| (self.tables.order_line, lkey)));
+            for lkey in lines {
                 if let Some(row) = txn.read_opt(self.tables.order_line, lkey)? {
                     std::hint::black_box(row.get_f64(order_line::OL_AMOUNT));
                 }
@@ -134,32 +147,39 @@ impl StockLevelTxn {
     /// The transaction's result: how many distinct items of the district's
     /// last 20 orders have `S_QUANTITY` below the threshold.
     pub fn low_stock(&self, txn: &mut Txn<'_>) -> Result<u64, Abort> {
+        let t = &self.tables;
         let next = {
-            let row = txn.read(self.tables.district, dist_key(self.w, self.d))?;
+            let row = txn.read(t.district, dist_key(self.w, self.d))?;
             row.get_u64(dist::D_NEXT_O_ID)
         };
         let lo = next.saturating_sub(20).max(3001);
+        let orders = (lo..next).map(|o| order_key(self.w, self.d, o));
+        txn.prefetch(orders.clone().map(|okey| (t.orders, okey)));
         let mut low = 0u64;
-        let mut seen: Vec<u64> = Vec::new();
-        for o in lo..next {
-            let okey = order_key(self.w, self.d, o);
-            let Some(row) = txn.read_opt(self.tables.orders, okey)? else {
+        // Distinct items only (spec 2.8.2.2).
+        let mut seen: HashSet<u64, BuildKeyHasher> = HashSet::default();
+        let mut fresh = Vec::new();
+        for okey in orders {
+            let Some(row) = txn.read_opt(t.orders, okey)? else {
                 continue;
             };
-            let ol_cnt = row.get_u64(orders::O_OL_CNT);
-            for line in 0..ol_cnt {
-                let lkey = order_line_key(okey, line);
-                let Some(row) = txn.read_opt(self.tables.order_line, lkey)? else {
+            let lines = (0..row.get_u64(orders::O_OL_CNT)).map(|line| order_line_key(okey, line));
+            txn.prefetch(lines.clone().map(|lkey| (t.order_line, lkey)));
+            fresh.clear();
+            for lkey in lines {
+                let Some(row) = txn.read_opt(t.order_line, lkey)? else {
                     continue;
                 };
                 let item = row.get_u64(order_line::OL_I_ID);
-                if seen.contains(&item) {
-                    continue; // distinct items only (spec 2.8.2.2)
+                if seen.insert(item) {
+                    fresh.push(item);
                 }
-                seen.push(item);
-                let skey = stock_key(self.w, item, self.items_per_wh);
+            }
+            let stock = |&item: &u64| stock_key(self.w, item, self.items_per_wh);
+            txn.prefetch(fresh.iter().map(|item| (t.stock, stock(item))));
+            for item in &fresh {
                 let qty = {
-                    let row = txn.read(self.tables.stock, skey)?;
+                    let row = txn.read(t.stock, stock(item))?;
                     row.get_i64(stock::S_QUANTITY)
                 };
                 if qty < self.threshold {

@@ -7,16 +7,18 @@
 //! the snapshot-scan visibility regression (a remote partition's
 //! post-snapshot insert is a phantom to skip, never an abort).
 
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use bamboo_repro::core::executor::Workload;
+use bamboo_repro::core::executor::{TxnSpec, Workload};
 use bamboo_repro::core::partition::{PartSession, PartitionedDb};
 use bamboo_repro::core::protocol::{
     Ic3Protocol, LockingProtocol, PieceAccess, PieceDecl, Protocol, SiloProtocol, TemplateDecl,
 };
+use bamboo_repro::core::stats::WorkerStats;
 use bamboo_repro::core::sync::thread_lock_acquisitions;
-use bamboo_repro::core::{Database, DbOptions, Session};
+use bamboo_repro::core::{Abort, Database, DbOptions, Session, Txn};
 use bamboo_repro::storage::log::WalRecord;
 use bamboo_repro::storage::{
     DataType, PartitionId, RouteStrategy, Router, Row, Schema, TableId, Value,
@@ -387,6 +389,61 @@ fn cross_partition_snapshot_scan_skips_post_snapshot_inserts() {
     let mut snap = session.snapshot_on(PartitionId(0));
     assert_eq!(snap.scan(t, 0..=u64::MAX).unwrap().len(), 18);
     snap.commit().unwrap();
+}
+
+/// A snapshot that reads rows on two partitions is a cross-partition
+/// commit in `WorkerStats`, although a snapshot read records no access:
+/// the context keeps the partitions its reads touched, its access set
+/// stays empty, and it takes no lock.
+#[test]
+fn a_snapshot_read_on_two_partitions_counts_as_cross_partition() {
+    struct ReadKeys {
+        table: TableId,
+        keys: Vec<u64>,
+    }
+    impl TxnSpec for ReadKeys {
+        fn read_only_snapshot(&self) -> bool {
+            true
+        }
+        fn run_piece(&self, _piece: usize, txn: &mut Txn<'_>) -> Result<(), Abort> {
+            for &key in &self.keys {
+                txn.read_opt(self.table, key)?;
+            }
+            assert!(
+                txn.ctx().accesses.is_empty(),
+                "a snapshot read records no access"
+            );
+            Ok(())
+        }
+    }
+
+    let (pdb, t) = bank(2);
+    let session = PartSession::new(Arc::clone(&pdb), Arc::new(LockingProtocol::bamboo()));
+    let remote = ACCOUNTS_PER_PART; // partition 1's first account
+    let absent = 100; // routed to partition 1, never loaded
+
+    let mut snap = session.snapshot_on(PartitionId(0));
+    snap.read(t, 0).unwrap();
+    assert!(snap.read_opt(t, absent).unwrap().is_none());
+    assert_eq!(snap.partitions_spanned(), 1, "an absent key spans nothing");
+    snap.read(t, remote).unwrap();
+    assert_eq!(snap.partitions_spanned(), 2);
+    assert!(snap.ctx().accesses.is_empty());
+    assert_eq!(snap.locks_acquired(), 0);
+    snap.commit().unwrap();
+
+    let stop = AtomicBool::new(false);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    for (keys, cross) in [(vec![0, 1, absent], 0), (vec![0, remote, 1], 1)] {
+        let mut stats = WorkerStats::default();
+        let spec = ReadKeys { table: t, keys };
+        assert!(session
+            .session(PartitionId(0))
+            .run_reporting(&spec, &mut stats, &stop, deadline));
+        assert_eq!(stats.snapshot_commits, 1);
+        assert_eq!(stats.cross_partition_commits, cross, "{:?}", spec.keys);
+        assert_eq!(stats.snapshot_lock_acquisitions, 0);
+    }
 }
 
 /// Router sanity at the integration level: the same `(table, key)` routes
