@@ -85,7 +85,7 @@ use bamboo_storage::log::{
 use bamboo_storage::{BuildKeyHasher, PartitionId, TableId};
 
 use crate::db::DbOptions;
-use crate::partition::PartitionedDb;
+use crate::partition::{per_partition, PartitionedDb};
 use crate::sync::atomic::Ordering;
 
 /// What [`PartitionedDb::recover`] did, for observability and tests.
@@ -126,20 +126,6 @@ impl TxnGroup {
     fn complete(&self) -> bool {
         self.seen_mask & self.parts_mask == self.parts_mask
     }
-}
-
-/// Runs `f` for every partition in `0..n`, each on a thread of its own,
-/// and returns the results in partition order. A panic in `f` is
-/// re-raised here.
-fn per_partition<T: Send>(n: u32, f: impl Fn(u32) -> T + Sync) -> Vec<T> {
-    std::thread::scope(|s| {
-        let f = &f;
-        let handles: Vec<_> = (0..n).map(|p| s.spawn(move || f(p))).collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    })
 }
 
 impl PartitionedDb {

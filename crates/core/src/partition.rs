@@ -399,10 +399,10 @@ impl PartitionedDbBuilder {
     /// When [`DbOptions::with_wal_dir`] is set, every partition opens a
     /// durable WAL segment writer rooted in that directory (resuming after
     /// any existing log, with the torn tail truncated away — see
-    /// [`bamboo_storage::log`]); otherwise there are no partition logs and
-    /// every commit goes to its session's ring. Durable databases cap the
-    /// partition count at 64: the cross-partition completeness mask is a
-    /// `u64` bitmask.
+    /// [`bamboo_storage::log`]), the partitions on a thread each;
+    /// otherwise there are no partition logs and every commit goes to its
+    /// session's ring. Durable databases cap the partition count at 64:
+    /// the cross-partition completeness mask is a `u64` bitmask.
     pub fn build(self) -> Arc<PartitionedDb> {
         let mut router = Router::new(self.partitions, RouteStrategy::Hash);
         for (i, s) in self.strategies.into_iter().enumerate() {
@@ -418,23 +418,21 @@ impl PartitionedDbBuilder {
                     "durable WALs support at most 64 partitions \
                      (the completeness mask is a u64 bitmask)"
                 );
-                (0..self.partitions)
-                    .map(|p| {
-                        // An unopenable segment no longer aborts the build:
-                        // that partition comes up degraded (writes fail fast
-                        // with DurabilityFailed, snapshot reads keep serving)
-                        // and `PartitionedDb::heal` can re-open it later.
-                        let opened = dir.open_writer(
-                            p,
-                            self.options.fsync_policy,
-                            self.options.segment_bytes,
-                        );
-                        Arc::new(match opened {
-                            Ok(w) => WalHandle::durable(w),
-                            Err(_) => WalHandle::poisoned(),
-                        })
+                // Reopening walks each partition's whole log, and the
+                // partitions' logs are disjoint: one thread each.
+                per_partition(self.partitions, |p| {
+                    // An unopenable segment no longer aborts the build: that
+                    // partition comes up degraded (writes fail fast with
+                    // DurabilityFailed, snapshot reads keep serving) and
+                    // `PartitionedDb::heal` can re-open it later.
+                    let opened =
+                        dir.open_writer(p, self.options.fsync_policy, self.options.segment_bytes);
+                    Arc::new(match opened {
+                        Ok(w) => WalHandle::durable(w),
+                        Err(_) => WalHandle::poisoned(),
                     })
-                    .collect()
+                })
+                .into()
             }
             None => Arc::from([]),
         };
@@ -480,6 +478,20 @@ impl PartitionedDbBuilder {
             segments_retired: AtomicU64::new(0),
         })
     }
+}
+
+/// Runs `f` for every partition in `0..n`, each on a thread of its own,
+/// and returns the results in partition order. A panic in `f` is
+/// re-raised here.
+pub(crate) fn per_partition<T: Send>(n: u32, f: impl Fn(u32) -> T + Sync) -> Vec<T> {
+    std::thread::scope(|s| {
+        let f = &f;
+        let handles: Vec<_> = (0..n).map(|p| s.spawn(move || f(p))).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
 }
 
 /// A partition-aware session: one inner [`Session`] per partition, all
