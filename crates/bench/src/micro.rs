@@ -5,8 +5,8 @@
 //! install) on a narrow row and on a wide one with strings, the primary-key
 //! point lookup from one thread and from two, a batch of cold keys with and
 //! without a prefetch pass (from the table alone and through a
-//! transaction, with one hint pass or two), and the writer stall of an
-//! index growth.
+//! transaction, with one hint pass or two, and through a snapshot), one
+//! TPC-C StockLevel snapshot, and the writer stall of an index growth.
 //!
 //! Each probe is a plain timing loop, reported as the median of `BATCHES`
 //! batches in ns per operation after one untimed batch. Iteration counts
@@ -22,12 +22,19 @@ use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bamboo_core::executor::Workload;
 use bamboo_core::lock::{Acquired, CommitInstall, LockPolicy};
 use bamboo_core::protocol::{LockingProtocol, Protocol};
 use bamboo_core::ts::TsSource;
 use bamboo_core::txn::{LockMode, TxnShared};
 use bamboo_core::{Database, Session, TupleCc};
 use bamboo_storage::{DataType, Row, Schema, Table, Value};
+use bamboo_workload::tpcc::readonly::StockLevelTxn;
+use bamboo_workload::tpcc::schema::DISTRICTS_PER_WAREHOUSE;
+use bamboo_workload::tpcc::txns::TEMPLATE_NEW_ORDER;
+use bamboo_workload::tpcc::{self, TpccConfig, TpccWorkload};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 use crate::harness::RunOpts;
 
@@ -39,6 +46,8 @@ const TABLE_BITS: u32 = 18;
 const BATCH: usize = 16;
 /// Keys a growth table is sized for; it takes twice as many.
 const GROW_CAP: usize = 1 << 16;
+/// NewOrders run before the `stock_level` probe.
+const STOCK_LEVEL_NEW_ORDERS: u64 = 20_000;
 
 /// Median over [`BATCHES`] batches of `batch(iters)` ÷ `iters`, in ns, after
 /// one untimed batch. `batch` times its own measured section, so it can set
@@ -319,8 +328,62 @@ pub fn run(opts: &RunOpts) {
         });
         report(name, ns);
     }
+    // The same keys through one snapshot transaction, no hint: the read
+    // path a long reader takes (an index probe and a version pick).
+    let mut x = 1;
+    let ns = per_op(scale(2_000), |iters| {
+        let start = Instant::now();
+        for _ in 0..iters {
+            let keys: [u64; BATCH] = std::array::from_fn(|_| next_key(&mut x));
+            let mut txn = session.snapshot();
+            for &k in &keys {
+                black_box(txn.read(cold, k).unwrap());
+            }
+            txn.commit().unwrap();
+        }
+        start.elapsed() / BATCH as u32
+    });
+    report("snapshot_read_16", ns);
     drop(session);
     drop(cold_db);
+
+    // One TPC-C StockLevel snapshot (a random district and threshold) on a
+    // 1-warehouse database after `STOCK_LEVEL_NEW_ORDERS` NewOrders: about
+    // 20 orders, 200 order lines and up to 200 stock rows read per call.
+    let cfg = TpccConfig::default();
+    let (tpcc_db, tables, lastname) = tpcc::load(&cfg);
+    let tpcc_wl = TpccWorkload::new(cfg.clone(), Arc::clone(&tpcc_db), tables, lastname);
+    let session = Session::new(Arc::clone(&tpcc_db), Arc::new(LockingProtocol::bamboo()));
+    let mut rng = SmallRng::seed_from_u64(1);
+    let mut new_orders = 0;
+    while new_orders < STOCK_LEVEL_NEW_ORDERS {
+        let spec = tpcc_wl.generate(0, &mut rng);
+        if spec.template() == TEMPLATE_NEW_ORDER {
+            // 1 % roll back by design; they count as the workload's do.
+            let _ = session.run(&*spec);
+            new_orders += 1;
+        }
+    }
+    let ns = per_op(scale(300), |iters| {
+        let start = Instant::now();
+        for _ in 0..iters {
+            let sl = StockLevelTxn {
+                tables,
+                w: 0,
+                d: rng.gen_range(0..DISTRICTS_PER_WAREHOUSE),
+                threshold: rng.gen_range(10..=20),
+                items_per_wh: cfg.items,
+                snapshot: true,
+                home: 0,
+            };
+            session.run(&sl).unwrap();
+        }
+        start.elapsed()
+    });
+    report("stock_level", ns);
+    drop(session);
+    drop(tpcc_wl);
+    drop(tpcc_db);
 
     // One growth of every shard: a table sized for `GROW_CAP` keys takes
     // twice as many, so each of its 64 shards copies its ≈ 1 000 entries
