@@ -302,7 +302,12 @@ impl Session {
         let ctx = if opts.snapshot {
             TxnCtx::snapshot(
                 TxnShared::new(self.db.next_txn_id(), UNASSIGNED),
-                SnapshotCtx::new(self.db.register_snapshot(), opts.snapshot_max_lag),
+                SnapshotCtx {
+                    grant: self.db.register_snapshot(),
+                    max_lag: opts.snapshot_max_lag,
+                    parts: 0,
+                    last: None,
+                },
             )
         } else {
             self.proto.begin(&self.db, &opts)
@@ -597,7 +602,9 @@ impl<'s> Txn<'s> {
     /// A stored procedure that knows its keys calls it once, before its
     /// first lock request: the misses into cold tuples then overlap each
     /// other and the wait for a contended lock, instead of stretching the
-    /// time the procedure holds it.
+    /// time the procedure holds it. A snapshot holds no lock, so it calls
+    /// it whenever a batch of keys becomes known (TPC-C's StockLevel and
+    /// OrderStatus learn theirs from the rows they read).
     ///
     /// [`Tuple::prefetch_row`]: bamboo_storage::Tuple::prefetch_row
     /// [`LockState::prefetch_list`]: crate::lock::LockState::prefetch_list

@@ -495,16 +495,6 @@ pub struct SnapshotCtx {
 }
 
 impl SnapshotCtx {
-    /// A snapshot at `grant` that has read nothing yet.
-    pub fn new(grant: crate::db::SnapshotGrant, max_lag: Option<u64>) -> Self {
-        SnapshotCtx {
-            grant,
-            max_lag,
-            parts: 0,
-            last: None,
-        }
-    }
-
     /// The snapshot timestamp reads resolve at.
     #[inline]
     pub fn ts(&self) -> u64 {
