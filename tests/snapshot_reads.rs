@@ -199,6 +199,73 @@ fn snapshot_reader_is_lock_free_and_consistent_under_write_fire() {
     }
 }
 
+/// Snapshots that come and go under write fire: two readers run short
+/// snapshot scans back to back, so the number of live snapshots falls to
+/// zero and rises again thousands of times while transfers commit. Every
+/// scan reads every account through `Txn::read`, so a version a snapshot
+/// still needed but a writer dropped surfaces as `SnapshotNotVisible` (or
+/// as a torn total), and every scan checks the conserved total.
+#[test]
+fn snapshots_that_come_and_go_never_miss_a_version() {
+    const WRITERS: usize = 2;
+    const READERS: usize = 2;
+    const SCANS: usize = 2_000;
+    for proto in [
+        Arc::new(LockingProtocol::bamboo()) as Arc<dyn Protocol>,
+        Arc::new(LockingProtocol::bamboo_base()) as Arc<dyn Protocol>,
+        Arc::new(LockingProtocol::wound_wait()) as Arc<dyn Protocol>,
+        Arc::new(SiloProtocol::new()) as Arc<dyn Protocol>,
+    ] {
+        let (db, t) = load();
+        let stop = AtomicBool::new(false);
+        let commits = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for w in 0..WRITERS {
+                let (db, proto, stop, commits) =
+                    (Arc::clone(&db), Arc::clone(&proto), &stop, &commits);
+                s.spawn(move || {
+                    use rand::SeedableRng;
+                    let mut rng = SmallRng::seed_from_u64(2000 + w as u64);
+                    let wl = TransferWl { table: t };
+                    let session = Session::new(db, proto);
+                    while !stop.load(Ordering::Relaxed) {
+                        let spec = wl.generate(w, &mut rng);
+                        session.run(spec.as_ref()).unwrap();
+                        commits.fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+            }
+            let _stop = StopOnDrop(&stop);
+            let readers: Vec<_> = (0..READERS)
+                .map(|_| {
+                    let (db, proto) = (Arc::clone(&db), Arc::clone(&proto));
+                    s.spawn(move || {
+                        let session = Session::new(db, proto);
+                        for _ in 0..SCANS {
+                            snapshot_scan(&session, t);
+                        }
+                    })
+                })
+                .collect();
+            for r in readers {
+                if let Err(panic) = r.join() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
+        });
+        assert!(
+            commits.load(Ordering::Relaxed) > 0,
+            "{}: the writers never committed",
+            proto.name()
+        );
+        assert_eq!(db.snapshots.active_count(), 0, "{}", proto.name());
+        let total: i64 = (0..N_ACCOUNTS)
+            .map(|id| db.table(t).get(id).unwrap().read_row().get_i64(1))
+            .sum();
+        assert_eq!(total, N_ACCOUNTS as i64 * INITIAL, "{}", proto.name());
+    }
+}
+
 /// Snapshot isolation against inserts: a row committed after the snapshot
 /// was taken is invisible to it (no snapshot phantoms), while later
 /// snapshots see it. The invisibility now surfaces through the `Txn` read
