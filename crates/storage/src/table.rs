@@ -28,7 +28,7 @@
 //! any byte range (a tuple, a row image, a lock list's buffer); its
 //! prefetch instruction is the one `unsafe` block in the workspace.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
 
@@ -161,7 +161,9 @@ pub struct Table<M> {
     slab: RwLock<Vec<Arc<Tuple<M>>>>,
     pk_index: ShardedIndex<Arc<Tuple<M>>>,
     secondary: RwLock<Vec<Arc<SecondaryIndex>>>,
-    ordered: RwLock<Option<Arc<OrderedIndex>>>,
+    /// Set once, by [`Table::enable_ordered_index`]; an insert reads it
+    /// without a latch.
+    ordered: OnceLock<Arc<OrderedIndex>>,
 }
 
 impl<M: Default> Table<M> {
@@ -178,7 +180,7 @@ impl<M: Default> Table<M> {
             slab: RwLock::new(Vec::with_capacity(cap)),
             pk_index: ShardedIndex::with_capacity(cap).with_growth_hint(prefetch_arc),
             secondary: RwLock::new(Vec::new()),
-            ordered: RwLock::new(None),
+            ordered: OnceLock::new(),
         }
     }
 
@@ -197,6 +199,12 @@ impl<M: Default> Table<M> {
     /// snapshots older than `commit_ts` do not see it (transactional
     /// inserts applied at commit). Duplicate keys panic, as in
     /// [`Table::insert`].
+    ///
+    /// The tuple joins the slab before the insert looks for the ordered
+    /// index, and [`Table::enable_ordered_index`] backfills from the slab
+    /// under its write latch before it sets the index: so an insert racing
+    /// the enable is in the backfill or sees the index (or both; the index
+    /// is a set).
     pub fn insert_at(&self, key: u64, row: Row, commit_ts: u64) -> Arc<Tuple<M>> {
         debug_assert!(self.schema.validate(row.values()).is_ok());
         let tuple = Arc::new(Tuple {
@@ -211,7 +219,7 @@ impl<M: Default> Table<M> {
             "duplicate primary key {key} in {}",
             self.name
         );
-        if let Some(idx) = self.ordered.read().as_ref() {
+        if let Some(idx) = self.ordered.get() {
             idx.insert(key);
         }
         tuple
@@ -289,23 +297,27 @@ impl<M> Table<M> {
 
     /// Enables (or returns) the ordered primary-key index, backfilling
     /// existing tuples. Range scans and next-key phantom protection
-    /// require it.
+    /// require it. The backfill and the setting of the index happen under
+    /// the slab's write latch (see [`Table::insert_at`]).
     pub fn enable_ordered_index(&self) -> Arc<OrderedIndex> {
-        let mut guard = self.ordered.write();
-        if let Some(idx) = guard.as_ref() {
+        if let Some(idx) = self.ordered.get() {
             return Arc::clone(idx);
         }
-        let idx = Arc::new(OrderedIndex::new());
-        for t in self.slab.read().iter() {
-            idx.insert(t.key);
-        }
-        *guard = Some(Arc::clone(&idx));
-        idx
+        let slab = self.slab.write();
+        let idx = self.ordered.get_or_init(|| {
+            let idx = OrderedIndex::new();
+            for t in slab.iter() {
+                idx.insert(t.key);
+            }
+            Arc::new(idx)
+        });
+        Arc::clone(idx)
     }
 
-    /// The ordered index, if enabled.
-    pub fn ordered_index(&self) -> Option<Arc<OrderedIndex>> {
-        self.ordered.read().clone()
+    /// The ordered index, if enabled. Takes no latch.
+    #[inline]
+    pub fn ordered_index(&self) -> Option<&Arc<OrderedIndex>> {
+        self.ordered.get()
     }
 }
 
@@ -385,6 +397,38 @@ mod tests {
         let tup = t.get(k).expect("key present");
         t.get_by_row_id(n)
             .is_some_and(|slot| Arc::ptr_eq(&tup, &slot))
+    }
+
+    #[test]
+    fn inserts_racing_the_ordered_index_enable_all_land_in_it() {
+        const PER_WRITER: u64 = 400;
+        for round in 0..25 {
+            let t = table();
+            t.insert(u64::MAX, row(0, 0));
+            std::thread::scope(|s| {
+                for w in 0..2u64 {
+                    let t = &t;
+                    s.spawn(move || {
+                        for k in 0..PER_WRITER {
+                            let key = w * PER_WRITER + k;
+                            t.insert(key, row(key, 0));
+                        }
+                    });
+                }
+                s.spawn(|| {
+                    for _ in 0..round {
+                        std::thread::yield_now();
+                    }
+                    t.enable_ordered_index();
+                });
+            });
+            let idx = t.ordered_index().expect("enabled");
+            assert_eq!(
+                idx.range(0..=u64::MAX).len() as u64,
+                2 * PER_WRITER + 1,
+                "round {round}: an insert missed the ordered index"
+            );
+        }
     }
 
     #[test]
