@@ -16,10 +16,12 @@
 //! * [`CommitClock`] is an atomic `next` counter plus a fixed ring of
 //!   cache-padded per-slot atomics recording finished timestamps; the
 //!   stable point is maintained in a cached atomic advanced by finishers.
-//! * [`SnapshotRegistry`] is a set of sharded epoch bins — each bin one
-//!   packed `AtomicU64` holding `(epoch, refcount)` — so concurrent
-//!   snapshot register/release operations touch disjoint cache lines and
-//!   never serialize against each other or against commits.
+//! * [`SnapshotRegistry`] is a set of shards, each a count of its live
+//!   snapshots plus epoch bins — each bin one packed `AtomicU64` holding
+//!   `(epoch, refcount)` — so concurrent snapshot register/release
+//!   operations touch disjoint cache lines and never serialize against
+//!   each other. A registration waits for the commits already in flight
+//!   (`CommitClock::drain`); a commit never waits for a snapshot.
 //!
 //! # Memory-ordering contract
 //!
@@ -51,6 +53,17 @@
 //!   floor instead, which is `<=` the snapshot timestamp by construction.
 //! * The watermark itself is published with `fetch_max` (`AcqRel`), so a
 //!   stale racer can never move it backwards.
+//! * A committer allocates its timestamp `C` (a `SeqCst` RMW on `next`)
+//!   and then reads each registry shard's live-snapshot count (`SeqCst`
+//!   loads); a registering snapshot raises its shard's count (a `SeqCst`
+//!   RMW) and then reads `next` (a `SeqCst` load). In the single total
+//!   order of those operations, a committer that reads 0 in the
+//!   snapshot's shard allocated `C` before the snapshot read `next`, so the snapshot sees `next > C`, waits until
+//!   `stable >= next - 1 >= C` (`CommitClock::drain`) and adopts a
+//!   timestamp `>= C`. It never needs the image the committer dropped at
+//!   install (`Database::install_watermark` returned `C`). A committer
+//!   that reads a count of 1 or more installs under the published
+//!   watermark, as above.
 
 use std::sync::Arc;
 
@@ -60,7 +73,7 @@ use bamboo_storage::{Catalog, PartitionId, RouteStrategy, Router, Schema, Table,
 
 use crate::meta::TupleCc;
 use crate::partition::{PartitionedDb, PartitionedDbBuilder};
-use crate::sync::CachePadded;
+use crate::sync::{wait_round, CachePadded};
 use crate::ts::TsSource;
 use crate::wal::{DurabilityHorizon, WalHandle};
 
@@ -267,28 +280,22 @@ impl CommitClock {
     /// flight (the slot being reused still belongs to timestamp
     /// `ts - CLOCK_WINDOW`); then it spins until that commit finishes.
     pub fn allocate(&self) -> u64 {
-        // ordering: Relaxed — the ticket value itself carries no payload;
-        // all install-visibility ordering hangs off finish()'s slot store.
-        let ts = self.next.fetch_add(1, Ordering::Relaxed);
+        // ordering: SeqCst — the allocation must precede the committer's
+        // read of the live-snapshot count in the total order a registering
+        // snapshot's count raise and `next()` read also take part in
+        // (module docs, bullet 3). On x86 every RMW is SeqCst anyway.
+        let ts = self.next.fetch_add(1, Ordering::SeqCst);
         if ts > CLOCK_WINDOW as u64 {
             let prev = ts - CLOCK_WINDOW as u64;
             let slot = self.slot(ts);
-            let mut spins = 0u32;
+            let mut rounds = 0;
             // ordering: Acquire — reusing the slot must happen-after the
             // previous occupant's finish (its Release store), so the new
             // occupant never overwrites an unpublished finish.
             while slot.load(Ordering::Acquire) < prev {
                 // The previous occupant is typically a thread that was
-                // preempted between allocate and finish: on an
-                // oversubscribed machine it cannot finish until it runs
-                // again, so burn a few pause-hinted spins and then yield
-                // the CPU to it instead of spinning a full quantum.
-                spins += 1;
-                if spins < 32 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
+                // preempted between allocate and finish.
+                wait_round(&mut rounds);
             }
         }
         ts
@@ -378,6 +385,20 @@ impl CommitClock {
         self.next.load(Ordering::SeqCst)
     }
 
+    /// Waits until every timestamp allocated before the call has finished,
+    /// and returns the newest of them (0 when none was ever allocated):
+    /// afterwards `stable()` is at least the returned value. Ends because
+    /// an allocated timestamp always finishes before its committer returns
+    /// control to its caller; the caller must not itself hold one.
+    pub(crate) fn drain(&self) -> u64 {
+        let last = self.next().saturating_sub(1);
+        let mut rounds = 0;
+        while self.stable() < last {
+            wait_round(&mut rounds);
+        }
+        last
+    }
+
     /// Fast-forwards a quiescent clock so every timestamp `<= ts` counts
     /// as finished and `ts + 1` is the next allocation. Recovery-only:
     /// callers guarantee no concurrent allocator or finisher exists.
@@ -457,9 +478,11 @@ fn bin_unpack(word: u64) -> (u64, u64) {
     (word >> BIN_COUNT_BITS, word & BIN_COUNT_MASK)
 }
 
-/// One registry shard: epoch bins plus the shard's published floor
-/// (maintained by [`SnapshotRegistry::floor`] scans; `u64::MAX` = empty).
+/// One registry shard: the count of its live snapshots, epoch bins, and
+/// the shard's published floor (maintained by [`SnapshotRegistry::floor`]
+/// scans; `u64::MAX` = empty).
 struct SnapShard {
+    live: AtomicUsize,
     bins: [AtomicU64; SNAP_BINS],
     floor: AtomicU64,
 }
@@ -506,6 +529,7 @@ impl SnapshotRegistry {
             shards: (0..SNAP_SHARDS)
                 .map(|_| {
                     CachePadded::new(SnapShard {
+                        live: AtomicUsize::new(0),
                         bins: std::array::from_fn(|_| AtomicU64::new(0)),
                         floor: AtomicU64::new(u64::MAX),
                     })
@@ -529,16 +553,30 @@ impl SnapshotRegistry {
         })
     }
 
-    /// Registers a snapshot: publishes presence in an epoch bin *first*,
-    /// then adopts the stable point re-read *after* publication as the
-    /// snapshot timestamp. That order is what makes the registration
+    /// Registers a snapshot. It first raises its shard's live count and
+    /// drains the commit clock ([`CommitClock::drain`]): every commit allocated
+    /// before the raise may have dropped the image it replaced, so the
+    /// snapshot waits for those commits to finish and takes a timestamp
+    /// at or above theirs. Then it publishes presence in an epoch bin
+    /// *first*, and adopts the stable point re-read *after* publication as
+    /// the snapshot timestamp. That order is what makes the registration
     /// race-free against watermark publication without a lock.
     fn register(&self, clock: &CommitClock) -> SnapshotGrant {
         let shard_i = self.my_shard();
+        let shard = &self.shards[shard_i];
+        // ordering: SeqCst — the raise precedes the drain's `next()` read,
+        // and a committer's allocation precedes its read of this count, in
+        // one total order: a committer that read 0 allocated before our
+        // `next()` read, so the drain waits for it (module docs, bullet 3).
+        shard.live.fetch_add(1, Ordering::SeqCst);
+        // `--cfg bamboo_model_no_drain` removes the drain so the model
+        // checker can show the lost version it prevents.
+        #[cfg(not(bamboo_model_no_drain))]
+        clock.drain();
         let provisional = clock.stable();
         let epoch = provisional / BIN_WIDTH;
         let bin_i = (epoch as usize) % SNAP_BINS;
-        let bin = &self.shards[shard_i].bins[bin_i];
+        let bin = &shard.bins[bin_i];
         // ordering: SeqCst — the bin update must precede the stable re-read
         // below in the single total order the watermark publisher also
         // participates in (module docs, bullet 2).
@@ -577,7 +615,8 @@ impl SnapshotRegistry {
     /// refcount. The epoch label of an emptied bin goes stale harmlessly —
     /// floor scans skip bins with a zero count.
     fn unregister(&self, grant: SnapshotGrant) {
-        let bin = &self.shards[grant.shard].bins[grant.bin];
+        let shard = &self.shards[grant.shard];
+        let bin = &shard.bins[grant.bin];
         // ordering: SeqCst — releases participate in the same total order
         // as registrations and floor scans; a weaker release could let a
         // concurrent scan double-count or miss the bin transition.
@@ -588,10 +627,14 @@ impl SnapshotRegistry {
             let new = bin_pack(e, c.saturating_sub(1));
             // ordering: SeqCst — see the bin load above.
             match bin.compare_exchange_weak(cur, new, Ordering::SeqCst, Ordering::SeqCst) {
-                Ok(_) => return,
+                Ok(_) => break,
                 Err(observed) => cur = observed,
             }
         }
+        // ordering: SeqCst — the same total order as the raise in
+        // `register`; a committer that reads 0 from here on drops the
+        // images it replaces, which this snapshot no longer reads.
+        shard.live.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// Computes the GC floor: the minimum over every shard's occupied-bin
@@ -627,14 +670,26 @@ impl SnapshotRegistry {
         floor
     }
 
-    /// Number of live snapshots (tests/stats).
+    /// True when some snapshot is registered. One load per shard, each
+    /// of a line that only registrations write, so on a database running
+    /// no snapshot every load hits the committer's cache.
+    #[inline]
+    fn any_live(&self) -> bool {
+        self.shards
+            .iter()
+            // ordering: SeqCst — a committer's read of the counts follows
+            // its allocation in the total order `register` reasons about
+            // (module docs, bullet 3).
+            .any(|s| s.live.load(Ordering::SeqCst) != 0)
+    }
+
+    /// Number of live snapshots: registered and not yet unregistered.
     pub fn active_count(&self) -> usize {
         self.shards
             .iter()
-            .flat_map(|s| s.bins.iter())
             // ordering: SeqCst — counts taken in the same total order as
             // register/unregister, so a quiesced registry reads exactly 0.
-            .map(|b| bin_unpack(b.load(Ordering::SeqCst)).1 as usize)
+            .map(|s| s.live.load(Ordering::SeqCst))
             .sum()
     }
 }
@@ -834,7 +889,8 @@ impl Database {
     /// every smaller commit is fully installed. Must be paired with
     /// [`Database::release_snapshot`].
     ///
-    /// Steady-state cost: two atomic loads plus one shard-bin
+    /// Steady-state cost: one increment of the live count, a wait for the
+    /// commits in flight to finish, two atomic loads and one shard-bin
     /// compare-exchange — no lock of any kind. Registration cannot raise
     /// the watermark, so nothing is published here.
     pub fn register_snapshot(&self) -> SnapshotGrant {
@@ -844,14 +900,35 @@ impl Database {
     /// Releases a snapshot previously returned by
     /// [`Database::register_snapshot`], letting the watermark advance.
     ///
-    /// One compare-exchange; the watermark itself is republished lazily by
-    /// the next tick ([`Database::note_commit`], every
+    /// One compare-exchange and a decrement of the live count; the
+    /// watermark itself is republished lazily by the next tick
+    /// ([`Database::note_commit`], every
     /// [`DbOptions::epoch_commits`]-th commit) or an explicit
     /// [`Database::publish_watermark`] — keeping the registry scan off the
     /// snapshot-end hot path. The staleness only delays GC by at most one
     /// tick of commits; it never reclaims a live version.
     pub fn release_snapshot(&self, grant: SnapshotGrant) {
         self.snapshots.unregister(grant);
+    }
+
+    /// The watermark a committer passes to its installs, read once per
+    /// commit after [`CommitClock::allocate`] returned `commit_ts`. With no
+    /// snapshot registered it returns `commit_ts`, so an install drops the
+    /// image it replaces at once, while that image is still warm;
+    /// otherwise it returns [`Database::gc_watermark`].
+    ///
+    /// `commit_ts` is safe while the count reads 0: a snapshot registering
+    /// after that read raises the count first, then reads `next()`, which
+    /// is above `commit_ts`, and drains the clock before it adopts a
+    /// timestamp. Its timestamp is therefore at least `commit_ts`, and no
+    /// version superseded at or below `commit_ts` is visible to it.
+    #[inline]
+    pub(crate) fn install_watermark(&self, commit_ts: u64) -> u64 {
+        if !self.snapshots.any_live() {
+            commit_ts
+        } else {
+            self.gc_watermark()
+        }
     }
 
     /// The published GC watermark: version-chain GC may reclaim versions

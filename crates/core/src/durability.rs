@@ -163,10 +163,7 @@ impl PartitionedDb {
         // 3. Fence the stable bound: S is below every timestamp allocated
         //    after the cuts, and waiting for stable >= S means every
         //    commit at or below S finished installing before the dump.
-        let stable_ts = db0.commit_clock.next().saturating_sub(1);
-        while db0.commit_clock.stable() < stable_ts {
-            std::thread::yield_now();
-        }
+        let stable_ts = db0.commit_clock.drain();
         // 4. Schema-level metadata, from partition 0's catalog (identical
         //    on every shard) and the router.
         let tables: Vec<TableMeta> = db0

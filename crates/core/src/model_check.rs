@@ -34,12 +34,25 @@
 //!     cargo test -p bamboo_core --lib model_
 //! ```
 //!
+//! A third mutation, `--cfg bamboo_model_no_drain`, removes the wait for
+//! in-flight commits from snapshot registration
+//! ([`crate::db::CommitClock::drain`]);
+//! [`model_mutation_missing_drain_loses_a_version`] asserts the checker
+//! finds the snapshot whose version a committer dropped at install:
+//!
+//! ```text
+//! RUSTFLAGS='--cfg bamboo_model --cfg bamboo_model_no_drain' \
+//!     cargo test -p bamboo_core --lib model_
+//! ```
+//!
 //! See CONCURRENCY.md at the workspace root for the invariant catalogue.
 //!
 //! [`model_mutation_missing_fence_strands_stable`]:
 //!     self::model_mutation_missing_fence_strands_stable
 //! [`model_mutation_missing_wake_bump_loses_a_wakeup`]:
 //!     self::model_mutation_missing_wake_bump_loses_a_wakeup
+//! [`model_mutation_missing_drain_loses_a_version`]:
+//!     self::model_mutation_missing_drain_loses_a_version
 
 use std::sync::Arc;
 
@@ -179,6 +192,82 @@ fn model_mutation_missing_wake_bump_loses_a_wakeup() {
         caught.is_err(),
         "wake bump removed but no lost wakeup found: the model checker \
          missed the notify-before-park race the eventcount exists to close"
+    );
+}
+
+/// A committer racing a registering snapshot over one tuple. The writer
+/// allocates its timestamp, installs a new image under
+/// [`Database::install_watermark`] — which drops the loader image when it
+/// reads no live snapshot — and finishes. The reader registers, reads the
+/// tuple at its timestamp and releases. Under every interleaving the
+/// reader finds the version current at its timestamp: the loader image
+/// below the writer's timestamp, the new image at or above it.
+///
+/// [`Database::install_watermark`]: crate::db::Database::install_watermark
+fn install_drop_scenario() {
+    use bamboo_storage::{DataType, Row, Schema, Value};
+
+    let mut b = crate::db::Database::builder();
+    let t = b.add_table(
+        "kv",
+        Schema::build()
+            .column("k", DataType::U64)
+            .column("v", DataType::I64),
+    );
+    let db = b.build();
+    db.table(t)
+        .insert(1, Row::from(vec![Value::U64(1), Value::I64(0)]));
+    let tuple = db.table(t).get(1).unwrap();
+    let writer = {
+        let (db, tuple) = (Arc::clone(&db), Arc::clone(&tuple));
+        thread::spawn(move || {
+            let ts = db.commit_clock.allocate();
+            let watermark = db.install_watermark(ts);
+            tuple.install_versioned(Row::from(vec![Value::U64(1), Value::I64(1)]), ts, watermark);
+            db.note_commit(ts);
+            ts
+        })
+    };
+    let reader = {
+        let db = Arc::clone(&db);
+        thread::spawn(move || {
+            let grant = db.register_snapshot();
+            let seen = tuple.read_at(grant.ts).map(|row| row.get_i64(1));
+            db.release_snapshot(grant);
+            (grant.ts, seen)
+        })
+    };
+    let commit_ts = writer.join().unwrap();
+    let (snap, seen) = reader.join().unwrap();
+    let want = i64::from(snap >= commit_ts);
+    assert_eq!(
+        seen,
+        Some(want),
+        "snapshot at {snap} lost its version to the commit at {commit_ts}"
+    );
+    assert_eq!(db.snapshots.active_count(), 0, "registration leaked");
+}
+
+#[cfg(not(bamboo_model_no_drain))]
+#[test]
+fn model_an_install_never_drops_a_registered_snapshots_version() {
+    let report = model(install_drop_scenario);
+    assert!(report.complete, "schedule space not exhausted");
+}
+
+/// The third seeded mutation: with the drain compiled out of snapshot
+/// registration (`--cfg bamboo_model_no_drain`), the checker must FIND the
+/// schedule where the writer reads a live count of 0 and drops the loader
+/// image, and a snapshot that registered before the commit finished
+/// adopts a timestamp below it and finds nothing to read.
+#[cfg(bamboo_model_no_drain)]
+#[test]
+fn model_mutation_missing_drain_loses_a_version() {
+    let caught = std::panic::catch_unwind(|| model(install_drop_scenario));
+    assert!(
+        caught.is_err(),
+        "drain removed but no lost version found: the model checker \
+         missed the commit a registering snapshot must wait for"
     );
 }
 

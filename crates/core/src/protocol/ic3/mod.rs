@@ -513,7 +513,7 @@ impl Protocol for Ic3Protocol {
             // Install writes (column-masked) as new committed versions and
             // clear accessor entries and versions.
             |ctx| {
-                let watermark = db.gc_watermark();
+                let watermark = db.install_watermark(ctx.commit_ts);
                 for i in 0..ctx.accesses.len() {
                     let a = &ctx.accesses[i];
                     let mut st = a.tuple.meta.ic3.lock();

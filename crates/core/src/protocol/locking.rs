@@ -175,10 +175,14 @@ impl LockingProtocol {
     ///
     /// It first reclaims the tuple's dead versions ([`Tuple::trim_versions`]),
     /// before the request: the grant copies the committed row, and the
-    /// copy reuses the chunk the dead image (same size) just freed instead
-    /// of the commit freeing it later, cold, in a burst with the others.
-    /// The watermark alone decides what is dead, so the trim needs only
-    /// the chain latch, not the lock entry.
+    /// copy reuses the chunk a dead image (same size) just freed. With no
+    /// snapshot registered the installs drop every replaced image at once
+    /// ([`Database::install_watermark`]), so the chain is empty and the
+    /// trim is one comparison; it reclaims something only after a snapshot
+    /// pinned history. It reads the published watermark, not the stable
+    /// point, which every commit writes. The watermark alone decides what
+    /// is dead, so the trim needs only the chain latch, not the lock
+    /// entry.
     fn acquire_ex(
         &self,
         db: &Database,
@@ -469,7 +473,7 @@ impl Protocol for LockingProtocol {
             ring,
             |_| {},
             |ctx| {
-                self.release_all(ctx, true, db.gc_watermark());
+                self.release_all(ctx, true, db.install_watermark(ctx.commit_ts));
             },
         )
     }

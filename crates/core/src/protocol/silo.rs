@@ -248,7 +248,7 @@ impl Protocol for SiloProtocol {
             // timestamp (db::note_commit, which republishes the snapshot
             // watermark every EPOCH_COMMITS-th commit).
             |ctx| {
-                let watermark = db.gc_watermark();
+                let watermark = db.install_watermark(ctx.commit_ts);
                 for &i in &write_idx {
                     let a = &ctx.accesses[i];
                     a.tuple

@@ -46,6 +46,25 @@ pub fn fence(order: atomic::Ordering) {
     interleave::sync::fence(order);
 }
 
+/// One round of waiting for another thread to finish something it has
+/// started (a commit between `allocate` and `finish`): a pause-hinted spin
+/// for the first 32 rounds, then a yield of the CPU, because on an
+/// oversubscribed machine the thread waited for cannot finish until it
+/// runs again. Under `cfg(bamboo_model)` every round is a scheduling point
+/// that runs another thread first.
+#[inline]
+pub(crate) fn wait_round(rounds: &mut u32) {
+    *rounds += 1;
+    #[cfg(bamboo_model)]
+    interleave::thread::yield_now();
+    #[cfg(not(bamboo_model))]
+    if *rounds < 32 {
+        std::hint::spin_loop();
+    } else {
+        std::thread::yield_now();
+    }
+}
+
 /// Pads and aligns `T` to 128 bytes — two 64-byte lines, covering the
 /// spatial prefetcher's adjacent-line pulls on x86 (the same sizing
 /// crossbeam's `CachePadded` uses on that family).

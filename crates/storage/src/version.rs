@@ -10,21 +10,29 @@
 //! Lifecycle of a version:
 //!
 //! 1. A committing writer calls [`VersionChain::install_at`] with its
-//!    commit timestamp: the previous newest image moves into the `older`
-//!    chain, tagged with the timestamp it had been current since.
+//!    commit timestamp and a watermark. When no snapshot is registered,
+//!    `bamboo-core` passes the commit timestamp itself as the watermark
+//!    (`Database::install_watermark`): no snapshot can ever read the
+//!    previous newest image, and the install drops it at once, while it is
+//!    still warm from the writer's copy. Otherwise the previous image
+//!    moves into the `older` chain, tagged with the timestamp it had been
+//!    current since.
 //! 2. Snapshot readers call [`VersionChain::read_at`]; rows whose first
 //!    version postdates the snapshot are *invisible* (`None`), which is how
 //!    snapshot scans avoid phantoms from later inserts.
 //! 3. [`VersionChain::gc`] reclaims the versions no live snapshot can see:
-//!    those superseded at or below the global snapshot watermark kept by
-//!    `bamboo-core`'s active-transaction registry. Dead versions are a
-//!    prefix of the chain (successor timestamps ascend), so a trim with
-//!    nothing to do is one comparison. The 2PL family's writer trims just
-//!    before it requests its exclusive lock, so the dead image's chunk is
-//!    free when the grant copies the row into one of the same size; every
-//!    install trims too, the backstop for writers that skip that request
-//!    (Silo, IC3, lock upgrades). No dead version outlives the next write,
-//!    so a chain is bounded by the commits since the oldest live snapshot.
+//!    those superseded at or below the watermark, the published snapshot
+//!    floor kept by `bamboo-core`'s snapshot registry (or, with no
+//!    snapshot registered, the commit clock's stable point). Dead versions
+//!    are a prefix of the chain (successor timestamps ascend), so a trim
+//!    with nothing to do is one comparison. The 2PL family's writer trims
+//!    just before it requests its exclusive lock, so the dead image's
+//!    chunk is free when the grant copies the row into one of the same
+//!    size; every install with a non-empty chain trims too, the backstop
+//!    for writers that skip that request (Silo, IC3, lock upgrades). No
+//!    dead version outlives the next write, so a chain is bounded by the
+//!    commits since the oldest live snapshot, and is empty on a database
+//!    that runs no snapshot.
 //!
 //! The chain stores `(commit_ts, row)` pairs sorted by ascending timestamp;
 //! commit timestamps are forced per-tuple monotonic so a chain can never
@@ -85,14 +93,15 @@ impl VersionChain {
         self.latest = row;
     }
 
-    /// Installs `row` as the new current image committed at `commit_ts`,
-    /// pushing the previous image onto the chain. Timestamps are forced
-    /// monotonic per tuple, so an out-of-order or zero `commit_ts` still
-    /// yields a valid chain.
+    /// Installs `row` as the new current image committed at `commit_ts`.
+    /// Timestamps are forced monotonic per tuple, so an out-of-order or
+    /// zero `commit_ts` still yields a valid chain.
     ///
-    /// The install trims ([`VersionChain::gc`]) when the oldest retained
-    /// version is dead at `watermark`, one comparison; with nothing dead
-    /// the install is a push.
+    /// The previous image is dead at once when the new timestamp is at or
+    /// below `watermark`: the install drops it and leaves `older` alone.
+    /// Otherwise it is pushed onto the chain. Either way a non-empty chain
+    /// is then trimmed ([`VersionChain::gc`]), one comparison when nothing
+    /// in it is dead.
     pub fn install_at(&mut self, row: Row, commit_ts: u64, watermark: u64) {
         self.install_at_with(row, commit_ts, watermark, DEFAULT_TRIM_THRESHOLD);
     }
@@ -109,9 +118,13 @@ impl VersionChain {
     ) {
         let ts = commit_ts.max(self.latest_ts + 1);
         let prev = std::mem::replace(&mut self.latest, row);
-        self.older.push((self.latest_ts, prev));
+        if ts > watermark {
+            self.older.push((self.latest_ts, prev));
+        }
         self.latest_ts = ts;
-        self.gc(watermark);
+        if !self.older.is_empty() {
+            self.gc(watermark);
+        }
     }
 
     /// Commit timestamp of the version that superseded `older[i]`.
@@ -246,6 +259,30 @@ mod tests {
             assert_eq!(c.retained(), 0, "chain must stay empty at install {i}");
         }
         assert_eq!(c.read_at(99).map(val), Some(99));
+    }
+
+    #[test]
+    fn an_install_at_or_below_the_watermark_keeps_no_history() {
+        // No snapshot: the watermark is the commit timestamp itself, and
+        // the replaced image goes at the install.
+        let mut c = VersionChain::new(row(0));
+        c.install_at(row(1), 10, 10);
+        assert_eq!(c.retained(), 0);
+        assert_eq!(c.read_at(10).map(val), Some(1));
+        // A snapshot at 15 pinned two images; once it is gone, the next
+        // install at or below its watermark drops the replaced image and
+        // everything the chain still held.
+        c.install_at(row(2), 20, 15);
+        c.install_at(row(3), 30, 15);
+        assert_eq!(c.retained(), 2);
+        c.install_at(row(4), 40, 40);
+        assert_eq!(c.retained(), 0);
+        assert_eq!(c.read_at(40).map(val), Some(4));
+        // A forced-monotonic timestamp above the watermark still pushes.
+        c.install_at(row(5), 40, 40);
+        assert_eq!(c.latest_ts(), 41);
+        assert_eq!(c.retained(), 1);
+        assert_eq!(c.read_at(40).map(val), Some(4));
     }
 
     #[test]

@@ -13,7 +13,9 @@ use std::time::{Duration, Instant};
 
 use bamboo_repro::core::executor::{run_bench, BenchConfig, TxnSpec, Workload};
 use bamboo_repro::core::partition::{PartSession, PartitionedDb};
-use bamboo_repro::core::protocol::{LockingProtocol, Protocol, SiloProtocol};
+use bamboo_repro::core::protocol::{
+    Ic3Protocol, LockingProtocol, PieceAccess, PieceDecl, Protocol, SiloProtocol, TemplateDecl,
+};
 use bamboo_repro::core::{Abort, AbortReason, Database, Session, Txn};
 use bamboo_repro::storage::{DataType, PartitionId, RouteStrategy, Row, Schema, TableId, Value};
 use rand::rngs::SmallRng;
@@ -531,9 +533,10 @@ fn write_and_publish(session: &Session, db: &Database, t: TableId, key: u64, v: 
 }
 
 /// The 2PL family's writer reclaims a tuple's dead versions before it
-/// requests its exclusive lock, not at its own install: once the watermark
-/// has passed the previous writer's commit, the next writer's `update`
-/// leaves the chain empty while that writer is still running.
+/// requests its exclusive lock, not at its own install: a snapshot pinned
+/// the loader image through the first write, and once the snapshot has
+/// ended, the next writer's `update` leaves the chain empty while that
+/// writer is still running.
 #[test]
 fn a_writer_reclaims_dead_versions_before_it_copies() {
     for proto in [LockingProtocol::bamboo(), LockingProtocol::wound_wait()] {
@@ -542,7 +545,10 @@ fn a_writer_reclaims_dead_versions_before_it_copies() {
         let name = session.protocol().name().to_owned();
         let tuple = db.table(t).get(5).unwrap();
 
+        let snap = session.snapshot();
         write_and_publish(&session, &db, t, 5, 1);
+        snap.commit().unwrap();
+        db.publish_watermark();
         assert_eq!(
             tuple.retained_versions(),
             1,
@@ -558,6 +564,39 @@ fn a_writer_reclaims_dead_versions_before_it_copies() {
         );
         w2.commit().unwrap();
         assert_eq!(tuple.read_row().get_i64(1), 2, "{name}");
+    }
+}
+
+/// With no snapshot registered, a commit drops the image it replaces at
+/// install: right after the commit the chain holds nothing, for the
+/// locking, Silo and IC3 installs alike.
+#[test]
+fn a_commit_with_no_live_snapshot_retains_nothing() {
+    let template = TemplateDecl {
+        name: "write".into(),
+        pieces: vec![PieceDecl::new(vec![PieceAccess::write(
+            TableId(0),
+            u64::MAX,
+            u64::MAX,
+        )])],
+    };
+    for proto in [
+        Arc::new(LockingProtocol::bamboo()) as Arc<dyn Protocol>,
+        Arc::new(LockingProtocol::wound_wait()) as Arc<dyn Protocol>,
+        Arc::new(SiloProtocol::new()) as Arc<dyn Protocol>,
+        Arc::new(Ic3Protocol::new(vec![template.clone()], false)) as Arc<dyn Protocol>,
+    ] {
+        let (db, t) = load();
+        let session = Session::new(Arc::clone(&db), proto);
+        let name = session.protocol().name().to_owned();
+        let tuple = db.table(t).get(5).unwrap();
+        for v in 1..=3 {
+            let mut w = session.begin();
+            w.update(t, 5, |row| row.set(1, Value::I64(v))).unwrap();
+            w.commit().unwrap();
+            assert_eq!(tuple.retained_versions(), 0, "{name}: write {v}");
+            assert_eq!(tuple.read_row().get_i64(1), v, "{name}");
+        }
     }
 }
 
