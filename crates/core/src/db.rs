@@ -58,9 +58,9 @@
 //!   loads); a registering snapshot raises its shard's count (a `SeqCst`
 //!   RMW) and then reads `next` (a `SeqCst` load). In the single total
 //!   order of those operations, a committer that reads 0 in the
-//!   snapshot's shard allocated `C` before the snapshot read `next`, so the snapshot sees `next > C`, waits until
-//!   `stable >= next - 1 >= C` (`CommitClock::drain`) and adopts a
-//!   timestamp `>= C`. It never needs the image the committer dropped at
+//!   snapshot's shard allocated `C` before the snapshot read `next`, so
+//!   the snapshot sees `next > C`, waits until `stable >= next - 1 >= C`
+//!   (`CommitClock::drain`) and adopts a timestamp `>= C`. It never needs the image the committer dropped at
 //!   install (`Database::install_watermark` returned `C`). A committer
 //!   that reads a count of 1 or more installs under the published
 //!   watermark, as above.
@@ -283,7 +283,7 @@ impl CommitClock {
         // ordering: SeqCst — the allocation must precede the committer's
         // read of the live-snapshot count in the total order a registering
         // snapshot's count raise and `next()` read also take part in
-        // (module docs, bullet 3). On x86 every RMW is SeqCst anyway.
+        // (module docs, bullet 4). On x86 every RMW is SeqCst anyway.
         let ts = self.next.fetch_add(1, Ordering::SeqCst);
         if ts > CLOCK_WINDOW as u64 {
             let prev = ts - CLOCK_WINDOW as u64;
@@ -554,10 +554,10 @@ impl SnapshotRegistry {
     }
 
     /// Registers a snapshot. It first raises its shard's live count and
-    /// drains the commit clock ([`CommitClock::drain`]): every commit allocated
-    /// before the raise may have dropped the image it replaced, so the
-    /// snapshot waits for those commits to finish and takes a timestamp
-    /// at or above theirs. Then it publishes presence in an epoch bin
+    /// drains the commit clock ([`CommitClock::drain`]): every commit
+    /// allocated before the raise may have dropped the image it replaced,
+    /// so the snapshot waits for those commits to finish and takes a
+    /// timestamp at or above theirs. Then it publishes presence in an epoch bin
     /// *first*, and adopts the stable point re-read *after* publication as
     /// the snapshot timestamp. That order is what makes the registration
     /// race-free against watermark publication without a lock.
@@ -567,7 +567,7 @@ impl SnapshotRegistry {
         // ordering: SeqCst — the raise precedes the drain's `next()` read,
         // and a committer's allocation precedes its read of this count, in
         // one total order: a committer that read 0 allocated before our
-        // `next()` read, so the drain waits for it (module docs, bullet 3).
+        // `next()` read, so the drain waits for it (module docs, bullet 4).
         shard.live.fetch_add(1, Ordering::SeqCst);
         // `--cfg bamboo_model_no_drain` removes the drain so the model
         // checker can show the lost version it prevents.
@@ -679,7 +679,7 @@ impl SnapshotRegistry {
             .iter()
             // ordering: SeqCst — a committer's read of the counts follows
             // its allocation in the total order `register` reasons about
-            // (module docs, bullet 3).
+            // (module docs, bullet 4).
             .any(|s| s.live.load(Ordering::SeqCst) != 0)
     }
 
@@ -889,8 +889,8 @@ impl Database {
     /// every smaller commit is fully installed. Must be paired with
     /// [`Database::release_snapshot`].
     ///
-    /// Steady-state cost: one increment of the live count, a wait for the
-    /// commits in flight to finish, two atomic loads and one shard-bin
+    /// Steady-state cost: one increment of its shard's live count, a wait
+    /// for the commits in flight to finish, two atomic loads and one bin
     /// compare-exchange — no lock of any kind. Registration cannot raise
     /// the watermark, so nothing is published here.
     pub fn register_snapshot(&self) -> SnapshotGrant {
@@ -917,11 +917,12 @@ impl Database {
     /// image it replaces at once, while that image is still warm;
     /// otherwise it returns [`Database::gc_watermark`].
     ///
-    /// `commit_ts` is safe while the count reads 0: a snapshot registering
-    /// after that read raises the count first, then reads `next()`, which
-    /// is above `commit_ts`, and drains the clock before it adopts a
-    /// timestamp. Its timestamp is therefore at least `commit_ts`, and no
-    /// version superseded at or below `commit_ts` is visible to it.
+    /// `commit_ts` is safe while every count reads 0: a snapshot
+    /// registering after that read raises a count first, then reads
+    /// `next()`, which is above `commit_ts`, and drains the clock before
+    /// it adopts a timestamp. Its timestamp is therefore at least
+    /// `commit_ts`, and no version superseded at or below `commit_ts` is
+    /// visible to it.
     #[inline]
     pub(crate) fn install_watermark(&self, commit_ts: u64) -> u64 {
         if !self.snapshots.any_live() {

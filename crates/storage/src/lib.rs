@@ -33,13 +33,14 @@
 //!   image plus older versions tagged with commit timestamps. Committing
 //!   writers call [`Tuple::install_versioned`] with the commit timestamp
 //!   allocated by `bamboo-core`'s commit clock, which pushes the previous
-//!   image onto the chain; lock-free snapshot readers resolve
-//!   [`Tuple::read_at`] against it; a 2PL writer before its lock request
+//!   image onto the chain, or drops it at once when no snapshot is
+//!   registered; lock-free snapshot readers resolve [`Tuple::read_at`]
+//!   against it; a 2PL writer before its lock request
 //!   ([`Tuple::trim_versions`]) and every install reclaim the versions
 //!   superseded at or below the global snapshot watermark published by
-//!   the active-transaction registry in `bamboo_core::db`, so
-//!   chains stay empty when no snapshot is live and bounded by the commits
-//!   since the oldest live snapshot otherwise. Rows inserted
+//!   the snapshot registry in `bamboo_core::db`, so chains stay empty
+//!   when no snapshot is live and bounded by the commits since the
+//!   oldest live snapshot otherwise. Rows inserted
 //!   transactionally enter via [`Table::insert_at`] with their commit
 //!   timestamp, making them invisible to older snapshots (no snapshot
 //!   phantoms).

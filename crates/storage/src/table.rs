@@ -71,10 +71,11 @@ impl<M> Tuple<M> {
         self.data.write().overwrite(row);
     }
 
-    /// Installs `row` as a new committed version at `commit_ts`, pushing
-    /// the previous image onto the version chain and eagerly collecting
-    /// versions no snapshot at or above `watermark` can see (MVCC commit
-    /// path).
+    /// Installs `row` as a new committed version at `commit_ts` (MVCC
+    /// commit path): the previous image goes onto the version chain, or is
+    /// dropped at once when `commit_ts` is at or below `watermark`, and
+    /// versions no snapshot at or above `watermark` can see are collected
+    /// ([`VersionChain::install_at`]).
     #[inline]
     pub fn install_versioned(&self, row: Row, commit_ts: u64, watermark: u64) {
         self.data.write().install_at(row, commit_ts, watermark);

@@ -21,9 +21,9 @@
 //!    version postdates the snapshot are *invisible* (`None`), which is how
 //!    snapshot scans avoid phantoms from later inserts.
 //! 3. [`VersionChain::gc`] reclaims the versions no live snapshot can see:
-//!    those superseded at or below the watermark, the published snapshot
-//!    floor kept by `bamboo-core`'s snapshot registry (or, with no
-//!    snapshot registered, the commit clock's stable point). Dead versions
+//!    those superseded at or below the watermark: the published snapshot
+//!    floor kept by `bamboo-core`'s snapshot registry, or at an install
+//!    with no snapshot registered, the commit's own timestamp. Dead versions
 //!    are a prefix of the chain (successor timestamps ascend), so a trim
 //!    with nothing to do is one comparison. The 2PL family's writer trims
 //!    just before it requests its exclusive lock, so the dead image's
