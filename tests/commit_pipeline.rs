@@ -400,6 +400,40 @@ fn capped_long_reader_aborts_snapshot_too_old_while_writers_commit() {
     assert!(db.gc_watermark() >= capped_ts);
 }
 
+/// An uncapped long reader (the default) reads its snapshot through 8
+/// commits to the rows it reads, the writers never block on it, and once
+/// it ends the watermark passes its snapshot.
+#[test]
+fn an_uncapped_long_reader_reads_its_snapshot_while_writers_commit() {
+    let (db, t) = kv_db(4);
+    let session = Session::new(Arc::clone(&db), Arc::new(LockingProtocol::bamboo()));
+
+    let mut reader = session.snapshot();
+    let ts = reader.snapshot_ts().unwrap();
+    assert_eq!(reader.read(t, 0).unwrap().get_i64(1), 0);
+    for k in 0..8 {
+        let mut w = session.begin();
+        w.update(t, k % 4, |row| {
+            let v = row.get_i64(1);
+            row.set(1, Value::I64(v + 1));
+        })
+        .unwrap();
+        w.commit().unwrap();
+    }
+    assert_eq!(db.commit_clock.stable(), ts + 8, "every writer committed");
+    for k in 0..4 {
+        assert_eq!(reader.read(t, k).unwrap().get_i64(1), 0, "key {k}");
+    }
+    db.publish_watermark();
+    assert!(db.gc_watermark() <= ts, "the watermark held at the reader");
+    reader.commit().unwrap();
+    db.publish_watermark();
+    assert!(
+        db.gc_watermark() > ts,
+        "the watermark passes the ended reader"
+    );
+}
+
 /// A one-partition group-commit database on a real segment file, `keys`
 /// rows loaded.
 fn group_commit_db(tag: &str, keys: u64) -> (Arc<Database>, TableId, std::path::PathBuf) {

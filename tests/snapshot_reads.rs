@@ -532,16 +532,15 @@ fn write_and_publish(session: &Session, db: &Database, t: TableId, key: u64, v: 
     db.publish_watermark();
 }
 
-/// The 2PL family's writer reclaims a tuple's dead versions before it
-/// requests its exclusive lock, not at its own install: a snapshot pinned
-/// the loader image through the first write, and once the snapshot has
-/// ended, the next writer's `update` leaves the chain empty while that
-/// writer is still running.
+/// The writer's install reclaims the dead image: a snapshot pinned the
+/// loader image through the first write, and once the snapshot has ended
+/// the next writer's commit leaves the chain empty, for the locking, Silo
+/// and IC3 installs alike.
 #[test]
-fn a_writer_reclaims_dead_versions_before_it_copies() {
-    for proto in [LockingProtocol::bamboo(), LockingProtocol::wound_wait()] {
+fn a_writers_install_reclaims_the_dead_image() {
+    for proto in every_install() {
         let (db, t) = load();
-        let session = Session::new(Arc::clone(&db), Arc::new(proto) as Arc<dyn Protocol>);
+        let session = Session::new(Arc::clone(&db), proto);
         let name = session.protocol().name().to_owned();
         let tuple = db.table(t).get(5).unwrap();
 
@@ -557,21 +556,19 @@ fn a_writer_reclaims_dead_versions_before_it_copies() {
 
         let mut w2 = session.begin();
         w2.update(t, 5, |row| row.set(1, Value::I64(2))).unwrap();
+        w2.commit().unwrap();
         assert_eq!(
             tuple.retained_versions(),
             0,
-            "{name}: the writer's update must reclaim the dead image"
+            "{name}: the writer's install must reclaim the dead image"
         );
-        w2.commit().unwrap();
         assert_eq!(tuple.read_row().get_i64(1), 2, "{name}");
     }
 }
 
-/// With no snapshot registered, a commit drops the image it replaces at
-/// install: right after the commit the chain holds nothing, for the
-/// locking, Silo and IC3 installs alike.
-#[test]
-fn a_commit_with_no_live_snapshot_retains_nothing() {
+/// One protocol per install: Bamboo and Wound-Wait (the locking release),
+/// Silo and IC3. The IC3 template declares one write on table 0.
+fn every_install() -> [Arc<dyn Protocol>; 4] {
     let template = TemplateDecl {
         name: "write".into(),
         pieces: vec![PieceDecl::new(vec![PieceAccess::write(
@@ -580,12 +577,20 @@ fn a_commit_with_no_live_snapshot_retains_nothing() {
             u64::MAX,
         )])],
     };
-    for proto in [
-        Arc::new(LockingProtocol::bamboo()) as Arc<dyn Protocol>,
-        Arc::new(LockingProtocol::wound_wait()) as Arc<dyn Protocol>,
-        Arc::new(SiloProtocol::new()) as Arc<dyn Protocol>,
-        Arc::new(Ic3Protocol::new(vec![template.clone()], false)) as Arc<dyn Protocol>,
-    ] {
+    [
+        Arc::new(LockingProtocol::bamboo()),
+        Arc::new(LockingProtocol::wound_wait()),
+        Arc::new(SiloProtocol::new()),
+        Arc::new(Ic3Protocol::new(vec![template], false)),
+    ]
+}
+
+/// With no snapshot registered, a commit drops the image it replaces at
+/// install: right after the commit the chain holds nothing, for the
+/// locking, Silo and IC3 installs alike.
+#[test]
+fn a_commit_with_no_live_snapshot_retains_nothing() {
+    for proto in every_install() {
         let (db, t) = load();
         let session = Session::new(Arc::clone(&db), proto);
         let name = session.protocol().name().to_owned();
@@ -602,47 +607,48 @@ fn a_commit_with_no_live_snapshot_retains_nothing() {
 
 /// A writer's trim reclaims only what the watermark says is dead: a
 /// snapshot taken after the first write keeps reading that write's image
-/// through two later writes, and once the snapshot ends the next writer
-/// reclaims the whole chain before it commits.
+/// through two later writes, and once the snapshot ends the next writer's
+/// commit reclaims the whole chain, for the locking, Silo and IC3 installs
+/// alike.
 #[test]
 fn a_live_snapshot_keeps_its_version_through_a_writers_trim() {
-    let (db, t) = load();
-    let session = Session::new(
-        Arc::clone(&db),
-        Arc::new(LockingProtocol::bamboo()) as Arc<dyn Protocol>,
-    );
-    let tuple = db.table(t).get(5).unwrap();
+    for proto in every_install() {
+        let (db, t) = load();
+        let session = Session::new(Arc::clone(&db), proto);
+        let name = session.protocol().name().to_owned();
+        let tuple = db.table(t).get(5).unwrap();
 
-    write_and_publish(&session, &db, t, 5, 1);
-    let mut snap = session.snapshot();
-    assert_eq!(snap.read(t, 5).unwrap().get_i64(1), 1);
-    let ts = snap.snapshot_ts().unwrap();
+        write_and_publish(&session, &db, t, 5, 1);
+        let mut snap = session.snapshot();
+        assert_eq!(snap.read(t, 5).unwrap().get_i64(1), 1, "{name}");
+        let ts = snap.snapshot_ts().unwrap();
 
-    for v in [2, 3] {
-        write_and_publish(&session, &db, t, 5, v);
-        assert_eq!(
-            tuple.read_at(ts).map(|row| row.get_i64(1)),
-            Some(1),
-            "the snapshot's version went with the write of {v}"
+        for v in [2, 3] {
+            write_and_publish(&session, &db, t, 5, v);
+            assert_eq!(
+                tuple.read_at(ts).map(|row| row.get_i64(1)),
+                Some(1),
+                "{name}: the snapshot's version went with the write of {v}"
+            );
+        }
+        assert_eq!(snap.read(t, 5).unwrap().get_i64(1), 1, "{name}");
+        assert!(
+            tuple.retained_versions() >= 2,
+            "{name}: the snapshot pins two images"
         );
-    }
-    assert_eq!(snap.read(t, 5).unwrap().get_i64(1), 1);
-    assert!(
-        tuple.retained_versions() >= 2,
-        "the snapshot pins two images"
-    );
-    snap.commit().unwrap();
-    db.publish_watermark();
+        snap.commit().unwrap();
+        db.publish_watermark();
 
-    let mut w = session.begin();
-    w.update(t, 5, |row| row.set(1, Value::I64(4))).unwrap();
-    assert_eq!(
-        tuple.retained_versions(),
-        0,
-        "with the snapshot gone the writer reclaims every older image"
-    );
-    w.commit().unwrap();
-    let mut later = session.snapshot();
-    assert_eq!(later.read(t, 5).unwrap().get_i64(1), 4);
-    later.commit().unwrap();
+        let mut w = session.begin();
+        w.update(t, 5, |row| row.set(1, Value::I64(4))).unwrap();
+        w.commit().unwrap();
+        assert_eq!(
+            tuple.retained_versions(),
+            0,
+            "{name}: with the snapshot gone the writer's install reclaims every older image"
+        );
+        let mut later = session.snapshot();
+        assert_eq!(later.read(t, 5).unwrap().get_i64(1), 4, "{name}");
+        later.commit().unwrap();
+    }
 }
