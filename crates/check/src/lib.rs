@@ -88,6 +88,13 @@
 //!     `inserts.push(`, and defines no `fn insert(`: `Txn` (`session.rs`)
 //!     serves snapshot transactions and buffers inserts, once for every
 //!     protocol, and a protocol's say in an insert is `lock_insert`.
+//! 13. **one-trim-site** — a version chain is trimmed in one place, its
+//!     install (`VersionChain::install_at_with`), for every protocol.
+//!     Production code outside `crates/storage/src/version.rs` calls no
+//!     `.gc(` and names no `trim_versions`: a second trim site, such as
+//!     a writer's trim before its lock request, pays the chain's write
+//!     latch on every write to reclaim what the next install reclaims
+//!     anyway.
 
 use std::fmt;
 use std::path::Path;
@@ -330,6 +337,23 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Finding> {
                 push(
                     "session-owns-snapshots",
                     format!("`{what}` in protocol code — `Txn` (session.rs) owns snapshot mode and insert buffering for every protocol; a protocol implements concurrency control only (`Protocol::lock_insert` for an insert)"),
+                );
+            }
+        }
+
+        // Rule 13: the install is the one code that trims a chain.
+        if rel_path != "crates/storage/src/version.rs" && !in_test {
+            let what = if line.contains(".gc(") {
+                Some(".gc(")
+            } else if !word_sites(line, "trim_versions").is_empty() {
+                Some("trim_versions")
+            } else {
+                None
+            };
+            if let Some(what) = what {
+                push(
+                    "one-trim-site",
+                    format!("`{what}` outside crates/storage/src/version.rs — a version chain is trimmed only by its install (`VersionChain::install_at_with`)"),
                 );
             }
         }
@@ -1226,6 +1250,40 @@ mod tests {
         // Unit tests may drive a snapshot through a session.
         let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() { let s = session.snapshot(); assert!(txn.ctx().snapshot.is_none()); }\n}\n";
         assert!(rules("crates/core/src/protocol/locking.rs", src).is_empty());
+    }
+
+    // --- rule 13: one-trim-site ----------------------------------------
+
+    #[test]
+    fn a_second_trim_site_fires_outside_the_chain() {
+        // The pre-acquire trim this rule keeps out, and a direct chain GC.
+        let src = "fn acquire_ex(&self) {\n    tuple.trim_versions(db.gc_watermark());\n}\n";
+        assert_eq!(
+            rules("crates/core/src/protocol/locking.rs", src),
+            vec!["one-trim-site"]
+        );
+        let src = "pub fn trim_versions(&self, watermark: u64) {\n    self.data.write().gc(watermark);\n}\n";
+        assert_eq!(
+            rules("crates/storage/src/table.rs", src),
+            vec!["one-trim-site", "one-trim-site"]
+        );
+        assert_eq!(
+            rules("crates/core/src/protocol/silo.rs", "chain.gc(wm);\n"),
+            vec!["one-trim-site"]
+        );
+    }
+
+    #[test]
+    fn one_trim_site_exempts_the_chain_tests_and_other_names() {
+        // The install's own trim.
+        let src = "if !self.older.is_empty() {\n    self.gc(watermark);\n}\n";
+        assert!(rules("crates/storage/src/version.rs", src).is_empty());
+        // Reading the watermark, the trim threshold, comments and strings.
+        let src = "let wm = db.gc_watermark();\nlet t = db.trim_threshold();\n// tuple.trim_versions(wm) is gone\nlet s = \"c.gc(1)\";\n";
+        assert!(rules("crates/core/src/protocol/locking.rs", src).is_empty());
+        // Unit tests may drive a chain directly.
+        let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() { c.gc(15); }\n}\n";
+        assert!(rules("crates/core/src/db.rs", src).is_empty());
     }
 
     // --- rule 9: one-database -----------------------------------------

@@ -478,13 +478,10 @@ fn bin_unpack(word: u64) -> (u64, u64) {
     (word >> BIN_COUNT_BITS, word & BIN_COUNT_MASK)
 }
 
-/// One registry shard: the count of its live snapshots, epoch bins, and
-/// the shard's published floor (maintained by [`SnapshotRegistry::floor`]
-/// scans; `u64::MAX` = empty).
+/// One registry shard: the count of its live snapshots and its epoch bins.
 struct SnapShard {
     live: AtomicUsize,
     bins: [AtomicU64; SNAP_BINS],
-    floor: AtomicU64,
 }
 
 /// A live snapshot registration: the snapshot timestamp plus the registry
@@ -502,11 +499,13 @@ pub struct SnapshotGrant {
 
 /// Registry of live read-only snapshots. The *watermark* — the oldest
 /// timestamp any live snapshot can still read — gates version-chain GC:
-/// [`bamboo_storage::VersionChain::gc`] only reclaims versions superseded
-/// at or below it.
+/// a commit's install ([`bamboo_storage::VersionChain::install_at`]) only
+/// reclaims versions superseded at or below it.
 ///
-/// Lock-free: registration is one packed compare-exchange on a sharded
-/// epoch bin plus two stable-point loads; release is one compare-exchange.
+/// Lock-free: registration raises its shard's live count, drains the
+/// commit clock (`CommitClock::drain`), then does one packed
+/// compare-exchange on a sharded epoch bin plus two stable-point loads;
+/// release is one compare-exchange on the bin and lowers the live count.
 /// The floor is computed by scanning the bins, bounded above by a stable
 /// value read *before* the scan — the ordering that makes a concurrent
 /// registration either visible to the scan or newer than its bound (see
@@ -531,7 +530,6 @@ impl SnapshotRegistry {
                     CachePadded::new(SnapShard {
                         live: AtomicUsize::new(0),
                         bins: std::array::from_fn(|_| AtomicU64::new(0)),
-                        floor: AtomicU64::new(u64::MAX),
                     })
                 })
                 .collect(),
@@ -637,35 +635,24 @@ impl SnapshotRegistry {
         shard.live.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Computes the GC floor: the minimum over every shard's occupied-bin
-    /// epoch floors and a stable point read **before** the scan (the bound
-    /// that covers registrations the scan raced past). Also publishes each
-    /// shard's floor into its `floor` slot for observability; the global
-    /// watermark is the min over those published per-shard floors, capped
-    /// by the pre-scan stable bound.
+    /// Computes the GC floor: the minimum over every occupied bin's epoch
+    /// floor and a stable point read **before** the scan (the bound that
+    /// covers registrations the scan raced past).
     fn floor(&self, clock: &CommitClock) -> u64 {
         // Read stable BEFORE scanning: a registrant that the scan misses
         // adopted a stable value read after its bin publication, which in
         // the SeqCst total order is >= this one.
         let bound = clock.stable();
         let mut floor = bound;
-        for shard in self.shards.iter() {
-            let mut shard_floor = u64::MAX;
-            for bin in &shard.bins {
-                // ordering: SeqCst — the scan must order after the pre-scan
-                // stable read in the registration/publication total order; a
-                // registration this scan misses then provably adopted a
-                // timestamp >= our stable bound (module docs, bullet 2).
-                let (e, c) = bin_unpack(bin.load(Ordering::SeqCst));
-                if c > 0 {
-                    shard_floor = shard_floor.min(e * BIN_WIDTH);
-                }
+        for bin in self.shards.iter().flat_map(|shard| &shard.bins) {
+            // ordering: SeqCst — the scan must order after the pre-scan
+            // stable read in the registration/publication total order; a
+            // registration this scan misses then provably adopted a
+            // timestamp >= our stable bound (module docs, bullet 2).
+            let (e, c) = bin_unpack(bin.load(Ordering::SeqCst));
+            if c > 0 {
+                floor = floor.min(e * BIN_WIDTH);
             }
-            // ordering: Release — observability slot only (tests/stats
-            // read it with Acquire); the real watermark is published by
-            // the caller via fetch_max.
-            shard.floor.store(shard_floor, Ordering::Release);
-            floor = floor.min(shard_floor);
         }
         floor
     }
@@ -1208,26 +1195,5 @@ mod tests {
         let w = bin_pack(123456, 7);
         assert_eq!(bin_unpack(w), (123456, 7));
         assert_eq!(bin_unpack(0), (0, 0));
-    }
-
-    #[test]
-    fn shard_floors_published_on_scan() {
-        let db = Database::builder().build();
-        for _ in 0..BIN_WIDTH {
-            let ts = db.commit_clock.allocate();
-            db.commit_clock.finish(ts);
-        }
-        let snap = db.register_snapshot();
-        db.publish_watermark();
-        // Exactly one shard publishes a finite floor (the grant's bin).
-        let finite: Vec<u64> = db
-            .snapshots
-            .shards
-            .iter()
-            .map(|s| s.floor.load(Ordering::Acquire))
-            .filter(|&f| f != u64::MAX)
-            .collect();
-        assert_eq!(finite, vec![(snap.ts / BIN_WIDTH) * BIN_WIDTH]);
-        db.release_snapshot(snap);
     }
 }

@@ -87,21 +87,20 @@
 //!   [`AbortReason::SnapshotNotVisible`] (or `Ok(None)` through
 //!   [`Txn::read_opt`]), never as a panic.
 //! * The registry's floor is published as the GC watermark
-//!   ([`db::Database::gc_watermark`]); versions no live snapshot can
-//!   still see are trimmed whenever the chain's oldest version is dead
-//!   (one comparison; dead versions are a prefix of the chain) — by a 2PL
-//!   writer before it copies the row, and by every install. Every
-//!   [`db::DbOptions::epoch_commits`]-th commit republishes the watermark
-//!   ([`db::Database::note_commit`]), so chains drain even without
-//!   snapshot churn.
+//!   ([`db::Database::gc_watermark`]). The install is the one place a
+//!   chain is trimmed, for every protocol: with no snapshot registered it
+//!   drops the image it replaces, and otherwise it reclaims the versions
+//!   no live snapshot can still see whenever the chain's oldest version
+//!   is dead (one comparison; dead versions are a prefix of the chain).
+//!   Every [`db::DbOptions::epoch_commits`]-th commit republishes the
+//!   watermark ([`db::Database::note_commit`]), so chains drain even
+//!   without snapshot churn.
 //!
 //! The commit clock, snapshot registry and watermark are all lock-free:
 //! no `Mutex`/`RwLock` sits on the commit or snapshot-begin path (see
 //! [`db`]'s module docs for the design and its memory-ordering contract).
-//! Hostile long readers can be bounded with
-//! [`session::TxnOptions::snapshot_max_lag`], which aborts a lagging
-//! snapshot with [`AbortReason::SnapshotTooOld`] instead of letting it
-//! pin version chains forever.
+//! A long reader pins the versions it may read for as long as it lives;
+//! writers never wait for it, they only retain those versions.
 //!
 //! ## Partitioned databases
 //!

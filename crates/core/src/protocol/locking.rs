@@ -172,17 +172,6 @@ impl LockingProtocol {
 
     /// Takes a fresh exclusive lock on `tuple` and records the (still clean)
     /// access; returns its index.
-    ///
-    /// It first reclaims the tuple's dead versions ([`Tuple::trim_versions`]),
-    /// before the request: the grant copies the committed row, and the
-    /// copy reuses the chunk a dead image (same size) just freed. With no
-    /// snapshot registered the installs drop every replaced image at once
-    /// ([`Database::install_watermark`]), so the chain is empty and the
-    /// trim is one comparison; it reclaims something only after a snapshot
-    /// pinned history. It reads the published watermark, not the stable
-    /// point, which every commit writes. The watermark alone decides what
-    /// is dead, so the trim needs only the chain latch, not the lock
-    /// entry.
     fn acquire_ex(
         &self,
         db: &Database,
@@ -190,7 +179,6 @@ impl LockingProtocol {
         table: TableId,
         tuple: Arc<Tuple<TupleCc>>,
     ) -> Result<usize, Abort> {
-        tuple.trim_versions(db.gc_watermark());
         let (row, retired) = self.acquire_blocking(db, ctx, &tuple, LockMode::Ex)?;
         debug_assert!(!retired, "exclusive grants start as owners");
         let access = Access::new(table, tuple, LockMode::Ex, row, AccessState::Owner);

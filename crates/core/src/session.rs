@@ -123,7 +123,6 @@ impl RetryPolicy {
 #[derive(Clone, Debug, Default)]
 pub struct TxnOptions {
     snapshot: bool,
-    snapshot_max_lag: Option<u64>,
     pub(crate) planned_ops: Option<usize>,
     pub(crate) template: usize,
 }
@@ -142,20 +141,6 @@ impl TxnOptions {
     /// timestamped MVCC path, the shared commit tail.
     pub fn snapshot(mut self) -> Self {
         self.snapshot = true;
-        self
-    }
-
-    /// Caps how far a snapshot transaction may fall behind the commit
-    /// clock: once the stable point runs more than `lag` commit
-    /// timestamps ahead of the snapshot, the next read aborts with
-    /// [`AbortReason::SnapshotTooOld`] so the reader stops pinning
-    /// version chains (writers are never blocked either way — the cap
-    /// just bounds how much superseded history they must retain). Off by
-    /// default; implies [`TxnOptions::snapshot`]. Retrying the
-    /// transaction takes a fresh snapshot.
-    pub fn snapshot_max_lag(mut self, lag: u64) -> Self {
-        self.snapshot = true;
-        self.snapshot_max_lag = Some(lag);
         self
     }
 
@@ -181,7 +166,6 @@ impl TxnOptions {
     pub fn for_spec(spec: &dyn TxnSpec) -> Self {
         TxnOptions {
             snapshot: spec.read_only_snapshot(),
-            snapshot_max_lag: None,
             planned_ops: spec.planned_ops(),
             template: spec.template(),
         }
@@ -304,7 +288,6 @@ impl Session {
                 TxnShared::new(self.db.next_txn_id(), UNASSIGNED),
                 SnapshotCtx {
                     grant: self.db.register_snapshot(),
-                    max_lag: opts.snapshot_max_lag,
                     parts: 0,
                     last: None,
                 },
@@ -552,17 +535,6 @@ impl<'s> Txn<'s> {
             .snapshot
             .as_mut()
             .expect("snapshot_read outside snapshot mode");
-        // "Snapshot too old" lag cap (TxnOptions::snapshot_max_lag): a capped
-        // long reader whose snapshot fell more than `lag` commit timestamps
-        // behind the stable point is aborted so its registration stops
-        // pinning the GC watermark. One atomic load — the check keeps the
-        // read path lock-free.
-        if let Some(lag) = snap.max_lag {
-            if db.commit_clock.stable().saturating_sub(snap.ts()) > lag {
-                self.ctx.shared.set_abort(AbortReason::SnapshotTooOld);
-                return Err(Abort(AbortReason::SnapshotTooOld));
-            }
-        }
         let (part, shard) = db.route(table, key);
         let Some(row) = shard.get_ref(key).and_then(|t| t.read_at(snap.ts())) else {
             return Ok(None);

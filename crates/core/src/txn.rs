@@ -77,13 +77,6 @@ pub enum AbortReason {
     /// as "row absent" ([`crate::session::Txn::read_opt`] does exactly
     /// that); surfacing it as an abort keeps the read signature uniform.
     SnapshotNotVisible,
-    /// A snapshot-mode read found the commit clock more than the
-    /// transaction's configured lag cap ahead of its snapshot timestamp
-    /// ([`crate::session::TxnOptions::snapshot_max_lag`]): the reader is
-    /// pinning version chains "too old" and is aborted so the GC
-    /// watermark can advance. Off unless the cap was set; retrying takes
-    /// a fresh snapshot.
-    SnapshotTooOld,
     /// The durable log could not persist this transaction's commit record
     /// group (permanent storage fault or exhausted retry budget), and the
     /// owning partition degrades to read-only until healed
@@ -109,8 +102,8 @@ pub enum AbortReason {
 impl AbortReason {
     /// Every reason with its report label. The position is the reason's
     /// index in [`crate::stats::WorkerStats::aborts_by_reason`] and its
-    /// encoding in the shared status word, so rows are only ever appended.
-    pub const ALL: [(AbortReason, &'static str); 12] = [
+    /// encoding in the shared status word.
+    pub const ALL: [(AbortReason, &'static str); 11] = [
         (AbortReason::Wounded, "wounded"),
         (AbortReason::Cascade, "cascade"),
         (AbortReason::WaitDie, "wait_die"),
@@ -120,7 +113,6 @@ impl AbortReason {
         (AbortReason::User, "user"),
         (AbortReason::Ic3Validation, "ic3_validation"),
         (AbortReason::SnapshotNotVisible, "snapshot_not_visible"),
-        (AbortReason::SnapshotTooOld, "snapshot_too_old"),
         (AbortReason::DurabilityFailed, "durability_failed"),
         (AbortReason::WaitTimeout, "wait_timeout"),
     ];
@@ -472,9 +464,7 @@ impl std::fmt::Debug for TxnShared {
 }
 
 /// Snapshot-mode state of a [`TxnCtx`]: the registry grant (which carries
-/// the snapshot timestamp), the optional "snapshot too old" lag cap from
-/// [`crate::session::TxnOptions::snapshot_max_lag`], and the little a read
-/// leaves behind. A snapshot read records no access: at a registered
+/// the snapshot timestamp) and the little a read leaves behind. A snapshot read records no access: at a registered
 /// snapshot a key's visible version cannot change, so there is nothing to
 /// deduplicate or release.
 #[derive(Debug)]
@@ -482,10 +472,6 @@ pub struct SnapshotCtx {
     /// The registry registration; released exactly once, when the
     /// [`crate::session::Txn`] commits or aborts.
     pub grant: crate::db::SnapshotGrant,
-    /// Abort reads with [`AbortReason::SnapshotTooOld`] once the commit
-    /// clock's stable point runs more than this many timestamps ahead of
-    /// the snapshot. `None` (the default) = never.
-    pub max_lag: Option<u64>,
     /// The partitions the snapshot has read a row from, bit `id % 64`
     /// each: what [`crate::session::Txn::partitions_spanned`] counts.
     pub parts: u64,
@@ -945,7 +931,6 @@ mod tests {
                 | AbortReason::User
                 | AbortReason::Ic3Validation
                 | AbortReason::SnapshotNotVisible
-                | AbortReason::SnapshotTooOld
                 | AbortReason::DurabilityFailed
                 | AbortReason::WaitTimeout => r,
             }

@@ -35,8 +35,7 @@
 //!   allocated by `bamboo-core`'s commit clock, which pushes the previous
 //!   image onto the chain, or drops it at once when no snapshot is
 //!   registered; lock-free snapshot readers resolve [`Tuple::read_at`]
-//!   against it; a 2PL writer before its lock request
-//!   ([`Tuple::trim_versions`]) and every install reclaim the versions
+//!   against it; the install, and nothing else, reclaims the versions
 //!   superseded at or below the global snapshot watermark published by
 //!   the snapshot registry in `bamboo_core::db`, so chains stay empty
 //!   when no snapshot is live and bounded by the commits since the

@@ -96,16 +96,6 @@ impl<M> Tuple<M> {
             .install_at_with(row, commit_ts, watermark, trim_threshold);
     }
 
-    /// Reclaims the versions no snapshot at or above `watermark` can see
-    /// ([`VersionChain::gc`]) under the chain's write latch, and nothing
-    /// else: the newest image and every version a live snapshot may read
-    /// stay. A writer calls it just before it copies the row, so the copy
-    /// reuses the allocation the dead image frees.
-    #[inline]
-    pub fn trim_versions(&self, watermark: u64) {
-        self.data.write().gc(watermark);
-    }
-
     /// The newest version visible at snapshot timestamp `snap`, or `None`
     /// when the tuple was inserted after the snapshot was taken.
     #[inline]

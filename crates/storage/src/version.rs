@@ -20,19 +20,17 @@
 //! 2. Snapshot readers call [`VersionChain::read_at`]; rows whose first
 //!    version postdates the snapshot are *invisible* (`None`), which is how
 //!    snapshot scans avoid phantoms from later inserts.
-//! 3. [`VersionChain::gc`] reclaims the versions no live snapshot can see:
-//!    those superseded at or below the watermark: the published snapshot
-//!    floor kept by `bamboo-core`'s snapshot registry, or at an install
-//!    with no snapshot registered, the commit's own timestamp. Dead versions
-//!    are a prefix of the chain (successor timestamps ascend), so a trim
-//!    with nothing to do is one comparison. The 2PL family's writer trims
-//!    just before it requests its exclusive lock, so the dead image's
-//!    chunk is free when the grant copies the row into one of the same
-//!    size; every install with a non-empty chain trims too, the backstop
-//!    for writers that skip that request (Silo, IC3, lock upgrades). No
-//!    dead version outlives the next write, so a chain is bounded by the
-//!    commits since the oldest live snapshot, and is empty on a database
-//!    that runs no snapshot.
+//! 3. Every install with a non-empty chain then trims it
+//!    ([`VersionChain::gc`]): it reclaims the versions no live snapshot can
+//!    see, those superseded at or below the watermark (the published
+//!    snapshot floor kept by `bamboo-core`'s snapshot registry, or with no
+//!    snapshot registered, the commit's own timestamp). The install is the
+//!    one place production code trims a chain, for every protocol
+//!    (`bamboo_check` rule 13 keeps it so). Dead versions are
+//!    a prefix of the chain (successor timestamps ascend), so a trim with
+//!    nothing to do is one comparison. No dead version outlives the next
+//!    write, so a chain is bounded by the commits since the oldest live
+//!    snapshot, and is empty on a database that runs no snapshot.
 //!
 //! The chain stores `(commit_ts, row)` pairs sorted by ascending timestamp;
 //! commit timestamps are forced per-tuple monotonic so a chain can never
@@ -137,25 +135,19 @@ impl VersionChain {
     /// when the tuple did not yet exist at `snap` (or the needed version
     /// was reclaimed — callers must register their snapshot with the
     /// watermark registry to rule that out).
+    #[inline]
     pub fn read_at(&self, snap: u64) -> Option<&Row> {
-        if self.latest_ts <= snap {
-            return Some(&self.latest);
-        }
-        // Newest older version with ts <= snap (chain is ascending).
-        self.older
-            .iter()
-            .rev()
-            .find(|(ts, _)| *ts <= snap)
-            .map(|(_, row)| row)
+        self.version_at(snap).map(|(_, row)| row)
     }
 
-    /// Like [`VersionChain::read_at`], but also returns the version's
-    /// commit timestamp. Checkpoint dumps use the timestamp as the redo
-    /// guard: replay skips any logged write at or below it.
+    /// The one version pick: [`VersionChain::read_at`] together with the
+    /// version's commit timestamp. Checkpoint dumps use the timestamp as
+    /// the redo guard: replay skips any logged write at or below it.
     pub fn version_at(&self, snap: u64) -> Option<(u64, &Row)> {
         if self.latest_ts <= snap {
             return Some((self.latest_ts, &self.latest));
         }
+        // Newest older version with ts <= snap (the chain is ascending).
         self.older
             .iter()
             .rev()
@@ -166,13 +158,15 @@ impl VersionChain {
     /// True when some version of this tuple is visible at `snap`.
     #[inline]
     pub fn visible_at(&self, snap: u64) -> bool {
-        self.latest_ts <= snap || self.older.first().is_some_and(|(ts, _)| *ts <= snap)
+        self.version_at(snap).is_some()
     }
 
     /// Reclaims every version that no snapshot at or above `watermark` can
     /// see: a version is dead once its *successor* was already committed at
     /// or below the watermark. Dead versions are a prefix, so with none the
     /// call is one comparison. Returns the number of versions reclaimed.
+    /// Production code reaches it only through the install; it is public
+    /// for the property tests that drive a chain directly.
     pub fn gc(&mut self, watermark: u64) -> usize {
         let mut cut = 0;
         while cut < self.older.len() && self.successor_ts(cut) <= watermark {

@@ -15,8 +15,7 @@ use std::sync::Arc;
 use bamboo_repro::core::partition::PartitionedDb;
 use bamboo_repro::core::protocol::{LockingProtocol, Protocol, SiloProtocol};
 use bamboo_repro::core::sync::thread_lock_acquisitions;
-use bamboo_repro::core::txn::{Abort, AbortReason};
-use bamboo_repro::core::{Database, DbOptions, Session, TxnOptions};
+use bamboo_repro::core::{Database, DbOptions, Session};
 use bamboo_repro::storage::{
     DataType, FsyncPolicy, PartitionId, RouteStrategy, Row, Schema, TableId, Value,
 };
@@ -355,56 +354,11 @@ fn watermark_never_passes_a_live_snapshot_under_churn() {
     });
 }
 
-/// A lag-capped long reader aborts with [`AbortReason::SnapshotTooOld`]
-/// once the commit clock runs past its cap, while writers keep committing
-/// throughout — and an uncapped reader (the default) survives the same
-/// write fire.
+/// A long reader reads its snapshot through 8 commits to the rows it
+/// reads, the writers never block on it, and once it ends the watermark
+/// passes its snapshot.
 #[test]
-fn capped_long_reader_aborts_snapshot_too_old_while_writers_commit() {
-    let (db, t) = kv_db(4);
-    let session = Session::new(Arc::clone(&db), Arc::new(LockingProtocol::bamboo()));
-
-    let commit_one = |k: u64| {
-        let mut w = session.begin();
-        w.update(t, k, |row| {
-            let v = row.get_i64(1);
-            row.set(1, Value::I64(v + 1));
-        })
-        .unwrap();
-        w.commit().unwrap();
-    };
-
-    let mut capped = session.begin_with(TxnOptions::new().snapshot_max_lag(4));
-    let mut uncapped = session.snapshot();
-    let capped_ts = capped.snapshot_ts().unwrap();
-    // Within the cap: reads succeed.
-    assert_eq!(capped.read(t, 0).unwrap().get_i64(1), 0);
-    for k in 0..8 {
-        commit_one(k % 4);
-    }
-    // The stable point is now 8 > 4 ahead: the capped reader must abort…
-    assert_eq!(
-        capped.read(t, 1).unwrap_err(),
-        Abort(AbortReason::SnapshotTooOld)
-    );
-    drop(capped);
-    // …the uncapped reader still reads its (pre-write) snapshot…
-    assert_eq!(uncapped.read(t, 1).unwrap().get_i64(1), 0);
-    uncapped.commit().unwrap();
-    // …and writers were never impeded: they committed during the reader's
-    // lifetime and keep committing after its abort.
-    commit_one(0);
-    assert!(db.commit_clock.stable() >= 9);
-    // With both readers gone the watermark passes the capped snapshot.
-    db.publish_watermark();
-    assert!(db.gc_watermark() >= capped_ts);
-}
-
-/// An uncapped long reader (the default) reads its snapshot through 8
-/// commits to the rows it reads, the writers never block on it, and once
-/// it ends the watermark passes its snapshot.
-#[test]
-fn an_uncapped_long_reader_reads_its_snapshot_while_writers_commit() {
+fn a_long_reader_reads_its_snapshot_while_writers_commit() {
     let (db, t) = kv_db(4);
     let session = Session::new(Arc::clone(&db), Arc::new(LockingProtocol::bamboo()));
 
