@@ -91,10 +91,11 @@
 //! 13. **one-trim-site** — a version chain is trimmed in one place, its
 //!     install (`VersionChain::install_at_with`), for every protocol.
 //!     Production code outside `crates/storage/src/version.rs` calls no
-//!     `.gc(` and names no `trim_versions`: a second trim site, such as
-//!     a writer's trim before its lock request, pays the chain's write
-//!     latch on every write to reclaim what the next install reclaims
-//!     anyway.
+//!     `.gc(` and names no identifier that starts with `trim_` and
+//!     mentions `version`: a second trim site, such as a writer's trim
+//!     of the tuple's chain before its lock request, pays the chain's
+//!     write latch on every write to reclaim what the next install
+//!     reclaims anyway.
 
 use std::fmt;
 use std::path::Path;
@@ -343,12 +344,12 @@ pub fn scan_source(rel_path: &str, source: &str) -> Vec<Finding> {
 
         // Rule 13: the install is the one code that trims a chain.
         if rel_path != "crates/storage/src/version.rs" && !in_test {
+            let ident = |c: char| c.is_alphanumeric() || c == '_';
             let what = if line.contains(".gc(") {
                 Some(".gc(")
-            } else if !word_sites(line, "trim_versions").is_empty() {
-                Some("trim_versions")
             } else {
-                None
+                line.split(|c: char| !ident(c))
+                    .find(|w| w.starts_with("trim_") && w.contains("version"))
             };
             if let Some(what) = what {
                 push(
@@ -1256,13 +1257,13 @@ mod tests {
 
     #[test]
     fn a_second_trim_site_fires_outside_the_chain() {
-        // The pre-acquire trim this rule keeps out, and a direct chain GC.
-        let src = "fn acquire_ex(&self) {\n    tuple.trim_versions(db.gc_watermark());\n}\n";
+        // A writer's trim before its lock request, and a direct chain GC.
+        let src = "fn acquire_ex(&self) {\n    tuple.trim_old_versions(db.gc_watermark());\n}\n";
         assert_eq!(
             rules("crates/core/src/protocol/locking.rs", src),
             vec!["one-trim-site"]
         );
-        let src = "pub fn trim_versions(&self, watermark: u64) {\n    self.data.write().gc(watermark);\n}\n";
+        let src = "pub fn trim_version_chain(&self, watermark: u64) {\n    self.data.write().gc(watermark);\n}\n";
         assert_eq!(
             rules("crates/storage/src/table.rs", src),
             vec!["one-trim-site", "one-trim-site"]
@@ -1279,7 +1280,7 @@ mod tests {
         let src = "if !self.older.is_empty() {\n    self.gc(watermark);\n}\n";
         assert!(rules("crates/storage/src/version.rs", src).is_empty());
         // Reading the watermark, the trim threshold, comments and strings.
-        let src = "let wm = db.gc_watermark();\nlet t = db.trim_threshold();\n// tuple.trim_versions(wm) is gone\nlet s = \"c.gc(1)\";\n";
+        let src = "let wm = db.gc_watermark();\nlet t = db.trim_threshold();\nlet v = trim_segment(version);\n// tuple.trim_old_versions(wm) is gone\nlet s = \"c.gc(1)\";\n";
         assert!(rules("crates/core/src/protocol/locking.rs", src).is_empty());
         // Unit tests may drive a chain directly.
         let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() { c.gc(15); }\n}\n";

@@ -240,9 +240,18 @@ fn snapshots_that_come_and_go_never_miss_a_version() {
             let _stop = StopOnDrop(&stop);
             let readers: Vec<_> = (0..READERS)
                 .map(|_| {
-                    let (db, proto) = (Arc::clone(&db), Arc::clone(&proto));
+                    let (db, proto, commits) = (Arc::clone(&db), Arc::clone(&proto), &commits);
                     s.spawn(move || {
                         let session = Session::new(db, proto);
+                        // The scans race the writers only once a writer is
+                        // running: on a busy 2-CPU host the readers could
+                        // otherwise finish before either writer committed.
+                        // Bounded, so writers that never commit still fail
+                        // the assertion below rather than hang the test.
+                        let deadline = Instant::now() + Duration::from_secs(10);
+                        while commits.load(Ordering::Relaxed) == 0 && Instant::now() < deadline {
+                            std::thread::yield_now();
+                        }
                         for _ in 0..SCANS {
                             snapshot_scan(&session, t);
                         }
